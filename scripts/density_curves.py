@@ -7,10 +7,7 @@ Each row is (q, t, y, density); the support halfwidth scales like
 import argparse
 import sys
 
-import numpy as np
-
-from qbm.measures import qgauss_density, support_halfwidth
-from qbm.qcore import QContext
+from qbm.cli import write_density_curves
 
 
 def main(argv=None) -> int:
@@ -24,13 +21,7 @@ def main(argv=None) -> int:
     qs = [float(part) for part in args.qs.split(",") if part.strip()]
     fh = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
-        fh.write("q,t,y,density\n")
-        for q in qs:
-            ctx = QContext.numeric(q)
-            w = support_halfwidth(args.t, q)
-            ys = np.linspace(-w, w, args.points)
-            for y, d in zip(ys, qgauss_density(ys, args.t, ctx)):
-                fh.write(f"{q!r},{args.t!r},{float(y)!r},{float(d)!r}\n")
+        write_density_curves(fh, qs, args.t, args.points)
     finally:
         if fh is not sys.stdout:
             fh.close()

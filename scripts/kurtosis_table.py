@@ -8,7 +8,7 @@ the flat-case value 2 + q at r = 0 toward 2 + 3q as r grows.
 import argparse
 import sys
 
-from qbm.verify import kurtosis_ratio, oracle_EZ2, oracle_EZ4
+from qbm.cli import write_kurtosis_table
 
 
 def main(argv=None) -> int:
@@ -20,16 +20,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     qs = [float(part) for part in args.qs.split(",") if part.strip()]
+    rs = [args.r_max * i / (args.steps - 1) if args.steps > 1 else 0.0 for i in range(args.steps)]
     fh = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
-        fh.write("q,r,ez2,ez4,ratio\n")
-        for q in qs:
-            for i in range(args.steps):
-                r = args.r_max * i / (args.steps - 1) if args.steps > 1 else 0.0
-                fh.write(
-                    f"{q!r},{r!r},{float(oracle_EZ2(r, q))!r},"
-                    f"{float(oracle_EZ4(r, q))!r},{float(kurtosis_ratio(r, q))!r}\n"
-                )
+        write_kurtosis_table(fh, qs, rs)
     finally:
         if fh is not sys.stdout:
             fh.close()

@@ -28,7 +28,7 @@ from .measures import qgauss_density, support_halfwidth
 from .process import GeometricGrid, simulate_batch, write_batch_csv
 from .qcore import QContext
 from .verify import (
-    MC_CHECKS,
+    CHECKS,
     kurtosis_ratio,
     oracle_EZ2,
     oracle_EZ4,
@@ -37,25 +37,16 @@ from .verify import (
     run_identity_suite,
     run_mc_suite,
     run_quadrature_suite,
+    selected_checks,
 )
 
-__all__ = ["RunConfig", "ConfigError", "main", "cmd_identities", "cmd_simulate", "cmd_verify"]
+__all__ = [
+    "RunConfig", "ConfigError", "main", "cmd_identities", "cmd_simulate", "cmd_verify",
+    "write_density_curves", "write_kurtosis_table",
+]
 
 DEFAULT_SEED = 2024
 PLOT_QS = (0.2, 0.5, 0.8)
-
-IDENTITY_NAMES = {
-    "recurrence", "byparts", "antiderivative", "product-rule", "lemma-nabla",
-    "lemma-A", "harmonicity", "wdw", "bdb", "x2-formula", "onestep-byparts",
-    "def-vs-byparts", "ito-telescoping", "kurtosis-r0", "kurtosis-varies",
-}
-QUADRATURE_NAMES = {
-    "normalization", "variance", "fourth-moment", "martingale", "cond-moments",
-    "orthogonality", "chapman", "nabla-numeric", "delta-numeric",
-}
-MC_NAMES = set(MC_CHECKS) | {"isometry"}
-CONVERGENCE_NAMES = {"ito-convergence", "sde-residual"}
-VERIFY_NAMES = QUADRATURE_NAMES | MC_NAMES | CONVERGENCE_NAMES
 
 
 class ConfigError(ValueError):
@@ -93,10 +84,10 @@ class RunConfig:
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if not self.z_threshold > 0.0:
             raise ConfigError(f"z-threshold must be positive, got {self.z_threshold}")
-        for name in self.only_set() or ():
-            if name not in IDENTITY_NAMES | VERIFY_NAMES:
-                known = ", ".join(sorted(IDENTITY_NAMES | VERIFY_NAMES))
-                raise ConfigError(f"unknown check {name!r}; known checks: {known}")
+        unknown = sorted((self.only_set() or set()) - CHECKS.keys())
+        if unknown:
+            known = ", ".join(sorted(CHECKS))
+            raise ConfigError(f"unknown check {unknown[0]!r}; known checks: {known}")
 
     def only_set(self) -> set[str] | None:
         if self.only is None or self.only.strip() == "":
@@ -224,31 +215,27 @@ def _summarize(reports, label: str) -> int:
     return 1 if failures else 0
 
 
-def _write_density_curves(config: RunConfig, out_dir: str) -> None:
-    """Plot-ready marginal density curves across q at the configured horizon."""
-    t = config.t
-    with open(os.path.join(out_dir, "density_curves.csv"), "w", encoding="utf-8") as fh:
-        fh.write("q,t,y,density\n")
-        for q in PLOT_QS:
-            ctx = QContext.numeric(q)
-            w = support_halfwidth(t, q)
-            ys = np.linspace(-w, w, 201)
-            dens = qgauss_density(ys, t, ctx)
-            for y, d in zip(ys, dens):
-                fh.write(f"{q!r},{t!r},{float(y)!r},{float(d)!r}\n")
+def write_density_curves(fh, qs, t: float, points: int) -> None:
+    """Plot-ready marginal density curves: one row (q, t, y, density) at each
+    of points equally spaced y across the support, for every q."""
+    fh.write("q,t,y,density\n")
+    for q in qs:
+        ctx = QContext.numeric(q)
+        w = support_halfwidth(t, q)
+        ys = np.linspace(-w, w, points)
+        for y, d in zip(ys, qgauss_density(ys, t, ctx)):
+            fh.write(f"{q!r},{t!r},{float(y)!r},{float(d)!r}\n")
 
 
-def _write_kurtosis_table(out_dir: str) -> None:
-    """Plot-ready moment-ratio table: E(Z^4)/E(Z^2)^2 against the exponent r."""
-    with open(os.path.join(out_dir, "kurtosis_vs_r.csv"), "w", encoding="utf-8") as fh:
-        fh.write("q,r,ez2,ez4,ratio\n")
-        for q in PLOT_QS:
-            for i in range(25):
-                r = i / 8.0
-                fh.write(
-                    f"{q!r},{r!r},{float(oracle_EZ2(r, q))!r},"
-                    f"{float(oracle_EZ4(r, q))!r},{float(kurtosis_ratio(r, q))!r}\n"
-                )
+def write_kurtosis_table(fh, qs, rs) -> None:
+    """Plot-ready moment-ratio table: E(Z^4)/E(Z^2)^2 at each exponent in rs."""
+    fh.write("q,r,ez2,ez4,ratio\n")
+    for q in qs:
+        for r in rs:
+            fh.write(
+                f"{q!r},{r!r},{float(oracle_EZ2(r, q))!r},"
+                f"{float(oracle_EZ4(r, q))!r},{float(kurtosis_ratio(r, q))!r}\n"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +244,10 @@ def _write_kurtosis_table(out_dir: str) -> None:
 
 def cmd_identities(config: RunConfig) -> int:
     only = config.only_set()
-    if only is not None:
-        only = only & IDENTITY_NAMES
-        if not only:
-            print("identities: no matching checks selected")
-            print("identities: 0/0 checks passed")
-            return 0
+    if only is not None and not selected_checks(only, "identities"):
+        print("identities: no matching checks selected")
+        print("identities: 0/0 checks passed")
+        return 0
     reports = run_identity_suite(only=only)
     _write_reports(reports, config, config.out, "identities")
     return _summarize(reports, "identities")
@@ -280,24 +265,22 @@ def cmd_simulate(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     only = config.only_set()
     n_paths = config.paths if config.paths is not None else 10**5
+    suites = {
+        "quadrature": lambda: run_quadrature_suite(only=only),
+        "mc": lambda: run_mc_suite(
+            n_paths=n_paths, seed=config.seed, threshold=config.z_threshold, only=only
+        ),
+        "convergence": lambda: run_convergence_suite(seed=config.seed, only=only),
+    }
     reports = []
-    if only is None or only & QUADRATURE_NAMES:
-        reports += run_quadrature_suite(only=None if only is None else only & QUADRATURE_NAMES)
-    if only is None or only & MC_NAMES:
-        reports += run_mc_suite(
-            n_paths=n_paths,
-            seed=config.seed,
-            threshold=config.z_threshold,
-            only=None if only is None else only & MC_NAMES,
-        )
-    if only is None or only & CONVERGENCE_NAMES:
-        reports += run_convergence_suite(
-            seed=config.seed,
-            only=None if only is None else only & CONVERGENCE_NAMES,
-        )
+    for suite, run in suites.items():
+        if only is None or selected_checks(only, suite):
+            reports += run()
     _write_reports(reports, config, config.out, "verify")
-    _write_density_curves(config, config.out)
-    _write_kurtosis_table(config.out)
+    with open(os.path.join(config.out, "density_curves.csv"), "w", encoding="utf-8") as fh:
+        write_density_curves(fh, PLOT_QS, config.t, 201)
+    with open(os.path.join(config.out, "kurtosis_vs_r.csv"), "w", encoding="utf-8") as fh:
+        write_kurtosis_table(fh, PLOT_QS, [i / 8.0 for i in range(25)])
     return _summarize(reports, "verify")
 
 

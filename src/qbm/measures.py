@@ -33,8 +33,6 @@ __all__ = [
     "qgauss_density",
     "transition_density",
     "integrate",
-    "sample",
-    "build_cdf_table",
     "scaled_marginal_table",
     "scaled_transition_table",
     "invert_cdf",
@@ -48,8 +46,10 @@ NORM_TOL = 1e-6
 #: relative stopping rule for adaptive quadrature
 QUAD_REL_TOL = 1e-10
 
-#: default tabulation grid for inverse-CDF sampling
+#: tabulation grid for inverse-CDF sampling: theta nodes per row, and the
+#: conditioning states of the scaled transition table
 N_THETA = 2048
+N_X = 513
 
 
 class QuadratureError(RuntimeError):
@@ -272,7 +272,6 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 def integrate(
     g,
     spec: DensitySpec,
-    rule: QuadratureRule | None = None,
     rel_tol: float = QUAD_REL_TOL,
     max_order: int = 8193,
 ) -> float:
@@ -282,10 +281,10 @@ def integrate(
     rel_tol (relative, with a unit floor); raises QuadratureError if max_order
     is reached first.
     """
-    order = rule.order if rule is not None else 65
+    order = 65
     prev = None
     while order <= max_order:
-        r = rule if (rule is not None and rule.order == order) else QuadratureRule.gauss_legendre(order)
+        r = QuadratureRule.gauss_legendre(order)
         y = spec.w * np.sin(r.thetas)
         gv = np.asarray(g(y), dtype=float)
         rho = _theta_density(spec, r.thetas)
@@ -320,20 +319,20 @@ class CdfTable:
     x_grid: np.ndarray | None = None
 
 
-def _tabulate(density_rows, n_theta: int, w: float, x_grid=None) -> CdfTable:
+def _tabulate(density_rows, w: float, x_grid=None) -> CdfTable:
     """Build a CdfTable from a vectorised theta-density evaluator.
 
-    CDF increments use two-point Gauss-Legendre inside each of the n_theta - 1
+    CDF increments use two-point Gauss-Legendre inside each of the N_THETA - 1
     cells, accurate far beyond the normalisation gate.
     """
-    thetas = np.linspace(-math.pi / 2.0, math.pi / 2.0, n_theta)
+    thetas = np.linspace(-math.pi / 2.0, math.pi / 2.0, N_THETA)
     h = thetas[1] - thetas[0]
     off = h / (2.0 * math.sqrt(3.0))
     mids = 0.5 * (thetas[:-1] + thetas[1:])
     sub = np.concatenate([mids - off, mids + off, thetas])
     vals = density_rows(sub)
     vals = np.atleast_2d(vals)
-    m = n_theta - 1
+    m = N_THETA - 1
     inc = 0.5 * h * (vals[:, :m] + vals[:, m : 2 * m])
     pdf = vals[:, 2 * m :]
     cdf = np.concatenate([np.zeros((vals.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1)
@@ -346,26 +345,15 @@ def _tabulate(density_rows, n_theta: int, w: float, x_grid=None) -> CdfTable:
     return CdfTable(thetas=thetas, cdf=cdf, pdf=pdf, w=w, x_grid=x_grid)
 
 
-@lru_cache(maxsize=64)
-def _cached_spec_table(spec: DensitySpec, n_theta: int) -> CdfTable:
-    return _tabulate(lambda th: _theta_density(spec, th), n_theta, spec.w)
-
-
-def build_cdf_table(spec: DensitySpec, n_theta: int = N_THETA) -> CdfTable:
-    return _cached_spec_table(spec, n_theta)
-
-
 @lru_cache(maxsize=16)
-def scaled_marginal_table(q: float, prod_eps: float = 1e-16, n_theta: int = N_THETA) -> CdfTable:
+def scaled_marginal_table(q: float, prod_eps: float = 1e-16) -> CdfTable:
     """CDF table of the unit-time marginal; other horizons follow by sqrt(t) scaling."""
     spec = marginal_spec(QContext.numeric(q, prod_eps=prod_eps), 1.0)
-    return build_cdf_table(spec, n_theta)
+    return _tabulate(lambda th: _theta_density(spec, th), spec.w)
 
 
 @lru_cache(maxsize=16)
-def scaled_transition_table(
-    q: float, prod_eps: float = 1e-16, n_x: int = 513, n_theta: int = N_THETA
-) -> CdfTable:
+def scaled_transition_table(q: float, prod_eps: float = 1e-16) -> CdfTable:
     """CDF rows of the scaled one-step kernel (time q to time 1).
 
     On a geometric grid every step has time ratio q, and diffusive scaling
@@ -375,13 +363,13 @@ def scaled_transition_table(
     ctx = QContext.numeric(q, prod_eps=prod_eps)
     n = ctx.n_product_factors()
     edge = support_halfwidth(q, q)
-    x_grid = np.linspace(-edge, edge, n_x)
+    x_grid = np.linspace(-edge, edge, N_X)
     w = support_halfwidth(1.0, q)
 
     def rows(th):
         return _transition_theta_density(th[None, :], x_grid[:, None], q, 1.0, q, n)
 
-    return _tabulate(rows, n_theta, w, x_grid=x_grid)
+    return _tabulate(rows, w, x_grid=x_grid)
 
 
 def invert_cdf(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -419,16 +407,6 @@ def draw_from_table(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndar
     """Map uniforms through the tabulated inverse CDF to state space."""
     theta = invert_cdf(table, rows, u)
     return table.w * np.sin(theta)
-
-
-def sample(spec: DensitySpec, rng: np.random.Generator, n_theta: int = N_THETA) -> float:
-    """One draw from the density by tabulated inverse CDF.
-
-    Deterministic given the generator state; the table is cached per spec.
-    """
-    table = build_cdf_table(spec, n_theta)
-    u = np.asarray([rng.random()])
-    return float(draw_from_table(table, np.zeros(1, dtype=np.intp), u)[0])
 
 
 def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 import numpy as np
 

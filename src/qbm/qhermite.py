@@ -28,7 +28,7 @@ __all__ = [
     "qhermite",
     "to_hermite_basis",
     "from_hermite_basis",
-    "hermite_eval",
+    "hermite_eval_sequence",
     "scaling_check",
     "growth_constant",
     "growth_bound",
@@ -256,19 +256,6 @@ def from_hermite_basis(hc: HermiteCoefficients, ctx: QContext) -> QPolynomial:
     return out
 
 
-def hermite_eval(n: int, x: Scalar, t: Scalar, ctx: QContext) -> Scalar:
-    """h_n(x; t) by the value recurrence; works on scalars and numpy arrays."""
-    if n < 0:
-        raise ValueError("hermite_eval needs n >= 0")
-    prev = x * 0 + 1
-    if n == 0:
-        return prev
-    cur = x
-    for m in range(1, n):
-        prev, cur = cur, x * cur - q_int(m, ctx) * t * prev
-    return cur
-
-
 def hermite_eval_sequence(n_max: int, x, t, ctx: QContext) -> list:
     """[h_0(x; t), ..., h_{n_max}(x; t)] sharing one pass of the recurrence."""
     out = [x * 0 + 1]
@@ -299,10 +286,11 @@ def scaling_check(n: int, x: float, t: float, ctx: QContext, tol: float = 1e-9) 
     Returns the discrepancy; raises if it exceeds tol (relative to the bound
     scale) so misuse fails loudly.
     """
-    if t <= 0:
-        raise ValueError("scaling_check needs t > 0")
-    lhs = float(hermite_eval(n, float(x), float(t), ctx))
-    rhs = float(t) ** (n / 2.0) * float(hermite_eval(n, float(x) / math.sqrt(t), 1.0, ctx))
+    if n < 0 or t <= 0:
+        raise ValueError("scaling_check needs n >= 0 and t > 0")
+    lhs = float(hermite_eval_sequence(n, float(x), float(t), ctx)[n])
+    scaled = hermite_eval_sequence(n, float(x) / math.sqrt(t), 1.0, ctx)[n]
+    rhs = float(t) ** (n / 2.0) * float(scaled)
     err = abs(lhs - rhs)
     scale = max(1.0, growth_bound(n, t, ctx))
     if err > tol * scale:

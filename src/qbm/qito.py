@@ -27,7 +27,6 @@ independent cross-check of the exact coefficient-space versions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +34,6 @@ import numpy as np
 
 from .measures import (
     QUAD_REL_TOL,
-    DensitySpec,
     QuadratureError,
     QuadratureRule,
     _transition_theta_density,
@@ -44,7 +42,7 @@ from .measures import (
     transition_spec,
 )
 from .process import GeometricGrid, GeometricPath
-from .qcore import Poly, QContext, Scalar, q_factorial
+from .qcore import QContext, Scalar, q_factorial
 from .qhermite import (
     HermiteCoefficients,
     QPolynomial,
@@ -58,11 +56,9 @@ from .stochint import PolynomialIntegrand, integrate_def
 __all__ = [
     "GridTooShallowError",
     "ItoDecomposition",
-    "KernelSpec",
     "a_operator",
     "delta_exact",
     "delta_numeric",
-    "dq_time",
     "ito_decompose",
     "ito_residual",
     "ito_tail_bound",
@@ -122,38 +118,6 @@ def delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
             continue
         out = out + _delta_monomial(n, ctx) * a_n
     return out
-
-
-def dq_time(f: QPolynomial, ctx: QContext) -> QPolynomial:
-    """q-derivative of f in the time slot."""
-    return f.dq_time(ctx)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Transition kernels behind the integral operator forms at state (x, s).
-
-    nu feeds the q-gradient: the first divided difference f[x, .] integrated
-    against a transition started at q x between times q**2 s and s.  mu_outer
-    is the outer leg of the second-order operator; its inner leg starts at
-    q y for each outer state y, between times q**2 s and s, and is built on
-    the fly inside delta_numeric.
-    """
-
-    x: float
-    s: float
-    nu: DensitySpec
-    mu_outer: DensitySpec
-
-    @classmethod
-    def at_state(cls, ctx: QContext, x: float, s: float) -> "KernelSpec":
-        q = ctx.qf
-        return cls(
-            x=float(x),
-            s=float(s),
-            nu=transition_spec(ctx, s=q * q * s, t=s, x=q * x),
-            mu_outer=transition_spec(ctx, s=q * s, t=s, x=x),
-        )
 
 
 def _divdiff1_poly(a: list[float], x: float, y):
@@ -255,11 +219,12 @@ def _divdiff2_callable(f, x: float, s: float, ctx: QContext):
 def nabla_numeric(f, x: float, s: float, ctx: QContext, rel_tol: float = QUAD_REL_TOL) -> float:
     """q-gradient via its kernel form: int f[x, y] nu(dy).
 
-    f is a QPolynomial (exact divided differences) or a plain callable of the
-    space variable, for which guarded finite differences stand in near the
-    diagonal.
+    nu is the transition started at q x between times q**2 s and s.  f is a
+    QPolynomial (exact divided differences) or a plain callable of the space
+    variable, for which guarded finite differences stand in near the diagonal.
     """
-    spec = KernelSpec.at_state(ctx, x, s).nu
+    q = ctx.qf
+    spec = transition_spec(ctx, s=q * q * s, t=s, x=q * x)
     if isinstance(f, QPolynomial):
         a = [float(c(s)) for c in f.coeffs]
         g = lambda y: _divdiff1_poly(a, float(x), y)
@@ -268,14 +233,7 @@ def nabla_numeric(f, x: float, s: float, ctx: QContext, rel_tol: float = QUAD_RE
     return integrate(g, spec, rel_tol=rel_tol)
 
 
-def delta_numeric(
-    f,
-    x: float,
-    s: float,
-    ctx: QContext,
-    rel_tol: float = QUAD_REL_TOL,
-    max_order: int = 4097,
-) -> float:
+def delta_numeric(f, x: float, s: float, ctx: QContext, rel_tol: float = QUAD_REL_TOL) -> float:
     """Second-order operator via its nested kernel form.
 
     Outer leg: transition from x between times q s and s; inner leg from q y
@@ -286,7 +244,7 @@ def delta_numeric(
     nodes, which floors the attainable self-consistency near 1e-7.
     """
     q = ctx.qf
-    spec = KernelSpec.at_state(ctx, x, s)
+    outer = transition_spec(ctx, s=q * s, t=s, x=x)
     n_fac = ctx.n_product_factors()
     w = support_halfwidth(s, q)
     if isinstance(f, QPolynomial):
@@ -297,10 +255,10 @@ def delta_numeric(
         rel_tol = max(rel_tol, 1e-7)
     order = 65
     prev = None
-    while order <= max_order:
+    while order <= 4097:
         rule = QuadratureRule.gauss_legendre(order)
         y = w * np.sin(rule.thetas)
-        rho_out = _transition_theta_density(rule.thetas, spec.mu_outer.x, q * s, s, q, n_fac)
+        rho_out = _transition_theta_density(rule.thetas, outer.x, q * s, s, q, n_fac)
         rho_in = _transition_theta_density(
             rule.thetas[None, :], (q * y)[:, None], q * q * s, s, q, n_fac
         )
@@ -311,7 +269,7 @@ def delta_numeric(
             return est
         prev = est
         order = 2 * order - 1
-    raise QuadratureError(f"nested quadrature did not converge by order {max_order}")
+    raise QuadratureError("nested quadrature did not converge by order 4097")
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .qcore import Poly, QContext, SampledFunction, Scalar, q_factorial, q_int
-from .qhermite import (
-    HermiteCoefficients,
-    QPolynomial,
-    growth_constant,
-    hermite_eval_sequence,
-    to_hermite_basis,
-)
+from .qhermite import QPolynomial, growth_constant, hermite_eval_sequence, to_hermite_basis
 from .process import GeometricGrid, GeometricPath, PathBatch
 
 __all__ = [
@@ -53,52 +47,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolynomialIntegrand:
-    """Integrand in q-Hermite form: b[m] is the coefficient polynomial b_m(t).
-
-    decay, when declared as (M, rho), asserts |b_n| <= M rho**n for the terms
-    beyond the stored degree and feeds the reported series-tail estimate for
-    truncated power-series integrands.
-    """
+    """Integrand in q-Hermite form: b[m] is the coefficient polynomial b_m(t)."""
 
     b: tuple[Poly, ...]
-    decay: tuple[float, float] | None = None
 
     @property
     def degree(self) -> int:
         return len(self.b) - 1
 
     @classmethod
-    def from_hermite(cls, b: Sequence[Poly | Scalar], decay=None) -> "PolynomialIntegrand":
-        return cls(tuple(p if isinstance(p, Poly) else Poly.const(p) for p in b), decay)
+    def from_hermite(cls, b: Sequence[Poly | Scalar]) -> "PolynomialIntegrand":
+        return cls(tuple(p if isinstance(p, Poly) else Poly.const(p) for p in b))
 
     @classmethod
     def from_qpolynomial(cls, f: QPolynomial, ctx: QContext) -> "PolynomialIntegrand":
         return cls(to_hermite_basis(f, ctx).b)
-
-    @classmethod
-    def from_power_series(
-        cls, coeffs: Sequence[Scalar], degree: int, ctx: QContext, decay=None
-    ) -> "PolynomialIntegrand":
-        """Degree-d prefix of an analytic integrand f(x) = sum_k coeffs[k] x**k."""
-        prefix = QPolynomial(tuple(Poly.const(c) for c in coeffs[: degree + 1]))
-        return cls(to_hermite_basis(prefix, ctx).b, decay)
-
-    def series_tail_estimate(self, t: float, ctx: QContext) -> float:
-        """L2 tail sum_{n>d} (1/[n]!) int b_n**2 s**n d_q s under the declared decay."""
-        if self.decay is None:
-            return 0.0
-        m, rho = self.decay
-        total = 0.0
-        fact = float(q_factorial(self.degree, ctx))
-        for n in range(self.degree + 1, self.degree + 2000):
-            fact *= float(q_int(n, ctx))
-            term = (m * rho**n) ** 2 * float(t) ** (n + 1) / (fact * float(q_int(n + 1, ctx)))
-            total += term
-            if term < 1e-300:
-                break
-        else:  # pragma: no cover
-            raise ValueError("declared decay too slow for a finite tail estimate")
-        return total
 
 
 @dataclass(frozen=True)
@@ -165,43 +128,33 @@ def _boundary_sum(f: PolynomialIntegrand, grid: GeometricGrid, value_at, ctx: QC
     return total
 
 
-def def_tail_bound(f: PolynomialIntegrand, grid: GeometricGrid, ctx: QContext) -> float:
-    """Bound for the dropped Jackson tail of the defining sum.
+def _tail_bounds(f: PolynomialIntegrand, grid: GeometricGrid, ctx: QContext):
+    """Bounds for the dropped Jackson tail of the defining sum and for the
+    depth-K boundary term sum_m |b_m(t_K) h_{m+1}(B_K; t_K)| / [m+1]!.
 
-    Per term m:  2 sup|b_m| C_{m+1} t_K**((m+1)/2) / ((1 - q**((m+1)/2)) [m+1]!)
-    with sup taken over [0, t_K], where all dropped evaluations live.
+    Per term m, with sup taken over [0, t_K], where all dropped evaluations live:
+        tail      2 sup|b_m| C_{m+1} t_K**((m+1)/2) / ((1 - q**((m+1)/2)) [m+1]!)
+        boundary  sup|b_m| C_{m+1} t_K**((m+1)/2) / [m+1]!
     """
     qf = ctx.qf
     t_deep = float(grid.times[grid.K])
-    total = 0.0
+    tail = boundary = 0.0
     for m, bm in enumerate(f.b):
         if bm.is_zero():
             continue
         half = (m + 1) / 2.0
-        total += (
-            2.0
-            * float(bm.abs_coeff_bound(t_deep))
-            * growth_constant(m + 1, ctx)
-            * t_deep**half
-            / ((1.0 - qf**half) * float(q_factorial(m + 1, ctx)))
-        )
-    return total
+        sup_b = float(bm.abs_coeff_bound(t_deep))
+        c = growth_constant(m + 1, ctx)
+        t_pow = t_deep**half
+        fact = float(q_factorial(m + 1, ctx))
+        tail += 2.0 * sup_b * c * t_pow / ((1.0 - qf**half) * fact)
+        boundary += sup_b * c * t_pow / fact
+    return tail, boundary
 
 
-def _boundary_bound(f: PolynomialIntegrand, grid: GeometricGrid, ctx: QContext) -> float:
-    """Bound for sum_m |b_m(t_K) h_{m+1}(B_K; t_K)| / [m+1]!."""
-    t_deep = float(grid.times[grid.K])
-    total = 0.0
-    for m, bm in enumerate(f.b):
-        if bm.is_zero():
-            continue
-        total += (
-            float(bm.abs_coeff_bound(t_deep))
-            * growth_constant(m + 1, ctx)
-            * t_deep ** ((m + 1) / 2.0)
-            / float(q_factorial(m + 1, ctx))
-        )
-    return total
+def def_tail_bound(f: PolynomialIntegrand, grid: GeometricGrid, ctx: QContext) -> float:
+    """Bound for the dropped Jackson tail of the defining sum."""
+    return _tail_bounds(f, grid, ctx)[0]
 
 
 def integrate_def(
@@ -238,7 +191,8 @@ def integrate_byparts(
             if bm.is_zero():
                 continue
             total = total - ((bm(tk) - bm(tk1)) * inv[m]) * h_nxt[m + 1]
-    bound = def_tail_bound(f, grid, ctx) + _boundary_bound(f, grid, ctx)
+    tail, boundary = _tail_bounds(f, grid, ctx)
+    bound = tail + boundary
     return StochasticIntegralResult(value=total, K=grid.K, tail_bound=bound, seed=path.seed)
 
 
@@ -345,7 +299,7 @@ def sde_residual(
     for n in range(degree + 1):
         coeffs.append(Poly.const(c * an))
         an *= float(a)
-    integrand = PolynomialIntegrand(tuple(coeffs), decay=(abs(c), abs(float(a))))
+    integrand = PolynomialIntegrand(tuple(coeffs))
     res = integrate_def(integrand, path, ctx)
     z = stochastic_exponential(a, c, float(path.values[0]), t, ctx)
     return abs(float(z) - c - float(a) * float(res.value))

@@ -1,10 +1,12 @@
 """Flag parsing, config precedence, exit codes, artifact determinism."""
 
+import hashlib
 import json
 
 import pytest
 
 from qbm.cli import ConfigError, RunConfig, build_config, main
+from qbm.verify import CHECKS
 
 
 def run_main(args):
@@ -33,9 +35,18 @@ def test_invalid_q_rejected():
         build_config(["--q", "0.0"])
 
 
-def test_unknown_check_name_rejected():
+def test_unknown_check_name_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown check"):
         build_config(["--only", "definitely-not-a-check"])
+    # the conditional-moment checks report under their own three names
+    with pytest.raises(ConfigError, match="unknown check 'cond-moments'"):
+        build_config(["--only", "cond-moments"])
+    assert run_main(["--only", "variance,typo", "--out", str(tmp_path)]) == 2
+
+
+def test_only_accepts_every_registered_name():
+    for name in CHECKS:
+        assert build_config(["--only", name]).only_set() == {name}
 
 
 def test_config_file_and_precedence(tmp_path, monkeypatch):
@@ -168,3 +179,45 @@ def test_runconfig_validate_direct():
         RunConfig(z_threshold=-1.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(suite="bogus").validate()
+
+
+#: SHA-256 of every artifact but manifest.json (which echoes --out) for three
+#: small runs, recorded with NumPy 2.4 on x86-64 Linux
+PINNED_DIGESTS = [
+    (
+        ["--suite", "identities"],
+        {"identities.json": "0744628d2793c22afaca59afb50654f0c2cfb5afe0e1a242cca9df06bf721af6"},
+    ),
+    (
+        ["--suite", "simulate", "--q", "0.5", "--paths", "4", "--seed", "7", "--wide"],
+        {"paths/paths_wide.csv": "74a0353ee4791d0931441a861ef7d0146cabf04b913ef47ff5d0c1d47a6a2832"},
+    ),
+    (
+        ["--suite", "verify", "--only", "variance,ez2", "--paths", "3000"],
+        {
+            "density_curves.csv": "26afc1cb003be841fd866e22432ad657b35b16558cdca2abf6195db9fe093074",
+            "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
+            "verify.json": "76e733f6d53cf05f947bb6616ba58b3f7a6f9f6f3c6c9b99bd72c833d3c5bd51",
+        },
+    ),
+]
+
+
+def test_artifact_digests_pinned(tmp_path, monkeypatch):
+    """Outputs cannot change silently.
+
+    A changed digest means a changed output stream (a new RNG stream, a
+    different float expression, a new report field).  Such a change needs an
+    entry in CHANGES.md that says what changed and why, and only then new
+    digests here.
+    """
+    monkeypatch.delenv("QBM_SEED", raising=False)
+    for i, (args, expected) in enumerate(PINNED_DIGESTS):
+        out = tmp_path / str(i)
+        assert run_main(args + ["--out", str(out)]) == 0
+        got = {
+            f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.rglob("*"))
+            if f.is_file() and f.name != "manifest.json"
+        }
+        assert got == expected, args

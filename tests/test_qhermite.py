@@ -14,7 +14,6 @@ from qbm.qhermite import (
     from_hermite_basis,
     growth_bound,
     growth_constant,
-    hermite_eval,
     hermite_eval_sequence,
     qhermite,
     scaling_check,
@@ -85,8 +84,8 @@ def test_hermite_coefficients_of_monomials():
 def test_eval_matches_polynomial_call():
     ctx = QContext.numeric(0.7)
     h5 = qhermite(5, ctx)
-    assert hermite_eval(5, 0.7, 1.3, ctx) == pytest.approx(h5(0.7, 1.3), rel=1e-13)
     seq = hermite_eval_sequence(5, 0.7, 1.3, ctx)
+    assert seq[5] == pytest.approx(h5(0.7, 1.3), rel=1e-13)
     for n in range(6):
         assert seq[n] == pytest.approx(qhermite(n, ctx)(0.7, 1.3), rel=1e-12, abs=1e-12)
 
@@ -97,7 +96,8 @@ def test_eval_sequence_vectorised():
     seq = hermite_eval_sequence(4, xs, 0.8, ctx)
     for n in range(5):
         for i, x in enumerate(xs):
-            assert seq[n][i] == pytest.approx(hermite_eval(n, float(x), 0.8, ctx), abs=1e-12)
+            scalar = hermite_eval_sequence(n, float(x), 0.8, ctx)[n]
+            assert seq[n][i] == pytest.approx(scalar, abs=1e-12)
 
 
 def test_growth_bound_attained_at_support_edge():
@@ -119,7 +119,8 @@ def test_growth_bound_dominates_inside_support():
         for n in range(1, 9):
             bound = growth_bound(n, t, ctx)
             for x in np.linspace(-w, w, 41):
-                assert abs(hermite_eval(n, float(x), t, ctx)) <= bound * (1 + 1e-12)
+                value = hermite_eval_sequence(n, float(x), t, ctx)[n]
+                assert abs(value) <= bound * (1 + 1e-12)
 
 
 def test_growth_constant_monotone_in_n():

@@ -1,6 +1,7 @@
 """Moment oracles, report plumbing, and the verification suites."""
 
 import csv
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbm import verify
 from qbm.qcore import QContext
 from qbm.qhermite import QPolynomial
 from qbm.stochint import PolynomialIntegrand
 from qbm.verify import (
+    CHECKS,
     CSV_HEADER,
     MC_CHECKS,
     McEstimate,
@@ -24,6 +27,7 @@ from qbm.verify import (
     oracle_EZ4,
     oracle_increment_4th,
     reports_to_csv,
+    run_convergence_suite,
     run_identity_suite,
     run_mc_suite,
     run_quadrature_suite,
@@ -170,3 +174,68 @@ def test_mc_suite_filter_and_threshold():
     # an absurdly small threshold fails even after the single rerun
     reps = run_mc_suite(n_paths=4000, seed=3, threshold=1e-6, only={"variance-horizon"})
     assert all(not r.passed and r.params.get("reran") for r in reps)
+    # the rerun batch starts where the first ended, so no path is reused
+    assert all(r.estimate.seed == 3 + 4000 for r in reps)
+
+
+#: each suite at a small size; only= passes through
+SMALL_SUITES = {
+    "identities": lambda only=None: run_identity_suite(qs=(Fraction(1, 2),), only=only),
+    "quadrature": lambda only=None: run_quadrature_suite(only=only, qs=(0.2,), ts=(1.0,)),
+    "mc": lambda only=None: run_mc_suite(n_paths=200, seed=1, only=only),
+    "convergence": lambda only=None: run_convergence_suite(
+        qs=(0.5,), depths=(5, 10), n_paths=1, n_polys=1, only=only
+    ),
+}
+
+
+def test_registry_matches_emitted_names():
+    for suite, run in SMALL_SUITES.items():
+        reports = run()
+        emitted = list(dict.fromkeys(r.name for r in reports))
+        assert emitted == [name for name, owner in CHECKS.items() if owner == suite]
+        for name in emitted:
+            # only= selects exactly the reports of that name, unchanged
+            picked = [r.to_json_dict() for r in run({name})]
+            assert picked == [r.to_json_dict() for r in reports if r.name == name]
+        others = {name for name, owner in CHECKS.items() if owner != suite}
+        assert run(others) == []
+
+
+def test_unknown_names_rejected_by_suites():
+    for run in SMALL_SUITES.values():
+        with pytest.raises(ValueError, match="unknown check 'typo'"):
+            run({"typo"})
+    with pytest.raises(ValueError, match="unknown check 'cond-moments'"):
+        run_quadrature_suite(only={"cond-moments"})
+
+
+def _convergence_on_cancelling_path():
+    # covers polynomial 7 of default_rng(2024) on the path seeded 2024 + 7000
+    # at q = 0.8, K = 40, where the drift and second-order terms nearly cancel
+    # and the float residual misses the boundary form by 2.1e-14
+    return run_convergence_suite(
+        qs=(0.8,), depths=(40,), n_paths=1, n_polys=8, seed=2024, only={"ito-convergence"}
+    )
+
+
+def test_convergence_allowance_covers_rounding_on_cancelling_path():
+    (rep,) = _convergence_on_cancelling_path()
+    assert rep.passed
+
+
+def test_convergence_rejects_shifted_second_order_term(monkeypatch):
+    (good,) = _convergence_on_cancelling_path()
+    exact = verify.ito_decompose
+
+    def shifted(f, path, ctx):
+        dec = exact(f, path, ctx)
+        second = dec.second_order_term + 1e-9
+        residual = abs(float(dec.lhs - (dec.gradient_term + dec.drift_term + second)))
+        return dataclasses.replace(dec, second_order_term=second, residual=residual)
+
+    monkeypatch.setattr(verify, "ito_decompose", shifted)
+    (bad,) = _convergence_on_cancelling_path()
+    # the boundary forms and bounds are unchanged; only the decomposition is off
+    assert bad.params == good.params
+    assert not bad.passed
