@@ -1,11 +1,15 @@
 """q-Gaussian marginals and Markov transition kernels.
 
-Densities are supported on |y| <= 2 sqrt(t / (1-q)) and built from geometric
-infinite products truncated at the first N with q**N < prod_eps.  All
-quadrature runs in the angle variable theta with y = w sin(theta), which
-removes the inverse square-root edge singularity: the transformed integrand
-vanishes like cos(theta)**2 at the endpoints and is analytic inside, so
-Gauss-Legendre converges geometrically.
+Both densities come from one kernel: the transition density from state x at
+time s to time t, an Al-Salam-Chihara weight whose geometric infinite product
+is truncated at the first N with q**N < prod_eps.  The time-t marginal is the
+transition from x = 0 at s = 0.  Densities are supported on
+|y| <= w = 2 sqrt(t / (1-q)), where they vanish like sqrt(w**2 - y**2); the
+kernel is the density with that edge factor divided out, and is analytic on
+the support.  All quadrature runs in the angle variable theta with
+y = w sin(theta), where the Jacobian w cos(theta) turns the edge factor into
+(w cos(theta))**2: the integrand is analytic, so Gauss-Legendre converges
+geometrically.
 
 Sampling is by inverse CDF on a tabulated theta-grid: deterministic given the
 generator state, which keeps every Monte Carlo run reproducible from its seed.
@@ -23,7 +27,6 @@ from .qcore import QContext
 
 __all__ = [
     "DensitySpec",
-    "QuadratureRule",
     "CdfTable",
     "QuadratureError",
     "InvalidDensityError",
@@ -67,13 +70,12 @@ def support_halfwidth(t: float, q: float) -> float:
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """One marginal or transition density, fully parameterised.
+    """The transition density from state x at time s to time t.
 
-    kind is "marginal" (time-t q-Gaussian) or "transition" (from state x at
-    time s to time t).  n_factors is the product truncation order.
+    s = 0 and x = 0 give the time-t q-Gaussian marginal.  n_factors is the
+    product truncation order.
     """
 
-    kind: str
     q: float
     t: float
     s: float = 0.0
@@ -81,20 +83,16 @@ class DensitySpec:
     n_factors: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("marginal", "transition"):
-            raise ValueError(f"unknown density kind {self.kind!r}")
         if not (0.0 < self.q < 1.0):
             raise ValueError("q must lie in (0, 1)")
         if self.t <= 0.0:
             raise ValueError("t must be positive")
         if self.n_factors < 1:
             raise ValueError("n_factors must be at least 1")
-        if self.kind == "transition":
-            if not (0.0 <= self.s < self.t):
-                raise ValueError("transition needs 0 <= s < t")
-            edge = support_halfwidth(self.s, self.q) if self.s > 0.0 else 0.0
-            if abs(self.x) > edge:
-                raise ValueError("x lies outside the time-s support")
+        if not (0.0 <= self.s < self.t):
+            raise ValueError("transition needs 0 <= s < t")
+        if abs(self.x) > support_halfwidth(self.s, self.q):
+            raise ValueError("x lies outside the time-s support")
 
     @property
     def w(self) -> float:
@@ -103,199 +101,126 @@ class DensitySpec:
 
 
 def marginal_spec(ctx: QContext, t: float) -> DensitySpec:
-    return DensitySpec(kind="marginal", q=ctx.qf, t=float(t), n_factors=ctx.n_product_factors())
+    return transition_spec(ctx, 0.0, t, 0.0)
 
 
 def transition_spec(ctx: QContext, s: float, t: float, x: float) -> DensitySpec:
-    return DensitySpec(
-        kind="transition",
-        q=ctx.qf,
-        t=float(t),
-        s=float(s),
-        x=float(x),
-        n_factors=ctx.n_product_factors(),
-    )
+    return DensitySpec(q=ctx.qf, t=float(t), s=float(s), x=float(x), n_factors=ctx.n_product_factors())
 
 
 # ---------------------------------------------------------------------------
-# densities in the state variable y
+# the density kernel
 # ---------------------------------------------------------------------------
 
-def qgauss_density(y, t: float, ctx: QContext):
-    """Density of the centred q-Gaussian with variance t, vectorised in y.
+def _kernel(y, x, s: float, t: float, q: float, n: int):
+    """Transition density from x at time s to y at time t, divided by its edge
+    factor sqrt(w**2 - y**2), w the time-t half-width; broadcasts over y and x.
 
-    The k = 0 product factor cancels the edge singularity analytically, so the
-    returned values go to zero continuously at |y| = w and are exactly zero
-    outside.
+    This is the Al-Salam-Chihara weight (Koekoek, Lesky & Swarttouw 2010,
+    ch. 14) in the state variables, truncated after n factors:
+      density = prod_{k<n} (num_k / den_k) / (2 pi sqrt(w**2 - y**2)),
+      num_k = (t - s q^k) (1 - q^(k+1)) (t (1 + q^k)**2 - (1-q) y**2 q^k),
+      den_k = (t - s q^2k)**2 + (1-q) q^2k (s y**2 + t x**2)
+              - (1-q) q^k (t + s q^2k) x y,
+    with den_k > 0 on the support.  num_0 = (1-q)**2 (t - s) (w**2 - y**2)
+    carries the edge factor squared, so the kernel keeps only its constant.
     """
-    q = ctx.qf
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError("t must be positive")
     y = np.asarray(y, dtype=float)
-    n = ctx.n_product_factors()
-    disc = np.maximum(4.0 * t - (1.0 - q) * y * y, 0.0)
-    inside = (4.0 * t - (1.0 - q) * y * y) > 0.0
-    out = math.sqrt(1.0 - q) * np.sqrt(disc) / (2.0 * math.pi * t)
-    y2t = y * y / t
-    qk = q
-    for _ in range(1, n):
-        out *= (1.0 + qk) ** 2 - (1.0 - q) * y2t * qk
-        qk *= q
-    qk = q
-    euler = 1.0
-    for _ in range(n):
-        euler *= 1.0 - qk
-        qk *= q
-    out = out * euler
-    return np.where(inside, out, 0.0)[()]
-
-
-def transition_density(x: float, s: float, t: float, y, ctx: QContext):
-    """Transition density from state x at time s to time t, vectorised in y.
-
-    Requires 0 <= s < t and |x| <= 2 sqrt(s / (1-q)); outside that region the
-    absolutely continuous description used here does not apply and the call is
-    rejected.
-    """
-    spec = transition_spec(ctx, s, t, x)
-    y = np.asarray(y, dtype=float)
-    q, n = spec.q, spec.n_factors
-    s, t, x = spec.s, spec.t, spec.x
-    disc = np.maximum(4.0 * t - (1.0 - q) * y * y, 0.0)
-    inside = (4.0 * t - (1.0 - q) * y * y) > 0.0
-    y2 = y * y
-    den0 = (t - s) ** 2 - (1.0 - q) * (t + s) * x * y + (1.0 - q) * (s * y2 + t * x * x)
-    out = math.sqrt(1.0 - q) * (1.0 - q) * (t - s) * np.sqrt(disc) / (2.0 * math.pi * den0)
-    qk = q
-    q2k = q * q
-    for _ in range(1, n):
-        num = (t - s * qk) * (1.0 - qk * q) * (t * (1.0 + qk) ** 2 - (1.0 - q) * y2 * qk)
-        den = (
-            (t - s * q2k) ** 2
-            - (1.0 - q) * qk * (t + s * q2k) * x * y
-            + (1.0 - q) * (s * y2 + t * x * x) * q2k
-        )
-        out *= num / den
-        qk *= q
-        q2k *= q * q
-    return np.where(inside, out, 0.0)[()]
-
-
-# ---------------------------------------------------------------------------
-# densities in the angle variable theta (y = w sin theta)
-# ---------------------------------------------------------------------------
-
-def _marginal_theta_density(theta, t: float, q: float, n: int):
-    """Marginal density transported to theta; bounded and analytic."""
-    st = np.sin(theta)
-    ct2 = 1.0 - st * st
-    y2t = (4.0 / (1.0 - q)) * st * st  # y**2 / t on the substitution circle
-    out = (2.0 / math.pi) * ct2
-    qk = q
-    for _ in range(1, n):
-        out = out * ((1.0 + qk) ** 2 - (1.0 - q) * y2t * qk)
-        qk *= q
-    qk = q
-    euler = 1.0
-    for _ in range(n):
-        euler *= 1.0 - qk
-        qk *= q
-    return out * euler
-
-
-def _transition_theta_density(theta, x, s: float, t: float, q: float, n: int):
-    """Transition density transported to theta; broadcasts over x and theta."""
-    st = np.sin(theta)
-    ct2 = 1.0 - st * st
-    w = support_halfwidth(t, q)
-    y = w * st
-    y2 = y * y
     x = np.asarray(x, dtype=float)
-    x2 = x * x
-    den0 = (t - s) ** 2 - (1.0 - q) * (t + s) * x * y + (1.0 - q) * (s * y2 + t * x2)
-    out = (2.0 * t * (1.0 - q) * (t - s) / math.pi) * ct2 / den0
-    qk = q
-    q2k = q * q
-    for _ in range(1, n):
-        num = (t - s * qk) * (1.0 - qk * q) * (t * (1.0 + qk) ** 2 - (1.0 - q) * y2 * qk)
-        den = (
-            (t - s * q2k) ** 2
-            - (1.0 - q) * qk * (t + s * q2k) * x * y
-            + (1.0 - q) * (s * y2 + t * x2) * q2k
-        )
-        out = out * (num / den)
+    c = 1.0 - q
+    y2 = y * y
+    sy2 = c * s * y2
+    tx2 = c * t * x * x
+    out = c * c * (t - s) / (2.0 * math.pi)
+    qk = q2k = 1.0
+    for k in range(n):
+        if k:
+            out *= (t - s * qk) * (1.0 - qk * q) * (t * (1.0 + qk) ** 2 - c * y2 * qk)
+        out /= ((t - s * q2k) ** 2 + q2k * sy2) + q2k * tx2 - (c * qk * (t + s * q2k) * x) * y
         qk *= q
         q2k *= q * q
     return out
 
 
-def _theta_density(spec: DensitySpec, theta):
-    if spec.kind == "marginal":
-        return _marginal_theta_density(theta, spec.t, spec.q, spec.n_factors)
-    return _transition_theta_density(theta, spec.x, spec.s, spec.t, spec.q, spec.n_factors)
+def _y_density(spec: DensitySpec, y, x=None):
+    """Density in the state variable: the edge factor times the kernel, and
+    exactly zero off the support.  x overrides spec.x and broadcasts."""
+    y = np.asarray(y, dtype=float)
+    x = spec.x if x is None else x
+    w = spec.w
+    edge = np.sqrt(np.maximum(w * w - y * y, 0.0))
+    rho = edge * _kernel(y, x, spec.s, spec.t, spec.q, spec.n_factors)
+    return np.where(np.abs(y) < w, rho, 0.0)[()]
+
+
+def _theta_density(spec: DensitySpec, theta, x=None):
+    """Density in the angle variable, y = w sin(theta): the Jacobian w cos(theta)
+    times the edge factor is (w cos(theta))**2 = w**2 - y**2, so this is that
+    times the kernel, bounded and analytic.  x overrides spec.x and broadcasts."""
+    x = spec.x if x is None else x
+    w = spec.w
+    y = w * np.sin(theta)
+    return (w * w - y * y) * _kernel(y, x, spec.s, spec.t, spec.q, spec.n_factors)
+
+
+def qgauss_density(y, t: float, ctx: QContext):
+    """Density of the centred q-Gaussian with variance t, vectorised in y.
+
+    Goes to zero continuously at |y| = w and is exactly zero from there out.
+    """
+    return _y_density(marginal_spec(ctx, t), y)
+
+
+def transition_density(x, s: float, t: float, y, ctx: QContext):
+    """Transition density from state x at time s to time t; broadcasts over x
+    and y.
+
+    Requires 0 <= s < t and |x| <= 2 sqrt(s / (1-q)) for every x; outside
+    that region the absolutely continuous description used here does not
+    apply and the call is rejected.
+    """
+    x = np.asarray(x, dtype=float)
+    # the support is symmetric, so validating the largest |x| validates all
+    spec = transition_spec(ctx, s, t, float(np.max(np.abs(x))))
+    return _y_density(spec, y, x)
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes and weights on theta in [-pi/2, pi/2].
-
-    Weights are positive and sum to pi (the interval length).
-    """
-
-    thetas: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    @classmethod
-    def gauss_legendre(cls, order: int) -> "QuadratureRule":
-        nodes, weights = _gl_nodes(order)
-        return cls(thetas=nodes, weights=weights, order=order)
-
-    def __post_init__(self) -> None:
-        if np.any(self.weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(float(np.sum(self.weights)) - math.pi) > 1e-9:
-            raise ValueError("quadrature weights must sum to pi")
-
-
 @lru_cache(maxsize=32)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on theta in [-pi/2, pi/2]."""
     u, w = np.polynomial.legendre.leggauss(order)
     return (math.pi / 2.0) * u, (math.pi / 2.0) * w
 
 
-def integrate(
-    g,
-    spec: DensitySpec,
-    rel_tol: float = QUAD_REL_TOL,
-    max_order: int = 8193,
-) -> float:
-    """Integral of g against the density, adaptive in the quadrature order.
-
-    Doubles the Gauss-Legendre order until two successive estimates agree to
-    rel_tol (relative, with a unit floor); raises QuadratureError if max_order
-    is reached first.
+def _adaptive(estimate, rel_tol: float, max_order: int) -> float:
+    """Doubles the Gauss-Legendre order from 65 (65, 129, 257, ...) until two
+    successive values of estimate(thetas, weights) agree to rel_tol (relative,
+    with a unit floor); raises QuadratureError if max_order is passed first.
     """
     order = 65
-    prev = None
+    prev = est = None
     while order <= max_order:
-        r = QuadratureRule.gauss_legendre(order)
-        y = spec.w * np.sin(r.thetas)
-        gv = np.asarray(g(y), dtype=float)
-        rho = _theta_density(spec, r.thetas)
-        est = float(np.sum(r.weights * gv * rho))
+        est = estimate(*_gl_nodes(order))
         if prev is not None and abs(est - prev) < rel_tol * max(1.0, abs(est)):
             return est
         prev = est
         order = 2 * order - 1
-    raise QuadratureError(
-        f"quadrature did not converge by order {max_order} (last two: {prev}, kind={spec.kind})"
-    )
+    raise QuadratureError(f"quadrature did not converge by order {max_order} (last estimate {est})")
+
+
+def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float:
+    """Integral of g against the density, adaptive in the quadrature order
+    up to order 8193."""
+
+    def estimate(thetas, weights):
+        gv = np.asarray(g(spec.w * np.sin(thetas)), dtype=float)
+        return float(np.sum(weights * gv * _theta_density(spec, thetas)))
+
+    return _adaptive(estimate, rel_tol, 8193)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +285,10 @@ def scaled_transition_table(q: float, prod_eps: float = 1e-16) -> CdfTable:
     reduces each transition to this single family indexed by the scaled state
     x' = x / sqrt(t) with |x'| <= 2 sqrt(q / (1-q)).
     """
-    ctx = QContext.numeric(q, prod_eps=prod_eps)
-    n = ctx.n_product_factors()
+    spec = transition_spec(QContext.numeric(q, prod_eps=prod_eps), q, 1.0, 0.0)
     edge = support_halfwidth(q, q)
     x_grid = np.linspace(-edge, edge, N_X)
-    w = support_halfwidth(1.0, q)
-
-    def rows(th):
-        return _transition_theta_density(th[None, :], x_grid[:, None], q, 1.0, q, n)
-
-    return _tabulate(rows, w, x_grid=x_grid)
+    return _tabulate(lambda th: _theta_density(spec, th[None, :], x_grid[:, None]), spec.w, x_grid)
 
 
 def invert_cdf(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:

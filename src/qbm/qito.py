@@ -34,9 +34,8 @@ import numpy as np
 
 from .measures import (
     QUAD_REL_TOL,
-    QuadratureError,
-    QuadratureRule,
-    _transition_theta_density,
+    _adaptive,
+    _theta_density,
     integrate,
     support_halfwidth,
     transition_spec,
@@ -238,38 +237,31 @@ def delta_numeric(f, x: float, s: float, ctx: QContext, rel_tol: float = QUAD_RE
 
     Outer leg: transition from x between times q s and s; inner leg from q y
     between q**2 s and s, integrated over the second divided difference
-    f[x, y, z].  Both legs share one Gauss-Legendre rule whose order doubles
-    until two successive estimates agree to rel_tol.  For a non-polynomial f
-    the divided differences fall back to finite differences near coincident
-    nodes, which floors the attainable self-consistency near 1e-7.
+    f[x, y, z].  Both legs share one Gauss-Legendre rule whose order doubles,
+    up to 4097, until two successive estimates agree to rel_tol.  For a
+    non-polynomial f the divided differences fall back to finite differences
+    near coincident nodes, which floors the attainable self-consistency near
+    1e-7.
     """
     q = ctx.qf
     outer = transition_spec(ctx, s=q * s, t=s, x=x)
-    n_fac = ctx.n_product_factors()
-    w = support_halfwidth(s, q)
+    inner = transition_spec(ctx, s=q * q * s, t=s, x=0.0)
     if isinstance(f, QPolynomial):
         a = [float(c(s)) for c in f.coeffs]
         kernel2 = lambda y, z: _divdiff2_poly(a, float(x), y, z)
     else:
         kernel2 = _divdiff2_callable(f, float(x), s, ctx)
         rel_tol = max(rel_tol, 1e-7)
-    order = 65
-    prev = None
-    while order <= 4097:
-        rule = QuadratureRule.gauss_legendre(order)
-        y = w * np.sin(rule.thetas)
-        rho_out = _transition_theta_density(rule.thetas, outer.x, q * s, s, q, n_fac)
-        rho_in = _transition_theta_density(
-            rule.thetas[None, :], (q * y)[:, None], q * q * s, s, q, n_fac
-        )
+
+    def estimate(thetas, weights):
+        y = outer.w * np.sin(thetas)
+        rho_out = _theta_density(outer, thetas)
+        # inner start states q y, one row per outer node
+        rho_in = _theta_density(inner, thetas[None, :], (q * y)[:, None])
         vals = kernel2(y[:, None], y[None, :])
-        inner = (rho_in * vals) @ rule.weights
-        est = float(np.sum(rule.weights * rho_out * inner))
-        if prev is not None and abs(est - prev) < rel_tol * max(1.0, abs(est)):
-            return est
-        prev = est
-        order = 2 * order - 1
-    raise QuadratureError("nested quadrature did not converge by order 4097")
+        return float(np.sum(weights * rho_out * ((rho_in * vals) @ weights)))
+
+    return _adaptive(estimate, rel_tol, 4097)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ from .qito import (
     delta_exact,
     delta_numeric,
     ito_decompose,
-    ito_tail_bound,
     nabla_exact,
     nabla_numeric,
 )
@@ -246,8 +245,8 @@ def _mc_estimate(values: np.ndarray, oracle: float, seed: int) -> McEstimate:
 _BATCH_CACHE: dict[tuple, PathBatch] = {}
 
 
-def _get_batch(q: float, t: float, n_paths: int, seed: int, depth: int | None = None) -> PathBatch:
-    grid = GeometricGrid.build(q=q, t=t, depth=depth)
+def _get_batch(q: float, t: float, n_paths: int, seed: int) -> PathBatch:
+    grid = GeometricGrid.build(q=q, t=t)
     key = (float(q), float(t), grid.K, n_paths, seed)
     if key not in _BATCH_CACHE:
         ctx = QContext.numeric(q)
@@ -823,17 +822,11 @@ def run_quadrature_suite(
             x = 0.3 * support_halfwidth(s, q)
             ys = np.linspace(-0.9, 0.9, 20) * support_halfwidth(t, q)
             mid = transition_spec(ctx, s=s, t=u, x=x)
-
-            def _second_leg(z, y):
-                z = np.atleast_1d(np.asarray(z, dtype=float))
-                return np.array(
-                    [transition_density(float(zi), u, t, np.asarray([y]), ctx)[0] for zi in z]
-                )
-
+            # second leg: one call over all middle states z per target y
             pairs = (
                 (
-                    integrate(lambda z, y=y: _second_leg(z, y), mid),
-                    float(transition_density(x, s, t, np.asarray([y]), ctx)[0]),
+                    integrate(lambda z, y=y: transition_density(z, u, t, y, ctx), mid),
+                    float(transition_density(x, s, t, y, ctx)),
                 )
                 for y in ys
             )
@@ -902,23 +895,27 @@ def run_mc_suite(
     n_paths seeds, a batch disjoint from the first (path i uses seed + i)."""
     selected = selected_checks(only, "mc")
     reports = []
-    for name, params in _default_mc_plan():
-        if selected is not None and name not in selected:
-            continue
-        def run(use_seed: int) -> VerificationReport:
-            if name == "isometry":
-                ctx = QContext.numeric(params["q"])
-                x_power = QPolynomial.x_power(params["xdegree"])
-                f = PolynomialIntegrand.from_qpolynomial(x_power, ctx)
-                return mc_isometry(
-                    f, params["t"], params["q"], n_paths, use_seed, threshold
-                )
-            return mc_moment(name, params, n_paths, use_seed, threshold)
-        rep = run(seed)
-        if not rep.passed:
-            rep = run(seed + n_paths)
-            rep = replace(rep, params={**rep.params, "reran": True})
-        reports.append(rep)
+    try:
+        for name, params in _default_mc_plan():
+            if selected is not None and name not in selected:
+                continue
+            def run(use_seed: int) -> VerificationReport:
+                if name == "isometry":
+                    ctx = QContext.numeric(params["q"])
+                    x_power = QPolynomial.x_power(params["xdegree"])
+                    f = PolynomialIntegrand.from_qpolynomial(x_power, ctx)
+                    return mc_isometry(
+                        f, params["t"], params["q"], n_paths, use_seed, threshold
+                    )
+                return mc_moment(name, params, n_paths, use_seed, threshold)
+            rep = run(seed)
+            if not rep.passed:
+                rep = run(seed + n_paths)
+                rep = replace(rep, params={**rep.params, "reran": True})
+            reports.append(rep)
+    finally:
+        # the batches are shared between checks of one run only
+        _BATCH_CACHE.clear()
     return reports
 
 
@@ -934,24 +931,30 @@ def _random_qpolynomial(rng: np.random.Generator, x_degree: int, t_degree: int) 
     return QPolynomial(cols)
 
 
-def _abs_coeffs(p: QPolynomial) -> QPolynomial:
-    """p with every coefficient replaced by its absolute value."""
-    return QPolynomial(tuple(Poly([abs(c) for c in col.coeffs]) for col in p.coeffs))
+def _abs_parts(f: QPolynomial, ctx: QContext) -> tuple[QPolynomial, QPolynomial, QPolynomial]:
+    """f, its time q-derivative and its second-order part, each with every
+    coefficient replaced by its absolute value."""
+
+    def absolute(p: QPolynomial) -> QPolynomial:
+        return QPolynomial(tuple(Poly([abs(c) for c in col.coeffs]) for col in p.coeffs))
+
+    return absolute(f), absolute(f.dq_time(ctx)), absolute(delta_exact(f, ctx))
 
 
-def _rounding_scale(f: QPolynomial, path: GeometricPath, ctx: QContext) -> float:
+def _rounding_scale(parts: tuple[QPolynomial, ...], path: GeometricPath, q: float) -> float:
     """Summed magnitudes of the float arithmetic in ito_decompose along a path.
 
-    f, its time q-derivative and its second-order part are evaluated with
-    absolute coefficients at |B_k| over the steps the decomposition sums, so
-    terms that cancel still count.  f is counted three times per node, which
-    covers its uses there: the left side and both ends of the gradient steps.
-    Rounding error stays a small multiple of eps times this scale.
+    parts is _abs_parts(f, ctx): f, its time q-derivative and its
+    second-order part are evaluated with absolute coefficients at |B_k| over
+    the steps the decomposition sums, so terms that cancel still count.  f is
+    counted three times per node, which covers its uses there: the left side
+    and both ends of the gradient steps.  Rounding error stays a small
+    multiple of eps times this scale.
     """
-    q, grid = ctx.qf, path.grid
+    grid = path.grid
     xs = np.abs(np.asarray(path.values, dtype=float))
     ts = np.asarray(grid.times, dtype=float)
-    fa, da, sa = (_abs_coeffs(p) for p in (f, f.dq_time(ctx), delta_exact(f, ctx)))
+    fa, da, sa = parts
     steps = (1.0 - q) * ts[:-1] * (da(xs[1:], ts[:-1]) + sa(xs[1:], ts[:-1]))
     return float(3.0 * np.sum(fa(xs, ts)) + fa(0.0, 0.0) + np.sum(steps))
 
@@ -988,6 +991,7 @@ def run_convergence_suite(
             bounded = True
             decomposed = True
             for i, p in enumerate(polys):
+                parts = _abs_parts(p, ctx)
                 for j in range(n_paths):
                     for grid in grids:
                         path = simulate_path(grid, seed=seed + 1000 * i + j, ctx=ctx)
@@ -998,12 +1002,12 @@ def run_convergence_suite(
                             float(p(path.values[grid.K], grid.times[grid.K]))
                             - float(p(0.0, 0.0))
                         )
-                        bound = ito_tail_bound(p, grid, ctx)
+                        bound = dec.tail_bound
                         per_depth[grid.K].append(boundary)
                         worst_ratio = max(worst_ratio, boundary / bound)
                         if boundary > bound:
                             bounded = False
-                        noise = 64.0 * eps * _rounding_scale(p, path, ctx)
+                        noise = 64.0 * eps * _rounding_scale(parts, path, ctx.qf)
                         if abs(dec.residual - boundary) > noise:
                             decomposed = False
             means = [sum(per_depth[g.K]) / len(per_depth[g.K]) for g in grids]

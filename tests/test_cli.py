@@ -182,7 +182,8 @@ def test_runconfig_validate_direct():
 
 
 #: SHA-256 of every artifact but manifest.json (which echoes --out) for three
-#: small runs, recorded with NumPy 2.4 on x86-64 Linux
+#: small runs, recorded with NumPy 2.4 on x86-64 Linux at qbm 0.2.0 (one
+#: density kernel; see CHANGES.md for the digests of 0.1.0)
 PINNED_DIGESTS = [
     (
         ["--suite", "identities"],
@@ -190,14 +191,14 @@ PINNED_DIGESTS = [
     ),
     (
         ["--suite", "simulate", "--q", "0.5", "--paths", "4", "--seed", "7", "--wide"],
-        {"paths/paths_wide.csv": "74a0353ee4791d0931441a861ef7d0146cabf04b913ef47ff5d0c1d47a6a2832"},
+        {"paths/paths_wide.csv": "731f0bd6b0017c3b67ca33d065fe3bce019ad4c114f9ab55ec9321d67e79395e"},
     ),
     (
         ["--suite", "verify", "--only", "variance,ez2", "--paths", "3000"],
         {
-            "density_curves.csv": "26afc1cb003be841fd866e22432ad657b35b16558cdca2abf6195db9fe093074",
+            "density_curves.csv": "7e57ba484abefec0103f27309a1613e47676db48e4690d6ec23f9a5f23f160fb",
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
-            "verify.json": "76e733f6d53cf05f947bb6616ba58b3f7a6f9f6f3c6c9b99bd72c833d3c5bd51",
+            "verify.json": "81cbc6256b245c4bd0d34ce37764cdd1d1dd0cd27dad0257773a5c8b020dd31f",
         },
     ),
 ]

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from qbm import measures, qito
 from qbm.measures import (
     QuadratureError,
-    QuadratureRule,
+    _gl_nodes,
+    _theta_density,
     integrate,
     marginal_spec,
     qgauss_density,
@@ -16,6 +18,7 @@ from qbm.measures import (
     transition_spec,
 )
 from qbm.qcore import QContext
+from qbm.qhermite import QPolynomial
 
 
 def test_support_halfwidth():
@@ -42,17 +45,40 @@ def test_density_vanishes_continuously_at_edge():
 
 
 def test_quadrature_rule_basics():
-    rule = QuadratureRule.gauss_legendre(65)
-    assert np.all(rule.weights > 0)
-    assert rule.weights.sum() == pytest.approx(math.pi, rel=1e-12)
+    thetas, weights = _gl_nodes(65)
+    assert np.all(weights > 0)
+    assert weights.sum() == pytest.approx(math.pi, rel=1e-12)
     # integral of cos over [-pi/2, pi/2] is 2
-    assert float(rule.weights @ np.cos(rule.thetas)) == pytest.approx(2.0, rel=1e-12)
+    assert float(weights @ np.cos(thetas)) == pytest.approx(2.0, rel=1e-12)
 
 
-def test_integrate_nonconvergence_raises():
+def _record_orders(monkeypatch):
+    """Orders the adaptive driver asks for; every order gets the 65-node rule,
+    which keeps the dense eigen-solve behind order 8193 out of the test."""
+    orders = []
+    nodes = _gl_nodes(65)
+
+    def stub(order):
+        orders.append(order)
+        return nodes
+
+    monkeypatch.setattr(measures, "_gl_nodes", stub)
+    return orders
+
+
+def test_integrate_nonconvergence_raises(monkeypatch):
+    orders = _record_orders(monkeypatch)
     spec = marginal_spec(QContext.numeric(0.5), 1.0)
     with pytest.raises(QuadratureError):
-        integrate(lambda y: np.cos(200.0 * y), spec, rel_tol=1e-14, max_order=65)
+        integrate(lambda y: np.cos(200.0 * y), spec, rel_tol=0.0)
+    assert orders == [65, 129, 257, 513, 1025, 2049, 4097, 8193]
+
+
+def test_delta_numeric_nonconvergence_stops_at_4097(monkeypatch):
+    orders = _record_orders(monkeypatch)
+    with pytest.raises(QuadratureError):
+        qito.delta_numeric(QPolynomial.x_power(3), 0.2, 1.0, QContext.numeric(0.5), rel_tol=0.0)
+    assert orders == [65, 129, 257, 513, 1025, 2049, 4097]
 
 
 def test_marginal_moments():
@@ -79,14 +105,50 @@ def test_transition_kernel_martingale_moments():
     assert integrate(lambda y: y * y, spec) == pytest.approx(x * x + t - s, rel=1e-9)
 
 
-def test_transition_from_time_zero_is_marginal():
-    ctx = QContext.numeric(0.6)
-    t = 1.3
-    w = support_halfwidth(t, 0.6)
-    ys = np.linspace(-0.95 * w, 0.95 * w, 17)
-    tdens = transition_density(0.0, 0.0, t, ys, ctx)
-    mdens = qgauss_density(ys, t, ctx)
-    assert tdens == pytest.approx(mdens, rel=1e-10)
+def test_marginal_matches_qhermite_weight():
+    """The q-Hermite weight (Koekoek, Lesky & Swarttouw 2010, ch. 14) at
+    y = 2 sqrt(t) cos(phi) / sqrt(1-q), in complex form, as an independent
+    reference for the real product the density kernel multiplies out."""
+    phis = np.linspace(0.02, math.pi - 0.02, 41)
+    for q in (0.2, 0.5, 0.8, 0.95):
+        ctx = QContext.numeric(q)
+        qn = q ** np.arange(1, 2000)
+        e2 = np.exp(2j * phis)[:, None]
+        prod = np.prod((1.0 - qn) * np.abs(1.0 - qn * e2) ** 2, axis=1)
+        for t in (0.5, 1.0, 3.0):
+            ys = 2.0 * math.sqrt(t) * np.cos(phis) / math.sqrt(1.0 - q)
+            ref = math.sqrt(1.0 - q) / (math.pi * math.sqrt(t)) * np.sin(phis) * prod
+            assert qgauss_density(ys, t, ctx) == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+def test_theta_density_is_density_times_jacobian():
+    ctx = QContext.numeric(0.7)
+    s, t, x = 0.4, 1.1, -0.6
+    spec = transition_spec(ctx, s=s, t=t, x=x)
+    thetas = np.linspace(-1.5, 1.5, 31)
+    w = spec.w
+    expected = transition_density(x, s, t, w * np.sin(thetas), ctx) * w * np.cos(thetas)
+    assert _theta_density(spec, thetas) == pytest.approx(expected, rel=1e-12)
+    # an x override broadcasts against theta, one row per start state
+    xs = np.array([x, 0.0, 0.5])
+    rows = _theta_density(spec, thetas[None, :], xs[:, None])
+    assert rows[0] == pytest.approx(_theta_density(spec, thetas), rel=1e-15)
+    other = transition_spec(ctx, s=s, t=t, x=0.5)
+    assert rows[2] == pytest.approx(_theta_density(other, thetas), rel=1e-15)
+
+
+def test_transition_density_broadcasts_over_x():
+    ctx = QContext.numeric(0.5)
+    s, t = 0.5, 1.0
+    xs = np.linspace(-0.9, 0.9, 7) * support_halfwidth(s, 0.5)
+    y = 0.37
+    together = transition_density(xs, s, t, y, ctx)
+    assert together.shape == xs.shape
+    one_by_one = [transition_density(float(xi), s, t, np.asarray([y]), ctx)[0] for xi in xs]
+    assert together.tolist() == one_by_one
+    # the y-density is exactly zero off the support
+    w = support_halfwidth(t, 0.5)
+    assert transition_density(xs, s, t, w, ctx).tolist() == [0.0] * len(xs)
 
 
 def test_transition_rejects_state_outside_support():
@@ -94,3 +156,6 @@ def test_transition_rejects_state_outside_support():
     w = support_halfwidth(0.5, 0.5)
     with pytest.raises(ValueError):
         transition_density(1.5 * w, 0.5, 1.0, np.array([0.0]), ctx)
+    # every x of an array is checked
+    with pytest.raises(ValueError):
+        transition_density(np.array([0.0, -1.01 * w]), 0.5, 1.0, 0.0, ctx)

@@ -178,6 +178,12 @@ def test_mc_suite_filter_and_threshold():
     assert all(r.estimate.seed == 3 + 4000 for r in reps)
 
 
+def test_mc_suite_frees_its_batches():
+    reps = run_mc_suite(n_paths=500, seed=3, only={"variance-horizon"})
+    assert len(reps) == 3
+    assert verify._BATCH_CACHE == {}
+
+
 #: each suite at a small size; only= passes through
 SMALL_SUITES = {
     "identities": lambda only=None: run_identity_suite(qs=(Fraction(1, 2),), only=only),
