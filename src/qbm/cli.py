@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .measures import qgauss_density, support_halfwidth
-from .process import GeometricGrid, simulate_batch, write_batch_csv
+from .process import SEED_LIMIT, GeometricGrid, simulate_batch, write_batch_csv
 from .qcore import QContext
 from .verify import (
     CHECKS,
@@ -46,6 +47,9 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 2024
+#: path counts when --paths is not given: simulate, and the Monte Carlo suite
+SIMULATE_PATHS = 4
+MC_PATHS = 10**5
 PLOT_QS = (0.2, 0.5, 0.8)
 
 
@@ -74,12 +78,19 @@ class RunConfig:
             raise ConfigError(f"unknown suite {self.suite!r}")
         if not (0.0 < self.q < 1.0):
             raise ConfigError(f"q must lie in (0, 1), got {self.q}")
-        if not self.t > 0.0:
-            raise ConfigError(f"horizon t must be positive, got {self.t}")
+        if not (self.t > 0.0 and math.isfinite(self.t)):
+            raise ConfigError(f"horizon t must be positive and finite, got {self.t}")
         if self.depth is not None and self.depth < 1:
             raise ConfigError(f"depth must be at least 1, got {self.depth}")
+        try:
+            GeometricGrid.build(q=self.q, t=self.t, depth=self.depth)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.paths is not None and self.paths < 1:
             raise ConfigError(f"paths must be at least 1, got {self.paths}")
+        span = self.seed_span()
+        if not (0 <= self.seed and self.seed + span <= SEED_LIMIT):
+            raise ConfigError(f"seed must lie in [0, 2**128 - {span}] for this run, got {self.seed}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if not self.z_threshold > 0.0:
@@ -88,6 +99,17 @@ class RunConfig:
         if unknown:
             known = ", ".join(sorted(CHECKS))
             raise ConfigError(f"unknown check {unknown[0]!r}; known checks: {known}")
+
+    def seed_span(self) -> int:
+        """How many consecutive path seeds, from self.seed on, the run uses."""
+        span = 0
+        if self.suite in ("simulate", "all"):
+            span = self.paths if self.paths is not None else SIMULATE_PATHS
+        if self.suite in ("verify", "all"):
+            # a Monte Carlo batch and its rerun batch; the convergence suite
+            # reaches seed + 1000 * 19 + 19
+            span = max(span, 2 * (self.paths if self.paths is not None else MC_PATHS), 19020)
+        return span
 
     def only_set(self) -> set[str] | None:
         if self.only is None or self.only.strip() == "":
@@ -254,7 +276,7 @@ def cmd_identities(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    n_paths = config.paths if config.paths is not None else 4
+    n_paths = config.paths if config.paths is not None else SIMULATE_PATHS
     grid = GeometricGrid.build(q=config.q, t=config.t, depth=config.depth)
     batch = simulate_batch(grid, n_paths=n_paths, base_seed=config.seed)
     names = write_batch_csv(batch, os.path.join(config.out, "paths"), wide=config.wide)
@@ -264,7 +286,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     only = config.only_set()
-    n_paths = config.paths if config.paths is not None else 10**5
+    n_paths = config.paths if config.paths is not None else MC_PATHS
     suites = {
         "quadrature": lambda: run_quadrature_suite(only=only),
         "mc": lambda: run_mc_suite(

@@ -54,6 +54,10 @@ QUAD_REL_TOL = 1e-10
 N_THETA = 2048
 N_X = 513
 
+#: guide-table levels per CDF row, and rows tabulated per block
+N_GUIDE = 2048
+ROW_BLOCK = 32
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature hit the maximum order without converging."""
@@ -85,13 +89,13 @@ class DensitySpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
             raise ValueError("q must lie in (0, 1)")
-        if self.t <= 0.0:
-            raise ValueError("t must be positive")
+        if not (0.0 < self.t < math.inf):
+            raise ValueError("t must be positive and finite")
         if self.n_factors < 1:
             raise ValueError("n_factors must be at least 1")
         if not (0.0 <= self.s < self.t):
             raise ValueError("transition needs 0 <= s < t")
-        if abs(self.x) > support_halfwidth(self.s, self.q):
+        if not abs(self.x) <= support_halfwidth(self.s, self.q):
             raise ValueError("x lies outside the time-s support")
 
     @property
@@ -232,49 +236,61 @@ class CdfTable:
     """Tabulated theta-CDF rows for one density family.
 
     Rows correspond to the conditioning states in x_grid (a single row for
-    marginals and fixed-x transitions).  cdf rows increase from 0 to 1 after
-    normalisation; pdf holds the theta-density at the nodes for Newton
-    refinement during inversion.
+    marginals and fixed-x transitions).  cdf rows never decrease, from
+    exactly 0 to exactly 1 after normalisation; pdf holds the theta-density
+    at the nodes for Newton refinement during inversion.  guide[r, g] is the
+    last cell j of row r with cdf[r, j] <= g / N_GUIDE (Chen & Asau's guide
+    table).
     """
 
     thetas: np.ndarray
     cdf: np.ndarray
     pdf: np.ndarray
+    guide: np.ndarray
     w: float
     x_grid: np.ndarray | None = None
 
 
-def _tabulate(density_rows, w: float, x_grid=None) -> CdfTable:
-    """Build a CdfTable from a vectorised theta-density evaluator.
+def _tabulate(spec: DensitySpec, x_grid=None) -> CdfTable:
+    """Build a CdfTable of spec's theta-density, one row per start state in
+    x_grid (spec.x alone without one).
 
     CDF increments use two-point Gauss-Legendre inside each of the N_THETA - 1
-    cells, accurate far beyond the normalisation gate.
+    cells, accurate far beyond the normalisation gate.  Rows are evaluated
+    ROW_BLOCK at a time, so only one block of density values is live.
     """
     thetas = np.linspace(-math.pi / 2.0, math.pi / 2.0, N_THETA)
     h = thetas[1] - thetas[0]
     off = h / (2.0 * math.sqrt(3.0))
     mids = 0.5 * (thetas[:-1] + thetas[1:])
     sub = np.concatenate([mids - off, mids + off, thetas])
-    vals = density_rows(sub)
-    vals = np.atleast_2d(vals)
-    m = N_THETA - 1
-    inc = 0.5 * h * (vals[:, :m] + vals[:, m : 2 * m])
-    pdf = vals[:, 2 * m :]
-    cdf = np.concatenate([np.zeros((vals.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1)
+    xs = np.array([spec.x]) if x_grid is None else x_grid
+    n_rows, m = xs.shape[0], N_THETA - 1
+    cdf = np.empty((n_rows, N_THETA))
+    pdf = np.empty((n_rows, N_THETA))
+    cdf[:, 0] = 0.0
+    for r in range(0, n_rows, ROW_BLOCK):
+        block = slice(r, r + ROW_BLOCK)
+        vals = _theta_density(spec, sub[None, :], xs[block, None])
+        np.cumsum(0.5 * h * (vals[:, :m] + vals[:, m : 2 * m]), axis=1, out=cdf[block, 1:])
+        pdf[block] = vals[:, 2 * m :]
     norms = cdf[:, -1].copy()
-    if np.any(np.abs(norms - 1.0) > NORM_TOL):
-        worst = float(np.max(np.abs(norms - 1.0)))
+    worst = float(np.max(np.abs(norms - 1.0)))
+    if not worst <= NORM_TOL:
         raise InvalidDensityError(f"tabulated density mass off by {worst:.3e} (> {NORM_TOL})")
-    cdf = cdf / norms[:, None]
-    pdf = pdf / norms[:, None]
-    return CdfTable(thetas=thetas, cdf=cdf, pdf=pdf, w=w, x_grid=x_grid)
+    cdf /= norms[:, None]
+    pdf /= norms[:, None]
+    levels = np.arange(N_GUIDE + 1) / N_GUIDE
+    guide = np.empty((n_rows, N_GUIDE + 1), dtype=np.int16)
+    for r in range(n_rows):
+        guide[r] = np.minimum(np.searchsorted(cdf[r], levels, side="right") - 1, m - 1)
+    return CdfTable(thetas=thetas, cdf=cdf, pdf=pdf, guide=guide, w=spec.w, x_grid=x_grid)
 
 
 @lru_cache(maxsize=16)
 def scaled_marginal_table(q: float, prod_eps: float = 1e-16) -> CdfTable:
     """CDF table of the unit-time marginal; other horizons follow by sqrt(t) scaling."""
-    spec = marginal_spec(QContext.numeric(q, prod_eps=prod_eps), 1.0)
-    return _tabulate(lambda th: _theta_density(spec, th), spec.w)
+    return _tabulate(marginal_spec(QContext.numeric(q, prod_eps=prod_eps), 1.0))
 
 
 @lru_cache(maxsize=16)
@@ -287,39 +303,50 @@ def scaled_transition_table(q: float, prod_eps: float = 1e-16) -> CdfTable:
     """
     spec = transition_spec(QContext.numeric(q, prod_eps=prod_eps), q, 1.0, 0.0)
     edge = support_halfwidth(q, q)
-    x_grid = np.linspace(-edge, edge, N_X)
-    return _tabulate(lambda th: _theta_density(spec, th[None, :], x_grid[:, None]), spec.w, x_grid)
+    return _tabulate(spec, np.linspace(-edge, edge, N_X))
 
 
 def invert_cdf(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorised inverse CDF: bisection to a cell, then one Newton step.
+    """Vectorised inverse CDF: find the cell, then one Newton step.
 
     rows picks the table row per draw; u must lie in [0, 1).  Returns theta.
+    The cell is the last j with cdf[row, j] <= u, unique because rows never
+    decrease and end at exactly 1.  The guide entries at floor(u N_GUIDE)
+    and the next level bracket it; bisection then runs only on the draws
+    whose bracket spans more than one cell.
     """
-    thetas, cdf, pdf = table.thetas, table.cdf, table.pdf
+    thetas, cdf, pdf, guide = table.thetas, table.cdf, table.pdf, table.guide
     n = thetas.shape[0]
-    u = np.asarray(u, dtype=float)
-    rows = np.asarray(rows, dtype=np.intp)
-    lo = np.zeros(u.shape, dtype=np.intp)
-    hi = np.full(u.shape, n - 1, dtype=np.intp)
-    for _ in range(int(math.ceil(math.log2(n)))):
-        mid = (lo + hi) // 2
-        below = cdf[rows, mid] <= u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    f0 = cdf[rows, lo]
-    f1 = cdf[rows, hi]
-    p0 = pdf[rows, lo]
-    p1 = pdf[rows, hi]
+    u, rows = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(rows, dtype=np.intp))
+    shape, u, rows = u.shape, u.ravel(), rows.ravel()
+    gi = rows * (N_GUIDE + 1) + (u * N_GUIDE).astype(np.intp)
+    lo = guide.take(gi).astype(np.intp)
+    hi = guide.take(gi + 1).astype(np.intp) + 1
+    # invariant: cdf[row, lo] <= u < cdf[row, hi]
+    base = rows * n
+    cflat = cdf.ravel()
+    active = np.flatnonzero(hi - lo > 1)
+    while active.size:
+        a_lo, a_hi = lo[active], hi[active]
+        mid = (a_lo + a_hi) // 2
+        below = cflat.take(base[active] + mid) <= u[active]
+        a_lo = np.where(below, mid, a_lo)
+        a_hi = np.where(below, a_hi, mid)
+        lo[active], hi[active] = a_lo, a_hi
+        active = active[a_hi - a_lo > 1]
+    cell = base + lo
+    f0, f1 = cflat.take(cell), cflat.take(cell + 1)
+    pflat = pdf.ravel()
+    p0, p1 = pflat.take(cell), pflat.take(cell + 1)
     h = thetas[1] - thetas[0]
-    t0 = thetas[lo]
+    t0 = thetas.take(lo)
     df = np.maximum(f1 - f0, 1e-300)
     frac = np.clip((u - f0) / df, 0.0, 1.0)
     theta = t0 + frac * h
     rho = np.maximum(p0 + (p1 - p0) * frac, 1e-300)
     f_hat = f0 + (theta - t0) * 0.5 * (p0 + rho)
     theta = theta - (f_hat - u) / rho
-    return np.clip(theta, t0, t0 + h)
+    return np.clip(theta, t0, t0 + h).reshape(shape)
 
 
 def draw_from_table(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -6,13 +6,18 @@ forward through the one-step transition kernels.  On this grid every step has
 time ratio q, so all transitions reduce by diffusive scaling to a single
 tabulated kernel family, shared across steps and paths.
 
-Path i of a batch uses the generator seeded with base_seed + i and consumes
-K + 1 uniforms, so results do not depend on evaluation order or batch size.
+Path i of a batch consumes the first K + 1 uniforms of
+np.random.default_rng(base_seed + i), the marginal draw first, so results do
+not depend on evaluation order or batch size.  The batch computes those
+streams together, one column of uniforms per draw, in vectorised integer
+arithmetic; base seeds need 0 <= base_seed and base_seed + n_paths <= 2**128.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -65,11 +70,13 @@ class GeometricGrid:
     def build(cls, q: Scalar, t: Scalar, depth: int | None = None) -> "GeometricGrid":
         if not (0 < q < 1):
             raise ValueError("q must lie in (0, 1)")
-        if t <= 0:
-            raise ValueError("horizon t must be positive")
+        if not (t > 0 and math.isfinite(t)):
+            raise ValueError("horizon t must be positive and finite")
         K = default_depth(float(q)) if depth is None else int(depth)
         if K < 1:
             raise ValueError("grid depth must be at least 1")
+        if not float(t) * float(q) ** K >= sys.float_info.min:
+            raise ValueError(f"deepest grid time t q**{K} underflows the normal float range")
         times = tuple(t * q**k for k in range(K + 1))
         return cls(t=t, q=q, K=K, times=times)
 
@@ -124,11 +131,98 @@ class PathBatch:
         return self.values[:, 0]
 
 
-def _uniforms(n_paths: int, n_draws: int, base_seed: int) -> np.ndarray:
-    u = np.empty((n_paths, n_draws))
-    for i in range(n_paths):
-        u[i] = np.random.default_rng(base_seed + i).random(n_draws)
-    return u
+# The uniform stream of path i is np.random.default_rng(base_seed + i).random(),
+# reproduced here across all paths at once: SeedSequence entropy mixing and
+# generate_state(4, uint64) in uint32 lanes, then PCG64 (XSL-RR 128/64) with
+# its 128-bit state held in two uint64 halves.  NumPy keeps both streams
+# stable across releases (NEP 19).
+
+#: seeds are accepted below this: SeedSequence then hashes exactly four
+#: zero-padded 32-bit entropy words, the case reproduced here
+SEED_LIMIT = 2**128
+
+_M32 = 0xFFFFFFFF
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # SeedSequence INIT_A, MULT_A
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # SeedSequence INIT_B, MULT_B
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_HI, _PCG_LO = divmod(0x2360ED051FC65DA44385DF649FCCF645, 2**64)  # PCG64 multiplier
+
+
+def _hash_steps(init: int, mult: int):
+    """The (xor, multiply) constants of successive SeedSequence hash steps;
+    the hash constant evolves independently of the data."""
+    h = init
+    while True:
+        nxt = (h * mult) & _M32
+        yield np.uint32(h), np.uint32(nxt)
+        h = nxt
+
+
+def _hashmix(value: np.ndarray, steps) -> np.ndarray:
+    xor_c, mul_c = next(steps)
+    value = (value ^ xor_c) * mul_c
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, b a constant."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = np.uint64(b & _M32), np.uint64(b >> 32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    s = lo + add_lo
+    return hi + add_hi + (s < lo), s
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """The PCG64 state update, state * multiplier + inc mod 2**128, on the
+    state's high and low uint64 halves."""
+    m_hi, m_lo = np.uint64(_PCG_HI), np.uint64(_PCG_LO)
+    return _add128(_mulhi(lo, _PCG_LO) + lo * m_hi + hi * m_lo, lo * m_lo, inc_hi, inc_lo)
+
+
+def _uniform_columns(n_paths: int, base_seed: int) -> Iterator[np.ndarray]:
+    """Endless uniform columns; entry i of the n-th column is the n-th value
+    of np.random.default_rng(base_seed + i).random().
+
+    Requires 0 <= base_seed and base_seed + n_paths <= SEED_LIMIT.
+    """
+    # the four 32-bit entropy words of base_seed + i, built with carry
+    carry = np.arange(n_paths, dtype=np.uint64)
+    words = []
+    for k in range(4):
+        w = carry + np.uint64((base_seed >> (32 * k)) & _M32)
+        words.append((w & _M32).astype(np.uint32))
+        carry = w >> 32
+    steps = _hash_steps(*_HASH_A)
+    pool = [_hashmix(w, steps) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+    steps = _hash_steps(*_HASH_B)
+    state32 = [_hashmix(pool[i % 4], steps).astype(np.uint64) for i in range(8)]
+    # generate_state(4, uint64): little-endian pairs of the eight words
+    seed_hi, seed_lo, seq_hi, seq_lo = (state32[2 * j] | (state32[2 * j + 1] << 32) for j in range(4))
+    # PCG64 seeding: inc = 2 seq + 1; step from 0, add the seed, step again
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    inc_lo = (seq_lo << 1) | 1
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    while True:
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output: xor the halves, rotate right by the top six bits
+        x, rot = hi ^ lo, hi >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        yield (x >> 11).astype(np.float64) * 2.0**-53
 
 
 def simulate_batch(
@@ -140,27 +234,32 @@ def simulate_batch(
     """Simulate n_paths independent paths on the grid.
 
     Marginal draw at the deepest time, then one transition draw per step,
-    vectorised across paths through the shared scaled-kernel tables.
+    vectorised across paths through the shared scaled-kernel tables.  Row i
+    uses the stream of seed base_seed + i; raises ValueError unless
+    0 <= base_seed and base_seed + n_paths <= 2**128.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
+    base_seed = operator.index(base_seed)
+    if not (0 <= base_seed and base_seed + n_paths <= SEED_LIMIT):
+        raise ValueError(f"need 0 <= base_seed and base_seed + n_paths <= 2**128, got {base_seed}")
     q = float(grid.q)
     if ctx is None:
         ctx = QContext.numeric(q)
     prod_eps = ctx.prod_eps
     K = grid.K
-    u = _uniforms(n_paths, K + 1, base_seed)
+    u = _uniform_columns(n_paths, base_seed)
     values = np.empty((n_paths, K + 1))
     t_deep = float(grid.times[K])
     mt = scaled_marginal_table(q, prod_eps)
     rows = np.zeros(n_paths, dtype=np.intp)
-    values[:, K] = math.sqrt(t_deep) * draw_from_table(mt, rows, u[:, 0])
+    values[:, K] = math.sqrt(t_deep) * draw_from_table(mt, rows, next(u))
     tt = scaled_transition_table(q, prod_eps)
     for k in range(K - 1, -1, -1):
         tk = float(grid.times[k])
         rt = math.sqrt(tk)
         x_scaled = values[:, k + 1] / rt
-        values[:, k] = rt * draw_transition_batch(tt, x_scaled, u[:, K - k])
+        values[:, k] = rt * draw_transition_batch(tt, x_scaled, next(u))
     return PathBatch(grid=grid, values=values, base_seed=base_seed)
 
 

@@ -992,9 +992,11 @@ def run_convergence_suite(
             decomposed = True
             for i, p in enumerate(polys):
                 parts = _abs_parts(p, ctx)
+                # path j of polynomial i uses seed + 1000 i + j on every grid
+                batches = [simulate_batch(g, n_paths, seed + 1000 * i, ctx) for g in grids]
                 for j in range(n_paths):
-                    for grid in grids:
-                        path = simulate_path(grid, seed=seed + 1000 * i + j, ctx=ctx)
+                    for grid, batch in zip(grids, batches):
+                        path = batch.path(j)
                         dec = ito_decompose(p, path, ctx)
                         # direct boundary form; free of the cancellation
                         # noise carried by the four decomposition terms

@@ -181,6 +181,49 @@ def test_runconfig_validate_direct():
         RunConfig(suite="bogus").validate()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--seed", "-1"],
+        ["--seed", str(2**128 - 3), "--paths", "4"],
+        ["--t", "inf"],
+        ["--t", "nan"],
+        ["--q", "0.5", "--depth", "1100"],
+    ],
+)
+def test_simulate_rejects_bad_seed_and_grid(tmp_path, capsys, args):
+    out = tmp_path / "bad"
+    assert run_main(["--suite", "simulate", *args, "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    # rejected before the manifest or any path is written
+    assert not out.exists()
+
+
+def test_seed_range_follows_the_run():
+    top = 2**128
+    RunConfig(suite="simulate", seed=top - 4, paths=4).validate()
+    RunConfig(suite="identities", seed=top - 1).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(suite="simulate", seed=top - 3, paths=4).validate()
+    # verify draws a Monte Carlo batch and its rerun batch from the seed,
+    # and the convergence suite's path seeds reach seed + 19019
+    RunConfig(suite="verify", seed=top - 40000, paths=20000).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(suite="verify", seed=top - 39999, paths=20000).validate()
+    RunConfig(suite="all", seed=top - 19020, paths=10).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(suite="all", seed=top - 19019, paths=10).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(suite="identities", seed=-1).validate()
+
+
+def test_simulate_at_the_largest_seeds(tmp_path):
+    out = tmp_path / "top"
+    args = ["--suite", "simulate", "--seed", str(2**128 - 4), "--paths", "4", "--wide"]
+    assert run_main(args + ["--out", str(out)]) == 0
+    assert len((out / "paths" / "paths_wide.csv").read_text().splitlines()) == 22
+
+
 #: SHA-256 of every artifact but manifest.json (which echoes --out) for three
 #: small runs, recorded with NumPy 2.4 on x86-64 Linux at qbm 0.2.0 (one
 #: density kernel; see CHANGES.md for the digests of 0.1.0)

@@ -11,8 +11,11 @@ from qbm.measures import (
     _gl_nodes,
     _theta_density,
     integrate,
+    invert_cdf,
     marginal_spec,
     qgauss_density,
+    scaled_marginal_table,
+    scaled_transition_table,
     support_halfwidth,
     transition_density,
     transition_spec,
@@ -159,3 +162,67 @@ def test_transition_rejects_state_outside_support():
     # every x of an array is checked
     with pytest.raises(ValueError):
         transition_density(np.array([0.0, -1.01 * w]), 0.5, 1.0, 0.0, ctx)
+
+
+def test_transition_rejects_nan_state_and_non_finite_time():
+    ctx = QContext.numeric(0.5)
+    with pytest.raises(ValueError):
+        transition_density(math.nan, 0.5, 1.0, 0.3, ctx)
+    with pytest.raises(ValueError):
+        transition_density(np.array([0.0, math.nan]), 0.5, 1.0, 0.3, ctx)
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            qgauss_density(0.0, t, ctx)
+
+
+def _bisection_inverse(table, rows, u):
+    """Reference inverse CDF: plain bisection over the whole row to the last
+    cell j with cdf[row, j] <= u, then the same Newton step as invert_cdf."""
+    thetas, cdf, pdf = table.thetas, table.cdf, table.pdf
+    lo = np.zeros(u.shape, dtype=np.intp)
+    hi = np.full(u.shape, thetas.shape[0] - 1, dtype=np.intp)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        below = cdf[rows, mid] <= u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    f0, f1, p0, p1 = cdf[rows, lo], cdf[rows, hi], pdf[rows, lo], pdf[rows, hi]
+    h = thetas[1] - thetas[0]
+    t0 = thetas[lo]
+    frac = np.clip((u - f0) / np.maximum(f1 - f0, 1e-300), 0.0, 1.0)
+    theta = t0 + frac * h
+    rho = np.maximum(p0 + (p1 - p0) * frac, 1e-300)
+    f_hat = f0 + (theta - t0) * 0.5 * (p0 + rho)
+    theta = theta - (f_hat - u) / rho
+    return np.clip(theta, t0, t0 + h)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.8])
+def test_guided_inversion_matches_bisection(q):
+    for table in (scaled_marginal_table(q), scaled_transition_table(q)):
+        cdf = table.cdf
+        n_rows, n = cdf.shape
+        assert np.all(np.diff(cdf, axis=1) >= 0.0)
+        assert np.all(cdf[:, 0] == 0.0) and np.all(cdf[:, -1] == 1.0)
+        rng = np.random.default_rng(5)
+        rows = [rng.integers(0, n_rows, 4000)]
+        u = [rng.random(4000)]
+        # both ends of [0, 1), on the first and the last row
+        rows.append(np.array([0, 0, n_rows - 1, n_rows - 1]))
+        u.append(np.array([0.0, 1.0 - 2.0**-53] * 2))
+        # u exactly on tabulated CDF values
+        on_rows = rng.integers(0, n_rows, 500)
+        rows.append(on_rows)
+        u.append(cdf[on_rows, rng.integers(0, n - 1, 500)])
+        # every zero-increment cell of a spread of rows that have them
+        flat_rows = np.flatnonzero(np.any(np.diff(cdf, axis=1) == 0.0, axis=1))
+        for r in flat_rows[:: max(1, flat_rows.size // 8)]:
+            flat = np.flatnonzero(np.diff(cdf[r]) == 0.0)
+            rows.append(np.full(flat.size, r))
+            u.append(cdf[r, flat])
+        rows, u = np.concatenate(rows), np.concatenate(u)
+        # draws lie in [0, 1); trailing flat cells tabulate exactly 1
+        rows, u = rows[u < 1.0], u[u < 1.0]
+        assert np.array_equal(invert_cdf(table, rows, u), _bisection_inverse(table, rows, u))
+    # the q = 0.8 transition rows do have zero-increment cells
+    assert q != 0.8 or flat_rows.size > 0

@@ -1,11 +1,14 @@
 """Geometric-grid simulation: determinism, support, moments, CSV export."""
 
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from qbm.process import (
+    SEED_LIMIT,
     GeometricGrid,
     GeometricPath,
     PathBatch,
@@ -14,6 +17,7 @@ from qbm.process import (
     simulate_path,
     write_batch_csv,
     write_path_csv,
+    _uniform_columns,
 )
 from qbm.qcore import QContext
 
@@ -41,6 +45,20 @@ def test_grid_validation():
         GeometricGrid.build(q=0.5, t=-1.0)
     with pytest.raises(ValueError):
         GeometricGrid.build(q=0.5, t=1.0, depth=0)
+
+
+def test_grid_rejects_non_finite_and_underflowing_times():
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            GeometricGrid.build(q=0.5, t=t)
+    # 0.5**1100 underflows to zero; 0.5**1070 is subnormal
+    for depth in (1100, 1070):
+        with pytest.raises(ValueError, match="underflows"):
+            GeometricGrid.build(q=0.5, t=1.0, depth=depth)
+    with pytest.raises(ValueError, match="underflows"):
+        GeometricGrid.build(q=0.5, t=1e-300, depth=40)
+    grid = GeometricGrid.build(q=0.5, t=1.0, depth=1022)
+    assert grid.times[-1] >= sys.float_info.min
 
 
 def test_path_length_mismatch_rejected():
@@ -147,3 +165,31 @@ def test_explicit_ctx_matches_default():
     a = simulate_batch(grid, n_paths=4, base_seed=21)
     b = simulate_batch(grid, n_paths=4, base_seed=21, ctx=QContext.numeric(0.5))
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [0, 7, 2**32 - 100, 2**64 - 100, 2**96 - 3, SEED_LIMIT - 257, SEED_LIMIT - 1],
+)
+def test_uniform_columns_match_default_rng(base):
+    # bases straddle the 32-, 64- and 96-bit word boundaries and reach the
+    # largest accepted seed
+    for n_paths in (1, 257):
+        if base + n_paths > SEED_LIMIT:
+            continue
+        cols = list(itertools.islice(_uniform_columns(n_paths, base), 6))
+        got = np.stack(cols, axis=1)
+        ref = np.stack([np.random.default_rng(base + i).random(6) for i in range(n_paths)])
+        assert np.array_equal(got, ref), (base, n_paths)
+
+
+def test_simulate_batch_rejects_seeds_outside_stream():
+    grid = GeometricGrid.build(q=0.5, t=1.0, depth=4)
+    with pytest.raises(ValueError):
+        simulate_batch(grid, n_paths=2, base_seed=-1)
+    with pytest.raises(ValueError):
+        simulate_batch(grid, n_paths=4, base_seed=SEED_LIMIT - 3)
+    with pytest.raises(TypeError):
+        simulate_batch(grid, n_paths=1, base_seed=1.5)
+    top = simulate_batch(grid, n_paths=4, base_seed=SEED_LIMIT - 4)
+    assert np.array_equal(top.path(3).values, simulate_path(grid, seed=SEED_LIMIT - 1).values)
