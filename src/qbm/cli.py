@@ -88,6 +88,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.paths is not None and self.paths < 1:
             raise ConfigError(f"paths must be at least 1, got {self.paths}")
+        if self.suite in ("verify", "all") and self.paths is not None and self.paths < 2:
+            raise ConfigError(f"a Monte Carlo run needs at least 2 paths, got {self.paths}")
         span = self.seed_span()
         if not (0 <= self.seed and self.seed + span <= SEED_LIMIT):
             raise ConfigError(f"seed must lie in [0, 2**128 - {span}] for this run, got {self.seed}")

@@ -309,7 +309,8 @@ def scaled_transition_table(q: float, prod_eps: float = 1e-16) -> CdfTable:
 def invert_cdf(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorised inverse CDF: find the cell, then one Newton step.
 
-    rows picks the table row per draw; u must lie in [0, 1).  Returns theta.
+    rows picks the table row per draw; raises ValueError unless every u lies
+    in [0, 1) (NaN included).  Returns theta.
     The cell is the last j with cdf[row, j] <= u, unique because rows never
     decrease and end at exactly 1.  The guide entries at floor(u N_GUIDE)
     and the next level bracket it; bisection then runs only on the draws
@@ -319,6 +320,8 @@ def invert_cdf(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     n = thetas.shape[0]
     u, rows = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(rows, dtype=np.intp))
     shape, u, rows = u.shape, u.ravel(), rows.ravel()
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        raise ValueError("uniforms must lie in [0, 1)")
     gi = rows * (N_GUIDE + 1) + (u * N_GUIDE).astype(np.intp)
     lo = guide.take(gi).astype(np.intp)
     hi = guide.take(gi + 1).astype(np.intp) + 1

@@ -14,8 +14,6 @@ and this module converts between the monomial and q-Hermite representations.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -29,9 +27,7 @@ __all__ = [
     "to_hermite_basis",
     "from_hermite_basis",
     "hermite_eval_sequence",
-    "scaling_check",
     "growth_constant",
-    "growth_bound",
 ]
 
 
@@ -136,43 +132,8 @@ class QPolynomial:
             out = out * x + c(t)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": "monomial",
-            "degree": self.degree,
-            "coeffs": [[_scalar_to_json(c) for c in p.coeffs] for p in self.coeffs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QPolynomial":
-        if d.get("basis") != "monomial":
-            raise ValueError(f"expected monomial basis, got {d.get('basis')!r}")
-        return cls(tuple(Poly(tuple(_scalar_from_json(c) for c in row)) for row in d["coeffs"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "QPolynomial":
-        return cls.from_json_dict(json.loads(s))
-
     def __repr__(self) -> str:
         return f"QPolynomial({list(self.coeffs)!r})"
-
-
-def _scalar_to_json(c: Scalar):
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    if isinstance(c, int):
-        return f"{c}/1"
-    return float(c)
-
-
-def _scalar_from_json(v) -> Scalar:
-    if isinstance(v, str):
-        num, den = v.split("/")
-        return Fraction(int(num), int(den))
-    return float(v)
 
 
 @dataclass(frozen=True)
@@ -187,19 +148,6 @@ class HermiteCoefficients:
 
     def coeff(self, m: int) -> Poly:
         return self.b[m] if 0 <= m < len(self.b) else Poly()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": "q-hermite",
-            "degree": self.degree,
-            "coeffs": [[_scalar_to_json(c) for c in p.coeffs] for p in self.b],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "HermiteCoefficients":
-        if d.get("basis") != "q-hermite":
-            raise ValueError(f"expected q-hermite basis, got {d.get('basis')!r}")
-        return cls(tuple(Poly(tuple(_scalar_from_json(c) for c in row)) for row in d["coeffs"]))
 
 
 _HERMITE_CACHE: dict[tuple, list[QPolynomial]] = {}
@@ -272,27 +220,3 @@ def growth_constant(n: int, ctx: QContext) -> float:
     qf = ctx.qf
     total = sum(float(q_binomial(n, k, ctx)) for k in range(n + 1))
     return (1.0 - qf) ** (-n / 2.0) * total
-
-def growth_bound(n: int, t: float, ctx: QContext) -> float:
-    """Bound C_n t**(n/2) for |h_n(x; t)| over the support |x| <= 2 sqrt(t/(1-q))."""
-    if t < 0:
-        raise ValueError("growth_bound needs t >= 0")
-    return growth_constant(n, ctx) * float(t) ** (n / 2.0)
-
-
-def scaling_check(n: int, x: float, t: float, ctx: QContext, tol: float = 1e-9) -> float:
-    """|h_n(x; t) - t**(n/2) h_n(x / sqrt(t); 1)|, which should vanish.
-
-    Returns the discrepancy; raises if it exceeds tol (relative to the bound
-    scale) so misuse fails loudly.
-    """
-    if n < 0 or t <= 0:
-        raise ValueError("scaling_check needs n >= 0 and t > 0")
-    lhs = float(hermite_eval_sequence(n, float(x), float(t), ctx)[n])
-    scaled = hermite_eval_sequence(n, float(x) / math.sqrt(t), 1.0, ctx)[n]
-    rhs = float(t) ** (n / 2.0) * float(scaled)
-    err = abs(lhs - rhs)
-    scale = max(1.0, growth_bound(n, t, ctx))
-    if err > tol * scale:
-        raise AssertionError(f"scaling identity violated: {err} > {tol} * {scale}")
-    return err

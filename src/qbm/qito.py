@@ -53,21 +53,15 @@ from .qhermite import (
 from .stochint import PolynomialIntegrand, integrate_def
 
 __all__ = [
-    "GridTooShallowError",
     "ItoDecomposition",
     "a_operator",
     "delta_exact",
     "delta_numeric",
     "ito_decompose",
-    "ito_residual",
     "ito_tail_bound",
     "nabla_exact",
     "nabla_numeric",
 ]
-
-
-class GridTooShallowError(ValueError):
-    """Raised when the truncation tail bound exceeds a requested tolerance."""
 
 
 def _inv(c: Scalar) -> Scalar:
@@ -346,20 +340,3 @@ def ito_decompose(f: QPolynomial, path: GeometricPath, ctx: QContext) -> ItoDeco
         tail_bound=ito_tail_bound(f, grid, ctx),
         K=grid.K,
     )
-
-
-def ito_residual(
-    f: QPolynomial, path: GeometricPath, ctx: QContext, tol: float | None = None
-) -> float:
-    """Residual of the truncated change-of-variable identity.
-
-    With tol given, raises GridTooShallowError when the analytic tail bound
-    at the path's depth exceeds it, before any arithmetic is attempted.
-    """
-    if tol is not None:
-        bound = ito_tail_bound(f, path.grid, ctx)
-        if bound > tol:
-            raise GridTooShallowError(
-                f"grid too shallow: tail bound {bound:.3e} exceeds tolerance {tol:.3e}"
-            )
-    return ito_decompose(f, path, ctx).residual

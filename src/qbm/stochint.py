@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import Poly, QContext, SampledFunction, Scalar, q_factorial, q_int
+from .qcore import Poly, QContext, SampledFunction, Scalar, q_factorial
 from .qhermite import QPolynomial, growth_constant, hermite_eval_sequence, to_hermite_basis
 from .process import GeometricGrid, GeometricPath, PathBatch
 
@@ -40,7 +40,6 @@ __all__ = [
     "exponential_radius",
     "isometry_second_moment",
     "stochastic_exponential",
-    "stochastic_exponential_series",
     "sde_residual",
 ]
 
@@ -258,22 +257,6 @@ def stochastic_exponential(a: float, c: float, x, t: float, ctx: QContext):
     for all |x| < 2 sqrt(t / (1-q)).
     """
     return (c / _exp_factors(float(a), x, float(t), ctx))[()]
-
-
-def stochastic_exponential_series(
-    a: float, c: float, x: float, t: float, ctx: QContext, degree: int
-) -> float:
-    """Partial sum c sum_{n<=degree} a**n h_n(x; t) / [n]!, for cross-checks."""
-    hs = hermite_eval_sequence(degree, float(x), float(t), ctx)
-    total = 0.0
-    an = 1.0
-    fact = 1.0
-    for n in range(degree + 1):
-        if n > 0:
-            an *= float(a)
-            fact *= float(q_int(n, ctx))
-        total += an * float(hs[n]) / fact
-    return c * total
 
 
 def exponential_radius(a: float, ctx: QContext) -> float:

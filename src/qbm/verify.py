@@ -9,24 +9,27 @@ Four suites back the library's quantitative claims:
   * run_quadrature_suite: density normalizations, moments, martingale and
     conditional-moment formulas, Chapman-Kolmogorov, and the agreement of
     kernel-quadrature operators with their exact counterparts;
-  * run_mc_suite: Monte Carlo estimates over simulated path batches against
-    exact oracles, gated at |z| <= 4; a failing check is rerun once on a
-    disjoint batch;
+  * run_mc_suite: Monte Carlo estimates against exact oracles, gated at
+    |z| <= 4.  The checks form one table of records; each (q, t) batch is
+    simulated once, MC_CHUNK paths at a time, and a failing check is rerun
+    once, alone, on a disjoint batch;
   * run_convergence_suite: pathwise residuals of the change-of-variable
     identity and of the exponential's integral equation as the grid deepens.
 
 CHECKS names every report the suites emit and maps it to its suite; the
 suites' only= filters and the command line's --only both read it.
 
-Batch statistics use numpy's pairwise summation, so reductions are
-deterministic for a fixed seed and platform.
+A check keeps only the count, sum and centred sum of squares of its samples
+(numpy's pairwise sums per chunk, merged in chunk order), so reductions are
+deterministic for a fixed seed and platform and memory does not grow with
+the number of paths.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -69,9 +72,7 @@ __all__ = [
     "oracle_EZ4",
     "kurtosis_ratio",
     "oracle_increment_4th",
-    "mc_isometry",
-    "mc_moment",
-    "MC_CHECKS",
+    "MC_CHUNK",
     "CHECKS",
     "selected_checks",
     "run_identity_suite",
@@ -157,8 +158,8 @@ class McEstimate:
     oracle: float
 
     def __post_init__(self) -> None:
-        if self.n_paths >= 2 and not self.std_error > 0.0:
-            raise ValueError("std_error must be positive for n_paths >= 2")
+        if not self.std_error > 0.0:
+            raise ValueError("std_error must be positive")
 
     @property
     def z(self) -> float:
@@ -231,207 +232,6 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mc_estimate(values: np.ndarray, oracle: float, seed: int) -> McEstimate:
-    n = int(values.shape[0])
-    mean = float(np.sum(values)) / n
-    std_error = float(np.std(values, ddof=1)) / math.sqrt(n)
-    return McEstimate(estimate=mean, std_error=std_error, n_paths=n, seed=seed, oracle=float(oracle))
-
-
-# ---------------------------------------------------------------------------
-# shared path batches
-# ---------------------------------------------------------------------------
-
-_BATCH_CACHE: dict[tuple, PathBatch] = {}
-
-
-def _get_batch(q: float, t: float, n_paths: int, seed: int) -> PathBatch:
-    grid = GeometricGrid.build(q=q, t=t)
-    key = (float(q), float(t), grid.K, n_paths, seed)
-    if key not in _BATCH_CACHE:
-        ctx = QContext.numeric(q)
-        _BATCH_CACHE[key] = simulate_batch(grid, n_paths=n_paths, base_seed=seed, ctx=ctx)
-    return _BATCH_CACHE[key]
-
-
-def _grid_index(grid: GeometricGrid, s: float) -> int:
-    for k, tk in enumerate(grid.times):
-        if abs(float(tk) - s) <= 1e-12 * max(1.0, s):
-            return k
-    raise ValueError(f"time {s} is not on the geometric grid")
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo checks
-# ---------------------------------------------------------------------------
-
-def mc_isometry(
-    f: PolynomialIntegrand,
-    t: float,
-    q: float,
-    n_paths: int = 10**5,
-    seed: int = 2024,
-    threshold: float = Z_THRESHOLD,
-) -> VerificationReport:
-    """Compare MC E[(integral of f)**2] to the exact Jackson-integral form."""
-    ctx = QContext.numeric(q)
-    batch = _get_batch(q, t, n_paths, seed)
-    vals = integrate_def_batch(f, batch, ctx)
-    rhs = float(isometry_second_moment(f, t, ctx))
-    est = _mc_estimate(vals * vals, rhs, seed)
-    tail = def_tail_bound(f, batch.grid, ctx)
-    params = {
-        "degree": f.degree,
-        "t": t,
-        "q": q,
-        "K": batch.grid.K,
-        "truncation_bias_bound": 2.0 * math.sqrt(max(rhs, 0.0)) * tail + tail * tail,
-    }
-    return VerificationReport(
-        name="isometry",
-        params=params,
-        passed=abs(est.z) <= threshold,
-        tolerance=threshold,
-        kind="mc",
-        estimate=est,
-    )
-
-
-def _deterministic_power_integral(batch: PathBatch, r: float) -> np.ndarray:
-    """Z = sum_k t_k**r (B_k - B_{k+1}) per path."""
-    grid = batch.grid
-    v = batch.values
-    out = np.zeros(v.shape[0])
-    for k in range(grid.K):
-        out += float(grid.times[k]) ** r * (v[:, k] - v[:, k + 1])
-    return out
-
-
-def _check_ez2(params, n_paths, seed, threshold):
-    r, q = params["r"], params["q"]
-    batch = _get_batch(q, 1.0, n_paths, seed)
-    z = _deterministic_power_integral(batch, r)
-    oracle = float(oracle_EZ2(r, q))
-    est = _mc_estimate(z * z, oracle, seed)
-    k = batch.grid.K
-    truncated = (1.0 - q) * (1.0 - q ** ((2 * r + 1) * k)) / (1.0 - q ** (2 * r + 1))
-    return est, {"K": k, "truncation_bias": oracle - truncated}
-
-
-def _check_ez4(params, n_paths, seed, threshold):
-    r, q = params["r"], params["q"]
-    batch = _get_batch(q, 1.0, n_paths, seed)
-    z = _deterministic_power_integral(batch, r)
-    oracle = float(oracle_EZ4(r, q))
-    est = _mc_estimate(z**4, oracle, seed)
-    k = batch.grid.K
-    return est, {"K": k, "truncation_bias_bound": 8.0 * q**k * oracle}
-
-
-def _check_increment_4th(params, n_paths, seed, threshold):
-    s, t, q = params["s"], params["t"], params["q"]
-    batch = _get_batch(q, t, n_paths, seed)
-    j = _grid_index(batch.grid, s)
-    inc = batch.values[:, 0] - batch.values[:, j]
-    oracle = float(oracle_increment_4th(s, t, q))
-    return _mc_estimate(inc**4, oracle, seed), {"K": batch.grid.K}
-
-
-def _cross_check(moment: Callable, factor: Callable) -> Callable:
-    """Check of E[moment(dt, du)] = factor(q) (u2 - u1)(t2 - t1) for the
-    increments dt over [t1, t2] and du over [u1, u2], t1 < t2 <= u1 < u2."""
-
-    def check(params, n_paths, seed, threshold):
-        q = params["q"]
-        t1, t2, u1, u2 = params["t1"], params["t2"], params["u1"], params["u2"]
-        if not (t1 < t2 <= u1 < u2):
-            raise ValueError("cross moments need t1 < t2 <= u1 < u2")
-        batch = _get_batch(q, u2, n_paths, seed)
-        v = batch.values
-        idx = {s: _grid_index(batch.grid, s) for s in (t1, t2, u1, u2)}
-        dt = v[:, idx[t2]] - v[:, idx[t1]]
-        du = v[:, idx[u2]] - v[:, idx[u1]]
-        oracle = factor(q) * (u2 - u1) * (t2 - t1)
-        return _mc_estimate(moment(dt, du), oracle, seed), {"K": batch.grid.K}
-
-    return check
-
-
-def _check_stoch_exp_mean(params, n_paths, seed, threshold):
-    a, c, t, q = params["a"], params["c"], params["t"], params["q"]
-    ctx = QContext.numeric(q)
-    if t >= 1.0 / (a * a * (1.0 - q)):
-        raise ValueError("horizon outside the exponential's convergence radius")
-    batch = _get_batch(q, t, n_paths, seed)
-    z = stochastic_exponential(a, c, batch.horizon_values, t, ctx)
-    return _mc_estimate(np.asarray(z), c, seed), {"K": batch.grid.K}
-
-
-def _check_variance_horizon(params, n_paths, seed, threshold):
-    t, q = params["t"], params["q"]
-    batch = _get_batch(q, t, n_paths, seed)
-    v = batch.horizon_values
-    return _mc_estimate(v * v, t, seed), {"K": batch.grid.K}
-
-
-def _check_hermite_increment_2nd(params, n_paths, seed, threshold):
-    k, s, t, q = params["k"], params["s"], params["t"], params["q"]
-    ctx = QContext.numeric(q)
-    batch = _get_batch(q, t, n_paths, seed)
-    j = _grid_index(batch.grid, s)
-    h_t = hermite_eval_sequence(k, batch.values[:, 0], t, ctx)[k]
-    h_s = hermite_eval_sequence(k, batch.values[:, j], s, ctx)[k]
-    oracle = float(q_factorial(k, ctx)) * (t**k - s**k)
-    return _mc_estimate((h_t - h_s) ** 2, oracle, seed), {"K": batch.grid.K}
-
-
-def _check_increment_orthogonality(params, n_paths, seed, threshold):
-    n, q, t = params["n"], params["q"], params["t"]
-    ctx = QContext.numeric(q)
-    batch = _get_batch(q, t, n_paths, seed)
-    grid = batch.grid
-    h0 = hermite_eval_sequence(n, batch.values[:, 0], grid.times[0], ctx)[n]
-    h1 = hermite_eval_sequence(n, batch.values[:, 1], grid.times[1], ctx)[n]
-    h2 = hermite_eval_sequence(n, batch.values[:, 2], grid.times[2], ctx)[n]
-    d_near = h0 - h1
-    d_far = h1 - h2
-    return _mc_estimate(d_near * d_far, 0.0, seed), {"K": grid.K}
-
-
-MC_CHECKS: dict[str, Callable] = {
-    "ez2": _check_ez2,
-    "ez4": _check_ez4,
-    "increment-4th": _check_increment_4th,
-    "cross-22": _cross_check(lambda dt, du: dt * dt * du * du, lambda q: 1.0),
-    "cross-13": _cross_check(lambda dt, du: dt * du**3, lambda q: -(1.0 - q)),
-    "stoch-exp-mean": _check_stoch_exp_mean,
-    "variance-horizon": _check_variance_horizon,
-    "hermite-increment-2nd": _check_hermite_increment_2nd,
-    "increment-orthogonality": _check_increment_orthogonality,
-}
-
-
-def mc_moment(
-    name: str,
-    params: dict,
-    n_paths: int = 10**5,
-    seed: int = 2024,
-    threshold: float = Z_THRESHOLD,
-) -> VerificationReport:
-    """Run one registered moment check against its closed-form oracle."""
-    if name not in MC_CHECKS:
-        raise ValueError(f"unknown check name {name!r}; known: {sorted(MC_CHECKS)}")
-    est, extra = MC_CHECKS[name](params, n_paths, seed, threshold)
-    return VerificationReport(
-        name=name,
-        params={**params, **extra},
-        passed=abs(est.z) <= threshold,
-        tolerance=threshold,
-        kind="mc",
-        estimate=est,
-    )
-
-
 # ---------------------------------------------------------------------------
 # check registry
 # ---------------------------------------------------------------------------
@@ -454,7 +254,13 @@ CHECKS: dict[str, str] = {
         ),
         "quadrature",
     ),
-    **dict.fromkeys(("isometry", *MC_CHECKS), "mc"),
+    **dict.fromkeys(
+        (
+            "isometry", "ez2", "ez4", "increment-4th", "cross-22", "cross-13", "stoch-exp-mean",
+            "variance-horizon", "hermite-increment-2nd", "increment-orthogonality",
+        ),
+        "mc",
+    ),
     **dict.fromkeys(("ito-convergence", "sde-residual"), "convergence"),
 }
 
@@ -863,26 +669,146 @@ def run_quadrature_suite(
 # Monte Carlo suite
 # ---------------------------------------------------------------------------
 
-def _default_mc_plan() -> list[tuple[str, dict]]:
-    plan: list[tuple[str, dict]] = []
+#: paths simulated and reduced at a time; a run of at most this many paths is
+#: one chunk, reduced exactly as np.sum and np.std(ddof=1) reduce it
+MC_CHUNK = 10**5
+
+
+@dataclass(frozen=True)
+class _McCheck:
+    """A Monte Carlo check: stat(chunk) of the (q, t) paths has mean oracle."""
+
+    name: str
+    params: dict
+    q: float
+    t: float
+    oracle: float
+    stat: Callable[[PathBatch], np.ndarray]
+
+
+def _grid_index(grid: GeometricGrid, s: float) -> int:
+    for k, tk in enumerate(grid.times):
+        if abs(float(tk) - s) <= 1e-12 * max(1.0, s):
+            return k
+    raise ValueError(f"time {s} is not on the geometric grid")
+
+
+def _deterministic_power_integral(batch: PathBatch, r: float) -> np.ndarray:
+    """Z = sum_k t_k**r (B_k - B_{k+1}) per path."""
+    v, times = batch.values, batch.grid.times
+    out = np.zeros(v.shape[0])
+    for k in range(batch.grid.K):
+        out += float(times[k]) ** r * (v[:, k] - v[:, k + 1])
+    return out
+
+
+def _hermite_at(n: int, batch: PathBatch, k: int) -> np.ndarray:
+    """h_n(B_k; t_k) per path, at grid column k."""
+    ctx = QContext.numeric(batch.grid.q)
+    return hermite_eval_sequence(n, batch.values[:, k], batch.grid.times[k], ctx)[n]
+
+
+def _mc_plan() -> list[_McCheck]:
+    """Every Monte Carlo check, in report order; add() puts K in the params."""
+    plan: list[_McCheck] = []
+
+    def add(name: str, params: dict, t: float, oracle, stat) -> None:
+        q = params["q"]
+        params = {**params, "K": GeometricGrid.build(q=q, t=t).K}
+        plan.append(_McCheck(name, params, q, t, float(oracle), stat))
+
+    # the q-isometry: E[(integral of x**degree)**2] in Jackson-integral form
     for q in (0.2, 0.5, 0.8):
+        ctx = QContext.numeric(q)
+        grid = GeometricGrid.build(q=q, t=1.0)
         for degree in range(4):
-            plan.append(("isometry", {"q": q, "t": 1.0, "xdegree": degree}))
+            f = PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(degree), ctx)
+            rhs = float(isometry_second_moment(f, 1.0, ctx))
+            tail = def_tail_bound(f, grid, ctx)
+            bias = 2.0 * math.sqrt(max(rhs, 0.0)) * tail + tail * tail
+            params = {"degree": f.degree, "t": 1.0, "q": q, "truncation_bias_bound": bias}
+            add("isometry", params, 1.0, rhs,
+                lambda b, f=f, ctx=ctx: np.square(integrate_def_batch(f, b, ctx)))
+
+    q = 0.5
+    k = GeometricGrid.build(q=q, t=1.0).K
     for r in (0.0, 0.5, 1.0):
-        plan.append(("ez2", {"r": r, "q": 0.5}))
-        plan.append(("ez4", {"r": r, "q": 0.5}))
-    plan.append(("increment-4th", {"q": 0.5, "t": 1.0, "s": 0.5}))
-    plan.append(("increment-4th", {"q": 0.8, "t": 1.0, "s": 0.8}))
-    plan.append(("cross-22", {"q": 0.5, "t1": 0.125, "t2": 0.25, "u1": 0.5, "u2": 1.0}))
-    plan.append(("cross-13", {"q": 0.5, "t1": 0.125, "t2": 0.25, "u1": 0.5, "u2": 1.0}))
-    plan.append(("stoch-exp-mean", {"q": 0.5, "a": 0.5, "c": 2.0, "t": 0.5}))
-    plan.append(("stoch-exp-mean", {"q": 0.8, "a": 0.5, "c": 1.0, "t": 1.0}))
+        oracle = float(oracle_EZ2(r, q))
+        truncated = (1.0 - q) * (1.0 - q ** ((2 * r + 1) * k)) / (1.0 - q ** (2 * r + 1))
+        add("ez2", {"r": r, "q": q, "truncation_bias": oracle - truncated}, 1.0, oracle,
+            lambda b, r=r: np.square(_deterministic_power_integral(b, r)))
+        oracle = float(oracle_EZ4(r, q))
+        add("ez4", {"r": r, "q": q, "truncation_bias_bound": 8.0 * q**k * oracle}, 1.0, oracle,
+            lambda b, r=r: _deterministic_power_integral(b, r) ** 4)
+
+    for q, s in ((0.5, 0.5), (0.8, 0.8)):
+        j = _grid_index(GeometricGrid.build(q=q, t=1.0), s)
+        add("increment-4th", {"q": q, "t": 1.0, "s": s}, 1.0, oracle_increment_4th(s, 1.0, q),
+            lambda b, j=j: (b.values[:, 0] - b.values[:, j]) ** 4)
+
+    # E[moment(dt, du)] for the increments dt over [t1, t2] and du over [u1, u2]
+    q, t1, t2, u1, u2 = 0.5, 0.125, 0.25, 0.5, 1.0
+    cols = [_grid_index(GeometricGrid.build(q=q, t=u2), s) for s in (t1, t2, u1, u2)]
+    for name, factor, moment in (
+        ("cross-22", 1.0, lambda dt, du: dt * dt * du * du),
+        ("cross-13", -(1.0 - q), lambda dt, du: dt * du**3),
+    ):
+        add(name, {"q": q, "t1": t1, "t2": t2, "u1": u1, "u2": u2}, u2,
+            factor * (u2 - u1) * (t2 - t1),
+            lambda b, m=moment, c=cols: m(b.values[:, c[1]] - b.values[:, c[0]],
+                                          b.values[:, c[3]] - b.values[:, c[2]]))
+
+    for q, a, c, t in ((0.5, 0.5, 2.0, 0.5), (0.8, 0.5, 1.0, 1.0)):
+        add("stoch-exp-mean", {"q": q, "a": a, "c": c, "t": t}, t, c,
+            lambda b, a=a, c=c, t=t, ctx=QContext.numeric(q): np.asarray(
+                stochastic_exponential(a, c, b.horizon_values, t, ctx)))
+
     for q in (0.2, 0.5, 0.8):
-        plan.append(("variance-horizon", {"q": q, "t": 1.0}))
+        add("variance-horizon", {"q": q, "t": 1.0}, 1.0, 1.0, lambda b: np.square(b.horizon_values))
+
+    q, t, s = 0.5, 1.0, 0.5
+    j = _grid_index(GeometricGrid.build(q=q, t=t), s)
     for k in (1, 2, 3):
-        plan.append(("hermite-increment-2nd", {"q": 0.5, "t": 1.0, "s": 0.5, "k": k}))
-    plan.append(("increment-orthogonality", {"q": 0.5, "t": 1.0, "n": 2}))
+        add("hermite-increment-2nd", {"q": q, "t": t, "s": s, "k": k}, t,
+            float(q_factorial(k, QContext.numeric(q))) * (t**k - s**k),
+            lambda b, k=k, j=j: np.square(_hermite_at(k, b, 0) - _hermite_at(k, b, j)))
+    add("increment-orthogonality", {"q": q, "t": t, "n": 2}, t, 0.0,
+        lambda b: (_hermite_at(2, b, 0) - _hermite_at(2, b, 1))
+        * (_hermite_at(2, b, 1) - _hermite_at(2, b, 2)))
     return plan
+
+
+def _add_chunk(acc: tuple | None, x: np.ndarray) -> tuple[int, float, float]:
+    """(n, sum, M2) of the samples so far, acc, and the chunk x together; M2,
+    the centred sum of squares, is computed as np.std computes it, and chunks
+    merge by the update of Chan, Golub & LeVeque (1983)."""
+    n, total = x.shape[0], float(np.sum(x))
+    d = x - total / n
+    if acc is None:
+        return n, total, float(np.sum(d * d))
+    (na, sa, ma), m2 = acc, float(np.sum(d * d))
+    delta = total / n - sa / na
+    return na + n, sa + total, ma + m2 + delta * delta * (na * n / (na + n))
+
+
+def _mc_estimates(checks: Sequence[_McCheck], n_paths: int, seed: int) -> list[McEstimate]:
+    """The estimate of each check over the paths seeded seed + i, i < n_paths.
+
+    Each (q, t) grid is simulated once, MC_CHUNK paths at a time (chunk c
+    starts at seed + c MC_CHUNK), and each check keeps only the moments of
+    its samples, merged chunk by chunk in order.
+    """
+    moments: list = [None] * len(checks)
+    for q, t in dict.fromkeys((c.q, c.t) for c in checks):
+        grid, ctx = GeometricGrid.build(q=q, t=t), QContext.numeric(q)
+        mine = [i for i, c in enumerate(checks) if (c.q, c.t) == (q, t)]
+        for start in range(0, n_paths, MC_CHUNK):
+            batch = simulate_batch(grid, min(MC_CHUNK, n_paths - start), seed + start, ctx)
+            for i in mine:
+                moments[i] = _add_chunk(moments[i], checks[i].stat(batch))
+            del batch  # free the chunk before the next one is simulated
+    return [McEstimate(total / n, math.sqrt(m2 / (n - 1)) / math.sqrt(n), n, seed, c.oracle)
+            for c, (n, total, m2) in zip(checks, moments)]
 
 
 def run_mc_suite(
@@ -891,31 +817,21 @@ def run_mc_suite(
     threshold: float = Z_THRESHOLD,
     only: set[str] | None = None,
 ) -> list[VerificationReport]:
-    """All registered MC checks; a failing check is rerun once on the next
-    n_paths seeds, a batch disjoint from the first (path i uses seed + i)."""
+    """Every Monte Carlo check, passed when |z| <= threshold.  A failing check
+    is rerun once, alone, on the next n_paths seeds, a batch disjoint from
+    the first (path i uses seed + i).  Raises ValueError for n_paths < 2."""
+    if n_paths < 2:
+        raise ValueError(f"a Monte Carlo run needs at least 2 paths, got {n_paths}")
     selected = selected_checks(only, "mc")
+    plan = [c for c in _mc_plan() if selected is None or c.name in selected]
     reports = []
-    try:
-        for name, params in _default_mc_plan():
-            if selected is not None and name not in selected:
-                continue
-            def run(use_seed: int) -> VerificationReport:
-                if name == "isometry":
-                    ctx = QContext.numeric(params["q"])
-                    x_power = QPolynomial.x_power(params["xdegree"])
-                    f = PolynomialIntegrand.from_qpolynomial(x_power, ctx)
-                    return mc_isometry(
-                        f, params["t"], params["q"], n_paths, use_seed, threshold
-                    )
-                return mc_moment(name, params, n_paths, use_seed, threshold)
-            rep = run(seed)
-            if not rep.passed:
-                rep = run(seed + n_paths)
-                rep = replace(rep, params={**rep.params, "reran": True})
-            reports.append(rep)
-    finally:
-        # the batches are shared between checks of one run only
-        _BATCH_CACHE.clear()
+    for c, est in zip(plan, _mc_estimates(plan, n_paths, seed)):
+        params = c.params
+        if not abs(est.z) <= threshold:
+            (est,) = _mc_estimates([c], n_paths, seed + n_paths)
+            params = {**params, "reran": True}
+        passed = abs(est.z) <= threshold
+        reports.append(VerificationReport(c.name, params, passed, threshold, "mc", estimate=est))
     return reports
 
 

@@ -199,6 +199,17 @@ def test_simulate_rejects_bad_seed_and_grid(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite", ["verify", "all"])
+def test_monte_carlo_needs_two_paths(tmp_path, capsys, suite):
+    out = tmp_path / "one"
+    assert run_main(["--suite", suite, "--paths", "1", "--only", "variance-horizon",
+                     "--out", str(out)]) == 2
+    assert "at least 2 paths" in capsys.readouterr().err
+    assert not out.exists()
+    # a single simulated path is still a valid run
+    assert build_config(["--suite", "simulate", "--paths", "1"]).paths == 1
+
+
 def test_seed_range_follows_the_run():
     top = 2**128
     RunConfig(suite="simulate", seed=top - 4, paths=4).validate()

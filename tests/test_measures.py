@@ -224,5 +224,8 @@ def test_guided_inversion_matches_bisection(q):
         # draws lie in [0, 1); trailing flat cells tabulate exactly 1
         rows, u = rows[u < 1.0], u[u < 1.0]
         assert np.array_equal(invert_cdf(table, rows, u), _bisection_inverse(table, rows, u))
+        for bad in (1.0, -(2.0**-60), math.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                invert_cdf(table, rows[:3], np.array([0.5, bad, 0.25]))
     # the q = 0.8 transition rows do have zero-increment cells
     assert q != 0.8 or flat_rows.size > 0

@@ -76,6 +76,11 @@ def test_batch_deterministic_and_row_consistent():
     for i in range(8):
         single = simulate_path(grid, seed=42 + i)
         assert np.array_equal(np.asarray(a.path(i).values), np.asarray(single.values))
+    # a batch is the stack of its chunks, chunk c starting at seed base + 1000 c
+    whole = simulate_batch(grid, n_paths=3001, base_seed=42)
+    starts = range(0, 3001, 1000)
+    chunks = [simulate_batch(grid, min(1000, 3001 - s), 42 + s).values for s in starts]
+    assert np.array_equal(whole.values, np.vstack(chunks))
 
 
 def test_different_seeds_differ():

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,11 @@ from hypothesis import strategies as st
 
 from qbm.qcore import Poly, QContext, q_binomial, q_factorial, q_int
 from qbm.qhermite import (
-    HermiteCoefficients,
     QPolynomial,
     from_hermite_basis,
-    growth_bound,
     growth_constant,
     hermite_eval_sequence,
     qhermite,
-    scaling_check,
     to_hermite_basis,
 )
 
@@ -108,7 +107,7 @@ def test_growth_bound_attained_at_support_edge():
         edge_value = qhermite(n, HALF)(Fraction(2), t)
         expected = sum(q_binomial(n, k, HALF) for k in range(n + 1))
         assert edge_value == expected
-        bound = growth_bound(n, float(t), HALF)
+        bound = growth_constant(n, HALF) * float(t) ** (n / 2.0)
         assert float(edge_value) == pytest.approx(bound, rel=1e-12)
 
 
@@ -117,7 +116,7 @@ def test_growth_bound_dominates_inside_support():
     for t in (0.3, 1.0, 2.5):
         w = 2.0 * (t / 0.4) ** 0.5
         for n in range(1, 9):
-            bound = growth_bound(n, t, ctx)
+            bound = growth_constant(n, ctx) * t ** (n / 2.0)
             for x in np.linspace(-w, w, 41):
                 value = hermite_eval_sequence(n, float(x), t, ctx)[n]
                 assert abs(value) <= bound * (1 + 1e-12)
@@ -130,9 +129,13 @@ def test_growth_constant_monotone_in_n():
 
 
 def test_scaling_relation():
+    # h_n(x; t) = t**(n/2) h_n(x / sqrt(t); 1), to 1e-9 of the growth bound
     ctx = QContext.numeric(0.65)
+    x, t = 0.4, 2.7
     for n in range(1, 8):
-        assert scaling_check(n, 0.4, 2.7, ctx) < 1e-9
+        lhs = hermite_eval_sequence(n, x, t, ctx)[n]
+        rhs = t ** (n / 2.0) * hermite_eval_sequence(n, x / math.sqrt(t), 1.0, ctx)[n]
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, growth_constant(n, ctx) * t ** (n / 2.0))
 
 
 def test_subs_t_scale():
@@ -145,14 +148,6 @@ def test_dq_time():
     # D_t (t^2 x) = [2] t x
     f = QPolynomial((Poly(), Poly([0, 0, 1])))
     assert f.dq_time(HALF) == QPolynomial((Poly(), Poly([0, q_int(2, HALF)])))
-
-
-def test_json_roundtrip():
-    f = QPolynomial((Poly([Fraction(1, 3)]), Poly([0, -2]), Poly([1])))
-    assert QPolynomial.from_json(f.to_json()) == f
-    hc = to_hermite_basis(f, HALF)
-    again = HermiteCoefficients.from_json_dict(hc.to_json_dict())
-    assert again.b == hc.b
 
 
 @given(f=qpoly_strategy(), q=rational_q)

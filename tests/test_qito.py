@@ -10,12 +10,10 @@ from qbm.process import GeometricGrid, GeometricPath, simulate_path
 from qbm.qcore import Poly, QContext, q_int
 from qbm.qhermite import QPolynomial, qhermite
 from qbm.qito import (
-    GridTooShallowError,
     a_operator,
     delta_exact,
     delta_numeric,
     ito_decompose,
-    ito_residual,
     ito_tail_bound,
     nabla_exact,
     nabla_numeric,
@@ -135,7 +133,7 @@ def test_residual_under_tail_bound_on_simulated_paths():
         grid = GeometricGrid.build(q=0.6, t=1.0, depth=K)
         for seed in range(4):
             path = simulate_path(grid, seed=seed)
-            res = ito_residual(f, path, ctx)
+            res = ito_decompose(f, path, ctx).residual
             assert res <= ito_tail_bound(f, grid, ctx)
 
 
@@ -147,15 +145,6 @@ def test_tail_bound_shrinks_with_depth():
         for K in (5, 10, 20, 40)
     ]
     assert all(b < a for a, b in zip(bounds, bounds[1:]))
-
-
-def test_shallow_grid_rejected_when_tolerance_demands_more():
-    ctx = QContext.numeric(0.6)
-    f = QPolynomial.x_power(4)
-    grid = GeometricGrid.build(q=0.6, t=1.0, depth=3)
-    path = simulate_path(grid, seed=0)
-    with pytest.raises(GridTooShallowError):
-        ito_residual(f, path, ctx, tol=1e-12)
 
 
 def test_decomposition_json_shape():

@@ -11,18 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbm import verify
-from qbm.qcore import QContext
-from qbm.qhermite import QPolynomial
-from qbm.stochint import PolynomialIntegrand
+from qbm.process import GeometricGrid
 from qbm.verify import (
     CHECKS,
     CSV_HEADER,
-    MC_CHECKS,
     McEstimate,
     VerificationReport,
     kurtosis_ratio,
-    mc_isometry,
-    mc_moment,
     oracle_EZ2,
     oracle_EZ4,
     oracle_increment_4th,
@@ -111,44 +106,30 @@ def test_report_json_roundtrip_fields():
     assert d["name"] == "demo" and d["residual"] == 0.25 and d["estimate"] is None
 
 
-def test_unknown_check_rejected():
-    with pytest.raises(ValueError, match="unknown check"):
-        mc_moment("no-such-check", {})
-
-
 def test_registry_names_stable():
-    assert {
-        "ez2", "ez4", "increment-4th", "cross-22", "cross-13",
+    assert [name for name, suite in CHECKS.items() if suite == "mc"] == [
+        "isometry", "ez2", "ez4", "increment-4th", "cross-22", "cross-13",
         "stoch-exp-mean", "variance-horizon", "hermite-increment-2nd",
         "increment-orthogonality",
-    } == set(MC_CHECKS)
-
-
-def test_cross_moment_ordering_enforced():
-    with pytest.raises(ValueError):
-        mc_moment(
-            "cross-13",
-            {"q": 0.5, "t1": 0.5, "t2": 1.0, "u1": 0.25, "u2": 0.125},
-            n_paths=10,
-        )
+    ]
 
 
 def test_off_grid_time_rejected():
+    grid = GeometricGrid.build(q=0.5, t=1.0)
+    assert verify._grid_index(grid, 0.25) == 2
     with pytest.raises(ValueError, match="not on the geometric grid"):
-        mc_moment("increment-4th", {"q": 0.5, "t": 1.0, "s": 0.3}, n_paths=10)
+        verify._grid_index(grid, 0.3)
 
 
 def test_mc_moment_deterministic():
-    a = mc_moment("variance-horizon", {"q": 0.5, "t": 1.0}, n_paths=4000, seed=5)
-    b = mc_moment("variance-horizon", {"q": 0.5, "t": 1.0}, n_paths=4000, seed=5)
-    assert a.estimate.estimate == b.estimate.estimate
-    assert a.estimate.std_error == b.estimate.std_error
+    a = run_mc_suite(n_paths=4000, seed=5, only={"variance-horizon", "ez4"})
+    b = run_mc_suite(n_paths=4000, seed=5, only={"variance-horizon", "ez4"})
+    assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
 
 
 def test_mc_isometry_small_run():
-    ctx = QContext.numeric(0.5)
-    f = PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(1), ctx)
-    rep = mc_isometry(f, t=1.0, q=0.5, n_paths=4000, seed=8)
+    reps = run_mc_suite(n_paths=4000, seed=8, only={"isometry"})
+    (rep,) = [r for r in reps if r.params["q"] == 0.5 and r.params["degree"] == 1]
     assert rep.passed
     assert rep.estimate.oracle == pytest.approx(2.0 / 3.0)
     assert rep.params["truncation_bias_bound"] < 1e-4
@@ -178,10 +159,22 @@ def test_mc_suite_filter_and_threshold():
     assert all(r.estimate.seed == 3 + 4000 for r in reps)
 
 
-def test_mc_suite_frees_its_batches():
-    reps = run_mc_suite(n_paths=500, seed=3, only={"variance-horizon"})
-    assert len(reps) == 3
-    assert verify._BATCH_CACHE == {}
+def test_mc_suite_rejects_a_single_path():
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        run_mc_suite(n_paths=1, only={"variance-horizon"})
+
+
+def test_mc_chunks_merge_to_the_one_chunk_run(monkeypatch):
+    whole = run_mc_suite(n_paths=3001, seed=4)
+    # three chunks of 1000 paths and a last chunk of one path
+    monkeypatch.setattr(verify, "MC_CHUNK", 1000)
+    chunked = run_mc_suite(n_paths=3001, seed=4)
+    assert len(chunked) == len(whole) == 31
+    for a, b in zip(whole, chunked):
+        assert (a.name, a.params, a.passed) == (b.name, b.params, b.passed)
+        assert (a.estimate.seed, a.estimate.n_paths) == (b.estimate.seed, b.estimate.n_paths)
+        assert b.estimate.estimate == pytest.approx(a.estimate.estimate, rel=1e-13, abs=0.0)
+        assert b.estimate.std_error == pytest.approx(a.estimate.std_error, rel=1e-13, abs=0.0)
 
 
 #: each suite at a small size; only= passes through
