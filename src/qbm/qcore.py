@@ -50,6 +50,10 @@ class QContext:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
         if self.prod_eps <= 0 or self.tail_eps <= 0:
             raise ValueError("truncation thresholds must be positive")
+        if self.mode == "float":
+            # a float-mode context equal to another must compute in floats,
+            # since the (q, mode) caches cannot tell them apart
+            object.__setattr__(self, "q", float(self.q))
 
     @classmethod
     def exact(cls, q: Union[str, int, Fraction], **kwargs) -> "QContext":
@@ -74,35 +78,51 @@ class QContext:
         return n
 
 
+_Q_NUMBERS: dict[tuple, tuple[list, list, list]] = {}
+
+
+def _q_numbers(n: int, ctx: QContext) -> tuple[list, list]:
+    """([k]_q for k = 0..N, [k]_q! for k = 0..N) with N >= n, in ctx's arithmetic.
+
+    The tables are kept per (q, mode) and extended on demand.  Each new entry
+    takes one step of the defining loops, [k+1]_q = [k]_q + q**k with q**k a
+    running product and [k+1]_q! = [k]_q! [k+1]_q, so every entry is the value
+    those loops return.  Callers must not modify the lists.
+    """
+    key = (ctx.q, ctx.mode)
+    tab = _Q_NUMBERS.get(key)
+    if tab is None:
+        q = ctx.q
+        tab = _Q_NUMBERS[key] = ([q * 0], [q**0], [q**0])
+    ints, facts, powers = tab
+    while len(ints) <= n:
+        ints.append(ints[-1] + powers[-1])
+        facts.append(facts[-1] * ints[-1])
+        powers.append(powers[-1] * ctx.q)
+    return ints, facts
+
+
 def q_int(n: int, ctx: QContext) -> Scalar:
     """[n]_q = 1 + q + ... + q**(n-1), with [0]_q = 0."""
     if n < 0:
         raise ValueError("q-integer needs n >= 0")
-    q = ctx.q
-    total = q * 0
-    p = q**0
-    for _ in range(n):
-        total += p
-        p *= q
-    return total
+    return _q_numbers(n, ctx)[0][n]
 
 
 def q_factorial(n: int, ctx: QContext) -> Scalar:
     """[n]_q! = [1]_q [2]_q ... [n]_q, empty product for n = 0."""
     if n < 0:
         raise ValueError("q-factorial needs n >= 0")
-    out = ctx.q**0
-    for j in range(1, n + 1):
-        out *= q_int(j, ctx)
-    return out
+    return _q_numbers(n, ctx)[1][n]
 
 
 def q_binomial(n: int, k: int, ctx: QContext) -> Scalar:
     """Gaussian binomial [n]_q! / ([k]_q! [n-k]_q!)."""
     if k < 0 or k > n:
         return ctx.q * 0
-    num = q_factorial(n, ctx)
-    den = q_factorial(k, ctx) * q_factorial(n - k, ctx)
+    facts = _q_numbers(n, ctx)[1]
+    num = facts[n]
+    den = facts[k] * facts[n - k]
     if isinstance(num, Fraction) or isinstance(den, Fraction):
         return Fraction(num, den) if isinstance(num, int) else num / den
     return num / den

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .qcore import Poly, QContext, Scalar, q_binomial, q_factorial, q_int
+from .qcore import Poly, QContext, Scalar, _q_numbers, q_binomial, q_factorial, q_int
 
 __all__ = [
     "QPolynomial",
@@ -210,13 +210,26 @@ def hermite_eval_sequence(n_max: int, x, t, ctx: QContext) -> list:
     if n_max == 0:
         return out
     out.append(x * 0 + x)
+    ints = _q_numbers(n_max, ctx)[0]
     for m in range(1, n_max):
-        out.append(x * out[m] - q_int(m, ctx) * t * out[m - 1])
+        out.append(x * out[m] - ints[m] * t * out[m - 1])
     return out
 
 
+_GROWTH_CACHE: dict[tuple, list[float]] = {}
+
+
 def growth_constant(n: int, ctx: QContext) -> float:
-    """Sharp constant C_n = (1-q)**(-n/2) * sum_k qbinom(n, k)."""
+    """Sharp constant C_n = (1-q)**(-n/2) * sum_k qbinom(n, k).
+
+    Kept per (q, mode) for n = 0..N and extended on demand.
+    """
+    if n < 0:
+        raise ValueError("growth constant needs n >= 0")
     qf = ctx.qf
-    total = sum(float(q_binomial(n, k, ctx)) for k in range(n + 1))
-    return (1.0 - qf) ** (-n / 2.0) * total
+    seq = _GROWTH_CACHE.setdefault((ctx.q, ctx.mode), [])
+    while len(seq) <= n:
+        m = len(seq)
+        total = sum(float(q_binomial(m, k, ctx)) for k in range(m + 1))
+        seq.append((1.0 - qf) ** (-m / 2.0) * total)
+    return seq[n]

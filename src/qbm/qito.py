@@ -40,7 +40,7 @@ from .measures import (
     support_halfwidth,
     transition_spec,
 )
-from .process import GeometricGrid, GeometricPath
+from .process import GeometricGrid, GeometricPath, PathBatch
 from .qcore import QContext, Scalar, q_factorial
 from .qhermite import (
     HermiteCoefficients,
@@ -50,7 +50,7 @@ from .qhermite import (
     qhermite,
     to_hermite_basis,
 )
-from .stochint import PolynomialIntegrand, integrate_def
+from .stochint import PolynomialIntegrand, integrate_def, integrate_def_batch
 
 __all__ = [
     "ItoDecomposition",
@@ -58,6 +58,7 @@ __all__ = [
     "delta_exact",
     "delta_numeric",
     "ito_decompose",
+    "ito_decompose_batch",
     "ito_tail_bound",
     "nabla_exact",
     "nabla_numeric",
@@ -260,7 +261,8 @@ def delta_numeric(f, x: float, s: float, ctx: QContext, rel_tol: float = QUAD_RE
 
 @dataclass(frozen=True)
 class ItoDecomposition:
-    """Terms of the discrete change-of-variable identity along one path.
+    """Terms of the discrete change-of-variable identity along one path
+    (or, from ito_decompose_batch, arrays over the paths of a batch).
 
     lhs is f(B_0, t) - f(0, 0); the three terms are the gradient integral,
     the Jackson sum of the time q-derivative, and the Jackson sum of the
@@ -310,33 +312,52 @@ def ito_tail_bound(f: QPolynomial, grid: GeometricGrid, ctx: QContext) -> float:
     return total
 
 
-def ito_decompose(f: QPolynomial, path: GeometricPath, ctx: QContext) -> ItoDecomposition:
-    """Evaluate the K-step change-of-variable identity along a path."""
-    grid = path.grid
-    hc = to_hermite_basis(f, ctx)
-    integrand = PolynomialIntegrand(hc.b[1:])
-    grad = integrate_def(integrand, path, ctx).value
+def _decompose(
+    f: QPolynomial, grid: GeometricGrid, value_at, grad, ctx: QContext
+) -> ItoDecomposition:
+    """The identity's terms along the grid, given the gradient integral grad
+    (integrate_def's value on a path, integrate_def_batch's on a batch).
+
+    value_at(k) is B_k: a scalar, or a numpy column with one entry per path,
+    for which every term and the residual are columns of the same length.
+    """
     df = f.dq_time(ctx)
     d2 = delta_exact(f, ctx)
     drift = 0 * ctx.q
     second = 0 * ctx.q
     for k in range(grid.K):
         tk = grid.times[k]
-        xk1 = path.values[k + 1]
+        xk1 = value_at(k + 1)
         drift = drift + tk * df(xk1, tk)
         second = second + tk * d2(xk1, tk)
     one_minus_q = 1 - ctx.q
     drift = one_minus_q * drift
     second = one_minus_q * second
     zero = 0 * ctx.q
-    lhs = f(path.values[0], grid.times[0]) - f(zero, zero)
-    residual = abs(float(lhs - (grad + drift + second)))
+    lhs = f(value_at(0), grid.times[0]) - f(zero, zero)
+    gap = abs(lhs - (grad + drift + second))
     return ItoDecomposition(
         lhs=lhs,
         gradient_term=grad,
         drift_term=drift,
         second_order_term=second,
-        residual=residual,
+        residual=gap if isinstance(gap, np.ndarray) else float(gap),
         tail_bound=ito_tail_bound(f, grid, ctx),
         K=grid.K,
     )
+
+
+def ito_decompose(f: QPolynomial, path: GeometricPath, ctx: QContext) -> ItoDecomposition:
+    """Evaluate the K-step change-of-variable identity along a path."""
+    grad = integrate_def(PolynomialIntegrand(to_hermite_basis(f, ctx).b[1:]), path, ctx).value
+    return _decompose(f, path.grid, lambda k: path.values[k], grad, ctx)
+
+
+def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoDecomposition:
+    """ito_decompose on every path of a batch at once, column-wise.
+
+    lhs, the three terms and residual are arrays over the paths; entry i is
+    bit for bit ito_decompose's value on batch.path(i).
+    """
+    grad = integrate_def_batch(PolynomialIntegrand(to_hermite_basis(f, ctx).b[1:]), batch, ctx)
+    return _decompose(f, batch.grid, lambda k: batch.values[:, k], grad, ctx)

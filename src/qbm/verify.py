@@ -50,6 +50,7 @@ from .qito import (
     delta_exact,
     delta_numeric,
     ito_decompose,
+    ito_decompose_batch,
     nabla_exact,
     nabla_numeric,
 )
@@ -857,8 +858,8 @@ def _abs_parts(f: QPolynomial, ctx: QContext) -> tuple[QPolynomial, QPolynomial,
     return absolute(f), absolute(f.dq_time(ctx)), absolute(delta_exact(f, ctx))
 
 
-def _rounding_scale(parts: tuple[QPolynomial, ...], path: GeometricPath, q: float) -> float:
-    """Summed magnitudes of the float arithmetic in ito_decompose along a path.
+def _rounding_scale(parts: tuple[QPolynomial, ...], batch: PathBatch, q: float) -> np.ndarray:
+    """Summed magnitudes of the float arithmetic in ito_decompose, per path.
 
     parts is _abs_parts(f, ctx): f, its time q-derivative and its
     second-order part are evaluated with absolute coefficients at |B_k| over
@@ -867,12 +868,11 @@ def _rounding_scale(parts: tuple[QPolynomial, ...], path: GeometricPath, q: floa
     and both ends of the gradient steps.  Rounding error stays a small
     multiple of eps times this scale.
     """
-    grid = path.grid
-    xs = np.abs(np.asarray(path.values, dtype=float))
-    ts = np.asarray(grid.times, dtype=float)
+    xs = np.abs(batch.values)
+    ts = np.asarray(batch.grid.times, dtype=float)
     fa, da, sa = parts
-    steps = (1.0 - q) * ts[:-1] * (da(xs[1:], ts[:-1]) + sa(xs[1:], ts[:-1]))
-    return float(3.0 * np.sum(fa(xs, ts)) + fa(0.0, 0.0) + np.sum(steps))
+    steps = (1.0 - q) * ts[:-1] * (da(xs[:, 1:], ts[:-1]) + sa(xs[:, 1:], ts[:-1]))
+    return 3.0 * np.sum(fa(xs, ts), axis=1) + fa(0.0, 0.0) + np.sum(steps, axis=1)
 
 
 def run_convergence_suite(
@@ -908,26 +908,22 @@ def run_convergence_suite(
             decomposed = True
             for i, p in enumerate(polys):
                 parts = _abs_parts(p, ctx)
-                # path j of polynomial i uses seed + 1000 i + j on every grid
-                batches = [simulate_batch(g, n_paths, seed + 1000 * i, ctx) for g in grids]
-                for j in range(n_paths):
-                    for grid, batch in zip(grids, batches):
-                        path = batch.path(j)
-                        dec = ito_decompose(p, path, ctx)
-                        # direct boundary form; free of the cancellation
-                        # noise carried by the four decomposition terms
-                        boundary = abs(
-                            float(p(path.values[grid.K], grid.times[grid.K]))
-                            - float(p(0.0, 0.0))
-                        )
-                        bound = dec.tail_bound
-                        per_depth[grid.K].append(boundary)
-                        worst_ratio = max(worst_ratio, boundary / bound)
-                        if boundary > bound:
-                            bounded = False
-                        noise = 64.0 * eps * _rounding_scale(parts, path, ctx.qf)
-                        if abs(dec.residual - boundary) > noise:
-                            decomposed = False
+                zero = float(p(0.0, 0.0))
+                for grid in grids:
+                    # path j of polynomial i uses seed + 1000 i + j on every grid
+                    batch = simulate_batch(grid, n_paths, seed + 1000 * i, ctx)
+                    dec = ito_decompose_batch(p, batch, ctx)
+                    # direct boundary form; free of the cancellation noise
+                    # carried by the four decomposition terms
+                    boundary = np.abs(p(batch.values[:, grid.K], grid.times[grid.K]) - zero)
+                    bound = dec.tail_bound
+                    per_depth[grid.K].extend(boundary.tolist())
+                    worst_ratio = max(worst_ratio, float(np.max(boundary / bound)))
+                    if np.any(boundary > bound):
+                        bounded = False
+                    noise = 64.0 * eps * _rounding_scale(parts, batch, ctx.qf)
+                    if np.any(np.abs(dec.residual - boundary) > noise):
+                        decomposed = False
             means = [sum(per_depth[g.K]) / len(per_depth[g.K]) for g in grids]
             monotone = all(b < a for a, b in zip(means, means[1:]))
             reports.append(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbm import qcore, qhermite
 from qbm.qcore import (
     Poly,
     QContext,
@@ -17,6 +18,7 @@ from qbm.qcore import (
     q_factorial,
     q_int,
 )
+from qbm.qhermite import growth_constant
 
 HALF = QContext.exact(Fraction(1, 2))
 TWO_THIRDS = QContext.exact(Fraction(2, 3))
@@ -164,3 +166,88 @@ def test_by_parts_symbolic(a, b, q, t):
     rhs = a * b - Poly.const(a(Fraction(0)) * b(Fraction(0)))
     assert lhs == rhs
     assert lhs(t) == rhs(t)
+
+
+# the memoised q-numbers against their defining loops, written out here
+
+
+def _loop_int(n, q):
+    total, p = q * 0, q**0
+    for _ in range(n):
+        total += p
+        p *= q
+    return total
+
+
+def _loop_factorial(n, q):
+    out = q**0
+    for j in range(1, n + 1):
+        out *= _loop_int(j, q)
+    return out
+
+
+def _loop_binomial(n, k, q):
+    num = _loop_factorial(n, q)
+    den = _loop_factorial(k, q) * _loop_factorial(n - k, q)
+    return num / den
+
+
+def _loop_growth(n, q):
+    total = sum(float(_loop_binomial(n, k, q)) for k in range(n + 1))
+    return (1.0 - float(q)) ** (-n / 2.0) * total
+
+
+def _same(a, b):
+    """Equal in type and, for floats, in every bit."""
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+def _check_memo(ctx, ns):
+    q = ctx.q
+    for n in ns:
+        assert _same(q_int(n, ctx), _loop_int(n, q))
+        assert _same(q_factorial(n, ctx), _loop_factorial(n, q))
+        for k in (0, n // 3, n // 2, n):
+            assert _same(q_binomial(n, k, ctx), _loop_binomial(n, k, q))
+        assert _same(growth_constant(n, ctx), _loop_growth(n, q))
+
+
+@given(
+    q=st.floats(min_value=0.01, max_value=0.99),
+    ns=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_memoised_q_numbers_match_defining_loops(q, ns):
+    ctx = QContext.numeric(q)
+    # largest n first, then smaller ones, then the drawn order
+    _check_memo(ctx, sorted(ns, reverse=True) + ns)
+
+
+def test_memoised_q_numbers_exact_mode():
+    ctx = QContext.exact(Fraction(2, 3))
+    _check_memo(ctx, [40, 0, 1, 17, 39, 40])
+    assert isinstance(q_factorial(40, ctx), Fraction)
+
+
+@pytest.mark.parametrize("float_first", [True, False])
+def test_float_context_with_fraction_q_computes_in_floats(monkeypatch, float_first):
+    # fresh caches, so that the first context to fill them is the one built here
+    monkeypatch.setattr(qcore, "_Q_NUMBERS", {})
+    monkeypatch.setattr(qhermite, "_HERMITE_CACHE", {})
+    monkeypatch.setattr(qhermite, "_GROWTH_CACHE", {})
+    from_fraction = QContext(q=Fraction(1, 2))
+    assert type(from_fraction.q) is float and from_fraction == QContext.numeric(0.5)
+    contexts = [from_fraction, QContext.exact(Fraction(1, 2))]
+    for ctx in contexts if float_first else contexts[::-1]:
+        kind = float if ctx.mode == "float" else Fraction
+        assert type(q_int(3, ctx)) is kind
+        assert type(q_factorial(3, ctx)) is kind
+        assert type(q_binomial(3, 1, ctx)) is kind
+        h3 = qhermite.qhermite(3, ctx)
+        scalars = [c for col in h3.coeffs for c in col.coeffs if not isinstance(c, int)]
+        assert scalars and all(type(c) is kind for c in scalars)
+    numeric = QContext.numeric(0.5)
+    assert type(qhermite.qhermite(3, numeric).coeff(1).coeffs[1]) is float
+    assert type(q_int(3, numeric)) is float

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbm.process import GeometricGrid, GeometricPath, simulate_path
+from qbm.process import GeometricGrid, GeometricPath, simulate_batch, simulate_path
 from qbm.qcore import Poly, QContext, q_int
 from qbm.qhermite import QPolynomial, qhermite
 from qbm.qito import (
@@ -14,6 +14,7 @@ from qbm.qito import (
     delta_exact,
     delta_numeric,
     ito_decompose,
+    ito_decompose_batch,
     ito_tail_bound,
     nabla_exact,
     nabla_numeric,
@@ -135,6 +136,22 @@ def test_residual_under_tail_bound_on_simulated_paths():
             path = simulate_path(grid, seed=seed)
             res = ito_decompose(f, path, ctx).residual
             assert res <= ito_tail_bound(f, grid, ctx)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.8])
+@pytest.mark.parametrize("K", [20, 40, 80])
+def test_batch_decomposition_equals_per_path(q, K):
+    ctx = QContext.numeric(q)
+    rng = np.random.default_rng(K)
+    f = QPolynomial(tuple(Poly(rng.uniform(-1.0, 1.0, size=3).tolist()) for _ in range(7)))
+    batch = simulate_batch(GeometricGrid.build(q=q, t=1.0, depth=K), 20, 5000 + K, ctx)
+    cols = ito_decompose_batch(f, batch, ctx)
+    fields = ("lhs", "gradient_term", "drift_term", "second_order_term", "residual")
+    for i, path in enumerate(batch):
+        one = ito_decompose(f, path, ctx)
+        for name in fields:
+            assert getattr(cols, name)[i] == getattr(one, name), (i, name)
+        assert (cols.tail_bound, cols.K) == (one.tail_bound, one.K)
 
 
 def test_tail_bound_shrinks_with_depth():

@@ -6,12 +6,14 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbm import verify
-from qbm.process import GeometricGrid
+from qbm.process import GeometricGrid, simulate_batch
+from qbm.qcore import QContext
 from qbm.verify import (
     CHECKS,
     CSV_HEADER,
@@ -209,6 +211,24 @@ def test_unknown_names_rejected_by_suites():
         run_quadrature_suite(only={"cond-moments"})
 
 
+def test_rounding_scale_rows_match_single_path_form():
+    # reference: the scale summed along one path at a time
+    def one_path(parts, path, q):
+        xs = np.abs(np.asarray(path.values, dtype=float))
+        ts = np.asarray(path.grid.times, dtype=float)
+        fa, da, sa = parts
+        steps = (1.0 - q) * ts[:-1] * (da(xs[1:], ts[:-1]) + sa(xs[1:], ts[:-1]))
+        return float(3.0 * np.sum(fa(xs, ts)) + fa(0.0, 0.0) + np.sum(steps))
+
+    rng = np.random.default_rng(3)
+    for q, K in ((0.5, 20), (0.8, 80)):
+        ctx = QContext.numeric(q)
+        parts = verify._abs_parts(verify._random_qpolynomial(rng, 6, 2), ctx)
+        batch = simulate_batch(GeometricGrid.build(q=q, t=1.0, depth=K), 20, 7, ctx)
+        scales = verify._rounding_scale(parts, batch, q)
+        assert scales.tolist() == [one_path(parts, path, q) for path in batch]
+
+
 def _convergence_on_cancelling_path():
     # covers polynomial 7 of default_rng(2024) on the path seeded 2024 + 7000
     # at q = 0.8, K = 40, where the drift and second-order terms nearly cancel
@@ -225,15 +245,15 @@ def test_convergence_allowance_covers_rounding_on_cancelling_path():
 
 def test_convergence_rejects_shifted_second_order_term(monkeypatch):
     (good,) = _convergence_on_cancelling_path()
-    exact = verify.ito_decompose
+    exact = verify.ito_decompose_batch
 
-    def shifted(f, path, ctx):
-        dec = exact(f, path, ctx)
+    def shifted(f, batch, ctx):
+        dec = exact(f, batch, ctx)
         second = dec.second_order_term + 1e-9
-        residual = abs(float(dec.lhs - (dec.gradient_term + dec.drift_term + second)))
+        residual = np.abs(dec.lhs - (dec.gradient_term + dec.drift_term + second))
         return dataclasses.replace(dec, second_order_term=second, residual=residual)
 
-    monkeypatch.setattr(verify, "ito_decompose", shifted)
+    monkeypatch.setattr(verify, "ito_decompose_batch", shifted)
     (bad,) = _convergence_on_cancelling_path()
     # the boundary forms and bounds are unchanged; only the decomposition is off
     assert bad.params == good.params
