@@ -8,8 +8,10 @@ transition from x = 0 at s = 0.  Densities are supported on
 kernel is the density with that edge factor divided out, and is analytic on
 the support.  All quadrature runs in the angle variable theta with
 y = w sin(theta), where the Jacobian w cos(theta) turns the edge factor into
-(w cos(theta))**2: the integrand is analytic, so Gauss-Legendre converges
-geometrically.
+(w cos(theta))**2.  Each integrand is then an analytic function of
+sin(theta), 2 pi-periodic and even about +-pi/2, so the composite trapezoid
+rule on [-pi/2, pi/2] is the full-period rule and converges geometrically
+(Trefethen & Weideman, SIAM Review 56, 2014).
 
 Sampling is by inverse CDF on a tabulated theta-grid: deterministic given the
 generator state, which keeps every Monte Carlo run reproducible from its seed.
@@ -193,38 +195,41 @@ def transition_density(x, s: float, t: float, y, ctx: QContext):
 # quadrature
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on theta in [-pi/2, pi/2]."""
-    u, w = np.polynomial.legendre.leggauss(order)
-    return (math.pi / 2.0) * u, (math.pi / 2.0) * w
+def _trapezoid_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite trapezoid rule with m intervals on theta in [-pi/2, pi/2]:
+    the m - 1 interior nodes -pi/2 + j pi/m, each of weight pi/m.  The end
+    nodes are left out because every theta-integrand carries (w cos(theta))**2
+    and vanishes there.  The nodes of m are bit for bit among those of 2 m."""
+    return np.arange(1, m) * (math.pi / m) - math.pi / 2.0, np.full(m - 1, math.pi / m)
 
 
-def _adaptive(estimate, rel_tol: float, max_order: int) -> float:
-    """Doubles the Gauss-Legendre order from 65 (65, 129, 257, ...) until two
+def _adaptive(estimate, rel_tol: float, max_intervals: int) -> float:
+    """Doubles the trapezoid intervals from 64 (64, 128, 256, ...) until two
     successive values of estimate(thetas, weights) agree to rel_tol (relative,
-    with a unit floor); raises QuadratureError if max_order is passed first.
+    with a unit floor); raises QuadratureError if max_intervals is passed first.
     """
-    order = 65
+    m = 64
     prev = est = None
-    while order <= max_order:
-        est = estimate(*_gl_nodes(order))
+    while m <= max_intervals:
+        est = estimate(*_trapezoid_nodes(m))
         if prev is not None and abs(est - prev) < rel_tol * max(1.0, abs(est)):
             return est
         prev = est
-        order = 2 * order - 1
-    raise QuadratureError(f"quadrature did not converge by order {max_order} (last estimate {est})")
+        m *= 2
+    raise QuadratureError(
+        f"quadrature did not converge by {max_intervals} intervals (last estimate {est})"
+    )
 
 
 def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float:
-    """Integral of g against the density, adaptive in the quadrature order
-    up to order 8193."""
+    """Integral of g against the density by the trapezoid rule in theta,
+    adaptive up to 8192 intervals."""
 
     def estimate(thetas, weights):
         gv = np.asarray(g(spec.w * np.sin(thetas)), dtype=float)
         return float(np.sum(weights * gv * _theta_density(spec, thetas)))
 
-    return _adaptive(estimate, rel_tol, 8193)
+    return _adaptive(estimate, rel_tol, 8192)
 
 
 # ---------------------------------------------------------------------------

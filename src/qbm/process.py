@@ -47,11 +47,11 @@ __all__ = [
 GRID_TAIL = 1e-6
 
 
-def default_depth(q: float, tail: float = GRID_TAIL) -> int:
-    """Smallest K with q**K <= tail."""
+def default_depth(q: float) -> int:
+    """Smallest K with q**K <= GRID_TAIL."""
     k, p = 0, 1.0
     qf = float(q)
-    while p > tail:
+    while p > GRID_TAIL:
         p *= qf
         k += 1
     return k
@@ -100,11 +100,11 @@ class GeometricPath:
         if len(self.values) != len(self.grid):
             raise ValueError("path length does not match grid")
 
-    def in_support(self, slack: float = 0.0) -> bool:
+    def in_support(self) -> bool:
         """Whether |B_k| <= 2 sqrt(t_k / (1-q)) at every grid node."""
         q = float(self.grid.q)
         for tk, v in zip(self.grid.times, self.values):
-            if abs(float(v)) > support_halfwidth(float(tk), q) + slack:
+            if abs(float(v)) > support_halfwidth(float(tk), q):
                 return False
         return True
 

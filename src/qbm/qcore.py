@@ -27,19 +27,21 @@ __all__ = [
     "jackson_stieltjes",
 ]
 
+#: float-mode Jackson sums stop once the dropped tail is bounded by this
+TAIL_EPS = 1e-12
+
 
 @dataclass(frozen=True)
 class QContext:
-    """Deformation parameter plus arithmetic mode and truncation thresholds.
+    """Deformation parameter plus arithmetic mode and product threshold.
 
     prod_eps controls where infinite q-products are cut (first N with
-    q**N < prod_eps); tail_eps controls where truncated Jackson sums stop.
+    q**N < prod_eps).
     """
 
     q: Scalar
     mode: str = "float"
     prod_eps: float = 1e-16
-    tail_eps: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "float"):
@@ -48,8 +50,8 @@ class QContext:
             raise TypeError("exact mode requires q as a Fraction (floats are ambiguous)")
         if not (0 < self.q < 1):
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        if self.prod_eps <= 0 or self.tail_eps <= 0:
-            raise ValueError("truncation thresholds must be positive")
+        if self.prod_eps <= 0:
+            raise ValueError("truncation threshold must be positive")
         if self.mode == "float":
             # a float-mode context equal to another must compute in floats,
             # since the (q, mode) caches cannot tell them apart
@@ -121,11 +123,7 @@ def q_binomial(n: int, k: int, ctx: QContext) -> Scalar:
     if k < 0 or k > n:
         return ctx.q * 0
     facts = _q_numbers(n, ctx)[1]
-    num = facts[n]
-    den = facts[k] * facts[n - k]
-    if isinstance(num, Fraction) or isinstance(den, Fraction):
-        return Fraction(num, den) if isinstance(num, int) else num / den
-    return num / den
+    return facts[n] / (facts[k] * facts[n - k])
 
 
 class Poly:
@@ -312,8 +310,8 @@ def q_derivative(f, s: Scalar, ctx: QContext) -> Scalar:
 
 
 def _jackson_cutoff(ctx: QContext, sup: float, t: float) -> int:
-    """Smallest K with q**K * max(1, sup) * t < tail_eps."""
-    target = ctx.tail_eps / (max(1.0, float(sup)) * float(t))
+    """Smallest K with q**K * max(1, sup) * t < TAIL_EPS."""
+    target = TAIL_EPS / (max(1.0, float(sup)) * float(t))
     k, p = 0, 1.0
     qf = ctx.qf
     while p >= target:
@@ -328,7 +326,7 @@ def jackson_integral(f, t: Scalar, ctx: QContext) -> Scalar:
     """Jackson integral of f over [0, t]:  (1-q) t sum_k q**k f(q**k t).
 
     Exact mode uses the closed form for polynomial rules; float mode truncates
-    at the smallest K with q**K * max(1, sup|f|) * t < tail_eps.
+    at the smallest K with q**K * max(1, sup|f|) * t < TAIL_EPS.
     """
     g = _as_sampled(f)
     if t < 0:
@@ -349,14 +347,14 @@ def jackson_integral(f, t: Scalar, ctx: QContext) -> Scalar:
 
 
 def _stieltjes_cutoff(ctx: QContext, sup_a: float, c: float, delta: float, t: float) -> int:
-    """Smallest K with 2 sup|a| C t**delta q**(K delta) / (1 - q**delta) < tail_eps."""
+    """Smallest K with 2 sup|a| C t**delta q**(K delta) / (1 - q**delta) < TAIL_EPS."""
     qf = ctx.qf
     qd = qf ** float(delta)
     lead = 2.0 * max(1.0, float(sup_a)) * float(c) * float(t) ** float(delta) / (1.0 - qd)
     if lead == 0.0:
         return 1
     k, p = 0, 1.0
-    while lead * p >= ctx.tail_eps:
+    while lead * p >= TAIL_EPS:
         p *= qd
         k += 1
         if k > 10_000_000:  # pragma: no cover

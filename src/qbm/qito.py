@@ -21,8 +21,9 @@ exactly |f(B_K, t_K) - f(0, 0)|, which the attached tail bound dominates.
 
 nabla and delta also have integral forms: first and second divided
 differences of f integrated against explicit transition kernels.  The
-numeric versions here evaluate those by adaptive quadrature and serve as the
-independent cross-check of the exact coefficient-space versions.
+numeric versions here evaluate those by adaptive trapezoid quadrature, for
+polynomial f only, and serve as the independent cross-check of the exact
+coefficient-space versions.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .measures import (
     _adaptive,
     _theta_density,
     integrate,
-    support_halfwidth,
     transition_spec,
 )
 from .process import GeometricGrid, GeometricPath, PathBatch
@@ -146,117 +146,53 @@ def _divdiff2_poly(a: list[float], x: float, y, z):
     return total
 
 
-def _divdiff1_callable(f, x: float, s: float, ctx: QContext):
-    scale = support_halfwidth(s, ctx.qf)
-    thresh = 1e-8 * scale
-    step = 1e-5 * scale
-    fx = float(f(x))
-    centered = (float(f(x + step)) - float(f(x - step))) / (2.0 * step)
-
-    def g(y):
-        y = np.asarray(y, dtype=float)
-        fy = np.asarray([float(f(v)) for v in y.ravel()]).reshape(y.shape)
-        d = y - x
-        safe = np.abs(d) >= thresh
-        out = np.full(y.shape, centered)
-        out[safe] = (fy[safe] - fx) / d[safe]
-        return out
-
-    return g
+def _coeffs_at(f: QPolynomial, s: float) -> list[float]:
+    """Float x-coefficients of f at time s; f must be a QPolynomial."""
+    if not isinstance(f, QPolynomial):
+        raise TypeError(f"expected a QPolynomial, got {type(f).__name__}")
+    return [float(c(s)) for c in f.coeffs]
 
 
-def _divdiff2_callable(f, x: float, s: float, ctx: QContext):
-    scale = support_halfwidth(s, ctx.qf)
-    thresh = 1e-5 * scale
-    step = 1e-4 * scale
-
-    def second(p: float) -> float:
-        return (float(f(p + step)) - 2.0 * float(f(p)) + float(f(p - step))) / (
-            2.0 * step * step
-        )
-
-    def merged(m: float, p: float) -> float:
-        # f[m, m, p] with a centered derivative standing in for f'(m)
-        dm = (float(f(m + step)) - float(f(m - step))) / (2.0 * step)
-        return (float(f(p)) - float(f(m)) - (p - m) * dm) / ((p - m) ** 2)
-
-    def k2(y, z):
-        y, z = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(z, dtype=float))
-        fv = np.asarray([float(f(v)) for v in y.ravel()]).reshape(y.shape)
-        fw = np.asarray([float(f(v)) for v in z.ravel()]).reshape(z.shape)
-        fx = float(f(x))
-        dxy = x - y
-        dyz = y - z
-        dzx = z - x
-        safe = (np.abs(dxy) >= thresh) & (np.abs(dyz) >= thresh) & (np.abs(dzx) >= thresh)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = fx / (dxy * (-dzx)) + fv / ((-dxy) * dyz) + fw / (dzx * (-dyz))
-        if np.all(safe):
-            return out
-        out = np.array(out, copy=True)
-        for idx in zip(*np.nonzero(~safe)):
-            yi = float(y[idx])
-            zi = float(z[idx])
-            # merge the closest pair; if the third point is also close, all
-            # three have effectively coincided and f''/2 takes over
-            d, m, p = min(
-                (abs(x - yi), (x + yi) / 2.0, zi),
-                (abs(yi - zi), (yi + zi) / 2.0, x),
-                (abs(zi - x), (zi + x) / 2.0, yi),
-            )
-            out[idx] = second((x + yi + zi) / 3.0) if abs(p - m) < thresh else merged(m, p)
-        return out
-
-    return k2
-
-
-def nabla_numeric(f, x: float, s: float, ctx: QContext, rel_tol: float = QUAD_REL_TOL) -> float:
+def nabla_numeric(
+    f: QPolynomial, x: float, s: float, ctx: QContext, rel_tol: float = QUAD_REL_TOL
+) -> float:
     """q-gradient via its kernel form: int f[x, y] nu(dy).
 
-    nu is the transition started at q x between times q**2 s and s.  f is a
-    QPolynomial (exact divided differences) or a plain callable of the space
-    variable, for which guarded finite differences stand in near the diagonal.
+    nu is the transition started at q x between times q**2 s and s, and
+    f[x, y] is the exact first divided difference of the QPolynomial f at
+    time s; any other f raises TypeError.
     """
+    a = _coeffs_at(f, s)
     q = ctx.qf
     spec = transition_spec(ctx, s=q * q * s, t=s, x=q * x)
-    if isinstance(f, QPolynomial):
-        a = [float(c(s)) for c in f.coeffs]
-        g = lambda y: _divdiff1_poly(a, float(x), y)
-    else:
-        g = _divdiff1_callable(f, float(x), s, ctx)
-    return integrate(g, spec, rel_tol=rel_tol)
+    return integrate(lambda y: _divdiff1_poly(a, float(x), y), spec, rel_tol=rel_tol)
 
 
-def delta_numeric(f, x: float, s: float, ctx: QContext, rel_tol: float = QUAD_REL_TOL) -> float:
+def delta_numeric(
+    f: QPolynomial, x: float, s: float, ctx: QContext, rel_tol: float = QUAD_REL_TOL
+) -> float:
     """Second-order operator via its nested kernel form.
 
     Outer leg: transition from x between times q s and s; inner leg from q y
-    between q**2 s and s, integrated over the second divided difference
-    f[x, y, z].  Both legs share one Gauss-Legendre rule whose order doubles,
-    up to 4097, until two successive estimates agree to rel_tol.  For a
-    non-polynomial f the divided differences fall back to finite differences
-    near coincident nodes, which floors the attainable self-consistency near
-    1e-7.
+    between q**2 s and s, integrated over the exact second divided difference
+    f[x, y, z] of the QPolynomial f at time s; any other f raises TypeError.
+    Both legs share one trapezoid rule in theta whose intervals double, up to
+    4096, until two successive estimates agree to rel_tol.
     """
+    a = _coeffs_at(f, s)
     q = ctx.qf
     outer = transition_spec(ctx, s=q * s, t=s, x=x)
     inner = transition_spec(ctx, s=q * q * s, t=s, x=0.0)
-    if isinstance(f, QPolynomial):
-        a = [float(c(s)) for c in f.coeffs]
-        kernel2 = lambda y, z: _divdiff2_poly(a, float(x), y, z)
-    else:
-        kernel2 = _divdiff2_callable(f, float(x), s, ctx)
-        rel_tol = max(rel_tol, 1e-7)
 
     def estimate(thetas, weights):
         y = outer.w * np.sin(thetas)
         rho_out = _theta_density(outer, thetas)
         # inner start states q y, one row per outer node
         rho_in = _theta_density(inner, thetas[None, :], (q * y)[:, None])
-        vals = kernel2(y[:, None], y[None, :])
+        vals = _divdiff2_poly(a, float(x), y[:, None], y[None, :])
         return float(np.sum(weights * rho_out * ((rho_in * vals) @ weights)))
 
-    return _adaptive(estimate, rel_tol, 4097)
+    return _adaptive(estimate, rel_tol, 4096)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ batch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,9 +78,6 @@ class StochasticIntegralResult:
             "tail_bound": self.tail_bound,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _inv_factorials(degree: int, ctx: QContext) -> list[Scalar]:

@@ -104,11 +104,9 @@ def oracle_EZ2(r, q: Scalar) -> Scalar:
     return (1 - q) / (1 - _qpow(q, 2 * r + 1))
 
 
-def oracle_EZ4(r, q: Scalar) -> Scalar:
-    """Fourth moment of the integral of s**r over [0, 1], closed form."""
-    if r < 0:
-        raise ValueError("exponent r must be nonnegative")
-    num = (1 - q) ** 2 * (
+def _ez4_numerator(r, q: Scalar) -> Scalar:
+    """The polynomial factor in q shared by E(Z**4) and the kurtosis ratio."""
+    return (
         2
         + 3 * q
         - 6 * _qpow(q, r + 1)
@@ -117,6 +115,13 @@ def oracle_EZ4(r, q: Scalar) -> Scalar:
         - 3 * _qpow(q, 2 * r + 2)
         - _qpow(q, 3 * r + 3)
     )
+
+
+def oracle_EZ4(r, q: Scalar) -> Scalar:
+    """Fourth moment of the integral of s**r over [0, 1], closed form."""
+    if r < 0:
+        raise ValueError("exponent r must be nonnegative")
+    num = (1 - q) ** 2 * _ez4_numerator(r, q)
     den = (
         (1 - _qpow(q, r + 1))
         * (1 - _qpow(q, 2 * r + 1)) ** 2
@@ -127,16 +132,7 @@ def oracle_EZ4(r, q: Scalar) -> Scalar:
 
 def kurtosis_ratio(r, q: Scalar) -> Scalar:
     """E(Z**4)/E(Z**2)**2 for Z the integral of s**r; varies with r."""
-    num = (
-        2
-        + 3 * q
-        - 6 * _qpow(q, r + 1)
-        + _qpow(q, r + 2)
-        + 4 * _qpow(q, 2 * r + 1)
-        - 3 * _qpow(q, 2 * r + 2)
-        - _qpow(q, 3 * r + 3)
-    )
-    return num / ((1 - _qpow(q, r + 1)) * (1 + _qpow(q, 2 * r + 1)))
+    return _ez4_numerator(r, q) / ((1 - _qpow(q, r + 1)) * (1 + _qpow(q, 2 * r + 1)))
 
 
 def oracle_increment_4th(s: Scalar, t: Scalar, q: Scalar) -> Scalar:

@@ -8,8 +8,8 @@ import pytest
 from qbm import measures, qito
 from qbm.measures import (
     QuadratureError,
-    _gl_nodes,
     _theta_density,
+    _trapezoid_nodes,
     integrate,
     invert_cdf,
     marginal_spec,
@@ -48,40 +48,52 @@ def test_density_vanishes_continuously_at_edge():
 
 
 def test_quadrature_rule_basics():
-    thetas, weights = _gl_nodes(65)
-    assert np.all(weights > 0)
-    assert weights.sum() == pytest.approx(math.pi, rel=1e-12)
-    # integral of cos over [-pi/2, pi/2] is 2
-    assert float(weights @ np.cos(thetas)) == pytest.approx(2.0, rel=1e-12)
+    for m in (64, 128, 1024):
+        thetas, weights = _trapezoid_nodes(m)
+        assert thetas.shape == weights.shape == (m - 1,)
+        assert np.all(weights == math.pi / m)
+        assert np.all(np.diff(thetas) > 0)
+        assert -math.pi / 2 < thetas[0] and thetas[-1] < math.pi / 2
+        # the nodes of m are, bit for bit, every other node of 2 m
+        assert np.array_equal(_trapezoid_nodes(2 * m)[0][1::2], thetas)
+    # every theta-integrand has the form cos(theta)**2 times a polynomial in
+    # sin(theta)**2; the rule integrates those exactly, even at 64 intervals
+    thetas, weights = _trapezoid_nodes(64)
+    for k in range(11):
+        exact = math.gamma(k + 0.5) * math.gamma(1.5) / math.gamma(k + 2)
+        got = float(weights @ (np.cos(thetas) ** 2 * np.sin(thetas) ** (2 * k)))
+        assert got == pytest.approx(exact, rel=1e-15, abs=1e-15)
 
 
-def _record_orders(monkeypatch):
-    """Orders the adaptive driver asks for; every order gets the 65-node rule,
-    which keeps the dense eigen-solve behind order 8193 out of the test."""
-    orders = []
-    nodes = _gl_nodes(65)
+def _record_intervals(monkeypatch, stub):
+    """Interval counts the adaptive driver asks for.  With stub, every count
+    gets the 64-interval rule; without it, the real rule for each count."""
+    counts = []
+    real = measures._trapezoid_nodes
 
-    def stub(order):
-        orders.append(order)
-        return nodes
+    def spy(m):
+        counts.append(m)
+        return real(64 if stub else m)
 
-    monkeypatch.setattr(measures, "_gl_nodes", stub)
-    return orders
+    monkeypatch.setattr(measures, "_trapezoid_nodes", spy)
+    return counts
 
 
 def test_integrate_nonconvergence_raises(monkeypatch):
-    orders = _record_orders(monkeypatch)
+    counts = _record_intervals(monkeypatch, stub=False)
     spec = marginal_spec(QContext.numeric(0.5), 1.0)
     with pytest.raises(QuadratureError):
         integrate(lambda y: np.cos(200.0 * y), spec, rel_tol=0.0)
-    assert orders == [65, 129, 257, 513, 1025, 2049, 4097, 8193]
+    assert counts == [64, 128, 256, 512, 1024, 2048, 4096, 8192]
 
 
-def test_delta_numeric_nonconvergence_stops_at_4097(monkeypatch):
-    orders = _record_orders(monkeypatch)
+def test_delta_numeric_nonconvergence_stops_at_4096(monkeypatch):
+    # the real inner leg at 4096 intervals is a 4095 x 4095 matrix of density
+    # values, so every count gets the 64-interval rule here
+    counts = _record_intervals(monkeypatch, stub=True)
     with pytest.raises(QuadratureError):
         qito.delta_numeric(QPolynomial.x_power(3), 0.2, 1.0, QContext.numeric(0.5), rel_tol=0.0)
-    assert orders == [65, 129, 257, 513, 1025, 2049, 4097]
+    assert counts == [64, 128, 256, 512, 1024, 2048, 4096]
 
 
 def test_marginal_moments():

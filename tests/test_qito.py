@@ -101,17 +101,12 @@ def test_numeric_kernels_have_unit_mass():
     )
 
 
-def test_callable_agrees_with_polynomial_route():
+def test_numeric_operators_reject_callables():
     ctx = QContext.numeric(0.7)
-    poly = QPolynomial.x_power(3)
-    fn = lambda y: y**3
-    x, s = 0.35, 1.0
-    assert nabla_numeric(fn, x, s, ctx) == pytest.approx(
-        nabla_numeric(poly, x, s, ctx), abs=1e-7
-    )
-    assert delta_numeric(fn, x, s, ctx) == pytest.approx(
-        delta_numeric(poly, x, s, ctx), abs=5e-6
-    )
+    with pytest.raises(TypeError):
+        nabla_numeric(lambda y: y**3, 0.35, 1.0, ctx)
+    with pytest.raises(TypeError):
+        delta_numeric(lambda y: y**3, 0.35, 1.0, ctx)
 
 
 def test_ito_decompose_exact_on_rational_path():
