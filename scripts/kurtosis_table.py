@@ -18,6 +18,10 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=25, help="rows per q value")
     parser.add_argument("--out", default="-", help="output CSV path, - for stdout")
     args = parser.parse_args(argv)
+    if not args.r_max >= 0:
+        parser.error("--r-max must be >= 0")
+    if args.steps < 1:
+        parser.error("--steps must be >= 1")
 
     qs = [float(part) for part in args.qs.split(",") if part.strip()]
     rs = [args.r_max * i / (args.steps - 1) if args.steps > 1 else 0.0 for i in range(args.steps)]

@@ -11,7 +11,11 @@ y = w sin(theta), where the Jacobian w cos(theta) turns the edge factor into
 (w cos(theta))**2.  Each integrand is then an analytic function of
 sin(theta), 2 pi-periodic and even about +-pi/2, so the composite trapezoid
 rule on [-pi/2, pi/2] is the full-period rule and converges geometrically
-(Trefethen & Weideman, SIAM Review 56, 2014).
+(Trefethen & Weideman, SIAM Review 56, 2014).  Its levels nest: the nodes of
+m intervals are, bit for bit, every other node of 2 m, so each doubling
+evaluates only the new nodes and sums over all of them in node order, and
+every estimate is the one a full evaluation gives.  At a single point the
+kernel's product runs on Python floats, with the same value bit for bit.
 
 Sampling is by inverse CDF on a tabulated theta-grid: deterministic given the
 generator state, which keeps every Monte Carlo run reproducible from its seed.
@@ -130,9 +134,28 @@ def _kernel(y, x, s: float, t: float, q: float, n: int):
               - (1-q) q^k (t + s q^2k) x y,
     with den_k > 0 on the support.  num_0 = (1-q)**2 (t - s) (w**2 - y**2)
     carries the edge factor squared, so the kernel keeps only its constant.
+
+    When y and x broadcast to one point, the product runs on Python floats
+    and the result is an array of the broadcast shape: IEEE + - * / round as
+    NumPy's float64 ufuncs do, so the value is the same bit for bit, without
+    a dozen NumPy calls on a one-element array per factor.  A zero
+    denominator (off the support, or where t**2 underflows) takes the array
+    path, so it gives NumPy's inf or nan as before.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
+    if y.size == 1 and x.size == 1:
+        try:
+            value = _product(y.item(), x.item(), s, t, q, n)
+        except ZeroDivisionError:
+            pass
+        else:
+            return np.full(np.broadcast_shapes(y.shape, x.shape), value)
+    return _product(y, x, s, t, q, n)
+
+
+def _product(y, x, s: float, t: float, q: float, n: int):
+    """The kernel's truncated product, for float or array y and x."""
     c = 1.0 - q
     y2 = y * y
     sy2 = c * s * y2
@@ -207,6 +230,10 @@ def _adaptive(estimate, rel_tol: float, max_intervals: int) -> float:
     """Doubles the trapezoid intervals from 64 (64, 128, 256, ...) until two
     successive values of estimate(thetas, weights) agree to rel_tol (relative,
     with a unit floor); raises QuadratureError if max_intervals is passed first.
+
+    The levels nest: after the first, thetas[0::2] are the nodes the previous
+    level lacks and thetas[1::2] are its nodes, so estimate can evaluate the
+    new ones only and interleave them with what it kept (see _nest).
     """
     m = 64
     prev = est = None
@@ -221,13 +248,39 @@ def _adaptive(estimate, rel_tol: float, max_intervals: int) -> float:
     )
 
 
+def _fresh(thetas: np.ndarray, kept) -> np.ndarray:
+    """The nodes of thetas that the previous level lacks: all of them at the
+    first level (nothing kept), else every other one from the first, as a
+    contiguous array."""
+    return thetas if kept is None else np.ascontiguousarray(thetas[0::2])
+
+
+def _nest(kept, fresh: np.ndarray) -> np.ndarray:
+    """Values on a level's nodes, in node order, from the previous level's
+    values (kept, None at the first level) and those on the new nodes."""
+    if kept is None:
+        return fresh
+    out = np.empty(fresh.shape[0] + kept.shape[0])
+    out[0::2] = fresh
+    out[1::2] = kept
+    return out
+
+
 def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float:
     """Integral of g against the density by the trapezoid rule in theta,
-    adaptive up to 8192 intervals."""
+    adaptive up to 8192 intervals.
+
+    g must act elementwise (g(y)[i] depends on y[i] alone): each level hands
+    it only the nodes the previous level lacks.
+    """
+    gv = rho = None
 
     def estimate(thetas, weights):
-        gv = np.asarray(g(spec.w * np.sin(thetas)), dtype=float)
-        return float(np.sum(weights * gv * _theta_density(spec, thetas)))
+        nonlocal gv, rho
+        new = _fresh(thetas, rho)
+        gv = _nest(gv, np.asarray(g(spec.w * np.sin(new)), dtype=float))
+        rho = _nest(rho, _theta_density(spec, new))
+        return float(np.sum(weights * gv * rho))
 
     return _adaptive(estimate, rel_tol, 8192)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, float, Fraction]
@@ -72,12 +73,18 @@ class QContext:
 
     def n_product_factors(self) -> int:
         """Smallest N with q**N < prod_eps."""
-        n, p = 0, 1.0
-        qf = self.qf
-        while p >= self.prod_eps:
-            p *= qf
-            n += 1
-        return n
+        return _n_product_factors(self.qf, self.prod_eps)
+
+
+@lru_cache(maxsize=256)
+def _n_product_factors(qf: float, prod_eps: float) -> int:
+    """QContext.n_product_factors, kept per (q, prod_eps): every density
+    spec asks for it, and at q = 0.8 the loop takes 166 steps."""
+    n, p = 0, 1.0
+    while p >= prod_eps:
+        p *= qf
+        n += 1
+    return n
 
 
 _Q_NUMBERS: dict[tuple, tuple[list, list, list]] = {}

@@ -23,7 +23,9 @@ nabla and delta also have integral forms: first and second divided
 differences of f integrated against explicit transition kernels.  The
 numeric versions here evaluate those by adaptive trapezoid quadrature, for
 polynomial f only, and serve as the independent cross-check of the exact
-coefficient-space versions.
+coefficient-space versions.  The levels nest, so each doubling of
+delta_numeric's rule evaluates its inner-leg matrix only on the new rows and
+on the kept rows' new columns.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ import numpy as np
 from .measures import (
     QUAD_REL_TOL,
     _adaptive,
+    _fresh,
+    _nest,
     _theta_density,
     integrate,
     transition_spec,
@@ -177,20 +181,40 @@ def delta_numeric(
     between q**2 s and s, integrated over the exact second divided difference
     f[x, y, z] of the QPolynomial f at time s; any other f raises TypeError.
     Both legs share one trapezoid rule in theta whose intervals double, up to
-    4096, until two successive estimates agree to rel_tol.
+    4096, until two successive estimates agree to rel_tol; each level keeps
+    the previous level's node values and evaluates only the new ones.
     """
     a = _coeffs_at(f, s)
     q = ctx.qf
     outer = transition_spec(ctx, s=q * s, t=s, x=x)
     inner = transition_spec(ctx, s=q * q * s, t=s, x=0.0)
 
+    def block(cols, y_rows, y_cols):
+        # inner density at start states q y (one row per outer node) times
+        # the divided differences; both legs have half-width outer.w
+        rho_in = _theta_density(inner, cols[None, :], (q * y_rows)[:, None])
+        return rho_in * _divdiff2_poly(a, float(x), y_rows[:, None], y_cols[None, :])
+
+    y = rho_out = prods = None
+
     def estimate(thetas, weights):
-        y = outer.w * np.sin(thetas)
-        rho_out = _theta_density(outer, thetas)
-        # inner start states q y, one row per outer node
-        rho_in = _theta_density(inner, thetas[None, :], (q * y)[:, None])
-        vals = _divdiff2_poly(a, float(x), y[:, None], y[None, :])
-        return float(np.sum(weights * rho_out * ((rho_in * vals) @ weights)))
+        nonlocal y, rho_out, prods
+        new = _fresh(thetas, y)
+        y_new = outer.w * np.sin(new)
+        y_all = _nest(y, y_new)
+        # the new rows over every node, then the kept rows at the new nodes
+        fresh_rows = block(thetas, y_new, y_all)
+        if prods is None:
+            prods = fresh_rows
+        else:
+            full = np.empty((thetas.shape[0], thetas.shape[0]))
+            full[0::2] = fresh_rows
+            full[1::2, 0::2] = block(new, y, y_new)
+            full[1::2, 1::2] = prods
+            prods = full
+        rho_out = _nest(rho_out, _theta_density(outer, new))
+        y = y_all
+        return float(np.sum(weights * rho_out * (prods @ weights)))
 
     return _adaptive(estimate, rel_tol, 4096)
 

@@ -132,6 +132,8 @@ def oracle_EZ4(r, q: Scalar) -> Scalar:
 
 def kurtosis_ratio(r, q: Scalar) -> Scalar:
     """E(Z**4)/E(Z**2)**2 for Z the integral of s**r; varies with r."""
+    if r < 0:
+        raise ValueError("exponent r must be nonnegative")
     return _ez4_numerator(r, q) / ((1 - _qpow(q, r + 1)) * (1 + _qpow(q, 2 * r + 1)))
 
 

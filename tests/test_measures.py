@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbm import measures, qito
 from qbm.measures import (
@@ -65,35 +67,160 @@ def test_quadrature_rule_basics():
         assert got == pytest.approx(exact, rel=1e-15, abs=1e-15)
 
 
-def _record_intervals(monkeypatch, stub):
-    """Interval counts the adaptive driver asks for.  With stub, every count
-    gets the 64-interval rule; without it, the real rule for each count."""
+def _record_intervals(monkeypatch):
+    """Interval counts the adaptive driver asks for; each gets the real rule."""
     counts = []
     real = measures._trapezoid_nodes
 
     def spy(m):
         counts.append(m)
-        return real(64 if stub else m)
+        return real(m)
 
     monkeypatch.setattr(measures, "_trapezoid_nodes", spy)
     return counts
 
 
 def test_integrate_nonconvergence_raises(monkeypatch):
-    counts = _record_intervals(monkeypatch, stub=False)
+    counts = _record_intervals(monkeypatch)
     spec = marginal_spec(QContext.numeric(0.5), 1.0)
     with pytest.raises(QuadratureError):
         integrate(lambda y: np.cos(200.0 * y), spec, rel_tol=0.0)
     assert counts == [64, 128, 256, 512, 1024, 2048, 4096, 8192]
 
 
+def test_integrate_evaluates_only_new_nodes():
+    # the levels nest, so after the 63 nodes of 64 intervals each level hands
+    # g only the nodes of 2 m that m lacks: every other one, from the first
+    spec = marginal_spec(QContext.numeric(0.5), 1.0)
+    handed = []
+
+    def g(y):
+        handed.append(y.copy())
+        return np.cos(200.0 * y)
+
+    with pytest.raises(QuadratureError):
+        integrate(g, spec, rel_tol=0.0)
+    assert [y.size for y in handed] == [63, 64, 128, 256, 512, 1024, 2048, 4096]
+    for m, y in zip([64, 128, 256], handed):
+        thetas = _trapezoid_nodes(m)[0]
+        new = thetas if m == 64 else thetas[0::2].copy()
+        assert np.array_equal(y, spec.w * np.sin(new))
+
+
 def test_delta_numeric_nonconvergence_stops_at_4096(monkeypatch):
     # the real inner leg at 4096 intervals is a 4095 x 4095 matrix of density
-    # values, so every count gets the 64-interval rule here
-    counts = _record_intervals(monkeypatch, stub=True)
+    # values; so the real driver runs delta_numeric's estimate on 64 and 128
+    # intervals and from then on a count that never settles
+    counts = _record_intervals(monkeypatch)
+    handed = []
+
+    def driver(estimate, rel_tol, max_intervals):
+        handed.append((rel_tol, max_intervals))
+
+        def cheap(thetas, weights):
+            return estimate(thetas, weights) if thetas.size < 255 else float(thetas.size)
+
+        return measures._adaptive(cheap, rel_tol, max_intervals)
+
+    monkeypatch.setattr(qito, "_adaptive", driver)
     with pytest.raises(QuadratureError):
         qito.delta_numeric(QPolynomial.x_power(3), 0.2, 1.0, QContext.numeric(0.5), rel_tol=0.0)
+    assert handed == [(0.0, 4096)]
     assert counts == [64, 128, 256, 512, 1024, 2048, 4096]
+
+
+def _full_levels(estimate, rel_tol, max_intervals):
+    """The adaptive driver with every level evaluated on all of its nodes."""
+    m, prev = 64, None
+    while m <= max_intervals:
+        est = estimate(*_trapezoid_nodes(m))
+        if prev is not None and abs(est - prev) < rel_tol * max(1.0, abs(est)):
+            return est
+        prev, m = est, 2 * m
+    raise QuadratureError("no convergence")
+
+
+def _integrate_full(g, spec, rel_tol):
+    def estimate(thetas, weights):
+        gv = np.asarray(g(spec.w * np.sin(thetas)), dtype=float)
+        return float(np.sum(weights * gv * _theta_density(spec, thetas)))
+
+    return _full_levels(estimate, rel_tol, 8192)
+
+
+def _delta_full(f, x, s, ctx, rel_tol):
+    a = [float(c(s)) for c in f.coeffs]
+    q = ctx.qf
+    outer = transition_spec(ctx, s=q * s, t=s, x=x)
+    inner = transition_spec(ctx, s=q * q * s, t=s, x=0.0)
+
+    def estimate(thetas, weights):
+        y = outer.w * np.sin(thetas)
+        rho_out = _theta_density(outer, thetas)
+        rho_in = _theta_density(inner, thetas[None, :], (q * y)[:, None])
+        vals = qito._divdiff2_poly(a, float(x), y[:, None], y[None, :])
+        return float(np.sum(weights * rho_out * ((rho_in * vals) @ weights)))
+
+    return _full_levels(estimate, rel_tol, 4096)
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+def test_nested_levels_match_full_evaluation(q):
+    # reusing the previous level's values changes no bit of any estimate
+    ctx = QContext.numeric(q)
+    f = QPolynomial.x_power(3) + QPolynomial.x_power(5) * 0.5
+    for s, frac in ((0.1, 0.3), (0.4, -0.7), (0.8, 0.0)):
+        spec = transition_spec(ctx, s=s, t=1.0, x=frac * support_halfwidth(s, q))
+        for g in (lambda y: y**4, lambda y: np.cos(3.0 * y), lambda y: np.exp(y)):
+            for rel_tol in (1e-10, 1e-14):
+                assert integrate(g, spec, rel_tol).hex() == _integrate_full(g, spec, rel_tol).hex()
+        x = frac * support_halfwidth(q * s, q)
+        for rel_tol in (1e-9, 1e-13):
+            got = qito.delta_numeric(f, x, s, ctx, rel_tol=rel_tol)
+            assert got.hex() == _delta_full(f, x, s, ctx, rel_tol).hex()
+
+
+@given(
+    q=st.floats(0.01, 0.99),
+    t=st.floats(0.05, 5.0),
+    ratio=st.floats(0.0, 0.99),
+    a=st.floats(-1.0, 1.0),
+    b=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_one_point_kernel_matches_array_path(q, t, ratio, a, b):
+    # the one-point branch runs the product on Python floats; two copies of
+    # the point take the array path, and every bit must agree
+    s = ratio * t
+    x = a * support_halfwidth(s, q)
+    y = b * support_halfwidth(t, q)
+    n = QContext.numeric(q).n_product_factors()
+    ref = measures._kernel(np.full(2, y), np.full(2, x), s, t, q, n)[0].hex()
+    for yy, xx, shape in (
+        (y, x, ()),
+        (np.array(y), np.array(x), ()),
+        (np.array([y]), x, (1,)),
+        (y, np.array([[x]]), (1, 1)),
+    ):
+        one = measures._kernel(yy, xx, s, t, q, n)
+        assert one.shape == shape and float(one.ravel()[0]).hex() == ref
+    ctx = QContext.numeric(q)
+    pair = transition_density(np.full(2, x), s, t, np.full(2, y), ctx)
+    assert transition_density(x, s, t, y, ctx).hex() == pair[0].hex()
+    assert transition_density(x, s, t, np.array([y]), ctx)[0].hex() == pair[0].hex()
+
+
+def test_one_point_kernel_zero_denominator_takes_array_path():
+    # t**2 underflows to 0 here, so the first denominator is 0: the array
+    # path's inf and nan, not a ZeroDivisionError from the float loop
+    ctx = QContext.numeric(0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        one = measures._kernel(0.0, 0.0, 0.0, 1e-170, 0.5, 54)
+        pair = measures._kernel(np.zeros(2), 0.0, 0.0, 1e-170, 0.5, 54)
+        density = qgauss_density(0.0, 1e-170, ctx)
+        densities = qgauss_density(np.zeros(2), 1e-170, ctx)
+    assert one.shape == () and np.array_equal(one, pair[0], equal_nan=True)
+    assert np.array_equal(density, densities[0], equal_nan=True)
 
 
 def test_marginal_moments():

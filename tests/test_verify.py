@@ -77,6 +77,16 @@ def test_kurtosis_ratio_moves_with_r():
     assert kurtosis_ratio(0, HALF) == 2 + HALF
 
 
+@pytest.mark.parametrize("r", [-1, -2, -0.5, Fraction(-1, 3)])
+def test_kurtosis_ratio_rejects_negative_exponent(r):
+    # as oracle_EZ2 and oracle_EZ4 do; r = -1 used to divide by zero and
+    # r = -2 to return a negative kurtosis
+    with pytest.raises(ValueError, match="nonnegative"):
+        kurtosis_ratio(r, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        kurtosis_ratio(r, HALF)
+
+
 def test_mc_estimate_validation():
     with pytest.raises(ValueError):
         McEstimate(estimate=1.0, std_error=0.0, n_paths=10, seed=1, oracle=1.0)
