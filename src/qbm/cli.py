@@ -90,6 +90,8 @@ class RunConfig:
             raise ConfigError(f"paths must be at least 1, got {self.paths}")
         if self.suite in ("verify", "all") and self.paths is not None and self.paths < 2:
             raise ConfigError(f"a Monte Carlo run needs at least 2 paths, got {self.paths}")
+        if self.suite in ("verify", "all") and self.t * self.t < sys.float_info.min:
+            raise ConfigError(f"horizon t must be >= 1.49e-154 (t**2 underflows), got {self.t}")
         span = self.seed_span()
         if not (0 <= self.seed and self.seed + span <= SEED_LIMIT):
             raise ConfigError(f"seed must lie in [0, 2**128 - {span}] for this run, got {self.seed}")

@@ -14,7 +14,8 @@ rule on [-pi/2, pi/2] is the full-period rule and converges geometrically
 (Trefethen & Weideman, SIAM Review 56, 2014).  Its levels nest: the nodes of
 m intervals are, bit for bit, every other node of 2 m, so each doubling
 evaluates only the new nodes and sums over all of them in node order, and
-every estimate is the one a full evaluation gives.  At a single point the
+every estimate is the one a full evaluation gives; stacked integrands share
+one density, each stopping at its own level.  At a single point the
 kernel's product runs on Python floats, with the same value bit for bit.
 
 Sampling is by inverse CDF on a tabulated theta-grid: deterministic given the
@@ -24,6 +25,7 @@ generator state, which keeps every Monte Carlo run reproducible from its seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,7 +85,7 @@ class DensitySpec:
     """The transition density from state x at time s to time t.
 
     s = 0 and x = 0 give the time-t q-Gaussian marginal.  n_factors is the
-    product truncation order.
+    product truncation order.  t**2 must not underflow (t >= 1.49e-154).
     """
 
     q: float
@@ -97,6 +99,8 @@ class DensitySpec:
             raise ValueError("q must lie in (0, 1)")
         if not (0.0 < self.t < math.inf):
             raise ValueError("t must be positive and finite")
+        if self.t * self.t < sys.float_info.min:
+            raise ValueError(f"t = {self.t} is too small: t**2 underflows")
         if self.n_factors < 1:
             raise ValueError("n_factors must be at least 1")
         if not (0.0 <= self.s < self.t):
@@ -226,63 +230,62 @@ def _trapezoid_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(1, m) * (math.pi / m) - math.pi / 2.0, np.full(m - 1, math.pi / m)
 
 
-def _adaptive(estimate, rel_tol: float, max_intervals: int) -> float:
+def _adaptive(estimate, rel_tol: float, max_intervals: int) -> np.ndarray:
     """Doubles the trapezoid intervals from 64 (64, 128, 256, ...) until two
     successive values of estimate(thetas, weights) agree to rel_tol (relative,
     with a unit floor); raises QuadratureError if max_intervals is passed first.
+    An array of values stops entry by entry, each at the level where it
+    would stop alone, and is returned once every entry has stopped.
 
     The levels nest: after the first, thetas[0::2] are the nodes the previous
     level lacks and thetas[1::2] are its nodes, so estimate can evaluate the
     new ones only and interleave them with what it kept (see _nest).
     """
-    m = 64
-    prev = est = None
+    m, prev, value, done = 64, None, 0.0, np.False_
     while m <= max_intervals:
         est = estimate(*_trapezoid_nodes(m))
-        if prev is not None and abs(est - prev) < rel_tol * max(1.0, abs(est)):
-            return est
-        prev = est
-        m *= 2
+        if prev is not None:
+            settled = ~done & (np.abs(est - prev) < rel_tol * np.maximum(1.0, np.abs(est)))
+            value, done = np.where(settled, est, value), done | settled
+            if np.all(done):
+                return value
+        prev, m = est, 2 * m
     raise QuadratureError(
-        f"quadrature did not converge by {max_intervals} intervals (last estimate {est})"
+        f"quadrature did not converge by {max_intervals} intervals (last estimate {prev})"
     )
 
 
-def _fresh(thetas: np.ndarray, kept) -> np.ndarray:
-    """The nodes of thetas that the previous level lacks: all of them at the
-    first level (nothing kept), else every other one from the first, as a
-    contiguous array."""
-    return thetas if kept is None else np.ascontiguousarray(thetas[0::2])
-
-
 def _nest(kept, fresh: np.ndarray) -> np.ndarray:
-    """Values on a level's nodes, in node order, from the previous level's
-    values (kept, None at the first level) and those on the new nodes."""
+    """Values on a level's nodes, in node order along the last axis, from the
+    previous level's (kept, None at the first level) and the new nodes'."""
     if kept is None:
         return fresh
-    out = np.empty(fresh.shape[0] + kept.shape[0])
-    out[0::2] = fresh
-    out[1::2] = kept
+    out = np.empty(fresh.shape[:-1] + (fresh.shape[-1] + kept.shape[-1],))
+    out[..., 0::2] = fresh
+    out[..., 1::2] = kept
     return out
 
 
-def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float:
+def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float | np.ndarray:
     """Integral of g against the density by the trapezoid rule in theta,
     adaptive up to 8192 intervals.
 
-    g must act elementwise (g(y)[i] depends on y[i] alone): each level hands
-    it only the nodes the previous level lacks.
+    g must act elementwise (g(y)[..., i] depends on y[i] alone): each level
+    hands it only the nodes the previous level lacks.  g(y) of shape (k, n)
+    stacks k integrands: the result is their k integrals, each bit for bit
+    its own call's, and the density is evaluated once per level for all.
     """
     gv = rho = None
 
     def estimate(thetas, weights):
         nonlocal gv, rho
-        new = _fresh(thetas, rho)
+        new = thetas if rho is None else np.ascontiguousarray(thetas[0::2])
         gv = _nest(gv, np.asarray(g(spec.w * np.sin(new)), dtype=float))
         rho = _nest(rho, _theta_density(spec, new))
-        return float(np.sum(weights * gv * rho))
+        return np.sum(weights * gv * rho, axis=-1)
 
-    return _adaptive(estimate, rel_tol, 8192)
+    value = _adaptive(estimate, rel_tol, 8192)
+    return float(value) if value.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------

@@ -23,22 +23,22 @@ nabla and delta also have integral forms: first and second divided
 differences of f integrated against explicit transition kernels.  The
 numeric versions here evaluate those by adaptive trapezoid quadrature, for
 polynomial f only, and serve as the independent cross-check of the exact
-coefficient-space versions.  The levels nest, so each doubling of
-delta_numeric's rule evaluates its inner-leg matrix only on the new rows and
-on the kept rows' new columns.
+coefficient-space versions.  Their batch forms take (x, f) entries at one
+time s, each bit for bit its single call, and share the densities: one per
+state x, and for delta one inner-leg matrix per (q, s), whose levels nest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .measures import (
     QUAD_REL_TOL,
     _adaptive,
-    _fresh,
     _nest,
     _theta_density,
     integrate,
@@ -61,11 +61,13 @@ __all__ = [
     "a_operator",
     "delta_exact",
     "delta_numeric",
+    "delta_numeric_batch",
     "ito_decompose",
     "ito_decompose_batch",
     "ito_tail_bound",
     "nabla_exact",
     "nabla_numeric",
+    "nabla_numeric_batch",
 ]
 
 
@@ -137,16 +139,19 @@ def _divdiff2_poly(a: list[float], x: float, y, z):
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     shape = np.broadcast_shapes(y.shape, z.shape)
+    # updated in place, and z's powers on z's shape: the same values, fewer arrays
     total = np.zeros(shape)
     h = np.ones(shape)
     g = np.ones(shape)
-    zpow = np.ones(shape)
+    zpow = np.ones(z.shape)
     for n in range(2, len(a)):
         if a[n] != 0.0:
-            total = total + a[n] * h
+            total += a[n] * h
         zpow = zpow * z
-        g = y * g + zpow
-        h = x * h + g
+        g *= y
+        g += zpow
+        h *= x
+        h += g
     return total
 
 
@@ -166,10 +171,23 @@ def nabla_numeric(
     f[x, y] is the exact first divided difference of the QPolynomial f at
     time s; any other f raises TypeError.
     """
-    a = _coeffs_at(f, s)
+    return float(nabla_numeric_batch([(x, f)], s, ctx, rel_tol)[0])
+
+
+def nabla_numeric_batch(
+    entries: Sequence[tuple[float, QPolynomial]], s: float, ctx: QContext,
+    rel_tol: float = QUAD_REL_TOL,
+) -> np.ndarray:
+    """nabla_numeric of each (x, f) entry at one time s, each bit for bit; the
+    entries at one state x are the stacked rows of one integrate call."""
+    coeffs = [_coeffs_at(f, s) for _, f in entries]
     q = ctx.qf
-    spec = transition_spec(ctx, s=q * q * s, t=s, x=q * x)
-    return integrate(lambda y: _divdiff1_poly(a, float(x), y), spec, rel_tol=rel_tol)
+    out = np.empty(len(entries))
+    for x in dict.fromkeys(x for x, _ in entries):
+        mine = [i for i, (xi, _) in enumerate(entries) if xi == x]
+        rows = lambda y: np.array([_divdiff1_poly(coeffs[i], float(x), y) for i in mine])
+        out[mine] = integrate(rows, transition_spec(ctx, s=q * q * s, t=s, x=q * x), rel_tol)
+    return out
 
 
 def delta_numeric(
@@ -181,40 +199,53 @@ def delta_numeric(
     between q**2 s and s, integrated over the exact second divided difference
     f[x, y, z] of the QPolynomial f at time s; any other f raises TypeError.
     Both legs share one trapezoid rule in theta whose intervals double, up to
-    4096, until two successive estimates agree to rel_tol; each level keeps
-    the previous level's node values and evaluates only the new ones.
+    4096, until two successive estimates agree to rel_tol.
     """
-    a = _coeffs_at(f, s)
+    return float(delta_numeric_batch([(x, f)], s, ctx, rel_tol)[0])
+
+
+def delta_numeric_batch(
+    entries: Sequence[tuple[float, QPolynomial]], s: float, ctx: QContext,
+    rel_tol: float = QUAD_REL_TOL,
+) -> np.ndarray:
+    """delta_numeric of each (x, f) entry at one time s, each bit for bit.
+
+    The inner leg's density depends on (q, s) and the level alone, so one
+    nested matrix of it serves every entry, and the outer leg's is one nested
+    row per state x; each entry forms its own product with its divided
+    differences and its own matrix-vector product.
+    """
+    coeffs = [_coeffs_at(f, s) for _, f in entries]
+    xs = list(dict.fromkeys(x for x, _ in entries))
     q = ctx.qf
-    outer = transition_spec(ctx, s=q * s, t=s, x=x)
+    # the support is symmetric, so the largest |x| validates every outer leg
+    outer = transition_spec(ctx, s=q * s, t=s, x=max((abs(x) for x in xs), default=0.0))
     inner = transition_spec(ctx, s=q * q * s, t=s, x=0.0)
-
-    def block(cols, y_rows, y_cols):
-        # inner density at start states q y (one row per outer node) times
-        # the divided differences; both legs have half-width outer.w
-        rho_in = _theta_density(inner, cols[None, :], (q * y_rows)[:, None])
-        return rho_in * _divdiff2_poly(a, float(x), y_rows[:, None], y_cols[None, :])
-
-    y = rho_out = prods = None
+    y = rho_out = rho_in = None
 
     def estimate(thetas, weights):
-        nonlocal y, rho_out, prods
-        new = _fresh(thetas, y)
+        nonlocal y, rho_out, rho_in
+        new = thetas if y is None else np.ascontiguousarray(thetas[0::2])
         y_new = outer.w * np.sin(new)
-        y_all = _nest(y, y_new)
-        # the new rows over every node, then the kept rows at the new nodes
-        fresh_rows = block(thetas, y_new, y_all)
-        if prods is None:
-            prods = fresh_rows
-        else:
-            full = np.empty((thetas.shape[0], thetas.shape[0]))
-            full[0::2] = fresh_rows
-            full[1::2, 0::2] = block(new, y, y_new)
-            full[1::2, 1::2] = prods
-            prods = full
-        rho_out = _nest(rho_out, _theta_density(outer, new))
-        y = y_all
-        return float(np.sum(weights * rho_out * (prods @ weights)))
+        # inner density at start states q y, one row per node: the new rows over
+        # all nodes, interleaved with the kept rows extended to the new nodes
+        rows = _theta_density(inner, thetas[None, :], (q * y_new)[:, None])
+        if rho_in is not None:
+            rho_in = _nest(rho_in, _theta_density(inner, new[None, :], (q * y)[:, None]))
+            full = np.empty((thetas.size, thetas.size))
+            full[0::2], full[1::2] = rows, rho_in
+            rows = full
+        rho_in = rows
+        rho_out = _nest(rho_out, _theta_density(outer, new[None, :], np.array(xs)[:, None]))
+        y = _nest(y, y_new)
+        # each entry's product, formed 128 rows at a time to bound memory
+        est, prods = np.empty(len(entries)), np.empty((thetas.size, thetas.size))
+        for i, (x, _) in enumerate(entries):
+            for h in (slice(r, r + 128) for r in range(0, thetas.size, 128)):
+                dd2 = _divdiff2_poly(coeffs[i], float(x), y[h, None], y[None, :])
+                np.multiply(rho_in[h], dd2, out=prods[h])
+            est[i] = np.sum(weights * rho_out[xs.index(x)] * (prods @ weights))
+        return est
 
     return _adaptive(estimate, rel_tol, 4096)
 

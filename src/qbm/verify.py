@@ -8,7 +8,10 @@ Four suites back the library's quantitative claims:
     and otherwise on grids with free rational values;
   * run_quadrature_suite: density normalizations, moments, martingale and
     conditional-moment formulas, Chapman-Kolmogorov, and the agreement of
-    kernel-quadrature operators with their exact counterparts;
+    kernel-quadrature operators with their exact counterparts.  The checks
+    form one plan of records; records that share a density are one stacked
+    integrate call, and the operator records at one (q, s) are one batch of
+    kernel-form entries, so each density is evaluated once per level;
   * run_mc_suite: Monte Carlo estimates against exact oracles, gated at
     |z| <= 4.  The checks form one table of records; each (q, t) batch is
     simulated once, MC_CHUNK paths at a time, and a failing check is rerun
@@ -48,11 +51,11 @@ from .qhermite import QPolynomial, hermite_eval_sequence, qhermite
 from .qito import (
     a_operator,
     delta_exact,
-    delta_numeric,
+    delta_numeric_batch,
     ito_decompose,
     ito_decompose_batch,
     nabla_exact,
-    nabla_numeric,
+    nabla_numeric_batch,
 )
 from .stochint import (
     PolynomialIntegrand,
@@ -506,37 +509,102 @@ def run_identity_suite(
 # quadrature suite
 # ---------------------------------------------------------------------------
 
-def _quad_report(name, params, value, oracle, tol) -> VerificationReport:
-    err = abs(float(value) - float(oracle))
-    return VerificationReport(
-        name=name,
-        params={**params, "oracle": float(oracle), "value": float(value)},
-        passed=err <= tol * max(1.0, abs(float(oracle))),
-        tolerance=tol,
-        kind="quadrature",
-        residual=err,
-    )
+@dataclass(frozen=True)
+class _QuadCheck:
+    """A quadrature check: its values against refs, one each.  The checks with
+    an equal leg, (evaluate, *args), share one call evaluate(their items,
+    *args), which returns their values in order."""
+
+    name: str
+    params: dict
+    tol: float
+    leg: tuple
+    items: tuple
+    refs: tuple
 
 
-def _max_error_report(name, params, tol, pairs) -> VerificationReport:
-    """One report on the worst error over (got, ref) pairs, relative with a unit floor."""
-    err = 0.0
-    for got, ref in pairs:
-        err = max(err, abs(got - ref) / max(1.0, abs(ref)))
-    return VerificationReport(
-        name=name, params=params, passed=err <= tol, tolerance=tol, kind="quadrature",
-        residual=err,
-    )
+def _integrate_rows(gs, spec) -> np.ndarray:
+    """One integrate call over the stacked rows of the elementwise integrands gs."""
+    return integrate(lambda y: np.vstack([g(y) for g in gs]), spec)
 
 
-def _sweep_states(q: float, t: float):
-    for s_frac in (0.0, 0.25, 0.5):
-        s = t * s_frac
-        if s == 0.0:
-            yield s, [0.0]
-        else:
-            half = 0.5 * support_halfwidth(s, q)
-            yield s, [0.0, half, -half]
+def _quad_plan(qs: Sequence[float], ts: Sequence[float]) -> list[_QuadCheck]:
+    """Every quadrature check, in report order.  Integrands bind the loop
+    variables they use, since they run after the plan is built."""
+    plan: list[_QuadCheck] = []
+
+    def add(name: str, params: dict, tol: float, leg: tuple, items, refs) -> None:
+        plan.append(_QuadCheck(name, params, tol, leg, tuple(items), tuple(refs)))
+
+    one = lambda y: np.ones_like(y)
+    for q in qs:
+        ctx = QContext.numeric(q)
+        for t in ts:
+            leg = (_integrate_rows, marginal_spec(ctx, t))
+            add("normalization", {"q": q, "t": t, "kind": "marginal"}, 1e-8, leg, [one], [1.0])
+            add("variance", {"q": q, "t": t}, 1e-7, leg, [lambda y: y * y], [t])
+            add("fourth-moment", {"q": q, "t": t}, 1e-7, leg, [lambda y: y**4], [(2.0 + q) * t * t])
+            for s in (0.0, t * 0.25, t * 0.5):
+                half = 0.5 * support_halfwidth(s, q)
+                for x in [0.0] if s == 0.0 else [0.0, half, -half]:
+                    leg = (_integrate_rows, transition_spec(ctx, s=s, t=t, x=x))
+                    base = {"q": q, "t": t, "s": s, "x": x}
+                    add("normalization", {**base, "kind": "transition"}, 1e-8, leg, [one], [1.0])
+                    add("martingale", {**base, "n_max": 6}, 1e-7, leg,
+                        [lambda y, n=n, t=t, ctx=ctx: hermite_eval_sequence(n, y, t, ctx)[n]
+                         for n in range(1, 7)],
+                        [float(hermite_eval_sequence(n, x, s, ctx)[n]) for n in range(1, 7)])
+                    ref4 = (
+                        x**4
+                        + (t - s) * (3.0 + 2.0 * q + q * q) * x * x
+                        + (t - s) * ((2.0 + q) * t - (1.0 + q + q * q) * s)
+                    )
+                    add("cond-quadratic", base, 1e-7, leg, [lambda y: y * y], [x * x + t - s])
+                    add("cond-cubic", base, 1e-7, leg, [lambda y: y**3],
+                        [x**3 + (t - s) * (2.0 + q) * x])
+                    add("cond-quartic", base, 1e-7, leg, [lambda y: y**4], [ref4])
+        # orthogonality at t = 1: h_n h_m -> delta [n]! t**n
+        pairs = [(n, m) for n in range(0, 9) for m in range(n, 9)]
+        add("orthogonality", {"q": q, "t": 1.0, "n_max": 8}, 1e-7,
+            (_integrate_rows, marginal_spec(ctx, 1.0)),
+            [lambda y, n=n, m=m, ctx=ctx: hermite_eval_sequence(n, y, 1.0, ctx)[n]
+             * hermite_eval_sequence(m, y, 1.0, ctx)[m] for n, m in pairs],
+            [float(q_factorial(n, ctx)) if n == m else 0.0 for n, m in pairs])
+        # Chapman-Kolmogorov spot check at 20 target points; the second leg
+        # is one density call over all middle states z and target points y
+        s, u, t = 0.25, 0.5, 1.0
+        x = 0.3 * support_halfwidth(s, q)
+        ys = np.linspace(-0.9, 0.9, 20) * support_halfwidth(t, q)
+        add("chapman", {"q": q, "s": s, "u": u, "t": t, "points": 20}, 1e-6,
+            (_integrate_rows, transition_spec(ctx, s=s, t=u, x=x)),
+            [lambda z, ys=ys, u=u, t=t, ctx=ctx: transition_density(z, u, t, ys[:, None], ctx)],
+            [float(transition_density(x, s, t, y, ctx)) for y in ys])
+        # kernel forms of the operators against the exact basis route
+        fs = [QPolynomial.x_power(n) for n in range(0, 7)]
+        fs.append(QPolynomial.from_xt_terms({(3, 1): 2.0, (1, 0): -1.0, (0, 2): 0.5}))
+        grads = [nabla_exact(f, ctx) for f in fs]
+        seconds = [(f, delta_exact(f, ctx)) for f in fs if f.degree >= 2]
+        for s in (0.5, 1.0):
+            edge = support_halfwidth(q * s, q)
+            for x in (np.linspace(-0.8, 0.8, 5) * edge).tolist():
+                params = {"q": q, "s": s, "x": x, "degree_max": 6}
+                add("nabla-numeric", params, 1e-7, (nabla_numeric_batch, s, ctx),
+                    [(x, f) for f in fs], [float(g(x, s)) for g in grads])
+                add("delta-numeric", params, 1e-6, (delta_numeric_batch, s, ctx, 1e-9),
+                    [(x, f) for f, _ in seconds], [float(d(x, s)) for _, d in seconds])
+    return plan
+
+
+def _quad_report(c: _QuadCheck, got: list[float]) -> VerificationReport:
+    """A check of one value reports it and its oracle; a check of several
+    reports the worst error, relative with a unit floor."""
+    if len(got) == 1:
+        value, oracle = got[0], float(c.refs[0])
+        err = abs(value - oracle)
+        return VerificationReport(c.name, {**c.params, "oracle": oracle, "value": value},
+                                  err <= c.tol * max(1.0, abs(oracle)), c.tol, "quadrature", err)
+    err = max([0.0, *(abs(value - ref) / max(1.0, abs(ref)) for value, ref in zip(got, c.refs))])
+    return VerificationReport(c.name, c.params, err <= c.tol, c.tol, "quadrature", err)
 
 
 def run_quadrature_suite(
@@ -544,124 +612,19 @@ def run_quadrature_suite(
     qs: Sequence[float] = (0.2, 0.5, 0.8),
     ts: Sequence[float] = (0.25, 1.0, 4.0),
 ) -> list[VerificationReport]:
-    """Density, moment, martingale, and operator checks by quadrature."""
+    """Density, moment, martingale, and operator checks by quadrature: one
+    evaluation per distinct leg, over the items of every check that shares it."""
     selected = selected_checks(only, "quadrature")
-    reports: list[VerificationReport] = []
-
-    def want(name: str) -> bool:
-        return selected is None or name in selected
-
-    one = lambda y: np.ones_like(y)
-    for q in qs:
-        ctx = QContext.numeric(q)
-        for t in ts:
-            spec = marginal_spec(ctx, t)
-            if want("normalization"):
-                reports.append(
-                    _quad_report("normalization", {"q": q, "t": t, "kind": "marginal"},
-                                 integrate(one, spec), 1.0, 1e-8)
-                )
-            if want("variance"):
-                reports.append(
-                    _quad_report("variance", {"q": q, "t": t},
-                                 integrate(lambda y: y * y, spec), t, 1e-7)
-                )
-            if want("fourth-moment"):
-                reports.append(
-                    _quad_report("fourth-moment", {"q": q, "t": t},
-                                 integrate(lambda y: y**4, spec), (2.0 + q) * t * t, 1e-7)
-                )
-            for s, xs in _sweep_states(q, t):
-                for x in xs:
-                    tspec = transition_spec(ctx, s=s, t=t, x=x)
-                    base = {"q": q, "t": t, "s": s, "x": x}
-                    if want("normalization"):
-                        reports.append(
-                            _quad_report("normalization", {**base, "kind": "transition"},
-                                         integrate(one, tspec), 1.0, 1e-8)
-                        )
-                    if want("martingale"):
-                        pairs = (
-                            (
-                                integrate(
-                                    lambda y, n=n: hermite_eval_sequence(n, y, t, ctx)[n], tspec
-                                ),
-                                float(hermite_eval_sequence(n, x, s, ctx)[n]),
-                            )
-                            for n in range(1, 7)
-                        )
-                        params = {**base, "n_max": 6}
-                        reports.append(_max_error_report("martingale", params, 1e-7, pairs))
-                    ref4 = (
-                        x**4
-                        + (t - s) * (3.0 + 2.0 * q + q * q) * x * x
-                        + (t - s) * ((2.0 + q) * t - (1.0 + q + q * q) * s)
-                    )
-                    for name, g, ref in (
-                        ("cond-quadratic", lambda y: y * y, x * x + t - s),
-                        ("cond-cubic", lambda y: y**3, x**3 + (t - s) * (2.0 + q) * x),
-                        ("cond-quartic", lambda y: y**4, ref4),
-                    ):
-                        if want(name):
-                            reports.append(_quad_report(name, base, integrate(g, tspec), ref, 1e-7))
-        # orthogonality at t = 1: h_n h_m -> delta [n]! t**n
-        if want("orthogonality"):
-            spec1 = marginal_spec(ctx, 1.0)
-            pairs = (
-                (
-                    integrate(
-                        lambda y, n=n, m=m: hermite_eval_sequence(n, y, 1.0, ctx)[n]
-                        * hermite_eval_sequence(m, y, 1.0, ctx)[m],
-                        spec1,
-                    ),
-                    float(q_factorial(n, ctx)) if n == m else 0.0,
-                )
-                for n in range(0, 9)
-                for m in range(n, 9)
-            )
-            params = {"q": q, "t": 1.0, "n_max": 8}
-            reports.append(_max_error_report("orthogonality", params, 1e-7, pairs))
-        # Chapman-Kolmogorov spot check at 20 target points
-        if want("chapman"):
-            s, u, t = 0.25, 0.5, 1.0
-            x = 0.3 * support_halfwidth(s, q)
-            ys = np.linspace(-0.9, 0.9, 20) * support_halfwidth(t, q)
-            mid = transition_spec(ctx, s=s, t=u, x=x)
-            # second leg: one call over all middle states z per target y
-            pairs = (
-                (
-                    integrate(lambda z, y=y: transition_density(z, u, t, y, ctx), mid),
-                    float(transition_density(x, s, t, y, ctx)),
-                )
-                for y in ys
-            )
-            params = {"q": q, "s": s, "u": u, "t": t, "points": 20}
-            reports.append(_max_error_report("chapman", params, 1e-6, pairs))
-        # kernel forms of the operators against the exact basis route
-        if want("nabla-numeric") or want("delta-numeric"):
-            fs = [QPolynomial.x_power(n) for n in range(0, 7)]
-            fs.append(QPolynomial.from_xt_terms({(3, 1): 2.0, (1, 0): -1.0, (0, 2): 0.5}))
-            for s in (0.5, 1.0):
-                edge = support_halfwidth(q * s, q)
-                for x in (np.linspace(-0.8, 0.8, 5) * edge).tolist():
-                    params = {"q": q, "s": s, "x": x, "degree_max": 6}
-                    if want("nabla-numeric"):
-                        pairs = (
-                            (nabla_numeric(f, x, s, ctx), float(nabla_exact(f, ctx)(x, s)))
-                            for f in fs
-                        )
-                        reports.append(_max_error_report("nabla-numeric", params, 1e-7, pairs))
-                    if want("delta-numeric"):
-                        pairs = (
-                            (
-                                delta_numeric(f, x, s, ctx, rel_tol=1e-9),
-                                float(delta_exact(f, ctx)(x, s)),
-                            )
-                            for f in fs
-                            if f.degree >= 2
-                        )
-                        reports.append(_max_error_report("delta-numeric", params, 1e-6, pairs))
-    return reports
+    plan = [c for c in _quad_plan(qs, ts) if selected is None or c.name in selected]
+    legs: dict[tuple, list[int]] = {}
+    for i, c in enumerate(plan):
+        legs.setdefault(c.leg, []).append(i)
+    values: list = [None] * len(plan)
+    for (evaluate, *args), mine in legs.items():
+        flat = iter(evaluate([item for i in mine for item in plan[i].items], *args).tolist())
+        for i in mine:
+            values[i] = [next(flat) for _ in plan[i].refs]
+    return [_quad_report(c, got) for c, got in zip(plan, values)]
 
 
 # ---------------------------------------------------------------------------

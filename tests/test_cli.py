@@ -210,6 +210,19 @@ def test_monte_carlo_needs_two_paths(tmp_path, capsys, suite):
     assert build_config(["--suite", "simulate", "--paths", "1"]).paths == 1
 
 
+@pytest.mark.parametrize("suite", ["verify", "all"])
+def test_verify_rejects_tiny_horizon(tmp_path, capsys, suite):
+    # t**2 underflows below sqrt(float min), about 1.49e-154, and the density
+    # curves would be nan; simulate uses the unit-time tables and keeps working
+    out = tmp_path / "tiny"
+    assert run_main(["--suite", suite, "--t", "1e-163", "--only", "variance",
+                     "--out", str(out)]) == 2
+    assert "horizon t" in capsys.readouterr().err
+    assert not out.exists()
+    RunConfig(suite=suite, t=1.5e-154).validate()
+    RunConfig(suite="simulate", t=1e-163).validate()
+
+
 def test_seed_range_follows_the_run():
     top = 2**128
     RunConfig(suite="simulate", seed=top - 4, paths=4).validate()
@@ -235,10 +248,11 @@ def test_simulate_at_the_largest_seeds(tmp_path):
     assert len((out / "paths" / "paths_wide.csv").read_text().splitlines()) == 22
 
 
-#: SHA-256 of every artifact but manifest.json (which echoes --out) for three
+#: SHA-256 of every artifact but manifest.json (which echoes --out) for four
 #: small runs, recorded with NumPy 2.4 on x86-64 Linux at qbm 0.2.0 (one
 #: density kernel; see CHANGES.md for the digests of 0.1.0), except
-#: verify.json, re-recorded at qbm 0.3.0 (trapezoid quadrature rule)
+#: verify.json, re-recorded at qbm 0.3.0 (trapezoid quadrature rule), and the
+#: whole quadrature suite, recorded at qbm 0.3.0 before it became a plan
 PINNED_DIGESTS = [
     (
         ["--suite", "identities"],
@@ -254,6 +268,16 @@ PINNED_DIGESTS = [
             "density_curves.csv": "7e57ba484abefec0103f27309a1613e47676db48e4690d6ec23f9a5f23f160fb",
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
             "verify.json": "cd0b7b2c7beae9890ab232d8ff201059dbc3b417592b67f297d849de0311e0c5",
+        },
+    ),
+    (
+        ["--suite", "verify", "--only",
+         "normalization,variance,fourth-moment,martingale,cond-quadratic,cond-cubic,"
+         "cond-quartic,orthogonality,chapman,nabla-numeric,delta-numeric"],
+        {
+            "density_curves.csv": "7e57ba484abefec0103f27309a1613e47676db48e4690d6ec23f9a5f23f160fb",
+            "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
+            "verify.json": "1a260432b50ee9ebff2b8646c47ed4769bc9ff9894f591449170b9670f7dcd61",
         },
     ),
 ]

@@ -86,6 +86,12 @@ def test_integrate_nonconvergence_raises(monkeypatch):
     with pytest.raises(QuadratureError):
         integrate(lambda y: np.cos(200.0 * y), spec, rel_tol=0.0)
     assert counts == [64, 128, 256, 512, 1024, 2048, 4096, 8192]
+    # in a stack, a row that stops at 128 intervals does not stop the rest:
+    # the kink of |y - 0.3| never settles to 1e-10, so the stack raises
+    counts.clear()
+    with pytest.raises(QuadratureError):
+        integrate(lambda y: np.vstack([y * y, np.abs(y - 0.3)]), spec)
+    assert counts == [64, 128, 256, 512, 1024, 2048, 4096, 8192]
 
 
 def test_integrate_evaluates_only_new_nodes():
@@ -123,9 +129,31 @@ def test_delta_numeric_nonconvergence_stops_at_4096(monkeypatch):
         return measures._adaptive(cheap, rel_tol, max_intervals)
 
     monkeypatch.setattr(qito, "_adaptive", driver)
+    ctx = QContext.numeric(0.5)
     with pytest.raises(QuadratureError):
-        qito.delta_numeric(QPolynomial.x_power(3), 0.2, 1.0, QContext.numeric(0.5), rel_tol=0.0)
+        qito.delta_numeric(QPolynomial.x_power(3), 0.2, 1.0, ctx, rel_tol=0.0)
     assert handed == [(0.0, 4096)]
+    assert counts == [64, 128, 256, 512, 1024, 2048, 4096]
+
+    # a stack of two entries, where the first stops at 128 intervals and the
+    # second never settles, raises too
+    def split(estimate, rel_tol, max_intervals):
+        handed.append((rel_tol, max_intervals))
+
+        def one_settles(thetas, weights):
+            est = estimate(thetas, weights) if thetas.size < 255 else None
+            assert est is None or est.shape == (2,)
+            return np.array([1.0, float(thetas.size)])
+
+        return measures._adaptive(one_settles, rel_tol, max_intervals)
+
+    monkeypatch.setattr(qito, "_adaptive", split)
+    handed.clear()
+    counts.clear()
+    entries = [(0.2, QPolynomial.x_power(3)), (-0.3, QPolynomial.x_power(4))]
+    with pytest.raises(QuadratureError):
+        qito.delta_numeric_batch(entries, 1.0, ctx, rel_tol=1e-9)
+    assert handed == [(1e-9, 4096)]
     assert counts == [64, 128, 256, 512, 1024, 2048, 4096]
 
 
@@ -148,6 +176,13 @@ def _integrate_full(g, spec, rel_tol):
     return _full_levels(estimate, rel_tol, 8192)
 
 
+def _nabla_full(f, x, s, ctx, rel_tol):
+    a = [float(c(s)) for c in f.coeffs]
+    q = ctx.qf
+    spec = transition_spec(ctx, s=q * q * s, t=s, x=q * x)
+    return _integrate_full(lambda y: qito._divdiff1_poly(a, float(x), y), spec, rel_tol)
+
+
 def _delta_full(f, x, s, ctx, rel_tol):
     a = [float(c(s)) for c in f.coeffs]
     q = ctx.qf
@@ -166,18 +201,37 @@ def _delta_full(f, x, s, ctx, rel_tol):
 
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
 def test_nested_levels_match_full_evaluation(q):
-    # reusing the previous level's values changes no bit of any estimate
+    # reusing the previous level's values, and sharing a density between the
+    # rows of a stack or the entries of a batch, changes no bit of any value
     ctx = QContext.numeric(q)
     f = QPolynomial.x_power(3) + QPolynomial.x_power(5) * 0.5
+    # cos(40 y) stops one level after the others, at most tolerances here
+    gs = (
+        lambda y: y**4, lambda y: np.cos(3.0 * y), lambda y: np.exp(y), lambda y: np.cos(40.0 * y)
+    )
     for s, frac in ((0.1, 0.3), (0.4, -0.7), (0.8, 0.0)):
         spec = transition_spec(ctx, s=s, t=1.0, x=frac * support_halfwidth(s, q))
-        for g in (lambda y: y**4, lambda y: np.cos(3.0 * y), lambda y: np.exp(y)):
-            for rel_tol in (1e-10, 1e-14):
-                assert integrate(g, spec, rel_tol).hex() == _integrate_full(g, spec, rel_tol).hex()
+        for rel_tol in (1e-10, 1e-14):
+            rows = integrate(lambda y: np.vstack([g(y) for g in gs]), spec, rel_tol)
+            for g, row in zip(gs, rows):
+                full = _integrate_full(g, spec, rel_tol).hex()
+                assert integrate(g, spec, rel_tol).hex() == full
+                assert float(row).hex() == full
         x = frac * support_halfwidth(q * s, q)
         for rel_tol in (1e-9, 1e-13):
             got = qito.delta_numeric(f, x, s, ctx, rel_tol=rel_tol)
             assert got.hex() == _delta_full(f, x, s, ctx, rel_tol).hex()
+    # the kernel forms of several states and polynomials at one time s; at
+    # q = 0.8 the first entry stops at 128 intervals and the others at 256
+    s = 0.8
+    fs = [f, QPolynomial.x_power(2), QPolynomial.from_xt_terms({(4, 1): 1.0, (1, 0): -2.0})]
+    entries = [(x, g) for x in (0.0, 0.9 * support_halfwidth(q * s, q)) for g in fs]
+    deltas = qito.delta_numeric_batch(entries, s, ctx, 1e-10)
+    for (x, g), got in zip(entries, deltas):
+        assert float(got).hex() == _delta_full(g, x, s, ctx, 1e-10).hex()
+    grads = qito.nabla_numeric_batch(entries, s, ctx, 1e-12)
+    for (x, g), got in zip(entries, grads):
+        assert float(got).hex() == _nabla_full(g, x, s, ctx, 1e-12).hex()
 
 
 @given(
@@ -213,14 +267,36 @@ def test_one_point_kernel_matches_array_path(q, t, ratio, a, b):
 def test_one_point_kernel_zero_denominator_takes_array_path():
     # t**2 underflows to 0 here, so the first denominator is 0: the array
     # path's inf and nan, not a ZeroDivisionError from the float loop
-    ctx = QContext.numeric(0.5)
     with np.errstate(divide="ignore", invalid="ignore"):
         one = measures._kernel(0.0, 0.0, 0.0, 1e-170, 0.5, 54)
         pair = measures._kernel(np.zeros(2), 0.0, 0.0, 1e-170, 0.5, 54)
-        density = qgauss_density(0.0, 1e-170, ctx)
-        densities = qgauss_density(np.zeros(2), 1e-170, ctx)
     assert one.shape == () and np.array_equal(one, pair[0], equal_nan=True)
-    assert np.array_equal(density, densities[0], equal_nan=True)
+    # so the densities reject such a horizon up front
+    with pytest.raises(ValueError, match="underflows"):
+        qgauss_density(0.0, 1e-170, QContext.numeric(0.5))
+
+
+def test_smallest_horizon_gives_finite_densities():
+    # t = 1.5e-154 is just above sqrt(sys.float_info.min), the smallest
+    # horizon a density accepts: every value on the support is finite and
+    # matches the unit-time density scaled by sqrt(t)
+    t = 1.5e-154
+    for q in (0.01, 0.2, 0.5, 0.8, 0.95):
+        ctx = QContext.numeric(q)
+        w = support_halfwidth(t, q)
+        ys = np.linspace(-1.0, 1.0, 41) * w
+        dens = qgauss_density(ys, t, ctx)
+        assert np.all(np.isfinite(dens)) and np.all(dens >= 0.0)
+        # inside the support; at the edge either side may round to zero
+        unit = qgauss_density(ys[1:-1] / math.sqrt(t), 1.0, ctx) / math.sqrt(t)
+        assert dens[1:-1] == pytest.approx(unit, rel=1e-13, abs=0.0)
+        for ratio in (0.5, 0.99):
+            x = 0.9 * support_halfwidth(ratio * t, q)
+            assert np.all(np.isfinite(transition_density(x, ratio * t, t, ys, ctx)))
+    with pytest.raises(ValueError, match="underflows"):
+        qgauss_density(0.0, 1e-163, QContext.numeric(0.5))
+    with pytest.raises(ValueError, match="underflows"):
+        transition_spec(QContext.numeric(0.5), 0.0, 1e-163, 0.0)
 
 
 def test_marginal_moments():
