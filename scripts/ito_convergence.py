@@ -19,16 +19,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11, help="base seed")
     args = parser.parse_args(argv)
 
-    qs = tuple(float(part) for part in args.qs.split(",") if part.strip())
-    depths = tuple(int(part) for part in args.depths.split(",") if part.strip())
-    reports = run_convergence_suite(
-        qs=qs,
-        depths=depths,
-        n_paths=args.paths,
-        n_polys=args.polys,
-        seed=args.seed,
-        only={"ito-convergence"},
-    )
+    try:
+        qs = tuple(float(part) for part in args.qs.split(",") if part.strip())
+        depths = tuple(int(part) for part in args.depths.split(",") if part.strip())
+        reports = run_convergence_suite(
+            qs=qs,
+            depths=depths,
+            n_paths=args.paths,
+            n_polys=args.polys,
+            seed=args.seed,
+            only={"ito-convergence"},
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     status = 0
     for rep in reports:

@@ -30,6 +30,7 @@ from .process import SEED_LIMIT, GeometricGrid, simulate_batch, write_batch_csv
 from .qcore import QContext
 from .verify import (
     CHECKS,
+    CONVERGENCE_SEEDS,
     kurtosis_ratio,
     oracle_EZ2,
     oracle_EZ4,
@@ -110,9 +111,8 @@ class RunConfig:
         if self.suite in ("simulate", "all"):
             span = self.paths if self.paths is not None else SIMULATE_PATHS
         if self.suite in ("verify", "all"):
-            # a Monte Carlo batch and its rerun batch; the convergence suite
-            # reaches seed + 1000 * 19 + 19
-            span = max(span, 2 * (self.paths if self.paths is not None else MC_PATHS), 19020)
+            # a Monte Carlo batch and its rerun batch, and the convergence suite
+            span = max(span, 2 * (self.paths if self.paths is not None else MC_PATHS), CONVERGENCE_SEEDS)
         return span
 
     def only_set(self) -> set[str] | None:

@@ -130,6 +130,15 @@ class PathBatch:
     def horizon_values(self) -> np.ndarray:
         return self.values[:, 0]
 
+    def restrict(self, depth: int) -> "PathBatch":
+        """The same paths on the first depth + 1 grid times (a view of the
+        values).  The process is Markov, so this is a batch at that depth."""
+        g = self.grid
+        if not 1 <= depth <= g.K:
+            raise ValueError(f"restricted depth must lie in [1, {g.K}], got {depth}")
+        grid = GeometricGrid(t=g.t, q=g.q, K=depth, times=g.times[: depth + 1])
+        return PathBatch(grid=grid, values=self.values[:, : depth + 1], base_seed=self.base_seed)
+
 
 # The uniform stream of path i is np.random.default_rng(base_seed + i).random(),
 # reproduced here across all paths at once: SeedSequence entropy mixing and

@@ -18,6 +18,9 @@ Four suites back the library's quantitative claims:
     once, alone, on a disjoint batch;
   * run_convergence_suite: pathwise residuals of the change-of-variable
     identity and of the exponential's integral equation as the grid deepens.
+    A change-of-variable residual follows one path, restricted from one deep
+    batch per q; the exponential's residual must fall on every path, which
+    one path need not do, so it draws a fresh batch per depth.
 
 CHECKS names every report the suites emit and maps it to its suite; the
 suites' only= filters and the command line's --only both read it.
@@ -45,7 +48,7 @@ from .measures import (
     transition_density,
     transition_spec,
 )
-from .process import GeometricGrid, GeometricPath, PathBatch, simulate_batch, simulate_path
+from .process import GeometricGrid, GeometricPath, PathBatch, simulate_batch
 from .qcore import Poly, QContext, Scalar, q_factorial, q_int
 from .qhermite import QPolynomial, hermite_eval_sequence, qhermite
 from .qito import (
@@ -83,6 +86,7 @@ __all__ = [
     "run_quadrature_suite",
     "run_mc_suite",
     "run_convergence_suite",
+    "CONVERGENCE_SEEDS",
     "reports_to_csv",
 ]
 
@@ -836,6 +840,27 @@ def _rounding_scale(parts: tuple[QPolynomial, ...], batch: PathBatch, q: float) 
     return 3.0 * np.sum(fa(xs, ts), axis=1) + fa(0.0, 0.0) + np.sum(steps, axis=1)
 
 
+#: fresh paths per depth in the sde-residual check
+SDE_PATHS = 5
+#: consecutive path seeds, from its seed on, that run_convergence_suite
+#: draws at its defaults: one 20 x 20 batch, which covers the SDE_PATHS
+CONVERGENCE_SEEDS = 20 * 20
+
+
+def _ito_checks(p: QPolynomial, parts: tuple[QPolynomial, ...], batch: PathBatch, ctx: QContext):
+    """(boundary, bound, ok) for p on the batch: each path's boundary residual
+    |p(B_K, t_K) - p(0, 0)|, the analytic tail bound, and whether the float
+    decomposition reproduces every residual to 64 eps times its rounding
+    scale.  parts is _abs_parts(p, ctx)."""
+    dec = ito_decompose_batch(p, batch, ctx)
+    K = batch.grid.K
+    # direct boundary form; free of the cancellation noise carried by the
+    # four decomposition terms
+    boundary = np.abs(p(batch.values[:, K], batch.grid.times[K]) - float(p(0.0, 0.0)))
+    noise = 64.0 * float(np.finfo(float).eps) * _rounding_scale(parts, batch, ctx.qf)
+    return boundary, dec.tail_bound, not np.any(np.abs(dec.residual - boundary) > noise)
+
+
 def run_convergence_suite(
     qs: Sequence[float] = (0.5, 0.8),
     t: float = 1.0,
@@ -848,12 +873,23 @@ def run_convergence_suite(
     """Pathwise residual decay for the change-of-variable identity and the
     exponential's integral equation as the grid deepens.
 
-    The truncated change-of-variable residual equals |f(B_K, t_K) - f(0, 0)|,
-    so it must fall under the analytic tail bound at every depth and shrink
-    as K grows, and the float decomposition must reproduce it to 64 eps
-    times its rounding scale; the exponential residual also carries a series
-    tail.
+    ito-convergence draws one n_polys x n_paths batch per q at the deepest
+    depth (polynomial i takes rows n_paths i onward) and restricts it to
+    each depth, so each residual follows one path.  The truncated residual
+    equals |f(B_K, t_K) - f(0, 0)|: it must fall under the analytic tail
+    bound at every depth and shrink in mean as K grows, and the float
+    decomposition must reproduce it to 64 eps times its rounding scale.
+    sde-residual, which also carries a series tail, must shrink on every
+    path, which one path need not do as the grid deepens, so it draws
+    SDE_PATHS fresh paths per depth.  Both batches start at seed.
+
+    Raises ValueError unless depths is nonempty, strictly increasing and at
+    least 1, and n_paths and n_polys are at least 1.
     """
+    if not (depths and depths[0] >= 1 and all(a < b for a, b in zip(depths, depths[1:]))):
+        raise ValueError(f"depths must be nonempty, strictly increasing and >= 1, got {tuple(depths)}")
+    if n_paths < 1 or n_polys < 1:
+        raise ValueError(f"n_paths and n_polys must be at least 1, got {n_paths} and {n_polys}")
     selected = selected_checks(only, "convergence")
     reports: list[VerificationReport] = []
     for q in qs:
@@ -861,31 +897,26 @@ def run_convergence_suite(
         if selected is None or "ito-convergence" in selected:
             rng = np.random.default_rng(seed)
             polys = [_random_qpolynomial(rng, 6, 2) for _ in range(n_polys)]
-            grids = [GeometricGrid.build(q=q, t=t, depth=K) for K in depths]
-            eps = float(np.finfo(float).eps)
-            per_depth: dict[int, list[float]] = {g.K: [] for g in grids}
+            deep_grid = GeometricGrid.build(q=q, t=t, depth=depths[-1])
+            deep = simulate_batch(deep_grid, n_polys * n_paths, seed, ctx)
+            per_depth: dict[int, list[float]] = {K: [] for K in depths}
             worst_ratio = 0.0
             bounded = True
             decomposed = True
             for i, p in enumerate(polys):
                 parts = _abs_parts(p, ctx)
-                zero = float(p(0.0, 0.0))
-                for grid in grids:
-                    # path j of polynomial i uses seed + 1000 i + j on every grid
-                    batch = simulate_batch(grid, n_paths, seed + 1000 * i, ctx)
-                    dec = ito_decompose_batch(p, batch, ctx)
-                    # direct boundary form; free of the cancellation noise
-                    # carried by the four decomposition terms
-                    boundary = np.abs(p(batch.values[:, grid.K], grid.times[grid.K]) - zero)
-                    bound = dec.tail_bound
-                    per_depth[grid.K].extend(boundary.tolist())
+                # polynomial i follows rows n_paths i .. n_paths (i + 1) - 1
+                rows = slice(n_paths * i, n_paths * (i + 1))
+                mine = PathBatch(deep_grid, deep.values[rows], seed + n_paths * i)
+                for K in depths:
+                    boundary, bound, ok = _ito_checks(p, parts, mine.restrict(K), ctx)
+                    per_depth[K].extend(boundary.tolist())
                     worst_ratio = max(worst_ratio, float(np.max(boundary / bound)))
                     if np.any(boundary > bound):
                         bounded = False
-                    noise = 64.0 * eps * _rounding_scale(parts, batch, ctx.qf)
-                    if np.any(np.abs(dec.residual - boundary) > noise):
+                    if not ok:
                         decomposed = False
-            means = [sum(per_depth[g.K]) / len(per_depth[g.K]) for g in grids]
+            means = [sum(per_depth[K]) / len(per_depth[K]) for K in depths]
             monotone = all(b < a for a, b in zip(means, means[1:]))
             reports.append(
                 VerificationReport(
@@ -913,18 +944,15 @@ def run_convergence_suite(
             # at most 2 sqrt(t_K / (1-q)); allow a factor-4 margin on a*c*that
             t_deep = horizon * q ** depths[-1]
             tol = 8.0 * a * c * math.sqrt(t_deep / (1.0 - q))
-            worst_final = 0.0
-            monotone = True
-            for j in range(5):
-                prev = None
-                for K in depths:
-                    grid = GeometricGrid.build(q=q, t=horizon, depth=K)
-                    path = simulate_path(grid, seed=seed + 77 * j, ctx=ctx)
-                    res = sde_residual(a, c, path, ctx, degree=30)
-                    if prev is not None and not (res < prev or res < 1e-300):
-                        monotone = False
-                    prev = res
-                worst_final = max(worst_final, prev)
+            # res[d, j]: path j of the fresh batch at depths[d]
+            res = []
+            for K in depths:
+                grid = GeometricGrid.build(q=q, t=horizon, depth=K)
+                batch = simulate_batch(grid, SDE_PATHS, seed, ctx)
+                res.append([sde_residual(a, c, path, ctx, degree=30) for path in batch])
+            res = np.array(res)
+            monotone = bool(np.all((res[1:] < res[:-1]) | (res[1:] < 1e-300)))
+            worst_final = float(np.max(res[-1]))
             passed = monotone and worst_final <= tol
             reports.append(
                 VerificationReport(

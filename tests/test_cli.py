@@ -230,13 +230,13 @@ def test_seed_range_follows_the_run():
     with pytest.raises(ConfigError, match="seed"):
         RunConfig(suite="simulate", seed=top - 3, paths=4).validate()
     # verify draws a Monte Carlo batch and its rerun batch from the seed,
-    # and the convergence suite's path seeds reach seed + 19019
+    # and the convergence suite's 20 x 20 path batch reaches seed + 399
     RunConfig(suite="verify", seed=top - 40000, paths=20000).validate()
     with pytest.raises(ConfigError, match="seed"):
         RunConfig(suite="verify", seed=top - 39999, paths=20000).validate()
-    RunConfig(suite="all", seed=top - 19020, paths=10).validate()
+    RunConfig(suite="all", seed=top - 400, paths=10).validate()
     with pytest.raises(ConfigError, match="seed"):
-        RunConfig(suite="all", seed=top - 19019, paths=10).validate()
+        RunConfig(suite="all", seed=top - 399, paths=10).validate()
     with pytest.raises(ConfigError, match="seed"):
         RunConfig(suite="identities", seed=-1).validate()
 

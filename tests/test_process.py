@@ -165,6 +165,33 @@ def test_batch_iteration():
     assert isinstance(batch, PathBatch)
 
 
+def test_restrict_keeps_the_first_columns():
+    q, t = 0.7, 1.3
+    batch = simulate_batch(GeometricGrid.build(q=q, t=t, depth=12), n_paths=6, base_seed=5)
+    for K in range(1, 13):
+        short = batch.restrict(K)
+        assert np.array_equal(short.values, batch.values[:, : K + 1])
+        direct = GeometricGrid.build(q=q, t=t, depth=K)
+        assert [float(x).hex() for x in short.grid.times] == [float(x).hex() for x in direct.times]
+        assert short.grid == direct and short.base_seed == 5
+    for K in (0, -1, 13):
+        with pytest.raises(ValueError, match="restricted depth"):
+            batch.restrict(K)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.8])
+def test_restricted_batch_has_the_direct_law(q):
+    # the law, not the bytes: a depth-80 batch restricted to K = 20 against a
+    # direct depth-20 simulation on disjoint seeds, two-sample |z| <= 4
+    n, K = 20000, 20
+    short = simulate_batch(GeometricGrid.build(q=q, t=1.0, depth=80), n, 1).restrict(K)
+    direct = simulate_batch(GeometricGrid.build(q=q, t=1.0, depth=K), n, 1 + n)
+    for stat in (lambda v: v[:, 0] ** 2, lambda v: v[:, 0] ** 4, lambda v: v[:, K] ** 2):
+        a, b = stat(short.values), stat(direct.values)
+        se = math.sqrt(np.var(a, ddof=1) / n + np.var(b, ddof=1) / n)
+        assert abs(np.mean(a) - np.mean(b)) <= 4.0 * se
+
+
 def test_explicit_ctx_matches_default():
     grid = GeometricGrid.build(q=0.5, t=1.0, depth=8)
     a = simulate_batch(grid, n_paths=4, base_seed=21)

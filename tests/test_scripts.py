@@ -36,3 +36,30 @@ def test_kurtosis_table_rejects_bad_ranges(args, message, capsys):
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+def test_ito_convergence_small_run(capsys):
+    args = ["--qs", "0.5", "--depths", "5,10", "--paths", "2", "--polys", "2"]
+    assert load("ito_convergence").main(args) == 0
+    out = capsys.readouterr().out
+    assert "K=  5" in out and "K= 10" in out and "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--depths", "0"], "depths must be"),
+        (["--depths", "0,10"], "depths must be"),
+        (["--depths", "40,20"], "depths must be"),
+        (["--depths", "20,20"], "depths must be"),
+        (["--depths", ""], "depths must be"),
+        (["--paths", "0"], "n_paths and n_polys must be at least 1"),
+        (["--polys", "0"], "n_paths and n_polys must be at least 1"),
+    ],
+)
+def test_ito_convergence_rejects_bad_inputs(args, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load("ito_convergence").main(["--qs", "0.5"] + args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import io
 import json
 from fractions import Fraction
@@ -240,21 +241,23 @@ def test_rounding_scale_rows_match_single_path_form():
 
 
 def _convergence_on_cancelling_path():
-    # covers polynomial 7 of default_rng(2024) on the path seeded 2024 + 7000
-    # at q = 0.8, K = 40, where the drift and second-order terms nearly cancel
-    # and the float residual misses the boundary form by 2.1e-14
-    return run_convergence_suite(
-        qs=(0.8,), depths=(40,), n_paths=1, n_polys=8, seed=2024, only={"ito-convergence"}
-    )
+    # polynomial 7 of default_rng(2024) on the path seeded 2024 + 7000 at
+    # q = 0.8, K = 40, where terms up to 0.59 cancel to a residual of 3.8e-3
+    # and the float residual misses the boundary form by 1.3e-14
+    rng = np.random.default_rng(2024)
+    p = [verify._random_qpolynomial(rng, 6, 2) for _ in range(8)][7]
+    ctx = QContext.numeric(0.8)
+    batch = simulate_batch(GeometricGrid.build(q=0.8, t=1.0, depth=40), 1, 2024 + 7000, ctx)
+    return verify._ito_checks(p, verify._abs_parts(p, ctx), batch, ctx)
 
 
 def test_convergence_allowance_covers_rounding_on_cancelling_path():
-    (rep,) = _convergence_on_cancelling_path()
-    assert rep.passed
+    boundary, bound, ok = _convergence_on_cancelling_path()
+    assert ok and np.all(boundary <= bound)
 
 
 def test_convergence_rejects_shifted_second_order_term(monkeypatch):
-    (good,) = _convergence_on_cancelling_path()
+    good = _convergence_on_cancelling_path()
     exact = verify.ito_decompose_batch
 
     def shifted(f, batch, ctx):
@@ -263,8 +266,74 @@ def test_convergence_rejects_shifted_second_order_term(monkeypatch):
         residual = np.abs(dec.lhs - (dec.gradient_term + dec.drift_term + second))
         return dataclasses.replace(dec, second_order_term=second, residual=residual)
 
+    def suite():
+        return run_convergence_suite(
+            qs=(0.8,), depths=(40,), n_paths=1, n_polys=1, seed=2024, only={"ito-convergence"}
+        )
+
+    (good_report,) = suite()
     monkeypatch.setattr(verify, "ito_decompose_batch", shifted)
-    (bad,) = _convergence_on_cancelling_path()
+    bad = _convergence_on_cancelling_path()
     # the boundary forms and bounds are unchanged; only the decomposition is off
-    assert bad.params == good.params
-    assert not bad.passed
+    assert bad[0].tolist() == good[0].tolist() and bad[1] == good[1]
+    assert good[2] and not bad[2]
+    # and the suite's report fails on that check alone
+    (bad_report,) = suite()
+    assert bad_report.params == good_report.params
+    assert good_report.passed and not bad_report.passed
+
+
+def test_convergence_suite_draws_one_deep_batch_per_q(monkeypatch):
+    calls = []
+
+    def spy(grid, n_paths, base_seed, ctx=None):
+        calls.append((grid.q, grid.K, n_paths, base_seed))
+        return simulate_batch(grid, n_paths, base_seed, ctx)
+
+    monkeypatch.setattr(verify, "simulate_batch", spy)
+    reports = run_convergence_suite(qs=(0.5,), depths=(5, 10), n_paths=3, n_polys=2, seed=9)
+    # one 6-path batch at the deepest depth, then 5 fresh paths per depth
+    assert calls == [(0.5, 10, 6, 9), (0.5, 5, 5, 9), (0.5, 10, 5, 9)]
+    assert [r.name for r in reports] == ["ito-convergence", "sde-residual"]
+    # polynomial i's residuals at depth K are rows 3 i .. 3 i + 2 of the deep
+    # batch restricted to K, in polynomial order
+    rng = np.random.default_rng(9)
+    polys = [verify._random_qpolynomial(rng, 6, 2) for _ in range(2)]
+    deep = simulate_batch(GeometricGrid.build(q=0.5, t=1.0, depth=10), 6, 9)
+    for K, mean in zip((5, 10), reports[0].params["mean_residuals"]):
+        vals = deep.values[:, K]
+        residuals = [abs(float(polys[i // 3](vals[i], 0.5**K)) - float(polys[i // 3](0.0, 0.0)))
+                     for i in range(6)]
+        assert mean == pytest.approx(sum(residuals) / 6, rel=1e-12)
+    # the seed count the command line reserves follows the suite's defaults
+    defaults = inspect.signature(run_convergence_suite).parameters
+    assert verify.CONVERGENCE_SEEDS == defaults["n_paths"].default * defaults["n_polys"].default
+    assert verify.SDE_PATHS <= verify.CONVERGENCE_SEEDS
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"depths": ()},
+        {"depths": (40, 20)},
+        {"depths": (20, 20)},
+        {"depths": (0, 10)},
+        {"depths": (-1,)},
+        {"n_paths": 0},
+        {"n_polys": 0},
+    ],
+)
+def test_convergence_suite_rejects_bad_inputs(kwargs):
+    message = "depths must be" if "depths" in kwargs else "n_paths and n_polys must be"
+    with pytest.raises(ValueError, match=message):
+        run_convergence_suite(**{"qs": (0.5,), "n_paths": 1, "n_polys": 1, **kwargs})
+
+
+@pytest.mark.parametrize("seed", range(29, 34))
+def test_sde_residual_passes_where_nested_paths_fail(seed):
+    # with one nested path per j, q = 0.8 fails at these seeds: a single path's
+    # residual need not shrink (seed 33: 4.8e-3 at K = 20, 7.4e-3 at K = 40),
+    # so the check draws a fresh batch per depth
+    reports = run_convergence_suite(only={"sde-residual"}, seed=seed)
+    assert [r.params["q"] for r in reports] == [0.5, 0.8]
+    assert all(r.passed for r in reports)
