@@ -1,9 +1,12 @@
 """q-Gaussian marginals and Markov transition kernels.
 
 Both densities come from one kernel: the transition density from state x at
-time s to time t, an Al-Salam-Chihara weight whose geometric infinite product
-is truncated at the first N with q**N < prod_eps.  The time-t marginal is the
-transition from x = 0 at s = 0.  Densities are supported on
+time s to time t, an Al-Salam-Chihara weight, an infinite product of
+q-Pochhammer factors.  The kernel is homogeneous, so it is evaluated on the
+unit-time scale: the first few factors directly, the rest by the log series
+of the q-Pochhammer symbols, cut where its remainder bound falls below
+prod_eps.  Its cost per point no longer grows with 1/(1-q).  The time-t
+marginal is the transition from x = 0 at s = 0.  Densities are supported on
 |y| <= w = 2 sqrt(t / (1-q)), where they vanish like sqrt(w**2 - y**2); the
 kernel is the density with that edge factor divided out, and is analytic on
 the support.  All quadrature runs in the angle variable theta with
@@ -16,10 +19,11 @@ m intervals are, bit for bit, every other node of 2 m, so each doubling
 evaluates only the new nodes and sums over all of them in node order, and
 every estimate is the one a full evaluation gives; stacked integrands share
 one density, each stopping at its own level.  At a single point the
-kernel's product runs on Python floats, with the same value bit for bit.
+kernel runs on Python floats, with the same value bit for bit.
 
 Sampling is by inverse CDF on a tabulated theta-grid: deterministic given the
 generator state, which keeps every Monte Carlo run reproducible from its seed.
+Each table records its normalisation defect.
 """
 
 from __future__ import annotations
@@ -84,15 +88,17 @@ def support_halfwidth(t: float, q: float) -> float:
 class DensitySpec:
     """The transition density from state x at time s to time t.
 
-    s = 0 and x = 0 give the time-t q-Gaussian marginal.  n_factors is the
-    product truncation order.  t**2 must not underflow (t >= 1.49e-154).
+    s = 0 and x = 0 give the time-t q-Gaussian marginal.  prod_eps bounds
+    the remainder of the kernel's cut log series, so its relative
+    truncation error (see _tail_plan).  t**2 must not underflow
+    (t >= 1.49e-154).
     """
 
     q: float
     t: float
     s: float = 0.0
     x: float = 0.0
-    n_factors: int = 0
+    prod_eps: float = 1e-16
 
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
@@ -101,8 +107,8 @@ class DensitySpec:
             raise ValueError("t must be positive and finite")
         if self.t * self.t < sys.float_info.min:
             raise ValueError(f"t = {self.t} is too small: t**2 underflows")
-        if self.n_factors < 1:
-            raise ValueError("n_factors must be at least 1")
+        if not self.prod_eps > 0.0:
+            raise ValueError("prod_eps must be positive")
         if not (0.0 <= self.s < self.t):
             raise ValueError("transition needs 0 <= s < t")
         if not abs(self.x) <= support_halfwidth(self.s, self.q):
@@ -119,60 +125,131 @@ def marginal_spec(ctx: QContext, t: float) -> DensitySpec:
 
 
 def transition_spec(ctx: QContext, s: float, t: float, x: float) -> DensitySpec:
-    return DensitySpec(q=ctx.qf, t=float(t), s=float(s), x=float(x), n_factors=ctx.n_product_factors())
+    return DensitySpec(q=ctx.qf, t=float(t), s=float(s), x=float(x), prod_eps=ctx.prod_eps)
 
 
 # ---------------------------------------------------------------------------
 # the density kernel
 # ---------------------------------------------------------------------------
 
-def _kernel(y, x, s: float, t: float, q: float, n: int):
+def _kernel(y, x, s: float, t: float, q: float, prod_eps: float = 1e-16):
     """Transition density from x at time s to y at time t, divided by its edge
     factor sqrt(w**2 - y**2), w the time-t half-width; broadcasts over y and x.
+    It is homogeneous: 1/t times its unit-time value at cos(phi) = y / w,
+    u = x / w and r = s / t (see _unit_kernel)."""
+    w = support_halfwidth(t, q)
+    c, u = np.asarray(y, dtype=float) / w, np.asarray(x, dtype=float) / w
+    return _unit_kernel(c, u, s / t, q, prod_eps, 1.0 / t)
+
+
+def _unit_kernel(c, u, r: float, q: float, prod_eps: float, scale: float):
+    """scale times the unit-time kernel at cos(phi) = c and u = sqrt(r) cos(psi),
+    NumPy arrays or floats; broadcasts over c and u.
 
     This is the Al-Salam-Chihara weight (Koekoek, Lesky & Swarttouw 2010,
-    ch. 14) in the state variables, truncated after n factors:
-      density = prod_{k<n} (num_k / den_k) / (2 pi sqrt(w**2 - y**2)),
-      num_k = (t - s q^k) (1 - q^(k+1)) (t (1 + q^k)**2 - (1-q) y**2 q^k),
-      den_k = (t - s q^2k)**2 + (1-q) q^2k (s y**2 + t x**2)
-              - (1-q) q^k (t + s q^2k) x y,
-    with den_k > 0 on the support.  num_0 = (1-q)**2 (t - s) (w**2 - y**2)
-    carries the edge factor squared, so the kernel keeps only its constant.
-
-    When y and x broadcast to one point, the product runs on Python floats
-    and the result is an array of the broadcast shape: IEEE + - * / round as
-    NumPy's float64 ufuncs do, so the value is the same bit for bit, without
-    a dozen NumPy calls on a one-element array per factor.  A zero
-    denominator (off the support, or where t**2 underflows) takes the array
-    path, so it gives NumPy's inf or nan as before.
+    ch. 14), (1-q)**2 (1-r) / (2 pi) prod_{k>=1} num_k / prod_{k>=0} den_k,
+      num_k = (1 - r q^k) (1 - q^(k+1)) |1 - q^k e^(2 i phi)|**2,
+      den_k = prod_{+-,+-} (1 - sqrt(r) q^k e^(i (+-phi +- psi))) > 0.
+    The factors k < k0 are multiplied out; by the log series of q-Pochhammer
+    symbols (Gasper & Rahman, Basic Hypergeometric Series, 2004) the rest are
+    exp of log (r rho; q)_inf + log (q rho; q)_inf
+        - 2 sum_{m>=1} rho^m / (m (1 - q^m)) [T_m(cos 2 phi)
+                                              - 2 r^(m/2) T_m(cos phi) T_m(cos psi)],
+    rho = q**k0 and T_m the Chebyshev polynomials, cut after M terms
+    (_tail_plan picks k0 and M).  Terms in c alone and in u alone are kept
+    apart, so on a (rows x nodes) block only their products are full-size;
+    those are updated in place, since NumPy does not reuse temporaries here
+    and a second live full-size temporary costs more than the arithmetic.
+    Every operation is elementwise in one order and exp is NumPy's, so each
+    value depends on its own point alone.  When c is an array of one point
+    and u one value, the terms run on Python floats (IEEE + - * / round as
+    NumPy's float64 ufuncs do, so the value is the same bit for bit); a zero
+    denominator there (off the support) takes the array path, for NumPy's
+    inf or nan.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.size == 1 and x.size == 1:
+    if isinstance(c, np.ndarray) and c.size == 1 and np.size(u) == 1:
         try:
-            value = _product(y.item(), x.item(), s, t, q, n)
+            value = _unit_kernel(c.item(), u.item(), r, q, prod_eps, scale)
         except ZeroDivisionError:
             pass
         else:
-            return np.full(np.broadcast_shapes(y.shape, x.shape), value)
-    return _product(y, x, s, t, q, n)
-
-
-def _product(y, x, s: float, t: float, q: float, n: int):
-    """The kernel's truncated product, for float or array y and x."""
-    c = 1.0 - q
-    y2 = y * y
-    sy2 = c * s * y2
-    tx2 = c * t * x * x
-    out = c * c * (t - s) / (2.0 * math.pi)
-    qk = q2k = 1.0
-    for k in range(n):
+            return np.full(np.broadcast_shapes(c.shape, u.shape), value)
+    k0 = _tail_plan(q, r, prod_eps)[0]
+    const = scale * (1.0 - q) * (1.0 - q) * (1.0 - r) / (2.0 * math.pi)
+    c4, uu = 4.0 * (c * c), u * u
+    num = den = qk = 1.0
+    for k in range(k0):
+        q2k = qk * qk
         if k:
-            out *= (t - s * qk) * (1.0 - qk * q) * (t * (1.0 + qk) ** 2 - c * y2 * qk)
-        out /= ((t - s * q2k) ** 2 + q2k * sy2) + q2k * tx2 - (c * qk * (t + s * q2k) * x) * y
+            const *= (1.0 - r * qk) * (1.0 - q * qk)
+            num *= (1.0 + qk) * (1.0 + qk) - qk * c4
+        # -(term in u) c + (terms in c) + (terms in u): one full-size product
+        b = 1.0 - r * q2k
+        f = ((-4.0 * qk * (1.0 + r * q2k)) * u) * c
+        f += b * b + (r * q2k) * c4
+        f += (4.0 * q2k) * uu
+        den *= f
         qk *= q
-        q2k *= q * q
-    return out
+    ratio = (const * num) / den
+    value = np.exp(_log_tail(c, u, r, q, prod_eps))
+    value *= ratio
+    return value
+
+
+def _log_tail(c, u, r: float, q: float, prod_eps: float):
+    """log prod_{k>=k0} num_k / den_k, its series cut after M terms."""
+    _, n_terms, rho, log_tail = _tail_plan(q, r, prod_eps)
+    # Chebyshev recurrences: T_m at cos(phi) and cos(2 phi), r^(m/2) T_m at cos(psi)
+    c2 = 2.0 * (c * c) - 1.0
+    two_c, two_c2, two_u = 2.0 * c, 2.0 * c2, 2.0 * u
+    t_prev, t_cur, d_prev, d_cur, s_prev, s_cur = 1.0, c, 1.0, c2, 1.0, u
+    log_y, pair, rho_m, q_m = log_tail, 0.0, 1.0, 1.0
+    for m in range(1, n_terms + 1):
+        rho_m *= rho
+        q_m *= q
+        a = rho_m / (m * (1.0 - q_m))
+        log_y -= (2.0 * a) * d_cur
+        d_prev, d_cur = d_cur, two_c2 * d_cur - d_prev
+        pair += ((4.0 * a) * s_cur) * t_cur  # the one full-size product
+        t_prev, t_cur = t_cur, two_c * t_cur - t_prev
+        s_prev, s_cur = s_cur, two_u * s_cur - r * s_prev
+    pair += log_y
+    return pair
+
+
+@lru_cache(maxsize=256)
+def _tail_plan(q: float, r: float, prod_eps: float) -> tuple[int, int, float, float]:
+    """(k0, M, rho = q**k0, log (r rho; q)_inf + log (q rho; q)_inf), the
+    scalar tails being -sum_m (r^m + q^m) rho^m / (m (1 - q^m)), summed
+    until a term falls below 1e-18."""
+    k0, n_terms, rho = _series_cut(q, prod_eps)
+    log_tail, m, rho_m, q_m = 0.0, 1, rho, q
+    while rho_m > 1e-18 * m * (1.0 - q_m):
+        log_tail -= (r**m + q_m) * rho_m / (m * (1.0 - q_m))
+        m, rho_m, q_m = m + 1, rho_m * rho, q_m * q
+    return k0, n_terms, rho, log_tail
+
+
+@lru_cache(maxsize=64)
+def _series_cut(q: float, prod_eps: float) -> tuple[int, int, float]:
+    """(k0, M, rho = q**k0) for the kernel's log series.
+
+    |T_m| <= 1 and r <= 1 bound the series' term m by 6 rho^m / (m (1 - q^m)),
+    and its remainder after M terms by 6 rho^(M+1) / ((M+1) (1-q) (1-rho)).
+    For each k0 >= 1, M is the fewest terms with that bound at most
+    prod_eps; the k0 taken has the least full-size work per point, four
+    operations per direct factor and two per series term.
+    """
+    best = None
+    k0, rho = 1, q
+    while best is None or 4 * k0 < best[0]:
+        n_terms = 0
+        while 6.0 * rho ** (n_terms + 1) / ((n_terms + 1) * (1.0 - q) * (1.0 - rho)) > prod_eps:
+            n_terms += 1
+        if best is None or 4 * k0 + 2 * n_terms < best[0]:
+            best = (4 * k0 + 2 * n_terms, k0, n_terms, rho)
+        k0, rho = k0 + 1, rho * q
+    return best[1:]
 
 
 def _y_density(spec: DensitySpec, y, x=None):
@@ -182,18 +259,23 @@ def _y_density(spec: DensitySpec, y, x=None):
     x = spec.x if x is None else x
     w = spec.w
     edge = np.sqrt(np.maximum(w * w - y * y, 0.0))
-    rho = edge * _kernel(y, x, spec.s, spec.t, spec.q, spec.n_factors)
+    # off the support the Chebyshev terms grow without bound; those values are dropped
+    rho = edge * _kernel(np.clip(y, -w, w), x, spec.s, spec.t, spec.q, spec.prod_eps)
     return np.where(np.abs(y) < w, rho, 0.0)[()]
 
 
 def _theta_density(spec: DensitySpec, theta, x=None):
     """Density in the angle variable, y = w sin(theta): the Jacobian w cos(theta)
-    times the edge factor is (w cos(theta))**2 = w**2 - y**2, so this is that
-    times the kernel, bounded and analytic.  x overrides spec.x and broadcasts."""
+    times the edge factor is (w cos(theta))**2, so this is that times the
+    kernel, bounded and analytic.  x overrides spec.x and broadcasts.
+
+    On the kernel's unit-time scale cos(phi) = sin(theta), and
+    w**2 / t = 4 / (1-q) leaves t only in u = x / w and r = s / t."""
     x = spec.x if x is None else x
-    w = spec.w
-    y = w * np.sin(theta)
-    return (w * w - y * y) * _kernel(y, x, spec.s, spec.t, spec.q, spec.n_factors)
+    c = np.sin(theta)
+    u = np.asarray(x, dtype=float) / spec.w
+    scale = 4.0 / (1.0 - spec.q)
+    return ((1.0 - c) * (1.0 + c)) * _unit_kernel(c, u, spec.s / spec.t, spec.q, spec.prod_eps, scale)
 
 
 def qgauss_density(y, t: float, ctx: QContext):
@@ -301,7 +383,8 @@ class CdfTable:
     exactly 0 to exactly 1 after normalisation; pdf holds the theta-density
     at the nodes for Newton refinement during inversion.  guide[r, g] is the
     last cell j of row r with cdf[r, j] <= g / N_GUIDE (Chen & Asau's guide
-    table).
+    table).  defect is the largest |mass - 1| of the rows before
+    normalisation, which the build gates at NORM_TOL.
     """
 
     thetas: np.ndarray
@@ -310,6 +393,7 @@ class CdfTable:
     guide: np.ndarray
     w: float
     x_grid: np.ndarray | None = None
+    defect: float = 0.0
 
 
 def _tabulate(spec: DensitySpec, x_grid=None) -> CdfTable:
@@ -345,7 +429,7 @@ def _tabulate(spec: DensitySpec, x_grid=None) -> CdfTable:
     guide = np.empty((n_rows, N_GUIDE + 1), dtype=np.int16)
     for r in range(n_rows):
         guide[r] = np.minimum(np.searchsorted(cdf[r], levels, side="right") - 1, m - 1)
-    return CdfTable(thetas=thetas, cdf=cdf, pdf=pdf, guide=guide, w=spec.w, x_grid=x_grid)
+    return CdfTable(thetas=thetas, cdf=cdf, pdf=pdf, guide=guide, w=spec.w, x_grid=x_grid, defect=worst)
 
 
 @lru_cache(maxsize=16)

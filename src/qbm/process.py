@@ -28,7 +28,6 @@ from .measures import (
     draw_transition_batch,
     scaled_marginal_table,
     scaled_transition_table,
-    support_halfwidth,
 )
 from .qcore import QContext, Scalar
 
@@ -102,11 +101,12 @@ class GeometricPath:
 
     def in_support(self) -> bool:
         """Whether |B_k| <= 2 sqrt(t_k / (1-q)) at every grid node."""
-        q = float(self.grid.q)
-        for tk, v in zip(self.grid.times, self.values):
-            if abs(float(v)) > support_halfwidth(float(tk), q):
-                return False
-        return True
+        return not np.any(_outside(np.asarray(self.values, dtype=float), self.grid.times, self.grid.q))
+
+
+def _outside(values: np.ndarray, times, q: Scalar) -> np.ndarray:
+    """|B_k| > 2 sqrt(t_k / (1-q)) elementwise, times broadcasting; False for NaN."""
+    return np.abs(values) > 2.0 * np.sqrt(np.asarray(times, dtype=float) / (1.0 - float(q)))
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,8 @@ def simulate_batch(
     Marginal draw at the deepest time, then one transition draw per step,
     vectorised across paths through the shared scaled-kernel tables.  Row i
     uses the stream of seed base_seed + i; raises ValueError unless
-    0 <= base_seed and base_seed + n_paths <= 2**128.
+    0 <= base_seed and base_seed + n_paths <= 2**128, and if a drawn value
+    is not finite or outside the support (checked column by column).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -264,11 +265,12 @@ def simulate_batch(
     rows = np.zeros(n_paths, dtype=np.intp)
     values[:, K] = math.sqrt(t_deep) * draw_from_table(mt, rows, next(u))
     tt = scaled_transition_table(q, prod_eps)
-    for k in range(K - 1, -1, -1):
-        tk = float(grid.times[k])
-        rt = math.sqrt(tk)
-        x_scaled = values[:, k + 1] / rt
-        values[:, k] = rt * draw_transition_batch(tt, x_scaled, next(u))
+    for k in range(K, -1, -1):
+        if k < K:
+            rt = math.sqrt(float(grid.times[k]))
+            values[:, k] = rt * draw_transition_batch(tt, values[:, k + 1] / rt, next(u))
+        if not np.all(np.isfinite(values[:, k])) or np.any(_outside(values[:, k], grid.times[k], q)):
+            raise ValueError(f"a value drawn at grid time index {k} is not finite or lies outside the support")
     return PathBatch(grid=grid, values=values, base_seed=base_seed)
 
 

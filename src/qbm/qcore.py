@@ -36,8 +36,10 @@ TAIL_EPS = 1e-12
 class QContext:
     """Deformation parameter plus arithmetic mode and product threshold.
 
-    prod_eps controls where infinite q-products are cut (first N with
-    q**N < prod_eps).
+    prod_eps is the truncation tolerance of infinite q-products: the
+    stochastic exponential's product stops at the first N with
+    q**N < prod_eps, and the density kernel's q-Pochhammer series where its
+    remainder bound falls below prod_eps.
     """
 
     q: Scalar
@@ -78,8 +80,8 @@ class QContext:
 
 @lru_cache(maxsize=256)
 def _n_product_factors(qf: float, prod_eps: float) -> int:
-    """QContext.n_product_factors, kept per (q, prod_eps): every density
-    spec asks for it, and at q = 0.8 the loop takes 166 steps."""
+    """QContext.n_product_factors, kept per (q, prod_eps): every stochastic
+    exponential asks for it, and at q = 0.8 the loop takes 166 steps."""
     n, p = 0, 1.0
     while p >= prod_eps:
         p *= qf

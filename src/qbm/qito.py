@@ -136,23 +136,30 @@ def _divdiff1_poly(a: list[float], x: float, y):
 
 def _divdiff2_poly(a: list[float], x: float, y, z):
     """Second divided difference of sum a_n x**n, exact and singularity-free."""
+    return _divdiff2_sums([a], x, y, z)[0]
+
+
+def _divdiff2_sums(polys: Sequence[list[float]], x: float, y, z) -> list[np.ndarray]:
+    """_divdiff2_poly of each coefficient list at one x: the h/g recurrence
+    runs once for all, and each total adds its own terms in its own order."""
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     shape = np.broadcast_shapes(y.shape, z.shape)
     # updated in place, and z's powers on z's shape: the same values, fewer arrays
-    total = np.zeros(shape)
+    totals = [np.zeros(shape) for _ in polys]
     h = np.ones(shape)
     g = np.ones(shape)
     zpow = np.ones(z.shape)
-    for n in range(2, len(a)):
-        if a[n] != 0.0:
-            total += a[n] * h
+    for n in range(2, max(len(a) for a in polys)):
+        for a, total in zip(polys, totals):
+            if n < len(a) and a[n] != 0.0:
+                total += a[n] * h
         zpow = zpow * z
         g *= y
         g += zpow
         h *= x
         h += g
-    return total
+    return totals
 
 
 def _coeffs_at(f: QPolynomial, s: float) -> list[float]:
@@ -212,8 +219,9 @@ def delta_numeric_batch(
 
     The inner leg's density depends on (q, s) and the level alone, so one
     nested matrix of it serves every entry, and the outer leg's is one nested
-    row per state x; each entry forms its own product with its divided
-    differences and its own matrix-vector product.
+    row per state x.  The divided differences' recurrence runs once per state
+    and row block for its entries; each entry forms its own product and
+    matrix-vector product, block by block.
     """
     coeffs = [_coeffs_at(f, s) for _, f in entries]
     xs = list(dict.fromkeys(x for x, _ in entries))
@@ -238,13 +246,16 @@ def delta_numeric_batch(
         rho_in = rows
         rho_out = _nest(rho_out, _theta_density(outer, new[None, :], np.array(xs)[:, None]))
         y = _nest(y, y_new)
-        # each entry's product, formed 128 rows at a time to bound memory
-        est, prods = np.empty(len(entries)), np.empty((thetas.size, thetas.size))
-        for i, (x, _) in enumerate(entries):
+        # 128 rows at a time, which bounds memory
+        est, legs = np.empty(len(entries)), np.empty((len(entries), thetas.size))
+        for j, x in enumerate(xs):
+            mine = [i for i, (xi, _) in enumerate(entries) if xi == x]
             for h in (slice(r, r + 128) for r in range(0, thetas.size, 128)):
-                dd2 = _divdiff2_poly(coeffs[i], float(x), y[h, None], y[None, :])
-                np.multiply(rho_in[h], dd2, out=prods[h])
-            est[i] = np.sum(weights * rho_out[xs.index(x)] * (prods @ weights))
+                dd2 = _divdiff2_sums([coeffs[i] for i in mine], float(x), y[h, None], y[None, :])
+                for i, d in zip(mine, dd2):
+                    legs[i, h] = (rho_in[h] * d) @ weights
+            for i in mine:
+                est[i] = np.sum(weights * rho_out[j] * legs[i])
         return est
 
     return _adaptive(estimate, rel_tol, 4096)

@@ -249,10 +249,10 @@ def test_simulate_at_the_largest_seeds(tmp_path):
 
 
 #: SHA-256 of every artifact but manifest.json (which echoes --out) for four
-#: small runs, recorded with NumPy 2.4 on x86-64 Linux at qbm 0.2.0 (one
-#: density kernel; see CHANGES.md for the digests of 0.1.0), except
-#: verify.json, re-recorded at qbm 0.3.0 (trapezoid quadrature rule), and the
-#: whole quadrature suite, recorded at qbm 0.3.0 before it became a plan
+#: small runs, recorded with NumPy 2.4 on x86-64 Linux: identities.json and
+#: kurtosis_vs_r.csv at qbm 0.2.0 (see CHANGES.md for the digests of 0.1.0),
+#: the paths, density curves and verify.json re-recorded at qbm 0.4.0 (the
+#: q-Pochhammer density kernel; CHANGES.md lists the old digests)
 PINNED_DIGESTS = [
     (
         ["--suite", "identities"],
@@ -260,14 +260,14 @@ PINNED_DIGESTS = [
     ),
     (
         ["--suite", "simulate", "--q", "0.5", "--paths", "4", "--seed", "7", "--wide"],
-        {"paths/paths_wide.csv": "731f0bd6b0017c3b67ca33d065fe3bce019ad4c114f9ab55ec9321d67e79395e"},
+        {"paths/paths_wide.csv": "204a12eca097e235fe93d180aa2ea4ffd8036ef3a1134c4b40e64371dc9ac8a9"},
     ),
     (
         ["--suite", "verify", "--only", "variance,ez2", "--paths", "3000"],
         {
-            "density_curves.csv": "7e57ba484abefec0103f27309a1613e47676db48e4690d6ec23f9a5f23f160fb",
+            "density_curves.csv": "6fc0cc448acd154790a426d0f7afa1c537ae915ba95bfb54d43ee691afeaa591",
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
-            "verify.json": "cd0b7b2c7beae9890ab232d8ff201059dbc3b417592b67f297d849de0311e0c5",
+            "verify.json": "97375b864f891025e2e6c37039b5285e805d5c730fe0a5b3566138337e5b9a43",
         },
     ),
     (
@@ -275,9 +275,9 @@ PINNED_DIGESTS = [
          "normalization,variance,fourth-moment,martingale,cond-quadratic,cond-cubic,"
          "cond-quartic,orthogonality,chapman,nabla-numeric,delta-numeric"],
         {
-            "density_curves.csv": "7e57ba484abefec0103f27309a1613e47676db48e4690d6ec23f9a5f23f160fb",
+            "density_curves.csv": "6fc0cc448acd154790a426d0f7afa1c537ae915ba95bfb54d43ee691afeaa591",
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
-            "verify.json": "1a260432b50ee9ebff2b8646c47ed4769bc9ff9894f591449170b9670f7dcd61",
+            "verify.json": "e3569f1ed4c3cf523c0a1de36b66f23ccc56f31a85c75f5b4f85149f08c97803",
         },
     ),
 ]

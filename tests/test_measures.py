@@ -1,6 +1,9 @@
 """Densities, quadrature, and kernel moment identities."""
 
+import cmath
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -248,15 +251,14 @@ def test_one_point_kernel_matches_array_path(q, t, ratio, a, b):
     s = ratio * t
     x = a * support_halfwidth(s, q)
     y = b * support_halfwidth(t, q)
-    n = QContext.numeric(q).n_product_factors()
-    ref = measures._kernel(np.full(2, y), np.full(2, x), s, t, q, n)[0].hex()
+    ref = measures._kernel(np.full(2, y), np.full(2, x), s, t, q)[0].hex()
     for yy, xx, shape in (
         (y, x, ()),
         (np.array(y), np.array(x), ()),
         (np.array([y]), x, (1,)),
         (y, np.array([[x]]), (1, 1)),
     ):
-        one = measures._kernel(yy, xx, s, t, q, n)
+        one = measures._kernel(yy, xx, s, t, q)
         assert one.shape == shape and float(one.ravel()[0]).hex() == ref
     ctx = QContext.numeric(q)
     pair = transition_density(np.full(2, x), s, t, np.full(2, y), ctx)
@@ -265,11 +267,11 @@ def test_one_point_kernel_matches_array_path(q, t, ratio, a, b):
 
 
 def test_one_point_kernel_zero_denominator_takes_array_path():
-    # t**2 underflows to 0 here, so the first denominator is 0: the array
-    # path's inf and nan, not a ZeroDivisionError from the float loop
+    # t**2 underflows here; the scaled kernel no longer forms it, and the
+    # one-point and array paths agree on the value
     with np.errstate(divide="ignore", invalid="ignore"):
-        one = measures._kernel(0.0, 0.0, 0.0, 1e-170, 0.5, 54)
-        pair = measures._kernel(np.zeros(2), 0.0, 0.0, 1e-170, 0.5, 54)
+        one = measures._kernel(0.0, 0.0, 0.0, 1e-170, 0.5)
+        pair = measures._kernel(np.zeros(2), 0.0, 0.0, 1e-170, 0.5)
     assert one.shape == () and np.array_equal(one, pair[0], equal_nan=True)
     # so the densities reject such a horizon up front
     with pytest.raises(ValueError, match="underflows"):
@@ -297,6 +299,118 @@ def test_smallest_horizon_gives_finite_densities():
         qgauss_density(0.0, 1e-163, QContext.numeric(0.5))
     with pytest.raises(ValueError, match="underflows"):
         transition_spec(QContext.numeric(0.5), 0.0, 1e-163, 0.0)
+
+
+#: the smallest horizon a density accepts: t * t does not underflow
+T_FLOOR = math.sqrt(sys.float_info.min)
+while T_FLOOR * T_FLOOR < sys.float_info.min:
+    T_FLOOR = math.nextafter(T_FLOOR, math.inf)
+
+
+@given(
+    q=st.floats(0.01, 0.99),
+    log_t=st.floats(-154.0, 3.0),
+    ratio=st.floats(0.0, 0.99),
+    a=st.floats(-1.0, 1.0),
+    b=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_kernel_is_finite_and_nonnegative_on_the_support(q, log_t, ratio, a, b):
+    # t from the floor DensitySpec accepts (log_t below -153.83 gives the
+    # floor itself) to 1e3, and x and y anywhere in their supports, edges too
+    t = max(10.0**log_t, T_FLOOR)
+    s = ratio * t
+    x = a * support_halfwidth(s, q)
+    y = b * support_halfwidth(t, q)
+    value = float(measures._kernel(y, x, s, t, q))
+    assert math.isfinite(value) and value >= 0.0
+    density = transition_density(x, s, t, y, QContext.numeric(q))
+    assert math.isfinite(density) and density >= 0.0
+
+
+def _decimal_kernel(y, x, s, t, q):
+    """The kernel's product in the state variables, in 40-digit decimals from
+    the exact float inputs, cut once q**k < 1e-40."""
+    with localcontext() as dc:
+        dc.prec = 40
+        y, x, s, t, q = (Decimal(v) for v in (y, x, s, t, q))
+        c = 1 - q
+        out = c * c * (t - s) / (2 * Decimal("3.141592653589793238462643383279502884197"))
+        qk = q2k = Decimal(1)
+        k = 0
+        while True:
+            if k:
+                out *= (t - s * qk) * (1 - qk * q) * (t * (1 + qk) ** 2 - c * y * y * qk)
+            out /= (t - s * q2k) ** 2 + c * q2k * (s * y * y + t * x * x) - c * qk * (t + s * q2k) * x * y
+            if qk < Decimal("1e-40"):
+                return out
+            qk, q2k, k = qk * q, q2k * q * q, k + 1
+
+
+@pytest.mark.parametrize(
+    "q, bound, n_points", [(0.2, 1e-13, 40), (0.5, 1e-13, 40), (0.8, 1e-13, 30), (0.95, 1e-12, 15), (0.99, 1e-10, 6)]
+)
+def test_kernel_matches_decimal_reference(q, bound, n_points):
+    # random points: t log-uniform in [0.01, 100], s / t in [0, 0.99], x and
+    # y uniform on their supports; values below 1e-280 are left out
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for _ in range(n_points):
+        t = float(np.exp(rng.uniform(math.log(0.01), math.log(100.0))))
+        s = float(rng.uniform(0.0, 0.99)) * t
+        x = float(rng.uniform(-1.0, 1.0)) * support_halfwidth(s, q)
+        y = float(rng.uniform(-1.0, 1.0)) * support_halfwidth(t, q)
+        ref = _decimal_kernel(y, x, s, t, q)
+        if ref > Decimal("1e-280"):
+            got = Decimal(float(measures._kernel(y, x, s, t, q)))
+            worst = max(worst, float(abs(got / ref - 1)))
+    assert worst <= bound
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 0.95, 0.99])
+def test_tail_series_meets_its_remainder_bound_and_matches_the_product(q):
+    rng = np.random.default_rng(17)
+    for prod_eps in (1e-16, 1e-12):
+        for r in (0.0, 0.3, q, 0.99):
+            k0, n_terms, rho, _ = measures._tail_plan(q, r, prod_eps)
+            assert k0 >= 1 and rho == pytest.approx(q**k0, rel=1e-13, abs=0.0)
+            # the remainder bound 6 rho^(M+1) / ((M+1)(1-q)(1-rho)) holds,
+            # and one term fewer would not meet it
+            bound = lambda m: 6.0 * rho ** (m + 1) / ((m + 1) * (1.0 - q) * (1.0 - rho))
+            assert bound(n_terms) <= prod_eps
+            assert n_terms == 0 or bound(n_terms - 1) > prod_eps
+            for phi, psi in rng.uniform(0.0, math.pi, (3, 2)):
+                c, u = math.cos(phi), math.sqrt(r) * math.cos(psi)
+                # brute force: the factors k >= k0 in complex form
+                tail, k, qk = 1.0, k0, rho
+                while qk > 1e-22:
+                    num = (1 - r * qk) * (1 - q * qk) * abs(1 - qk * cmath.exp(2j * phi)) ** 2
+                    a = math.sqrt(r) * qk
+                    den = (abs(1 - a * cmath.exp(1j * (phi + psi))) * abs(1 - a * cmath.exp(1j * (phi - psi)))) ** 2
+                    tail *= num / den
+                    k, qk = k + 1, qk * q
+                # the cut series is within prod_eps in log; rounding grows with
+                # the size of the log and with the product's factor count
+                got = math.exp(measures._log_tail(c, u, r, q, prod_eps))
+                allowance = prod_eps + 8.0 * sys.float_info.epsilon * (k - k0 + abs(math.log(tail)))
+                assert got == pytest.approx(tail, rel=allowance, abs=0.0)
+
+
+def test_tables_record_their_normalisation_defect():
+    # the stored pdf rows are the raw theta-density divided by each row's
+    # tabulated mass, so the raw values give the masses back; the defect is
+    # the largest |mass - 1|, under the gate
+    ctx = QContext.numeric(0.5)
+    tables = (
+        (scaled_marginal_table(0.5), marginal_spec(ctx, 1.0), np.zeros(1)),
+        (scaled_transition_table(0.5), transition_spec(ctx, 0.5, 1.0, 0.0), scaled_transition_table(0.5).x_grid),
+    )
+    mid = measures.N_THETA // 2
+    for table, spec, xs in tables:
+        raw = _theta_density(spec, table.thetas[None, mid], xs[:, None])[:, 0]
+        masses = raw / table.pdf[:, mid]
+        assert 0.0 < table.defect <= measures.NORM_TOL
+        assert table.defect == pytest.approx(np.max(np.abs(masses - 1.0)), rel=1e-2, abs=0.0)
 
 
 def test_marginal_moments():

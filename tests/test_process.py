@@ -1,12 +1,15 @@
 """Geometric-grid simulation: determinism, support, moments, CSV export."""
 
+import dataclasses
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qbm import process
 from qbm.process import (
     SEED_LIMIT,
     GeometricGrid,
@@ -99,6 +102,37 @@ def test_paths_stay_in_support():
             assert np.all(np.abs(batch.values[:, k]) <= edge)
         for i in range(0, 500, 50):
             assert batch.path(i).in_support()
+
+
+def test_in_support_keeps_its_comparison():
+    grid = GeometricGrid.build(q=0.5, t=1.0, depth=3)
+    edges = [2.0 * math.sqrt(float(tk) / 0.5) for tk in grid.times]
+    assert GeometricPath(grid, np.array(edges)).in_support()
+    assert GeometricPath(grid, tuple(Fraction(e) for e in edges)).in_support()
+    for k in range(4):
+        out = np.array(edges)
+        out[k] = -math.nextafter(edges[k], math.inf)
+        assert not GeometricPath(grid, out).in_support()
+    # NaN is not outside the support by that comparison; the simulation
+    # gate tests finiteness on its own
+    assert GeometricPath(grid, np.array([0.0, math.nan, 0.0, 0.0])).in_support()
+
+
+@pytest.mark.parametrize("table, fault", [("transition", "nan"), ("transition", "wide"), ("marginal", "inf")])
+def test_simulation_rejects_non_finite_or_outside_draws(monkeypatch, table, fault):
+    # a table whose draws are NaN, infinite or spread past the support
+    name = f"scaled_{table}_table"
+    real = getattr(process, name)
+    w = {"nan": math.nan, "inf": math.inf}.get(fault)
+
+    def patched(q, prod_eps):
+        good = real(q, prod_eps)
+        return dataclasses.replace(good, w=3.0 * good.w if w is None else w)
+
+    monkeypatch.setattr(process, name, patched)
+    grid = GeometricGrid.build(q=0.5, t=1.0, depth=5)
+    with pytest.raises(ValueError, match="not finite or lies outside the support"):
+        simulate_batch(grid, n_paths=200, base_seed=3)
 
 
 def test_horizon_moments_match_marginal():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qbm import qito
 from qbm.process import GeometricGrid, GeometricPath, simulate_batch, simulate_path
 from qbm.qcore import Poly, QContext, q_int
 from qbm.qhermite import QPolynomial, qhermite
@@ -107,6 +108,34 @@ def test_numeric_operators_reject_callables():
         nabla_numeric(lambda y: y**3, 0.35, 1.0, ctx)
     with pytest.raises(TypeError):
         delta_numeric(lambda y: y**3, 0.35, 1.0, ctx)
+
+
+def _divdiff2_alone(a, x, y, z):
+    """One polynomial's second divided difference by its own recurrence."""
+    total, h, g, zpow = 0.0 * y * z, 1.0 + 0.0 * y * z, 1.0 + 0.0 * y * z, 1.0 + 0.0 * z
+    for n in range(2, len(a)):
+        if a[n] != 0.0:
+            total = total + a[n] * h
+        zpow = zpow * z
+        g = g * y + zpow
+        h = h * x + g
+    return total
+
+
+def test_shared_divided_differences_match_each_polynomial_alone():
+    # one recurrence for several coefficient lists at one x; each total is
+    # bit for bit its own recurrence's, whatever the lengths and zeros
+    rng = np.random.default_rng(4)
+    polys = [[0.0, 1.0, 0.0, 1.0], [2.0, -1.0, 0.5, 0.0, 0.0, 3.0, -0.25], [1.0, 2.0], [0.0] * 4 + [1.5]]
+    y, z = rng.uniform(-2.0, 2.0, (5, 1)), rng.uniform(-2.0, 2.0, (1, 7))
+    totals = qito._divdiff2_sums(polys, 0.7, y, z)
+    for a, got in zip(polys, totals):
+        assert got.shape == (5, 7)
+        assert np.array_equal(got, _divdiff2_alone(a, 0.7, y, z))
+        assert np.array_equal(qito._divdiff2_poly(a, 0.7, y, z), got)
+    # f = x**3 has f[x, y, z] = x + y + z
+    assert np.allclose(totals[0], 0.7 + y + z, rtol=0, atol=1e-14)
+    assert np.all(totals[2] == 0.0)
 
 
 def test_ito_decompose_exact_on_rational_path():

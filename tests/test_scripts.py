@@ -63,3 +63,22 @@ def test_ito_convergence_rejects_bad_inputs(args, message, capsys):
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+def test_table_build_reports_time_and_defect(capsys):
+    assert load("table_build").main(["--q", "0.5", "0.5"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("# normalisation gate")
+    # both tables, and a repeated q is built and timed again
+    assert [line.split()[1] for line in lines[1:]] == ["marginal", "transition"] * 2
+    for line in lines[1:]:
+        assert line.startswith("q=0.5") and 0.0 < float(line.split("defect")[1]) <= 1e-6
+
+
+@pytest.mark.parametrize("args", [["--q", "0"], ["--q", "0.5", "1"], ["--q", "nan"], ["--q", "-0.2"]])
+def test_table_build_rejects_bad_q(args, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load("table_build").main(args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "every --q must lie in (0, 1)" in captured.err and captured.out == ""
