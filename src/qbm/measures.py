@@ -90,15 +90,15 @@ class DensitySpec:
 
     s = 0 and x = 0 give the time-t q-Gaussian marginal.  prod_eps bounds
     the remainder of the kernel's cut log series, so its relative
-    truncation error (see _tail_plan).  t**2 must not underflow
+    truncation error (see _series_cut).  t**2 must not underflow
     (t >= 1.49e-154).
     """
 
     q: float
     t: float
+    prod_eps: float
     s: float = 0.0
     x: float = 0.0
-    prod_eps: float = 1e-16
 
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
@@ -132,7 +132,7 @@ def transition_spec(ctx: QContext, s: float, t: float, x: float) -> DensitySpec:
 # the density kernel
 # ---------------------------------------------------------------------------
 
-def _kernel(y, x, s: float, t: float, q: float, prod_eps: float = 1e-16):
+def _kernel(y, x, s: float, t: float, q: float, prod_eps: float):
     """Transition density from x at time s to y at time t, divided by its edge
     factor sqrt(w**2 - y**2), w the time-t half-width; broadcasts over y and x.
     It is homogeneous: 1/t times its unit-time value at cos(phi) = y / w,
@@ -161,20 +161,26 @@ def _unit_kernel(c, u, r: float, q: float, prod_eps: float, scale: float):
     those are updated in place, since NumPy does not reuse temporaries here
     and a second live full-size temporary costs more than the arithmetic.
     Every operation is elementwise in one order and exp is NumPy's, so each
-    value depends on its own point alone.  When c is an array of one point
-    and u one value, the terms run on Python floats (IEEE + - * / round as
-    NumPy's float64 ufuncs do, so the value is the same bit for bit); a zero
-    denominator there (off the support) takes the array path, for NumPy's
-    inf or nan.
+    value depends on its own point alone.  When c and u are one point each,
+    the terms run on Python floats (IEEE + - * / round as NumPy's float64
+    ufuncs do, so the value is the same bit for bit, without some 30 NumPy
+    calls per series term on a one-element array); a zero denominator there
+    (off the support) takes the array path, for NumPy's inf or nan.
     """
-    if isinstance(c, np.ndarray) and c.size == 1 and np.size(u) == 1:
+    plan = _tail_plan(q, r, prod_eps)
+    if np.size(c) == 1 and np.size(u) == 1:
         try:
-            value = _unit_kernel(c.item(), u.item(), r, q, prod_eps, scale)
+            value = _unit_terms(np.asarray(c).item(), np.asarray(u).item(), r, q, plan, scale)
         except ZeroDivisionError:
             pass
         else:
-            return np.full(np.broadcast_shapes(c.shape, u.shape), value)
-    k0 = _tail_plan(q, r, prod_eps)[0]
+            return np.full(np.broadcast_shapes(np.shape(c), np.shape(u)), value)
+    return _unit_terms(c, u, r, q, plan, scale)
+
+
+def _unit_terms(c, u, r: float, q: float, plan: tuple, scale: float):
+    """_unit_kernel's value for its _tail_plan, on floats or arrays."""
+    k0 = plan[0]
     const = scale * (1.0 - q) * (1.0 - q) * (1.0 - r) / (2.0 * math.pi)
     c4, uu = 4.0 * (c * c), u * u
     num = den = qk = 1.0
@@ -191,19 +197,20 @@ def _unit_kernel(c, u, r: float, q: float, prod_eps: float, scale: float):
         den *= f
         qk *= q
     ratio = (const * num) / den
-    value = np.exp(_log_tail(c, u, r, q, prod_eps))
+    value = np.exp(_log_tail(c, u, r, q, plan))
     value *= ratio
     return value
 
 
-def _log_tail(c, u, r: float, q: float, prod_eps: float):
-    """log prod_{k>=k0} num_k / den_k, its series cut after M terms."""
-    _, n_terms, rho, log_tail = _tail_plan(q, r, prod_eps)
+def _log_tail(c, u, r: float, q: float, plan: tuple):
+    """log prod_{k>=k0} num_k / den_k, its series cut after M terms, for the
+    _tail_plan (k0, M, rho, log_y) at (q, r)."""
+    _, n_terms, rho, log_y = plan
     # Chebyshev recurrences: T_m at cos(phi) and cos(2 phi), r^(m/2) T_m at cos(psi)
     c2 = 2.0 * (c * c) - 1.0
     two_c, two_c2, two_u = 2.0 * c, 2.0 * c2, 2.0 * u
     t_prev, t_cur, d_prev, d_cur, s_prev, s_cur = 1.0, c, 1.0, c2, 1.0, u
-    log_y, pair, rho_m, q_m = log_tail, 0.0, 1.0, 1.0
+    pair, rho_m, q_m = 0.0, 1.0, 1.0
     for m in range(1, n_terms + 1):
         rho_m *= rho
         q_m *= q
@@ -219,15 +226,17 @@ def _log_tail(c, u, r: float, q: float, prod_eps: float):
 
 @lru_cache(maxsize=256)
 def _tail_plan(q: float, r: float, prod_eps: float) -> tuple[int, int, float, float]:
-    """(k0, M, rho = q**k0, log (r rho; q)_inf + log (q rho; q)_inf), the
-    scalar tails being -sum_m (r^m + q^m) rho^m / (m (1 - q^m)), summed
-    until a term falls below 1e-18."""
+    """(k0, M, rho, log (r rho; q)_inf + log (q rho; q)_inf) for the kernel at
+    (q, r), with _series_cut's (k0, M, rho).  The scalar tails are
+    -sum_m (r^m + q^m) rho^m / (m (1 - q^m)), summed until a term falls
+    below 1e-18.  They are kept per r: at q <= 0.8 summing them takes 4-9 us,
+    a fifth of a one-point kernel call."""
     k0, n_terms, rho = _series_cut(q, prod_eps)
-    log_tail, m, rho_m, q_m = 0.0, 1, rho, q
+    log_y, m, rho_m, q_m = 0.0, 1, rho, q
     while rho_m > 1e-18 * m * (1.0 - q_m):
-        log_tail -= (r**m + q_m) * rho_m / (m * (1.0 - q_m))
+        log_y -= (r**m + q_m) * rho_m / (m * (1.0 - q_m))
         m, rho_m, q_m = m + 1, rho_m * rho, q_m * q
-    return k0, n_terms, rho, log_tail
+    return k0, n_terms, rho, log_y
 
 
 @lru_cache(maxsize=64)

@@ -134,14 +134,10 @@ def _divdiff1_poly(a: list[float], x: float, y):
     return total
 
 
-def _divdiff2_poly(a: list[float], x: float, y, z):
-    """Second divided difference of sum a_n x**n, exact and singularity-free."""
-    return _divdiff2_sums([a], x, y, z)[0]
-
-
 def _divdiff2_sums(polys: Sequence[list[float]], x: float, y, z) -> list[np.ndarray]:
-    """_divdiff2_poly of each coefficient list at one x: the h/g recurrence
-    runs once for all, and each total adds its own terms in its own order."""
+    """Second divided difference of sum a_n x**n, exact and singularity-free,
+    for each coefficient list a in polys at one x: the h/g recurrence runs
+    once for all, and each total adds its own terms in its own order."""
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     shape = np.broadcast_shapes(y.shape, z.shape)

@@ -196,7 +196,7 @@ def _delta_full(f, x, s, ctx, rel_tol):
         y = outer.w * np.sin(thetas)
         rho_out = _theta_density(outer, thetas)
         rho_in = _theta_density(inner, thetas[None, :], (q * y)[:, None])
-        vals = qito._divdiff2_poly(a, float(x), y[:, None], y[None, :])
+        vals = qito._divdiff2_sums([a], float(x), y[:, None], y[None, :])[0]
         return float(np.sum(weights * rho_out * ((rho_in * vals) @ weights)))
 
     return _full_levels(estimate, rel_tol, 4096)
@@ -246,19 +246,20 @@ def test_nested_levels_match_full_evaluation(q):
 )
 @settings(max_examples=40, deadline=None)
 def test_one_point_kernel_matches_array_path(q, t, ratio, a, b):
-    # the one-point branch runs the product on Python floats; two copies of
-    # the point take the array path, and every bit must agree
+    # a point alone, as a scalar, a 0-d or a one-element array, and two copies
+    # of it give the same bits, in the kernel and in the density
     s = ratio * t
     x = a * support_halfwidth(s, q)
     y = b * support_halfwidth(t, q)
-    ref = measures._kernel(np.full(2, y), np.full(2, x), s, t, q)[0].hex()
+    eps = QContext.numeric(q).prod_eps
+    ref = measures._kernel(np.full(2, y), np.full(2, x), s, t, q, eps)[0].hex()
     for yy, xx, shape in (
         (y, x, ()),
         (np.array(y), np.array(x), ()),
         (np.array([y]), x, (1,)),
         (y, np.array([[x]]), (1, 1)),
     ):
-        one = measures._kernel(yy, xx, s, t, q)
+        one = measures._kernel(yy, xx, s, t, q, eps)
         assert one.shape == shape and float(one.ravel()[0]).hex() == ref
     ctx = QContext.numeric(q)
     pair = transition_density(np.full(2, x), s, t, np.full(2, y), ctx)
@@ -267,15 +268,34 @@ def test_one_point_kernel_matches_array_path(q, t, ratio, a, b):
 
 
 def test_one_point_kernel_zero_denominator_takes_array_path():
-    # t**2 underflows here; the scaled kernel no longer forms it, and the
-    # one-point and array paths agree on the value
+    # off the support, at r = 0, c = 1 and u = 1/2, the first denominator is
+    # exactly 0; one point and two copies of it give the same inf or nan
+    q = 0.5
+    eps = QContext.numeric(q).prod_eps
+    w = support_halfwidth(1.0, q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        one = measures._kernel(0.0, 0.0, 0.0, 1e-170, 0.5)
-        pair = measures._kernel(np.zeros(2), 0.0, 0.0, 1e-170, 0.5)
-    assert one.shape == () and np.array_equal(one, pair[0], equal_nan=True)
-    # so the densities reject such a horizon up front
+        one = measures._kernel(np.array([w]), w / 2.0, 0.0, 1.0, q, eps)
+        pair = measures._kernel(np.full(2, w), w / 2.0, 0.0, 1.0, q, eps)
+    assert not np.isfinite(pair[0])
+    assert one.shape == (1,) and np.array_equal(one, pair[:1], equal_nan=True)
+    # t**2 underflows here, so the densities reject such a horizon up front
     with pytest.raises(ValueError, match="underflows"):
-        qgauss_density(0.0, 1e-170, QContext.numeric(0.5))
+        qgauss_density(0.0, 1e-170, QContext.numeric(q))
+
+
+def test_one_point_calls_run_on_python_floats(monkeypatch):
+    # a scalar, 0-d or one-element point reaches the float terms, as the
+    # Chapman-Kolmogorov reference values and second legs call it
+    seen = []
+    real = measures._unit_terms
+    monkeypatch.setattr(measures, "_unit_terms", lambda c, *rest: seen.append(type(c)) or real(c, *rest))
+    ctx = QContext.numeric(0.5)
+    transition_density(0.3, 0.25, 1.0, 0.5, ctx)
+    transition_density(np.array(0.3), 0.25, 1.0, np.array([0.5]), ctx)
+    qgauss_density(0.5, 1.0, ctx)
+    assert seen == [float, float, float]
+    transition_density(0.3, 0.25, 1.0, np.array([0.5, 0.6]), ctx)
+    assert seen[-1] is np.ndarray
 
 
 def test_smallest_horizon_gives_finite_densities():
@@ -322,7 +342,7 @@ def test_kernel_is_finite_and_nonnegative_on_the_support(q, log_t, ratio, a, b):
     s = ratio * t
     x = a * support_halfwidth(s, q)
     y = b * support_halfwidth(t, q)
-    value = float(measures._kernel(y, x, s, t, q))
+    value = float(measures._kernel(y, x, s, t, q, QContext.numeric(q).prod_eps))
     assert math.isfinite(value) and value >= 0.0
     density = transition_density(x, s, t, y, QContext.numeric(q))
     assert math.isfinite(density) and density >= 0.0
@@ -362,7 +382,7 @@ def test_kernel_matches_decimal_reference(q, bound, n_points):
         y = float(rng.uniform(-1.0, 1.0)) * support_halfwidth(t, q)
         ref = _decimal_kernel(y, x, s, t, q)
         if ref > Decimal("1e-280"):
-            got = Decimal(float(measures._kernel(y, x, s, t, q)))
+            got = Decimal(float(measures._kernel(y, x, s, t, q, QContext.numeric(q).prod_eps)))
             worst = max(worst, float(abs(got / ref - 1)))
     assert worst <= bound
 
@@ -371,14 +391,14 @@ def test_kernel_matches_decimal_reference(q, bound, n_points):
 def test_tail_series_meets_its_remainder_bound_and_matches_the_product(q):
     rng = np.random.default_rng(17)
     for prod_eps in (1e-16, 1e-12):
+        k0, n_terms, rho = measures._series_cut(q, prod_eps)
+        assert k0 >= 1 and rho == pytest.approx(q**k0, rel=1e-13, abs=0.0)
+        # the remainder bound 6 rho^(M+1) / ((M+1)(1-q)(1-rho)) holds, and
+        # one term fewer would not meet it
+        bound = lambda m: 6.0 * rho ** (m + 1) / ((m + 1) * (1.0 - q) * (1.0 - rho))
+        assert bound(n_terms) <= prod_eps
+        assert n_terms == 0 or bound(n_terms - 1) > prod_eps
         for r in (0.0, 0.3, q, 0.99):
-            k0, n_terms, rho, _ = measures._tail_plan(q, r, prod_eps)
-            assert k0 >= 1 and rho == pytest.approx(q**k0, rel=1e-13, abs=0.0)
-            # the remainder bound 6 rho^(M+1) / ((M+1)(1-q)(1-rho)) holds,
-            # and one term fewer would not meet it
-            bound = lambda m: 6.0 * rho ** (m + 1) / ((m + 1) * (1.0 - q) * (1.0 - rho))
-            assert bound(n_terms) <= prod_eps
-            assert n_terms == 0 or bound(n_terms - 1) > prod_eps
             for phi, psi in rng.uniform(0.0, math.pi, (3, 2)):
                 c, u = math.cos(phi), math.sqrt(r) * math.cos(psi)
                 # brute force: the factors k >= k0 in complex form
@@ -391,7 +411,7 @@ def test_tail_series_meets_its_remainder_bound_and_matches_the_product(q):
                     k, qk = k + 1, qk * q
                 # the cut series is within prod_eps in log; rounding grows with
                 # the size of the log and with the product's factor count
-                got = math.exp(measures._log_tail(c, u, r, q, prod_eps))
+                got = math.exp(measures._log_tail(c, u, r, q, measures._tail_plan(q, r, prod_eps)))
                 allowance = prod_eps + 8.0 * sys.float_info.epsilon * (k - k0 + abs(math.log(tail)))
                 assert got == pytest.approx(tail, rel=allowance, abs=0.0)
 

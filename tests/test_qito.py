@@ -132,7 +132,6 @@ def test_shared_divided_differences_match_each_polynomial_alone():
     for a, got in zip(polys, totals):
         assert got.shape == (5, 7)
         assert np.array_equal(got, _divdiff2_alone(a, 0.7, y, z))
-        assert np.array_equal(qito._divdiff2_poly(a, 0.7, y, z), got)
     # f = x**3 has f[x, y, z] = x + y + z
     assert np.allclose(totals[0], 0.7 + y + z, rtol=0, atol=1e-14)
     assert np.all(totals[2] == 0.0)
