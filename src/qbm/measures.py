@@ -442,13 +442,13 @@ def _tabulate(spec: DensitySpec, x_grid=None) -> CdfTable:
 
 
 @lru_cache(maxsize=16)
-def scaled_marginal_table(q: float, prod_eps: float = 1e-16) -> CdfTable:
+def scaled_marginal_table(q: float, prod_eps: float) -> CdfTable:
     """CDF table of the unit-time marginal; other horizons follow by sqrt(t) scaling."""
     return _tabulate(marginal_spec(QContext.numeric(q, prod_eps=prod_eps), 1.0))
 
 
 @lru_cache(maxsize=16)
-def scaled_transition_table(q: float, prod_eps: float = 1e-16) -> CdfTable:
+def scaled_transition_table(q: float, prod_eps: float) -> CdfTable:
     """CDF rows of the scaled one-step kernel (time q to time 1).
 
     On a geometric grid every step has time ratio q, and diffusive scaling
@@ -470,46 +470,55 @@ def invert_cdf(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     and the next level bracket it; bisection then runs only on the draws
     whose bracket spans more than one cell.
     """
-    thetas, cdf, pdf, guide = table.thetas, table.cdf, table.pdf, table.guide
-    n = thetas.shape[0]
-    u, rows = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(rows, dtype=np.intp))
-    shape, u, rows = u.shape, u.ravel(), rows.ravel()
+    return _invert(table, u, rows)[0]
+
+
+def _invert(table: CdfTable, u, *row_sets) -> list[np.ndarray]:
+    """invert_cdf at the same u for each of row_sets, which share the check
+    of u, its guide level and the table's flat views; the search and the
+    Newton step run once per row set."""
+    thetas, guide = table.thetas, table.guide
+    cflat, pflat = table.cdf.ravel(), table.pdf.ravel()
+    n, h = thetas.shape[0], thetas[1] - thetas[0]
+    u, *row_sets = np.broadcast_arrays(np.asarray(u, dtype=float), *(np.asarray(r, dtype=np.intp) for r in row_sets))
+    shape, u = u.shape, u.ravel()
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniforms must lie in [0, 1)")
-    gi = rows * (N_GUIDE + 1) + (u * N_GUIDE).astype(np.intp)
-    lo = guide.take(gi).astype(np.intp)
-    hi = guide.take(gi + 1).astype(np.intp) + 1
-    # invariant: cdf[row, lo] <= u < cdf[row, hi]
-    base = rows * n
-    cflat = cdf.ravel()
-    active = np.flatnonzero(hi - lo > 1)
-    while active.size:
-        a_lo, a_hi = lo[active], hi[active]
-        mid = (a_lo + a_hi) // 2
-        below = cflat.take(base[active] + mid) <= u[active]
-        a_lo = np.where(below, mid, a_lo)
-        a_hi = np.where(below, a_hi, mid)
-        lo[active], hi[active] = a_lo, a_hi
-        active = active[a_hi - a_lo > 1]
-    cell = base + lo
-    f0, f1 = cflat.take(cell), cflat.take(cell + 1)
-    pflat = pdf.ravel()
-    p0, p1 = pflat.take(cell), pflat.take(cell + 1)
-    h = thetas[1] - thetas[0]
-    t0 = thetas.take(lo)
-    df = np.maximum(f1 - f0, 1e-300)
-    frac = np.clip((u - f0) / df, 0.0, 1.0)
-    theta = t0 + frac * h
-    rho = np.maximum(p0 + (p1 - p0) * frac, 1e-300)
-    f_hat = f0 + (theta - t0) * 0.5 * (p0 + rho)
-    theta = theta - (f_hat - u) / rho
-    return np.clip(theta, t0, t0 + h).reshape(shape)
+    level = (u * N_GUIDE).astype(np.intp)
+    out = []
+    for rows in row_sets:
+        rows = rows.ravel()
+        gi = rows * (N_GUIDE + 1) + level
+        lo = guide.take(gi).astype(np.intp)
+        hi = guide.take(gi + 1).astype(np.intp) + 1
+        # invariant: cdf[row, lo] <= u < cdf[row, hi]
+        base = rows * n
+        active = np.flatnonzero(hi - lo > 1)
+        while active.size:
+            a_lo, a_hi = lo[active], hi[active]
+            mid = (a_lo + a_hi) // 2
+            below = cflat.take(base[active] + mid) <= u[active]
+            a_lo = np.where(below, mid, a_lo)
+            a_hi = np.where(below, a_hi, mid)
+            lo[active], hi[active] = a_lo, a_hi
+            active = active[a_hi - a_lo > 1]
+        cell = base + lo
+        f0, f1 = cflat.take(cell), cflat.take(cell + 1)
+        p0, p1 = pflat.take(cell), pflat.take(cell + 1)
+        t0 = thetas.take(lo)
+        df = np.maximum(f1 - f0, 1e-300)
+        frac = np.minimum(np.maximum((u - f0) / df, 0.0), 1.0)
+        theta = t0 + frac * h
+        rho = np.maximum(p0 + (p1 - p0) * frac, 1e-300)
+        f_hat = f0 + (theta - t0) * 0.5 * (p0 + rho)
+        theta = theta - (f_hat - u) / rho
+        out.append(np.minimum(np.maximum(theta, t0), t0 + h).reshape(shape))
+    return out
 
 
 def draw_from_table(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map uniforms through the tabulated inverse CDF to state space."""
-    theta = invert_cdf(table, rows, u)
-    return table.w * np.sin(theta)
+    return table.w * np.sin(invert_cdf(table, rows, u))
 
 
 def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -518,15 +527,14 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) 
     The conditional quantile function is interpolated linearly between the two
     bracketing x-grid rows, in state space.  Conditional means interpolate
     linearly in x, so the martingale property survives tabulation exactly up
-    to each row's own quantile error.
+    to each row's own quantile error.  Both rows are inverted in one pass.
     """
     xg = table.x_grid
     if xg is None:
         raise ValueError("table has no conditioning grid")
     dx = xg[1] - xg[0]
     pos = (np.asarray(x_scaled, dtype=float) - xg[0]) / dx
-    j = np.clip(np.floor(pos).astype(np.intp), 0, xg.shape[0] - 2)
-    lam = np.clip(pos - j, 0.0, 1.0)
-    ya = table.w * np.sin(invert_cdf(table, j, u))
-    yb = table.w * np.sin(invert_cdf(table, j + 1, u))
-    return (1.0 - lam) * ya + lam * yb
+    j = np.minimum(np.maximum(np.floor(pos).astype(np.intp), 0), xg.shape[0] - 2)
+    lam = np.minimum(np.maximum(pos - j, 0.0), 1.0)
+    ta, tb = _invert(table, u, j, j + 1)
+    return (1.0 - lam) * (table.w * np.sin(ta)) + lam * (table.w * np.sin(tb))

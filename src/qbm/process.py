@@ -11,6 +11,8 @@ np.random.default_rng(base_seed + i), the marginal draw first, so results do
 not depend on evaluation order or batch size.  The batch computes those
 streams together, one column of uniforms per draw, in vectorised integer
 arithmetic; base seeds need 0 <= base_seed and base_seed + n_paths <= 2**128.
+It walks the whole grid for PATH_BLOCK paths before it starts the next
+block, so its temporaries stay cache-sized at any batch size.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ __all__ = [
 
 #: default grid tail threshold: depth K is the smallest with q**K <= this
 GRID_TAIL = 1e-6
+#: paths simulated (and summed by stochint) together: a step's temporaries stay in L2
+PATH_BLOCK = 8192
 
 
 def default_depth(q: float) -> int:
@@ -125,6 +129,11 @@ class PathBatch:
 
     def __iter__(self) -> Iterator[GeometricPath]:
         return (self.path(i) for i in range(len(self)))
+
+    def column_blocks(self) -> Iterator[np.ndarray]:
+        """The values PATH_BLOCK paths at a time, as contiguous grid columns of shape (K + 1, paths)."""
+        for start in range(0, len(self), PATH_BLOCK):
+            yield np.ascontiguousarray(self.values[start : start + PATH_BLOCK].T)
 
     @property
     def horizon_values(self) -> np.ndarray:
@@ -242,9 +251,9 @@ def simulate_batch(
 ) -> PathBatch:
     """Simulate n_paths independent paths on the grid.
 
-    Marginal draw at the deepest time, then one transition draw per step,
-    vectorised across paths through the shared scaled-kernel tables.  Row i
-    uses the stream of seed base_seed + i; raises ValueError unless
+    Marginal draw at the deepest time, then one transition draw per step through
+    the shared scaled-kernel tables, vectorised over PATH_BLOCK paths at a time.
+    Row i uses the stream of seed base_seed + i; raises ValueError unless
     0 <= base_seed and base_seed + n_paths <= 2**128, and if a drawn value
     is not finite or outside the support (checked column by column).
     """
@@ -256,21 +265,22 @@ def simulate_batch(
     q = float(grid.q)
     if ctx is None:
         ctx = QContext.numeric(q)
-    prod_eps = ctx.prod_eps
     K = grid.K
-    u = _uniform_columns(n_paths, base_seed)
+    mt = scaled_marginal_table(q, ctx.prod_eps)
+    tt = scaled_transition_table(q, ctx.prod_eps)
     values = np.empty((n_paths, K + 1))
-    t_deep = float(grid.times[K])
-    mt = scaled_marginal_table(q, prod_eps)
-    rows = np.zeros(n_paths, dtype=np.intp)
-    values[:, K] = math.sqrt(t_deep) * draw_from_table(mt, rows, next(u))
-    tt = scaled_transition_table(q, prod_eps)
-    for k in range(K, -1, -1):
-        if k < K:
-            rt = math.sqrt(float(grid.times[k]))
-            values[:, k] = rt * draw_transition_batch(tt, values[:, k + 1] / rt, next(u))
-        if not np.all(np.isfinite(values[:, k])) or np.any(_outside(values[:, k], grid.times[k], q)):
-            raise ValueError(f"a value drawn at grid time index {k} is not finite or lies outside the support")
+    buf = np.empty((K + 1, min(PATH_BLOCK, n_paths)))
+    for start in range(0, n_paths, PATH_BLOCK):
+        block = buf[:, : n_paths - start]
+        u = _uniform_columns(block.shape[1], base_seed + start)
+        block[K] = math.sqrt(float(grid.times[K])) * draw_from_table(mt, 0, next(u))
+        for k in range(K, -1, -1):
+            if k < K:
+                rt = math.sqrt(float(grid.times[k]))
+                block[k] = rt * draw_transition_batch(tt, block[k + 1] / rt, next(u))
+            if not np.all(np.isfinite(block[k])) or np.any(_outside(block[k], grid.times[k], q)):
+                raise ValueError(f"a value drawn at grid time index {k} is not finite or lies outside the support")
+        values[start : start + PATH_BLOCK] = block.T
     return PathBatch(grid=grid, values=values, base_seed=base_seed)
 
 

@@ -192,8 +192,10 @@ def integrate_byparts(
 
 
 def integrate_def_batch(f: PolynomialIntegrand, batch: PathBatch, ctx: QContext) -> np.ndarray:
-    """Defining-sum values for every path of a batch, vectorised column-wise."""
-    return np.asarray(_def_sum(f, batch.grid, lambda k: batch.values[:, k], ctx), dtype=float)
+    """Defining-sum values for every path of a batch, vectorised over one block of
+    batch.column_blocks() at a time; a path's value does not depend on its block."""
+    return np.concatenate([np.asarray(_def_sum(f, batch.grid, cols.__getitem__, ctx), dtype=float)
+                           for cols in batch.column_blocks()])
 
 
 def deterministic_integral(b, path: GeometricPath, ctx: QContext):

@@ -248,11 +248,12 @@ def test_simulate_at_the_largest_seeds(tmp_path):
     assert len((out / "paths" / "paths_wide.csv").read_text().splitlines()) == 22
 
 
-#: SHA-256 of every artifact but manifest.json (which echoes --out) for four
+#: SHA-256 of every artifact but manifest.json (which echoes --out) for five
 #: small runs, recorded with NumPy 2.4 on x86-64 Linux: identities.json and
 #: kurtosis_vs_r.csv at qbm 0.2.0 (see CHANGES.md for the digests of 0.1.0),
 #: the paths, density curves and verify.json re-recorded at qbm 0.4.0 (the
-#: q-Pochhammer density kernel; CHANGES.md lists the old digests)
+#: q-Pochhammer density kernel; CHANGES.md lists the old digests); the
+#: 20000-path isometry run recorded at 0.4.0 before simulation was blocked
 PINNED_DIGESTS = [
     (
         ["--suite", "identities"],
@@ -278,6 +279,15 @@ PINNED_DIGESTS = [
             "density_curves.csv": "6fc0cc448acd154790a426d0f7afa1c537ae915ba95bfb54d43ee691afeaa591",
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
             "verify.json": "e3569f1ed4c3cf523c0a1de36b66f23ccc56f31a85c75f5b4f85149f08c97803",
+        },
+    ),
+    # 20000 paths: three simulation blocks at each q
+    (
+        ["--suite", "verify", "--only", "isometry", "--paths", "20000"],
+        {
+            "density_curves.csv": "6fc0cc448acd154790a426d0f7afa1c537ae915ba95bfb54d43ee691afeaa591",
+            "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
+            "verify.json": "ad3b68a3afa2e802c1d87469cd783ab61850fcdb61e21bc2f8fa3ddd8f792693",
         },
     ),
 ]

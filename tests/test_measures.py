@@ -15,6 +15,7 @@ from qbm.measures import (
     QuadratureError,
     _theta_density,
     _trapezoid_nodes,
+    draw_transition_batch,
     integrate,
     invert_cdf,
     marginal_spec,
@@ -421,9 +422,10 @@ def test_tables_record_their_normalisation_defect():
     # tabulated mass, so the raw values give the masses back; the defect is
     # the largest |mass - 1|, under the gate
     ctx = QContext.numeric(0.5)
+    tt = scaled_transition_table(0.5, ctx.prod_eps)
     tables = (
-        (scaled_marginal_table(0.5), marginal_spec(ctx, 1.0), np.zeros(1)),
-        (scaled_transition_table(0.5), transition_spec(ctx, 0.5, 1.0, 0.0), scaled_transition_table(0.5).x_grid),
+        (scaled_marginal_table(0.5, ctx.prod_eps), marginal_spec(ctx, 1.0), np.zeros(1)),
+        (tt, transition_spec(ctx, 0.5, 1.0, 0.0), tt.x_grid),
     )
     mid = measures.N_THETA // 2
     for table, spec, xs in tables:
@@ -546,35 +548,65 @@ def _bisection_inverse(table, rows, u):
     return np.clip(theta, t0, t0 + h)
 
 
+def _edge_inputs(cdf):
+    """(rows, u, flat_rows) for inverting cdf: random draws, both ends of
+    [0, 1) on the first and the last row, u exactly on tabulated CDF values,
+    and every zero-increment cell of a spread of the flat_rows that have
+    them."""
+    n_rows, n = cdf.shape
+    rng = np.random.default_rng(5)
+    rows = [rng.integers(0, n_rows, 4000)]
+    u = [rng.random(4000)]
+    rows.append(np.array([0, 0, n_rows - 1, n_rows - 1]))
+    u.append(np.array([0.0, 1.0 - 2.0**-53] * 2))
+    on_rows = rng.integers(0, n_rows, 500)
+    rows.append(on_rows)
+    u.append(cdf[on_rows, rng.integers(0, n - 1, 500)])
+    flat_rows = np.flatnonzero(np.any(np.diff(cdf, axis=1) == 0.0, axis=1))
+    for r in flat_rows[:: max(1, flat_rows.size // 8)]:
+        flat = np.flatnonzero(np.diff(cdf[r]) == 0.0)
+        rows.append(np.full(flat.size, r))
+        u.append(cdf[r, flat])
+    rows, u = np.concatenate(rows), np.concatenate(u)
+    # draws lie in [0, 1); trailing flat cells tabulate exactly 1
+    return rows[u < 1.0], u[u < 1.0], flat_rows
+
+
 @pytest.mark.parametrize("q", [0.5, 0.8])
 def test_guided_inversion_matches_bisection(q):
-    for table in (scaled_marginal_table(q), scaled_transition_table(q)):
+    eps = QContext.numeric(q).prod_eps
+    for table in (scaled_marginal_table(q, eps), scaled_transition_table(q, eps)):
         cdf = table.cdf
-        n_rows, n = cdf.shape
         assert np.all(np.diff(cdf, axis=1) >= 0.0)
         assert np.all(cdf[:, 0] == 0.0) and np.all(cdf[:, -1] == 1.0)
-        rng = np.random.default_rng(5)
-        rows = [rng.integers(0, n_rows, 4000)]
-        u = [rng.random(4000)]
-        # both ends of [0, 1), on the first and the last row
-        rows.append(np.array([0, 0, n_rows - 1, n_rows - 1]))
-        u.append(np.array([0.0, 1.0 - 2.0**-53] * 2))
-        # u exactly on tabulated CDF values
-        on_rows = rng.integers(0, n_rows, 500)
-        rows.append(on_rows)
-        u.append(cdf[on_rows, rng.integers(0, n - 1, 500)])
-        # every zero-increment cell of a spread of rows that have them
-        flat_rows = np.flatnonzero(np.any(np.diff(cdf, axis=1) == 0.0, axis=1))
-        for r in flat_rows[:: max(1, flat_rows.size // 8)]:
-            flat = np.flatnonzero(np.diff(cdf[r]) == 0.0)
-            rows.append(np.full(flat.size, r))
-            u.append(cdf[r, flat])
-        rows, u = np.concatenate(rows), np.concatenate(u)
-        # draws lie in [0, 1); trailing flat cells tabulate exactly 1
-        rows, u = rows[u < 1.0], u[u < 1.0]
+        rows, u, flat_rows = _edge_inputs(cdf)
         assert np.array_equal(invert_cdf(table, rows, u), _bisection_inverse(table, rows, u))
         for bad in (1.0, -(2.0**-60), math.nan):
             with pytest.raises(ValueError, match=r"\[0, 1\)"):
                 invert_cdf(table, rows[:3], np.array([0.5, bad, 0.25]))
     # the q = 0.8 transition rows do have zero-increment cells
     assert q != 0.8 or flat_rows.size > 0
+
+
+@pytest.mark.parametrize("q", [0.5, 0.8])
+def test_transition_draw_matches_two_inversions(q):
+    # the one-pass step against two separate invert_cdf calls on the edge
+    # inputs: each input's row is once the upper bracketing row j + 1 and
+    # once the lower row j; states at the grid's ends and past them clip j
+    # and the weight
+    table = scaled_transition_table(q, QContext.numeric(q).prod_eps)
+    xg, w = table.x_grid, table.w
+    dx = xg[1] - xg[0]
+    rows, u, _ = _edge_inputs(table.cdf)
+    lam = np.random.default_rng(6).random(rows.size)
+    x = np.concatenate([xg[0] + (rows - 1 + lam) * dx, xg[0] + rows * dx, [xg[0] - dx, xg[-1], xg[-1] + dx]])
+    u = np.concatenate([u, u, [0.0, 0.5, 1.0 - 2.0**-53]])
+    pos = (x - xg[0]) / dx
+    j = np.clip(np.floor(pos).astype(np.intp), 0, xg.shape[0] - 2)
+    lam = np.clip(pos - j, 0.0, 1.0)
+    assert {0, xg.shape[0] - 2} <= set(j.tolist()) and lam.min() == 0.0 and lam.max() == 1.0
+    ref = (1.0 - lam) * (w * np.sin(invert_cdf(table, j, u))) + lam * (w * np.sin(invert_cdf(table, j + 1, u)))
+    assert np.array_equal(draw_transition_batch(table, x, u), ref)
+    for bad in (1.0, -(2.0**-60), math.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            draw_transition_batch(table, x[:3], np.array([0.5, bad, 0.25]))

@@ -259,3 +259,63 @@ def test_simulate_batch_rejects_seeds_outside_stream():
         simulate_batch(grid, n_paths=1, base_seed=1.5)
     top = simulate_batch(grid, n_paths=4, base_seed=SEED_LIMIT - 4)
     assert np.array_equal(top.path(3).values, simulate_path(grid, seed=SEED_LIMIT - 1).values)
+
+
+def test_path_blocks_do_not_change_the_batch(monkeypatch):
+    # three blocks, the last of 3 paths; the second block's entropy words
+    # carry past 2**32 after its first path
+    from qbm.qhermite import QPolynomial
+    from qbm.stochint import PolynomialIntegrand, integrate_def_batch
+
+    n = 2 * process.PATH_BLOCK + 3
+    base = 2**32 - process.PATH_BLOCK - 1
+    grid = GeometricGrid.build(q=0.5, t=1.0, depth=8)
+    ctx = QContext.numeric(0.5)
+    f = PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(3), ctx)
+    blocked = simulate_batch(grid, n, base, ctx)
+    sums = integrate_def_batch(f, blocked, ctx)
+    monkeypatch.setattr(process, "PATH_BLOCK", n)
+    whole = simulate_batch(grid, n, base, ctx)
+    assert np.array_equal(blocked.values, whole.values)
+    assert np.array_equal(sums, integrate_def_batch(f, whole, ctx))
+    assert np.array_equal(blocked.path(n - 1).values, simulate_path(grid, base + n - 1, ctx).values)
+
+
+def test_bad_draw_in_a_later_block_is_rejected(monkeypatch):
+    # a NaN in the first transition column of the second block
+    grid = GeometricGrid.build(q=0.5, t=1.0, depth=4)
+    real = process.draw_transition_batch
+    calls = []
+
+    def patched(table, x_scaled, u):
+        out = real(table, x_scaled, u)
+        calls.append(out.shape[0])
+        if len(calls) == grid.K + 1:
+            out[-1] = math.nan
+        return out
+
+    monkeypatch.setattr(process, "draw_transition_batch", patched)
+    with pytest.raises(ValueError, match="not finite or lies outside the support"):
+        simulate_batch(grid, n_paths=2 * process.PATH_BLOCK + 3, base_seed=2**32 - process.PATH_BLOCK - 1)
+    assert calls == [process.PATH_BLOCK] * (grid.K + 1)
+
+
+def test_simulation_memory_is_bounded_by_the_block():
+    # beyond its output, a batch holds one block's columns and the draws'
+    # temporaries (about 3.4 blocks here), however many blocks it has; one
+    # pass over all 4 blocks' paths at once would hold about 9
+    import tracemalloc
+
+    grid = GeometricGrid.build(q=0.5, t=1.0)
+    ctx = QContext.numeric(0.5)
+    simulate_batch(grid, 1, 0, ctx)  # the tables, outside the measurement
+    n = 4 * process.PATH_BLOCK
+    output = n * (grid.K + 1) * 8
+    block = process.PATH_BLOCK * (grid.K + 1) * 8
+    tracemalloc.start()
+    try:
+        simulate_batch(grid, n, 11, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - output < 5 * block, (peak - output) / block
