@@ -4,9 +4,10 @@
 
 For each q this builds the unit-time marginal table and the scaled one-step
 transition table that simulate_batch draws from, and prints one line per
-table: its build time in seconds, its row count, and its defect, the largest
-|mass - 1| of its rows before normalisation (a build fails above NORM_TOL).
-Every table is built afresh, also when a q repeats.
+table: its build time in seconds, its row count, the bytes of its cdf, pdf
+and guide arrays, and its defect, the largest |mass - 1| of its rows before
+normalisation (a build fails above NORM_TOL).  Every table is built afresh,
+also when a q repeats.
 """
 
 import argparse
@@ -14,7 +15,6 @@ import sys
 import time
 
 from qbm.measures import NORM_TOL, InvalidDensityError, scaled_marginal_table, scaled_transition_table
-from qbm.qcore import QContext
 
 TABLES = (("marginal", scaled_marginal_table), ("transition", scaled_transition_table))
 
@@ -32,13 +32,14 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             try:
                 # the uncached builder: a repeated q is timed again
-                table = build.__wrapped__(q, QContext.numeric(q).prod_eps)
+                table = build.__wrapped__(q)
             except InvalidDensityError as err:
                 print(f"q={q} {name}: {err}", file=sys.stderr)
                 return 1
             seconds = time.perf_counter() - start
             rows = table.cdf.shape[0]
-            print(f"q={q:<6g} {name:<10} {seconds:7.3f} s {rows:4d} rows  defect {table.defect:.3e}")
+            sizes = f"cdf {table.cdf.nbytes:8d} B  pdf {table.pdf.nbytes:8d} B  guide {table.guide.nbytes:8d} B"
+            print(f"q={q:<6g} {name:<10} {seconds:7.3f} s {rows:4d} rows  {sizes}  defect {table.defect:.3e}")
     return 0
 
 

@@ -5,7 +5,7 @@ time s to time t, an Al-Salam-Chihara weight, an infinite product of
 q-Pochhammer factors.  The kernel is homogeneous, so it is evaluated on the
 unit-time scale: the first few factors directly, the rest by the log series
 of the q-Pochhammer symbols, cut where its remainder bound falls below
-prod_eps.  Its cost per point no longer grows with 1/(1-q).  The time-t
+qcore.PROD_EPS.  Its cost per point no longer grows with 1/(1-q).  The time-t
 marginal is the transition from x = 0 at s = 0.  Densities are supported on
 |y| <= w = 2 sqrt(t / (1-q)), where they vanish like sqrt(w**2 - y**2); the
 kernel is the density with that edge factor divided out, and is analytic on
@@ -23,7 +23,7 @@ kernel runs on Python floats, with the same value bit for bit.
 
 Sampling is by inverse CDF on a tabulated theta-grid: deterministic given the
 generator state, which keeps every Monte Carlo run reproducible from its seed.
-Each table records its normalisation defect.
+Each table is built once per q and records its normalisation defect.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import QContext
+from .qcore import PROD_EPS, QContext
 
 __all__ = [
     "DensitySpec",
@@ -88,15 +88,12 @@ def support_halfwidth(t: float, q: float) -> float:
 class DensitySpec:
     """The transition density from state x at time s to time t.
 
-    s = 0 and x = 0 give the time-t q-Gaussian marginal.  prod_eps bounds
-    the remainder of the kernel's cut log series, so its relative
-    truncation error (see _series_cut).  t**2 must not underflow
-    (t >= 1.49e-154).
+    s = 0 and x = 0 give the time-t q-Gaussian marginal.  t**2 must not
+    underflow (t >= 1.49e-154).
     """
 
     q: float
     t: float
-    prod_eps: float
     s: float = 0.0
     x: float = 0.0
 
@@ -107,8 +104,6 @@ class DensitySpec:
             raise ValueError("t must be positive and finite")
         if self.t * self.t < sys.float_info.min:
             raise ValueError(f"t = {self.t} is too small: t**2 underflows")
-        if not self.prod_eps > 0.0:
-            raise ValueError("prod_eps must be positive")
         if not (0.0 <= self.s < self.t):
             raise ValueError("transition needs 0 <= s < t")
         if not abs(self.x) <= support_halfwidth(self.s, self.q):
@@ -125,24 +120,24 @@ def marginal_spec(ctx: QContext, t: float) -> DensitySpec:
 
 
 def transition_spec(ctx: QContext, s: float, t: float, x: float) -> DensitySpec:
-    return DensitySpec(q=ctx.qf, t=float(t), s=float(s), x=float(x), prod_eps=ctx.prod_eps)
+    return DensitySpec(q=ctx.qf, t=float(t), s=float(s), x=float(x))
 
 
 # ---------------------------------------------------------------------------
 # the density kernel
 # ---------------------------------------------------------------------------
 
-def _kernel(y, x, s: float, t: float, q: float, prod_eps: float):
+def _kernel(y, x, s: float, t: float, q: float):
     """Transition density from x at time s to y at time t, divided by its edge
     factor sqrt(w**2 - y**2), w the time-t half-width; broadcasts over y and x.
     It is homogeneous: 1/t times its unit-time value at cos(phi) = y / w,
     u = x / w and r = s / t (see _unit_kernel)."""
     w = support_halfwidth(t, q)
     c, u = np.asarray(y, dtype=float) / w, np.asarray(x, dtype=float) / w
-    return _unit_kernel(c, u, s / t, q, prod_eps, 1.0 / t)
+    return _unit_kernel(c, u, s / t, q, 1.0 / t)
 
 
-def _unit_kernel(c, u, r: float, q: float, prod_eps: float, scale: float):
+def _unit_kernel(c, u, r: float, q: float, scale: float):
     """scale times the unit-time kernel at cos(phi) = c and u = sqrt(r) cos(psi),
     NumPy arrays or floats; broadcasts over c and u.
 
@@ -167,7 +162,7 @@ def _unit_kernel(c, u, r: float, q: float, prod_eps: float, scale: float):
     calls per series term on a one-element array); a zero denominator there
     (off the support) takes the array path, for NumPy's inf or nan.
     """
-    plan = _tail_plan(q, r, prod_eps)
+    plan = _tail_plan(q, r)
     if np.size(c) == 1 and np.size(u) == 1:
         try:
             value = _unit_terms(np.asarray(c).item(), np.asarray(u).item(), r, q, plan, scale)
@@ -225,13 +220,13 @@ def _log_tail(c, u, r: float, q: float, plan: tuple):
 
 
 @lru_cache(maxsize=256)
-def _tail_plan(q: float, r: float, prod_eps: float) -> tuple[int, int, float, float]:
+def _tail_plan(q: float, r: float) -> tuple[int, int, float, float]:
     """(k0, M, rho, log (r rho; q)_inf + log (q rho; q)_inf) for the kernel at
-    (q, r), with _series_cut's (k0, M, rho).  The scalar tails are
+    (q, r), with _series_cut's (k0, M, rho) at PROD_EPS.  The scalar tails are
     -sum_m (r^m + q^m) rho^m / (m (1 - q^m)), summed until a term falls
     below 1e-18.  They are kept per r: at q <= 0.8 summing them takes 4-9 us,
     a fifth of a one-point kernel call."""
-    k0, n_terms, rho = _series_cut(q, prod_eps)
+    k0, n_terms, rho = _series_cut(q, PROD_EPS)
     log_y, m, rho_m, q_m = 0.0, 1, rho, q
     while rho_m > 1e-18 * m * (1.0 - q_m):
         log_y -= (r**m + q_m) * rho_m / (m * (1.0 - q_m))
@@ -240,20 +235,20 @@ def _tail_plan(q: float, r: float, prod_eps: float) -> tuple[int, int, float, fl
 
 
 @lru_cache(maxsize=64)
-def _series_cut(q: float, prod_eps: float) -> tuple[int, int, float]:
+def _series_cut(q: float, eps: float) -> tuple[int, int, float]:
     """(k0, M, rho = q**k0) for the kernel's log series.
 
     |T_m| <= 1 and r <= 1 bound the series' term m by 6 rho^m / (m (1 - q^m)),
     and its remainder after M terms by 6 rho^(M+1) / ((M+1) (1-q) (1-rho)).
     For each k0 >= 1, M is the fewest terms with that bound at most
-    prod_eps; the k0 taken has the least full-size work per point, four
+    eps; the k0 taken has the least full-size work per point, four
     operations per direct factor and two per series term.
     """
     best = None
     k0, rho = 1, q
     while best is None or 4 * k0 < best[0]:
         n_terms = 0
-        while 6.0 * rho ** (n_terms + 1) / ((n_terms + 1) * (1.0 - q) * (1.0 - rho)) > prod_eps:
+        while 6.0 * rho ** (n_terms + 1) / ((n_terms + 1) * (1.0 - q) * (1.0 - rho)) > eps:
             n_terms += 1
         if best is None or 4 * k0 + 2 * n_terms < best[0]:
             best = (4 * k0 + 2 * n_terms, k0, n_terms, rho)
@@ -269,7 +264,7 @@ def _y_density(spec: DensitySpec, y, x=None):
     w = spec.w
     edge = np.sqrt(np.maximum(w * w - y * y, 0.0))
     # off the support the Chebyshev terms grow without bound; those values are dropped
-    rho = edge * _kernel(np.clip(y, -w, w), x, spec.s, spec.t, spec.q, spec.prod_eps)
+    rho = edge * _kernel(np.clip(y, -w, w), x, spec.s, spec.t, spec.q)
     return np.where(np.abs(y) < w, rho, 0.0)[()]
 
 
@@ -284,7 +279,7 @@ def _theta_density(spec: DensitySpec, theta, x=None):
     c = np.sin(theta)
     u = np.asarray(x, dtype=float) / spec.w
     scale = 4.0 / (1.0 - spec.q)
-    return ((1.0 - c) * (1.0 + c)) * _unit_kernel(c, u, spec.s / spec.t, spec.q, spec.prod_eps, scale)
+    return ((1.0 - c) * (1.0 + c)) * _unit_kernel(c, u, spec.s / spec.t, spec.q, scale)
 
 
 def qgauss_density(y, t: float, ctx: QContext):
@@ -442,20 +437,20 @@ def _tabulate(spec: DensitySpec, x_grid=None) -> CdfTable:
 
 
 @lru_cache(maxsize=16)
-def scaled_marginal_table(q: float, prod_eps: float) -> CdfTable:
+def scaled_marginal_table(q: float) -> CdfTable:
     """CDF table of the unit-time marginal; other horizons follow by sqrt(t) scaling."""
-    return _tabulate(marginal_spec(QContext.numeric(q, prod_eps=prod_eps), 1.0))
+    return _tabulate(marginal_spec(QContext.numeric(q), 1.0))
 
 
 @lru_cache(maxsize=16)
-def scaled_transition_table(q: float, prod_eps: float) -> CdfTable:
+def scaled_transition_table(q: float) -> CdfTable:
     """CDF rows of the scaled one-step kernel (time q to time 1).
 
     On a geometric grid every step has time ratio q, and diffusive scaling
     reduces each transition to this single family indexed by the scaled state
     x' = x / sqrt(t) with |x'| <= 2 sqrt(q / (1-q)).
     """
-    spec = transition_spec(QContext.numeric(q, prod_eps=prod_eps), q, 1.0, 0.0)
+    spec = transition_spec(QContext.numeric(q), q, 1.0, 0.0)
     edge = support_halfwidth(q, q)
     return _tabulate(spec, np.linspace(-edge, edge, N_X))
 

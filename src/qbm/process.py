@@ -12,7 +12,9 @@ not depend on evaluation order or batch size.  The batch computes those
 streams together, one column of uniforms per draw, in vectorised integer
 arithmetic; base seeds need 0 <= base_seed and base_seed + n_paths <= 2**128.
 It walks the whole grid for PATH_BLOCK paths before it starts the next
-block, so its temporaries stay cache-sized at any batch size.
+block, so its temporaries stay cache-sized at any batch size.  A batch is
+stored grid-major, so each grid column is contiguous: the sampler draws
+into it and the integrals sum over it in place.
 """
 
 from __future__ import annotations
@@ -115,7 +117,10 @@ def _outside(values: np.ndarray, times, q: Scalar) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Simulated paths stacked row-wise; row i used seed base_seed + i."""
+    """Simulated paths: values[i, k] is path i at grid time index k, and
+    path i used seed base_seed + i.  values is stored grid-major (Fortran
+    order, as simulate_batch builds it), so each column values[:, k] is
+    contiguous; results do not depend on the layout."""
 
     grid: GeometricGrid
     values: np.ndarray
@@ -129,11 +134,6 @@ class PathBatch:
 
     def __iter__(self) -> Iterator[GeometricPath]:
         return (self.path(i) for i in range(len(self)))
-
-    def column_blocks(self) -> Iterator[np.ndarray]:
-        """The values PATH_BLOCK paths at a time, as contiguous grid columns of shape (K + 1, paths)."""
-        for start in range(0, len(self), PATH_BLOCK):
-            yield np.ascontiguousarray(self.values[start : start + PATH_BLOCK].T)
 
     @property
     def horizon_values(self) -> np.ndarray:
@@ -252,10 +252,12 @@ def simulate_batch(
     """Simulate n_paths independent paths on the grid.
 
     Marginal draw at the deepest time, then one transition draw per step through
-    the shared scaled-kernel tables, vectorised over PATH_BLOCK paths at a time.
-    Row i uses the stream of seed base_seed + i; raises ValueError unless
-    0 <= base_seed and base_seed + n_paths <= 2**128, and if a drawn value
-    is not finite or outside the support (checked column by column).
+    the shared scaled-kernel tables, vectorised over PATH_BLOCK paths at a time
+    and drawn straight into the grid-major values.  Row i uses the stream of
+    seed base_seed + i.  Raises ValueError unless 0 <= base_seed and
+    base_seed + n_paths <= 2**128, if ctx is given with a q other than the
+    grid's, and if a drawn value is not finite or outside the support
+    (checked column by column).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -263,24 +265,22 @@ def simulate_batch(
     if not (0 <= base_seed and base_seed + n_paths <= SEED_LIMIT):
         raise ValueError(f"need 0 <= base_seed and base_seed + n_paths <= 2**128, got {base_seed}")
     q = float(grid.q)
-    if ctx is None:
-        ctx = QContext.numeric(q)
+    if ctx is not None and ctx.qf != q:
+        raise ValueError(f"context q = {ctx.q} differs from the grid's q = {grid.q}")
     K = grid.K
-    mt = scaled_marginal_table(q, ctx.prod_eps)
-    tt = scaled_transition_table(q, ctx.prod_eps)
-    values = np.empty((n_paths, K + 1))
-    buf = np.empty((K + 1, min(PATH_BLOCK, n_paths)))
+    mt = scaled_marginal_table(q)
+    tt = scaled_transition_table(q)
+    values = np.empty((n_paths, K + 1), order="F")
     for start in range(0, n_paths, PATH_BLOCK):
-        block = buf[:, : n_paths - start]
-        u = _uniform_columns(block.shape[1], base_seed + start)
-        block[K] = math.sqrt(float(grid.times[K])) * draw_from_table(mt, 0, next(u))
+        block = values[start : start + PATH_BLOCK]
+        u = _uniform_columns(block.shape[0], base_seed + start)
+        block[:, K] = math.sqrt(float(grid.times[K])) * draw_from_table(mt, 0, next(u))
         for k in range(K, -1, -1):
             if k < K:
                 rt = math.sqrt(float(grid.times[k]))
-                block[k] = rt * draw_transition_batch(tt, block[k + 1] / rt, next(u))
-            if not np.all(np.isfinite(block[k])) or np.any(_outside(block[k], grid.times[k], q)):
+                block[:, k] = rt * draw_transition_batch(tt, block[:, k + 1] / rt, next(u))
+            if not np.all(np.isfinite(block[:, k])) or np.any(_outside(block[:, k], grid.times[k], q)):
                 raise ValueError(f"a value drawn at grid time index {k} is not finite or lies outside the support")
-        values[start : start + PATH_BLOCK] = block.T
     return PathBatch(grid=grid, values=values, base_seed=base_seed)
 
 

@@ -4,7 +4,7 @@ Everything here is parameterised by a deformation parameter q in (0, 1),
 carried by a :class:`QContext`.  Exact mode works over ``fractions.Fraction``
 so that algebraic identities can be checked with zero tolerance; float mode
 uses ordinary binary floats and truncates the infinite Jackson sums with an
-explicit tail rule.
+explicit tail rule, and infinite q-products at the one tolerance PROD_EPS.
 """
 
 from __future__ import annotations
@@ -31,20 +31,18 @@ __all__ = [
 #: float-mode Jackson sums stop once the dropped tail is bounded by this
 TAIL_EPS = 1e-12
 
+#: truncation tolerance of infinite q-products: the stochastic exponential's
+#: product stops at the first N with q**N < PROD_EPS, and the density
+#: kernel's q-Pochhammer series where its remainder bound falls below it
+PROD_EPS = 1e-16
+
 
 @dataclass(frozen=True)
 class QContext:
-    """Deformation parameter plus arithmetic mode and product threshold.
-
-    prod_eps is the truncation tolerance of infinite q-products: the
-    stochastic exponential's product stops at the first N with
-    q**N < prod_eps, and the density kernel's q-Pochhammer series where its
-    remainder bound falls below prod_eps.
-    """
+    """Deformation parameter plus arithmetic mode."""
 
     q: Scalar
     mode: str = "float"
-    prod_eps: float = 1e-16
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "float"):
@@ -53,20 +51,18 @@ class QContext:
             raise TypeError("exact mode requires q as a Fraction (floats are ambiguous)")
         if not (0 < self.q < 1):
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        if self.prod_eps <= 0:
-            raise ValueError("truncation threshold must be positive")
         if self.mode == "float":
             # a float-mode context equal to another must compute in floats,
             # since the (q, mode) caches cannot tell them apart
             object.__setattr__(self, "q", float(self.q))
 
     @classmethod
-    def exact(cls, q: Union[str, int, Fraction], **kwargs) -> "QContext":
-        return cls(q=Fraction(q), mode="exact", **kwargs)
+    def exact(cls, q: Union[str, int, Fraction]) -> "QContext":
+        return cls(q=Fraction(q), mode="exact")
 
     @classmethod
-    def numeric(cls, q: float, **kwargs) -> "QContext":
-        return cls(q=float(q), mode="float", **kwargs)
+    def numeric(cls, q: float) -> "QContext":
+        return cls(q=float(q), mode="float")
 
     @property
     def qf(self) -> float:
@@ -74,16 +70,16 @@ class QContext:
         return float(self.q)
 
     def n_product_factors(self) -> int:
-        """Smallest N with q**N < prod_eps."""
-        return _n_product_factors(self.qf, self.prod_eps)
+        """Smallest N with q**N < PROD_EPS."""
+        return _n_product_factors(self.qf)
 
 
 @lru_cache(maxsize=256)
-def _n_product_factors(qf: float, prod_eps: float) -> int:
-    """QContext.n_product_factors, kept per (q, prod_eps): every stochastic
-    exponential asks for it, and at q = 0.8 the loop takes 166 steps."""
+def _n_product_factors(qf: float) -> int:
+    """QContext.n_product_factors, kept per q: every stochastic exponential
+    asks for it, and at q = 0.8 the loop takes 166 steps."""
     n, p = 0, 1.0
-    while p >= prod_eps:
+    while p >= PROD_EPS:
         p *= qf
         n += 1
     return n
@@ -156,10 +152,6 @@ class Poly:
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, degree: int, c: Scalar = 1) -> "Poly":
-        return cls((0,) * degree + (c,))
 
     @property
     def degree(self) -> int:

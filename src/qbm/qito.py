@@ -276,17 +276,6 @@ class ItoDecomposition:
     tail_bound: float
     K: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": float(self.lhs),
-            "gradient_term": float(self.gradient_term),
-            "drift_term": float(self.drift_term),
-            "second_order_term": float(self.second_order_term),
-            "residual": self.residual,
-            "tail_bound": self.tail_bound,
-            "K": self.K,
-        }
-
 
 def ito_tail_bound(f: QPolynomial, grid: GeometricGrid, ctx: QContext) -> float:
     """Bound for |f(B_K, t_K) - f(0, 0)| on the support.

@@ -11,7 +11,7 @@ growth bound |h_n(x; u)| <= C_n u**(n/2) on the support.
 
 The same accumulation code runs on exact rational paths (scalar Fractions,
 used for zero-tolerance identity checks) and on numpy columns of a simulated
-batch.
+batch, which are views of its grid-major values.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .qcore import Poly, QContext, SampledFunction, Scalar, q_factorial
 from .qhermite import QPolynomial, growth_constant, hermite_eval_sequence, to_hermite_basis
-from .process import GeometricGrid, GeometricPath, PathBatch
+from .process import PATH_BLOCK, GeometricGrid, GeometricPath, PathBatch
 
 __all__ = [
     "PolynomialIntegrand",
@@ -70,14 +70,6 @@ class StochasticIntegralResult:
     K: int
     tail_bound: float
     seed: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "K": self.K,
-            "tail_bound": self.tail_bound,
-            "seed": self.seed,
-        }
 
 
 def _inv_factorials(degree: int, ctx: QContext) -> list[Scalar]:
@@ -192,10 +184,12 @@ def integrate_byparts(
 
 
 def integrate_def_batch(f: PolynomialIntegrand, batch: PathBatch, ctx: QContext) -> np.ndarray:
-    """Defining-sum values for every path of a batch, vectorised over one block of
-    batch.column_blocks() at a time; a path's value does not depend on its block."""
-    return np.concatenate([np.asarray(_def_sum(f, batch.grid, cols.__getitem__, ctx), dtype=float)
-                           for cols in batch.column_blocks()])
+    """Defining-sum values for every path of a batch, vectorised over the grid
+    columns of PATH_BLOCK paths at a time; a path's value does not depend on
+    its block or on the batch's memory layout."""
+    blocks = (batch.values[i : i + PATH_BLOCK] for i in range(0, len(batch), PATH_BLOCK))
+    return np.concatenate([np.asarray(_def_sum(f, batch.grid, lambda k, b=b: b[:, k], ctx), dtype=float)
+                           for b in blocks])
 
 
 def deterministic_integral(b, path: GeometricPath, ctx: QContext):

@@ -833,7 +833,7 @@ def _rounding_scale(parts: tuple[QPolynomial, ...], batch: PathBatch, q: float) 
     and both ends of the gradient steps.  Rounding error stays a small
     multiple of eps times this scale.
     """
-    xs = np.abs(batch.values)
+    xs = np.abs(batch.values, order="C")  # row sums round as one path's do
     ts = np.asarray(batch.grid.times, dtype=float)
     fa, da, sa = parts
     steps = (1.0 - q) * ts[:-1] * (da(xs[:, 1:], ts[:-1]) + sa(xs[:, 1:], ts[:-1]))

@@ -26,7 +26,7 @@ from qbm.measures import (
     transition_density,
     transition_spec,
 )
-from qbm.qcore import QContext
+from qbm.qcore import PROD_EPS, QContext
 from qbm.qhermite import QPolynomial
 
 
@@ -252,15 +252,14 @@ def test_one_point_kernel_matches_array_path(q, t, ratio, a, b):
     s = ratio * t
     x = a * support_halfwidth(s, q)
     y = b * support_halfwidth(t, q)
-    eps = QContext.numeric(q).prod_eps
-    ref = measures._kernel(np.full(2, y), np.full(2, x), s, t, q, eps)[0].hex()
+    ref = measures._kernel(np.full(2, y), np.full(2, x), s, t, q)[0].hex()
     for yy, xx, shape in (
         (y, x, ()),
         (np.array(y), np.array(x), ()),
         (np.array([y]), x, (1,)),
         (y, np.array([[x]]), (1, 1)),
     ):
-        one = measures._kernel(yy, xx, s, t, q, eps)
+        one = measures._kernel(yy, xx, s, t, q)
         assert one.shape == shape and float(one.ravel()[0]).hex() == ref
     ctx = QContext.numeric(q)
     pair = transition_density(np.full(2, x), s, t, np.full(2, y), ctx)
@@ -272,11 +271,10 @@ def test_one_point_kernel_zero_denominator_takes_array_path():
     # off the support, at r = 0, c = 1 and u = 1/2, the first denominator is
     # exactly 0; one point and two copies of it give the same inf or nan
     q = 0.5
-    eps = QContext.numeric(q).prod_eps
     w = support_halfwidth(1.0, q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        one = measures._kernel(np.array([w]), w / 2.0, 0.0, 1.0, q, eps)
-        pair = measures._kernel(np.full(2, w), w / 2.0, 0.0, 1.0, q, eps)
+        one = measures._kernel(np.array([w]), w / 2.0, 0.0, 1.0, q)
+        pair = measures._kernel(np.full(2, w), w / 2.0, 0.0, 1.0, q)
     assert not np.isfinite(pair[0])
     assert one.shape == (1,) and np.array_equal(one, pair[:1], equal_nan=True)
     # t**2 underflows here, so the densities reject such a horizon up front
@@ -343,7 +341,7 @@ def test_kernel_is_finite_and_nonnegative_on_the_support(q, log_t, ratio, a, b):
     s = ratio * t
     x = a * support_halfwidth(s, q)
     y = b * support_halfwidth(t, q)
-    value = float(measures._kernel(y, x, s, t, q, QContext.numeric(q).prod_eps))
+    value = float(measures._kernel(y, x, s, t, q))
     assert math.isfinite(value) and value >= 0.0
     density = transition_density(x, s, t, y, QContext.numeric(q))
     assert math.isfinite(density) and density >= 0.0
@@ -383,15 +381,24 @@ def test_kernel_matches_decimal_reference(q, bound, n_points):
         y = float(rng.uniform(-1.0, 1.0)) * support_halfwidth(t, q)
         ref = _decimal_kernel(y, x, s, t, q)
         if ref > Decimal("1e-280"):
-            got = Decimal(float(measures._kernel(y, x, s, t, q, QContext.numeric(q).prod_eps)))
+            got = Decimal(float(measures._kernel(y, x, s, t, q)))
             worst = max(worst, float(abs(got / ref - 1)))
     assert worst <= bound
+
+
+def _scalar_tails(q, r, rho):
+    """log (r rho; q)_inf + log (q rho; q)_inf, factor by factor."""
+    total, a = 0.0, rho
+    while a > 1e-22:
+        total += math.log1p(-r * a) + math.log1p(-q * a)
+        a *= q
+    return total
 
 
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 0.95, 0.99])
 def test_tail_series_meets_its_remainder_bound_and_matches_the_product(q):
     rng = np.random.default_rng(17)
-    for prod_eps in (1e-16, 1e-12):
+    for prod_eps in (PROD_EPS, 1e-12):
         k0, n_terms, rho = measures._series_cut(q, prod_eps)
         assert k0 >= 1 and rho == pytest.approx(q**k0, rel=1e-13, abs=0.0)
         # the remainder bound 6 rho^(M+1) / ((M+1)(1-q)(1-rho)) holds, and
@@ -400,6 +407,11 @@ def test_tail_series_meets_its_remainder_bound_and_matches_the_product(q):
         assert bound(n_terms) <= prod_eps
         assert n_terms == 0 or bound(n_terms - 1) > prod_eps
         for r in (0.0, 0.3, q, 0.99):
+            plan = (k0, n_terms, rho, _scalar_tails(q, r, rho))
+            if prod_eps == PROD_EPS:
+                # the kernel's own plan: this cut, and its scalar tails by their series
+                assert measures._tail_plan(q, r)[:3] == plan[:3]
+                plan = measures._tail_plan(q, r)
             for phi, psi in rng.uniform(0.0, math.pi, (3, 2)):
                 c, u = math.cos(phi), math.sqrt(r) * math.cos(psi)
                 # brute force: the factors k >= k0 in complex form
@@ -412,7 +424,7 @@ def test_tail_series_meets_its_remainder_bound_and_matches_the_product(q):
                     k, qk = k + 1, qk * q
                 # the cut series is within prod_eps in log; rounding grows with
                 # the size of the log and with the product's factor count
-                got = math.exp(measures._log_tail(c, u, r, q, measures._tail_plan(q, r, prod_eps)))
+                got = math.exp(measures._log_tail(c, u, r, q, plan))
                 allowance = prod_eps + 8.0 * sys.float_info.epsilon * (k - k0 + abs(math.log(tail)))
                 assert got == pytest.approx(tail, rel=allowance, abs=0.0)
 
@@ -422,9 +434,9 @@ def test_tables_record_their_normalisation_defect():
     # tabulated mass, so the raw values give the masses back; the defect is
     # the largest |mass - 1|, under the gate
     ctx = QContext.numeric(0.5)
-    tt = scaled_transition_table(0.5, ctx.prod_eps)
+    tt = scaled_transition_table(0.5)
     tables = (
-        (scaled_marginal_table(0.5, ctx.prod_eps), marginal_spec(ctx, 1.0), np.zeros(1)),
+        (scaled_marginal_table(0.5), marginal_spec(ctx, 1.0), np.zeros(1)),
         (tt, transition_spec(ctx, 0.5, 1.0, 0.0), tt.x_grid),
     )
     mid = measures.N_THETA // 2
@@ -574,8 +586,7 @@ def _edge_inputs(cdf):
 
 @pytest.mark.parametrize("q", [0.5, 0.8])
 def test_guided_inversion_matches_bisection(q):
-    eps = QContext.numeric(q).prod_eps
-    for table in (scaled_marginal_table(q, eps), scaled_transition_table(q, eps)):
+    for table in (scaled_marginal_table(q), scaled_transition_table(q)):
         cdf = table.cdf
         assert np.all(np.diff(cdf, axis=1) >= 0.0)
         assert np.all(cdf[:, 0] == 0.0) and np.all(cdf[:, -1] == 1.0)
@@ -594,7 +605,7 @@ def test_transition_draw_matches_two_inversions(q):
     # inputs: each input's row is once the upper bracketing row j + 1 and
     # once the lower row j; states at the grid's ends and past them clip j
     # and the weight
-    table = scaled_transition_table(q, QContext.numeric(q).prod_eps)
+    table = scaled_transition_table(q)
     xg, w = table.x_grid, table.w
     dx = xg[1] - xg[0]
     rows, u, _ = _edge_inputs(table.cdf)

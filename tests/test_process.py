@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbm import process
 from qbm.process import (
@@ -125,8 +127,8 @@ def test_simulation_rejects_non_finite_or_outside_draws(monkeypatch, table, faul
     real = getattr(process, name)
     w = {"nan": math.nan, "inf": math.inf}.get(fault)
 
-    def patched(q, prod_eps):
-        good = real(q, prod_eps)
+    def patched(q):
+        good = real(q)
         return dataclasses.replace(good, w=3.0 * good.w if w is None else w)
 
     monkeypatch.setattr(process, name, patched)
@@ -261,24 +263,109 @@ def test_simulate_batch_rejects_seeds_outside_stream():
     assert np.array_equal(top.path(3).values, simulate_path(grid, seed=SEED_LIMIT - 1).values)
 
 
+def _block_boundary_batch():
+    """Three blocks, the last of 3 paths; the second block's entropy words
+    carry past 2**32 after its first path."""
+    ctx = QContext.numeric(0.5)
+    grid = GeometricGrid.build(q=0.5, t=1.0, depth=8)
+    return simulate_batch(grid, 2 * process.PATH_BLOCK + 3, 2**32 - process.PATH_BLOCK - 1, ctx), ctx
+
+
 def test_path_blocks_do_not_change_the_batch(monkeypatch):
-    # three blocks, the last of 3 paths; the second block's entropy words
-    # carry past 2**32 after its first path
     from qbm.qhermite import QPolynomial
     from qbm.stochint import PolynomialIntegrand, integrate_def_batch
 
-    n = 2 * process.PATH_BLOCK + 3
-    base = 2**32 - process.PATH_BLOCK - 1
-    grid = GeometricGrid.build(q=0.5, t=1.0, depth=8)
-    ctx = QContext.numeric(0.5)
+    blocked, ctx = _block_boundary_batch()
+    grid, n, base = blocked.grid, len(blocked), blocked.base_seed
     f = PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(3), ctx)
-    blocked = simulate_batch(grid, n, base, ctx)
     sums = integrate_def_batch(f, blocked, ctx)
     monkeypatch.setattr(process, "PATH_BLOCK", n)
     whole = simulate_batch(grid, n, base, ctx)
     assert np.array_equal(blocked.values, whole.values)
     assert np.array_equal(sums, integrate_def_batch(f, whole, ctx))
     assert np.array_equal(blocked.path(n - 1).values, simulate_path(grid, base + n - 1, ctx).values)
+
+
+def test_batch_layout_does_not_change_the_results():
+    # each grid column of a simulated batch is contiguous across the blocks;
+    # a row-major copy of the same values gives the same bits downstream
+    from qbm import verify
+    from qbm.qhermite import QPolynomial
+    from qbm.qito import ito_decompose_batch
+    from qbm.stochint import PolynomialIntegrand, integrate_def_batch
+
+    batch, ctx = _block_boundary_batch()
+    assert all(batch.values[:, k].flags.c_contiguous for k in range(len(batch.grid)))
+    row_major = PathBatch(batch.grid, np.ascontiguousarray(batch.values), batch.base_seed)
+    assert not row_major.values[:, 0].flags.c_contiguous
+
+    def same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    p = verify._random_qpolynomial(np.random.default_rng(5), 6, 2)
+    parts = verify._abs_parts(p, ctx)
+    f = PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(3), ctx)
+    assert same_bits(integrate_def_batch(f, batch, ctx), integrate_def_batch(f, row_major, ctx))
+    assert same_bits(verify._rounding_scale(parts, batch, 0.5), verify._rounding_scale(parts, row_major, 0.5))
+    dec, ref = ito_decompose_batch(p, batch, ctx), ito_decompose_batch(p, row_major, ctx)
+    for term in ("lhs", "gradient_term", "drift_term", "second_order_term", "residual"):
+        assert same_bits(np.asarray(getattr(dec, term)), np.asarray(getattr(ref, term)))
+
+
+#: q values whose sampling tables the Hypothesis tests below keep cached
+CACHED_QS = (0.2, 0.5, 0.8)
+
+
+@given(
+    q=st.sampled_from(CACHED_QS),
+    t=st.floats(1e-3, 1e3),
+    depth=st.integers(1, 80),
+    n=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_accepted_inputs_give_finite_paths_in_the_support(q, t, depth, n, data):
+    seed = data.draw(st.integers(0, SEED_LIMIT - n), label="base_seed")
+    grid = GeometricGrid.build(q=q, t=t, depth=depth)
+    batch = simulate_batch(grid, n, seed, QContext.numeric(q))
+    assert batch.values.shape == (n, depth + 1) and np.all(np.isfinite(batch.values))
+    assert all(path.in_support() for path in batch)
+
+
+@given(
+    q=st.sampled_from(CACHED_QS),
+    t=st.floats(1e-3, 1e3),
+    n=st.integers(1, 3),
+    bad_q=st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan)),
+    bad_t=st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan])),
+    bad_depth=st.integers(max_value=0),
+    over=st.integers(0, 2**64),
+    shift=st.integers(1, len(CACHED_QS) - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_rejected_inputs_raise_value_error(q, t, n, bad_q, bad_t, bad_depth, over, shift):
+    with pytest.raises(ValueError, match="q must lie in"):
+        GeometricGrid.build(q=bad_q, t=t, depth=5)
+    with pytest.raises(ValueError, match="horizon t must be positive and finite"):
+        GeometricGrid.build(q=q, t=bad_t, depth=5)
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        GeometricGrid.build(q=q, t=t, depth=bad_depth)
+    # the first depth at which t q**K leaves the normal float range
+    deep = int(math.log(sys.float_info.min / t) / math.log(q))
+    while t * q**deep >= sys.float_info.min:
+        deep += 1
+    while t * q ** (deep - 1) < sys.float_info.min:
+        deep -= 1
+    with pytest.raises(ValueError, match="underflows"):
+        GeometricGrid.build(q=q, t=t, depth=deep)
+    assert GeometricGrid.build(q=q, t=t, depth=deep - 1).K == deep - 1
+    grid = GeometricGrid.build(q=q, t=t, depth=3)
+    for seed in (-1 - over, SEED_LIMIT - n + 1 + over):
+        with pytest.raises(ValueError, match="base_seed"):
+            simulate_batch(grid, n, seed)
+    other_q = CACHED_QS[(CACHED_QS.index(q) + shift) % len(CACHED_QS)]
+    with pytest.raises(ValueError, match="differs from the grid"):
+        simulate_batch(grid, n, 0, QContext.numeric(other_q))
 
 
 def test_bad_draw_in_a_later_block_is_rejected(monkeypatch):

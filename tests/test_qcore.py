@@ -253,23 +253,22 @@ def test_float_context_with_fraction_q_computes_in_floats(monkeypatch, float_fir
     assert type(q_int(3, numeric)) is float
 
 
-def _factor_loop(q: float, prod_eps: float) -> int:
-    """The defining loop: smallest N with q**N < prod_eps."""
+def _factor_loop(q: float) -> int:
+    """The defining loop: smallest N with q**N < PROD_EPS."""
     n, p = 0, 1.0
-    while p >= prod_eps:
+    while p >= qcore.PROD_EPS:
         p *= q
         n += 1
     return n
 
 
-def test_n_product_factors_cached_per_q_and_threshold():
+def test_n_product_factors_cached_per_q():
     qcore._n_product_factors.cache_clear()
     for q in (0.05, 0.2, 0.5, 0.8, 0.95, 0.99):
-        for prod_eps in (1e-16, 1e-12, 1e-6, 0.5):
-            expected = _factor_loop(q, prod_eps)
-            for _ in range(2):  # a miss, then a hit
-                assert QContext.numeric(q, prod_eps=prod_eps).n_product_factors() == expected
-    assert qcore._n_product_factors.cache_info().hits == 24
+        expected = _factor_loop(q)
+        for _ in range(2):  # a miss, then a hit
+            assert QContext.numeric(q).n_product_factors() == expected
+    assert qcore._n_product_factors.cache_info().hits == 6
     assert QContext.numeric(0.8).n_product_factors() == 166
     # an exact context counts with its float q, as before
-    assert QContext.exact(Fraction(4, 5)).n_product_factors() == _factor_loop(0.8, 1e-16)
+    assert QContext.exact(Fraction(4, 5)).n_product_factors() == _factor_loop(0.8)

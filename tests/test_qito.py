@@ -187,14 +187,12 @@ def test_tail_bound_shrinks_with_depth():
     assert all(b < a for a, b in zip(bounds, bounds[1:]))
 
 
-def test_decomposition_json_shape():
+def test_decomposition_residual_matches_its_terms():
     ctx = QContext.numeric(0.6)
     grid = GeometricGrid.build(q=0.6, t=1.0, depth=10)
     path = simulate_path(grid, seed=0)
     dec = ito_decompose(QPolynomial.x_power(2), path, ctx)
-    d = dec.to_json_dict()
-    assert {"lhs", "gradient_term", "drift_term", "second_order_term", "residual"} <= set(d)
-    assert d["residual"] == pytest.approx(
-        abs(d["lhs"] - (d["gradient_term"] + d["drift_term"] + d["second_order_term"])),
+    assert dec.residual == pytest.approx(
+        abs(dec.lhs - (dec.gradient_term + dec.drift_term + dec.second_order_term)),
         abs=1e-12,
     )

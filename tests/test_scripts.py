@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from qbm.measures import N_GUIDE, N_THETA, N_X
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -73,6 +75,12 @@ def test_table_build_reports_time_and_defect(capsys):
     assert [line.split()[1] for line in lines[1:]] == ["marginal", "transition"] * 2
     for line in lines[1:]:
         assert line.startswith("q=0.5") and 0.0 < float(line.split("defect")[1]) <= 1e-6
+        # float64 cdf and pdf rows of N_THETA nodes, int16 guide rows of N_GUIDE + 1 levels
+        fields = line.split()
+        rows = int(fields[fields.index("rows") - 1])
+        assert rows == (1 if "marginal" in line else N_X)
+        sizes = [int(fields[fields.index(name) + 1]) for name in ("cdf", "pdf", "guide")]
+        assert sizes == [rows * N_THETA * 8, rows * N_THETA * 8, rows * (N_GUIDE + 1) * 2]
 
 
 @pytest.mark.parametrize("args", [["--q", "0"], ["--q", "0.5", "1"], ["--q", "nan"], ["--q", "-0.2"]])

@@ -206,17 +206,6 @@ def test_sde_residual_decays_with_depth():
     assert res[2] < 1e-7
 
 
-def test_result_json_shape():
-    ctx = QContext.numeric(0.5)
-    grid = GeometricGrid.build(q=0.5, t=1.0, depth=8)
-    path = simulate_path(grid, seed=6)
-    f = PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(1), ctx)
-    out = integrate_def(f, path, ctx)
-    d = out.to_json_dict()
-    assert set(d) == {"value", "K", "tail_bound", "seed"}
-    assert d["K"] == 8
-
-
 @given(
     c0=rational, c1=rational, c2=rational,
     v=st.lists(rational, min_size=5, max_size=5),
