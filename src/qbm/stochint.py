@@ -25,7 +25,8 @@ import numpy as np
 
 from .qcore import Poly, QContext, SampledFunction, Scalar, q_factorial
 from .qhermite import QPolynomial, growth_constant, hermite_eval_sequence, to_hermite_basis
-from .process import PATH_BLOCK, GeometricGrid, GeometricPath, PathBatch
+from . import process
+from .process import GeometricGrid, GeometricPath, PathBatch
 
 __all__ = [
     "PolynomialIntegrand",
@@ -187,7 +188,8 @@ def integrate_def_batch(f: PolynomialIntegrand, batch: PathBatch, ctx: QContext)
     """Defining-sum values for every path of a batch, vectorised over the grid
     columns of PATH_BLOCK paths at a time; a path's value does not depend on
     its block or on the batch's memory layout."""
-    blocks = (batch.values[i : i + PATH_BLOCK] for i in range(0, len(batch), PATH_BLOCK))
+    step = process.PATH_BLOCK
+    blocks = (batch.values[i : i + step] for i in range(0, len(batch), step))
     return np.concatenate([np.asarray(_def_sum(f, batch.grid, lambda k, b=b: b[:, k], ctx), dtype=float)
                            for b in blocks])
 

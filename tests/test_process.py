@@ -273,12 +273,14 @@ def _block_boundary_batch():
 
 def test_path_blocks_do_not_change_the_batch(monkeypatch):
     from qbm.qhermite import QPolynomial
-    from qbm.stochint import PolynomialIntegrand, integrate_def_batch
+    from qbm.stochint import PolynomialIntegrand, integrate_def, integrate_def_batch
 
     blocked, ctx = _block_boundary_batch()
     grid, n, base = blocked.grid, len(blocked), blocked.base_seed
     f = PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(3), ctx)
     sums = integrate_def_batch(f, blocked, ctx)
+    for i in (0, process.PATH_BLOCK - 1, process.PATH_BLOCK, 2 * process.PATH_BLOCK - 1, 2 * process.PATH_BLOCK, n - 1):
+        assert sums[i] == integrate_def(f, blocked.path(i), ctx).value
     monkeypatch.setattr(process, "PATH_BLOCK", n)
     whole = simulate_batch(grid, n, base, ctx)
     assert np.array_equal(blocked.values, whole.values)
