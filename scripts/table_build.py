@@ -1,20 +1,22 @@
-"""Time the sampler's CDF-table builds and report their normalisation defects.
+"""Time the sampler's inverse-CDF table builds and report their sizes and errors.
 
-    python scripts/table_build.py --q 0.5 0.8 0.99
+    python scripts/table_build.py --q 0.2 0.5 0.8 0.95 0.99
 
 For each q this builds the unit-time marginal table and the scaled one-step
 transition table that simulate_batch draws from, and prints one line per
-table: its build time in seconds, its row count, the bytes of its cdf, pdf
-and guide arrays, and its defect, the largest |mass - 1| of its rows before
-normalisation (a build fails above NORM_TOL).  Every table is built afresh,
-also when a q repeats.
+table: its build time in seconds, its row count, the bytes of its cubic
+coefficients (and of the transition table's blend_loss), its u-error,
+the largest |F(y(u)) - u| between knots (a build fails above U_TOL), and
+its defect, the largest |mass - 1| of its rows before normalisation (a
+build fails above NORM_TOL).  Every table is built afresh, also when a q
+repeats.
 """
 
 import argparse
 import sys
 import time
 
-from qbm.measures import NORM_TOL, InvalidDensityError, scaled_marginal_table, scaled_transition_table
+from qbm.measures import NORM_TOL, U_TOL, InvalidDensityError, scaled_marginal_table, scaled_transition_table
 
 TABLES = (("marginal", scaled_marginal_table), ("transition", scaled_transition_table))
 
@@ -26,7 +28,7 @@ def main(argv=None) -> int:
     if not all(0.0 < q < 1.0 for q in args.q):
         parser.error("every --q must lie in (0, 1)")
 
-    print(f"# normalisation gate NORM_TOL = {NORM_TOL:.1e}")
+    print(f"# gates: u-error U_TOL = {U_TOL:.1e}, normalisation NORM_TOL = {NORM_TOL:.1e}")
     for q in args.q:
         for name, build in TABLES:
             start = time.perf_counter()
@@ -37,9 +39,11 @@ def main(argv=None) -> int:
                 print(f"q={q} {name}: {err}", file=sys.stderr)
                 return 1
             seconds = time.perf_counter() - start
-            rows = table.cdf.shape[0]
-            sizes = f"cdf {table.cdf.nbytes:8d} B  pdf {table.pdf.nbytes:8d} B  guide {table.guide.nbytes:8d} B"
-            print(f"q={q:<6g} {name:<10} {seconds:7.3f} s {rows:4d} rows  {sizes}  defect {table.defect:.3e}")
+            rows = table.cubic.shape[0]
+            loss = 0 if table.blend_loss is None else table.blend_loss.nbytes
+            sizes = f"cubic {table.cubic.nbytes:8d} B  blend_loss {loss:5d} B"
+            errors = f"u-error {table.u_error:.3e}  defect {table.defect:.3e}"
+            print(f"q={q:<6g} {name:<10} {seconds:7.3f} s {rows:4d} rows  {sizes}  {errors}")
     return 0
 
 

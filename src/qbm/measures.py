@@ -21,9 +21,17 @@ every estimate is the one a full evaluation gives; stacked integrands share
 one density, each stopping at its own level.  At a single point the
 kernel runs on Python floats, with the same value bit for bit.
 
-Sampling is by inverse CDF on a tabulated theta-grid: deterministic given the
-generator state, which keeps every Monte Carlo run reproducible from its seed.
-Each table is built once per q and records its normalisation defect.
+Sampling is by tabulated inverse CDFs (in the style of PINV: Derflinger,
+Hoermann & Leydold, ACM TOMACS 20(4), 2010): each row stores the quantile and
+its slope at fixed u-knots, which crowd toward u = 0 and 1 like k**4, where
+the quantile behaves like a cube root; between knots it is the cubic Hermite
+interpolant.  A draw is a closed-form knot index, a few gathers and the
+Hermite evaluation, with no search and no iteration, and deterministic given
+the uniforms, which keeps every Monte Carlo run reproducible from its seed.
+Each table is built once per q from the CDF of each row, by Gauss-Lobatto
+quadrature on nodes that resolve its conditional standard deviation, and
+records its normalisation defect and its u-error, |F(y(u)) - u| between
+knots, both gated.
 """
 
 from __future__ import annotations
@@ -50,25 +58,34 @@ __all__ = [
     "integrate",
     "scaled_marginal_table",
     "scaled_transition_table",
-    "invert_cdf",
     "draw_from_table",
     "draw_transition_batch",
+    "table_quadrature",
 ]
 
-#: tolerance of the tabulated-CDF normalisation gate
+#: tolerance of the tables' normalisation gate
 NORM_TOL = 1e-6
+#: tolerance of the tables' u-error gate
+U_TOL = 1e-9
 
 #: relative stopping rule for adaptive quadrature
 QUAD_REL_TOL = 1e-10
 
-#: tabulation grid for inverse-CDF sampling: theta nodes per row, and the
-#: conditioning states of the scaled transition table
-N_THETA = 2048
+#: inverse-CDF tables: knot intervals per row, and the conditioning states
+#: of the scaled transition table
+N_U = 1024
 N_X = 513
 
-#: guide-table levels per CDF row, and rows tabulated per block
-N_GUIDE = 2048
-ROW_BLOCK = 32
+#: building them: theta cells per conditional standard deviation, over the
+#: support or over WINDOW standard deviations about the start states,
+#: whichever is narrower; rows tabulated per block, at most; cells per
+#: block, at most (an edge row's window spans of order sqrt(w / sd)
+#: standard deviations of theta, 11513 at q = 0.998: past the cap the
+#: u-error gate fails the build rather than memory running out)
+CELLS_PER_SD = 32
+WINDOW = 30.0
+ROW_BLOCK = 16
+MAX_CELLS = 2**14
 
 
 class QuadratureError(RuntimeError):
@@ -375,76 +392,242 @@ def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float | np
 
 
 # ---------------------------------------------------------------------------
-# tabulated CDFs and inverse-CDF sampling
+# inverse-CDF tables and sampling
 # ---------------------------------------------------------------------------
+
+#: u at knot k is k**4 / _U_SCALE up to the middle knot and mirrored above it
+_U_SCALE = N_U**4 / 8.0
+#: the interior points of four-point Gauss-Lobatto on a unit cell, and the
+#: coefficients of tau**1..tau**4 in the integral from 0 to tau of the cubic
+#: through the values at its points
+_LOBATTO = (0.5 - math.sqrt(0.05), 0.5 + math.sqrt(0.05))
+_QUARTIC = np.linalg.inv(np.vander([0.0, *_LOBATTO, 1.0], 4, increasing=True)) / np.arange(1.0, 5.0)[:, None]
+
 
 @dataclass(frozen=True)
 class CdfTable:
-    """Tabulated theta-CDF rows for one density family.
+    """Tabulated inverse CDFs of one density family, in units of the support
+    half-width w.
 
     Rows correspond to the conditioning states in x_grid (a single row for
-    marginals and fixed-x transitions).  cdf rows never decrease, from
-    exactly 0 to exactly 1 after normalisation; pdf holds the theta-density
-    at the nodes for Newton refinement during inversion.  guide[r, g] is the
-    last cell j of row r with cdf[r, j] <= g / N_GUIDE (Chen & Asau's guide
-    table).  defect is the largest |mass - 1| of the rows before
-    normalisation, which the build gates at NORM_TOL.
+    the marginal).  The quantile y / w is tabulated with its slope
+    d(y / w)/dk at the knots u = _knot_u(k), k = 0..N_U, and is the cubic
+    Hermite interpolant in k between them: cubic[r, k] holds its four
+    coefficients on [k, k + 1], in powers of k - floor(k), so a draw reads
+    one 32-byte record.  The knots crowd toward u = 0 and u = 1 like k**4,
+    where y(u) behaves like a cube root.  The end knots hold the ends of the
+    window the row was built on (the support, or WINDOW standard deviations
+    about the start states of its block if that is narrower), with slope 0.
+
+    defect is the largest |mass - 1| of the rows before normalisation, gated
+    at NORM_TOL; u_error the largest |F(y(u)) - u| at the midpoints between
+    knots, F the row's CDF, gated at U_TOL.  Blending rows j and j + 1 with
+    weight lam leaves 1 - 2 lam (1 - lam) blend_loss[j] of a row's variance
+    (transition tables only).
     """
 
-    thetas: np.ndarray
-    cdf: np.ndarray
-    pdf: np.ndarray
-    guide: np.ndarray
+    cubic: np.ndarray
     w: float
     x_grid: np.ndarray | None = None
+    blend_loss: np.ndarray | None = None
     defect: float = 0.0
+    u_error: float = 0.0
+
+
+def _knot_u(k):
+    """u at knot coordinates k in [0, N_U]."""
+    k = np.asarray(k, dtype=float)
+    near = np.minimum(k, N_U - k)
+    v = np.square(np.square(near)) / _U_SCALE
+    return np.where(k <= N_U / 2, v, 1.0 - v)
+
+
+def _knot_du(k):
+    """du/dk at knot coordinates k in [0, N_U]."""
+    return 4.0 * np.minimum(k, N_U - k) ** 3 / _U_SCALE
+
+
+def _knot_coordinate(u: np.ndarray) -> np.ndarray:
+    """The inverse of _knot_u on [0, 1): k in [0, N_U)."""
+    root = np.sqrt(np.sqrt(np.minimum(u, 1.0 - u) * _U_SCALE))
+    return np.where(u < 0.5, root, N_U - root)
+
+
+def table_quadrature(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, weights): Gauss-Legendre with the given number of points in
+    every knot interval, in the knot coordinate k.  In each interval a
+    table's quantile is a cubic in k and du/dk a cubic, so the rule is exact
+    for a draw's moments of order r with 3 r + 3 <= 2 points - 1, up to
+    rounding.  u is capped at the largest uniform below 1.
+    """
+    x, w = np.polynomial.legendre.leggauss(points)
+    k = (np.arange(N_U)[:, None] + 0.5 * (x + 1.0)).ravel()
+    return np.minimum(_knot_u(k), 1.0 - 2.0**-53), _knot_du(k) * np.tile(0.5 * w, N_U)
+
+
+def _theta_cdf(spec: DensitySpec, xs: np.ndarray):
+    """The theta-CDFs of the start states xs on nodes spread evenly over the
+    union of their windows.
+
+    Returns (lo, h, cdf, vals): the nodes are lo + h j, j = 0..m, shared by
+    the rows, so the kernel's terms in theta alone are evaluated once for
+    all of them.  A standard deviation sd of y spans at least sd / w in
+    theta, so m cells of CELLS_PER_SD per sd / w resolve every row.  cdf
+    holds each row's CDF at the nodes, before normalisation, by four-point
+    Gauss-Lobatto in each cell; vals the density at the cells' interior
+    Lobatto points (the first two blocks of m columns) and at the nodes (the
+    last m + 1 columns).
+    """
+    w, sd = spec.w, math.sqrt(spec.t - spec.s)
+    lo = math.asin(max((float(xs.min()) - WINDOW * sd) / w, -1.0))
+    hi = math.asin(min((float(xs.max()) + WINDOW * sd) / w, 1.0))
+    m = min(math.ceil((hi - lo) * w / sd * CELLS_PER_SD), MAX_CELLS)
+    h = (hi - lo) / m
+    cells = np.arange(m)
+    offsets = np.concatenate([cells + _LOBATTO[0], cells + _LOBATTO[1], np.arange(m + 1.0)])
+    vals = _theta_density(spec, (lo + h * offsets)[None, :], xs[:, None])
+    nodes = vals[:, 2 * m :]
+    cdf = np.zeros((xs.shape[0], m + 1))
+    inc = 5.0 * (vals[:, :m] + vals[:, m : 2 * m])
+    inc += nodes[:, :-1]
+    inc += nodes[:, 1:]
+    np.cumsum(inc, axis=1, out=cdf[:, 1:])
+    cdf *= h / 12.0
+    return lo, h, cdf, vals
+
+
+class _CellModel:
+    """The CDF of each row of a _theta_cdf inside given cells, rows[i] and
+    cells[i] for target i: there the density is the cubic through its four
+    Lobatto values, so the CDF is a quartic in the position tau in [0, 1]
+    that takes the tabulated values f0 and f1 at the cell's ends."""
+
+    def __init__(self, h: float, cdf: np.ndarray, vals: np.ndarray, rows: np.ndarray, cells: np.ndarray):
+        m = cdf.shape[1] - 1
+        i = rows * (3 * m + 1) + cells
+        self.points = vals.take(i + np.array([[2 * m], [0], [m], [2 * m + 1]]))
+        # F = f0 + sum_k coef[k] tau**(k+1)
+        self.coef = (h * _QUARTIC) @ self.points
+        j = rows * (m + 1) + cells
+        self.f0, self.f1 = cdf.take(j), cdf.take(j + 1)
+
+    def cdf(self, tau, sel=slice(None)):
+        a0, a1, a2, a3 = self.coef[:, sel]
+        return self.f0[sel] + tau * (a0 + tau * (a1 + tau * (a2 + tau * a3)))
+
+    def slope(self, tau, sel=slice(None)):
+        a0, a1, a2, a3 = self.coef[:, sel]
+        return a0 + tau * (2.0 * a1 + tau * (3.0 * a2 + tau * (4.0 * a3)))
+
+    def invert(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(tau, dF/dtau there) with F(tau) = target, f0 <= target < f1.
+
+        The start inverts the cubic Hermite interpolant of F's end values and
+        slopes, or, in a cell that ends where the density vanishes (at the
+        support's edge, like the square of the distance), F's cube-root law
+        there.  Two Newton steps on the quartic follow for every target, and
+        more for the few that still move by over 1e-10.
+        """
+        d = self.f1 - self.f0
+        v = (target - self.f0) / d
+        m0 = d / np.maximum(self.coef[0], d / 3.0)
+        m1 = d / np.maximum(self.slope(1.0), d / 3.0)
+        s = 1.0 - v
+        tau = v * (v * (3.0 - 2.0 * v) + s * (m0 * s - m1 * v))
+        left, right = np.flatnonzero(self.points[0] == 0.0), np.flatnonzero(self.points[3] == 0.0)
+        tau[left] = np.cbrt(v[left])
+        tau[right] = 1.0 - np.cbrt(s[right])
+        for _ in range(2):
+            slope = self.slope(tau)
+            step = (self.cdf(tau) - target) / np.maximum(slope, 1e-300)
+            tau = np.minimum(np.maximum(tau - step, 0.0), 1.0)
+        sel = np.flatnonzero(np.abs(step) > 1e-10)
+        for _ in range(60):
+            if not sel.size:
+                break
+            cur = tau[sel]
+            slope[sel] = self.slope(cur, sel)
+            step = (self.cdf(cur, sel) - target[sel]) / np.maximum(slope[sel], 1e-300)
+            tau[sel] = np.minimum(np.maximum(cur - step, 0.0), 1.0)
+            sel = sel[np.abs(step) > 1e-10]
+        return tau, slope
+
+
+def _invert_rows(spec: DensitySpec, xs: np.ndarray):
+    """The cubic coefficients of the inverse CDFs of the start states xs (see
+    CdfTable), their values at the midpoints between knots, their u-error
+    and their defect; raises InvalidDensityError where _tabulate says."""
+    lo, h, cdf, vals = _theta_cdf(spec, xs)
+    n, m, k = xs.shape[0], cdf.shape[1] - 1, np.arange(1.0, N_U)
+    mass = cdf[:, -1].copy()
+    defect = float(np.max(np.abs(mass - 1.0)))
+    if not defect <= NORM_TOL:
+        raise InvalidDensityError(f"tabulated density mass off by {defect:.3e} (> {NORM_TOL})")
+    # knot targets in the unnormalised CDF: F = mass u
+    target = mass[:, None] * _knot_u(k)
+    cells = np.concatenate([np.searchsorted(c, t, side="right") - 1 for c, t in zip(cdf, target)])
+    tau, dfdtau = _CellModel(h, cdf, vals, np.repeat(np.arange(n), N_U - 1), cells).invert(target.ravel())
+    theta = (lo + h * (cells + tau)).reshape(n, -1)
+    quantile = np.empty((n, N_U + 1))
+    slope = np.zeros((n, N_U + 1))
+    quantile[:, 0], quantile[:, -1] = math.sin(lo), math.sin(lo + h * m)
+    quantile[:, 1:-1] = np.sin(theta)
+    # d(y / w)/dk = cos(theta) dtheta/du du/dk, and dtheta/du = mass h / (dF/dtau)
+    slope[:, 1:-1] = np.cos(theta) / dfdtau.reshape(n, -1) * ((h * mass)[:, None] * _knot_du(k))
+    # the u-error where cubic Hermite interpolation errs most, between knots
+    mid = 0.5 * (quantile[:, :-1] + quantile[:, 1:]) + 0.125 * (slope[:, :-1] - slope[:, 1:])
+    pos = ((np.arcsin(np.minimum(np.maximum(mid, -1.0), 1.0)) - lo) / h).ravel()
+    cells = np.minimum(np.maximum(pos.astype(np.intp), 0), m - 1)
+    f = _CellModel(h, cdf, vals, np.repeat(np.arange(n), N_U), cells).cdf(np.minimum(np.maximum(pos - cells, 0.0), 1.0))
+    u_error = float(np.max(np.abs(f.reshape(n, -1) / mass[:, None] - _knot_u(np.arange(N_U) + 0.5))))
+    if not u_error <= U_TOL:
+        raise InvalidDensityError(f"tabulated inverse CDF off by {u_error:.3e} in u (> {U_TOL})")
+    z0, z1, d0, d1 = quantile[:, :-1], quantile[:, 1:], slope[:, :-1], slope[:, 1:]
+    gap = z1 - z0
+    cubic = np.stack([z0, d0, 3.0 * gap - 2.0 * d0 - d1, d0 + d1 - 2.0 * gap], axis=-1)
+    return cubic, mid, u_error, defect
 
 
 def _tabulate(spec: DensitySpec, x_grid=None) -> CdfTable:
-    """Build a CdfTable of spec's theta-density, one row per start state in
-    x_grid (spec.x alone without one).
+    """Build a CdfTable of spec's density, one row per start state in x_grid
+    (spec.x alone without one), in blocks of at most ROW_BLOCK rows whose
+    states span at most WINDOW standard deviations.
 
-    CDF increments use two-point Gauss-Legendre inside each of the N_THETA - 1
-    cells, accurate far beyond the normalisation gate.  Rows are evaluated
-    ROW_BLOCK at a time, so only one block of density values is live.
+    Raises InvalidDensityError if a row's mass before normalisation is off
+    by more than NORM_TOL or its u-error exceeds U_TOL.
     """
-    thetas = np.linspace(-math.pi / 2.0, math.pi / 2.0, N_THETA)
-    h = thetas[1] - thetas[0]
-    off = h / (2.0 * math.sqrt(3.0))
-    mids = 0.5 * (thetas[:-1] + thetas[1:])
-    sub = np.concatenate([mids - off, mids + off, thetas])
     xs = np.array([spec.x]) if x_grid is None else x_grid
-    n_rows, m = xs.shape[0], N_THETA - 1
-    cdf = np.empty((n_rows, N_THETA))
-    pdf = np.empty((n_rows, N_THETA))
-    cdf[:, 0] = 0.0
-    for r in range(0, n_rows, ROW_BLOCK):
-        block = slice(r, r + ROW_BLOCK)
-        vals = _theta_density(spec, sub[None, :], xs[block, None])
-        np.cumsum(0.5 * h * (vals[:, :m] + vals[:, m : 2 * m]), axis=1, out=cdf[block, 1:])
-        pdf[block] = vals[:, 2 * m :]
-    norms = cdf[:, -1].copy()
-    worst = float(np.max(np.abs(norms - 1.0)))
-    if not worst <= NORM_TOL:
-        raise InvalidDensityError(f"tabulated density mass off by {worst:.3e} (> {NORM_TOL})")
-    cdf /= norms[:, None]
-    pdf /= norms[:, None]
-    levels = np.arange(N_GUIDE + 1) / N_GUIDE
-    guide = np.empty((n_rows, N_GUIDE + 1), dtype=np.int16)
-    for r in range(n_rows):
-        guide[r] = np.minimum(np.searchsorted(cdf[r], levels, side="right") - 1, m - 1)
-    return CdfTable(thetas=thetas, cdf=cdf, pdf=pdf, guide=guide, w=spec.w, x_grid=x_grid, defect=worst)
+    cubic = np.empty((xs.shape[0], N_U, 4))
+    # Var(Y_{j+1} - Y_j) by the midpoint rule in k, pair by pair as the rows come
+    du = np.diff(_knot_u(np.arange(N_U + 1.0)))
+    loss, last = (None if x_grid is None else np.empty(xs.shape[0] - 1)), None
+    defect = u_error = 0.0
+    step = ROW_BLOCK
+    if x_grid is not None:
+        step = max(1, min(step, int(WINDOW * math.sqrt(spec.t - spec.s) / (x_grid[1] - x_grid[0])) + 1))
+    for r in range(0, xs.shape[0], step):
+        block = slice(r, r + step)
+        cubic[block], mid, err, off = _invert_rows(spec, xs[block])
+        defect, u_error = max(defect, off), max(u_error, err)
+        if loss is not None:
+            gap = np.diff(mid if last is None else np.vstack([last, mid]), axis=0)
+            loss[max(r - 1, 0) : r + mid.shape[0] - 1] = np.square(gap) @ du - np.square(gap @ du)
+            last = mid[-1:]
+    if loss is not None:
+        loss *= spec.w**2 / (2.0 * (spec.t - spec.s))
+    return CdfTable(cubic=cubic, w=spec.w, x_grid=x_grid, blend_loss=loss, defect=defect, u_error=u_error)
 
 
 @lru_cache(maxsize=16)
 def scaled_marginal_table(q: float) -> CdfTable:
-    """CDF table of the unit-time marginal; other horizons follow by sqrt(t) scaling."""
+    """Inverse-CDF table of the unit-time marginal; other horizons follow by
+    sqrt(t) scaling."""
     return _tabulate(marginal_spec(QContext.numeric(q), 1.0))
 
 
 @lru_cache(maxsize=16)
 def scaled_transition_table(q: float) -> CdfTable:
-    """CDF rows of the scaled one-step kernel (time q to time 1).
+    """Inverse-CDF rows of the scaled one-step kernel (time q to time 1).
 
     On a geometric grid every step has time ratio q, and diffusive scaling
     reduces each transition to this single family indexed by the scaled state
@@ -455,65 +638,40 @@ def scaled_transition_table(q: float) -> CdfTable:
     return _tabulate(spec, np.linspace(-edge, edge, N_X))
 
 
-def invert_cdf(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorised inverse CDF: find the cell, then one Newton step.
-
-    rows picks the table row per draw; raises ValueError unless every u lies
-    in [0, 1) (NaN included).  Returns theta.
-    The cell is the last j with cdf[row, j] <= u, unique because rows never
-    decrease and end at exactly 1.  The guide entries at floor(u N_GUIDE)
-    and the next level bracket it; bisection then runs only on the draws
-    whose bracket spans more than one cell.
-    """
-    return _invert(table, u, rows)[0]
+#: a table's cubic coefficients as one record per knot interval
+_CUBIC_RECORD = np.dtype([("c0", "f8"), ("c1", "f8"), ("c2", "f8"), ("c3", "f8")])
 
 
-def _invert(table: CdfTable, u, *row_sets) -> list[np.ndarray]:
-    """invert_cdf at the same u for each of row_sets, which share the check
-    of u, its guide level and the table's flat views; the search and the
-    Newton step run once per row set."""
-    thetas, guide = table.thetas, table.guide
-    cflat, pflat = table.cdf.ravel(), table.pdf.ravel()
-    n, h = thetas.shape[0], thetas[1] - thetas[0]
-    u, *row_sets = np.broadcast_arrays(np.asarray(u, dtype=float), *(np.asarray(r, dtype=np.intp) for r in row_sets))
-    shape, u = u.shape, u.ravel()
+def _quantiles(table: CdfTable, u, *row_sets) -> list[np.ndarray]:
+    """y / w at the uniforms u for each of row_sets (table rows, broadcast
+    against u); raises ValueError unless every u lies in [0, 1) (NaN
+    included).  The row sets share the check of u and its knot interval;
+    each then reads one record per draw and evaluates its cubic."""
+    u = np.asarray(u, dtype=float)
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniforms must lie in [0, 1)")
-    level = (u * N_GUIDE).astype(np.intp)
+    # u < 1 keeps the knot coordinate below N_U, so the interval stays in range
+    k = _knot_coordinate(u)
+    cell = k.astype(np.intp)
+    t = k - cell
+    records = table.cubic.view(_CUBIC_RECORD).ravel()
     out = []
     for rows in row_sets:
-        rows = rows.ravel()
-        gi = rows * (N_GUIDE + 1) + level
-        lo = guide.take(gi).astype(np.intp)
-        hi = guide.take(gi + 1).astype(np.intp) + 1
-        # invariant: cdf[row, lo] <= u < cdf[row, hi]
-        base = rows * n
-        active = np.flatnonzero(hi - lo > 1)
-        while active.size:
-            a_lo, a_hi = lo[active], hi[active]
-            mid = (a_lo + a_hi) // 2
-            below = cflat.take(base[active] + mid) <= u[active]
-            a_lo = np.where(below, mid, a_lo)
-            a_hi = np.where(below, a_hi, mid)
-            lo[active], hi[active] = a_lo, a_hi
-            active = active[a_hi - a_lo > 1]
-        cell = base + lo
-        f0, f1 = cflat.take(cell), cflat.take(cell + 1)
-        p0, p1 = pflat.take(cell), pflat.take(cell + 1)
-        t0 = thetas.take(lo)
-        df = np.maximum(f1 - f0, 1e-300)
-        frac = np.minimum(np.maximum((u - f0) / df, 0.0), 1.0)
-        theta = t0 + frac * h
-        rho = np.maximum(p0 + (p1 - p0) * frac, 1e-300)
-        f_hat = f0 + (theta - t0) * 0.5 * (p0 + rho)
-        theta = theta - (f_hat - u) / rho
-        out.append(np.minimum(np.maximum(theta, t0), t0 + h).reshape(shape))
+        c = records.take(np.asarray(rows, dtype=np.intp) * N_U + cell)
+        y = c["c3"] * t
+        y += c["c2"]
+        y *= t
+        y += c["c1"]
+        y *= t
+        y += c["c0"]
+        out.append(y)
     return out
 
 
 def draw_from_table(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms through the tabulated inverse CDF to state space."""
-    return table.w * np.sin(invert_cdf(table, rows, u))
+    """Map uniforms through the tabulated inverse CDF of the given rows to
+    state space; raises ValueError unless every u lies in [0, 1)."""
+    return table.w * _quantiles(table, u, rows)[0]
 
 
 def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -523,13 +681,26 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) 
     bracketing x-grid rows, in state space.  Conditional means interpolate
     linearly in x, so the martingale property survives tabulation exactly up
     to each row's own quantile error.  Both rows are inverted in one pass.
+    Blending two quantile functions loses variance, 2 lam (1 - lam)
+    blend_loss[j] of it (up to 1e-5 near the edge at q = 0.99); the draw's
+    deviation from x is scaled by 1 + lam (1 - lam) blend_loss[j] to restore
+    it, which keeps the mean, and clipped to the support.
     """
     xg = table.x_grid
     if xg is None:
         raise ValueError("table has no conditioning grid")
-    dx = xg[1] - xg[0]
-    pos = (np.asarray(x_scaled, dtype=float) - xg[0]) / dx
-    j = np.minimum(np.maximum(np.floor(pos).astype(np.intp), 0), xg.shape[0] - 2)
+    x = np.asarray(x_scaled, dtype=float)
+    pos = (x - xg[0]) / (xg[1] - xg[0])
+    # truncation is floor wherever it matters: negative pos clips to row 0
+    j = np.minimum(np.maximum(pos.astype(np.intp), 0), xg.shape[0] - 2)
     lam = np.minimum(np.maximum(pos - j, 0.0), 1.0)
-    ta, tb = _invert(table, u, j, j + 1)
-    return (1.0 - lam) * (table.w * np.sin(ta)) + lam * (table.w * np.sin(tb))
+    za, zb = _quantiles(table, u, j, j + 1)
+    w = table.w
+    y = (1.0 - lam) * (w * za) + lam * (w * zb)
+    gain = table.blend_loss.take(j)
+    gain *= lam
+    gain *= 1.0 - lam
+    dev = y - x
+    dev *= gain
+    y += dev
+    return np.minimum(np.maximum(y, -w), w)

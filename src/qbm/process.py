@@ -105,10 +105,6 @@ class GeometricPath:
         if len(self.values) != len(self.grid):
             raise ValueError("path length does not match grid")
 
-    def in_support(self) -> bool:
-        """Whether |B_k| <= 2 sqrt(t_k / (1-q)) at every grid node."""
-        return not np.any(_outside(np.asarray(self.values, dtype=float), self.grid.times, self.grid.q))
-
 
 def _outside(values: np.ndarray, times, q: Scalar) -> np.ndarray:
     """|B_k| > 2 sqrt(t_k / (1-q)) elementwise, times broadcasting; False for NaN."""

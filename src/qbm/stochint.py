@@ -16,14 +16,13 @@ batch, which are views of its grid-major values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .qcore import Poly, QContext, SampledFunction, Scalar, q_factorial
+from .qcore import Poly, QContext, Scalar, q_factorial
 from .qhermite import QPolynomial, growth_constant, hermite_eval_sequence, to_hermite_basis
 from . import process
 from .process import GeometricGrid, GeometricPath, PathBatch
@@ -36,7 +35,6 @@ __all__ = [
     "integrate_def_batch",
     "def_tail_bound",
     "deterministic_integral",
-    "deterministic_tail_bound",
     "exponential_radius",
     "isometry_second_moment",
     "stochastic_exponential",
@@ -194,26 +192,17 @@ def integrate_def_batch(f: PolynomialIntegrand, batch: PathBatch, ctx: QContext)
                            for b in blocks])
 
 
-def deterministic_integral(b, path: GeometricPath, ctx: QContext):
-    """sum_k b(t_k) (B_k - B_{k+1}), the integral of a deterministic integrand.
+def deterministic_integral(b, batch: PathBatch) -> np.ndarray:
+    """sum_k b(t_k) (B_k - B_{k+1}) per path, the defining sum of the integral
+    of a deterministic integrand b (a function of time), summed in grid order.
 
-    b is a SampledFunction or Poly with a declared (or derived) sup bound.
+    The values may be floats or exact rationals (an object array).
     """
-    g = b if isinstance(b, SampledFunction) else SampledFunction.from_poly(b)
-    times = path.grid.times
-    total = 0 * (path.values[0] * ctx.q)
-    for k in range(path.grid.K):
-        total = total + g(times[k]) * (path.values[k] - path.values[k + 1])
+    v, times = batch.values, batch.grid.times
+    total = np.zeros(len(batch), dtype=v.dtype)
+    for k in range(batch.grid.K):
+        total += b(times[k]) * (v[:, k] - v[:, k + 1])
     return total
-
-
-def deterministic_tail_bound(b, grid: GeometricGrid, ctx: QContext) -> float:
-    """Bound |sum_{k>=K} b(t_k)(B_k - B_{k+1})| via the support edge |B| <= C_1 sqrt(s)."""
-    g = b if isinstance(b, SampledFunction) else SampledFunction.from_poly(b)
-    qf = ctx.qf
-    t_deep = float(grid.times[grid.K])
-    c1 = 2.0 / math.sqrt(1.0 - qf)
-    return 2.0 * float(g.sup_on(t_deep)) * c1 * math.sqrt(t_deep) / (1.0 - math.sqrt(qf))
 
 
 def isometry_second_moment(f: PolynomialIntegrand, t: Scalar, ctx: QContext) -> Scalar:

@@ -11,7 +11,8 @@ Four suites back the library's quantitative claims:
     kernel-quadrature operators with their exact counterparts.  The checks
     form one plan of records; records that share a density are one stacked
     integrate call, and the operator records at one (q, s) are one batch of
-    kernel-form entries, so each density is evaluated once per level;
+    kernel-form entries, so each density is evaluated once per level; last,
+    the sampler's bias, by a u-quadrature pushed through its one-step draw;
   * run_mc_suite: Monte Carlo estimates against exact oracles, gated at
     |z| <= 4.  The checks form one table of records; each (q, t) batch is
     simulated once, MC_CHUNK paths at a time, and a failing check is rerun
@@ -42,9 +43,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import (
+    draw_transition_batch,
     integrate,
     marginal_spec,
+    scaled_transition_table,
     support_halfwidth,
+    table_quadrature,
     transition_density,
     transition_spec,
 )
@@ -63,6 +67,7 @@ from .qito import (
 from .stochint import (
     PolynomialIntegrand,
     def_tail_bound,
+    deterministic_integral,
     integrate_byparts,
     integrate_def,
     integrate_def_batch,
@@ -256,7 +261,7 @@ CHECKS: dict[str, str] = {
         (
             "normalization", "variance", "fourth-moment", "martingale", "cond-quadratic",
             "cond-cubic", "cond-quartic", "orthogonality", "chapman", "nabla-numeric",
-            "delta-numeric",
+            "delta-numeric", "sampler-bias",
         ),
         "quadrature",
     ),
@@ -611,13 +616,56 @@ def _quad_report(c: _QuadCheck, got: list[float]) -> VerificationReport:
     return VerificationReport(c.name, c.params, err <= c.tol, c.tol, "quadrature", err)
 
 
+#: gate of the sampler-bias check, and its Gauss-Legendre points per knot
+#: interval: exact for the second moments of a table's draws
+SAMPLER_TOL = 1e-6
+SAMPLER_POINTS = 5
+
+
+def sampler_bias(q: float, points: int = SAMPLER_POINTS) -> tuple[list[float], float, float]:
+    """(states, worst variance error, worst mean error) of the sampler's
+    one-step draws at q, by a deterministic u-quadrature pushed through
+    draw_transition_batch.
+
+    The scaled states are the centre row, halfway to the next row, 0.37 of
+    the way to the edge, halfway between the two rows at the lower edge, a
+    quarter of a row in from the upper edge, and the edge row.  The errors
+    are relative to the conditional variance 1 - q and, for the mean, over
+    the step's standard deviation sqrt(1 - q).  table_quadrature(points) is
+    exact for the table's interpolant at 5 points or more, so the figures
+    carry only rounding (a 7-point rule agrees to 1e-13).
+    """
+    table = scaled_transition_table(q)
+    xg = table.x_grid
+    edge, dx = float(xg[-1]), float(xg[1] - xg[0])
+    states = [0.0, 0.5 * dx, 0.37 * edge, 0.5 * dx - edge, edge - 0.25 * dx, edge]
+    u, weights = table_quadrature(points)
+    var_err = mean_err = 0.0
+    for x in states:
+        y = draw_transition_batch(table, np.full(u.shape, x), u)
+        mean = float(weights @ y)
+        var = float(weights @ np.square(y - mean))
+        var_err = max(var_err, abs(var / (1.0 - q) - 1.0))
+        mean_err = max(mean_err, abs(mean - x) / math.sqrt(1.0 - q))
+    return states, var_err, mean_err
+
+
+def _sampler_bias_report(q: float) -> VerificationReport:
+    states, var_err, mean_err = sampler_bias(q)
+    params = {"q": q, "states": states, "points": SAMPLER_POINTS,
+              "variance_error": var_err, "mean_error": mean_err}
+    worst = max(var_err, mean_err)
+    return VerificationReport("sampler-bias", params, worst <= SAMPLER_TOL, SAMPLER_TOL, "quadrature", worst)
+
+
 def run_quadrature_suite(
     only: set[str] | None = None,
     qs: Sequence[float] = (0.2, 0.5, 0.8),
     ts: Sequence[float] = (0.25, 1.0, 4.0),
 ) -> list[VerificationReport]:
     """Density, moment, martingale, and operator checks by quadrature: one
-    evaluation per distinct leg, over the items of every check that shares it."""
+    evaluation per distinct leg, over the items of every check that shares
+    it; then the sampler's bias at each q."""
     selected = selected_checks(only, "quadrature")
     plan = [c for c in _quad_plan(qs, ts) if selected is None or c.name in selected]
     legs: dict[tuple, list[int]] = {}
@@ -628,7 +676,10 @@ def run_quadrature_suite(
         flat = iter(evaluate([item for i in mine for item in plan[i].items], *args).tolist())
         for i in mine:
             values[i] = [next(flat) for _ in plan[i].refs]
-    return [_quad_report(c, got) for c, got in zip(plan, values)]
+    reports = [_quad_report(c, got) for c, got in zip(plan, values)]
+    if selected is None or "sampler-bias" in selected:
+        reports += [_sampler_bias_report(q) for q in qs]
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +708,6 @@ def _grid_index(grid: GeometricGrid, s: float) -> int:
         if abs(float(tk) - s) <= 1e-12 * max(1.0, s):
             return k
     raise ValueError(f"time {s} is not on the geometric grid")
-
-
-def _deterministic_power_integral(batch: PathBatch, r: float) -> np.ndarray:
-    """Z = sum_k t_k**r (B_k - B_{k+1}) per path."""
-    v, times = batch.values, batch.grid.times
-    out = np.zeros(v.shape[0])
-    for k in range(batch.grid.K):
-        out += float(times[k]) ** r * (v[:, k] - v[:, k + 1])
-    return out
 
 
 def _hermite_at(n: int, batch: PathBatch, k: int) -> np.ndarray:
@@ -701,11 +743,12 @@ def _mc_plan() -> list[_McCheck]:
     for r in (0.0, 0.5, 1.0):
         oracle = float(oracle_EZ2(r, q))
         truncated = (1.0 - q) * (1.0 - q ** ((2 * r + 1) * k)) / (1.0 - q ** (2 * r + 1))
+        power = lambda t, r=r: float(t) ** r
         add("ez2", {"r": r, "q": q, "truncation_bias": oracle - truncated}, 1.0, oracle,
-            lambda b, r=r: np.square(_deterministic_power_integral(b, r)))
+            lambda b, power=power: np.square(deterministic_integral(power, b)))
         oracle = float(oracle_EZ4(r, q))
         add("ez4", {"r": r, "q": q, "truncation_bias_bound": 8.0 * q**k * oracle}, 1.0, oracle,
-            lambda b, r=r: _deterministic_power_integral(b, r) ** 4)
+            lambda b, power=power: deterministic_integral(power, b) ** 4)
 
     for q, s in ((0.5, 0.5), (0.8, 0.8)):
         j = _grid_index(GeometricGrid.build(q=q, t=1.0), s)

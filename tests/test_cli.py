@@ -261,14 +261,14 @@ PINNED_DIGESTS = [
     ),
     (
         ["--suite", "simulate", "--q", "0.5", "--paths", "4", "--seed", "7", "--wide"],
-        {"paths/paths_wide.csv": "204a12eca097e235fe93d180aa2ea4ffd8036ef3a1134c4b40e64371dc9ac8a9"},
+        {"paths/paths_wide.csv": "9ea28f3333f89b5c3c3bdbd74d7c4fe018039170b29b68ead9967d8a14e53fa7"},
     ),
     (
         ["--suite", "verify", "--only", "variance,ez2", "--paths", "3000"],
         {
             "density_curves.csv": "6fc0cc448acd154790a426d0f7afa1c537ae915ba95bfb54d43ee691afeaa591",
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
-            "verify.json": "97375b864f891025e2e6c37039b5285e805d5c730fe0a5b3566138337e5b9a43",
+            "verify.json": "bd5cc6665d680a73bf80596f6bea466ac7c2489fcd8a9e20989e8bb3ca8edb03",
         },
     ),
     (
@@ -287,7 +287,7 @@ PINNED_DIGESTS = [
         {
             "density_curves.csv": "6fc0cc448acd154790a426d0f7afa1c537ae915ba95bfb54d43ee691afeaa591",
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
-            "verify.json": "ad3b68a3afa2e802c1d87469cd783ab61850fcdb61e21bc2f8fa3ddd8f792693",
+            "verify.json": "2316f38c69ec28ab7707c4052b59d0840b001f8156e969f9b4468529baff7eec",
         },
     ),
 ]

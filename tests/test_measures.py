@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from qbm import measures, qito
 from qbm.measures import (
+    InvalidDensityError,
     QuadratureError,
     _theta_density,
     _trapezoid_nodes,
+    draw_from_table,
     draw_transition_batch,
     integrate,
-    invert_cdf,
     marginal_spec,
     qgauss_density,
     scaled_marginal_table,
@@ -429,22 +430,40 @@ def test_tail_series_meets_its_remainder_bound_and_matches_the_product(q):
                 assert got == pytest.approx(tail, rel=allowance, abs=0.0)
 
 
-def test_tables_record_their_normalisation_defect():
-    # the stored pdf rows are the raw theta-density divided by each row's
-    # tabulated mass, so the raw values give the masses back; the defect is
-    # the largest |mass - 1|, under the gate
-    ctx = QContext.numeric(0.5)
-    tt = scaled_transition_table(0.5)
-    tables = (
-        (scaled_marginal_table(0.5), marginal_spec(ctx, 1.0), np.zeros(1)),
-        (tt, transition_spec(ctx, 0.5, 1.0, 0.0), tt.x_grid),
+def _tables(q):
+    """(table, spec of its rows, their start states) for both tables at q."""
+    ctx = QContext.numeric(q)
+    tt = scaled_transition_table(q)
+    return (
+        (scaled_marginal_table(q), marginal_spec(ctx, 1.0), np.zeros(1)),
+        (tt, transition_spec(ctx, q, 1.0, 0.0), tt.x_grid),
     )
-    mid = measures.N_THETA // 2
-    for table, spec, xs in tables:
-        raw = _theta_density(spec, table.thetas[None, mid], xs[:, None])[:, 0]
-        masses = raw / table.pdf[:, mid]
+
+
+def test_tables_record_their_normalisation_defect():
+    # a row's mass before normalisation is its Gauss-Lobatto sum over its
+    # block's window; it agrees with the trapezoid quadrature of the same
+    # density, and the defect is the largest |mass - 1|, under the gate
+    ctx = QContext.numeric(0.5)
+    for table, spec, xs in _tables(0.5):
+        blocks = range(0, xs.size, measures.ROW_BLOCK)
+        masses = np.concatenate([measures._theta_cdf(spec, xs[r : r + measures.ROW_BLOCK])[2][:, -1] for r in blocks])
         assert 0.0 < table.defect <= measures.NORM_TOL
-        assert table.defect == pytest.approx(np.max(np.abs(masses - 1.0)), rel=1e-2, abs=0.0)
+        assert table.defect == np.max(np.abs(masses - 1.0))
+        for x, mass in zip(xs[::64], masses[::64]):
+            row = transition_spec(ctx, spec.s, spec.t, x)
+            assert mass == pytest.approx(integrate(lambda y: np.ones_like(y), row), rel=0.0, abs=1e-13)
+
+
+def test_table_builds_gate_mass_and_u_error(monkeypatch):
+    build = scaled_marginal_table.__wrapped__
+    assert build(0.5).u_error > 1e-13
+    monkeypatch.setattr(measures, "U_TOL", 1e-13)
+    with pytest.raises(InvalidDensityError, match="in u"):
+        build(0.5)
+    monkeypatch.setattr(measures, "NORM_TOL", 0.0)
+    with pytest.raises(InvalidDensityError, match="mass off"):
+        build(0.5)
 
 
 def test_marginal_moments():
@@ -538,86 +557,65 @@ def test_transition_rejects_nan_state_and_non_finite_time():
             qgauss_density(0.0, t, ctx)
 
 
-def _bisection_inverse(table, rows, u):
-    """Reference inverse CDF: plain bisection over the whole row to the last
-    cell j with cdf[row, j] <= u, then the same Newton step as invert_cdf."""
-    thetas, cdf, pdf = table.thetas, table.cdf, table.pdf
-    lo = np.zeros(u.shape, dtype=np.intp)
-    hi = np.full(u.shape, thetas.shape[0] - 1, dtype=np.intp)
-    while np.any(hi - lo > 1):
-        mid = (lo + hi) // 2
-        below = cdf[rows, mid] <= u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    f0, f1, p0, p1 = cdf[rows, lo], cdf[rows, hi], pdf[rows, lo], pdf[rows, hi]
-    h = thetas[1] - thetas[0]
-    t0 = thetas[lo]
-    frac = np.clip((u - f0) / np.maximum(f1 - f0, 1e-300), 0.0, 1.0)
-    theta = t0 + frac * h
-    rho = np.maximum(p0 + (p1 - p0) * frac, 1e-300)
-    f_hat = f0 + (theta - t0) * 0.5 * (p0 + rho)
-    theta = theta - (f_hat - u) / rho
-    return np.clip(theta, t0, t0 + h)
-
-
-def _edge_inputs(cdf):
-    """(rows, u, flat_rows) for inverting cdf: random draws, both ends of
-    [0, 1) on the first and the last row, u exactly on tabulated CDF values,
-    and every zero-increment cell of a spread of the flat_rows that have
-    them."""
-    n_rows, n = cdf.shape
-    rng = np.random.default_rng(5)
-    rows = [rng.integers(0, n_rows, 4000)]
-    u = [rng.random(4000)]
-    rows.append(np.array([0, 0, n_rows - 1, n_rows - 1]))
-    u.append(np.array([0.0, 1.0 - 2.0**-53] * 2))
-    on_rows = rng.integers(0, n_rows, 500)
-    rows.append(on_rows)
-    u.append(cdf[on_rows, rng.integers(0, n - 1, 500)])
-    flat_rows = np.flatnonzero(np.any(np.diff(cdf, axis=1) == 0.0, axis=1))
-    for r in flat_rows[:: max(1, flat_rows.size // 8)]:
-        flat = np.flatnonzero(np.diff(cdf[r]) == 0.0)
-        rows.append(np.full(flat.size, r))
-        u.append(cdf[r, flat])
-    rows, u = np.concatenate(rows), np.concatenate(u)
-    # draws lie in [0, 1); trailing flat cells tabulate exactly 1
-    return rows[u < 1.0], u[u < 1.0], flat_rows
+def _accurate_cdf(spec, x, theta, panels=32):
+    """The theta-CDF of start state x at the angles theta: composite 16-point
+    Gauss-Legendre over [-pi/2, theta], independent of the tables."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = -math.pi / 2.0 + (theta[:, None] + math.pi / 2.0) * (np.arange(panels + 1) / panels)
+    half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+    points = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None] + half * nodes
+    dens = _theta_density(spec, points.reshape(theta.size, -1), x).reshape(points.shape)
+    return np.sum(dens * half * weights, axis=(1, 2))
 
 
 @pytest.mark.parametrize("q", [0.5, 0.8])
-def test_guided_inversion_matches_bisection(q):
-    for table in (scaled_marginal_table(q), scaled_transition_table(q)):
-        cdf = table.cdf
-        assert np.all(np.diff(cdf, axis=1) >= 0.0)
-        assert np.all(cdf[:, 0] == 0.0) and np.all(cdf[:, -1] == 1.0)
-        rows, u, flat_rows = _edge_inputs(cdf)
-        assert np.array_equal(invert_cdf(table, rows, u), _bisection_inverse(table, rows, u))
-        for bad in (1.0, -(2.0**-60), math.nan):
-            with pytest.raises(ValueError, match=r"\[0, 1\)"):
-                invert_cdf(table, rows[:3], np.array([0.5, bad, 0.25]))
-    # the q = 0.8 transition rows do have zero-increment cells
-    assert q != 0.8 or flat_rows.size > 0
+def test_inverse_tables_meet_their_u_error(q):
+    # every row of both tables, at random uniforms and at the midpoints
+    # between knots around u = 1/2, where the knots are widest: the accurate
+    # CDF at the tabulated quantile is within the recorded u-error of u, which
+    # is under the gate.  The build measures at the midpoints, where cubic
+    # Hermite interpolation errs most to leading order; off them the error
+    # can be a few per cent larger
+    mids = measures._knot_u(np.arange(measures.N_U) + 0.5)
+    u = np.concatenate([np.random.default_rng(7).random(8), mids[measures.N_U // 2 - 12 : measures.N_U // 2 + 12]])
+    for table, spec, xs in _tables(q):
+        assert 0.0 < table.u_error <= measures.U_TOL
+        worst = 0.0
+        for row, x in enumerate(xs):
+            theta = np.arcsin(draw_from_table(table, row, u) / table.w)
+            worst = max(worst, float(np.max(np.abs(_accurate_cdf(spec, x, theta) - u))))
+        assert table.u_error / 2.0 < worst <= table.u_error * 1.1
 
 
 @pytest.mark.parametrize("q", [0.5, 0.8])
 def test_transition_draw_matches_two_inversions(q):
-    # the one-pass step against two separate invert_cdf calls on the edge
-    # inputs: each input's row is once the upper bracketing row j + 1 and
-    # once the lower row j; states at the grid's ends and past them clip j
-    # and the weight
+    # the one-pass step against two single-row draws: each input's row is
+    # once the upper bracketing row j + 1 and once the lower row j; states at
+    # the grid's ends and past them clip j and the weight.  The blend's lost
+    # variance is restored about x, inside the support
     table = scaled_transition_table(q)
     xg, w = table.x_grid, table.w
     dx = xg[1] - xg[0]
-    rows, u, _ = _edge_inputs(table.cdf)
-    lam = np.random.default_rng(6).random(rows.size)
+    rng = np.random.default_rng(6)
+    rows = rng.integers(0, xg.size, 4000)
+    u = np.concatenate([rng.random(3000), measures._knot_u(rng.integers(0, measures.N_U, 996)), [0.0, 1.0 - 2.0**-53] * 2])
+    lam = rng.random(rows.size)
     x = np.concatenate([xg[0] + (rows - 1 + lam) * dx, xg[0] + rows * dx, [xg[0] - dx, xg[-1], xg[-1] + dx]])
     u = np.concatenate([u, u, [0.0, 0.5, 1.0 - 2.0**-53]])
     pos = (x - xg[0]) / dx
     j = np.clip(np.floor(pos).astype(np.intp), 0, xg.shape[0] - 2)
     lam = np.clip(pos - j, 0.0, 1.0)
     assert {0, xg.shape[0] - 2} <= set(j.tolist()) and lam.min() == 0.0 and lam.max() == 1.0
-    ref = (1.0 - lam) * (w * np.sin(invert_cdf(table, j, u))) + lam * (w * np.sin(invert_cdf(table, j + 1, u)))
-    assert np.array_equal(draw_transition_batch(table, x, u), ref)
-    for bad in (1.0, -(2.0**-60), math.nan):
+    y = (1.0 - lam) * draw_from_table(table, j, u) + lam * draw_from_table(table, j + 1, u)
+    y += (y - x) * (table.blend_loss[j] * lam * (1.0 - lam))
+    assert np.array_equal(draw_transition_batch(table, x, u), np.clip(y, -w, w))
+
+
+def test_draws_reject_uniforms_outside_the_unit_interval():
+    marginal, transition = scaled_marginal_table(0.5), scaled_transition_table(0.5)
+    for bad in (1.0, -(2.0**-60), math.nan, math.inf):
+        u = np.array([0.5, bad, 0.25])
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            draw_transition_batch(table, x[:3], np.array([0.5, bad, 0.25]))
+            draw_from_table(marginal, 0, u)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            draw_transition_batch(transition, np.zeros(3), u)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qbm.measures import N_GUIDE, N_THETA, N_X
+from qbm.measures import N_U, N_X
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -70,17 +70,19 @@ def test_ito_convergence_rejects_bad_inputs(args, message, capsys):
 def test_table_build_reports_time_and_defect(capsys):
     assert load("table_build").main(["--q", "0.5", "0.5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("# normalisation gate")
+    assert lines[0].startswith("# gates: u-error")
     # both tables, and a repeated q is built and timed again
     assert [line.split()[1] for line in lines[1:]] == ["marginal", "transition"] * 2
     for line in lines[1:]:
-        assert line.startswith("q=0.5") and 0.0 < float(line.split("defect")[1]) <= 1e-6
-        # float64 cdf and pdf rows of N_THETA nodes, int16 guide rows of N_GUIDE + 1 levels
         fields = line.split()
+        assert line.startswith("q=0.5") and 0.0 < float(fields[fields.index("defect") + 1]) <= 1e-6
+        assert 0.0 < float(fields[fields.index("u-error") + 1]) <= 1e-9
+        # four float64 coefficients per knot interval, N_U of them per row;
+        # the transition's blend loss per pair of adjacent rows
         rows = int(fields[fields.index("rows") - 1])
         assert rows == (1 if "marginal" in line else N_X)
-        sizes = [int(fields[fields.index(name) + 1]) for name in ("cdf", "pdf", "guide")]
-        assert sizes == [rows * N_THETA * 8, rows * N_THETA * 8, rows * (N_GUIDE + 1) * 2]
+        sizes = [int(fields[fields.index(name) + 1]) for name in ("cubic", "blend_loss")]
+        assert sizes == [rows * N_U * 4 * 8, (rows - 1) * 8]
 
 
 @pytest.mark.parametrize("args", [["--q", "0"], ["--q", "0.5", "1"], ["--q", "nan"], ["--q", "-0.2"]])

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbm.process import GeometricGrid, GeometricPath, simulate_batch, simulate_path
-from qbm.qcore import Poly, QContext, SampledFunction, q_factorial, q_int
+from qbm.process import GeometricGrid, GeometricPath, PathBatch, simulate_batch, simulate_path
+from qbm.qcore import Poly, QContext, q_factorial, q_int
 from qbm.qhermite import QPolynomial, hermite_eval_sequence
 from qbm.stochint import (
     PolynomialIntegrand,
     def_tail_bound,
     deterministic_integral,
-    deterministic_tail_bound,
     exponential_radius,
     integrate_byparts,
     integrate_def,
@@ -119,22 +118,24 @@ def test_deterministic_integral_rational():
     q = Fraction(1, 2)
     grid = GeometricGrid.build(q=q, t=Fraction(1), depth=3)
     vals = [Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(0)]
-    path = free_path(grid, vals)
-    got = deterministic_integral(Poly([0, 1]), path, HALF)
-    want = sum(grid.times[k] * (vals[k] - vals[k + 1]) for k in range(3))
-    assert got == want
+    batch = PathBatch(grid, np.array([vals, vals[::-1]], dtype=object), 0)
+    got = deterministic_integral(Poly([0, 1]), batch)
+    for path, row in zip(batch, got):
+        want = sum(grid.times[k] * (path.values[k] - path.values[k + 1]) for k in range(3))
+        assert isinstance(row, Fraction) and row == want
 
 
-def test_deterministic_integral_callable_and_bound():
-    ctx = QContext.numeric(0.5)
-    grid = GeometricGrid.build(q=0.5, t=1.0, depth=25)
-    path = simulate_path(grid, seed=2)
-    g = SampledFunction.from_callable(
-        lambda s: float(np.sqrt(s)), sup_near_zero=1.0, holder=(1.0, 0.5)
-    )
-    got = deterministic_integral(g, path, ctx)
-    assert np.isfinite(got)
-    assert deterministic_tail_bound(g, grid, ctx) > 0
+def test_deterministic_integral_matches_the_power_loop():
+    # the Monte Carlo ez2 and ez4 checks sum t_k**r (B_k - B_{k+1}) over the
+    # grid steps in this order; the batch form gives the same bits
+    grid = GeometricGrid.build(q=0.5, t=1.0)
+    batch = simulate_batch(grid, n_paths=300, base_seed=2)
+    for r in (0.0, 0.5, 1.0):
+        ref = np.zeros(len(batch))
+        for k in range(grid.K):
+            ref += float(grid.times[k]) ** r * (batch.values[:, k] - batch.values[:, k + 1])
+        got = deterministic_integral(lambda t, r=r: float(t) ** r, batch)
+        assert np.all(np.isfinite(got)) and got.tobytes() == ref.tobytes()
 
 
 def _exponential_series(a, c, x, t, ctx, degree):

@@ -161,6 +161,38 @@ def test_quadrature_suite_filter():
     assert reps[0].passed
 
 
+def test_sampler_bias_report():
+    (rep,) = run_quadrature_suite(only={"sampler-bias"}, qs=(0.5,))
+    assert rep.passed and rep.kind == "quadrature" and rep.tolerance == verify.SAMPLER_TOL == 1e-6
+    assert rep.residual == max(rep.params["variance_error"], rep.params["mean_error"])
+    assert len(rep.params["states"]) == 6
+
+
+@pytest.mark.parametrize("q", [0.95, 0.99])
+def test_sampler_bias_holds_near_the_classical_limit(q):
+    # the quadrature suite covers q = 0.2, 0.5 and 0.8; these tables take
+    # longer to build
+    _, var_err, mean_err = verify.sampler_bias(q)
+    assert var_err <= verify.SAMPLER_TOL and mean_err <= verify.SAMPLER_TOL
+
+
+def test_sampler_bias_quadrature_is_exact():
+    # five points per knot interval are exact for the draws' second moments:
+    # seven give the same figures, far inside a tenth of the gate
+    five, seven = verify.sampler_bias(0.8), verify.sampler_bias(0.8, points=7)
+    assert abs(five[1] - seven[1]) <= 1e-13 and abs(five[2] - seven[2]) <= 1e-13
+
+
+def test_sampler_bias_sees_the_blend_loss(monkeypatch):
+    # without the variance the blend of two rows loses, the draws between
+    # the two rows at the edge miss the gate at q = 0.8
+    table = verify.scaled_transition_table(0.8)
+    lossless = dataclasses.replace(table, blend_loss=np.zeros_like(table.blend_loss))
+    monkeypatch.setattr(verify, "scaled_transition_table", lambda q: lossless)
+    _, var_err, mean_err = verify.sampler_bias(0.8)
+    assert var_err > 2e-6 and mean_err <= verify.SAMPLER_TOL
+
+
 def test_mc_suite_filter_and_threshold():
     reps = run_mc_suite(n_paths=4000, seed=3, only={"variance-horizon"})
     assert len(reps) == 3
