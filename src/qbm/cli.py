@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .measures import qgauss_density, support_halfwidth
+from .measures import InvalidDensityError, qgauss_density, support_halfwidth
 from .process import SEED_LIMIT, GeometricGrid, simulate_batch, write_batch_csv
 from .qcore import QContext
 from .verify import (
@@ -328,6 +328,11 @@ def main(argv: list[str] | None = None) -> int:
             status = max(status, cmd_verify(config))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except InvalidDensityError as exc:
+        # a q the sampling tables cannot resolve (the kernel loses its
+        # precision near q = 1)
+        print(f"configuration error: the sampling tables fail their gates at this q: {exc}", file=sys.stderr)
         return 2
     return status
 

@@ -448,9 +448,14 @@ def _knot_du(k):
 
 
 def _knot_coordinate(u: np.ndarray) -> np.ndarray:
-    """The inverse of _knot_u on [0, 1): k in [0, N_U)."""
-    root = np.sqrt(np.sqrt(np.minimum(u, 1.0 - u) * _U_SCALE))
-    return np.where(u < 0.5, root, N_U - root)
+    """The inverse of _knot_u on [0, 1): k in [0, N_U), in one new array."""
+    k = np.subtract(1.0, u, out=np.empty_like(u))
+    np.minimum(u, k, out=k)
+    k *= _U_SCALE
+    np.sqrt(k, out=k)
+    np.sqrt(k, out=k)
+    # the upper half mirrors: N_U - root where u >= 0.5
+    return np.subtract(N_U, k, out=k, where=u >= 0.5)
 
 
 def table_quadrature(points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -642,36 +647,35 @@ def scaled_transition_table(q: float) -> CdfTable:
 _CUBIC_RECORD = np.dtype([("c0", "f8"), ("c1", "f8"), ("c2", "f8"), ("c3", "f8")])
 
 
-def _quantiles(table: CdfTable, u, *row_sets) -> list[np.ndarray]:
-    """y / w at the uniforms u for each of row_sets (table rows, broadcast
-    against u); raises ValueError unless every u lies in [0, 1) (NaN
-    included).  The row sets share the check of u and its knot interval;
-    each then reads one record per draw and evaluates its cubic."""
+def _quantiles(table: CdfTable, u, rows) -> np.ndarray:
+    """y / w at the uniforms u in the given table rows (broadcast against
+    u); raises ValueError unless every u lies in [0, 1) (NaN included).
+    Each draw reads one record and evaluates its cubic, in place."""
     u = np.asarray(u, dtype=float)
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniforms must lie in [0, 1)")
     # u < 1 keeps the knot coordinate below N_U, so the interval stays in range
-    k = _knot_coordinate(u)
-    cell = k.astype(np.intp)
-    t = k - cell
-    records = table.cubic.view(_CUBIC_RECORD).ravel()
-    out = []
-    for rows in row_sets:
-        c = records.take(np.asarray(rows, dtype=np.intp) * N_U + cell)
-        y = c["c3"] * t
-        y += c["c2"]
-        y *= t
-        y += c["c1"]
-        y *= t
-        y += c["c0"]
-        out.append(y)
-    return out
+    t = _knot_coordinate(u)
+    cell = t.astype(np.intp)
+    t -= cell
+    c = table.cubic.view(_CUBIC_RECORD).ravel().take(np.multiply(rows, N_U, dtype=np.intp) + cell)
+    y = np.multiply(c["c3"], t)
+    y += c["c2"]
+    y *= t
+    y += c["c1"]
+    y *= t
+    y += c["c0"]
+    return y
 
 
 def draw_from_table(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map uniforms through the tabulated inverse CDF of the given rows to
     state space; raises ValueError unless every u lies in [0, 1)."""
-    return table.w * _quantiles(table, u, rows)[0]
+    return table.w * _quantiles(table, u, rows)
+
+
+#: offsets of the two bracketing rows
+_ROW_PAIR = np.array([0, 1], dtype=np.intp)
 
 
 def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -690,17 +694,36 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) 
     if xg is None:
         raise ValueError("table has no conditioning grid")
     x = np.asarray(x_scaled, dtype=float)
-    pos = (x - xg[0]) / (xg[1] - xg[0])
-    # truncation is floor wherever it matters: negative pos clips to row 0
-    j = np.minimum(np.maximum(pos.astype(np.intp), 0), xg.shape[0] - 2)
-    lam = np.minimum(np.maximum(pos - j, 0.0), 1.0)
-    za, zb = _quantiles(table, u, j, j + 1)
+    u = np.asarray(u, dtype=float)
+    if x.shape != u.shape or x.ndim == 0:
+        # one state per uniform, in flat arrays: the steps below work in place
+        xs, us = np.broadcast_arrays(x, u)
+        y = draw_transition_batch(table, xs.ravel(), us.ravel()).reshape(xs.shape)
+        return y if y.ndim else y[()]
+    lam = np.subtract(x, xg[0])
+    lam /= xg[1] - xg[0]
+    # truncation is floor wherever it matters: negative positions clip to row 0
+    j = lam.astype(np.intp)
+    np.maximum(j, 0, out=j)
+    np.minimum(j, xg.shape[0] - 2, out=j)
+    lam -= j
+    np.maximum(lam, 0.0, out=lam)
+    np.minimum(lam, 1.0, out=lam)
+    rest = 1.0 - lam
+    # rows j and j + 1 in one pass
+    y, zb = _quantiles(table, u, np.add.outer(_ROW_PAIR, j))
     w = table.w
-    y = (1.0 - lam) * (w * za) + lam * (w * zb)
+    # (1 - lam) (w za) + lam (w zb), each product in that order
+    y *= w
+    y *= rest
+    zb *= w
+    zb *= lam
+    y += zb
     gain = table.blend_loss.take(j)
     gain *= lam
-    gain *= 1.0 - lam
-    dev = y - x
+    gain *= rest
+    dev = np.subtract(y, x)
     dev *= gain
     y += dev
-    return np.minimum(np.maximum(y, -w), w)
+    np.maximum(y, -w, out=y)
+    return np.minimum(y, w, out=y)

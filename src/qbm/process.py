@@ -8,9 +8,12 @@ tabulated kernel family, shared across steps and paths.
 
 Path i of a batch consumes the first K + 1 uniforms of
 np.random.default_rng(base_seed + i), the marginal draw first, so results do
-not depend on evaluation order or batch size.  The batch computes those
-streams together, one column of uniforms per draw, in vectorised integer
-arithmetic; base seeds need 0 <= base_seed and base_seed + n_paths <= 2**128.
+not depend on evaluation order or batch size.  A block of fewer than
+_STREAM_CROSSOVER paths takes them from each path's own generator, which is
+the stream's definition; a larger block computes the streams together, one
+column of uniforms per draw, in vectorised integer arithmetic, whose fixed
+cost pays off only from a few dozen paths on.  Both give the same bits.
+Base seeds need 0 <= base_seed and base_seed + n_paths <= 2**128.
 It walks the whole grid for PATH_BLOCK paths before it starts the next
 block, so its temporaries stay cache-sized at any batch size.  A batch is
 stored grid-major, so each grid column is contiguous: the sampler draws
@@ -50,6 +53,9 @@ __all__ = [
 GRID_TAIL = 1e-6
 #: paths simulated (and summed by stochint) together: a step's temporaries stay in L2
 PATH_BLOCK = 8192
+#: blocks of fewer paths draw each path's uniforms from its own generator;
+#: from here on emulating the streams together is faster (measured at depth 20 and 80)
+_STREAM_CROSSOVER = 64
 
 
 def default_depth(q: float) -> int:
@@ -104,11 +110,6 @@ class GeometricPath:
     def __post_init__(self) -> None:
         if len(self.values) != len(self.grid):
             raise ValueError("path length does not match grid")
-
-
-def _outside(values: np.ndarray, times, q: Scalar) -> np.ndarray:
-    """|B_k| > 2 sqrt(t_k / (1-q)) elementwise, times broadcasting; False for NaN."""
-    return np.abs(values) > 2.0 * np.sqrt(np.asarray(times, dtype=float) / (1.0 - float(q)))
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,15 @@ def _uniform_columns(n_paths: int, base_seed: int) -> Iterator[np.ndarray]:
         yield (x >> 11).astype(np.float64) * 2.0**-53
 
 
+def _block_uniforms(n_paths: int, base_seed: int, n_draws: int) -> Iterator[np.ndarray]:
+    """n_draws uniform columns for the paths of seeds base_seed + i: from
+    each path's own generator in a small block, else from _uniform_columns."""
+    if n_paths >= _STREAM_CROSSOVER:
+        return _uniform_columns(n_paths, base_seed)
+    rows = [np.random.default_rng(base_seed + i).random(n_draws) for i in range(n_paths)]
+    return iter(np.stack(rows, axis=1))
+
+
 def simulate_batch(
     grid: GeometricGrid,
     n_paths: int,
@@ -266,16 +276,20 @@ def simulate_batch(
     K = grid.K
     mt = scaled_marginal_table(q)
     tt = scaled_transition_table(q)
+    # the support's half-width 2 sqrt(t_k / (1-q)) per grid time, capped so
+    # that the gate also rejects infinities
+    edges = [min(2.0 * math.sqrt(float(tk) / (1.0 - q)), sys.float_info.max) for tk in grid.times]
     values = np.empty((n_paths, K + 1), order="F")
     for start in range(0, n_paths, PATH_BLOCK):
         block = values[start : start + PATH_BLOCK]
-        u = _uniform_columns(block.shape[0], base_seed + start)
+        u = _block_uniforms(block.shape[0], base_seed + start, K + 1)
         block[:, K] = math.sqrt(float(grid.times[K])) * draw_from_table(mt, 0, next(u))
         for k in range(K, -1, -1):
             if k < K:
                 rt = math.sqrt(float(grid.times[k]))
                 block[:, k] = rt * draw_transition_batch(tt, block[:, k + 1] / rt, next(u))
-            if not np.all(np.isfinite(block[:, k])) or np.any(_outside(block[:, k], grid.times[k], q)):
+            # one reduction: NaN fails the comparison
+            if not np.abs(block[:, k]).max() <= edges[k]:
                 raise ValueError(f"a value drawn at grid time index {k} is not finite or lies outside the support")
     return PathBatch(grid=grid, values=values, base_seed=base_seed)
 

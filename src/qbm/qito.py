@@ -54,7 +54,14 @@ from .qhermite import (
     qhermite,
     to_hermite_basis,
 )
-from .stochint import PolynomialIntegrand, integrate_def, integrate_def_batch
+from .stochint import (
+    PolynomialIntegrand,
+    _in_order,
+    _path_arrays,
+    _poly_rows,
+    integrate_def,
+    integrate_def_batch,
+)
 
 __all__ = [
     "ItoDecomposition",
@@ -299,29 +306,30 @@ def ito_tail_bound(f: QPolynomial, grid: GeometricGrid, ctx: QContext) -> float:
     return total
 
 
-def _decompose(
-    f: QPolynomial, grid: GeometricGrid, value_at, grad, ctx: QContext
-) -> ItoDecomposition:
-    """The identity's terms along the grid, given the gradient integral grad
-    (integrate_def's value on a path, integrate_def_batch's on a batch).
+def _on_grid(p: QPolynomial, x: np.ndarray, t: np.ndarray):
+    """p(x_k, t_k) for all k at once, added as QPolynomial.__call__ adds it."""
+    out = 0 * x
+    for c in _poly_rows(p.coeffs, t)[::-1]:
+        out = out * x + c
+    return out
 
-    value_at(k) is B_k: a scalar, or a numpy column with one entry per path,
-    for which every term and the residual are columns of the same length.
+
+def _decompose(
+    f: QPolynomial, grid: GeometricGrid, b0, drift, second, grad, ctx: QContext
+) -> ItoDecomposition:
+    """The identity's terms, given B_0 (b0), the step sums
+    sum_k t_k (D_t f)(B_{k+1}, t_k) (drift) and sum_k t_k (delta f)(B_{k+1}, t_k)
+    (second), and the gradient integral grad (integrate_def's value on a
+    path, integrate_def_batch's on a batch).
+
+    For a batch each of them is a column with one entry per path, and so are
+    every term and the residual.
     """
-    df = f.dq_time(ctx)
-    d2 = delta_exact(f, ctx)
-    drift = 0 * ctx.q
-    second = 0 * ctx.q
-    for k in range(grid.K):
-        tk = grid.times[k]
-        xk1 = value_at(k + 1)
-        drift = drift + tk * df(xk1, tk)
-        second = second + tk * d2(xk1, tk)
     one_minus_q = 1 - ctx.q
     drift = one_minus_q * drift
     second = one_minus_q * second
     zero = 0 * ctx.q
-    lhs = f(value_at(0), grid.times[0]) - f(zero, zero)
+    lhs = f(b0, grid.times[0]) - f(zero, zero)
     gap = abs(lhs - (grad + drift + second))
     return ItoDecomposition(
         lhs=lhs,
@@ -335,9 +343,15 @@ def _decompose(
 
 
 def ito_decompose(f: QPolynomial, path: GeometricPath, ctx: QContext) -> ItoDecomposition:
-    """Evaluate the K-step change-of-variable identity along a path."""
+    """Evaluate the K-step change-of-variable identity along a path.
+
+    The step sums are evaluated on the whole grid at once and added in grid
+    order, for float and exact rational paths alike.
+    """
     grad = integrate_def(PolynomialIntegrand(to_hermite_basis(f, ctx).b[1:]), path, ctx).value
-    return _decompose(f, path.grid, lambda k: path.values[k], grad, ctx)
+    x, t = _path_arrays(path)
+    sums = [_in_order(0 * ctx.q, t[:-1] * _on_grid(p, x[1:], t[:-1])) for p in (f.dq_time(ctx), delta_exact(f, ctx))]
+    return _decompose(f, path.grid, path.values[0], *sums, grad, ctx)
 
 
 def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoDecomposition:
@@ -347,4 +361,11 @@ def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoD
     bit for bit ito_decompose's value on batch.path(i).
     """
     grad = integrate_def_batch(PolynomialIntegrand(to_hermite_basis(f, ctx).b[1:]), batch, ctx)
-    return _decompose(f, batch.grid, lambda k: batch.values[:, k], grad, ctx)
+    grid = batch.grid
+    df, d2 = f.dq_time(ctx), delta_exact(f, ctx)
+    drift = second = 0 * ctx.q
+    for k in range(grid.K):
+        tk, xk1 = grid.times[k], batch.values[:, k + 1]
+        drift = drift + tk * df(xk1, tk)
+        second = second + tk * d2(xk1, tk)
+    return _decompose(f, grid, batch.values[:, 0], drift, second, grad, ctx)

@@ -9,9 +9,12 @@ with t_k = t q**k.  Sums run over the grid increments k = 0..K-1 and every
 result carries an analytic bound for the dropped tail, derived from the sharp
 growth bound |h_n(x; u)| <= C_n u**(n/2) on the support.
 
-The same accumulation code runs on exact rational paths (scalar Fractions,
-used for zero-tolerance identity checks) and on numpy columns of a simulated
-batch, which are views of its grid-major values.
+A single path is summed as arrays over its whole grid: the Hermite values
+and coefficients at every t_k at once, then the terms added one at a time in
+(k, m) order, so a float path and an exact rational one (as object arrays,
+for the zero-tolerance identity checks) take the same code.  A batch is
+summed column by column, over views of its grid-major values, adding the
+same terms in the same order, so each path's value is the path form's.
 """
 
 from __future__ import annotations
@@ -80,37 +83,71 @@ def _inv_factorials(degree: int, ctx: QContext) -> list[Scalar]:
     return out
 
 
-def _def_sum(f: PolynomialIntegrand, grid: GeometricGrid, value_at, ctx: QContext):
-    """Core accumulation; value_at(k) may return a scalar or a numpy column."""
-    d = f.degree
-    if d < 0:
-        return 0 * (value_at(0) * ctx.q)
-    inv = _inv_factorials(d, ctx)
+def _as_array(seq) -> np.ndarray:
+    """seq as a float array, or as an object array of exact values."""
+    a = np.asarray(seq)
+    return a if a.dtype == float else np.array(seq, dtype=object)
+
+
+def _path_arrays(path: GeometricPath) -> tuple[np.ndarray, np.ndarray]:
+    """(B_k, t_k) for k = 0..K as arrays."""
+    return _as_array(path.values), _as_array(path.grid.times)
+
+
+def _poly_rows(polys: Sequence[Poly], s: np.ndarray) -> np.ndarray:
+    """polys[i] at the times s, row i, by one Horner pass over their
+    zero-padded coefficients.  Times are positive, so every padded step
+    leaves +0 and each row is bit for bit that polynomial's own Horner rule."""
+    width = max((len(p.coeffs) for p in polys), default=0)
+    c = np.array([(0,) * (width - len(p.coeffs)) + p.coeffs[::-1] for p in polys], dtype=s.dtype)
+    out = np.zeros((len(polys), 1), dtype=s.dtype) * s
+    for j in range(width):
+        out = out * s + c[:, j, None]
+    return out
+
+
+def _in_order(init, *blocks: np.ndarray):
+    """init plus the entries of each block, one at a time in row-major order:
+    np.add.accumulate adds sequentially, where np.sum would add pairwise."""
+    return np.add.accumulate(np.concatenate([[init], *blocks], axis=None))[-1]
+
+
+def _def_coefficients(f: PolynomialIntegrand, times: np.ndarray, ctx: QContext):
+    """The m with b_m not zero, and b_m(t_k) / [m+1]! for those m (rows) at
+    the given times (columns)."""
+    ms = [m for m, bm in enumerate(f.b) if not bm.is_zero()]
+    inv = np.array(_inv_factorials(f.degree, ctx), dtype=times.dtype)[ms]
+    return ms, _poly_rows([f.b[m] for m in ms], times) * inv[:, None]
+
+
+def _def_sum(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext):
+    """The defining sum along one path, x and t its values and times: the
+    Hermite values and coefficients on the whole grid at once, then the terms
+    added in (k, m) order from 0 * (B_0 q), as the column form adds them."""
+    total = 0 * (x[0] * ctx.q)
+    if f.degree < 0:
+        return total
+    ms, coef = _def_coefficients(f, t[:-1], ctx)
+    h = np.array(hermite_eval_sequence(f.degree + 1, x, t, ctx))[[m + 1 for m in ms]]
+    return _in_order(total, (coef * (h[:, :-1] - h[:, 1:])).T)
+
+
+def _def_sum_columns(f: PolynomialIntegrand, grid: GeometricGrid, values: np.ndarray, ctx: QContext):
+    """The defining sum for a block of paths (the rows of values), added grid
+    column by grid column; each entry is bit for bit _def_sum's value on its
+    path."""
+    total = 0 * (values[:, 0] * ctx.q)
+    if f.degree < 0:
+        return total
     times = grid.times
-    total = 0 * (value_at(0) * ctx.q)
-    h_cur = hermite_eval_sequence(d + 1, value_at(0), times[0], ctx)
+    ms, coef = _def_coefficients(f, _as_array(times[:-1]), ctx)
+    coef = coef.T.tolist()
+    h_cur = hermite_eval_sequence(f.degree + 1, values[:, 0], times[0], ctx)
     for k in range(grid.K):
-        h_nxt = hermite_eval_sequence(d + 1, value_at(k + 1), times[k + 1], ctx)
-        tk = times[k]
-        for m in range(d + 1):
-            bm = f.b[m]
-            if bm.is_zero():
-                continue
-            total = total + (bm(tk) * inv[m]) * (h_cur[m + 1] - h_nxt[m + 1])
+        h_nxt = hermite_eval_sequence(f.degree + 1, values[:, k + 1], times[k + 1], ctx)
+        for c, m in zip(coef[k], ms):
+            total = total + c * (h_cur[m + 1] - h_nxt[m + 1])
         h_cur = h_nxt
-    return total
-
-
-def _boundary_sum(f: PolynomialIntegrand, grid: GeometricGrid, value_at, ctx: QContext, k: int):
-    """sum_m b_m(t_k) h_{m+1}(B_k; t_k) / [m+1]!."""
-    d = f.degree
-    inv = _inv_factorials(d, ctx)
-    tk = grid.times[k]
-    hs = hermite_eval_sequence(d + 1, value_at(k), tk, ctx)
-    total = 0 * (value_at(k) * ctx.q)
-    for m in range(d + 1):
-        if not f.b[m].is_zero():
-            total = total + (f.b[m](tk) * inv[m]) * hs[m + 1]
     return total
 
 
@@ -147,9 +184,8 @@ def integrate_def(
     f: PolynomialIntegrand, path: GeometricPath, ctx: QContext
 ) -> StochasticIntegralResult:
     """Stochastic integral of f over the path, defining-sum form."""
-    value = _def_sum(f, path.grid, lambda k: path.values[k], ctx)
     return StochasticIntegralResult(
-        value=value,
+        value=_def_sum(f, *_path_arrays(path), ctx),
         K=path.grid.K,
         tail_bound=def_tail_bound(f, path.grid, ctx),
         seed=path.seed,
@@ -164,32 +200,29 @@ def integrate_byparts(
     Differs from the defining sum by the dropped boundary term at t_K, so the
     attached bound is the defining-sum tail plus that boundary bound.
     """
-    grid = path.grid
-    value_at = lambda k: path.values[k]
-    d = f.degree
-    inv = _inv_factorials(max(d, 0), ctx)
-    total = _boundary_sum(f, grid, value_at, ctx, 0)
-    for k in range(grid.K):
-        h_nxt = hermite_eval_sequence(d + 1, value_at(k + 1), grid.times[k + 1], ctx)
-        tk, tk1 = grid.times[k], grid.times[k + 1]
-        for m in range(d + 1):
-            bm = f.b[m]
-            if bm.is_zero():
-                continue
-            total = total - ((bm(tk) - bm(tk1)) * inv[m]) * h_nxt[m + 1]
-    tail, boundary = _tail_bounds(f, grid, ctx)
-    bound = tail + boundary
-    return StochasticIntegralResult(value=total, K=grid.K, tail_bound=bound, seed=path.seed)
+    x, t = _path_arrays(path)
+    total = 0 * (x[0] * ctx.q)
+    if f.degree >= 0:
+        # the boundary sum_m b_m(t_0) h_{m+1}(B_0; t_0) / [m+1]!, then each
+        # step's (b_m(t_k) - b_m(t_{k+1})) h_{m+1}(B_{k+1}; t_{k+1}) / [m+1]!
+        # subtracted in (k, m) order
+        ms = [m for m, bm in enumerate(f.b) if not bm.is_zero()]
+        inv = np.array(_inv_factorials(f.degree, ctx), dtype=t.dtype)[ms, None]
+        b = _poly_rows([f.b[m] for m in ms], t)
+        h = np.array(hermite_eval_sequence(f.degree + 1, x, t, ctx))[[m + 1 for m in ms]]
+        steps = ((b[:, :-1] - b[:, 1:]) * inv) * h[:, 1:]
+        total = _in_order(total, (b[:, 0] * inv[:, 0]) * h[:, 0], -steps.T)
+    tail, boundary = _tail_bounds(f, path.grid, ctx)
+    return StochasticIntegralResult(value=total, K=path.grid.K, tail_bound=tail + boundary, seed=path.seed)
 
 
 def integrate_def_batch(f: PolynomialIntegrand, batch: PathBatch, ctx: QContext) -> np.ndarray:
     """Defining-sum values for every path of a batch, vectorised over the grid
     columns of PATH_BLOCK paths at a time; a path's value does not depend on
-    its block or on the batch's memory layout."""
+    its block or on the batch's memory layout, and is integrate_def's."""
     step = process.PATH_BLOCK
     blocks = (batch.values[i : i + step] for i in range(0, len(batch), step))
-    return np.concatenate([np.asarray(_def_sum(f, batch.grid, lambda k, b=b: b[:, k], ctx), dtype=float)
-                           for b in blocks])
+    return np.concatenate([np.asarray(_def_sum_columns(f, batch.grid, b, ctx), dtype=float) for b in blocks])
 
 
 def deterministic_integral(b, batch: PathBatch) -> np.ndarray:
@@ -218,19 +251,26 @@ def isometry_second_moment(f: PolynomialIntegrand, t: Scalar, ctx: QContext) -> 
     return total
 
 
+#: factor-by-state entries the stochastic exponential holds at once
+_EXP_BLOCK = 2**18
+
+
 def _exp_factors(a: float, x, t: float, ctx: QContext):
+    """The N factors per state, all at once for a block of states and
+    multiplied in factor order, q**k kept as a running product."""
     q = ctx.qf
     n = ctx.n_product_factors()
     x = np.asarray(x, dtype=float)
-    prod = np.ones_like(x)
-    qk = 1.0
-    for _ in range(n):
-        fac = 1.0 - (1.0 - q) * (a * qk * x - a * a * t * qk * qk)
+    qk = np.multiply.accumulate(np.r_[1.0, np.full(n - 1, q)])[:, None]
+    flat = x.reshape(-1)
+    prod = np.empty(flat.shape)
+    step = max(1, _EXP_BLOCK // n)
+    for i in range(0, flat.size, step):
+        fac = 1.0 - (1.0 - q) * (a * qk * flat[i : i + step] - a * a * t * qk * qk)
         if np.any(fac <= 0.0):
             raise ValueError("stochastic exponential factor vanished; state outside the admissible region")
-        prod = prod * fac
-        qk *= q
-    return prod
+        prod[i : i + step] = np.multiply.accumulate(fac)[-1]
+    return prod.reshape(x.shape)
 
 
 def stochastic_exponential(a: float, c: float, x, t: float, ctx: QContext):

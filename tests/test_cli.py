@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -311,3 +312,17 @@ def test_artifact_digests_pinned(tmp_path, monkeypatch):
             if f.is_file() and f.name != "manifest.json"
         }
         assert got == expected, args
+
+
+def test_table_gate_failure_exits_2(tmp_path, capsys):
+    # at q = 0.999 the transition table's edge rows fail the mass gate; the
+    # run stops with a one-line configuration error, not a traceback
+    assert run_main(["--suite", "simulate", "--q", "0.999", "--out", str(tmp_path / "high")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: the sampling tables fail their gates") and err.count("\n") == 1
+    assert not (tmp_path / "high" / "paths").exists()
+    # q = 0.995 still builds its tables and simulates
+    out = tmp_path / "ok"
+    assert run_main(["--suite", "simulate", "--q", "0.995", "--depth", "40", "--wide", "--out", str(out)]) == 0
+    rows = (out / "paths" / "paths_wide.csv").read_text().splitlines()[1:]
+    assert len(rows) == 41 and all(math.isfinite(float(v)) for row in rows for v in row.split(",")[2:])

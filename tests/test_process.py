@@ -96,8 +96,10 @@ def test_different_seeds_differ():
 
 
 def _in_support(values, grid) -> bool:
-    """Whether the simulation's support gate passes every grid value."""
-    return not np.any(process._outside(np.asarray(values, dtype=float), grid.times, grid.q))
+    """Whether no grid value lies past 2 sqrt(t_k / (1-q)), the bound of the
+    simulation's support gate; NaN is not past it."""
+    edges = 2.0 * np.sqrt(np.asarray(grid.times, dtype=float) / (1.0 - float(grid.q)))
+    return not np.any(np.abs(np.asarray(values, dtype=float)) > edges)
 
 
 def test_paths_stay_in_support():
@@ -392,6 +394,51 @@ def test_bad_draw_in_a_later_block_is_rejected(monkeypatch):
     with pytest.raises(ValueError, match="not finite or lies outside the support"):
         simulate_batch(grid, n_paths=2 * process.PATH_BLOCK + 3, base_seed=2**32 - process.PATH_BLOCK - 1)
     assert calls == [process.PATH_BLOCK] * (grid.K + 1)
+
+
+def test_stream_crossover_keeps_every_path(monkeypatch):
+    # blocks of fewer than _STREAM_CROSSOVER paths draw from each path's own
+    # generator, larger ones emulate the streams together; row i is
+    # simulate_path's path either way, a tail block after a full block too
+    grid = GeometricGrid.build(q=0.5, t=1.0, depth=8)
+    base = 2**32 - 40
+    real, emulated = process._uniform_columns, []
+
+    def spy(n_paths, base_seed):
+        emulated.append(n_paths)
+        return real(n_paths, base_seed)
+
+    monkeypatch.setattr(process, "_uniform_columns", spy)
+    cross = process._STREAM_CROSSOVER
+    for n in (cross - 1, cross, cross + 1):
+        batch = simulate_batch(grid, n, base)
+        for i in range(n):
+            assert np.array_equal(batch.values[i], simulate_path(grid, base + i).values), (n, i)
+    n = process.PATH_BLOCK + 5
+    batch = simulate_batch(grid, n, base)
+    for i in (*range(3), process.PATH_BLOCK - 1, *range(process.PATH_BLOCK, n)):
+        assert np.array_equal(batch.values[i], simulate_path(grid, base + i).values), i
+    assert emulated == [cross, cross + 1, process.PATH_BLOCK]
+
+
+@pytest.mark.parametrize("fault", [math.nan, math.inf])
+def test_bad_draw_in_a_single_path_is_rejected(monkeypatch, fault):
+    # the per-path stream's simulation keeps the gate, at the first bad column
+    grid = GeometricGrid.build(q=0.5, t=1.0, depth=4)
+    real = process.draw_transition_batch
+    calls = []
+
+    def patched(table, x_scaled, u):
+        out = real(table, x_scaled, u)
+        calls.append(out.shape[0])
+        if len(calls) == 2:
+            out[0] = fault
+        return out
+
+    monkeypatch.setattr(process, "draw_transition_batch", patched)
+    with pytest.raises(ValueError, match="index 2 is not finite or lies outside the support"):
+        simulate_path(grid, 7)
+    assert calls == [1, 1]
 
 
 def test_simulation_memory_is_bounded_by_the_block():

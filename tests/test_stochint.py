@@ -76,15 +76,19 @@ def test_isometry_second_moment_frozen():
 
 
 def test_batch_matches_single_paths():
-    q = 0.5
-    ctx = QContext.numeric(q)
-    grid = GeometricGrid.build(q=q, t=1.0, depth=12)
-    batch = simulate_batch(grid, n_paths=6, base_seed=3)
-    f = PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(2), ctx)
-    vals = integrate_def_batch(f, batch, ctx)
-    for i in range(6):
-        single = integrate_def(f, batch.path(i), ctx).value
-        assert vals[i] == pytest.approx(single, rel=1e-13, abs=1e-13)
+    # the path form sums over the whole grid at once, the batch form column
+    # by column; both add the same terms in the same order, to the same bits.
+    # The integrands are x**2 and sde_residual(0.5, 2.0, ...)'s of degree 30
+    sde = PolynomialIntegrand.from_hermite([2.0 * 0.5**n for n in range(31)])
+    for q in (0.2, 0.5, 0.8):
+        ctx = QContext.numeric(q)
+        for depth in (1, 20, 80):
+            grid = GeometricGrid.build(q=q, t=1.0, depth=depth)
+            batch = simulate_batch(grid, n_paths=6, base_seed=3 + depth)
+            for f in (PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(2), ctx), sde):
+                vals = integrate_def_batch(f, batch, ctx)
+                for i, path in enumerate(batch):
+                    assert vals[i] == integrate_def(f, path, ctx).value, (q, depth, f.degree, i)
 
 
 def test_tail_bound_controls_deepening():
@@ -224,3 +228,51 @@ def test_integral_linear_in_integrand(c0, c1, c2, v):
     lhs = integrate_def(fg, path, HALF).value
     rhs = integrate_def(f, path, HALF).value + integrate_def(g, path, HALF).value
     assert lhs == rhs
+
+
+#: SHA-256 over the simulated paths and the path forms' values that
+#: _path_form_digest hashes, recorded with the per-step sums these forms
+#: replaced; every value must keep its bits
+PATH_FORM_DIGEST = "56146e381d720ce02187e64a80ce388d787bbd655f1655b5a164102e1458f91e"
+
+
+def _path_form_digest() -> str:
+    import hashlib
+    import struct
+
+    from qbm.qito import ito_decompose
+    from qbm.verify import _random_qpolynomial
+
+    h = hashlib.sha256()
+
+    def put(*vals):
+        for v in vals:
+            h.update(str(v).encode() if isinstance(v, Fraction) else struct.pack("<d", float(v)))
+
+    rng = np.random.default_rng(1407)
+    for q in (0.2, 0.5, 0.8):
+        ctx = QContext.numeric(q)
+        for depth in (1, 20, 80):
+            grid = GeometricGrid.build(q=q, t=1.0, depth=depth)
+            for seed in (0, 7, 2**40 + 3, 2**64 - 1, 2**127 + 5):
+                path = simulate_path(grid, seed)
+                f = _random_qpolynomial(rng, 6, 2)
+                integrand = PolynomialIntegrand.from_qpolynomial(f, ctx)
+                dec = ito_decompose(f, path, ctx)
+                put(*path.values)
+                put(integrate_def(integrand, path, ctx).value, integrate_byparts(integrand, path, ctx).value)
+                put(sde_residual(0.5, 2.0, path, ctx, degree=30))
+                put(dec.lhs, dec.gradient_term, dec.drift_term, dec.second_order_term, dec.residual)
+    # one exact rational path through the same forms
+    grid = GeometricGrid.build(q=Fraction(1, 2), t=Fraction(5, 4), depth=6)
+    path = free_path(grid, [Fraction(k % 5 - 2, k + 1) for k in range(7)])
+    f = QPolynomial(tuple(Poly([Fraction(1, m + 1), Fraction(-m, 3), Fraction(2)]) for m in range(5)))
+    integrand = PolynomialIntegrand.from_qpolynomial(f, HALF)
+    dec = ito_decompose(f, path, HALF)
+    put(integrate_def(integrand, path, HALF).value, integrate_byparts(integrand, path, HALF).value)
+    put(dec.lhs, dec.gradient_term, dec.drift_term, dec.second_order_term)
+    return h.hexdigest()
+
+
+def test_path_forms_keep_their_bits():
+    assert _path_form_digest() == PATH_FORM_DIGEST
