@@ -282,7 +282,12 @@ def cmd_identities(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig) -> int:
     n_paths = config.paths if config.paths is not None else SIMULATE_PATHS
     grid = GeometricGrid.build(q=config.q, t=config.t, depth=config.depth)
-    batch = simulate_batch(grid, n_paths=n_paths, base_seed=config.seed)
+    try:
+        batch = simulate_batch(grid, n_paths=n_paths, base_seed=config.seed)
+    except InvalidDensityError as exc:
+        # the kernel loses its precision near q = 1, where the tables built
+        # for this q fail their gates
+        raise ConfigError(f"the sampling tables fail their gates at q = {config.q}: {exc}") from exc
     names = write_batch_csv(batch, os.path.join(config.out, "paths"), wide=config.wide)
     print(f"simulate: wrote {len(names)} file(s) for {n_paths} path(s), K={grid.K}")
     return 0
@@ -328,11 +333,6 @@ def main(argv: list[str] | None = None) -> int:
             status = max(status, cmd_verify(config))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidDensityError as exc:
-        # a q the sampling tables cannot resolve (the kernel loses its
-        # precision near q = 1)
-        print(f"configuration error: the sampling tables fail their gates at this q: {exc}", file=sys.stderr)
         return 2
     return status
 

@@ -112,6 +112,13 @@ class GeometricPath:
             raise ValueError("path length does not match grid")
 
 
+def _support_edges(grid: GeometricGrid) -> list[float]:
+    """The support's half-width 2 sqrt(t_k / (1-q)) at each grid time, capped
+    at the largest float so that a gate |B_k| <= edge also rejects infinities."""
+    q = float(grid.q)
+    return [min(2.0 * math.sqrt(float(tk) / (1.0 - q)), sys.float_info.max) for tk in grid.times]
+
+
 @dataclass(frozen=True)
 class PathBatch:
     """Simulated paths: values[i, k] is path i at grid time index k, and
@@ -276,9 +283,7 @@ def simulate_batch(
     K = grid.K
     mt = scaled_marginal_table(q)
     tt = scaled_transition_table(q)
-    # the support's half-width 2 sqrt(t_k / (1-q)) per grid time, capped so
-    # that the gate also rejects infinities
-    edges = [min(2.0 * math.sqrt(float(tk) / (1.0 - q)), sys.float_info.max) for tk in grid.times]
+    edges = _support_edges(grid)
     values = np.empty((n_paths, K + 1), order="F")
     for start in range(0, n_paths, PATH_BLOCK):
         block = values[start : start + PATH_BLOCK]

@@ -112,12 +112,20 @@ def _in_order(init, *blocks: np.ndarray):
     return np.add.accumulate(np.concatenate([[init], *blocks], axis=None))[-1]
 
 
-def _def_coefficients(f: PolynomialIntegrand, times: np.ndarray, ctx: QContext):
-    """The m with b_m not zero, and b_m(t_k) / [m+1]! for those m (rows) at
-    the given times (columns)."""
+def _def_terms(f: PolynomialIntegrand, times: np.ndarray, ctx: QContext):
+    """The m with b_m not zero, 1 / [m+1]! for those m (a column), and b_m at
+    the given times (row per m, column per time)."""
     ms = [m for m, bm in enumerate(f.b) if not bm.is_zero()]
-    inv = np.array(_inv_factorials(f.degree, ctx), dtype=times.dtype)[ms]
-    return ms, _poly_rows([f.b[m] for m in ms], times) * inv[:, None]
+    inv = np.array(_inv_factorials(f.degree, ctx), dtype=times.dtype)[ms, None]
+    return ms, inv, _poly_rows([f.b[m] for m in ms], times)
+
+
+def _path_terms(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext):
+    """_def_terms along one path, x and t its values and times, with
+    h_{m+1}(B_k; t_k) for the same m (row per m, column per grid index)."""
+    ms, inv, b = _def_terms(f, t, ctx)
+    h = np.array(hermite_eval_sequence(f.degree + 1, x, t, ctx))[[m + 1 for m in ms]]
+    return inv, b, h
 
 
 def _def_sum(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext):
@@ -127,9 +135,8 @@ def _def_sum(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext
     total = 0 * (x[0] * ctx.q)
     if f.degree < 0:
         return total
-    ms, coef = _def_coefficients(f, t[:-1], ctx)
-    h = np.array(hermite_eval_sequence(f.degree + 1, x, t, ctx))[[m + 1 for m in ms]]
-    return _in_order(total, (coef * (h[:, :-1] - h[:, 1:])).T)
+    inv, b, h = _path_terms(f, x, t, ctx)
+    return _in_order(total, ((b[:, :-1] * inv) * (h[:, :-1] - h[:, 1:])).T)
 
 
 def _def_sum_columns(f: PolynomialIntegrand, grid: GeometricGrid, values: np.ndarray, ctx: QContext):
@@ -140,8 +147,8 @@ def _def_sum_columns(f: PolynomialIntegrand, grid: GeometricGrid, values: np.nda
     if f.degree < 0:
         return total
     times = grid.times
-    ms, coef = _def_coefficients(f, _as_array(times[:-1]), ctx)
-    coef = coef.T.tolist()
+    ms, inv, b = _def_terms(f, _as_array(times[:-1]), ctx)
+    coef = (b * inv).T.tolist()
     h_cur = hermite_eval_sequence(f.degree + 1, values[:, 0], times[0], ctx)
     for k in range(grid.K):
         h_nxt = hermite_eval_sequence(f.degree + 1, values[:, k + 1], times[k + 1], ctx)
@@ -206,10 +213,7 @@ def integrate_byparts(
         # the boundary sum_m b_m(t_0) h_{m+1}(B_0; t_0) / [m+1]!, then each
         # step's (b_m(t_k) - b_m(t_{k+1})) h_{m+1}(B_{k+1}; t_{k+1}) / [m+1]!
         # subtracted in (k, m) order
-        ms = [m for m, bm in enumerate(f.b) if not bm.is_zero()]
-        inv = np.array(_inv_factorials(f.degree, ctx), dtype=t.dtype)[ms, None]
-        b = _poly_rows([f.b[m] for m in ms], t)
-        h = np.array(hermite_eval_sequence(f.degree + 1, x, t, ctx))[[m + 1 for m in ms]]
+        inv, b, h = _path_terms(f, x, t, ctx)
         steps = ((b[:, :-1] - b[:, 1:]) * inv) * h[:, 1:]
         total = _in_order(total, (b[:, 0] * inv[:, 0]) * h[:, 0], -steps.T)
     tail, boundary = _tail_bounds(f, path.grid, ctx)

@@ -319,7 +319,7 @@ def test_table_gate_failure_exits_2(tmp_path, capsys):
     # run stops with a one-line configuration error, not a traceback
     assert run_main(["--suite", "simulate", "--q", "0.999", "--out", str(tmp_path / "high")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: the sampling tables fail their gates") and err.count("\n") == 1
+    assert err.startswith("configuration error: the sampling tables fail their gates at q = 0.999:") and err.count("\n") == 1
     assert not (tmp_path / "high" / "paths").exists()
     # q = 0.995 still builds its tables and simulates
     out = tmp_path / "ok"

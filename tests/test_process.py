@@ -96,10 +96,9 @@ def test_different_seeds_differ():
 
 
 def _in_support(values, grid) -> bool:
-    """Whether no grid value lies past 2 sqrt(t_k / (1-q)), the bound of the
-    simulation's support gate; NaN is not past it."""
-    edges = 2.0 * np.sqrt(np.asarray(grid.times, dtype=float) / (1.0 - float(grid.q)))
-    return not np.any(np.abs(np.asarray(values, dtype=float)) > edges)
+    """Whether no grid value lies past the simulation gate's support edges;
+    NaN is not past them."""
+    return not np.any(np.abs(np.asarray(values, dtype=float)) > process._support_edges(grid))
 
 
 def test_paths_stay_in_support():
@@ -125,6 +124,35 @@ def test_in_support_keeps_its_comparison():
     # NaN is not outside the support by that comparison; the simulation
     # gate tests finiteness on its own
     assert _in_support(np.array([0.0, math.nan, 0.0, 0.0]), grid)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_simulation_gate_accepts_the_support_edge(monkeypatch, sign):
+    # every transition draw lands exactly on +-2 sqrt(t_k / (1-q)): the gate
+    # passes it, and rejects the next float past it at any step.  At
+    # q = 1/4, t = 1 each sqrt(t_k) is a power of two, so scaling the edge by
+    # it is exact.
+    grid = GeometricGrid.build(q=0.25, t=1.0, depth=4)
+    edges = [2.0 * math.sqrt(float(tk) / 0.75) for tk in grid.times]
+
+    def at_edge(fault_k):
+        calls = []
+
+        def draw(table, x_scaled, u):
+            k = grid.K - 1 - len(calls)
+            calls.append(k)
+            edge = math.nextafter(edges[k], math.inf) if k == fault_k else edges[k]
+            return np.full(x_scaled.shape, sign * edge / math.sqrt(float(grid.times[k])))
+
+        return draw
+
+    monkeypatch.setattr(process, "draw_transition_batch", at_edge(None))
+    path = simulate_path(grid, 3)
+    assert list(np.abs(path.values[:-1])) == edges[:-1]
+    for k in range(grid.K):
+        monkeypatch.setattr(process, "draw_transition_batch", at_edge(k))
+        with pytest.raises(ValueError, match=f"index {k} is not finite or lies outside the support"):
+            simulate_path(grid, 3)
 
 
 @pytest.mark.parametrize("table, fault", [("transition", "nan"), ("transition", "wide"), ("marginal", "inf")])
