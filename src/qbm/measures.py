@@ -28,6 +28,8 @@ the quantile behaves like a cube root; between knots it is the cubic Hermite
 interpolant.  A draw is a closed-form knot index, a few gathers and the
 Hermite evaluation, with no search and no iteration, and deterministic given
 the uniforms, which keeps every Monte Carlo run reproducible from its seed.
+A draw at one state runs on Python floats and reads its records from the
+table's bytes, with the array form's value bit for bit.
 Each table is built once per q from the CDF of each row, by Gauss-Lobatto
 quadrature on nodes that resolve its conditional standard deviation, and
 records its normalisation defect and its u-error, |F(y(u)) - u| between
@@ -37,9 +39,10 @@ knots, both gated.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -433,6 +436,16 @@ class CdfTable:
     defect: float = 0.0
     u_error: float = 0.0
 
+    @cached_property
+    def _one_state(self) -> tuple:
+        """What a one-state draw reads, without copying the arrays: the cubic
+        records' bytes, a view of blend_loss, and x_grid's first state, its
+        spacing and the last lower bracketing row."""
+        xg = self.x_grid
+        loss = None if self.blend_loss is None else memoryview(self.blend_loss)
+        rows = (None, None, None) if xg is None else (float(xg[0]), float(xg[1] - xg[0]), xg.shape[0] - 2)
+        return memoryview(self.cubic).cast("B"), loss, *rows
+
 
 def _knot_u(k):
     """u at knot coordinates k in [0, N_U]."""
@@ -643,8 +656,10 @@ def scaled_transition_table(q: float) -> CdfTable:
     return _tabulate(spec, np.linspace(-edge, edge, N_X))
 
 
-#: a table's cubic coefficients as one record per knot interval
+#: a table's cubic coefficients as one record per knot interval, as an
+#: array dtype and as the bytes a one-state draw unpacks
 _CUBIC_RECORD = np.dtype([("c0", "f8"), ("c1", "f8"), ("c2", "f8"), ("c3", "f8")])
+_RECORD_BYTES = struct.Struct("4d")
 
 
 def _quantiles(table: CdfTable, u, rows) -> np.ndarray:
@@ -668,9 +683,32 @@ def _quantiles(table: CdfTable, u, rows) -> np.ndarray:
     return y
 
 
-def draw_from_table(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _knot_position(u: float) -> tuple[int, float]:
+    """_knot_coordinate of one uniform on Python floats, as its knot interval
+    and the offset in it; raises ValueError unless u lies in [0, 1)."""
+    if not 0.0 <= u < 1.0:
+        raise ValueError("uniforms must lie in [0, 1)")
+    k = math.sqrt(math.sqrt(min(u, 1.0 - u) * _U_SCALE))
+    if u >= 0.5:
+        k = N_U - k
+    cell = int(k)
+    return cell, k - cell
+
+
+def _quantile_at(records: memoryview, row: int, cell: int, t: float) -> float:
+    """_quantiles' cubic in one row at offset t of a knot interval, from the
+    table's record bytes (CdfTable._one_state)."""
+    c0, c1, c2, c3 = _RECORD_BYTES.unpack_from(records, _RECORD_BYTES.size * (row * N_U + cell))
+    return ((c3 * t + c2) * t + c1) * t + c0
+
+
+def draw_from_table(table: CdfTable, rows: np.ndarray | int, u: np.ndarray | float) -> np.ndarray | float:
     """Map uniforms through the tabulated inverse CDF of the given rows to
-    state space; raises ValueError unless every u lies in [0, 1)."""
+    state space; raises ValueError unless every u lies in [0, 1).  A float u
+    in an int row gives a float: the same operations on Python floats, which
+    round as NumPy's float64 ufuncs do, so the same bits."""
+    if isinstance(u, float) and isinstance(rows, int):
+        return table.w * _quantile_at(table._one_state[0], rows, *_knot_position(u))
     return table.w * _quantiles(table, u, rows)
 
 
@@ -678,7 +716,7 @@ def draw_from_table(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndar
 _ROW_PAIR = np.array([0, 1], dtype=np.intp)
 
 
-def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) -> np.ndarray:
+def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray | float, u: np.ndarray | float) -> np.ndarray | float:
     """Batch draws from the scaled one-step kernel at states x_scaled.
 
     The conditional quantile function is interpolated linearly between the two
@@ -688,11 +726,15 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) 
     Blending two quantile functions loses variance, 2 lam (1 - lam)
     blend_loss[j] of it (up to 1e-5 near the edge at q = 0.99); the draw's
     deviation from x is scaled by 1 + lam (1 - lam) blend_loss[j] to restore
-    it, which keeps the mean, and clipped to the support.
+    it, which keeps the mean, and clipped to the support.  A float state
+    with a float uniform gives a float, bit for bit the array form's (see
+    _transition_at).
     """
     xg = table.x_grid
     if xg is None:
         raise ValueError("table has no conditioning grid")
+    if isinstance(x_scaled, float) and isinstance(u, float):
+        return _transition_at(table, x_scaled, u)
     x = np.asarray(x_scaled, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.shape != u.shape or x.ndim == 0:
@@ -727,3 +769,25 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) 
     y += dev
     np.maximum(y, -w, out=y)
     return np.minimum(y, w, out=y)
+
+
+def _transition_at(table: CdfTable, x: float, u: float) -> float:
+    """draw_transition_batch at one state, on Python floats: each operation
+    of the array form in its order, reading one record per bracketing row.
+    A non-finite state gives NaN, as there."""
+    records, loss, x0, dx, top = table._one_state
+    cell, t = _knot_position(u)
+    pos = (x - x0) / dx
+    # the array form's truncation, clipped to [0, top]: NaN takes row 0, and a
+    # position past the intp range takes top (NumPy's cast there is platform-defined)
+    j = int(pos) if 0.0 <= pos < top else (top if pos >= top else 0)
+    lam = pos - j
+    if lam < 0.0:
+        lam = 0.0
+    elif lam > 1.0:
+        lam = 1.0
+    rest = 1.0 - lam
+    w = table.w
+    y = _quantile_at(records, j, cell, t) * w * rest + _quantile_at(records, j + 1, cell, t) * w * lam
+    y += (y - x) * (loss[j] * lam * rest)
+    return -w if y < -w else (w if y > w else y)

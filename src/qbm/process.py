@@ -9,10 +9,12 @@ tabulated kernel family, shared across steps and paths.
 Path i of a batch consumes the first K + 1 uniforms of
 np.random.default_rng(base_seed + i), the marginal draw first, so results do
 not depend on evaluation order or batch size.  A block of fewer than
-_STREAM_CROSSOVER paths takes them from each path's own generator, which is
-the stream's definition; a larger block computes the streams together, one
-column of uniforms per draw, in vectorised integer arithmetic, whose fixed
-cost pays off only from a few dozen paths on.  Both give the same bits.
+_STREAM_CROSSOVER paths is walked path by path: each takes its uniforms from
+its own generator, which is the stream's definition, and steps one state at
+a time on Python floats, where a draw reads one table record per row.  A
+larger block is walked on all its paths at once, one column of uniforms per
+draw, the streams computed together in vectorised integer arithmetic, whose
+fixed cost pays off only from a few dozen paths on.  Both give the same bits.
 Base seeds need 0 <= base_seed and base_seed + n_paths <= 2**128.
 It walks the whole grid for PATH_BLOCK paths before it starts the next
 block, so its temporaries stay cache-sized at any batch size.  A batch is
@@ -53,9 +55,10 @@ __all__ = [
 GRID_TAIL = 1e-6
 #: paths simulated (and summed by stochint) together: a step's temporaries stay in L2
 PATH_BLOCK = 8192
-#: blocks of fewer paths draw each path's uniforms from its own generator;
-#: from here on emulating the streams together is faster (measured at depth 20 and 80)
-_STREAM_CROSSOVER = 64
+#: blocks of fewer paths walk path by path on each path's own generator; from
+#: here on the block walk on the streams computed together is faster
+#: (scripts/path_crossover.py, at depth 20 and 80)
+_STREAM_CROSSOVER = 32
 
 
 def default_depth(q: float) -> int:
@@ -247,13 +250,39 @@ def _uniform_columns(n_paths: int, base_seed: int) -> Iterator[np.ndarray]:
         yield (x >> 11).astype(np.float64) * 2.0**-53
 
 
-def _block_uniforms(n_paths: int, base_seed: int, n_draws: int) -> Iterator[np.ndarray]:
-    """n_draws uniform columns for the paths of seeds base_seed + i: from
-    each path's own generator in a small block, else from _uniform_columns."""
-    if n_paths >= _STREAM_CROSSOVER:
-        return _uniform_columns(n_paths, base_seed)
-    rows = [np.random.default_rng(base_seed + i).random(n_draws) for i in range(n_paths)]
-    return iter(np.stack(rows, axis=1))
+def _outside(k: int) -> ValueError:
+    return ValueError(f"a value drawn at grid time index {k} is not finite or lies outside the support")
+
+
+def _walk_block(block: np.ndarray, base_seed: int, mt, tt, rts: list[float], edges: list[float]) -> None:
+    """Simulate a block's paths together, one grid column per draw, on the
+    streams computed together by _uniform_columns."""
+    K = len(rts) - 1
+    u = _uniform_columns(block.shape[0], base_seed)
+    block[:, K] = rts[K] * draw_from_table(mt, 0, next(u))
+    for k in range(K, -1, -1):
+        if k < K:
+            block[:, k] = rts[k] * draw_transition_batch(tt, block[:, k + 1] / rts[k], next(u))
+        # one reduction: NaN fails the comparison
+        if not np.abs(block[:, k]).max() <= edges[k]:
+            raise _outside(k)
+
+
+def _walk_paths(block: np.ndarray, base_seed: int, mt, tt, rts: list[float], edges: list[float]) -> None:
+    """Simulate a block path by path on Python floats, one state per draw,
+    each path on the uniforms of its own generator."""
+    K = len(rts) - 1
+    for i in range(block.shape[0]):
+        u = np.random.default_rng(base_seed + i).random(K + 1).tolist()
+        v = rts[K] * draw_from_table(mt, 0, u[0])
+        row = [v]
+        for k in range(K, -1, -1):
+            if k < K:
+                v = rts[k] * draw_transition_batch(tt, v / rts[k], u[K - k])
+                row.append(v)
+            if not abs(v) <= edges[k]:
+                raise _outside(k)
+        block[i, ::-1] = row
 
 
 def simulate_batch(
@@ -265,12 +294,12 @@ def simulate_batch(
     """Simulate n_paths independent paths on the grid.
 
     Marginal draw at the deepest time, then one transition draw per step through
-    the shared scaled-kernel tables, vectorised over PATH_BLOCK paths at a time
-    and drawn straight into the grid-major values.  Row i uses the stream of
+    the shared scaled-kernel tables, PATH_BLOCK paths at a time, drawn straight
+    into the grid-major values: vectorised over a block's paths, or path by
+    path in a block of fewer than _STREAM_CROSSOVER.  Row i uses the stream of
     seed base_seed + i.  Raises ValueError unless 0 <= base_seed and
     base_seed + n_paths <= 2**128, if ctx is given with a q other than the
-    grid's, and if a drawn value is not finite or outside the support
-    (checked column by column).
+    grid's, and if a drawn value is not finite or outside the support.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -280,22 +309,15 @@ def simulate_batch(
     q = float(grid.q)
     if ctx is not None and ctx.qf != q:
         raise ValueError(f"context q = {ctx.q} differs from the grid's q = {grid.q}")
-    K = grid.K
     mt = scaled_marginal_table(q)
     tt = scaled_transition_table(q)
+    rts = [math.sqrt(float(tk)) for tk in grid.times]
     edges = _support_edges(grid)
-    values = np.empty((n_paths, K + 1), order="F")
+    values = np.empty((n_paths, grid.K + 1), order="F")
     for start in range(0, n_paths, PATH_BLOCK):
         block = values[start : start + PATH_BLOCK]
-        u = _block_uniforms(block.shape[0], base_seed + start, K + 1)
-        block[:, K] = math.sqrt(float(grid.times[K])) * draw_from_table(mt, 0, next(u))
-        for k in range(K, -1, -1):
-            if k < K:
-                rt = math.sqrt(float(grid.times[k]))
-                block[:, k] = rt * draw_transition_batch(tt, block[:, k + 1] / rt, next(u))
-            # one reduction: NaN fails the comparison
-            if not np.abs(block[:, k]).max() <= edges[k]:
-                raise ValueError(f"a value drawn at grid time index {k} is not finite or lies outside the support")
+        walk = _walk_paths if block.shape[0] < _STREAM_CROSSOVER else _walk_block
+        walk(block, base_seed + start, mt, tt, rts, edges)
     return PathBatch(grid=grid, values=values, base_seed=base_seed)
 
 

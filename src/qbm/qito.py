@@ -290,7 +290,11 @@ def ito_tail_bound(f: QPolynomial, grid: GeometricGrid, ctx: QContext) -> float:
     Uses |h_m(x; u)| <= C_m u**(m/2) for m >= 1 plus the coefficient
     variation of b_0 over [0, t_K].
     """
-    hc = to_hermite_basis(f, ctx)
+    return _tail_bound(to_hermite_basis(f, ctx), grid, ctx)
+
+
+def _tail_bound(hc: HermiteCoefficients, grid: GeometricGrid, ctx: QContext) -> float:
+    """ito_tail_bound from f's Hermite coefficients."""
     t_deep = float(grid.times[grid.K])
     total = float(hc.b[0].variation_bound(t_deep)) if hc.b else 0.0
     for m in range(1, len(hc.b)):
@@ -315,12 +319,12 @@ def _on_grid(p: QPolynomial, x: np.ndarray, t: np.ndarray):
 
 
 def _decompose(
-    f: QPolynomial, grid: GeometricGrid, b0, drift, second, grad, ctx: QContext
+    f: QPolynomial, hc: HermiteCoefficients, grid: GeometricGrid, b0, drift, second, grad, ctx: QContext
 ) -> ItoDecomposition:
-    """The identity's terms, given B_0 (b0), the step sums
-    sum_k t_k (D_t f)(B_{k+1}, t_k) (drift) and sum_k t_k (delta f)(B_{k+1}, t_k)
-    (second), and the gradient integral grad (integrate_def's value on a
-    path, integrate_def_batch's on a batch).
+    """The identity's terms, given f's Hermite coefficients hc, B_0 (b0),
+    the step sums sum_k t_k (D_t f)(B_{k+1}, t_k) (drift) and
+    sum_k t_k (delta f)(B_{k+1}, t_k) (second), and the gradient integral
+    grad (integrate_def's value on a path, integrate_def_batch's on a batch).
 
     For a batch each of them is a column with one entry per path, and so are
     every term and the residual.
@@ -337,7 +341,7 @@ def _decompose(
         drift_term=drift,
         second_order_term=second,
         residual=gap if isinstance(gap, np.ndarray) else float(gap),
-        tail_bound=ito_tail_bound(f, grid, ctx),
+        tail_bound=_tail_bound(hc, grid, ctx),
         K=grid.K,
     )
 
@@ -348,10 +352,11 @@ def ito_decompose(f: QPolynomial, path: GeometricPath, ctx: QContext) -> ItoDeco
     The step sums are evaluated on the whole grid at once and added in grid
     order, for float and exact rational paths alike.
     """
-    grad = integrate_def(PolynomialIntegrand(to_hermite_basis(f, ctx).b[1:]), path, ctx).value
+    hc = to_hermite_basis(f, ctx)
+    grad = integrate_def(PolynomialIntegrand(hc.b[1:]), path, ctx).value
     x, t = _path_arrays(path)
     sums = [_in_order(0 * ctx.q, t[:-1] * _on_grid(p, x[1:], t[:-1])) for p in (f.dq_time(ctx), delta_exact(f, ctx))]
-    return _decompose(f, path.grid, path.values[0], *sums, grad, ctx)
+    return _decompose(f, hc, path.grid, path.values[0], *sums, grad, ctx)
 
 
 def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoDecomposition:
@@ -360,7 +365,8 @@ def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoD
     lhs, the three terms and residual are arrays over the paths; entry i is
     bit for bit ito_decompose's value on batch.path(i).
     """
-    grad = integrate_def_batch(PolynomialIntegrand(to_hermite_basis(f, ctx).b[1:]), batch, ctx)
+    hc = to_hermite_basis(f, ctx)
+    grad = integrate_def_batch(PolynomialIntegrand(hc.b[1:]), batch, ctx)
     grid = batch.grid
     df, d2 = f.dq_time(ctx), delta_exact(f, ctx)
     drift = second = 0 * ctx.q
@@ -368,4 +374,4 @@ def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoD
         tk, xk1 = grid.times[k], batch.values[:, k + 1]
         drift = drift + tk * df(xk1, tk)
         second = second + tk * d2(xk1, tk)
-    return _decompose(f, grid, batch.values[:, 0], drift, second, grad, ctx)
+    return _decompose(f, hc, grid, batch.values[:, 0], drift, second, grad, ctx)

@@ -608,7 +608,13 @@ def test_transition_draw_matches_two_inversions(q):
     assert {0, xg.shape[0] - 2} <= set(j.tolist()) and lam.min() == 0.0 and lam.max() == 1.0
     y = (1.0 - lam) * draw_from_table(table, j, u) + lam * draw_from_table(table, j + 1, u)
     y += (y - x) * (table.blend_loss[j] * lam * (1.0 - lam))
-    assert np.array_equal(draw_transition_batch(table, x, u), np.clip(y, -w, w))
+    drawn = draw_transition_batch(table, x, u)
+    assert np.array_equal(drawn, np.clip(y, -w, w))
+    # one state at a time on Python floats: the same bits, and each row alone
+    one = [draw_transition_batch(table, xi, ui) for xi, ui in zip(x.tolist(), u.tolist())]
+    assert all(type(v) is float for v in one) and np.array(one).tobytes() == drawn.tobytes()
+    rows = [draw_from_table(table, r, ui) for r, ui in zip(j.tolist(), u.tolist())]
+    assert all(type(v) is float for v in rows) and np.array(rows).tobytes() == draw_from_table(table, j, u).tobytes()
 
 
 def test_draws_reject_uniforms_outside_the_unit_interval():
@@ -619,3 +625,20 @@ def test_draws_reject_uniforms_outside_the_unit_interval():
             draw_from_table(marginal, 0, u)
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             draw_transition_batch(transition, np.zeros(3), u)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            draw_from_table(marginal, 0, bad)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            draw_transition_batch(transition, 0.0, bad)
+
+
+def test_non_finite_states_draw_nan():
+    # a state that is not finite draws NaN in both forms, the one-state form
+    # with no OverflowError from int(); a finite one far past the grid still
+    # draws inside the support
+    table = scaled_transition_table(0.5)
+    for x in (math.nan, math.inf, -math.inf):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(draw_transition_batch(table, np.array([x, 0.0]), np.array([0.3, 0.3]))[0])
+        assert math.isnan(draw_transition_batch(table, x, 0.3))
+    for x in (1e300, -1e300):
+        assert abs(draw_transition_batch(table, x, 0.3)) <= table.w

@@ -142,7 +142,7 @@ def test_simulation_gate_accepts_the_support_edge(monkeypatch, sign):
             k = grid.K - 1 - len(calls)
             calls.append(k)
             edge = math.nextafter(edges[k], math.inf) if k == fault_k else edges[k]
-            return np.full(x_scaled.shape, sign * edge / math.sqrt(float(grid.times[k])))
+            return sign * edge / math.sqrt(float(grid.times[k]))
 
         return draw
 
@@ -425,48 +425,57 @@ def test_bad_draw_in_a_later_block_is_rejected(monkeypatch):
 
 
 def test_stream_crossover_keeps_every_path(monkeypatch):
-    # blocks of fewer than _STREAM_CROSSOVER paths draw from each path's own
-    # generator, larger ones emulate the streams together; row i is
-    # simulate_path's path either way, a tail block after a full block too
+    # blocks of fewer than _STREAM_CROSSOVER paths walk path by path on each
+    # path's own generator, larger ones walk together on the streams computed
+    # together; row i is simulate_path's path either way, a tail block after
+    # a full block too
     grid = GeometricGrid.build(q=0.5, t=1.0, depth=8)
     base = 2**32 - 40
-    real, emulated = process._uniform_columns, []
+    walked = []
 
-    def spy(n_paths, base_seed):
-        emulated.append(n_paths)
-        return real(n_paths, base_seed)
+    def spy(walk):
+        def recorded(block, *rest):
+            walked.append((walk.__name__, block.shape[0]))
+            return walk(block, *rest)
 
-    monkeypatch.setattr(process, "_uniform_columns", spy)
-    cross = process._STREAM_CROSSOVER
-    for n in (cross - 1, cross, cross + 1):
-        batch = simulate_batch(grid, n, base)
-        for i in range(n):
-            assert np.array_equal(batch.values[i], simulate_path(grid, base + i).values), (n, i)
-    n = process.PATH_BLOCK + 5
+        return recorded
+
+    cross, n = process._STREAM_CROSSOVER, process.PATH_BLOCK + 5
+    tail = (*range(3), process.PATH_BLOCK - 1, *range(process.PATH_BLOCK, n))
+    singles = {i: simulate_path(grid, base + i).values for i in (*range(cross + 1), *tail)}
+    for name in ("_walk_paths", "_walk_block"):
+        monkeypatch.setattr(process, name, spy(getattr(process, name)))
+    for m in (cross - 1, cross, cross + 1):
+        batch = simulate_batch(grid, m, base)
+        for i in range(m):
+            assert np.array_equal(batch.values[i], singles[i]), (m, i)
     batch = simulate_batch(grid, n, base)
-    for i in (*range(3), process.PATH_BLOCK - 1, *range(process.PATH_BLOCK, n)):
-        assert np.array_equal(batch.values[i], simulate_path(grid, base + i).values), i
-    assert emulated == [cross, cross + 1, process.PATH_BLOCK]
+    for i in tail:
+        assert np.array_equal(batch.values[i], singles[i]), i
+    assert walked == [
+        ("_walk_paths", cross - 1),
+        ("_walk_block", cross),
+        ("_walk_block", cross + 1),
+        ("_walk_block", process.PATH_BLOCK),
+        ("_walk_paths", 5),
+    ]
 
 
 @pytest.mark.parametrize("fault", [math.nan, math.inf])
 def test_bad_draw_in_a_single_path_is_rejected(monkeypatch, fault):
-    # the per-path stream's simulation keeps the gate, at the first bad column
+    # the path-by-path walk keeps the gate, at the first bad step
     grid = GeometricGrid.build(q=0.5, t=1.0, depth=4)
     real = process.draw_transition_batch
     calls = []
 
     def patched(table, x_scaled, u):
-        out = real(table, x_scaled, u)
-        calls.append(out.shape[0])
-        if len(calls) == 2:
-            out[0] = fault
-        return out
+        calls.append(x_scaled)
+        return fault if len(calls) == 2 else real(table, x_scaled, u)
 
     monkeypatch.setattr(process, "draw_transition_batch", patched)
     with pytest.raises(ValueError, match="index 2 is not finite or lies outside the support"):
         simulate_path(grid, 7)
-    assert calls == [1, 1]
+    assert len(calls) == 2 and all(type(x) is float for x in calls)
 
 
 def test_simulation_memory_is_bounded_by_the_block():

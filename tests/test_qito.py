@@ -177,6 +177,19 @@ def test_batch_decomposition_equals_per_path(q, K):
         assert (cols.tail_bound, cols.K) == (one.tail_bound, one.K)
 
 
+def test_decompositions_convert_f_to_the_hermite_basis_once(monkeypatch):
+    # the gradient integrand and the tail bound share one conversion
+    ctx = QContext.numeric(0.6)
+    f = QPolynomial.from_xt_terms({(3, 0): 1.0, (1, 1): -0.5, (0, 1): 2.0})
+    batch = simulate_batch(GeometricGrid.build(q=0.6, t=1.0, depth=10), 3, 9, ctx)
+    bound = ito_tail_bound(f, batch.grid, ctx)
+    real, calls = qito.to_hermite_basis, []
+    monkeypatch.setattr(qito, "to_hermite_basis", lambda *args: calls.append(args) or real(*args))
+    assert ito_decompose(f, batch.path(0), ctx).tail_bound == bound
+    assert ito_decompose_batch(f, batch, ctx).tail_bound == bound
+    assert len(calls) == 2
+
+
 def test_tail_bound_shrinks_with_depth():
     ctx = QContext.numeric(0.6)
     f = QPolynomial.x_power(4)

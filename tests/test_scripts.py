@@ -92,3 +92,27 @@ def test_table_build_rejects_bad_q(args, capsys):
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert "every --q must lie in (0, 1)" in captured.err and captured.out == ""
+
+
+def test_path_crossover_checks_the_walks_bits(monkeypatch, capsys):
+    import math
+
+    from qbm import process
+
+    script = load("path_crossover")
+    monkeypatch.setattr(script, "SIZES", (1, 3))
+    monkeypatch.setattr(script, "DEPTHS", (4,))
+    cross = process._STREAM_CROSSOVER
+    assert script.main(["--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 2 and process._STREAM_CROSSOVER == cross
+    # one-state draws one float off: the path-by-path walk no longer matches
+    real = process.draw_transition_batch
+
+    def off(table, x, u):
+        y = real(table, x, u)
+        return math.nextafter(y, math.inf) if isinstance(x, float) else y
+
+    monkeypatch.setattr(process, "draw_transition_batch", off)
+    assert script.main(["--repeats", "1"]) == 1
+    assert "differ at (depth, paths) [(4, 1), (4, 3)]" in capsys.readouterr().out
