@@ -2,10 +2,13 @@
 
 For random polynomial test functions on simulated paths, the boundary
 residual |f(B_K, t_K) - f(0, 0)| must sit under the analytic tail bound
-and its per-depth mean must shrink as the grid deepens.
+and its per-depth mean must shrink as the grid deepens.  The suite's wall
+time, sampling-table builds included, goes to stderr.
 """
 
 import argparse
+import sys
+import time
 
 from qbm.verify import run_convergence_suite
 
@@ -22,6 +25,7 @@ def main(argv=None) -> int:
     try:
         qs = tuple(float(part) for part in args.qs.split(",") if part.strip())
         depths = tuple(int(part) for part in args.depths.split(",") if part.strip())
+        start = time.perf_counter()
         reports = run_convergence_suite(
             qs=qs,
             depths=depths,
@@ -32,6 +36,7 @@ def main(argv=None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    print(f"convergence suite wall time: {time.perf_counter() - start:.3f} s", file=sys.stderr)
 
     status = 0
     for rep in reports:

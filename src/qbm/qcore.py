@@ -217,8 +217,7 @@ class Poly:
         """
         out = [0 * ctx.q]
         for j, c in enumerate(self.coeffs):
-            d = q_int(j + 1, ctx)
-            out.append(Fraction(c, d) if isinstance(c, int) and isinstance(d, int) else c / d)
+            out.append(c / q_int(j + 1, ctx))
         return Poly(out)
 
     def abs_coeff_bound(self, u: Scalar) -> Scalar:

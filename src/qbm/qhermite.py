@@ -9,20 +9,18 @@ polynomial f(x, t) can be written in the normalised basis
 
     f(x, t) = sum_m b_m(t) h_m(x; t) / [m]_q!
 
-and this module converts between the monomial and q-Hermite representations.
+and this module converts between the monomial form and the coefficient tuple
+(b_0, ..., b_d), which stochint.PolynomialIntegrand carries as its b.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Union
 
 from .qcore import Poly, QContext, Scalar, _q_numbers, q_binomial, q_factorial, q_int
 
 __all__ = [
     "QPolynomial",
-    "HermiteCoefficients",
     "qhermite",
     "to_hermite_basis",
     "from_hermite_basis",
@@ -136,20 +134,6 @@ class QPolynomial:
         return f"QPolynomial({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
-class HermiteCoefficients:
-    """Coefficients b_m(t) of f = sum_m b_m(t) h_m(x; t) / [m]_q!."""
-
-    b: tuple[Poly, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.b) - 1
-
-    def coeff(self, m: int) -> Poly:
-        return self.b[m] if 0 <= m < len(self.b) else Poly()
-
-
 _HERMITE_CACHE: dict[tuple, list[QPolynomial]] = {}
 
 
@@ -170,8 +154,9 @@ def qhermite(n: int, ctx: QContext) -> QPolynomial:
     return _hermite_list(n, ctx)[n]
 
 
-def to_hermite_basis(f: QPolynomial, ctx: QContext) -> HermiteCoefficients:
-    """Expand f(x, t) over the h_m(x; t) basis by back-substitution.
+def to_hermite_basis(f: QPolynomial, ctx: QContext) -> tuple[Poly, ...]:
+    """The coefficients (b_0(t), ..., b_d(t)) of f = sum_m b_m(t) h_m(x; t) / [m]_q!,
+    d the x-degree of f, by back-substitution.
 
     The h_m are monic in x, so the expansion is triangular: strip the leading
     x-coefficient, subtract that multiple of h_m, recurse.  Exact over
@@ -186,21 +171,16 @@ def to_hermite_basis(f: QPolynomial, ctx: QContext) -> HermiteCoefficients:
             out[m] = lead * q_factorial(m, ctx)
             for i, hc in enumerate(hs[m].coeffs):
                 work[i] = work[i] - lead * hc
-    return HermiteCoefficients(tuple(out))
+    return tuple(out)
 
 
-def from_hermite_basis(hc: HermiteCoefficients, ctx: QContext) -> QPolynomial:
-    """Rebuild the monomial form of sum_m b_m(t) h_m(x; t) / [m]_q!."""
+def from_hermite_basis(b: tuple[Poly, ...], ctx: QContext) -> QPolynomial:
+    """Rebuild the monomial form of sum_m b[m](t) h_m(x; t) / [m]_q!."""
     out = QPolynomial.zero()
-    for m, bm in enumerate(hc.b):
+    for m, bm in enumerate(b):
         if bm.is_zero():
             continue
-        fact = q_factorial(m, ctx)
-        if isinstance(fact, Fraction):
-            scaled = bm * (1 / fact)
-        else:
-            scaled = bm * (1.0 / fact)
-        out = out + qhermite(m, ctx) * scaled
+        out = out + qhermite(m, ctx) * (bm * (1 / q_factorial(m, ctx)))
     return out
 
 

@@ -18,6 +18,10 @@ satisfies the exact algebraic identity
 
 and the K-step change-of-variable sum telescopes, leaving a residual of
 exactly |f(B_K, t_K) - f(0, 0)|, which the attached tail bound dominates.
+The step sums of D_t f and delta f have one implementation, over a block of
+paths by grid: a single path (float or exact rational) is a one-row block,
+and a batch is summed PATH_BLOCK rows at a time, so each of its paths gets
+the single path's bits.
 
 nabla and delta also have integral forms: first and second divided
 differences of f integrated against explicit transition kernels.  The
@@ -31,7 +35,6 @@ state x, and for delta one inner-leg matrix per (q, s), whose levels nest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -44,10 +47,10 @@ from .measures import (
     integrate,
     transition_spec,
 )
+from . import process
 from .process import GeometricGrid, GeometricPath, PathBatch
-from .qcore import QContext, Scalar, q_factorial
+from .qcore import Poly, QContext, Scalar, q_factorial
 from .qhermite import (
-    HermiteCoefficients,
     QPolynomial,
     from_hermite_basis,
     growth_constant,
@@ -56,7 +59,7 @@ from .qhermite import (
 )
 from .stochint import (
     PolynomialIntegrand,
-    _in_order,
+    _as_array,
     _path_arrays,
     _poly_rows,
     integrate_def,
@@ -78,28 +81,24 @@ __all__ = [
 ]
 
 
-def _inv(c: Scalar) -> Scalar:
-    return 1.0 / c if isinstance(c, float) else Fraction(1, 1) / c
-
-
 def nabla_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
     """q-gradient of f: shift the q-Hermite coefficients down by one."""
-    hc = to_hermite_basis(f, ctx)
-    if len(hc.b) <= 1:
+    b = to_hermite_basis(f, ctx)
+    if len(b) <= 1:
         return QPolynomial.zero()
-    return from_hermite_basis(HermiteCoefficients(hc.b[1:]), ctx)
+    return from_hermite_basis(b[1:], ctx)
 
 
 def a_operator(f: QPolynomial, ctx: QContext) -> QPolynomial:
     """Generator slice: sum_m b_m(t) h_{m-1}(x; q t) / [m-1]!."""
-    hc = to_hermite_basis(f, ctx)
+    b = to_hermite_basis(f, ctx)
     out = QPolynomial.zero()
-    for m in range(1, len(hc.b)):
-        bm = hc.b[m]
+    for m in range(1, len(b)):
+        bm = b[m]
         if bm.is_zero():
             continue
         base = qhermite(m - 1, ctx).subs_t_scale(ctx.q)
-        out = out + base * (bm * _inv(q_factorial(m - 1, ctx)))
+        out = out + base * (bm * (1 / q_factorial(m - 1, ctx)))
     return out
 
 
@@ -293,12 +292,12 @@ def ito_tail_bound(f: QPolynomial, grid: GeometricGrid, ctx: QContext) -> float:
     return _tail_bound(to_hermite_basis(f, ctx), grid, ctx)
 
 
-def _tail_bound(hc: HermiteCoefficients, grid: GeometricGrid, ctx: QContext) -> float:
-    """ito_tail_bound from f's Hermite coefficients."""
+def _tail_bound(b: tuple[Poly, ...], grid: GeometricGrid, ctx: QContext) -> float:
+    """ito_tail_bound from f's Hermite coefficients b."""
     t_deep = float(grid.times[grid.K])
-    total = float(hc.b[0].variation_bound(t_deep)) if hc.b else 0.0
-    for m in range(1, len(hc.b)):
-        bm = hc.b[m]
+    total = float(b[0].variation_bound(t_deep)) if b else 0.0
+    for m in range(1, len(b)):
+        bm = b[m]
         if bm.is_zero():
             continue
         total += (
@@ -318,13 +317,26 @@ def _on_grid(p: QPolynomial, x: np.ndarray, t: np.ndarray):
     return out
 
 
+def _step_sums(f: QPolynomial, values: np.ndarray, times: np.ndarray, ctx: QContext):
+    """sum_k t_k (D_t f)(B_{k+1}, t_k) and sum_k t_k (delta f)(B_{k+1}, t_k)
+    for each path, a row of values (B_k in column k, floats or exact
+    rationals), with times its grid's t_k: the terms on the whole block at
+    once, then added in grid order from 0 along each row by np.add.accumulate,
+    which adds sequentially where np.sum would add pairwise."""
+    t, x = times[:-1], values[:, 1:]
+    zero = np.full((len(values), 1), 0 * ctx.q, dtype=values.dtype)
+    return [
+        np.add.accumulate(np.concatenate([zero, t * _on_grid(p, x, t)], axis=1), axis=1)[:, -1]
+        for p in (f.dq_time(ctx), delta_exact(f, ctx))
+    ]
+
+
 def _decompose(
-    f: QPolynomial, hc: HermiteCoefficients, grid: GeometricGrid, b0, drift, second, grad, ctx: QContext
+    f: QPolynomial, b: tuple[Poly, ...], grid: GeometricGrid, b0, drift, second, grad, ctx: QContext
 ) -> ItoDecomposition:
-    """The identity's terms, given f's Hermite coefficients hc, B_0 (b0),
-    the step sums sum_k t_k (D_t f)(B_{k+1}, t_k) (drift) and
-    sum_k t_k (delta f)(B_{k+1}, t_k) (second), and the gradient integral
-    grad (integrate_def's value on a path, integrate_def_batch's on a batch).
+    """The identity's terms, given f's Hermite coefficients b, B_0 (b0),
+    _step_sums' two sums (drift, second) and the gradient integral grad
+    (integrate_def's value on a path, integrate_def_batch's on a batch).
 
     For a batch each of them is a column with one entry per path, and so are
     every term and the residual.
@@ -341,7 +353,7 @@ def _decompose(
         drift_term=drift,
         second_order_term=second,
         residual=gap if isinstance(gap, np.ndarray) else float(gap),
-        tail_bound=_tail_bound(hc, grid, ctx),
+        tail_bound=_tail_bound(b, grid, ctx),
         K=grid.K,
     )
 
@@ -349,29 +361,26 @@ def _decompose(
 def ito_decompose(f: QPolynomial, path: GeometricPath, ctx: QContext) -> ItoDecomposition:
     """Evaluate the K-step change-of-variable identity along a path.
 
-    The step sums are evaluated on the whole grid at once and added in grid
-    order, for float and exact rational paths alike.
+    The step sums are _step_sums' on the path as a one-row block, for float
+    and exact rational paths alike.
     """
-    hc = to_hermite_basis(f, ctx)
-    grad = integrate_def(PolynomialIntegrand(hc.b[1:]), path, ctx).value
+    b = to_hermite_basis(f, ctx)
+    grad = integrate_def(PolynomialIntegrand(b[1:]), path, ctx).value
     x, t = _path_arrays(path)
-    sums = [_in_order(0 * ctx.q, t[:-1] * _on_grid(p, x[1:], t[:-1])) for p in (f.dq_time(ctx), delta_exact(f, ctx))]
-    return _decompose(f, hc, path.grid, path.values[0], *sums, grad, ctx)
+    drift, second = (s[0] for s in _step_sums(f, x[None], t, ctx))
+    return _decompose(f, b, path.grid, path.values[0], drift, second, grad, ctx)
 
 
 def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoDecomposition:
-    """ito_decompose on every path of a batch at once, column-wise.
+    """ito_decompose on every path of a batch, PATH_BLOCK paths at a time.
 
     lhs, the three terms and residual are arrays over the paths; entry i is
-    bit for bit ito_decompose's value on batch.path(i).
+    bit for bit ito_decompose's value on batch.path(i), as each row of a
+    block is summed on its own.
     """
-    hc = to_hermite_basis(f, ctx)
-    grad = integrate_def_batch(PolynomialIntegrand(hc.b[1:]), batch, ctx)
-    grid = batch.grid
-    df, d2 = f.dq_time(ctx), delta_exact(f, ctx)
-    drift = second = 0 * ctx.q
-    for k in range(grid.K):
-        tk, xk1 = grid.times[k], batch.values[:, k + 1]
-        drift = drift + tk * df(xk1, tk)
-        second = second + tk * d2(xk1, tk)
-    return _decompose(f, hc, grid, batch.values[:, 0], drift, second, grad, ctx)
+    b = to_hermite_basis(f, ctx)
+    grad = integrate_def_batch(PolynomialIntegrand(b[1:]), batch, ctx)
+    times, step = _as_array(batch.grid.times), process.PATH_BLOCK
+    blocks = [_step_sums(f, batch.values[i : i + step], times, ctx) for i in range(0, len(batch), step)]
+    drift, second = (np.concatenate(sums) for sums in zip(*blocks))
+    return _decompose(f, b, batch.grid, batch.values[:, 0], drift, second, grad, ctx)

@@ -1,6 +1,7 @@
 """Discrete stochastic integration against q-Brownian paths.
 
-An integrand is carried by its q-Hermite coefficients b_m(t): the integral of
+An integrand is a PolynomialIntegrand, the tuple of q-Hermite coefficients
+b_m(t) that qhermite.to_hermite_basis returns: the integral of
 f = sum_m b_m(t) h_m / [m]! over [0, t] is
 
     sum_m (1 / [m+1]!) sum_k b_m(t_k) (h_{m+1}(B_k; t_k) - h_{m+1}(B_{k+1}; t_{k+1}))
@@ -15,12 +16,13 @@ and coefficients at every t_k at once, then the terms added one at a time in
 for the zero-tolerance identity checks) take the same code.  A batch is
 summed column by column, over views of its grid-major values, adding the
 same terms in the same order, so each path's value is the path form's.
+Reciprocals such as 1 / [m+1]! are taken as 1 / x, which stays a Fraction in
+an exact context and is 1.0 / x in a float one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -61,7 +63,7 @@ class PolynomialIntegrand:
 
     @classmethod
     def from_qpolynomial(cls, f: QPolynomial, ctx: QContext) -> "PolynomialIntegrand":
-        return cls(to_hermite_basis(f, ctx).b)
+        return cls(to_hermite_basis(f, ctx))
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,7 @@ class StochasticIntegralResult:
 
 def _inv_factorials(degree: int, ctx: QContext) -> list[Scalar]:
     """1 / [m+1]! for m = 0..degree, in the context's arithmetic."""
-    out = []
-    for m in range(degree + 1):
-        fact = q_factorial(m + 1, ctx)
-        out.append(Fraction(1, 1) / fact if isinstance(fact, (Fraction, int)) else 1.0 / fact)
-    return out
+    return [1 / q_factorial(m + 1, ctx) for m in range(degree + 1)]
 
 
 def _as_array(seq) -> np.ndarray:

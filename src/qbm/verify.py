@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -177,14 +177,7 @@ class McEstimate:
         return (self.estimate - self.oracle) / self.std_error
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "oracle": self.oracle,
-            "z": self.z,
-        }
+        return {**asdict(self), "z": self.z}
 
 
 @dataclass(frozen=True)
@@ -200,15 +193,7 @@ class VerificationReport:
     estimate: McEstimate | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "kind": self.kind,
-            "residual": self.residual,
-            "estimate": None if self.estimate is None else self.estimate.to_json_dict(),
-        }
+        return {**asdict(self), "estimate": None if self.estimate is None else self.estimate.to_json_dict()}
 
     def csv_row(self) -> list:
         if self.estimate is not None:
@@ -906,7 +891,6 @@ def _ito_checks(p: QPolynomial, parts: tuple[QPolynomial, ...], batch: PathBatch
 
 def run_convergence_suite(
     qs: Sequence[float] = (0.5, 0.8),
-    t: float = 1.0,
     depths: Sequence[int] = (20, 40, 80),
     n_paths: int = 20,
     n_polys: int = 20,
@@ -917,8 +901,8 @@ def run_convergence_suite(
     exponential's integral equation as the grid deepens.
 
     ito-convergence draws one n_polys x n_paths batch per q at the deepest
-    depth (polynomial i takes rows n_paths i onward) and restricts it to
-    each depth, so each residual follows one path.  The truncated residual
+    depth on the horizon t = 1 (polynomial i takes rows n_paths i onward)
+    and restricts it to each depth, so each residual follows one path.  The truncated residual
     equals |f(B_K, t_K) - f(0, 0)|: it must fall under the analytic tail
     bound at every depth and shrink in mean as K grows, and the float
     decomposition must reproduce it to 64 eps times its rounding scale.
@@ -940,7 +924,7 @@ def run_convergence_suite(
         if selected is None or "ito-convergence" in selected:
             rng = np.random.default_rng(seed)
             polys = [_random_qpolynomial(rng, 6, 2) for _ in range(n_polys)]
-            deep_grid = GeometricGrid.build(q=q, t=t, depth=depths[-1])
+            deep_grid = GeometricGrid.build(q=q, t=1.0, depth=depths[-1])
             deep = simulate_batch(deep_grid, n_polys * n_paths, seed, ctx)
             per_depth: dict[int, list[float]] = {K: [] for K in depths}
             worst_ratio = 0.0
@@ -966,7 +950,7 @@ def run_convergence_suite(
                     name="ito-convergence",
                     params={
                         "q": q,
-                        "t": t,
+                        "t": 1.0,
                         "depths": list(depths),
                         "n_paths": n_paths,
                         "n_polys": n_polys,

@@ -66,17 +66,17 @@ def test_recurrence_exact():
 def test_hermite_coefficients_of_monomials():
     q = Fraction(1, 2)
     hc = to_hermite_basis(QPolynomial.x_power(2), HALF)
-    assert hc.coeff(0) == Poly([0, 1])
-    assert hc.coeff(2) == Poly([q_factorial(2, HALF)])
+    assert hc[0] == Poly([0, 1])
+    assert hc[2] == Poly([q_factorial(2, HALF)])
 
     hc = to_hermite_basis(QPolynomial.x_power(3), HALF)
-    assert hc.coeff(1) == Poly([0, 2 + q])
-    assert hc.coeff(3) == Poly([q_factorial(3, HALF)])
+    assert hc[1] == Poly([0, 2 + q])
+    assert hc[3] == Poly([q_factorial(3, HALF)])
 
     hc = to_hermite_basis(QPolynomial.x_power(4), HALF)
-    assert hc.coeff(0) == Poly([0, 0, q + 2])
-    assert hc.coeff(2) == Poly([0, q_factorial(2, HALF) * (q * q + 2 * q + 3)])
-    assert hc.coeff(4) == Poly([q_factorial(4, HALF)])
+    assert hc[0] == Poly([0, 0, q + 2])
+    assert hc[2] == Poly([0, q_factorial(2, HALF) * (q * q + 2 * q + 3)])
+    assert hc[4] == Poly([q_factorial(4, HALF)])
     assert q_factorial(4, HALF) == Fraction(315, 64)
 
 
@@ -165,10 +165,10 @@ def test_basis_conversion_linear(f, g, q):
     fg = to_hermite_basis(f + g, ctx)
     ff = to_hermite_basis(f, ctx)
     gg = to_hermite_basis(g, ctx)
-    top = max(len(ff.b), len(gg.b), len(fg.b))
+    top = max(len(ff), len(gg), len(fg))
 
     def coeff(hc, m):
-        return hc.coeff(m) if m < len(hc.b) else Poly()
+        return hc[m] if m < len(hc) else Poly()
 
     for m in range(top):
         assert coeff(fg, m) == coeff(ff, m) + coeff(gg, m)

@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbm import qito
+from qbm import process, qito, stochint
 from qbm.process import GeometricGrid, GeometricPath, simulate_batch, simulate_path
 from qbm.qcore import Poly, QContext, q_int
-from qbm.qhermite import QPolynomial, qhermite
+from qbm.qhermite import QPolynomial, from_hermite_basis, qhermite, to_hermite_basis
 from qbm.qito import (
     a_operator,
     delta_exact,
@@ -175,6 +175,30 @@ def test_batch_decomposition_equals_per_path(q, K):
         for name in fields:
             assert getattr(cols, name)[i] == getattr(one, name), (i, name)
         assert (cols.tail_bound, cols.K) == (one.tail_bound, one.K)
+
+
+def test_batch_decomposition_does_not_depend_on_the_block(monkeypatch):
+    # 7 paths in blocks of 3, 3 and 1 give the values of one 7-path block
+    ctx = QContext.numeric(0.8)
+    f = QPolynomial.from_xt_terms({(5, 1): 0.7, (3, 0): -1.0, (2, 2): 0.25, (0, 1): 2.0})
+    batch = simulate_batch(GeometricGrid.build(q=0.8, t=1.0, depth=30), 7, 41, ctx)
+    whole = ito_decompose_batch(f, batch, ctx)
+    monkeypatch.setattr(process, "PATH_BLOCK", 3)
+    blocked = ito_decompose_batch(f, batch, ctx)
+    for name in ("lhs", "gradient_term", "drift_term", "second_order_term", "residual"):
+        assert getattr(blocked, name).tolist() == getattr(whole, name).tolist(), name
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)])
+def test_exact_mode_results_stay_fractions(q):
+    # reciprocals are taken as 1 / x, which keeps an exact context's values
+    # Fractions; a float context's stay floats
+    f = QPolynomial.from_xt_terms({(4, 1): Fraction(3, 2), (2, 0): 1, (1, 2): Fraction(-1, 3)})
+    for ctx, kind in ((QContext.exact(q), Fraction), (QContext.numeric(float(q)), float)):
+        assert [type(c) for c in stochint._inv_factorials(6, ctx)] == [kind] * 7
+        for g in (a_operator(f, ctx), nabla_exact(f, ctx), from_hermite_basis(to_hermite_basis(f, ctx), ctx)):
+            scalars = [c for col in g.coeffs for c in col.coeffs]
+            assert scalars and all(type(c) is kind for c in scalars)
 
 
 def test_decompositions_convert_f_to_the_hermite_basis_once(monkeypatch):

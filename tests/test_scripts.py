@@ -43,8 +43,9 @@ def test_kurtosis_table_rejects_bad_ranges(args, message, capsys):
 def test_ito_convergence_small_run(capsys):
     args = ["--qs", "0.5", "--depths", "5,10", "--paths", "2", "--polys", "2"]
     assert load("ito_convergence").main(args) == 0
-    out = capsys.readouterr().out
-    assert "K=  5" in out and "K= 10" in out and "PASS" in out
+    captured = capsys.readouterr()
+    assert "K=  5" in captured.out and "K= 10" in captured.out and "PASS" in captured.out
+    assert captured.err.startswith("convergence suite wall time: ")
 
 
 @pytest.mark.parametrize(
