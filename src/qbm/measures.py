@@ -580,7 +580,8 @@ def _invert_rows(spec: DensitySpec, xs: np.ndarray):
     mass = cdf[:, -1].copy()
     defect = float(np.max(np.abs(mass - 1.0)))
     if not defect <= NORM_TOL:
-        raise InvalidDensityError(f"tabulated density mass off by {defect:.3e} (> {NORM_TOL})")
+        off = f"off by {defect:.3e} (> {NORM_TOL})" if math.isfinite(defect) else "not finite"
+        raise InvalidDensityError(f"tabulated density mass {off}")
     # knot targets in the unnormalised CDF: F = mass u
     target = mass[:, None] * _knot_u(k)
     cells = np.concatenate([np.searchsorted(c, t, side="right") - 1 for c, t in zip(cdf, target)])
@@ -612,7 +613,9 @@ def _tabulate(spec: DensitySpec, x_grid=None) -> CdfTable:
     states span at most WINDOW standard deviations.
 
     Raises InvalidDensityError if a row's mass before normalisation is off
-    by more than NORM_TOL or its u-error exceeds U_TOL.
+    by more than NORM_TOL or not finite, or its u-error exceeds U_TOL.  The
+    kernel's 0/0 at the edge rows near q = 1 is left to the mass gate,
+    without a warning.
     """
     xs = np.array([spec.x]) if x_grid is None else x_grid
     cubic = np.empty((xs.shape[0], N_U, 4))
@@ -625,7 +628,8 @@ def _tabulate(spec: DensitySpec, x_grid=None) -> CdfTable:
         step = max(1, min(step, int(WINDOW * math.sqrt(spec.t - spec.s) / (x_grid[1] - x_grid[0])) + 1))
     for r in range(0, xs.shape[0], step):
         block = slice(r, r + step)
-        cubic[block], mid, err, off = _invert_rows(spec, xs[block])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cubic[block], mid, err, off = _invert_rows(spec, xs[block])
         defect, u_error = max(defect, off), max(u_error, err)
         if loss is not None:
             gap = np.diff(mid if last is None else np.vstack([last, mid]), axis=0)

@@ -179,7 +179,11 @@ class Poly:
         return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        """self + (-other) coefficient by coefficient, with its bits: an exact
+        zero negates to itself, so x - 0 would keep the -0.0 that x + (-0) drops."""
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        return Poly(tuple(x + -y for x, y in zip(a, b)) + a[n:] + tuple(-y for y in b[n:]))
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))

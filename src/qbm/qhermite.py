@@ -10,12 +10,13 @@ polynomial f(x, t) can be written in the normalised basis
     f(x, t) = sum_m b_m(t) h_m(x; t) / [m]_q!
 
 and this module converts between the monomial form and the coefficient tuple
-(b_0, ..., b_d), which stochint.PolynomialIntegrand carries as its b.
+(b_0, ..., b_d), which stochint.PolynomialIntegrand carries as its b.  A
+polynomial keeps its derived forms, such as that tuple, once computed.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .qcore import Poly, QContext, Scalar, _q_numbers, q_binomial, q_factorial, q_int
 
@@ -33,10 +34,11 @@ class QPolynomial:
     """Polynomial in x whose coefficients are polynomials in t.
 
     Stored in the monomial basis: ``coeffs[i]`` is the t-polynomial multiplying
-    x**i.  Immutable, with exact equality when built over Fractions.
+    x**i.  Immutable, with exact equality when built over Fractions.  Derived
+    forms are kept in _memo, which equality, hashing and repr ignore.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_memo")
 
     def __init__(self, coeffs: Iterable[Union[Poly, Scalar]] = ()):
         cs = [c if isinstance(c, Poly) else Poly.const(c) for c in coeffs]
@@ -78,6 +80,16 @@ class QPolynomial:
 
     def coeff(self, i: int) -> Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Poly()
+
+    def derived(self, form: Callable[["QPolynomial", QContext], object], ctx: QContext):
+        """form(self, ctx), computed once per (form, ctx) and kept on this
+        immutable polynomial, so freed with it; form's value must be immutable."""
+        if not hasattr(self, "_memo"):
+            object.__setattr__(self, "_memo", {})
+        key = (form, ctx)
+        if key not in self._memo:
+            self._memo[key] = form(self, ctx)
+        return self._memo[key]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
@@ -160,8 +172,14 @@ def to_hermite_basis(f: QPolynomial, ctx: QContext) -> tuple[Poly, ...]:
 
     The h_m are monic in x, so the expansion is triangular: strip the leading
     x-coefficient, subtract that multiple of h_m, recurse.  Exact over
-    Fractions.
+    Fractions.  Computed once per context and kept on f.
     """
+    return f.derived(_hermite_coeffs, ctx)
+
+
+def _hermite_coeffs(f: QPolynomial, ctx: QContext) -> tuple[Poly, ...]:
+    """to_hermite_basis' back-substitution; h_m's zero coefficients are
+    skipped, as subtracting lead * Poly() leaves a coefficient as it was."""
     hs = _hermite_list(max(f.degree, 0), ctx)
     work = list(f.coeffs)
     out = [Poly() for _ in range(len(work))]
@@ -170,7 +188,8 @@ def to_hermite_basis(f: QPolynomial, ctx: QContext) -> tuple[Poly, ...]:
         if not lead.is_zero():
             out[m] = lead * q_factorial(m, ctx)
             for i, hc in enumerate(hs[m].coeffs):
-                work[i] = work[i] - lead * hc
+                if not hc.is_zero():
+                    work[i] = work[i] - lead * hc
     return tuple(out)
 
 

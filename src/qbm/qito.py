@@ -49,7 +49,7 @@ from .measures import (
 )
 from . import process
 from .process import GeometricGrid, GeometricPath, PathBatch
-from .qcore import Poly, QContext, Scalar, q_factorial
+from .qcore import QContext, Scalar, q_factorial
 from .qhermite import (
     QPolynomial,
     from_hermite_basis,
@@ -57,9 +57,12 @@ from .qhermite import (
     qhermite,
     to_hermite_basis,
 )
+# integrate_def has no caller here, but perfbench/tracing.py wraps this
+# module's name for it, so it stays imported
 from .stochint import (
     PolynomialIntegrand,
     _as_array,
+    _def_sum,
     _path_arrays,
     _poly_rows,
     integrate_def,
@@ -117,7 +120,12 @@ def _delta_monomial(n: int, ctx: QContext) -> QPolynomial:
 
 
 def delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
-    """Second-order operator, extended x-degree by x-degree from monomials."""
+    """Second-order operator, extended x-degree by x-degree from monomials.
+    Computed once per context and kept on f."""
+    return f.derived(_delta_exact, ctx)
+
+
+def _delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
     out = QPolynomial.zero()
     for n, a_n in enumerate(f.coeffs):
         if a_n.is_zero():
@@ -289,11 +297,7 @@ def ito_tail_bound(f: QPolynomial, grid: GeometricGrid, ctx: QContext) -> float:
     Uses |h_m(x; u)| <= C_m u**(m/2) for m >= 1 plus the coefficient
     variation of b_0 over [0, t_K].
     """
-    return _tail_bound(to_hermite_basis(f, ctx), grid, ctx)
-
-
-def _tail_bound(b: tuple[Poly, ...], grid: GeometricGrid, ctx: QContext) -> float:
-    """ito_tail_bound from f's Hermite coefficients b."""
+    b = to_hermite_basis(f, ctx)
     t_deep = float(grid.times[grid.K])
     total = float(b[0].variation_bound(t_deep)) if b else 0.0
     for m in range(1, len(b)):
@@ -332,11 +336,11 @@ def _step_sums(f: QPolynomial, values: np.ndarray, times: np.ndarray, ctx: QCont
 
 
 def _decompose(
-    f: QPolynomial, b: tuple[Poly, ...], grid: GeometricGrid, b0, drift, second, grad, ctx: QContext
+    f: QPolynomial, grid: GeometricGrid, b0, drift, second, grad, ctx: QContext
 ) -> ItoDecomposition:
-    """The identity's terms, given f's Hermite coefficients b, B_0 (b0),
-    _step_sums' two sums (drift, second) and the gradient integral grad
-    (integrate_def's value on a path, integrate_def_batch's on a batch).
+    """The identity's terms, given B_0 (b0), _step_sums' two sums (drift,
+    second) and the gradient integral grad (the defining sum's value on a
+    path, integrate_def_batch's on a batch).
 
     For a batch each of them is a column with one entry per path, and so are
     every term and the residual.
@@ -353,7 +357,7 @@ def _decompose(
         drift_term=drift,
         second_order_term=second,
         residual=gap if isinstance(gap, np.ndarray) else float(gap),
-        tail_bound=_tail_bound(b, grid, ctx),
+        tail_bound=ito_tail_bound(f, grid, ctx),
         K=grid.K,
     )
 
@@ -365,10 +369,10 @@ def ito_decompose(f: QPolynomial, path: GeometricPath, ctx: QContext) -> ItoDeco
     and exact rational paths alike.
     """
     b = to_hermite_basis(f, ctx)
-    grad = integrate_def(PolynomialIntegrand(b[1:]), path, ctx).value
     x, t = _path_arrays(path)
+    grad = _def_sum(PolynomialIntegrand(b[1:]), x, t, ctx)
     drift, second = (s[0] for s in _step_sums(f, x[None], t, ctx))
-    return _decompose(f, b, path.grid, path.values[0], drift, second, grad, ctx)
+    return _decompose(f, path.grid, path.values[0], drift, second, grad, ctx)
 
 
 def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoDecomposition:
@@ -383,4 +387,4 @@ def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoD
     times, step = _as_array(batch.grid.times), process.PATH_BLOCK
     blocks = [_step_sums(f, batch.values[i : i + step], times, ctx) for i in range(0, len(batch), step)]
     drift, second = (np.concatenate(sums) for sums in zip(*blocks))
-    return _decompose(f, b, batch.grid, batch.values[:, 0], drift, second, grad, ctx)
+    return _decompose(f, batch.grid, batch.values[:, 0], drift, second, grad, ctx)

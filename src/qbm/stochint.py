@@ -307,7 +307,6 @@ def sde_residual(
     for n in range(degree + 1):
         coeffs.append(Poly.const(c * an))
         an *= float(a)
-    integrand = PolynomialIntegrand(tuple(coeffs))
-    res = integrate_def(integrand, path, ctx)
+    value = _def_sum(PolynomialIntegrand(tuple(coeffs)), *_path_arrays(path), ctx)
     z = stochastic_exponential(a, c, float(path.values[0]), t, ctx)
-    return abs(float(z) - c - float(a) * float(res.value))
+    return abs(float(z) - c - float(a) * float(value))

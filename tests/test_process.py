@@ -369,6 +369,31 @@ def test_accepted_inputs_give_finite_paths_in_the_support(q, t, depth, n, data):
     assert _in_support(batch.values, grid)
 
 
+#: q values outside CACHED_QS, drawn from a fixed set so that each builds
+#: its tables once
+OTHER_QS = (0.05, 0.3, 0.65, 0.9)
+
+
+@given(
+    q=st.sampled_from(OTHER_QS),
+    t=st.floats(1e-100, 1e-3, exclude_max=True),
+    depth=st.integers(1, 80),
+    n=st.integers(1, process._STREAM_CROSSOVER + 2),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_other_q_and_short_horizons_give_finite_paths_in_the_support(q, t, depth, n, data):
+    # both walks (below and from the stream crossover); row i is always
+    # simulate_path's path at base_seed + i
+    seed = data.draw(st.integers(0, SEED_LIMIT - n), label="base_seed")
+    grid = GeometricGrid.build(q=q, t=t, depth=depth)
+    batch = simulate_batch(grid, n, seed, QContext.numeric(q))
+    assert batch.values.shape == (n, depth + 1) and np.all(np.isfinite(batch.values))
+    assert _in_support(batch.values, grid)
+    for i in data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3), label="rows"):
+        assert np.array_equal(batch.values[i], simulate_path(grid, seed + i).values)
+
+
 @given(
     q=st.sampled_from(CACHED_QS),
     t=st.floats(1e-3, 1e3),

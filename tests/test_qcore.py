@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbm import qcore, qhermite
@@ -144,6 +144,36 @@ def test_q_derivative_product_rule(a, b, q):
     lhs = (a * b).q_derivative(ctx)
     rhs = a * b.q_derivative(ctx) + b.scale_arg(q) * a.q_derivative(ctx)
     assert lhs == rhs
+
+
+#: float (signed zeros and infinities included), exact rational and int
+#: coefficients, mixed within one polynomial
+mixed_coeff = st.one_of(
+    st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 0, 1, Fraction(0)]), rational
+)
+
+
+def _bits(p):
+    return [(type(c), float.hex(c) if isinstance(c, float) else c) for c in p.coeffs]
+
+
+@given(
+    a=st.lists(mixed_coeff, max_size=7),
+    b=st.lists(mixed_coeff, max_size=7),
+    tail=st.lists(st.sampled_from([0.0, -0.0, 0]), max_size=2),
+    cancel=st.booleans(),
+)
+# an exact zero negates to itself: -0.0 + (-0) is +0.0 where -0.0 - 0 is -0.0
+@example(a=[-0.0, 1.0], b=[0, 2.0], tail=[], cancel=False)
+@example(a=[1.5, -0.0, 2.0], b=[Fraction(1, 3), Fraction(0), 2.0], tail=[0.0], cancel=False)
+@settings(max_examples=200, deadline=None)
+def test_poly_subtraction_has_the_bits_of_adding_the_negation(a, b, tail, cancel):
+    # operands of unequal length, trailing zeros trimmed on the way in, and
+    # (cancel) a shared top that the difference trims again
+    p = Poly(a + [3.25] + tail if cancel else a + tail)
+    r = Poly(b + [3.25] if cancel else b)
+    assert _bits(p - r) == _bits(p + (-r))
+    assert _bits(r - p) == _bits(r + (-p))
 
 
 @given(p=poly_strategy(), q=rational_q)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qbm import process, qito, stochint
+from qbm import qhermite as qhermite_module
 from qbm.process import GeometricGrid, GeometricPath, simulate_batch, simulate_path
 from qbm.qcore import Poly, QContext, q_int
 from qbm.qhermite import QPolynomial, from_hermite_basis, qhermite, to_hermite_basis
@@ -202,16 +203,40 @@ def test_exact_mode_results_stay_fractions(q):
 
 
 def test_decompositions_convert_f_to_the_hermite_basis_once(monkeypatch):
-    # the gradient integrand and the tail bound share one conversion
+    # f keeps its Hermite coefficients and its second-order part, one entry
+    # per context: the decompositions, the integrand, the tail bound and the
+    # gradient of one f convert it once per context (the second-order part
+    # converts monomials of its own)
+    real, seen = qhermite_module._hermite_coeffs, []
+    monkeypatch.setattr(qhermite_module, "_hermite_coeffs", lambda f, ctx: seen.append((f, ctx)) or real(f, ctx))
+    calls = lambda f: [c for p, c in seen if p is f]
     ctx = QContext.numeric(0.6)
     f = QPolynomial.from_xt_terms({(3, 0): 1.0, (1, 1): -0.5, (0, 1): 2.0})
+    twin = QPolynomial(f.coeffs)
+    digest = (hash(f), repr(f))
+    assert not hasattr(f, "_memo")
     batch = simulate_batch(GeometricGrid.build(q=0.6, t=1.0, depth=10), 3, 9, ctx)
     bound = ito_tail_bound(f, batch.grid, ctx)
-    real, calls = qito.to_hermite_basis, []
-    monkeypatch.setattr(qito, "to_hermite_basis", lambda *args: calls.append(args) or real(*args))
     assert ito_decompose(f, batch.path(0), ctx).tail_bound == bound
     assert ito_decompose_batch(f, batch, ctx).tail_bound == bound
-    assert len(calls) == 2
+    assert stochint.PolynomialIntegrand.from_qpolynomial(f, ctx).b == real(f, ctx)
+    assert nabla_exact(f, ctx) == from_hermite_basis(real(f, ctx)[1:], ctx)
+    assert delta_exact(f, ctx) is delta_exact(f, ctx) and delta_exact(f, ctx) == qito._delta_exact(f, ctx)
+    assert calls(f) == [ctx]
+    # the memo leaves equality, hashing and repr as they were
+    assert f == twin and (hash(f), repr(f)) == digest == (hash(twin), repr(twin))
+    assert not hasattr(twin, "_memo")
+    # exact contexts, and another q, get entries of their own; exact mode's
+    # stay Fractions, and the float context at q = 1/2 is not exact q = 1/2
+    g = QPolynomial.from_xt_terms({(4, 1): Fraction(3, 2), (2, 0): 1, (1, 2): Fraction(-1, 3)})
+    contexts = (QContext.exact(Fraction(1, 2)), QContext.exact(Fraction(3, 5)), QContext.numeric(0.5))
+    for c in contexts * 2:
+        b = stochint.PolynomialIntegrand.from_qpolynomial(g, c).b
+        assert to_hermite_basis(g, c) is b and nabla_exact(g, c) == from_hermite_basis(b[1:], c)
+        ito_tail_bound(g, GeometricGrid.build(q=c.q, t=1, depth=5), c)
+        kind = float if c.mode == "float" else Fraction
+        assert all(type(x) is kind for p in b for x in p.coeffs)
+    assert calls(g) == list(contexts)
 
 
 def test_tail_bound_shrinks_with_depth():
