@@ -25,8 +25,9 @@ Sampling is by tabulated inverse CDFs (in the style of PINV: Derflinger,
 Hoermann & Leydold, ACM TOMACS 20(4), 2010): each row stores the quantile and
 its slope at fixed u-knots, which crowd toward u = 0 and 1 like k**4, where
 the quantile behaves like a cube root; between knots it is the cubic Hermite
-interpolant.  A draw is a closed-form knot index, a few gathers and the
-Hermite evaluation, with no search and no iteration, and deterministic given
+interpolant.  A draw is a closed-form knot index (two square roots, the
+upper half mirrored by one np.where), a few gathers and the Hermite
+evaluation, with no search and no iteration, and deterministic given
 the uniforms, which keeps every Monte Carlo run reproducible from its seed.
 A draw at one state runs on Python floats and reads its records from the
 table's bytes, with the array form's value bit for bit.
@@ -461,14 +462,14 @@ def _knot_du(k):
 
 
 def _knot_coordinate(u: np.ndarray) -> np.ndarray:
-    """The inverse of _knot_u on [0, 1): k in [0, N_U), in one new array."""
+    """The inverse of _knot_u on [0, 1): k in [0, N_U)."""
     k = np.subtract(1.0, u, out=np.empty_like(u))
     np.minimum(u, k, out=k)
     k *= _U_SCALE
     np.sqrt(k, out=k)
     np.sqrt(k, out=k)
     # the upper half mirrors: N_U - root where u >= 0.5
-    return np.subtract(N_U, k, out=k, where=u >= 0.5)
+    return np.where(u >= 0.5, N_U - k, k)
 
 
 def table_quadrature(points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -748,13 +749,16 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray | float, u: np.n
         return y if y.ndim else y[()]
     lam = np.subtract(x, xg[0])
     lam /= xg[1] - xg[0]
-    # truncation is floor wherever it matters: negative positions clip to row 0
+    # truncation is floor wherever it matters: negative positions clip to row
+    # 0; the clips run only where a reduction finds a value out of range
     j = lam.astype(np.intp)
-    np.maximum(j, 0, out=j)
-    np.minimum(j, xg.shape[0] - 2, out=j)
+    if not (j.min(initial=0) >= 0 and j.max(initial=0) <= xg.shape[0] - 2):
+        np.maximum(j, 0, out=j)
+        np.minimum(j, xg.shape[0] - 2, out=j)
     lam -= j
-    np.maximum(lam, 0.0, out=lam)
-    np.minimum(lam, 1.0, out=lam)
+    if not (lam.min(initial=0.0) >= 0.0 and lam.max(initial=0.0) <= 1.0):
+        np.maximum(lam, 0.0, out=lam)
+        np.minimum(lam, 1.0, out=lam)
     rest = 1.0 - lam
     # rows j and j + 1 in one pass
     y, zb = _quantiles(table, u, np.add.outer(_ROW_PAIR, j))

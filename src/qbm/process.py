@@ -13,8 +13,9 @@ _STREAM_CROSSOVER paths is walked path by path: each takes its uniforms from
 its own generator, which is the stream's definition, and steps one state at
 a time on Python floats, where a draw reads one table record per row.  A
 larger block is walked on all its paths at once, one column of uniforms per
-draw, the streams computed together in vectorised integer arithmetic, whose
-fixed cost pays off only from a few dozen paths on.  Both give the same bits.
+draw, the streams computed together in vectorised integer arithmetic (some
+33 uint64 passes per column, most of them in place), whose fixed cost pays
+off only from a few dozen paths on.  Both give the same bits.
 Base seeds need 0 <= base_seed and base_seed + n_paths <= 2**128.
 It walks the whole grid for PATH_BLOCK paths before it starts the next
 block, so its temporaries stay cache-sized at any batch size.  A batch is
@@ -159,8 +160,9 @@ class PathBatch:
 # The uniform stream of path i is np.random.default_rng(base_seed + i).random(),
 # reproduced here across all paths at once: SeedSequence entropy mixing and
 # generate_state(4, uint64) in uint32 lanes, then PCG64 (XSL-RR 128/64) with
-# its 128-bit state held in two uint64 halves.  NumPy keeps both streams
-# stable across releases (NEP 19).
+# its 128-bit state held in two uint64 halves, the high word of the low
+# halves' product built from 32-bit limbs.  NumPy keeps both streams stable
+# across releases (NEP 19).
 
 #: seeds are accepted below this: SeedSequence then hashes exactly four
 #: zero-padded 32-bit entropy words, the case reproduced here
@@ -194,25 +196,35 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b, b a constant."""
-    a0, a1 = a & _M32, a >> 32
-    b0, b1 = np.uint64(b & _M32), np.uint64(b >> 32)
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _add128(hi, lo, add_hi, add_lo):
-    s = lo + add_lo
-    return hi + add_hi + (s < lo), s
+#: the PCG64 multiplier's two words, and its low word's two 32-bit limbs
+_M_HI, _M_LO = np.uint64(_PCG_HI), np.uint64(_PCG_LO)
+_LO0, _LO1 = np.uint64(_PCG_LO & _M32), np.uint64(_PCG_LO >> 32)
 
 
 def _pcg_step(hi, lo, inc_hi, inc_lo):
     """The PCG64 state update, state * multiplier + inc mod 2**128, on the
-    state's high and low uint64 halves."""
-    m_hi, m_lo = np.uint64(_PCG_HI), np.uint64(_PCG_LO)
-    return _add128(_mulhi(lo, _PCG_LO) + lo * m_hi + hi * m_lo, lo * m_lo, inc_hi, inc_lo)
+    state's high and low uint64 halves, which it overwrites."""
+    # the high word of lo * _M_LO from 32-bit limbs: no partial sum overflows
+    a0, a1 = lo & _M32, lo >> 32
+    mid = a1 * _LO0
+    mid += (a0 * _LO0) >> 32
+    t = mid & _M32
+    mid >>= 32
+    a0 *= _LO1
+    t += a0
+    t >>= 32
+    a1 *= _LO1
+    a1 += mid
+    a1 += t
+    # the cross terms, the increment and the low word's carry
+    hi *= _M_LO
+    hi += a1
+    hi += lo * _M_HI
+    hi += inc_hi
+    lo *= _M_LO
+    lo += inc_lo
+    hi += lo < inc_lo
+    return hi, lo
 
 
 def _uniform_columns(n_paths: int, base_seed: int) -> Iterator[np.ndarray]:
@@ -238,16 +250,25 @@ def _uniform_columns(n_paths: int, base_seed: int) -> Iterator[np.ndarray]:
     state32 = [_hashmix(pool[i % 4], steps).astype(np.uint64) for i in range(8)]
     # generate_state(4, uint64): little-endian pairs of the eight words
     seed_hi, seed_lo, seq_hi, seq_lo = (state32[2 * j] | (state32[2 * j + 1] << 32) for j in range(4))
-    # PCG64 seeding: inc = 2 seq + 1; step from 0, add the seed, step again
+    # PCG64 seeding: inc = 2 seq + 1; step from 0 (to inc), add the seed with
+    # its carry, step again
     inc_hi = (seq_hi << 1) | (seq_lo >> 63)
     inc_lo = (seq_lo << 1) | 1
-    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    lo = inc_lo + seed_lo
+    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
     while True:
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         # XSL-RR output: xor the halves, rotate right by the top six bits
         x, rot = hi ^ lo, hi >> 58
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        yield (x >> 11).astype(np.float64) * 2.0**-53
+        right = x >> rot
+        np.negative(rot, out=rot)
+        rot &= 63
+        x <<= rot
+        x |= right
+        x >>= 11
+        u = x.astype(np.float64)
+        u *= 2.0**-53
+        yield u
 
 
 def _outside(k: int) -> ValueError:
@@ -259,12 +280,13 @@ def _walk_block(block: np.ndarray, base_seed: int, mt, tt, rts: list[float], edg
     streams computed together by _uniform_columns."""
     K = len(rts) - 1
     u = _uniform_columns(block.shape[0], base_seed)
-    block[:, K] = rts[K] * draw_from_table(mt, 0, next(u))
+    np.multiply(draw_from_table(mt, 0, next(u)), rts[K], out=block[:, K])
     for k in range(K, -1, -1):
+        col = block[:, k]
         if k < K:
-            block[:, k] = rts[k] * draw_transition_batch(tt, block[:, k + 1] / rts[k], next(u))
-        # one reduction: NaN fails the comparison
-        if not np.abs(block[:, k]).max() <= edges[k]:
+            np.multiply(draw_transition_batch(tt, block[:, k + 1] / rts[k], next(u)), rts[k], out=col)
+        # two reductions: NaN fails both comparisons
+        if not (col.max() <= edges[k] and -col.min() <= edges[k]):
             raise _outside(k)
 
 

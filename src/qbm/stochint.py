@@ -15,7 +15,8 @@ and coefficients at every t_k at once, then the terms added one at a time in
 (k, m) order, so a float path and an exact rational one (as object arrays,
 for the zero-tolerance identity checks) take the same code.  A batch is
 summed column by column, over views of its grid-major values, adding the
-same terms in the same order, so each path's value is the path form's.
+same terms in the same order, so each path's value is the path form's; its
+Hermite columns start from h_1 = B_k itself, since the sum never reads h_0.
 Reciprocals such as 1 / [m+1]! are taken as 1 / x, which stays a Fraction in
 an exact context and is 1.0 / x in a float one.
 """
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import Poly, QContext, Scalar, q_factorial
+from .qcore import Poly, QContext, Scalar, _q_numbers, q_factorial
 from .qhermite import QPolynomial, growth_constant, hermite_eval_sequence, to_hermite_basis
 from . import process
 from .process import GeometricGrid, GeometricPath, PathBatch
@@ -94,12 +95,15 @@ def _path_arrays(path: GeometricPath) -> tuple[np.ndarray, np.ndarray]:
 
 def _poly_rows(polys: Sequence[Poly], s: np.ndarray) -> np.ndarray:
     """polys[i] at the times s, row i, by one Horner pass over their
-    zero-padded coefficients.  Times are positive, so every padded step
-    leaves +0 and each row is bit for bit that polynomial's own Horner rule."""
-    width = max((len(p.coeffs) for p in polys), default=0)
-    c = np.array([(0,) * (width - len(p.coeffs)) + p.coeffs[::-1] for p in polys], dtype=s.dtype)
-    out = np.zeros((len(polys), 1), dtype=s.dtype) * s
-    for j in range(width):
+    zero-padded coefficients.  Times are positive, so 0 * s is one zero z at
+    every time: every padded step leaves z, each row is bit for bit (or, exact,
+    value and type) that polynomial's own Horner rule from 0 * s, and the
+    first step, z * s + c, is z + c, taken once per row rather than per time."""
+    width = max([1] + [len(p.coeffs) for p in polys])
+    padded = [(0,) * (width - len(p.coeffs)) + p.coeffs[::-1] for p in polys]
+    c = np.array(padded, dtype=s.dtype).reshape(len(polys), width)
+    out = np.repeat(0 * s[:1] + c[:, :1], len(s), axis=1)
+    for j in range(1, width):
         out = out * s + c[:, j, None]
     return out
 
@@ -137,21 +141,38 @@ def _def_sum(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext
     return _in_order(total, ((b[:, :-1] * inv) * (h[:, :-1] - h[:, 1:])).T)
 
 
+def _hermite_columns(n_max: int, x: np.ndarray, t: Scalar, ints: list) -> list:
+    """hermite_eval_sequence(n_max, x, t) for a column x of finite values,
+    ints the q-integers.  There h_0 = x * 0 + 1 is 1 and h_1 = x * 0 + x is
+    x, bit for bit, so the recurrence starts from the scalar 1 and x itself,
+    with no pass over the column for either."""
+    h = [1, x]
+    for m in range(1, n_max):
+        nxt = x * h[m]
+        nxt -= ints[m] * t * h[m - 1]
+        h.append(nxt)
+    return h
+
+
 def _def_sum_columns(f: PolynomialIntegrand, grid: GeometricGrid, values: np.ndarray, ctx: QContext):
     """The defining sum for a block of paths (the rows of values), added grid
-    column by grid column; each entry is bit for bit _def_sum's value on its
-    path."""
+    column by grid column; each entry of a path with finite values is bit for
+    bit _def_sum's value on its path (a non-finite value gives a non-finite
+    sum, as there)."""
     total = 0 * (values[:, 0] * ctx.q)
     if f.degree < 0:
         return total
     times = grid.times
     ms, inv, b = _def_terms(f, _as_array(times[:-1]), ctx)
     coef = (b * inv).T.tolist()
-    h_cur = hermite_eval_sequence(f.degree + 1, values[:, 0], times[0], ctx)
+    ints = _q_numbers(f.degree + 1, ctx)[0]
+    h_cur = _hermite_columns(f.degree + 1, values[:, 0], times[0], ints)
     for k in range(grid.K):
-        h_nxt = hermite_eval_sequence(f.degree + 1, values[:, k + 1], times[k + 1], ctx)
+        h_nxt = _hermite_columns(f.degree + 1, values[:, k + 1], times[k + 1], ints)
         for c, m in zip(coef[k], ms):
-            total = total + c * (h_cur[m + 1] - h_nxt[m + 1])
+            d = h_cur[m + 1] - h_nxt[m + 1]
+            d *= c
+            total += d
         h_cur = h_nxt
     return total
 

@@ -117,3 +117,20 @@ def test_path_crossover_checks_the_walks_bits(monkeypatch, capsys):
     monkeypatch.setattr(process, "draw_transition_batch", off)
     assert script.main(["--repeats", "1"]) == 1
     assert "differ at (depth, paths) [(4, 1), (4, 3)]" in capsys.readouterr().out
+
+
+def test_sampler_layers_times_each_layer(capsys):
+    assert load("sampler_layers").main(["--repeats", "1", "--q", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# nproc ") and " numpy " in lines[0] and len(lines) == 3
+    fields = lines[2].split()
+    assert fields[:2] == ["0.5", "20"] and all(float(v) > 0.0 for v in fields[2:])
+
+
+@pytest.mark.parametrize("args, message", [(["--repeats", "0"], "--repeats must be >= 1"), (["--q", "1"], "--q must lie")])
+def test_sampler_layers_rejects_bad_inputs(args, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load("sampler_layers").main(args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""

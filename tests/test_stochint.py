@@ -75,20 +75,66 @@ def test_isometry_second_moment_frozen():
     assert isometry_second_moment(f, Fraction(5, 4), ctx) == Fraction(375, 152)
 
 
+def same_bits(batch_value, path_value) -> bool:
+    return np.float64(batch_value).tobytes() == np.float64(path_value).tobytes()
+
+
 def test_batch_matches_single_paths():
     # the path form sums over the whole grid at once, the batch form column
     # by column; both add the same terms in the same order, to the same bits.
-    # The integrands are x**2 and sde_residual(0.5, 2.0, ...)'s of degree 30
+    # The integrands are the Monte Carlo suite's x**0..x**3 and
+    # sde_residual(0.5, 2.0, ...)'s of degree 30
     sde = PolynomialIntegrand.from_hermite([2.0 * 0.5**n for n in range(31)])
     for q in (0.2, 0.5, 0.8):
         ctx = QContext.numeric(q)
+        fs = [PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(d), ctx) for d in range(4)] + [sde]
         for depth in (1, 20, 80):
             grid = GeometricGrid.build(q=q, t=1.0, depth=depth)
             batch = simulate_batch(grid, n_paths=6, base_seed=3 + depth)
-            for f in (PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(2), ctx), sde):
+            for f in fs:
                 vals = integrate_def_batch(f, batch, ctx)
                 for i, path in enumerate(batch):
-                    assert vals[i] == integrate_def(f, path, ctx).value, (q, depth, f.degree, i)
+                    assert same_bits(vals[i], integrate_def(f, path, ctx).value), (q, depth, f.degree, i)
+    # hand-built values at q = 0.5: +-0.0 and +-the support edge at each grid
+    # time, in whole rows and mixed along a row, and a last row holding an
+    # infinity, whose value stays non-finite
+    ctx = QContext.numeric(0.5)
+    fs = [PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(d), ctx) for d in range(4)] + [sde]
+    for depth in (1, 6):
+        grid = GeometricGrid.build(q=0.5, t=1.0, depth=depth)
+        edge = np.array([2.0 * np.sqrt(t / 0.5) for t in grid.times])
+        mixed = np.array([(0.0, -0.0, 1.0, -1.0)[k % 4] for k in range(depth + 1)])
+        zeros = np.array([(-0.0, 0.0)[k % 2] for k in range(depth + 1)])
+        rows = [0.0 * edge, -0.0 * edge, zeros, edge, -edge, mixed * edge, -mixed[::-1] * edge]
+        values = np.array(rows + [np.where(np.arange(depth + 1) == 1, np.inf, 0.5 * edge)])
+        batch = PathBatch(grid=grid, values=values, base_seed=0)
+        for f in fs:
+            with np.errstate(invalid="ignore", over="ignore"):
+                vals = integrate_def_batch(f, batch, ctx)
+            for i in range(len(rows)):
+                assert same_bits(vals[i], integrate_def(f, batch.path(i), ctx).value), (depth, f.degree, i)
+            assert not np.isfinite(vals[-1]), (depth, f.degree)
+
+
+def test_poly_rows_runs_each_rows_own_horner_rule():
+    # rows of unequal degree, a zero polynomial, signed zeros inside a row;
+    # each row has the bits (floats) or the type and value (Fractions) of
+    # Poly.__call__ at every time
+    from qbm.stochint import _poly_rows
+
+    polys = [Poly([1.5, -0.0, 2.0, -0.25]), Poly(), Poly([-0.0, 3.0]), Poly([0.1]), Poly([-2.0, 0.0, 0.5])]
+    lead = Poly([1.0])
+    object.__setattr__(lead, "coeffs", (-0.0, -0.0))  # leading -0.0s, which Poly itself trims
+    polys.append(lead)
+    s = np.array([1e-300, 0.3, 1.0, 7.5])
+    rows = _poly_rows(polys, s)
+    for p, row in zip(polys, rows):
+        assert row.tobytes() == np.array([p(t) for t in s]).tobytes(), p.coeffs
+    exact = [Poly([Fraction(1, 3), 0, Fraction(-2, 7)]), Poly(), Poly([2]), Poly([0, Fraction(5, 2)])]
+    times = np.array([Fraction(1, 2), Fraction(3), Fraction(1, 9)], dtype=object)
+    for p, row in zip(exact, _poly_rows(exact, times)):
+        for t, v in zip(times, row):
+            assert type(v) is type(p(t)) is Fraction and v == p(t)
 
 
 def test_tail_bound_controls_deepening():
