@@ -18,8 +18,10 @@ rule on [-pi/2, pi/2] is the full-period rule and converges geometrically
 m intervals are, bit for bit, every other node of 2 m, so each doubling
 evaluates only the new nodes and sums over all of them in node order, and
 every estimate is the one a full evaluation gives; stacked integrands share
-one density, each stopping at its own level.  At a single point the
-kernel runs on Python floats, with the same value bit for bit.
+one density, each stopping at its own level.  integrate keeps each
+DensitySpec's density levels between calls (a memo keyed on the spec, at
+most 16 specs, 2 MiB).  A one-point density runs on Python floats from its
+entry to the kernel, with the array form's bits, type and shape.
 
 Sampling is by tabulated inverse CDFs (in the style of PINV: Derflinger,
 Hoermann & Leydold, ACM TOMACS 20(4), 2010): each row stores the quantile and
@@ -177,25 +179,12 @@ def _unit_kernel(c, u, r: float, q: float, scale: float):
     those are updated in place, since NumPy does not reuse temporaries here
     and a second live full-size temporary costs more than the arithmetic.
     Every operation is elementwise in one order and exp is NumPy's, so each
-    value depends on its own point alone.  When c and u are one point each,
-    the terms run on Python floats (IEEE + - * / round as NumPy's float64
-    ufuncs do, so the value is the same bit for bit, without some 30 NumPy
-    calls per series term on a one-element array); a zero denominator there
-    (off the support) takes the array path, for NumPy's inf or nan.
+    value depends on its own point alone, and on Python floats (IEEE + - * /
+    round as NumPy's float64 ufuncs do) it is the array form's bit for bit;
+    there a zero denominator raises ZeroDivisionError where NumPy gives inf
+    or nan.
     """
     plan = _tail_plan(q, r)
-    if np.size(c) == 1 and np.size(u) == 1:
-        try:
-            value = _unit_terms(np.asarray(c).item(), np.asarray(u).item(), r, q, plan, scale)
-        except ZeroDivisionError:
-            pass
-        else:
-            return np.full(np.broadcast_shapes(np.shape(c), np.shape(u)), value)
-    return _unit_terms(c, u, r, q, plan, scale)
-
-
-def _unit_terms(c, u, r: float, q: float, plan: tuple, scale: float):
-    """_unit_kernel's value for its _tail_plan, on floats or arrays."""
     k0 = plan[0]
     const = scale * (1.0 - q) * (1.0 - q) * (1.0 - r) / (2.0 * math.pi)
     c4, uu = 4.0 * (c * c), u * u
@@ -279,10 +268,23 @@ def _series_cut(q: float, eps: float) -> tuple[int, int, float]:
 
 def _y_density(spec: DensitySpec, y, x=None):
     """Density in the state variable: the edge factor times the kernel, and
-    exactly zero off the support.  x overrides spec.x and broadcasts."""
+    exactly zero off the support.  x overrides spec.x and broadcasts.  One y
+    with one x runs on Python floats, with the array form's bits, type and
+    shape; a zero denominator there takes the array form (inf or nan)."""
     y = np.asarray(y, dtype=float)
-    x = spec.x if x is None else x
+    x = np.asarray(spec.x if x is None else x, dtype=float)
     w = spec.w
+    if y.size == 1 and x.size == 1:
+        yf, shape = y.item(), (1,) * max(y.ndim, x.ndim)
+        if not abs(yf) < w:
+            return np.full(shape, 0.0)[()]
+        try:
+            kernel = _unit_kernel(yf / w, x.item() / w, spec.s / spec.t, spec.q, 1.0 / spec.t)
+        except ZeroDivisionError:
+            pass
+        else:
+            # |y| < w gives y * y <= w * w; math.sqrt rounds as np.sqrt does
+            return np.full(shape, math.sqrt(w * w - yf * yf) * kernel)[()]
     edge = np.sqrt(np.maximum(w * w - y * y, 0.0))
     # off the support the Chebyshev terms grow without bound; those values are dropped
     rho = edge * _kernel(np.clip(y, -w, w), x, spec.s, spec.t, spec.q)
@@ -321,7 +323,7 @@ def transition_density(x, s: float, t: float, y, ctx: QContext):
     """
     x = np.asarray(x, dtype=float)
     # the support is symmetric, so validating the largest |x| validates all
-    spec = transition_spec(ctx, s, t, float(np.max(np.abs(x))))
+    spec = transition_spec(ctx, s, t, abs(x.item()) if x.size == 1 else float(np.max(np.abs(x))))
     return _y_density(spec, y, x)
 
 
@@ -373,6 +375,18 @@ def _nest(kept, fresh: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _theta_levels(spec: DensitySpec) -> list[np.ndarray]:
+    """The density of spec on the nodes of integrate's levels, 64, 128, ...
+    intervals, as integrate has evaluated them so far: the memo integrate
+    shares between its calls on one spec, which fill it level by level.
+
+    Keyed on the spec alone (x = 0.0 and -0.0 hash equal, and give the same
+    density bits).  Worst case, 16 specs each holding all 8 levels, up to
+    8192 intervals: 16312 values (127 KiB) per spec, 2 MiB in all."""
+    return []
+
+
 def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float | np.ndarray:
     """Integral of g against the density by the trapezoid rule in theta,
     adaptive up to 8192 intervals.
@@ -381,15 +395,22 @@ def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float | np
     hands it only the nodes the previous level lacks.  g(y) of shape (k, n)
     stacks k integrands: the result is their k integrals, each bit for bit
     its own call's, and the density is evaluated once per level for all.
+    The density's levels are kept per spec (_theta_levels), so later calls
+    on the same spec evaluate it only at levels no call has reached yet.
     """
-    gv = rho = None
+    levels = _theta_levels(spec)
+    gv = None
 
     def estimate(thetas, weights):
-        nonlocal gv, rho
-        new = thetas if rho is None else np.ascontiguousarray(thetas[0::2])
+        nonlocal gv
+        new = thetas if gv is None else np.ascontiguousarray(thetas[0::2])
         gv = _nest(gv, np.asarray(g(spec.w * np.sin(new)), dtype=float))
-        rho = _nest(rho, _theta_density(spec, new))
-        return np.sum(weights * gv * rho, axis=-1)
+        level = (thetas.size + 1).bit_length() - 7  # 64 * 2**level intervals
+        if level == len(levels):
+            rho = _nest(levels[-1] if levels else None, _theta_density(spec, new))
+            rho.flags.writeable = False
+            levels.append(rho)
+        return np.sum(weights * gv * levels[level], axis=-1)
 
     value = _adaptive(estimate, rel_tol, 8192)
     return float(value) if value.ndim == 0 else value
@@ -665,12 +686,15 @@ def scaled_transition_table(q: float) -> CdfTable:
 #: array dtype and as the bytes a one-state draw unpacks
 _CUBIC_RECORD = np.dtype([("c0", "f8"), ("c1", "f8"), ("c2", "f8"), ("c3", "f8")])
 _RECORD_BYTES = struct.Struct("4d")
+#: record offsets of a draw's two bracketing rows
+_RECORD_PAIR = np.array([0, N_U], dtype=np.intp)
 
 
-def _quantiles(table: CdfTable, u, rows) -> np.ndarray:
+def _quantiles(table: CdfTable, u, rows, pair: bool = False) -> np.ndarray:
     """y / w at the uniforms u in the given table rows (broadcast against
-    u); raises ValueError unless every u lies in [0, 1) (NaN included).
-    Each draw reads one record and evaluates its cubic, in place."""
+    u), or with pair in rows j and j + 1 of each row j, stacked; raises
+    ValueError unless every u lies in [0, 1) (NaN included).  Each draw
+    reads one record and evaluates its cubic, in place."""
     u = np.asarray(u, dtype=float)
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniforms must lie in [0, 1)")
@@ -678,7 +702,10 @@ def _quantiles(table: CdfTable, u, rows) -> np.ndarray:
     t = _knot_coordinate(u)
     cell = t.astype(np.intp)
     t -= cell
-    c = table.cubic.view(_CUBIC_RECORD).ravel().take(np.multiply(rows, N_U, dtype=np.intp) + cell)
+    records = np.multiply(rows, N_U, dtype=np.intp) + cell
+    if pair:  # row j + 1's record is N_U records on
+        records = np.add.outer(_RECORD_PAIR, records)
+    c = table.cubic.view(_CUBIC_RECORD).ravel().take(records)
     y = np.multiply(c["c3"], t)
     y += c["c2"]
     y *= t
@@ -715,10 +742,6 @@ def draw_from_table(table: CdfTable, rows: np.ndarray | int, u: np.ndarray | flo
     if isinstance(u, float) and isinstance(rows, int):
         return table.w * _quantile_at(table._one_state[0], rows, *_knot_position(u))
     return table.w * _quantiles(table, u, rows)
-
-
-#: offsets of the two bracketing rows
-_ROW_PAIR = np.array([0, 1], dtype=np.intp)
 
 
 def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray | float, u: np.ndarray | float) -> np.ndarray | float:
@@ -761,7 +784,7 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray | float, u: np.n
         np.minimum(lam, 1.0, out=lam)
     rest = 1.0 - lam
     # rows j and j + 1 in one pass
-    y, zb = _quantiles(table, u, np.add.outer(_ROW_PAIR, j))
+    y, zb = _quantiles(table, u, j, pair=True)
     w = table.w
     # (1 - lam) (w za) + lam (w zb), each product in that order
     y *= w

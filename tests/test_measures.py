@@ -118,6 +118,51 @@ def test_integrate_evaluates_only_new_nodes():
         assert np.array_equal(y, spec.w * np.sin(new))
 
 
+def test_integrate_keeps_each_specs_density_levels(monkeypatch):
+    # calls on one spec share its density levels: interleaved calls on two
+    # specs, stopping at 128 and 512 intervals, evaluate the density once per
+    # spec and level, and give the bits of a cold call and of a stacked call
+    ctx = QContext.numeric(0.5)
+    specs = (transition_spec(ctx, s=0.3, t=1.0, x=0.4 * support_halfwidth(0.3, 0.5)), marginal_spec(ctx, 1.0))
+    gs = (lambda y: y * y, lambda y: np.cos(100.0 * y))
+    counts = _record_intervals(monkeypatch)
+    cold = {}
+    for spec in specs:
+        for i, g in enumerate(gs):
+            measures._theta_levels.cache_clear()
+            counts.clear()
+            cold[spec, i] = integrate(g, spec).hex()
+            assert counts[-1] == (128, 512)[i]
+        stacked = integrate(lambda y: np.vstack([g(y) for g in gs]), spec)
+        assert [float(v).hex() for v in stacked] == [cold[spec, 0], cold[spec, 1]]
+    measures._theta_levels.cache_clear()
+    evaluated = []
+    real = measures._theta_density
+    monkeypatch.setattr(measures, "_theta_density", lambda spec, th: evaluated.append((spec, th.size)) or real(spec, th))
+    for _ in range(2):
+        for i in (0, 1):
+            for spec in specs:
+                assert integrate(gs[i], spec).hex() == cold[spec, i]
+    # 64 intervals: all 63 nodes; each later level: the nodes it adds
+    assert sorted(evaluated, key=lambda e: (specs.index(e[0]), e[1])) == [
+        (spec, n) for spec in specs for n in (63, 64, 128, 256)
+    ]
+    # x = -0.0 keys the same levels as x = 0.0: their densities share bits
+    negative = transition_spec(ctx, s=0.0, t=1.0, x=-0.0)
+    assert negative == specs[1] and hash(negative) == hash(specs[1])
+    thetas = _trapezoid_nodes(512)[0]
+    assert real(negative, thetas).tobytes() == real(specs[1], thetas).tobytes()
+    # a spec holds at most 8 levels, up to 8192 intervals: 16312 values
+    with pytest.raises(QuadratureError):
+        integrate(lambda y: np.cos(200.0 * y), specs[0], rel_tol=0.0)
+    assert sum(level.size for level in measures._theta_levels(specs[0])) == 16312
+    # the memo holds at most its bound of specs
+    bound = measures._theta_levels.cache_info().maxsize
+    for k in range(bound + 4):
+        integrate(gs[0], marginal_spec(ctx, 1.0 + k))
+    assert measures._theta_levels.cache_info().currsize == bound
+
+
 def test_delta_numeric_nonconvergence_stops_at_4096(monkeypatch):
     # the real inner leg at 4096 intervals is a 4095 x 4095 matrix of density
     # values; so the real driver runs delta_numeric's estimate on 64 and 128
@@ -252,7 +297,8 @@ def test_one_point_kernel_matches_array_path(q, t, ratio, a, b):
     # of it give the same bits, in the kernel and in the density
     s = ratio * t
     x = a * support_halfwidth(s, q)
-    y = b * support_halfwidth(t, q)
+    w = support_halfwidth(t, q)
+    y = b * w
     ref = measures._kernel(np.full(2, y), np.full(2, x), s, t, q)[0].hex()
     for yy, xx, shape in (
         (y, x, ()),
@@ -262,13 +308,27 @@ def test_one_point_kernel_matches_array_path(q, t, ratio, a, b):
     ):
         one = measures._kernel(yy, xx, s, t, q)
         assert one.shape == shape and float(one.ravel()[0]).hex() == ref
+    # the density: y inside, at both edges and off the support (exactly 0.0),
+    # x as drawn and at +-0.0, each point given as a float, an np.float64, a
+    # 0-d or a one-element array; the type and shape are the array form's
     ctx = QContext.numeric(q)
-    pair = transition_density(np.full(2, x), s, t, np.full(2, y), ctx)
-    assert transition_density(x, s, t, y, ctx).hex() == pair[0].hex()
-    assert transition_density(x, s, t, np.array([y]), ctx)[0].hex() == pair[0].hex()
+    for xv in (x, 0.0, -0.0):
+        for yv in (y, w, -w, (2.0 + b) * w):
+            pair = transition_density(np.full(2, xv), s, t, np.full(2, yv), ctx)
+            bits = pair[:1].tobytes()
+            for yy in (yv, np.float64(yv), np.array(yv)):
+                for xx in (xv, np.array(xv)):
+                    one = transition_density(xx, s, t, yy, ctx)
+                    assert type(one) is np.float64 and np.array([one]).tobytes() == bits
+            for yy, xx, shape in ((np.array([yv]), xv, (1,)), (yv, np.array([[xv]]), (1, 1))):
+                one = transition_density(xx, s, t, yy, ctx)
+                assert type(one) is np.ndarray and one.shape == shape and one.tobytes() == bits
+            if yv == y and xv == 0.0:
+                marginal = qgauss_density(np.full(2, yv), t, ctx)[:1].tobytes()
+                assert np.array([qgauss_density(yv, t, ctx)]).tobytes() == marginal
 
 
-def test_one_point_kernel_zero_denominator_takes_array_path():
+def test_one_point_kernel_zero_denominator_takes_array_path(monkeypatch):
     # off the support, at r = 0, c = 1 and u = 1/2, the first denominator is
     # exactly 0; one point and two copies of it give the same inf or nan
     q = 0.5
@@ -281,21 +341,53 @@ def test_one_point_kernel_zero_denominator_takes_array_path():
     # t**2 underflows here, so the densities reject such a horizon up front
     with pytest.raises(ValueError, match="underflows"):
         qgauss_density(0.0, 1e-170, QContext.numeric(q))
+    # a one-point density whose float kernel divides by zero takes the array
+    # form.  Near the diagonal the expanded first denominator cancels to 0.0
+    # (at s = 1 - 1e-8 and x at 0.9 of the time-s edge), so the density is
+    # inf there; a kernel that raises on every float shows the route.
+    ctx = QContext.numeric(q)
+    s = 0.99999999
+    x = 0.9 * support_halfwidth(s, q)
+    y = float.fromhex("0x1.45d5b5c9f85bcp+1")
+    seen = []
+    real = measures._unit_kernel
+
+    def zero_on_floats(c, *rest):
+        seen.append(type(c))
+        if type(c) is float:
+            raise ZeroDivisionError
+        return real(c, *rest)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pair = transition_density(np.full(2, x), s, 1.0, np.full(2, y), ctx)
+        assert np.array_equal(transition_density(x, s, 1.0, np.array([y]), ctx), pair[:1], equal_nan=True)
+        monkeypatch.setattr(measures, "_unit_kernel", zero_on_floats)
+        for yy in (0.5, y):
+            seen.clear()
+            one = transition_density(x, s, 1.0, yy, ctx)
+            assert seen == [float, np.float64]
+            pair = transition_density(np.full(2, x), s, 1.0, np.full(2, yy), ctx)
+            assert np.array_equal(np.array([one]), pair[:1], equal_nan=True)
 
 
 def test_one_point_calls_run_on_python_floats(monkeypatch):
-    # a scalar, 0-d or one-element point reaches the float terms, as the
-    # Chapman-Kolmogorov reference values and second legs call it
+    # a scalar, 0-d or one-element point reaches the kernel on Python floats
+    # at the density's entry, as the Chapman-Kolmogorov reference values and
+    # second legs call it; more points take the array form
     seen = []
-    real = measures._unit_terms
-    monkeypatch.setattr(measures, "_unit_terms", lambda c, *rest: seen.append(type(c)) or real(c, *rest))
+    real = measures._unit_kernel
+    monkeypatch.setattr(measures, "_unit_kernel", lambda c, *rest: seen.append(type(c)) or real(c, *rest))
     ctx = QContext.numeric(0.5)
     transition_density(0.3, 0.25, 1.0, 0.5, ctx)
     transition_density(np.array(0.3), 0.25, 1.0, np.array([0.5]), ctx)
+    transition_density(np.array([0.3]), 0.25, 1.0, np.float64(0.5), ctx)
     qgauss_density(0.5, 1.0, ctx)
-    assert seen == [float, float, float]
+    assert seen == [float, float, float, float]
     transition_density(0.3, 0.25, 1.0, np.array([0.5, 0.6]), ctx)
     assert seen[-1] is np.ndarray
+    # off the support the density is 0.0 without a kernel call
+    seen.clear()
+    assert transition_density(0.3, 0.25, 1.0, 10.0, ctx) == 0.0 and seen == []
 
 
 def test_smallest_horizon_gives_finite_densities():

@@ -134,3 +134,21 @@ def test_sampler_layers_rejects_bad_inputs(args, message, capsys):
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+def test_density_layers_times_each_layer(capsys):
+    assert load("density_layers").main(["--repeats", "1", "--q", "0.5", "0.8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# nproc ") and " numpy " in lines[0] and len(lines) == 4
+    for line, q in zip(lines[2:], ("0.5", "0.8")):
+        fields = line.split()
+        assert fields[0] == q and len(fields) == 5 and all(float(v) > 0.0 for v in fields[1:])
+
+
+@pytest.mark.parametrize("args, message", [(["--repeats", "0"], "--repeats must be >= 1"), (["--q", "0"], "--q must lie")])
+def test_density_layers_rejects_bad_inputs(args, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load("density_layers").main(args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
