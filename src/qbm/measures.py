@@ -18,9 +18,9 @@ rule on [-pi/2, pi/2] is the full-period rule and converges geometrically
 m intervals are, bit for bit, every other node of 2 m, so each doubling
 evaluates only the new nodes and sums over all of them in node order, and
 every estimate is the one a full evaluation gives; stacked integrands share
-one density, each stopping at its own level.  integrate keeps each
-DensitySpec's density levels between calls (a memo keyed on the spec, at
-most 16 specs, 2 MiB).  A one-point density runs on Python floats from its
+one density, each stopping at its own level.  integrate keeps the last
+DensitySpec's density levels between calls (a memo keyed on the spec, one
+spec, at most 127 KiB).  A one-point density runs on Python floats from its
 entry to the kernel, with the array form's bits, type and shape.
 
 Sampling is by tabulated inverse CDFs (in the style of PINV: Derflinger,
@@ -375,16 +375,17 @@ def _nest(kept, fresh: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _theta_levels(spec: DensitySpec) -> list[np.ndarray]:
+@lru_cache(maxsize=1)
+def _theta_levels(spec: DensitySpec) -> dict[int, np.ndarray]:
     """The density of spec on the nodes of integrate's levels, 64, 128, ...
-    intervals, as integrate has evaluated them so far: the memo integrate
-    shares between its calls on one spec, which fill it level by level.
+    intervals, keyed on the node count, as integrate has evaluated them so
+    far: the memo integrate shares between consecutive calls on one spec.
 
     Keyed on the spec alone (x = 0.0 and -0.0 hash equal, and give the same
-    density bits).  Worst case, 16 specs each holding all 8 levels, up to
-    8192 intervals: 16312 values (127 KiB) per spec, 2 MiB in all."""
-    return []
+    density bits), and kept for the last spec only: callers take a spec's
+    moments one after another.  Worst case all 8 levels, up to 8192
+    intervals: 16312 values, 127 KiB."""
+    return {}
 
 
 def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float | np.ndarray:
@@ -395,22 +396,25 @@ def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float | np
     hands it only the nodes the previous level lacks.  g(y) of shape (k, n)
     stacks k integrands: the result is their k integrals, each bit for bit
     its own call's, and the density is evaluated once per level for all.
-    The density's levels are kept per spec (_theta_levels), so later calls
-    on the same spec evaluate it only at levels no call has reached yet.
+    The density's levels are kept for the last spec (_theta_levels), so a
+    call right after one on the same spec evaluates it only at levels that
+    call did not reach.  A level is stored by one setdefault, so calls from
+    several threads read one array per level.
     """
     levels = _theta_levels(spec)
-    gv = None
+    gv = rho = None
 
     def estimate(thetas, weights):
-        nonlocal gv
-        new = thetas if gv is None else np.ascontiguousarray(thetas[0::2])
+        nonlocal gv, rho
+        new = thetas if rho is None else np.ascontiguousarray(thetas[0::2])
         gv = _nest(gv, np.asarray(g(spec.w * np.sin(new)), dtype=float))
-        level = (thetas.size + 1).bit_length() - 7  # 64 * 2**level intervals
-        if level == len(levels):
-            rho = _nest(levels[-1] if levels else None, _theta_density(spec, new))
-            rho.flags.writeable = False
-            levels.append(rho)
-        return np.sum(weights * gv * levels[level], axis=-1)
+        kept = levels.get(thetas.size)
+        if kept is None:
+            kept = _nest(rho, _theta_density(spec, new))
+            kept.flags.writeable = False
+            kept = levels.setdefault(thetas.size, kept)
+        rho = kept
+        return np.sum(weights * gv * rho, axis=-1)
 
     value = _adaptive(estimate, rel_tol, 8192)
     return float(value) if value.ndim == 0 else value
@@ -686,15 +690,12 @@ def scaled_transition_table(q: float) -> CdfTable:
 #: array dtype and as the bytes a one-state draw unpacks
 _CUBIC_RECORD = np.dtype([("c0", "f8"), ("c1", "f8"), ("c2", "f8"), ("c3", "f8")])
 _RECORD_BYTES = struct.Struct("4d")
-#: record offsets of a draw's two bracketing rows
-_RECORD_PAIR = np.array([0, N_U], dtype=np.intp)
 
 
-def _quantiles(table: CdfTable, u, rows, pair: bool = False) -> np.ndarray:
+def _quantiles(table: CdfTable, u, rows) -> np.ndarray:
     """y / w at the uniforms u in the given table rows (broadcast against
-    u), or with pair in rows j and j + 1 of each row j, stacked; raises
-    ValueError unless every u lies in [0, 1) (NaN included).  Each draw
-    reads one record and evaluates its cubic, in place."""
+    u); raises ValueError unless every u lies in [0, 1) (NaN included).
+    Each draw reads one record and evaluates its cubic, in place."""
     u = np.asarray(u, dtype=float)
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniforms must lie in [0, 1)")
@@ -702,10 +703,7 @@ def _quantiles(table: CdfTable, u, rows, pair: bool = False) -> np.ndarray:
     t = _knot_coordinate(u)
     cell = t.astype(np.intp)
     t -= cell
-    records = np.multiply(rows, N_U, dtype=np.intp) + cell
-    if pair:  # row j + 1's record is N_U records on
-        records = np.add.outer(_RECORD_PAIR, records)
-    c = table.cubic.view(_CUBIC_RECORD).ravel().take(records)
+    c = table.cubic.view(_CUBIC_RECORD).ravel().take(np.multiply(rows, N_U, dtype=np.intp) + cell)
     y = np.multiply(c["c3"], t)
     y += c["c2"]
     y *= t
@@ -742,6 +740,10 @@ def draw_from_table(table: CdfTable, rows: np.ndarray | int, u: np.ndarray | flo
     if isinstance(u, float) and isinstance(rows, int):
         return table.w * _quantile_at(table._one_state[0], rows, *_knot_position(u))
     return table.w * _quantiles(table, u, rows)
+
+
+#: offsets of the two bracketing rows
+_ROW_PAIR = np.array([0, 1], dtype=np.intp)
 
 
 def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray | float, u: np.ndarray | float) -> np.ndarray | float:
@@ -784,7 +786,7 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray | float, u: np.n
         np.minimum(lam, 1.0, out=lam)
     rest = 1.0 - lam
     # rows j and j + 1 in one pass
-    y, zb = _quantiles(table, u, j, pair=True)
+    y, zb = _quantiles(table, u, np.add.outer(_ROW_PAIR, j))
     w = table.w
     # (1 - lam) (w za) + lam (w zb), each product in that order
     y *= w

@@ -118,10 +118,11 @@ def test_integrate_evaluates_only_new_nodes():
         assert np.array_equal(y, spec.w * np.sin(new))
 
 
-def test_integrate_keeps_each_specs_density_levels(monkeypatch):
-    # calls on one spec share its density levels: interleaved calls on two
-    # specs, stopping at 128 and 512 intervals, evaluate the density once per
-    # spec and level, and give the bits of a cold call and of a stacked call
+def test_integrate_keeps_the_last_specs_density_levels(monkeypatch):
+    # consecutive calls on one spec share its density levels: calls stopping
+    # at 128 and 512 intervals evaluate the density once per spec and level;
+    # interleaved calls on two specs give the bits of a cold call and of a
+    # stacked call
     ctx = QContext.numeric(0.5)
     specs = (transition_spec(ctx, s=0.3, t=1.0, x=0.4 * support_halfwidth(0.3, 0.5)), marginal_spec(ctx, 1.0))
     gs = (lambda y: y * y, lambda y: np.cos(100.0 * y))
@@ -135,18 +136,20 @@ def test_integrate_keeps_each_specs_density_levels(monkeypatch):
             assert counts[-1] == (128, 512)[i]
         stacked = integrate(lambda y: np.vstack([g(y) for g in gs]), spec)
         assert [float(v).hex() for v in stacked] == [cold[spec, 0], cold[spec, 1]]
-    measures._theta_levels.cache_clear()
-    evaluated = []
-    real = measures._theta_density
-    monkeypatch.setattr(measures, "_theta_density", lambda spec, th: evaluated.append((spec, th.size)) or real(spec, th))
     for _ in range(2):
         for i in (0, 1):
             for spec in specs:
                 assert integrate(gs[i], spec).hex() == cold[spec, i]
+    measures._theta_levels.cache_clear()
+    evaluated = []
+    real = measures._theta_density
+    monkeypatch.setattr(measures, "_theta_density", lambda spec, th: evaluated.append((spec, th.size)) or real(spec, th))
+    for spec in specs:
+        for _ in range(2):
+            for i in (0, 1):
+                assert integrate(gs[i], spec).hex() == cold[spec, i]
     # 64 intervals: all 63 nodes; each later level: the nodes it adds
-    assert sorted(evaluated, key=lambda e: (specs.index(e[0]), e[1])) == [
-        (spec, n) for spec in specs for n in (63, 64, 128, 256)
-    ]
+    assert evaluated == [(spec, n) for spec in specs for n in (63, 64, 128, 256)]
     # x = -0.0 keys the same levels as x = 0.0: their densities share bits
     negative = transition_spec(ctx, s=0.0, t=1.0, x=-0.0)
     assert negative == specs[1] and hash(negative) == hash(specs[1])
@@ -155,7 +158,7 @@ def test_integrate_keeps_each_specs_density_levels(monkeypatch):
     # a spec holds at most 8 levels, up to 8192 intervals: 16312 values
     with pytest.raises(QuadratureError):
         integrate(lambda y: np.cos(200.0 * y), specs[0], rel_tol=0.0)
-    assert sum(level.size for level in measures._theta_levels(specs[0])) == 16312
+    assert sum(level.size for level in measures._theta_levels(specs[0]).values()) == 16312
     # the memo holds at most its bound of specs
     bound = measures._theta_levels.cache_info().maxsize
     for k in range(bound + 4):
