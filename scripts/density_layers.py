@@ -5,12 +5,15 @@
 For each q this times one transition_density point (one node of a
 Chapman-Kolmogorov second leg: a float state and a one-element target), one
 63-node level of the angle-variable density (the first trapezoid level of
-integrate, measures._theta_density), and six integrate calls on one
-transition spec, the moments y**1..y**6: cold, with the spec's density
-levels dropped first (measures._theta_levels), and warm, with them kept
-from an earlier call.  It prints the median of --repeats timings of each,
-in microseconds, with the number of cores the process may run on and the
-NumPy version.
+integrate, measures._theta_density), six integrate calls on one
+transition spec, the moments y**1..y**6, and one nested delta_numeric call
+on a degree-6 polynomial (at q <= 0.95 only: above that its nested form
+needs 2048 or more intervals, or does not converge by 4096, and the
+columns show "-").  The last two are timed cold, with the density
+levels dropped first (measures._theta_levels, qito._kept_inner_leg), and
+warm, with them kept from an earlier call.  It prints the median of
+--repeats timings of each, in microseconds, with the number of cores the
+process may run on and the NumPy version.
 """
 
 import argparse
@@ -20,9 +23,14 @@ import time
 
 import numpy as np
 
-from qbm import measures
+from qbm import measures, qito
 from qbm.measures import integrate, support_halfwidth, transition_density, transition_spec
 from qbm.qcore import QContext
+from qbm.qhermite import QPolynomial
+
+
+#: delta_numeric is timed up to this q (it converges by 1024 intervals there)
+DELTA_MAX_Q = 0.95
 
 
 def median_us(call, repeats: int) -> float:
@@ -35,10 +43,24 @@ def median_us(call, repeats: int) -> float:
     return 1e6 * statistics.median(times)
 
 
-def layers(q: float, repeats: int) -> tuple[float, float, float, float]:
-    """(one point, one level, six integrate calls cold, warm) at q, in
-    microseconds.  The states are fixed fractions of the supports, inside
-    the quadrature suite's range s/t <= 1/2."""
+def cold_warm(call, clear, repeats: int) -> tuple[float, float]:
+    """Median times of call() with clear() run first, and of call() right
+    after an earlier call, in microseconds."""
+
+    def cold():
+        clear()
+        call()
+
+    cold_us = median_us(cold, repeats)
+    call()
+    return cold_us, median_us(call, repeats)
+
+
+def layers(q: float, repeats: int) -> tuple[float, ...]:
+    """(one point, one level, six integrate calls cold, warm, one delta_numeric
+    cold, warm) at q, in microseconds, the last two None above DELTA_MAX_Q.
+    The states are fixed fractions of the supports, inside the quadrature
+    suite's range s/t <= 1/2."""
     ctx = QContext.numeric(q)
     x, target = 0.3 * support_halfwidth(0.5, q), np.array([0.4 * support_halfwidth(1.0, q)])
     point = median_us(lambda: transition_density(x, 0.5, 1.0, target, ctx), repeats)
@@ -50,13 +72,14 @@ def layers(q: float, repeats: int) -> tuple[float, float, float, float]:
         for n in range(1, 7):
             integrate(lambda y, n=n: y**n, spec)
 
-    def cold():
-        measures._theta_levels.cache_clear()
-        moments()
-
-    cold_us = median_us(cold, repeats)
-    moments()
-    return point, level, cold_us, median_us(moments, repeats)
+    f = QPolynomial.from_xt_terms({(n, n % 3): 1.0 / (n + 1) for n in range(7)})
+    delta = lambda: qito.delta_numeric(f, 0.4 * support_halfwidth(q * 0.5, q), 0.5, ctx)
+    return (
+        point,
+        level,
+        *cold_warm(moments, measures._theta_levels.cache_clear, repeats),
+        *(cold_warm(delta, qito._kept_inner_leg.cache_clear, repeats) if q <= DELTA_MAX_Q else (None, None)),
+    )
 
 
 def main(argv=None) -> int:
@@ -71,10 +94,10 @@ def main(argv=None) -> int:
 
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(f"# nproc {nproc}, numpy {np.__version__}, median of {args.repeats} call(s), us")
-    print(f"{'q':>5} {'point':>8} {'level':>8} {'6 cold':>9} {'6 warm':>9}")
+    print(f"{'q':>5} {'point':>8} {'level':>8} {'6 cold':>9} {'6 warm':>9} {'d cold':>9} {'d warm':>9}")
     for q in args.q:
-        point, level, cold, warm = layers(q, args.repeats)
-        print(f"{q:5g} {point:8.1f} {level:8.1f} {cold:9.1f} {warm:9.1f}")
+        point, level, *calls = layers(q, args.repeats)
+        print(f"{q:5g} {point:8.1f} {level:8.1f}" + "".join(f" {'-' if us is None else f'{us:.1f}':>9}" for us in calls))
     return 0
 
 

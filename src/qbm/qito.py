@@ -29,12 +29,14 @@ numeric versions here evaluate those by adaptive trapezoid quadrature, for
 polynomial f only, and serve as the independent cross-check of the exact
 coefficient-space versions.  Their batch forms take (x, f) entries at one
 time s, each bit for bit its single call, and share the densities: one per
-state x, and for delta one inner-leg matrix per (q, s), whose levels nest.
+state x, and for delta one s-free inner-leg matrix per (q, level), kept
+between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +46,8 @@ from .measures import (
     _adaptive,
     _nest,
     _theta_density,
+    _trapezoid_nodes,
+    _unit_kernel,
     integrate,
     transition_spec,
 )
@@ -227,35 +231,26 @@ def delta_numeric_batch(
 ) -> np.ndarray:
     """delta_numeric of each (x, f) entry at one time s, each bit for bit.
 
-    The inner leg's density depends on (q, s) and the level alone, so one
-    nested matrix of it serves every entry, and the outer leg's is one nested
-    row per state x.  The divided differences' recurrence runs once per state
-    and row block for its entries; each entry forms its own product and
-    matrix-vector product, block by block.
+    The inner leg's density depends on q and the level alone (_inner_leg),
+    so one matrix of it serves every entry and every s, and the outer leg's
+    is one nested row per state x.  The divided differences' recurrence runs
+    once per state and row block for its entries; each entry forms its own
+    product and matrix-vector product, block by block.
     """
     coeffs = [_coeffs_at(f, s) for _, f in entries]
     xs = list(dict.fromkeys(x for x, _ in entries))
     q = ctx.qf
     # the support is symmetric, so the largest |x| validates every outer leg
     outer = transition_spec(ctx, s=q * s, t=s, x=max((abs(x) for x in xs), default=0.0))
-    inner = transition_spec(ctx, s=q * q * s, t=s, x=0.0)
-    y = rho_out = rho_in = None
+    y = rho_out = None
 
     def estimate(thetas, weights):
-        nonlocal y, rho_out, rho_in
+        nonlocal y, rho_out
         new = thetas if y is None else np.ascontiguousarray(thetas[0::2])
-        y_new = outer.w * np.sin(new)
-        # inner density at start states q y, one row per node: the new rows over
-        # all nodes, interleaved with the kept rows extended to the new nodes
-        rows = _theta_density(inner, thetas[None, :], (q * y_new)[:, None])
-        if rho_in is not None:
-            rho_in = _nest(rho_in, _theta_density(inner, new[None, :], (q * y)[:, None]))
-            full = np.empty((thetas.size, thetas.size))
-            full[0::2], full[1::2] = rows, rho_in
-            rows = full
-        rho_in = rows
+        m = thetas.size + 1
+        rho_in = (_kept_inner_leg if m <= 256 else _inner_leg)(q, m)
         rho_out = _nest(rho_out, _theta_density(outer, new[None, :], np.array(xs)[:, None]))
-        y = _nest(y, y_new)
+        y = _nest(y, outer.w * np.sin(new))
         # 128 rows at a time, which bounds memory
         est, legs = np.empty(len(entries)), np.empty((len(entries), thetas.size))
         for j, x in enumerate(xs):
@@ -269,6 +264,30 @@ def delta_numeric_batch(
         return est
 
     return _adaptive(estimate, rel_tol, 4096)
+
+
+def _inner_leg(q: float, m: int) -> np.ndarray:
+    """delta_numeric's inner leg, from q y between times q**2 s and s, as a
+    read-only theta-density on the m-interval trapezoid nodes.  Row i starts
+    from y = w sin(theta_i), w the time-s half-width, so on the unit scale
+    u = q sin(theta_i) and r = q**2, free of s.  _kept_inner_leg keeps it for
+    m <= 256: at most 8 matrices of 255 x 255 values, 4.2 MB.  The quadrature
+    checks reach 7 pairs (q, m), 1.0 MB: 64 and 128 intervals at q = 0.2 and
+    0.5, and 64, 128 and 256 at q = 0.8.  Built 128 rows at a time, which
+    bounds the kernel's temporaries."""
+    c = np.sin(_trapezoid_nodes(m)[0])
+    edge = (1.0 - c) * (1.0 + c)
+    rho = np.empty((c.size, c.size))
+    for r in range(0, c.size, 128):
+        rho[r : r + 128] = edge * _unit_kernel(c[None, :], (q * c[r : r + 128])[:, None], q * q, q, 4.0 / (1.0 - q))
+    rho.flags.writeable = False
+    return rho
+
+
+@lru_cache(maxsize=8)
+def _kept_inner_leg(q: float, m: int) -> np.ndarray:
+    """_inner_leg(q, m), kept for the last 8 pairs (q, m)."""
+    return _inner_leg(q, m)
 
 
 @dataclass(frozen=True)

@@ -253,9 +253,10 @@ def test_simulate_at_the_largest_seeds(tmp_path):
 #: SHA-256 of every artifact but manifest.json (which echoes --out) for five
 #: small runs, recorded with NumPy 2.4 on x86-64 Linux: identities.json and
 #: kurtosis_vs_r.csv at qbm 0.2.0 (see CHANGES.md for the digests of 0.1.0),
-#: the paths, density curves and verify.json re-recorded at qbm 0.4.0 (the
-#: q-Pochhammer density kernel; CHANGES.md lists the old digests); the
-#: 20000-path isometry run recorded at 0.4.0 before simulation was blocked
+#: the density curves at qbm 0.4.0 (the q-Pochhammer density kernel), the
+#: paths and the two Monte Carlo verify.json at 0.5.0 (the inverse-table
+#: sampler), and the verify.json of the run with delta-numeric at 0.5.1 (the
+#: s-free delta inner leg); CHANGES.md lists the old digests
 PINNED_DIGESTS = [
     (
         ["--suite", "identities"],
@@ -280,7 +281,7 @@ PINNED_DIGESTS = [
         {
             "density_curves.csv": "6fc0cc448acd154790a426d0f7afa1c537ae915ba95bfb54d43ee691afeaa591",
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
-            "verify.json": "e3569f1ed4c3cf523c0a1de36b66f23ccc56f31a85c75f5b4f85149f08c97803",
+            "verify.json": "d3152d7fff6047628228f60df5b0eaa0e78158676d25f1f208827a99688188c4",
         },
     ),
     # 20000 paths: three simulation blocks at each q

@@ -240,12 +240,15 @@ def _delta_full(f, x, s, ctx, rel_tol):
     a = [float(c(s)) for c in f.coeffs]
     q = ctx.qf
     outer = transition_spec(ctx, s=q * s, t=s, x=x)
-    inner = transition_spec(ctx, s=q * q * s, t=s, x=0.0)
 
     def estimate(thetas, weights):
-        y = outer.w * np.sin(thetas)
+        c = np.sin(thetas)
+        y = outer.w * c
         rho_out = _theta_density(outer, thetas)
-        rho_in = _theta_density(inner, thetas[None, :], (q * y)[:, None])
+        # the inner leg from q y between q**2 s and s, on its unit scale
+        rho_in = ((1.0 - c) * (1.0 + c)) * measures._unit_kernel(
+            c[None, :], (q * c)[:, None], q * q, q, 4.0 / (1.0 - q)
+        )
         vals = qito._divdiff2_sums([a], float(x), y[:, None], y[None, :])[0]
         return float(np.sum(weights * rho_out * ((rho_in * vals) @ weights)))
 
@@ -255,7 +258,8 @@ def _delta_full(f, x, s, ctx, rel_tol):
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
 def test_nested_levels_match_full_evaluation(q):
     # reusing the previous level's values, and sharing a density between the
-    # rows of a stack or the entries of a batch, changes no bit of any value
+    # rows of a stack, the entries of a batch or successive delta_numeric
+    # calls, changes no bit of any value
     ctx = QContext.numeric(q)
     f = QPolynomial.x_power(3) + QPolynomial.x_power(5) * 0.5
     # cos(40 y) stops one level after the others, at most tolerances here
@@ -285,6 +289,73 @@ def test_nested_levels_match_full_evaluation(q):
     grads = qito.nabla_numeric_batch(entries, s, ctx, 1e-12)
     for (x, g), got in zip(entries, grads):
         assert float(got).hex() == _nabla_full(g, x, s, ctx, 1e-12).hex()
+
+
+def _delta_s_dependent(f, x, s, ctx, rel_tol):
+    """delta_numeric as it was up to qbm 0.5.0: the inner leg from q y between
+    q**2 s and s evaluated at those times, which depends on s by rounding."""
+    a = [float(c(s)) for c in f.coeffs]
+    q = ctx.qf
+    outer = transition_spec(ctx, s=q * s, t=s, x=x)
+    inner = transition_spec(ctx, s=q * q * s, t=s, x=0.0)
+
+    def estimate(thetas, weights):
+        y = outer.w * np.sin(thetas)
+        rho_out = _theta_density(outer, thetas)
+        rho_in = _theta_density(inner, thetas[None, :], (q * y)[:, None])
+        vals = qito._divdiff2_sums([a], float(x), y[:, None], y[None, :])[0]
+        return float(np.sum(weights * rho_out * ((rho_in * vals) @ weights)))
+
+    return _full_levels(estimate, rel_tol, 4096)
+
+
+def test_delta_inner_leg_is_s_free(monkeypatch):
+    # the s-free inner leg moves delta_numeric only at rounding level
+    rng = np.random.default_rng(23)
+    for q in (0.2, 0.5, 0.8):
+        ctx = QContext.numeric(q)
+        for s in (0.5, 1.0, *rng.uniform(1e-3, 1.0, size=4)):
+            s = float(s)
+            x = float(rng.uniform(-0.9, 0.9)) * support_halfwidth(q * s, q)
+            terms = {(n, k): float(rng.uniform(-1.0, 1.0)) for n in range(7) for k in range(3)}
+            f = QPolynomial.from_xt_terms(terms)
+            got = qito.delta_numeric(f, x, s, ctx)
+            ref = _delta_s_dependent(f, x, s, ctx, measures.QUAD_REL_TOL)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (q, s, x)
+
+    # one memo entry per (q, level) serves every s: a spied builder runs
+    # once per level, and every matrix it stores is read-only
+    built = []
+    real = qito._inner_leg
+
+    def spy(q, m):
+        built.append(((q, m), real(q, m)))
+        return built[-1][1]
+
+    monkeypatch.setattr(qito, "_inner_leg", spy)
+    qito._kept_inner_leg.cache_clear()
+    ctx, f = QContext.numeric(0.8), QPolynomial.x_power(5) + QPolynomial.x_power(2)
+    for s in (0.6, 1.0):
+        qito.delta_numeric(f, 0.3 * support_halfwidth(0.8 * s, 0.8), s, ctx)
+    assert [key for key, _ in built] == [(0.8, 64), (0.8, 128), (0.8, 256)]
+    assert all(not rho.flags.writeable for _, rho in built)
+    assert all(qito._kept_inner_leg(*key) is rho for key, rho in built)
+
+    # at most its bound of matrices after more (q, level) pairs than it keeps;
+    # they are at most 255 x 255, so the bound is the stated 4.2 MB
+    bound = qito._kept_inner_leg.cache_info().maxsize
+    assert bound * 255 * 255 * 8 <= 4.2e6
+    for q in (0.1, 0.2, 0.3, 0.4, 0.5):
+        qito.delta_numeric(f, 0.0, 1.0, QContext.numeric(q))
+    assert len(built) > bound and qito._kept_inner_leg.cache_info().currsize == bound
+    # and a level above the cap is built on every call, and not kept
+    built.clear()
+    ctx = QContext.numeric(0.9)
+    for _ in range(2):
+        qito.delta_numeric(QPolynomial.x_power(6), 0.9 * support_halfwidth(0.9, 0.9), 1.0, ctx, rel_tol=1e-9)
+    assert [key for key, _ in built] == [(0.9, 64), (0.9, 128), (0.9, 256), (0.9, 512), (0.9, 512)]
+    assert all(not rho.flags.writeable for _, rho in built)
+    assert qito._kept_inner_leg.cache_info().currsize == bound
 
 
 @given(

@@ -137,12 +137,14 @@ def test_sampler_layers_rejects_bad_inputs(args, message, capsys):
 
 
 def test_density_layers_times_each_layer(capsys):
-    assert load("density_layers").main(["--repeats", "1", "--q", "0.5", "0.8"]) == 0
+    assert load("density_layers").main(["--repeats", "1", "--q", "0.5", "0.8", "0.99"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("# nproc ") and " numpy " in lines[0] and len(lines) == 4
-    for line, q in zip(lines[2:], ("0.5", "0.8")):
+    assert lines[0].startswith("# nproc ") and " numpy " in lines[0] and len(lines) == 5
+    for line, q in zip(lines[2:], ("0.5", "0.8", "0.99")):
         fields = line.split()
-        assert fields[0] == q and len(fields) == 5 and all(float(v) > 0.0 for v in fields[1:])
+        assert fields[0] == q and len(fields) == 7 and all(float(v) > 0.0 for v in fields[1:5])
+        # delta_numeric is timed up to q = 0.95 only
+        assert fields[5:] == ["-", "-"] if q == "0.99" else all(float(v) > 0.0 for v in fields[5:])
 
 
 @pytest.mark.parametrize("args, message", [(["--repeats", "0"], "--repeats must be >= 1"), (["--q", "0"], "--q must lie")])
