@@ -186,6 +186,8 @@ def _unit_kernel(c, u, r: float, q: float, scale: float):
     """
     plan = _tail_plan(q, r)
     k0 = plan[0]
+    # the tail first, so its full-size temporaries are gone before den's
+    value = np.exp(_log_tail(c, u, r, q, plan))
     const = scale * (1.0 - q) * (1.0 - q) * (1.0 - r) / (2.0 * math.pi)
     c4, uu = 4.0 * (c * c), u * u
     num = den = qk = 1.0
@@ -201,9 +203,7 @@ def _unit_kernel(c, u, r: float, q: float, scale: float):
         f += (4.0 * q2k) * uu
         den *= f
         qk *= q
-    ratio = (const * num) / den
-    value = np.exp(_log_tail(c, u, r, q, plan))
-    value *= ratio
+    value *= (const * num) / den
     return value
 
 
@@ -452,7 +452,8 @@ class CdfTable:
     at NORM_TOL; u_error the largest |F(y(u)) - u| at the midpoints between
     knots, F the row's CDF, gated at U_TOL.  Blending rows j and j + 1 with
     weight lam leaves 1 - 2 lam (1 - lam) blend_loss[j] of a row's variance
-    (transition tables only).
+    (transition tables only).  A transition table's rows below its centre
+    are exact mirrors of those above, which the gates cover (see _tabulate).
     """
 
     cubic: np.ndarray
@@ -598,9 +599,10 @@ class _CellModel:
 
 
 def _invert_rows(spec: DensitySpec, xs: np.ndarray):
-    """The cubic coefficients of the inverse CDFs of the start states xs (see
-    CdfTable), their values at the midpoints between knots, their u-error
-    and their defect; raises InvalidDensityError where _tabulate says."""
+    """The inverse CDFs of the start states xs as y / w and its slope in k at
+    the knots (see CdfTable), their values at the midpoints between knots,
+    their u-error and their defect; raises InvalidDensityError where
+    _tabulate says."""
     lo, h, cdf, vals = _theta_cdf(spec, xs)
     n, m, k = xs.shape[0], cdf.shape[1] - 1, np.arange(1.0, N_U)
     mass = cdf[:, -1].copy()
@@ -627,10 +629,17 @@ def _invert_rows(spec: DensitySpec, xs: np.ndarray):
     u_error = float(np.max(np.abs(f.reshape(n, -1) / mass[:, None] - _knot_u(np.arange(N_U) + 0.5))))
     if not u_error <= U_TOL:
         raise InvalidDensityError(f"tabulated inverse CDF off by {u_error:.3e} in u (> {U_TOL})")
+    return quantile, slope, mid, u_error, defect
+
+
+def _hermite_records(out: np.ndarray, quantile: np.ndarray, slope: np.ndarray) -> None:
+    """Write into out the cubic records (see CdfTable) of the rows whose knot
+    values of y / w and its slope in k are quantile and slope."""
     z0, z1, d0, d1 = quantile[:, :-1], quantile[:, 1:], slope[:, :-1], slope[:, 1:]
     gap = z1 - z0
-    cubic = np.stack([z0, d0, 3.0 * gap - 2.0 * d0 - d1, d0 + d1 - 2.0 * gap], axis=-1)
-    return cubic, mid, u_error, defect
+    out[..., 0], out[..., 1] = z0, d0
+    out[..., 2] = 3.0 * gap - 2.0 * d0 - d1
+    out[..., 3] = d0 + d1 - 2.0 * gap
 
 
 def _tabulate(spec: DensitySpec, x_grid=None) -> CdfTable:
@@ -638,30 +647,45 @@ def _tabulate(spec: DensitySpec, x_grid=None) -> CdfTable:
     (spec.x alone without one), in blocks of at most ROW_BLOCK rows whose
     states span at most WINDOW standard deviations.
 
+    An x_grid must be odd (x_grid == -x_grid[::-1], of odd length N): the
+    density is unchanged under (x, y) -> (-x, -y), so only the rows from the
+    centre up are inverted.  Row N - 1 - i mirrors row i: y / w at knot k
+    is minus row i's at N_U - k (_knot_u(N_U - k) is 1 - _knot_u(k)), the
+    slope is row i's there, and a lower pair's blend loss is its mirror
+    pair's.  A mirror has its partner's mass and u-error, so the gates over
+    the inverted rows cover every row.
+
     Raises InvalidDensityError if a row's mass before normalisation is off
     by more than NORM_TOL or not finite, or its u-error exceeds U_TOL.  The
     kernel's 0/0 at the edge rows near q = 1 is left to the mass gate,
     without a warning.
     """
     xs = np.array([spec.x]) if x_grid is None else x_grid
-    cubic = np.empty((xs.shape[0], N_U, 4))
+    n = xs.shape[0]
+    cubic = np.empty((n, N_U, 4))
     # Var(Y_{j+1} - Y_j) by the midpoint rule in k, pair by pair as the rows come
     du = np.diff(_knot_u(np.arange(N_U + 1.0)))
-    loss, last = (None if x_grid is None else np.empty(xs.shape[0] - 1)), None
+    loss, last = (None if x_grid is None else np.empty(n - 1)), None
     defect = u_error = 0.0
-    step = ROW_BLOCK
+    centre, step = n // 2, ROW_BLOCK
     if x_grid is not None:
         step = max(1, min(step, int(WINDOW * math.sqrt(spec.t - spec.s) / (x_grid[1] - x_grid[0])) + 1))
-    for r in range(0, xs.shape[0], step):
+    for r in range(centre, n, step):
         block = slice(r, r + step)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cubic[block], mid, err, off = _invert_rows(spec, xs[block])
+            quantile, slope, mid, err, off = _invert_rows(spec, xs[block])
         defect, u_error = max(defect, off), max(u_error, err)
+        _hermite_records(cubic[block], quantile, slope)
         if loss is not None:
+            # the mirrors n - 1 - i of the block's rows i past the centre
+            skip = int(r == centre)
+            mirror = slice(n - r - mid.shape[0], n - r - skip)
+            _hermite_records(cubic[mirror], -quantile[skip:][::-1, ::-1], slope[skip:][::-1, ::-1])
             gap = np.diff(mid if last is None else np.vstack([last, mid]), axis=0)
-            loss[max(r - 1, 0) : r + mid.shape[0] - 1] = np.square(gap) @ du - np.square(gap @ du)
+            loss[r - (last is not None) : r + mid.shape[0] - 1] = np.square(gap) @ du - np.square(gap @ du)
             last = mid[-1:]
     if loss is not None:
+        loss[:centre] = loss[centre:][::-1]
         loss *= spec.w**2 / (2.0 * (spec.t - spec.s))
     return CdfTable(cubic=cubic, w=spec.w, x_grid=x_grid, blend_loss=loss, defect=defect, u_error=u_error)
 
@@ -679,11 +703,15 @@ def scaled_transition_table(q: float) -> CdfTable:
 
     On a geometric grid every step has time ratio q, and diffusive scaling
     reduces each transition to this single family indexed by the scaled state
-    x' = x / sqrt(t) with |x'| <= 2 sqrt(q / (1-q)).
+    x' = x / sqrt(t) with |x'| <= 2 sqrt(q / (1-q)).  The grid of x' is odd,
+    its lower half the negated upper half of an even spacing, with 0.0 at its
+    centre, so the rows below the centre mirror those above (_tabulate).
     """
     spec = transition_spec(QContext.numeric(q), q, 1.0, 0.0)
     edge = support_halfwidth(q, q)
-    return _tabulate(spec, np.linspace(-edge, edge, N_X))
+    x_grid = np.linspace(-edge, edge, N_X)
+    x_grid[: N_X // 2] = -x_grid[: N_X // 2 : -1]
+    return _tabulate(spec, x_grid)
 
 
 #: a table's cubic coefficients as one record per knot interval, as an

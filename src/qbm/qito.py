@@ -30,7 +30,7 @@ polynomial f only, and serve as the independent cross-check of the exact
 coefficient-space versions.  Their batch forms take (x, f) entries at one
 time s, each bit for bit its single call, and share the densities: one per
 state x, and for delta one s-free inner-leg matrix per (q, level), kept
-between calls.
+between calls up to 256 intervals and formed in row blocks above.
 """
 
 from __future__ import annotations
@@ -231,34 +231,38 @@ def delta_numeric_batch(
 ) -> np.ndarray:
     """delta_numeric of each (x, f) entry at one time s, each bit for bit.
 
-    The inner leg's density depends on q and the level alone (_inner_leg),
-    so one matrix of it serves every entry and every s, and the outer leg's
-    is one nested row per state x.  The divided differences' recurrence runs
-    once per state and row block for its entries; each entry forms its own
-    product and matrix-vector product, block by block.
+    The inner leg's density depends on q and the level alone (_inner_rows),
+    so it serves every entry and every s: kept as one matrix per level up
+    to 256 intervals (_inner_leg), and above that formed 128 rows at a time,
+    never whole (134 MB at 4096).  The outer leg's is one nested row per
+    state x.  The divided differences' recurrence runs once per state and
+    row block for its entries; each entry forms its own product and
+    matrix-vector product, block by block.
     """
     coeffs = [_coeffs_at(f, s) for _, f in entries]
     xs = list(dict.fromkeys(x for x, _ in entries))
     q = ctx.qf
     # the support is symmetric, so the largest |x| validates every outer leg
     outer = transition_spec(ctx, s=q * s, t=s, x=max((abs(x) for x in xs), default=0.0))
+    groups = [[i for i, (xi, _) in enumerate(entries) if xi == x] for x in xs]
     y = rho_out = None
 
     def estimate(thetas, weights):
         nonlocal y, rho_out
         new = thetas if y is None else np.ascontiguousarray(thetas[0::2])
         m = thetas.size + 1
-        rho_in = (_kept_inner_leg if m <= 256 else _inner_leg)(q, m)
+        kept, c = (_inner_leg(q, m), None) if m <= 256 else (None, np.sin(thetas))
         rho_out = _nest(rho_out, _theta_density(outer, new[None, :], np.array(xs)[:, None]))
         y = _nest(y, outer.w * np.sin(new))
         # 128 rows at a time, which bounds memory
         est, legs = np.empty(len(entries)), np.empty((len(entries), thetas.size))
-        for j, x in enumerate(xs):
-            mine = [i for i, (xi, _) in enumerate(entries) if xi == x]
-            for h in (slice(r, r + 128) for r in range(0, thetas.size, 128)):
+        for h in (slice(r, r + 128) for r in range(0, thetas.size, 128)):
+            rho_in = _inner_rows(q, c, h) if kept is None else kept[h]
+            for x, mine in zip(xs, groups):
                 dd2 = _divdiff2_sums([coeffs[i] for i in mine], float(x), y[h, None], y[None, :])
                 for i, d in zip(mine, dd2):
-                    legs[i, h] = (rho_in[h] * d) @ weights
+                    legs[i, h] = (rho_in * d) @ weights
+        for j, mine in enumerate(groups):
             for i in mine:
                 est[i] = np.sum(weights * rho_out[j] * legs[i])
         return est
@@ -266,28 +270,28 @@ def delta_numeric_batch(
     return _adaptive(estimate, rel_tol, 4096)
 
 
-def _inner_leg(q: float, m: int) -> np.ndarray:
+def _inner_rows(q: float, c: np.ndarray, rows: slice) -> np.ndarray:
     """delta_numeric's inner leg, from q y between times q**2 s and s, as a
-    read-only theta-density on the m-interval trapezoid nodes.  Row i starts
-    from y = w sin(theta_i), w the time-s half-width, so on the unit scale
-    u = q sin(theta_i) and r = q**2, free of s.  _kept_inner_leg keeps it for
-    m <= 256: at most 8 matrices of 255 x 255 values, 4.2 MB.  The quadrature
-    checks reach 7 pairs (q, m), 1.0 MB: 64 and 128 intervals at q = 0.2 and
-    0.5, and 64, 128 and 256 at q = 0.8.  Built 128 rows at a time, which
-    bounds the kernel's temporaries."""
-    c = np.sin(_trapezoid_nodes(m)[0])
+    theta-density on the trapezoid nodes whose sines are c, for the start
+    states of the given rows: row i starts from y = w c_i, w the time-s
+    half-width, so on the unit scale u = q c_i and r = q**2, free of s."""
     edge = (1.0 - c) * (1.0 + c)
-    rho = np.empty((c.size, c.size))
-    for r in range(0, c.size, 128):
-        rho[r : r + 128] = edge * _unit_kernel(c[None, :], (q * c[r : r + 128])[:, None], q * q, q, 4.0 / (1.0 - q))
-    rho.flags.writeable = False
-    return rho
+    return edge * _unit_kernel(c[None, :], (q * c[rows])[:, None], q * q, q, 4.0 / (1.0 - q))
 
 
 @lru_cache(maxsize=8)
-def _kept_inner_leg(q: float, m: int) -> np.ndarray:
-    """_inner_leg(q, m), kept for the last 8 pairs (q, m)."""
-    return _inner_leg(q, m)
+def _inner_leg(q: float, m: int) -> np.ndarray:
+    """_inner_rows on every row of the m-interval level, in the row blocks
+    delta_numeric forms above 256 intervals, read-only and kept for the last
+    8 pairs (q, m).  It is asked for m <= 256 only: at most 4.2 MB.  The
+    quadrature checks reach 7 pairs (q, m), 1.0 MB: 64 and 128 intervals
+    at q = 0.2 and 0.5, and 64, 128 and 256 at q = 0.8."""
+    c = np.sin(_trapezoid_nodes(m)[0])
+    rho = np.empty((c.size, c.size))
+    for r in range(0, c.size, 128):
+        rho[r : r + 128] = _inner_rows(q, c, slice(r, r + 128))
+    rho.flags.writeable = False
+    return rho
 
 
 @dataclass(frozen=True)

@@ -254,9 +254,9 @@ def test_simulate_at_the_largest_seeds(tmp_path):
 #: small runs, recorded with NumPy 2.4 on x86-64 Linux: identities.json and
 #: kurtosis_vs_r.csv at qbm 0.2.0 (see CHANGES.md for the digests of 0.1.0),
 #: the density curves at qbm 0.4.0 (the q-Pochhammer density kernel), the
-#: paths and the two Monte Carlo verify.json at 0.5.0 (the inverse-table
-#: sampler), and the verify.json of the run with delta-numeric at 0.5.1 (the
-#: s-free delta inner leg); CHANGES.md lists the old digests
+#: verify.json of the run with delta-numeric at 0.5.1 (the s-free delta inner
+#: leg), and the paths and the two Monte Carlo verify.json at 0.6.0 (the
+#: mirrored transition-table rows); CHANGES.md lists the old digests
 PINNED_DIGESTS = [
     (
         ["--suite", "identities"],
@@ -264,14 +264,14 @@ PINNED_DIGESTS = [
     ),
     (
         ["--suite", "simulate", "--q", "0.5", "--paths", "4", "--seed", "7", "--wide"],
-        {"paths/paths_wide.csv": "9ea28f3333f89b5c3c3bdbd74d7c4fe018039170b29b68ead9967d8a14e53fa7"},
+        {"paths/paths_wide.csv": "8f14e5ef3911abc24252a1e3bc530bb55be7151d7b235c214f3802f5844c0487"},
     ),
     (
         ["--suite", "verify", "--only", "variance,ez2", "--paths", "3000"],
         {
             "density_curves.csv": "6fc0cc448acd154790a426d0f7afa1c537ae915ba95bfb54d43ee691afeaa591",
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
-            "verify.json": "bd5cc6665d680a73bf80596f6bea466ac7c2489fcd8a9e20989e8bb3ca8edb03",
+            "verify.json": "3dd56474859735c71e44a729dde5777d1c41b5ac5455c0b45882f0d287ad2006",
         },
     ),
     (
@@ -290,7 +290,7 @@ PINNED_DIGESTS = [
         {
             "density_curves.csv": "6fc0cc448acd154790a426d0f7afa1c537ae915ba95bfb54d43ee691afeaa591",
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
-            "verify.json": "2316f38c69ec28ab7707c4052b59d0840b001f8156e969f9b4468529baff7eec",
+            "verify.json": "90ea05de869582ac952e61fa4e36e64a4f37f22ee4715c9c4f10e9b1623bf73d",
         },
     ),
 ]
@@ -317,16 +317,17 @@ def test_artifact_digests_pinned(tmp_path, monkeypatch):
 
 
 def test_table_gate_failure_exits_2(tmp_path, capsys):
-    # at q = 0.999 the transition table's edge rows fail the mass gate; the
-    # run stops with a one-line configuration error, not a traceback, and
-    # the kernel's 0/0 there raises no warning (pytest keeps warnings out of
-    # capsys, so they are recorded here)
+    # at q = 0.999 the kernel's direct product under- and overflows, so the
+    # transition table's first block, at the centre, has mass 0 and fails
+    # the mass gate; the run stops with a one-line configuration error, not a
+    # traceback, and the kernel's 0/0 at the edge rows raises no warning
+    # (pytest keeps warnings out of capsys, so they are recorded here)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run_main(["--suite", "simulate", "--q", "0.999", "--out", str(tmp_path / "high")]) == 2
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    assert err == "configuration error: the sampling tables fail their gates at q = 0.999: tabulated density mass not finite\n"
+    assert err == "configuration error: the sampling tables fail their gates at q = 0.999: tabulated density mass off by 1.000e+00 (> 1e-06)\n"
     assert not (tmp_path / "high" / "paths").exists()
     # q = 0.995 still builds its tables and simulates
     out = tmp_path / "ok"

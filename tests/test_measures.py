@@ -3,6 +3,7 @@
 import cmath
 import math
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -237,7 +238,12 @@ def _nabla_full(f, x, s, ctx, rel_tol):
 
 
 def _delta_full(f, x, s, ctx, rel_tol):
-    a = [float(c(s)) for c in f.coeffs]
+    return _full_levels(_delta_estimate([float(c(s)) for c in f.coeffs], x, s, ctx), rel_tol, 4096)
+
+
+def _delta_estimate(a, x, s, ctx):
+    """One level of delta_numeric for the x-coefficients a, evaluated on all
+    of its nodes with the whole inner-leg matrix."""
     q = ctx.qf
     outer = transition_spec(ctx, s=q * s, t=s, x=x)
 
@@ -252,7 +258,7 @@ def _delta_full(f, x, s, ctx, rel_tol):
         vals = qito._divdiff2_sums([a], float(x), y[:, None], y[None, :])[0]
         return float(np.sum(weights * rho_out * ((rho_in * vals) @ weights)))
 
-    return _full_levels(estimate, rel_tol, 4096)
+    return estimate
 
 
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
@@ -323,39 +329,73 @@ def test_delta_inner_leg_is_s_free(monkeypatch):
             ref = _delta_s_dependent(f, x, s, ctx, measures.QUAD_REL_TOL)
             assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (q, s, x)
 
-    # one memo entry per (q, level) serves every s: a spied builder runs
-    # once per level, and every matrix it stores is read-only
+    # one memo entry per (q, level) serves every s: a level's rows are formed
+    # once, 128 at a time, and every matrix kept is read-only
     built = []
-    real = qito._inner_leg
+    real = qito._inner_rows
 
-    def spy(q, m):
-        built.append(((q, m), real(q, m)))
-        return built[-1][1]
+    def spy(q, c, rows):
+        built.append((q, c.size + 1, rows.start))
+        return real(q, c, rows)
 
-    monkeypatch.setattr(qito, "_inner_leg", spy)
-    qito._kept_inner_leg.cache_clear()
+    monkeypatch.setattr(qito, "_inner_rows", spy)
+    qito._inner_leg.cache_clear()
     ctx, f = QContext.numeric(0.8), QPolynomial.x_power(5) + QPolynomial.x_power(2)
     for s in (0.6, 1.0):
         qito.delta_numeric(f, 0.3 * support_halfwidth(0.8 * s, 0.8), s, ctx)
-    assert [key for key, _ in built] == [(0.8, 64), (0.8, 128), (0.8, 256)]
-    assert all(not rho.flags.writeable for _, rho in built)
-    assert all(qito._kept_inner_leg(*key) is rho for key, rho in built)
+    assert built == [(0.8, 64, 0), (0.8, 128, 0), (0.8, 256, 0), (0.8, 256, 128)]
+    for m in (64, 128, 256):
+        rho = qito._inner_leg(0.8, m)
+        assert not rho.flags.writeable and rho.shape == (m - 1, m - 1)
+    assert qito._inner_leg.cache_info().misses == 3
 
     # at most its bound of matrices after more (q, level) pairs than it keeps;
     # they are at most 255 x 255, so the bound is the stated 4.2 MB
-    bound = qito._kept_inner_leg.cache_info().maxsize
+    bound = qito._inner_leg.cache_info().maxsize
     assert bound * 255 * 255 * 8 <= 4.2e6
     for q in (0.1, 0.2, 0.3, 0.4, 0.5):
         qito.delta_numeric(f, 0.0, 1.0, QContext.numeric(q))
-    assert len(built) > bound and qito._kept_inner_leg.cache_info().currsize == bound
-    # and a level above the cap is built on every call, and not kept
+    assert len({key[:2] for key in built}) > bound and qito._inner_leg.cache_info().currsize == bound
+    # and the rows of a level above the cap are formed 128 at a time on
+    # every call, and not kept
     built.clear()
+    misses = qito._inner_leg.cache_info().misses
     ctx = QContext.numeric(0.9)
     for _ in range(2):
         qito.delta_numeric(QPolynomial.x_power(6), 0.9 * support_halfwidth(0.9, 0.9), 1.0, ctx, rel_tol=1e-9)
-    assert [key for key, _ in built] == [(0.9, 64), (0.9, 128), (0.9, 256), (0.9, 512), (0.9, 512)]
-    assert all(not rho.flags.writeable for _, rho in built)
-    assert qito._kept_inner_leg.cache_info().currsize == bound
+    deep = [(0.9, 512, r) for r in (0, 128, 256, 384)]
+    assert built == [(0.9, 64, 0), (0.9, 128, 0), (0.9, 256, 0), (0.9, 256, 128), *deep, *deep]
+    assert qito._inner_leg.cache_info().misses == misses + 3
+    assert qito._inner_leg.cache_info().currsize == bound
+
+
+def test_delta_numeric_deep_levels_keep_memory_bounded(monkeypatch):
+    # above 256 intervals the inner leg is formed 128 rows at a time: at
+    # 1024 intervals the level's new allocations peak below the 1023 x 1023
+    # matrix (8.4 MB) that its whole leg would be, and its value keeps the
+    # bits of the full evaluation
+    q, s = 0.5, 1.0
+    ctx = QContext.numeric(q)
+    f = QPolynomial.x_power(3) + QPolynomial.x_power(5) * 0.5
+    x = 0.3 * support_halfwidth(q * s, q)
+    levels = []
+
+    def to_1024(estimate, rel_tol, max_intervals):
+        for m in (64, 128, 256, 512):
+            estimate(*_trapezoid_nodes(m))
+        tracemalloc.start()
+        try:
+            value = estimate(*_trapezoid_nodes(1024))
+            levels.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return value
+
+    monkeypatch.setattr(qito, "_adaptive", to_1024)
+    got = qito.delta_numeric(f, x, s, ctx)
+    assert levels[0] < 1023 * 1023 * 8
+    full = _delta_estimate([float(c(s)) for c in f.coeffs], x, s, ctx)
+    assert got.hex() == full(*_trapezoid_nodes(1024)).hex()
 
 
 @given(
@@ -400,6 +440,32 @@ def test_one_point_kernel_matches_array_path(q, t, ratio, a, b):
             if yv == y and xv == 0.0:
                 marginal = qgauss_density(np.full(2, yv), t, ctx)[:1].tobytes()
                 assert np.array([qgauss_density(yv, t, ctx)]).tobytes() == marginal
+
+
+@given(
+    q=st.floats(0.01, 0.99),
+    t=st.floats(0.05, 5.0),
+    ratio=st.floats(0.0, 0.99),
+    a=st.floats(-1.0, 1.0),
+    b=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_keeps_its_bits_under_the_mirror(q, t, ratio, a, b):
+    # (x, y) -> (-x, -y) changes no bit of the kernel or the density, on
+    # Python floats and on arrays: the transition table's rows below the
+    # centre rest on it
+    s = ratio * t
+    c, u = b, a * math.sqrt(ratio)
+    one = measures._unit_kernel(c, u, ratio, q, 1.0 / t)
+    assert float(measures._unit_kernel(-c, -u, ratio, q, 1.0 / t)).hex() == float(one).hex()
+    pair = measures._unit_kernel(np.array([c, -c]), np.array([u, -u]), ratio, q, 1.0 / t)
+    assert pair[0].hex() == pair[1].hex() == float(one).hex()
+    ctx = QContext.numeric(q)
+    x, y = a * support_halfwidth(s, q), b * support_halfwidth(t, q)
+    one = transition_density(x, s, t, y, ctx)
+    assert float(transition_density(-x, s, t, -y, ctx)).hex() == float(one).hex()
+    pair = transition_density(np.array([x, -x]), s, t, np.array([y, -y]), ctx)
+    assert pair[0].hex() == pair[1].hex() == float(one).hex()
 
 
 def test_one_point_kernel_zero_denominator_takes_array_path(monkeypatch):
@@ -619,6 +685,34 @@ def test_tables_record_their_normalisation_defect():
         for x, mass in zip(xs[::64], masses[::64]):
             row = transition_spec(ctx, spec.s, spec.t, x)
             assert mass == pytest.approx(integrate(lambda y: np.ones_like(y), row), rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 0.95])
+def test_transition_rows_below_the_centre_mirror_those_above(q):
+    # the grid is odd with 0.0 at its centre; the rows from the centre up
+    # are inverted, and each row i below it is the exact mirror of row
+    # N - 1 - i: y / w at knot k is minus that row's at N_U - k, and the
+    # slope is that row's there.  The blend loss is a palindrome
+    table = scaled_transition_table(q)
+    xg, cubic, n_u = table.x_grid, table.cubic, measures.N_U
+    n = xg.size
+    centre = n // 2
+    assert np.array_equal(xg, -xg[::-1]) and xg[centre] == 0.0
+    lower, k = np.arange(centre)[:, None], np.arange(1, n_u)
+    assert np.array_equal(cubic[lower, k, 0], -cubic[n - 1 - lower, n_u - k, 0])
+    assert np.array_equal(cubic[lower, k, 1], cubic[n - 1 - lower, n_u - k, 1])
+    assert np.array_equal(table.blend_loss, table.blend_loss[::-1])
+    # the upper half is a direct inversion of its blocks, bit for bit (at
+    # these q the window caps no block below ROW_BLOCK rows)
+    spec = transition_spec(QContext.numeric(q), q, 1.0, 0.0)
+    for r in range(centre, n, measures.ROW_BLOCK):
+        block = slice(r, r + measures.ROW_BLOCK)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quantile, slope = measures._invert_rows(spec, xg[block])[:2]
+        z0, z1, d0, d1 = quantile[:, :-1], quantile[:, 1:], slope[:, :-1], slope[:, 1:]
+        gap = z1 - z0
+        records = np.stack([z0, d0, 3.0 * gap - 2.0 * d0 - d1, d0 + d1 - 2.0 * gap], axis=-1)
+        assert np.array_equal(cubic[block], records)
 
 
 def test_table_builds_gate_mass_and_u_error(monkeypatch):

@@ -77,6 +77,9 @@ def test_table_build_reports_time_and_defect(capsys):
     for line in lines[1:]:
         fields = line.split()
         assert line.startswith("q=0.5") and 0.0 < float(fields[fields.index("defect") + 1]) <= 1e-6
+        # wall and CPU time of the build, each in seconds
+        assert fields[3:5] == ["s", "wall"] and fields[6:8] == ["s", "cpu"]
+        assert float(fields[2]) > 0.0 and float(fields[5]) >= 0.0
         assert 0.0 < float(fields[fields.index("u-error") + 1]) <= 1e-9
         # four float64 coefficients per knot interval, N_U of them per row;
         # the transition's blend loss per pair of adjacent rows
