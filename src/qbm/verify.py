@@ -1,5 +1,14 @@
 """Closed-form moment oracles and the verification harness.
 
+Every check is one _Check record: the name, params, tolerance and kind its
+report carries, the evaluation its values come from, and its gate.  Records
+with an equal group share one evaluation over all their items: quadrature
+records that share a density are one stacked integrate call, those of one
+operator at one (q, s) one batch of kernel-form entries, Monte Carlo records
+of one (q, t) one batch of paths, and the sampler-bias and convergence
+records one call per q.  The gate turns a record's values into its report,
+through the one constructor, _report.
+
 Four suites back the library's quantitative claims:
 
   * run_identity_suite: zero-tolerance algebraic identities in rational
@@ -7,36 +16,28 @@ Four suites back the library's quantitative claims:
     integral formulas, moment-ratio algebra), symbolic in t where possible
     and otherwise on grids with free rational values;
   * run_quadrature_suite: density normalizations, moments, martingale and
-    conditional-moment formulas, Chapman-Kolmogorov, and the agreement of
-    kernel-quadrature operators with their exact counterparts.  The checks
-    form one plan of records; records that share a density are one stacked
-    integrate call, and the operator records at one (q, s) are one batch of
-    kernel-form entries, so each density is evaluated once per level; last,
-    the sampler's bias, by a u-quadrature pushed through its one-step draw;
+    conditional-moment formulas, Chapman-Kolmogorov, the agreement of
+    kernel-quadrature operators with their exact counterparts, and the
+    sampler's bias, by a u-quadrature pushed through its one-step draw;
   * run_mc_suite: Monte Carlo estimates against exact oracles, gated at
-    |z| <= 4.  The checks form one table of records; each (q, t) batch is
-    simulated once, MC_CHUNK paths at a time, and a failing check is rerun
-    once, alone, on a disjoint batch;
+    |z| <= 4; a failing check is rerun once, alone, on a disjoint batch;
   * run_convergence_suite: pathwise residuals of the change-of-variable
     identity and of the exponential's integral equation as the grid deepens.
-    A change-of-variable residual follows one path, restricted from one deep
-    batch per q; the exponential's residual must fall on every path, which
-    one path need not do, so it draws a fresh batch per depth.
 
 CHECKS names every report the suites emit and maps it to its suite; the
 suites' only= filters and the command line's --only both read it.
 
-A check keeps only the count, sum and centred sum of squares of its samples
-(numpy's pairwise sums per chunk, merged in chunk order), so reductions are
-deterministic for a fixed seed and platform and memory does not grow with
-the number of paths.
+A Monte Carlo check keeps only the count, sum and centred sum of squares of
+its samples (numpy's pairwise sums per MC_CHUNK paths, merged in chunk
+order), so reductions are deterministic for a fixed seed and platform and
+memory does not grow with the number of paths.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -274,6 +275,69 @@ def selected_checks(only: set[str] | None, suite: str) -> set[str] | None:
     return {name for name in only if CHECKS[name] == suite}
 
 
+@dataclass(frozen=True)
+class _Check:
+    """One check: the name, params, tolerance and kind its report carries,
+    where its values come from, and its gate.
+
+    The records of one group, (evaluate, *args), share one call
+    evaluate(their items in order, *args, *run), run being the suite's run
+    arguments (_evaluate).  It returns their values in order: one per ref
+    (the oracles the gate compares them with), or, for a record without
+    refs, one per item.  A record with no group holds its values as its
+    items.  gate(check, values) returns (passed, residual, params to add),
+    the residual being the McEstimate for kind "mc".
+    """
+
+    name: str
+    params: dict
+    tol: float
+    kind: str  # "exact" | "quadrature" | "mc"
+    gate: Callable
+    group: tuple = ()
+    items: tuple = ()
+    refs: tuple = ()
+
+
+def _report(c: _Check, values: Sequence) -> VerificationReport:
+    """The report of c on its values, as its gate judges them."""
+    passed, residual, added = c.gate(c, values)
+    residual, estimate = (None, residual) if c.kind == "mc" else (residual, None)
+    return VerificationReport(c.name, {**c.params, **added}, bool(passed), c.tol, c.kind, residual, estimate)
+
+
+def _only(plan: Sequence[_Check], only: set[str] | None, suite: str) -> list[_Check]:
+    """The records of plan whose names only selects for the suite."""
+    selected = selected_checks(only, suite)
+    return [c for c in plan if selected is None or c.name in selected]
+
+
+def _evaluate(plan: Sequence[_Check], *run) -> list[list]:
+    """The values of each record of plan (see _Check), evaluated once per
+    group, in the order the groups first appear."""
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(plan):
+        if c.group:
+            groups.setdefault(c.group, []).append(i)
+    values = [list(c.items) for c in plan]
+    for (evaluate, *args), mine in groups.items():
+        flat = iter(evaluate([item for i in mine for item in plan[i].items], *args, *run))
+        for i in mine:
+            values[i] = [next(flat) for _ in plan[i].refs or plan[i].items]
+    return values
+
+
+def _run(plan: Sequence[_Check], only: set[str] | None, suite: str) -> list[VerificationReport]:
+    """The reports of the records of plan that only selects for the suite."""
+    plan = _only(plan, only, suite)
+    return [_report(c, values) for c, values in zip(plan, _evaluate(plan))]
+
+
+def _each(items: Sequence, evaluate: Callable, *args) -> list:
+    """evaluate(item, *args) for each item: a group of one call per item."""
+    return [evaluate(item, *args) for item in items]
+
+
 # ---------------------------------------------------------------------------
 # exact identity suite
 # ---------------------------------------------------------------------------
@@ -294,16 +358,10 @@ def _rational_path(rng: np.random.Generator, grid: GeometricGrid) -> GeometricPa
     return GeometricPath(grid=grid, values=vals)
 
 
-def _exact_report(name: str, params: dict, residual) -> VerificationReport:
-    res = float(residual)
-    return VerificationReport(
-        name=name,
-        params=params,
-        passed=res == 0.0,
-        tolerance=0.0,
-        kind="exact",
-        residual=res,
-    )
+def _exact(c: _Check, values: list) -> tuple:
+    """Gate of a zero-tolerance identity: its one residual is zero."""
+    residual = float(values[0])
+    return residual == 0.0, residual, {}
 
 
 def _poly_residual(p: Poly, r: Poly) -> Fraction:
@@ -317,6 +375,7 @@ def _qpoly_residual(p: QPolynomial, r: QPolynomial) -> Fraction:
 
 
 def _identity_checks(q: Fraction, seed: int):
+    """(name, params, residual) of each identity at q, in report order."""
     ctx = QContext.exact(q)
     rng = np.random.default_rng(seed)
     qs = {"q": str(q)}
@@ -327,7 +386,7 @@ def _identity_checks(q: Fraction, seed: int):
         lhs = qhermite(n, ctx).mul_x()
         rhs = qhermite(n + 1, ctx) + q_int(n, ctx) * qhermite(n - 1, ctx).mul_t()
         res += _qpoly_residual(lhs, rhs)
-    yield _exact_report("recurrence", {**qs, "n_max": 12}, res)
+    yield "recurrence", {**qs, "n_max": 12}, res
 
     # by-parts and anti-derivative identities, symbolic in t
     res = Fraction(0)
@@ -339,7 +398,7 @@ def _identity_checks(q: Fraction, seed: int):
         ).jackson_antiderivative(ctx)
         rhs = a * b - Poly.const(a(Fraction(0)) * b(Fraction(0)))
         res += _poly_residual(lhs, rhs)
-    yield _exact_report("byparts", {**qs, "degree_max": 8}, res)
+    yield "byparts", {**qs, "degree_max": 8}, res
 
     res = Fraction(0)
     for _ in range(6):
@@ -349,7 +408,7 @@ def _identity_checks(q: Fraction, seed: int):
             p.q_derivative(ctx).jackson_antiderivative(ctx),
             p - Poly.const(p(Fraction(0))),
         )
-    yield _exact_report("antiderivative", {**qs, "degree_max": 8}, res)
+    yield "antiderivative", {**qs, "degree_max": 8}, res
 
     # q-product rule D(ab) = a Db + b(q.) Da
     res = Fraction(0)
@@ -359,7 +418,7 @@ def _identity_checks(q: Fraction, seed: int):
         lhs = (a * b).q_derivative(ctx)
         rhs = a * b.q_derivative(ctx) + b.scale_arg(q) * a.q_derivative(ctx)
         res += _poly_residual(lhs, rhs)
-    yield _exact_report("product-rule", {**qs, "degree_max": 8}, res)
+    yield "product-rule", {**qs, "degree_max": 8}, res
 
     # gradient lemma: nabla h_{m+1} = [m+1] h_m, m <= 8
     res = Fraction(0)
@@ -367,7 +426,7 @@ def _identity_checks(q: Fraction, seed: int):
         lhs = nabla_exact(qhermite(m + 1, ctx), ctx)
         rhs = q_int(m + 1, ctx) * qhermite(m, ctx)
         res += _qpoly_residual(lhs, rhs)
-    yield _exact_report("lemma-nabla", {**qs, "m_max": 8}, res)
+    yield "lemma-nabla", {**qs, "m_max": 8}, res
 
     # generator lemma: A h_m = [m] h_{m-1}(x; q t), m <= 8
     res = Fraction(0)
@@ -375,14 +434,14 @@ def _identity_checks(q: Fraction, seed: int):
         lhs = a_operator(qhermite(m, ctx), ctx)
         rhs = q_int(m, ctx) * qhermite(m - 1, ctx).subs_t_scale(q)
         res += _qpoly_residual(lhs, rhs)
-    yield _exact_report("lemma-A", {**qs, "m_max": 8}, res)
+    yield "lemma-A", {**qs, "m_max": 8}, res
 
     # harmonicity: (D_t + delta) h_m = 0, m <= 8
     res = Fraction(0)
     for m in range(0, 9):
         h = qhermite(m, ctx)
         res += _qpoly_residual(delta_exact(h, ctx) + h.dq_time(ctx), QPolynomial.zero())
-    yield _exact_report("harmonicity", {**qs, "m_max": 8}, res)
+    yield "harmonicity", {**qs, "m_max": 8}, res
 
     # truncated telescoped integral identities on a free rational path
     grid = GeometricGrid.build(q=q, t=Fraction(5, 4), depth=6)
@@ -395,7 +454,7 @@ def _identity_checks(q: Fraction, seed: int):
         b = [Poly.const(0)] * n + [Poly.const(q_factorial(n, ctx))]
         val = integrate_def(PolynomialIntegrand.from_hermite(b), path, ctx).value
         res += abs(val - (top[n + 1] - bot[n + 1]) / q_int(n + 1, ctx))
-    yield _exact_report("wdw", {**qs, "n_max": 5, "K": grid.K}, res)
+    yield "wdw", {**qs, "n_max": 5, "K": grid.K}, res
 
     val = integrate_def(
         PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(1), ctx), path, ctx
@@ -403,7 +462,7 @@ def _identity_checks(q: Fraction, seed: int):
     expected = ((path.values[0] ** 2 - grid.times[0]) - (path.values[grid.K] ** 2 - grid.times[grid.K])) / (
         1 + q
     )
-    yield _exact_report("bdb", {**qs, "K": grid.K}, abs(val - expected))
+    yield "bdb", {**qs, "K": grid.K}, abs(val - expected)
 
     # x**2 integrand: h_3/[3] plus the deterministic s-integral, telescoped
     val = integrate_def(
@@ -417,7 +476,7 @@ def _identity_checks(q: Fraction, seed: int):
         Fraction(0),
     )
     expected = (top[3] - bot[3]) / q_int(3, ctx) + det
-    yield _exact_report("x2-formula", {**qs, "K": grid.K}, abs(val - expected))
+    yield "x2-formula", {**qs, "K": grid.K}, abs(val - expected)
 
     # single-term by-parts identity with its boundary correction at depth K
     res = Fraction(0)
@@ -437,7 +496,7 @@ def _identity_checks(q: Fraction, seed: int):
         )
         rhs = q_int(m + 1, ctx) * integrate_def(integrand, path, ctx).value + stieltjes
         res += abs(lhs - rhs)
-    yield _exact_report("onestep-byparts", {**qs, "m_max": 3, "K": grid.K}, res)
+    yield "onestep-byparts", {**qs, "m_max": 3, "K": grid.K}, res
 
     # defining sum vs by-parts form differ by exactly the depth-K boundary
     res = Fraction(0)
@@ -454,7 +513,7 @@ def _identity_checks(q: Fraction, seed: int):
             Fraction(0),
         )
         res += abs((p - d) - boundary)
-    yield _exact_report("def-vs-byparts", {**qs, "K": grid.K}, res)
+    yield "def-vs-byparts", {**qs, "K": grid.K}, res
 
     # change-of-variable telescoping: residual is exactly |f(B_K,t_K)-f(0,0)|
     res = Fraction(0)
@@ -466,22 +525,14 @@ def _identity_checks(q: Fraction, seed: int):
             f(path.values[grid.K], grid.times[grid.K]) - f(Fraction(0), Fraction(0))
         )
         res += abs(got - expected)
-    yield _exact_report("ito-telescoping", {**qs, "K": grid.K, "degree": 4}, res)
+    yield "ito-telescoping", {**qs, "K": grid.K, "degree": 4}, res
 
     # moment-ratio algebra at r = 0
     ratio = oracle_EZ4(0, q) / oracle_EZ2(0, q) ** 2
-    yield _exact_report("kurtosis-r0", qs, abs(ratio - (2 + q)))
+    yield "kurtosis-r0", qs, abs(ratio - (2 + q))
 
     # the ratio moves with r (law depends on the integrand)
-    differs = kurtosis_ratio(0, q) != kurtosis_ratio(1, q)
-    yield VerificationReport(
-        name="kurtosis-varies",
-        params=qs,
-        passed=bool(differs),
-        tolerance=0.0,
-        kind="exact",
-        residual=0.0 if differs else 1.0,
-    )
+    yield "kurtosis-varies", qs, 0.0 if kurtosis_ratio(0, q) != kurtosis_ratio(1, q) else 1.0
 
 
 def run_identity_suite(
@@ -490,45 +541,28 @@ def run_identity_suite(
     only: set[str] | None = None,
 ) -> list[VerificationReport]:
     """Zero-tolerance rational-arithmetic identity checks across q values."""
-    selected = selected_checks(only, "identities")
-    reports = []
-    for q in qs:
-        for rep in _identity_checks(Fraction(q), seed):
-            if selected is None or rep.name in selected:
-                reports.append(rep)
-    return reports
+    plan = [_Check(name, params, 0.0, "exact", _exact, items=(residual,))
+            for q in qs for name, params, residual in _identity_checks(Fraction(q), seed)]
+    return _run(plan, only, "identities")
 
 
 # ---------------------------------------------------------------------------
 # quadrature suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _QuadCheck:
-    """A quadrature check: its values against refs, one each.  The checks with
-    an equal leg, (evaluate, *args), share one call evaluate(their items,
-    *args), which returns their values in order."""
-
-    name: str
-    params: dict
-    tol: float
-    leg: tuple
-    items: tuple
-    refs: tuple
-
-
 def _integrate_rows(gs, spec) -> np.ndarray:
     """One integrate call over the stacked rows of the elementwise integrands gs."""
     return integrate(lambda y: np.vstack([g(y) for g in gs]), spec)
 
 
-def _quad_plan(qs: Sequence[float], ts: Sequence[float]) -> list[_QuadCheck]:
-    """Every quadrature check, in report order.  Integrands bind the loop
-    variables they use, since they run after the plan is built."""
-    plan: list[_QuadCheck] = []
+def _quad_plan(qs: Sequence[float], ts: Sequence[float]) -> list[_Check]:
+    """Every quadrature check, in report order: its values against its
+    refs, one each.  Integrands bind the loop variables they use, since they
+    run after the plan is built."""
+    plan: list[_Check] = []
 
     def add(name: str, params: dict, tol: float, leg: tuple, items, refs) -> None:
-        plan.append(_QuadCheck(name, params, tol, leg, tuple(items), tuple(refs)))
+        plan.append(_Check(name, params, tol, "quadrature", _quad, leg, tuple(items), tuple(refs)))
 
     one = lambda y: np.ones_like(y)
     for q in qs:
@@ -586,19 +620,23 @@ def _quad_plan(qs: Sequence[float], ts: Sequence[float]) -> list[_QuadCheck]:
                     [(x, f) for f in fs], [float(g(x, s)) for g in grads])
                 add("delta-numeric", params, 1e-6, (delta_numeric_batch, s, ctx, 1e-9),
                     [(x, f) for f, _ in seconds], [float(d(x, s)) for _, d in seconds])
+    plan += [_Check("sampler-bias", {"q": q, "points": SAMPLER_POINTS}, SAMPLER_TOL, "quadrature",
+                    _sampler, (_each, sampler_bias), (q,)) for q in qs]
     return plan
 
 
-def _quad_report(c: _QuadCheck, got: list[float]) -> VerificationReport:
-    """A check of one value reports it and its oracle; a check of several
-    reports the worst error, relative with a unit floor."""
+def _quad(c: _Check, values: list) -> tuple:
+    """Gate of a quadrature check: each value's error from its ref,
+    relative with a unit floor, is at most the tolerance.  A check of one
+    value reports its error and adds the value and its oracle to the
+    params; a check of several reports the worst relative error."""
+    got = [float(v) for v in values]  # a leg returns an array; reports hold Python floats
     if len(got) == 1:
         value, oracle = got[0], float(c.refs[0])
         err = abs(value - oracle)
-        return VerificationReport(c.name, {**c.params, "oracle": oracle, "value": value},
-                                  err <= c.tol * max(1.0, abs(oracle)), c.tol, "quadrature", err)
+        return err <= c.tol * max(1.0, abs(oracle)), err, {"oracle": oracle, "value": value}
     err = max([0.0, *(abs(value - ref) / max(1.0, abs(ref)) for value, ref in zip(got, c.refs))])
-    return VerificationReport(c.name, c.params, err <= c.tol, c.tol, "quadrature", err)
+    return err <= c.tol, err, {}
 
 
 #: gate of the sampler-bias check, and its Gauss-Legendre points per knot
@@ -635,12 +673,12 @@ def sampler_bias(q: float, points: int = SAMPLER_POINTS) -> tuple[list[float], f
     return states, var_err, mean_err
 
 
-def _sampler_bias_report(q: float) -> VerificationReport:
-    states, var_err, mean_err = sampler_bias(q)
-    params = {"q": q, "states": states, "points": SAMPLER_POINTS,
-              "variance_error": var_err, "mean_error": mean_err}
+def _sampler(c: _Check, values: list) -> tuple:
+    """Gate of a sampler-bias check: the worse of its two errors is at most
+    the tolerance."""
+    ((states, var_err, mean_err),) = values
     worst = max(var_err, mean_err)
-    return VerificationReport("sampler-bias", params, worst <= SAMPLER_TOL, SAMPLER_TOL, "quadrature", worst)
+    return worst <= c.tol, worst, {"states": states, "variance_error": var_err, "mean_error": mean_err}
 
 
 def run_quadrature_suite(
@@ -648,23 +686,10 @@ def run_quadrature_suite(
     qs: Sequence[float] = (0.2, 0.5, 0.8),
     ts: Sequence[float] = (0.25, 1.0, 4.0),
 ) -> list[VerificationReport]:
-    """Density, moment, martingale, and operator checks by quadrature: one
-    evaluation per distinct leg, over the items of every check that shares
-    it; then the sampler's bias at each q."""
-    selected = selected_checks(only, "quadrature")
-    plan = [c for c in _quad_plan(qs, ts) if selected is None or c.name in selected]
-    legs: dict[tuple, list[int]] = {}
-    for i, c in enumerate(plan):
-        legs.setdefault(c.leg, []).append(i)
-    values: list = [None] * len(plan)
-    for (evaluate, *args), mine in legs.items():
-        flat = iter(evaluate([item for i in mine for item in plan[i].items], *args).tolist())
-        for i in mine:
-            values[i] = [next(flat) for _ in plan[i].refs]
-    reports = [_quad_report(c, got) for c, got in zip(plan, values)]
-    if selected is None or "sampler-bias" in selected:
-        reports += [_sampler_bias_report(q) for q in qs]
-    return reports
+    """Density, moment, martingale, and operator checks by quadrature, and
+    the sampler's bias at each q: one evaluation per distinct leg, over the
+    items of every check that shares it."""
+    return _run(_quad_plan(qs, ts), only, "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -674,18 +699,6 @@ def run_quadrature_suite(
 #: paths simulated and reduced at a time; a run of at most this many paths is
 #: one chunk, reduced exactly as np.sum and np.std(ddof=1) reduce it
 MC_CHUNK = 10**5
-
-
-@dataclass(frozen=True)
-class _McCheck:
-    """A Monte Carlo check: stat(chunk) of the (q, t) paths has mean oracle."""
-
-    name: str
-    params: dict
-    q: float
-    t: float
-    oracle: float
-    stat: Callable[[PathBatch], np.ndarray]
 
 
 def _grid_index(grid: GeometricGrid, s: float) -> int:
@@ -701,14 +714,15 @@ def _hermite_at(n: int, batch: PathBatch, k: int) -> np.ndarray:
     return hermite_eval_sequence(n, batch.values[:, k], batch.grid.times[k], ctx)[n]
 
 
-def _mc_plan() -> list[_McCheck]:
-    """Every Monte Carlo check, in report order; add() puts K in the params."""
-    plan: list[_McCheck] = []
+def _mc_plan(threshold: float) -> list[_Check]:
+    """Every Monte Carlo check, in report order: stat(chunk) of the (q, t)
+    paths has mean oracle.  add() puts K in the params."""
+    plan: list[_Check] = []
 
     def add(name: str, params: dict, t: float, oracle, stat) -> None:
         q = params["q"]
         params = {**params, "K": GeometricGrid.build(q=q, t=t).K}
-        plan.append(_McCheck(name, params, q, t, float(oracle), stat))
+        plan.append(_Check(name, params, threshold, "mc", _mc, (_mc_estimates, q, t), ((stat, float(oracle)),)))
 
     # the q-isometry: E[(integral of x**degree)**2] in Jackson-integral form
     for q in (0.2, 0.5, 0.8):
@@ -785,24 +799,28 @@ def _add_chunk(acc: tuple | None, x: np.ndarray) -> tuple[int, float, float]:
     return na + n, sa + total, ma + m2 + delta * delta * (na * n / (na + n))
 
 
-def _mc_estimates(checks: Sequence[_McCheck], n_paths: int, seed: int) -> list[McEstimate]:
-    """The estimate of each check over the paths seeded seed + i, i < n_paths.
+def _mc_estimates(items: Sequence[tuple], q: float, t: float, n_paths: int, seed: int) -> list[McEstimate]:
+    """The estimate of each (stat, oracle) item over the (q, t) paths seeded
+    seed + i, i < n_paths.
 
-    Each (q, t) grid is simulated once, MC_CHUNK paths at a time (chunk c
-    starts at seed + c MC_CHUNK), and each check keeps only the moments of
-    its samples, merged chunk by chunk in order.
+    The grid is simulated MC_CHUNK paths at a time (chunk c starts at
+    seed + c MC_CHUNK), and each item keeps only the moments of its samples,
+    merged chunk by chunk in order.
     """
-    moments: list = [None] * len(checks)
-    for q, t in dict.fromkeys((c.q, c.t) for c in checks):
-        grid, ctx = GeometricGrid.build(q=q, t=t), QContext.numeric(q)
-        mine = [i for i, c in enumerate(checks) if (c.q, c.t) == (q, t)]
-        for start in range(0, n_paths, MC_CHUNK):
-            batch = simulate_batch(grid, min(MC_CHUNK, n_paths - start), seed + start, ctx)
-            for i in mine:
-                moments[i] = _add_chunk(moments[i], checks[i].stat(batch))
-            del batch  # free the chunk before the next one is simulated
-    return [McEstimate(total / n, math.sqrt(m2 / (n - 1)) / math.sqrt(n), n, seed, c.oracle)
-            for c, (n, total, m2) in zip(checks, moments)]
+    grid, ctx = GeometricGrid.build(q=q, t=t), QContext.numeric(q)
+    moments: list = [None] * len(items)
+    for start in range(0, n_paths, MC_CHUNK):
+        batch = simulate_batch(grid, min(MC_CHUNK, n_paths - start), seed + start, ctx)
+        moments = [_add_chunk(m, stat(batch)) for m, (stat, _) in zip(moments, items)]
+        del batch  # free the chunk before the next one is simulated
+    return [McEstimate(total / n, math.sqrt(m2 / (n - 1)) / math.sqrt(n), n, seed, oracle)
+            for (_, oracle), (n, total, m2) in zip(items, moments)]
+
+
+def _mc(c: _Check, values: list) -> tuple:
+    """Gate of a Monte Carlo check: |z| of its one estimate at most the threshold."""
+    (estimate,) = values
+    return abs(estimate.z) <= c.tol, estimate, {}
 
 
 def run_mc_suite(
@@ -816,17 +834,11 @@ def run_mc_suite(
     the first (path i uses seed + i).  Raises ValueError for n_paths < 2."""
     if n_paths < 2:
         raise ValueError(f"a Monte Carlo run needs at least 2 paths, got {n_paths}")
-    selected = selected_checks(only, "mc")
-    plan = [c for c in _mc_plan() if selected is None or c.name in selected]
-    reports = []
-    for c, est in zip(plan, _mc_estimates(plan, n_paths, seed)):
-        params = c.params
-        if not abs(est.z) <= threshold:
-            (est,) = _mc_estimates([c], n_paths, seed + n_paths)
-            params = {**params, "reran": True}
-        passed = abs(est.z) <= threshold
-        reports.append(VerificationReport(c.name, params, passed, threshold, "mc", estimate=est))
-    return reports
+    plan = _only(_mc_plan(threshold), only, "mc")
+    reports = [_report(c, values) for c, values in zip(plan, _evaluate(plan, n_paths, seed))]
+    return [r if r.passed else _report(replace(c, params={**c.params, "reran": True}),
+                                       _evaluate([c], n_paths, seed + n_paths)[0])
+            for c, r in zip(plan, reports)]
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +901,64 @@ def _ito_checks(p: QPolynomial, parts: tuple[QPolynomial, ...], batch: PathBatch
     return boundary, dec.tail_bound, not np.any(np.abs(dec.residual - boundary) > noise)
 
 
+def _ito_values(q: float, depths: tuple[int, ...], n_paths: int, n_polys: int, seed: int) -> tuple:
+    """(mean residual per depth, worst residual over its tail bound, whether
+    every residual is under its bound, whether every float decomposition
+    reproduces its residual) of n_polys random polynomials at q.
+
+    One n_polys x n_paths batch is drawn at the deepest depth on the horizon
+    t = 1 from seed (polynomial i takes rows n_paths i onward) and
+    restricted to each depth, so each residual follows one path.
+    """
+    ctx = QContext.numeric(q)
+    rng = np.random.default_rng(seed)
+    polys = [_random_qpolynomial(rng, 6, 2) for _ in range(n_polys)]
+    deep_grid = GeometricGrid.build(q=q, t=1.0, depth=depths[-1])
+    deep = simulate_batch(deep_grid, n_polys * n_paths, seed, ctx)
+    per_depth: dict[int, list[float]] = {K: [] for K in depths}
+    worst_ratio, bounded, decomposed = 0.0, True, True
+    for i, p in enumerate(polys):
+        parts = _abs_parts(p, ctx)
+        # polynomial i follows rows n_paths i .. n_paths (i + 1) - 1
+        rows = slice(n_paths * i, n_paths * (i + 1))
+        mine = PathBatch(deep_grid, deep.values[rows], seed + n_paths * i)
+        for K in depths:
+            boundary, bound, ok = _ito_checks(p, parts, mine.restrict(K), ctx)
+            per_depth[K].extend(boundary.tolist())
+            worst_ratio = max(worst_ratio, float(np.max(boundary / bound)))
+            bounded = bounded and not np.any(boundary > bound)
+            decomposed = decomposed and ok
+    return [sum(per_depth[K]) / len(per_depth[K]) for K in depths], worst_ratio, bounded, decomposed
+
+
+def _ito(c: _Check, values: list) -> tuple:
+    """Gate of ito-convergence: every residual under its tail bound and
+    reproduced by its decomposition, and the mean falling as K grows."""
+    ((means, worst_ratio, bounded, decomposed),) = values
+    falling = all(b < a for a, b in zip(means, means[1:]))
+    return falling and bounded and decomposed, worst_ratio, {"mean_residuals": means, "worst_bound_ratio": worst_ratio}
+
+
+def _sde_values(q: float, a: float, c: float, t: float, depths: tuple[int, ...], seed: int) -> np.ndarray:
+    """sde_residual of the exponential a, c on SDE_PATHS fresh paths from
+    seed per depth, up to the horizon t: row d holds the paths at depths[d]."""
+    ctx = QContext.numeric(q)
+    res = []
+    for K in depths:
+        batch = simulate_batch(GeometricGrid.build(q=q, t=t, depth=K), SDE_PATHS, seed, ctx)
+        res.append([sde_residual(a, c, path, ctx, degree=30) for path in batch])
+    return np.array(res)
+
+
+def _sde(c: _Check, values: list) -> tuple:
+    """Gate of sde-residual: falling on every path as K grows, to at most
+    the tolerance at the deepest depth."""
+    (res,) = values
+    falling = bool(np.all((res[1:] < res[:-1]) | (res[1:] < 1e-300)))
+    worst_final = float(np.max(res[-1]))
+    return falling and worst_final <= c.tol, worst_final, {"worst_final_residual": worst_final}
+
+
 def run_convergence_suite(
     qs: Sequence[float] = (0.5, 0.8),
     depths: Sequence[int] = (20, 40, 80),
@@ -900,103 +970,31 @@ def run_convergence_suite(
     """Pathwise residual decay for the change-of-variable identity and the
     exponential's integral equation as the grid deepens.
 
-    ito-convergence draws one n_polys x n_paths batch per q at the deepest
-    depth on the horizon t = 1 (polynomial i takes rows n_paths i onward)
-    and restricts it to each depth, so each residual follows one path.  The truncated residual
-    equals |f(B_K, t_K) - f(0, 0)|: it must fall under the analytic tail
-    bound at every depth and shrink in mean as K grows, and the float
-    decomposition must reproduce it to 64 eps times its rounding scale.
-    sde-residual, which also carries a series tail, must shrink on every
-    path, which one path need not do as the grid deepens, so it draws
-    SDE_PATHS fresh paths per depth.  Both batches start at seed.
+    ito-convergence follows each residual along one path (_ito_values).  The
+    truncated residual equals |f(B_K, t_K) - f(0, 0)|: it must fall under
+    the analytic tail bound at every depth and shrink in mean as K grows,
+    and the float decomposition must reproduce it to 64 eps times its
+    rounding scale.  sde-residual, which also carries a series tail, must
+    shrink on every path, which one path need not do as the grid deepens,
+    so it draws SDE_PATHS fresh paths per depth.  Both batches start at seed.
 
     Raises ValueError unless depths is nonempty, strictly increasing and at
     least 1, and n_paths and n_polys are at least 1.
     """
+    depths = tuple(depths)
     if not (depths and depths[0] >= 1 and all(a < b for a, b in zip(depths, depths[1:]))):
-        raise ValueError(f"depths must be nonempty, strictly increasing and >= 1, got {tuple(depths)}")
+        raise ValueError(f"depths must be nonempty, strictly increasing and >= 1, got {depths}")
     if n_paths < 1 or n_polys < 1:
         raise ValueError(f"n_paths and n_polys must be at least 1, got {n_paths} and {n_polys}")
-    selected = selected_checks(only, "convergence")
-    reports: list[VerificationReport] = []
+    plan: list[_Check] = []
     for q in qs:
-        ctx = QContext.numeric(q)
-        if selected is None or "ito-convergence" in selected:
-            rng = np.random.default_rng(seed)
-            polys = [_random_qpolynomial(rng, 6, 2) for _ in range(n_polys)]
-            deep_grid = GeometricGrid.build(q=q, t=1.0, depth=depths[-1])
-            deep = simulate_batch(deep_grid, n_polys * n_paths, seed, ctx)
-            per_depth: dict[int, list[float]] = {K: [] for K in depths}
-            worst_ratio = 0.0
-            bounded = True
-            decomposed = True
-            for i, p in enumerate(polys):
-                parts = _abs_parts(p, ctx)
-                # polynomial i follows rows n_paths i .. n_paths (i + 1) - 1
-                rows = slice(n_paths * i, n_paths * (i + 1))
-                mine = PathBatch(deep_grid, deep.values[rows], seed + n_paths * i)
-                for K in depths:
-                    boundary, bound, ok = _ito_checks(p, parts, mine.restrict(K), ctx)
-                    per_depth[K].extend(boundary.tolist())
-                    worst_ratio = max(worst_ratio, float(np.max(boundary / bound)))
-                    if np.any(boundary > bound):
-                        bounded = False
-                    if not ok:
-                        decomposed = False
-            means = [sum(per_depth[K]) / len(per_depth[K]) for K in depths]
-            monotone = all(b < a for a, b in zip(means, means[1:]))
-            reports.append(
-                VerificationReport(
-                    name="ito-convergence",
-                    params={
-                        "q": q,
-                        "t": 1.0,
-                        "depths": list(depths),
-                        "n_paths": n_paths,
-                        "n_polys": n_polys,
-                        "seed": seed,
-                        "mean_residuals": means,
-                        "worst_bound_ratio": worst_ratio,
-                    },
-                    passed=monotone and bounded and decomposed,
-                    tolerance=1.0,
-                    kind="exact",
-                    residual=worst_ratio,
-                )
-            )
-        if selected is None or "sde-residual" in selected:
-            a, c = 0.5, 2.0
-            horizon = 0.5
-            # the truncation is dominated by the deepest grid value, of size
-            # at most 2 sqrt(t_K / (1-q)); allow a factor-4 margin on a*c*that
-            t_deep = horizon * q ** depths[-1]
-            tol = 8.0 * a * c * math.sqrt(t_deep / (1.0 - q))
-            # res[d, j]: path j of the fresh batch at depths[d]
-            res = []
-            for K in depths:
-                grid = GeometricGrid.build(q=q, t=horizon, depth=K)
-                batch = simulate_batch(grid, SDE_PATHS, seed, ctx)
-                res.append([sde_residual(a, c, path, ctx, degree=30) for path in batch])
-            res = np.array(res)
-            monotone = bool(np.all((res[1:] < res[:-1]) | (res[1:] < 1e-300)))
-            worst_final = float(np.max(res[-1]))
-            passed = monotone and worst_final <= tol
-            reports.append(
-                VerificationReport(
-                    name="sde-residual",
-                    params={
-                        "q": q,
-                        "a": a,
-                        "c": c,
-                        "t": horizon,
-                        "depths": list(depths),
-                        "seed": seed,
-                        "worst_final_residual": worst_final,
-                    },
-                    passed=passed,
-                    tolerance=tol,
-                    kind="exact",
-                    residual=worst_final,
-                )
-            )
-    return reports
+        params = {"q": q, "depths": list(depths), "seed": seed}
+        plan.append(_Check("ito-convergence", {**params, "t": 1.0, "n_paths": n_paths, "n_polys": n_polys},
+                           1.0, "exact", _ito, (_each, _ito_values, depths, n_paths, n_polys, seed), (q,)))
+        # the truncation is dominated by the deepest grid value, of size at
+        # most 2 sqrt(t_K / (1-q)); allow a factor-4 margin on a*c*that
+        a, c, t = 0.5, 2.0, 0.5
+        tol = 8.0 * a * c * math.sqrt(t * q ** depths[-1] / (1.0 - q))
+        plan.append(_Check("sde-residual", {**params, "a": a, "c": c, "t": t},
+                           tol, "exact", _sde, (_each, _sde_values, a, c, t, depths, seed), (q,)))
+    return _run(plan, only, "convergence")

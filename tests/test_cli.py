@@ -250,13 +250,15 @@ def test_simulate_at_the_largest_seeds(tmp_path):
     assert len((out / "paths" / "paths_wide.csv").read_text().splitlines()) == 22
 
 
-#: SHA-256 of every artifact but manifest.json (which echoes --out) for five
+#: SHA-256 of every artifact but manifest.json (which echoes --out) for seven
 #: small runs, recorded with NumPy 2.4 on x86-64 Linux: identities.json and
 #: kurtosis_vs_r.csv at qbm 0.2.0 (see CHANGES.md for the digests of 0.1.0),
 #: the density curves at qbm 0.4.0 (the q-Pochhammer density kernel), the
 #: verify.json of the run with delta-numeric at 0.5.1 (the s-free delta inner
 #: leg), and the paths and the two Monte Carlo verify.json at 0.6.0 (the
-#: mirrored transition-table rows); CHANGES.md lists the old digests
+#: mirrored transition-table rows); the last two, recorded at 0.6.0, cover
+#: the sampler-bias and convergence reports and the CSV writer.  CHANGES.md
+#: lists the old digests
 PINNED_DIGESTS = [
     (
         ["--suite", "identities"],
@@ -292,6 +294,20 @@ PINNED_DIGESTS = [
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
             "verify.json": "90ea05de869582ac952e61fa4e36e64a4f37f22ee4715c9c4f10e9b1623bf73d",
         },
+    ),
+    # the reports no other entry reaches, through the CSV writer
+    (
+        ["--suite", "verify", "--format", "csv", "--only",
+         "sampler-bias,ito-convergence,sde-residual,stoch-exp-mean", "--paths", "3000"],
+        {
+            "density_curves.csv": "6fc0cc448acd154790a426d0f7afa1c537ae915ba95bfb54d43ee691afeaa591",
+            "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
+            "verify.csv": "8f72c35b869dfd49cb118007ff1dcc2243b1069ddfc418e265dbeb901ba3373f",
+        },
+    ),
+    (
+        ["--suite", "identities", "--format", "csv"],
+        {"identities.csv": "db5d5b794949d64e87b4a51abb6d3c7cccd8f6dc25304458c06f81501dd4cd01"},
     ),
 ]
 

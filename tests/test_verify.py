@@ -155,6 +155,14 @@ def test_identity_suite_filter():
     assert {r.name for r in reps} == {"recurrence", "kurtosis-r0"}
 
 
+def test_kurtosis_varies_fails_when_the_ratio_is_constant(monkeypatch):
+    # the failing form of the check: a ratio that does not move with r
+    monkeypatch.setattr(verify, "kurtosis_ratio", lambda r, q: 3)
+    (rep,) = run_identity_suite(qs=(HALF,), only={"kurtosis-varies"})
+    assert rep.passed is False and rep.residual == 1.0 and rep.kind == "exact"
+    assert rep.tolerance == 0.0 and rep.params == {"q": "1/2"}
+
+
 def test_quadrature_suite_filter():
     reps = run_quadrature_suite(only={"variance"}, ts=(1.0,), qs=(0.5,))
     assert len(reps) == 1
