@@ -7,9 +7,10 @@ grid column per NumPy pass.  For each q this times, per column of one such
 block: one column of the block's uniform streams (process._uniform_columns),
 one draw_transition_batch on a column of the block's scaled states, and the
 defining sums of x**0..x**3, the Monte Carlo suite's integrands
-(stochint._def_sum_columns over the whole block, divided by the grid depth).
-It prints the median of --repeats timings of each, in microseconds, with
-the number of cores the process may run on and the NumPy version.
+(stochint.integrate_def_batch on the one-block batch, divided by the grid
+depth).  It prints the median of --repeats timings of each, in
+microseconds, with the number of cores the process may run on and the NumPy
+version.
 """
 
 import argparse
@@ -45,19 +46,19 @@ def layers(q: float, repeats: int) -> tuple[int, float, float, float]:
     n = process.PATH_BLOCK
     ctx = QContext.numeric(q)
     grid = GeometricGrid.build(q=q, t=1.0)
-    values = simulate_batch(grid, n, BASE_SEED).values
+    batch = simulate_batch(grid, n, BASE_SEED)
     columns = process._uniform_columns(n, BASE_SEED)
     u = next(columns)  # the first column carries the streams' seeding
     uniforms = median_us(lambda: next(columns), repeats)
     table = scaled_transition_table(q)
     k = grid.K // 2
-    x = values[:, k + 1] / np.sqrt(float(grid.times[k]))
+    x = batch.values[:, k + 1] / np.sqrt(float(grid.times[k]))
     transition = median_us(lambda: draw_transition_batch(table, x, u), repeats)
     fs = [stochint.PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(d), ctx) for d in range(4)]
 
     def sums():
         for f in fs:
-            stochint._def_sum_columns(f, grid, values, ctx)
+            stochint.integrate_def_batch(f, batch, ctx)
 
     return grid.K, uniforms, transition, median_us(sums, repeats) / grid.K
 

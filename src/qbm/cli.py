@@ -29,7 +29,6 @@ from .measures import InvalidDensityError, qgauss_density, support_halfwidth
 from .process import SEED_LIMIT, GeometricGrid, simulate_batch, write_batch_csv
 from .qcore import QContext
 from .verify import (
-    CHECKS,
     CONVERGENCE_SEEDS,
     kurtosis_ratio,
     oracle_EZ2,
@@ -100,10 +99,10 @@ class RunConfig:
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if not self.z_threshold > 0.0:
             raise ConfigError(f"z-threshold must be positive, got {self.z_threshold}")
-        unknown = sorted((self.only_set() or set()) - CHECKS.keys())
-        if unknown:
-            known = ", ".join(sorted(CHECKS))
-            raise ConfigError(f"unknown check {unknown[0]!r}; known checks: {known}")
+        try:
+            selected_checks(self.only_set(), self.suite)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def seed_span(self) -> int:
         """How many consecutive path seeds, from self.seed on, the run uses."""
@@ -128,9 +127,7 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 def _parse_value(key: str, text: str):
     text = text.strip()
     try:
-        if key in ("depth", "paths"):
-            return int(text)
-        if key == "seed":
+        if key in ("depth", "paths", "seed"):
             return int(text)
         if key in ("q", "t", "z_threshold"):
             return float(text)

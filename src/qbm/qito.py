@@ -18,10 +18,11 @@ satisfies the exact algebraic identity
 
 and the K-step change-of-variable sum telescopes, leaving a residual of
 exactly |f(B_K, t_K) - f(0, 0)|, which the attached tail bound dominates.
-The step sums of D_t f and delta f have one implementation, over a block of
-paths by grid: a single path (float or exact rational) is a one-row block,
-and a batch is summed PATH_BLOCK rows at a time, so each of its paths gets
-the single path's bits.
+The gradient integral and the step sums of D_t f and delta f have one
+implementation, _sums, on a single path (1-D values, float or exact
+rational) or on a block of paths (one row per path): a batch is summed
+PATH_BLOCK rows at a time, each row in the single path's order, so each of
+its paths gets the single path's bits.
 
 nabla and delta also have integral forms: first and second divided
 differences of f integrated against explicit transition kernels.  The
@@ -69,8 +70,8 @@ from .stochint import (
     _def_sum,
     _path_arrays,
     _poly_rows,
+    _row_sums,
     integrate_def,
-    integrate_def_batch,
 )
 
 __all__ = [
@@ -344,26 +345,22 @@ def _on_grid(p: QPolynomial, x: np.ndarray, t: np.ndarray):
     return out
 
 
-def _step_sums(f: QPolynomial, values: np.ndarray, times: np.ndarray, ctx: QContext):
-    """sum_k t_k (D_t f)(B_{k+1}, t_k) and sum_k t_k (delta f)(B_{k+1}, t_k)
-    for each path, a row of values (B_k in column k, floats or exact
-    rationals), with times its grid's t_k: the terms on the whole block at
-    once, then added in grid order from 0 along each row by np.add.accumulate,
-    which adds sequentially where np.sum would add pairwise."""
-    t, x = times[:-1], values[:, 1:]
-    zero = np.full((len(values), 1), 0 * ctx.q, dtype=values.dtype)
-    return [
-        np.add.accumulate(np.concatenate([zero, t * _on_grid(p, x, t)], axis=1), axis=1)[:, -1]
-        for p in (f.dq_time(ctx), delta_exact(f, ctx))
-    ]
+def _sums(f: QPolynomial, x: np.ndarray, t: np.ndarray, ctx: QContext):
+    """The gradient integral (the defining sum of nabla f's integrand),
+    sum_k t_k (D_t f)(B_{k+1}, t_k) and sum_k t_k (delta f)(B_{k+1}, t_k),
+    along a path (x its values B_k, 1-D, floats or exact rationals) or along
+    each row of a block of paths, with t the grid's t_k: the terms on the
+    whole grid at once, then added in grid order by _row_sums."""
+    grad = _def_sum(PolynomialIntegrand(to_hermite_basis(f, ctx)[1:]), x, t, ctx)
+    s, y = t[:-1], x[..., 1:]
+    drift, second = (_row_sums(0 * ctx.q, s * _on_grid(p, y, s)) for p in (f.dq_time(ctx), delta_exact(f, ctx)))
+    return grad, drift, second
 
 
 def _decompose(
-    f: QPolynomial, grid: GeometricGrid, b0, drift, second, grad, ctx: QContext
+    f: QPolynomial, grid: GeometricGrid, b0, grad, drift, second, ctx: QContext
 ) -> ItoDecomposition:
-    """The identity's terms, given B_0 (b0), _step_sums' two sums (drift,
-    second) and the gradient integral grad (the defining sum's value on a
-    path, integrate_def_batch's on a batch).
+    """The identity's terms, given B_0 (b0) and _sums' three sums.
 
     For a batch each of them is a column with one entry per path, and so are
     every term and the residual.
@@ -386,16 +383,9 @@ def _decompose(
 
 
 def ito_decompose(f: QPolynomial, path: GeometricPath, ctx: QContext) -> ItoDecomposition:
-    """Evaluate the K-step change-of-variable identity along a path.
-
-    The step sums are _step_sums' on the path as a one-row block, for float
-    and exact rational paths alike.
-    """
-    b = to_hermite_basis(f, ctx)
-    x, t = _path_arrays(path)
-    grad = _def_sum(PolynomialIntegrand(b[1:]), x, t, ctx)
-    drift, second = (s[0] for s in _step_sums(f, x[None], t, ctx))
-    return _decompose(f, path.grid, path.values[0], drift, second, grad, ctx)
+    """Evaluate the K-step change-of-variable identity along a path, float or
+    exact rational."""
+    return _decompose(f, path.grid, path.values[0], *_sums(f, *_path_arrays(path), ctx), ctx)
 
 
 def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoDecomposition:
@@ -405,9 +395,7 @@ def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoD
     bit for bit ito_decompose's value on batch.path(i), as each row of a
     block is summed on its own.
     """
-    b = to_hermite_basis(f, ctx)
-    grad = integrate_def_batch(PolynomialIntegrand(b[1:]), batch, ctx)
     times, step = _as_array(batch.grid.times), process.PATH_BLOCK
-    blocks = [_step_sums(f, batch.values[i : i + step], times, ctx) for i in range(0, len(batch), step)]
-    drift, second = (np.concatenate(sums) for sums in zip(*blocks))
-    return _decompose(f, batch.grid, batch.values[:, 0], drift, second, grad, ctx)
+    blocks = [_sums(f, batch.values[i : i + step], times, ctx) for i in range(0, len(batch), step)]
+    grad, drift, second = (np.concatenate(sums) for sums in zip(*blocks))
+    return _decompose(f, batch.grid, batch.values[:, 0], grad, drift, second, ctx)

@@ -10,13 +10,15 @@ with t_k = t q**k.  Sums run over the grid increments k = 0..K-1 and every
 result carries an analytic bound for the dropped tail, derived from the sharp
 growth bound |h_n(x; u)| <= C_n u**(n/2) on the support.
 
-A single path is summed as arrays over its whole grid: the Hermite values
-and coefficients at every t_k at once, then the terms added one at a time in
-(k, m) order, so a float path and an exact rational one (as object arrays,
-for the zero-tolerance identity checks) take the same code.  A batch is
-summed column by column, over views of its grid-major values, adding the
-same terms in the same order, so each path's value is the path form's; its
-Hermite columns start from h_1 = B_k itself, since the sum never reads h_0.
+A path (1-D values) or a block of paths (one row per path) is summed as
+arrays over the whole grid: the Hermite values and coefficients at every t_k
+at once, then each path's terms added one at a time in (k, m) order by
+_row_sums, so a float path and an exact rational one (as object arrays, for
+the zero-tolerance identity checks) take the same code, and each row of a
+block gets its path's bits.  Only integrate_def_batch, for the 1e5-path
+Monte Carlo batches, sums column by column over its grid-major values,
+adding the same terms in the same order; its Hermite columns start from
+h_1 = B_k itself, since the sum never reads h_0.
 Reciprocals such as 1 / [m+1]! are taken as 1 / x, which stays a Fraction in
 an exact context and is 1.0 / x in a float one.
 """
@@ -108,37 +110,45 @@ def _poly_rows(polys: Sequence[Poly], s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _in_order(init, *blocks: np.ndarray):
-    """init plus the entries of each block, one at a time in row-major order:
-    np.add.accumulate adds sequentially, where np.sum would add pairwise."""
-    return np.add.accumulate(np.concatenate([[init], *blocks], axis=None))[-1]
+def _row_sums(init, *terms: np.ndarray):
+    """init plus the terms along the last axis, one at a time in order, for a
+    path (1-D terms) or for each row of a block (init a scalar, or a column
+    with one entry per row); a path's sum is a scalar.  np.add.accumulate
+    adds sequentially, where np.sum would add pairwise."""
+    first = np.empty(terms[0].shape[:-1] + (1,), dtype=terms[0].dtype)
+    first[..., 0] = init
+    return np.add.accumulate(np.concatenate([first, *terms], axis=-1), axis=-1)[..., -1][()]
 
 
 def _def_terms(f: PolynomialIntegrand, times: np.ndarray, ctx: QContext):
-    """The m with b_m not zero, 1 / [m+1]! for those m (a column), and b_m at
-    the given times (row per m, column per time)."""
+    """The m with b_m not zero, 1 / [m+1]! for those m, and b_m at the given
+    times (row per time, column per m: the sums' (k, m) order)."""
     ms = [m for m, bm in enumerate(f.b) if not bm.is_zero()]
-    inv = np.array(_inv_factorials(f.degree, ctx), dtype=times.dtype)[ms, None]
-    return ms, inv, _poly_rows([f.b[m] for m in ms], times)
+    inv = np.array(_inv_factorials(f.degree, ctx), dtype=times.dtype)[ms]
+    return ms, inv, _poly_rows([f.b[m] for m in ms], times).T
 
 
 def _path_terms(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext):
-    """_def_terms along one path, x and t its values and times, with
-    h_{m+1}(B_k; t_k) for the same m (row per m, column per grid index)."""
+    """_def_terms along a path or block, x and t its values and times, with
+    h_{m+1}(B_k; t_k) for the same m (last axis m, the one before it k)."""
     ms, inv, b = _def_terms(f, t, ctx)
-    h = np.array(hermite_eval_sequence(f.degree + 1, x, t, ctx))[[m + 1 for m in ms]]
-    return inv, b, h
+    h = np.array(hermite_eval_sequence(f.degree + 1, x, t, ctx))
+    return inv, b, h.transpose(*range(1, h.ndim), 0)[..., [m + 1 for m in ms]]
 
 
 def _def_sum(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext):
-    """The defining sum along one path, x and t its values and times: the
-    Hermite values and coefficients on the whole grid at once, then the terms
-    added in (k, m) order from 0 * (B_0 q), as the column form adds them."""
-    total = 0 * (x[0] * ctx.q)
+    """The defining sum along a path, or along each row of a block of paths,
+    x and t their values and times: the Hermite values and coefficients on
+    the whole grid at once, then the terms added in (k, m) order from
+    0 * (B_0 q), as the column form adds them."""
+    # x.T[0] is B_0: a scalar on a path (x[..., 0] would be a 0-d array,
+    # whose arithmetic is slower), a column on a block
+    total = 0 * (x.T[0] * ctx.q)
     if f.degree < 0:
         return total
     inv, b, h = _path_terms(f, x, t, ctx)
-    return _in_order(total, ((b[:, :-1] * inv) * (h[:, :-1] - h[:, 1:])).T)
+    steps = (b[:-1] * inv) * (h[..., :-1, :] - h[..., 1:, :])
+    return _row_sums(total, steps.reshape(x.shape[:-1] + (-1,)))
 
 
 def _hermite_columns(n_max: int, x: np.ndarray, t: Scalar, ints: list) -> list:
@@ -158,13 +168,13 @@ def _def_sum_columns(f: PolynomialIntegrand, grid: GeometricGrid, values: np.nda
     """The defining sum for a block of paths (the rows of values), added grid
     column by grid column; each entry of a path with finite values is bit for
     bit _def_sum's value on its path (a non-finite value gives a non-finite
-    sum, as there)."""
+    sum, as there).  integrate_def_batch is its only caller."""
     total = 0 * (values[:, 0] * ctx.q)
     if f.degree < 0:
         return total
     times = grid.times
     ms, inv, b = _def_terms(f, _as_array(times[:-1]), ctx)
-    coef = (b * inv).T.tolist()
+    coef = (b * inv).tolist()
     ints = _q_numbers(f.degree + 1, ctx)[0]
     h_cur = _hermite_columns(f.degree + 1, values[:, 0], times[0], ints)
     for k in range(grid.K):
@@ -233,8 +243,8 @@ def integrate_byparts(
         # step's (b_m(t_k) - b_m(t_{k+1})) h_{m+1}(B_{k+1}; t_{k+1}) / [m+1]!
         # subtracted in (k, m) order
         inv, b, h = _path_terms(f, x, t, ctx)
-        steps = ((b[:, :-1] - b[:, 1:]) * inv) * h[:, 1:]
-        total = _in_order(total, (b[:, 0] * inv[:, 0]) * h[:, 0], -steps.T)
+        steps = ((b[:-1] - b[1:]) * inv) * h[1:]
+        total = _row_sums(total, (b[0] * inv) * h[0], -steps.reshape(-1))
     tail, boundary = _tail_bounds(f, path.grid, ctx)
     return StochasticIntegralResult(value=total, K=path.grid.K, tail_bound=tail + boundary, seed=path.seed)
 

@@ -1,5 +1,6 @@
 """Difference operators, kernel quadrature forms, change-of-variable residual."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from qbm import process, qito, stochint
 from qbm import qhermite as qhermite_module
-from qbm.process import GeometricGrid, GeometricPath, simulate_batch, simulate_path
+from qbm.process import GeometricGrid, GeometricPath, PathBatch, simulate_batch, simulate_path
 from qbm.qcore import Poly, QContext, q_int
 from qbm.qhermite import QPolynomial, from_hermite_basis, qhermite, to_hermite_basis
 from qbm.qito import (
@@ -149,6 +150,8 @@ def test_ito_decompose_exact_on_rational_path():
     boundary = f(vals[5], grid.times[5]) - f(Fraction(0), Fraction(0))
     assert left - right == boundary
     assert dec.K == 5
+    terms = (dec.lhs, dec.gradient_term, dec.drift_term, dec.second_order_term)
+    assert all(type(v) is Fraction for v in terms)
 
 
 def test_residual_under_tail_bound_on_simulated_paths():
@@ -176,6 +179,35 @@ def test_batch_decomposition_equals_per_path(q, K):
         for name in fields:
             assert getattr(cols, name)[i] == getattr(one, name), (i, name)
         assert (cols.tail_bound, cols.K) == (one.tail_bound, one.K)
+
+
+def test_batch_decomposition_on_hand_built_rows():
+    # the hand-built rows of test_stochint's batch test at q = 0.5: +-0.0 and
+    # +-the support edge at each grid time, in whole rows and mixed along a
+    # row; each row's terms have ito_decompose's bits on its path, and a last
+    # row holding an infinity stays non-finite.  The odd f vanishes at +-0.0,
+    # so on the zero rows every term is a zero, and its sign is compared
+    ctx = QContext.numeric(0.5)
+    odd = {(5, 1): 0.7, (3, 0): -1.0, (1, 0): 1.5}
+    fs = [QPolynomial.from_xt_terms(odd), QPolynomial.from_xt_terms({**odd, (6, 0): 0.5, (2, 2): 0.25, (0, 1): 2.0})]
+    fields = ("lhs", "gradient_term", "drift_term", "second_order_term", "residual")
+    bits = lambda v: np.float64(v).tobytes()
+    for f, depth in itertools.product(fs, (1, 6)):
+        grid = GeometricGrid.build(q=0.5, t=1.0, depth=depth)
+        edge = np.array([2.0 * np.sqrt(t / 0.5) for t in grid.times])
+        mixed = np.array([(0.0, -0.0, 1.0, -1.0)[k % 4] for k in range(depth + 1)])
+        zeros = np.array([(-0.0, 0.0)[k % 2] for k in range(depth + 1)])
+        rows = [0.0 * edge, -0.0 * edge, zeros, edge, -edge, mixed * edge, -mixed[::-1] * edge]
+        values = np.array(rows + [np.where(np.arange(depth + 1) == 1, np.inf, 0.5 * edge)])
+        batch = PathBatch(grid=grid, values=values, base_seed=0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            cols = ito_decompose_batch(f, batch, ctx)
+        for i in range(len(rows)):
+            one = ito_decompose(f, batch.path(i), ctx)
+            for name in fields:
+                assert bits(getattr(cols, name)[i]) == bits(getattr(one, name)), (f, depth, i, name)
+        for name in ("gradient_term", "drift_term", "residual"):
+            assert not np.isfinite(getattr(cols, name)[-1]), (f, depth, name)
 
 
 def test_batch_decomposition_does_not_depend_on_the_block(monkeypatch):
