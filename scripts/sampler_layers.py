@@ -1,16 +1,21 @@
-"""Time the Monte Carlo sampler layer by layer, per grid column of a block.
+"""Time the Monte Carlo sampler layer by layer, per grid column of a block,
+and whole Monte Carlo batches.
 
     python scripts/sampler_layers.py [--repeats 21] [--q 0.5 0.8]
 
 A batch is simulated and summed process.PATH_BLOCK paths at a time, one
-grid column per NumPy pass.  For each q this times, per column of one such
+grid column per NumPy pass, its blocks shared among walker threads
+(process._each_block).  For each q this times, per column of one such
 block: one column of the block's uniform streams (process._uniform_columns),
 one draw_transition_batch on a column of the block's scaled states, and the
 defining sums of x**0..x**3, the Monte Carlo suite's integrands
 (stochint.integrate_def_batch on the one-block batch, divided by the grid
-depth).  It prints the median of --repeats timings of each, in
-microseconds, with the number of cores the process may run on and the NumPy
-version.
+depth).  Then, as the Monte Carlo suite runs them, one whole BATCH_PATHS
+batch: simulate_batch, and the four defining sums on it.  It prints the
+median of --repeats timings of each: the layers in microseconds, the whole
+batch in seconds of wall and of CPU time (the process's, all threads), with
+the walkers a batch runs on, the number of cores the process may run on and
+the NumPy version.
 """
 
 import argparse
@@ -28,16 +33,33 @@ from qbm.qhermite import QPolynomial
 
 #: streams whose entropy words carry past 2**32 inside the block
 BASE_SEED = 2**32 - 8
+#: paths of the whole batches, the Monte Carlo suite's per (q, t) grid
+BATCH_PATHS = 10**5
 
 
-def median_us(call, repeats: int) -> float:
-    """Median wall time of call() over repeats calls, in microseconds."""
-    times = []
+def medians(call, repeats: int) -> tuple[float, float]:
+    """Median wall and CPU time of call() over repeats calls, in seconds."""
+    walls, cpus = [], []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start, cpu = time.perf_counter(), time.process_time()
         call()
-        times.append(time.perf_counter() - start)
-    return 1e6 * statistics.median(times)
+        walls.append(time.perf_counter() - start)
+        cpus.append(time.process_time() - cpu)
+    return statistics.median(walls), statistics.median(cpus)
+
+
+def whole_batch(q: float, repeats: int) -> tuple[float, float, float, float]:
+    """(simulate wall, CPU, sums wall, CPU) of one BATCH_PATHS batch at q, in seconds."""
+    ctx = QContext.numeric(q)
+    grid = GeometricGrid.build(q=q, t=1.0)
+    fs = [stochint.PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(d), ctx) for d in range(4)]
+    batch = simulate_batch(grid, BATCH_PATHS, BASE_SEED)
+
+    def sums():
+        for f in fs:
+            stochint.integrate_def_batch(f, batch, ctx)
+
+    return (*medians(lambda: simulate_batch(grid, BATCH_PATHS, BASE_SEED), repeats), *medians(sums, repeats))
 
 
 def layers(q: float, repeats: int) -> tuple[int, float, float, float]:
@@ -49,18 +71,18 @@ def layers(q: float, repeats: int) -> tuple[int, float, float, float]:
     batch = simulate_batch(grid, n, BASE_SEED)
     columns = process._uniform_columns(n, BASE_SEED)
     u = next(columns)  # the first column carries the streams' seeding
-    uniforms = median_us(lambda: next(columns), repeats)
+    uniforms = 1e6 * medians(lambda: next(columns), repeats)[0]
     table = scaled_transition_table(q)
     k = grid.K // 2
     x = batch.values[:, k + 1] / np.sqrt(float(grid.times[k]))
-    transition = median_us(lambda: draw_transition_batch(table, x, u), repeats)
+    transition = 1e6 * medians(lambda: draw_transition_batch(table, x, u), repeats)[0]
     fs = [stochint.PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(d), ctx) for d in range(4)]
 
     def sums():
         for f in fs:
             stochint.integrate_def_batch(f, batch, ctx)
 
-    return grid.K, uniforms, transition, median_us(sums, repeats) / grid.K
+    return grid.K, uniforms, transition, 1e6 * medians(sums, repeats)[0] / grid.K
 
 
 def main(argv=None) -> int:
@@ -74,11 +96,16 @@ def main(argv=None) -> int:
         parser.error("every --q must lie in (0, 1)")
 
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    walkers = min(process._usable_cpus(), len(range(0, BATCH_PATHS, process.PATH_BLOCK)))
     print(
-        f"# nproc {nproc}, numpy {np.__version__}, {process.PATH_BLOCK} paths, "
-        f"median of {args.repeats} call(s), us per grid column"
+        f"# nproc {nproc}, numpy {np.__version__}, {process.PATH_BLOCK} paths per block, "
+        f"median of {args.repeats} call(s); layers in us per grid column of a block, "
+        f"then one {BATCH_PATHS}-path batch in s of wall / CPU time on {walkers} walker(s)"
     )
-    print(f"{'q':>5} {'depth':>5} {'uniforms':>9} {'transition':>10} {'def x^0..3':>10}")
+    print(
+        f"{'q':>5} {'depth':>5} {'uniforms':>9} {'transition':>10} {'def x^0..3':>10} "
+        f"{'sim wall':>8} {'sim CPU':>8} {'sums wall':>9} {'sums CPU':>8} {'walkers':>7}"
+    )
     # one untimed pass at every q first: the tables, and the allocator's
     # state after the first large temporaries, which would otherwise leave
     # the first q's draws paying page faults
@@ -86,7 +113,11 @@ def main(argv=None) -> int:
         layers(q, 1)
     for q in args.q:
         depth, uniforms, transition, sums = layers(q, args.repeats)
-        print(f"{q:5g} {depth:5d} {uniforms:9.1f} {transition:10.1f} {sums:10.1f}")
+        sim_wall, sim_cpu, sums_wall, sums_cpu = whole_batch(q, args.repeats)
+        print(
+            f"{q:5g} {depth:5d} {uniforms:9.1f} {transition:10.1f} {sums:10.1f} "
+            f"{sim_wall:8.3f} {sim_cpu:8.3f} {sums_wall:9.3f} {sums_cpu:8.3f} {walkers:7d}"
+        )
     return 0
 
 

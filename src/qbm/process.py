@@ -17,19 +17,26 @@ draw, the streams computed together in vectorised integer arithmetic (some
 33 uint64 passes per column, most of them in place), whose fixed cost pays
 off only from a few dozen paths on.  Both give the same bits.
 Base seeds need 0 <= base_seed and base_seed + n_paths <= 2**128.
-It walks the whole grid for PATH_BLOCK paths before it starts the next
-block, so its temporaries stay cache-sized at any batch size.  A batch is
+A block walks the whole grid for its PATH_BLOCK paths, so a walk's
+temporaries are bounded by a block at any batch size.  A batch's blocks
+(here, and the sums of stochint and qito) go through _each_block, which
+shares them among the calling thread and one walker thread per further
+usable CPU, never more than there are blocks; each block writes only its
+own rows, so the bits do not depend on the walker count.  A batch is
 stored grid-major, so each grid column is contiguous: the sampler draws
 into it and the integrals sum over it in place.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
+import os
 import sys
+import threading
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -54,12 +61,67 @@ __all__ = [
 
 #: default grid tail threshold: depth K is the smallest with q**K <= this
 GRID_TAIL = 1e-6
-#: paths simulated (and summed by stochint) together: a step's temporaries stay in L2
-PATH_BLOCK = 8192
+#: paths simulated (and summed by stochint and qito) together: a block's NumPy
+#: calls are long enough that walkers on other blocks run while one holds the GIL
+PATH_BLOCK = 16384
 #: blocks of fewer paths walk path by path on each path's own generator; from
 #: here on the block walk on the streams computed together is faster
 #: (scripts/path_crossover.py, at depth 20 and 80)
 _STREAM_CROSSOVER = 32
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the walkers of a multi-block call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _each_block(n_paths: int, work: Callable[[int, int], object]) -> list:
+    """work(start, stop) on each PATH_BLOCK block of n_paths paths, the
+    results in block order.
+
+    The calling thread walks blocks, and so does one thread per further
+    usable CPU, never more walkers than blocks; each takes the next block
+    from one shared iterator, in the caller's context (its np.errstate), and
+    all are joined before this returns or raises.  With one walker this is
+    the plain loop.  Once a block fails no later one is handed out, and the
+    error raised is that of the lowest failing block, the serial loop's.
+    work may write its own block's rows; a shared cache or memo it reads
+    must be filled by the caller first, or be safe to fill twice with the
+    same value (as CdfTable's cached one-state view is).
+    """
+    spans = [(start, min(start + PATH_BLOCK, n_paths)) for start in range(0, n_paths, PATH_BLOCK)]
+    walkers = min(_usable_cpus(), len(spans))
+    if walkers <= 1:
+        return [work(*span) for span in spans]
+    out: list = [None] * len(spans)
+    todo, lock, failed = iter(range(len(spans))), threading.Lock(), {}
+
+    def walk() -> None:
+        while True:
+            with lock:
+                i = None if failed else next(todo, None)
+            if i is None:
+                return
+            try:
+                out[i] = work(*spans[i])
+            except BaseException as exc:  # raised below, after the join
+                with lock:
+                    failed[i] = exc
+
+    threads = []
+    try:
+        for _ in range(walkers - 1):
+            threads.append(threading.Thread(target=contextvars.copy_context().run, args=(walk,)))
+            threads[-1].start()
+        walk()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
 def default_depth(q: float) -> int:
@@ -227,35 +289,48 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return hi, lo
 
 
-def _uniform_columns(n_paths: int, base_seed: int) -> Iterator[np.ndarray]:
-    """Endless uniform columns; entry i of the n-th column is the n-th value
-    of np.random.default_rng(base_seed + i).random().
-
-    Requires 0 <= base_seed and base_seed + n_paths <= SEED_LIMIT.
-    """
-    # the four 32-bit entropy words of base_seed + i, built with carry
-    carry = np.arange(n_paths, dtype=np.uint64)
-    words = []
+def _pcg_states(n_paths: int, base_seed: int):
+    """The PCG64 states (high and low halves) and increments of the
+    generators np.random.default_rng(base_seed + i), i < n_paths, seeded:
+    none of the seeding's temporaries outlives this call."""
+    # the four 32-bit entropy words of base_seed + i, built with carry and
+    # hashed into the pool one by one
+    steps = _hash_steps(*_HASH_A)
+    carry, pool = np.arange(n_paths, dtype=np.uint64), []
     for k in range(4):
         w = carry + np.uint64((base_seed >> (32 * k)) & _M32)
-        words.append((w & _M32).astype(np.uint32))
+        pool.append(_hashmix((w & _M32).astype(np.uint32), steps))
         carry = w >> 32
-    steps = _hash_steps(*_HASH_A)
-    pool = [_hashmix(w, steps) for w in words]
+    del carry, w
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+    # generate_state(4, uint64): little-endian pairs of eight hashed words
+    # pool[i % 4], i = 0..7, a pair at a time
     steps = _hash_steps(*_HASH_B)
-    state32 = [_hashmix(pool[i % 4], steps).astype(np.uint64) for i in range(8)]
-    # generate_state(4, uint64): little-endian pairs of the eight words
-    seed_hi, seed_lo, seq_hi, seq_lo = (state32[2 * j] | (state32[2 * j + 1] << 32) for j in range(4))
+    state = []
+    for j in range(4):
+        low = _hashmix(pool[2 * j % 4], steps).astype(np.uint64)
+        state.append(low | (_hashmix(pool[(2 * j + 1) % 4], steps).astype(np.uint64) << 32))
+    del pool, low
+    seed_hi, seed_lo, seq_hi, seq_lo = state
     # PCG64 seeding: inc = 2 seq + 1; step from 0 (to inc), add the seed with
     # its carry, step again
     inc_hi = (seq_hi << 1) | (seq_lo >> 63)
     inc_lo = (seq_lo << 1) | 1
     lo = inc_lo + seed_lo
     hi, lo = _pcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _uniform_columns(n_paths: int, base_seed: int) -> Iterator[np.ndarray]:
+    """Endless uniform columns; entry i of the n-th column is the n-th value
+    of np.random.default_rng(base_seed + i).random().
+
+    Requires 0 <= base_seed and base_seed + n_paths <= SEED_LIMIT.
+    """
+    hi, lo, inc_hi, inc_lo = _pcg_states(n_paths, base_seed)
     while True:
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         # XSL-RR output: xor the halves, rotate right by the top six bits
@@ -268,6 +343,8 @@ def _uniform_columns(n_paths: int, base_seed: int) -> Iterator[np.ndarray]:
         x >>= 11
         u = x.astype(np.float64)
         u *= 2.0**-53
+        # only the states stay alive while the column is drawn through
+        del x, rot, right
         yield u
 
 
@@ -316,12 +393,13 @@ def simulate_batch(
     """Simulate n_paths independent paths on the grid.
 
     Marginal draw at the deepest time, then one transition draw per step through
-    the shared scaled-kernel tables, PATH_BLOCK paths at a time, drawn straight
-    into the grid-major values: vectorised over a block's paths, or path by
-    path in a block of fewer than _STREAM_CROSSOVER.  Row i uses the stream of
-    seed base_seed + i.  Raises ValueError unless 0 <= base_seed and
-    base_seed + n_paths <= 2**128, if ctx is given with a q other than the
-    grid's, and if a drawn value is not finite or outside the support.
+    the shared scaled-kernel tables, PATH_BLOCK paths at a time on the walkers
+    of _each_block, drawn straight into the grid-major values: vectorised over
+    a block's paths, or path by path in a block of fewer than
+    _STREAM_CROSSOVER.  Row i uses the stream of seed base_seed + i.  Raises
+    ValueError unless 0 <= base_seed and base_seed + n_paths <= 2**128, if
+    ctx is given with a q other than the grid's, and if a drawn value is not
+    finite or outside the support.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -336,10 +414,13 @@ def simulate_batch(
     rts = [math.sqrt(float(tk)) for tk in grid.times]
     edges = _support_edges(grid)
     values = np.empty((n_paths, grid.K + 1), order="F")
-    for start in range(0, n_paths, PATH_BLOCK):
-        block = values[start : start + PATH_BLOCK]
-        walk = _walk_paths if block.shape[0] < _STREAM_CROSSOVER else _walk_block
-        walk(block, base_seed + start, mt, tt, rts, edges)
+
+    def walk(start: int, stop: int) -> None:
+        block = values[start:stop]
+        form = _walk_paths if block.shape[0] < _STREAM_CROSSOVER else _walk_block
+        form(block, base_seed + start, mt, tt, rts, edges)
+
+    _each_block(n_paths, walk)
     return PathBatch(grid=grid, values=values, base_seed=base_seed)
 
 

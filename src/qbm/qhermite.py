@@ -81,14 +81,15 @@ class QPolynomial:
     def coeff(self, i: int) -> Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Poly()
 
-    def derived(self, form: Callable[["QPolynomial", QContext], object], ctx: QContext):
-        """form(self, ctx), computed once per (form, ctx) and kept on this
-        immutable polynomial, so freed with it; form's value must be immutable."""
+    def derived(self, form: Callable[..., object], ctx: QContext, *args):
+        """form(self, ctx, *args), computed once per (form, ctx, *args) and
+        kept on this immutable object, so freed with it; form's value must be
+        immutable.  stochint.PolynomialIntegrand keeps its forms the same way."""
         if not hasattr(self, "_memo"):
             object.__setattr__(self, "_memo", {})
-        key = (form, ctx)
+        key = (form, ctx, *args)
         if key not in self._memo:
-            self._memo[key] = form(self, ctx)
+            self._memo[key] = form(self, ctx, *args)
         return self._memo[key]
 
     def __eq__(self, other) -> bool:
@@ -133,8 +134,9 @@ class QPolynomial:
         return QPolynomial(tuple(p.scale_arg(c) for p in self.coeffs))
 
     def dq_time(self, ctx: QContext) -> "QPolynomial":
-        """q-derivative in the time variable, acting coefficient-wise."""
-        return QPolynomial(tuple(p.q_derivative(ctx) for p in self.coeffs))
+        """q-derivative in the time variable, acting coefficient-wise.
+        Computed once per context and kept on the polynomial."""
+        return self.derived(_dq_time, ctx)
 
     def __call__(self, x: Scalar, t: Scalar) -> Scalar:
         out = 0 * x
@@ -144,6 +146,10 @@ class QPolynomial:
 
     def __repr__(self) -> str:
         return f"QPolynomial({list(self.coeffs)!r})"
+
+
+def _dq_time(f: QPolynomial, ctx: QContext) -> QPolynomial:
+    return QPolynomial(tuple(p.q_derivative(ctx) for p in f.coeffs))
 
 
 _HERMITE_CACHE: dict[tuple, list[QPolynomial]] = {}

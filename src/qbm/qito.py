@@ -54,7 +54,7 @@ from .measures import (
 )
 from . import process
 from .process import GeometricGrid, GeometricPath, PathBatch
-from .qcore import QContext, Scalar, q_factorial
+from .qcore import QContext, Scalar, _q_numbers, q_factorial
 from .qhermite import (
     QPolynomial,
     from_hermite_basis,
@@ -319,10 +319,14 @@ def ito_tail_bound(f: QPolynomial, grid: GeometricGrid, ctx: QContext) -> float:
     """Bound for |f(B_K, t_K) - f(0, 0)| on the support.
 
     Uses |h_m(x; u)| <= C_m u**(m/2) for m >= 1 plus the coefficient
-    variation of b_0 over [0, t_K].
+    variation of b_0 over [0, t_K].  Computed once per (t_K, ctx) and kept
+    on f.
     """
+    return f.derived(_ito_tail_bound, ctx, float(grid.times[grid.K]))
+
+
+def _ito_tail_bound(f: QPolynomial, ctx: QContext, t_deep: float) -> float:
     b = to_hermite_basis(f, ctx)
-    t_deep = float(grid.times[grid.K])
     total = float(b[0].variation_bound(t_deep)) if b else 0.0
     for m in range(1, len(b)):
         bm = b[m]
@@ -389,13 +393,17 @@ def ito_decompose(f: QPolynomial, path: GeometricPath, ctx: QContext) -> ItoDeco
 
 
 def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoDecomposition:
-    """ito_decompose on every path of a batch, PATH_BLOCK paths at a time.
+    """ito_decompose on every path of a batch, PATH_BLOCK paths at a time
+    (process._each_block).
 
     lhs, the three terms and residual are arrays over the paths; entry i is
     bit for bit ito_decompose's value on batch.path(i), as each row of a
-    block is summed on its own.
+    block is summed on its own, whichever walker sums it.
     """
-    times, step = _as_array(batch.grid.times), process.PATH_BLOCK
-    blocks = [_sums(f, batch.values[i : i + step], times, ctx) for i in range(0, len(batch), step)]
+    times = _as_array(batch.grid.times)
+    # the forms of f and the q-numbers the blocks read, computed and kept
+    # here, so the blocks' walkers only read them
+    to_hermite_basis(f, ctx), f.dq_time(ctx), delta_exact(f, ctx), _q_numbers(f.degree + 1, ctx)
+    blocks = process._each_block(len(batch), lambda start, stop: _sums(f, batch.values[start:stop], times, ctx))
     grad, drift, second = (np.concatenate(sums) for sums in zip(*blocks))
     return _decompose(f, batch.grid, batch.values[:, 0], grad, drift, second, ctx)

@@ -56,6 +56,10 @@ class PolynomialIntegrand:
 
     b: tuple[Poly, ...]
 
+    # forms of the integrand kept on it, as on a QPolynomial (outside the
+    # dataclass fields, so equality, hashing and repr ignore them)
+    derived = QPolynomial.derived
+
     @property
     def degree(self) -> int:
         return len(self.b) - 1
@@ -164,21 +168,18 @@ def _hermite_columns(n_max: int, x: np.ndarray, t: Scalar, ints: list) -> list:
     return h
 
 
-def _def_sum_columns(f: PolynomialIntegrand, grid: GeometricGrid, values: np.ndarray, ctx: QContext):
+def _def_sum_columns(values: np.ndarray, grid: GeometricGrid, terms: tuple, ctx: QContext):
     """The defining sum for a block of paths (the rows of values), added grid
     column by grid column; each entry of a path with finite values is bit for
     bit _def_sum's value on its path (a non-finite value gives a non-finite
-    sum, as there).  integrate_def_batch is its only caller."""
+    sum, as there).  terms are integrate_def_batch's: the top Hermite index,
+    the m with b_m not zero, b_m(t_k) / [m+1]! per step k, and the q-integers."""
+    n_max, ms, coef, ints = terms
     total = 0 * (values[:, 0] * ctx.q)
-    if f.degree < 0:
-        return total
     times = grid.times
-    ms, inv, b = _def_terms(f, _as_array(times[:-1]), ctx)
-    coef = (b * inv).tolist()
-    ints = _q_numbers(f.degree + 1, ctx)[0]
-    h_cur = _hermite_columns(f.degree + 1, values[:, 0], times[0], ints)
+    h_cur = _hermite_columns(n_max, values[:, 0], times[0], ints)
     for k in range(grid.K):
-        h_nxt = _hermite_columns(f.degree + 1, values[:, k + 1], times[k + 1], ints)
+        h_nxt = _hermite_columns(n_max, values[:, k + 1], times[k + 1], ints)
         for c, m in zip(coef[k], ms):
             d = h_cur[m + 1] - h_nxt[m + 1]
             d *= c
@@ -194,9 +195,13 @@ def _tail_bounds(f: PolynomialIntegrand, grid: GeometricGrid, ctx: QContext):
     Per term m, with sup taken over [0, t_K], where all dropped evaluations live:
         tail      2 sup|b_m| C_{m+1} t_K**((m+1)/2) / ((1 - q**((m+1)/2)) [m+1]!)
         boundary  sup|b_m| C_{m+1} t_K**((m+1)/2) / [m+1]!
+    Computed once per (t_K, ctx) and kept on f.
     """
+    return f.derived(_tail_bounds_at, ctx, float(grid.times[grid.K]))
+
+
+def _tail_bounds_at(f: PolynomialIntegrand, ctx: QContext, t_deep: float):
     qf = ctx.qf
-    t_deep = float(grid.times[grid.K])
     tail = boundary = 0.0
     for m, bm in enumerate(f.b):
         if bm.is_zero():
@@ -251,11 +256,18 @@ def integrate_byparts(
 
 def integrate_def_batch(f: PolynomialIntegrand, batch: PathBatch, ctx: QContext) -> np.ndarray:
     """Defining-sum values for every path of a batch, vectorised over the grid
-    columns of PATH_BLOCK paths at a time; a path's value does not depend on
-    its block or on the batch's memory layout, and is integrate_def's."""
-    step = process.PATH_BLOCK
-    blocks = (batch.values[i : i + step] for i in range(0, len(batch), step))
-    return np.concatenate([np.asarray(_def_sum_columns(f, batch.grid, b, ctx), dtype=float) for b in blocks])
+    columns of PATH_BLOCK paths at a time (process._each_block); a path's
+    value does not depend on its block, on the walker that sums it or on the
+    batch's memory layout, and is integrate_def's."""
+    grid = batch.grid
+    # the terms are taken here, so the blocks' walkers only read them
+    ms, inv, b = _def_terms(f, _as_array(grid.times[:-1]), ctx)
+    terms = f.degree + 1, ms, (b * inv).tolist(), _q_numbers(f.degree + 1, ctx)[0]
+
+    def block_sums(start: int, stop: int) -> np.ndarray:
+        return np.asarray(_def_sum_columns(batch.values[start:stop], grid, terms, ctx), dtype=float)
+
+    return np.concatenate(process._each_block(len(batch), block_sums))
 
 
 def deterministic_integral(b, batch: PathBatch) -> np.ndarray:

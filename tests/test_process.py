@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -432,22 +433,126 @@ def test_rejected_inputs_raise_value_error(q, t, n, bad_q, bad_t, bad_depth, ove
 
 
 def test_bad_draw_in_a_later_block_is_rejected(monkeypatch):
-    # a NaN in the first transition column of the second block
+    # a NaN in the first transition column of the second block, whichever
+    # walker draws it: the first block still draws all its columns, the
+    # second stops at the bad one, and every draw of either covers its whole
+    # block (the short last block may or may not have started meanwhile)
     grid = GeometricGrid.build(q=0.5, t=1.0, depth=4)
-    real = process.draw_transition_batch
-    calls = []
+    base, step = 2**32 - process.PATH_BLOCK - 1, process.PATH_BLOCK
+    real_draw, walking, calls = process.draw_transition_batch, threading.local(), {}
+
+    def spy(walk):
+        def recorded(block, seed, *rest):
+            walking.seed = seed
+            return walk(block, seed, *rest)
+
+        return recorded
 
     def patched(table, x_scaled, u):
-        out = real(table, x_scaled, u)
-        calls.append(out.shape[0])
-        if len(calls) == grid.K + 1:
+        out = real_draw(table, x_scaled, u)
+        calls.setdefault(walking.seed, []).append(np.size(x_scaled))
+        if walking.seed == base + step:
             out[-1] = math.nan
         return out
 
+    for name in ("_walk_paths", "_walk_block"):
+        monkeypatch.setattr(process, name, spy(getattr(process, name)))
     monkeypatch.setattr(process, "draw_transition_batch", patched)
-    with pytest.raises(ValueError, match="not finite or lies outside the support"):
-        simulate_batch(grid, n_paths=2 * process.PATH_BLOCK + 3, base_seed=2**32 - process.PATH_BLOCK - 1)
-    assert calls == [process.PATH_BLOCK] * (grid.K + 1)
+    with pytest.raises(ValueError, match="index 3 is not finite or lies outside the support"):
+        simulate_batch(grid, n_paths=2 * step + 3, base_seed=base)
+    assert calls[base] == [step] * grid.K
+    assert calls[base + step] == [step]
+    assert set(calls) <= {base, base + step, base + 2 * step}
+
+
+def _force_walkers(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(process, "_usable_cpus", lambda: n)
+
+
+def test_lowest_failing_block_is_raised(monkeypatch):
+    # blocks 1 and 2 both fail, block 2 first: the serial loop's error,
+    # block 1's, is raised
+    _force_walkers(monkeypatch, 3)
+    block_2_failed = threading.Event()
+
+    def work(start, stop):
+        i = start // process.PATH_BLOCK
+        if i == 2:
+            block_2_failed.set()
+            raise ValueError("block 2")
+        if i == 1:
+            assert block_2_failed.wait(30)
+            raise ValueError("block 1")
+        return i
+
+    with pytest.raises(ValueError, match="block 1"):
+        process._each_block(3 * process.PATH_BLOCK, work)
+    assert block_2_failed.is_set()
+
+
+def test_no_walker_outlives_its_call(monkeypatch):
+    _force_walkers(monkeypatch, 3)
+    before = threading.active_count()
+    assert process._each_block(4 * process.PATH_BLOCK - 1, lambda start, stop: stop - start) == [
+        process.PATH_BLOCK
+    ] * 3 + [process.PATH_BLOCK - 1]
+    assert threading.active_count() == before
+
+    def fail(start, stop):
+        raise ArithmeticError(start)
+
+    with pytest.raises(ArithmeticError):
+        process._each_block(4 * process.PATH_BLOCK, fail)
+    assert threading.active_count() == before
+    simulate_batch(GeometricGrid.build(q=0.5, t=1.0, depth=3), 2 * process.PATH_BLOCK + 3, 5)
+    assert threading.active_count() == before
+
+
+def test_many_walkers_on_small_blocks_keep_the_bits(monkeypatch):
+    # six walkers on 61 blocks, switching threads as often as the interpreter
+    # allows: each block is handed out once, the results come back in block
+    # order, and the batch and its decomposition have the one-walker bits
+    from qbm.qhermite import QPolynomial
+    from qbm.qito import ito_decompose_batch
+
+    grid, ctx = GeometricGrid.build(q=0.8, t=1.0, depth=12), QContext.numeric(0.8)
+    monkeypatch.setattr(process, "PATH_BLOCK", 64)
+    n, taken = 60 * 64 + 40, []
+
+    def run():
+        f = QPolynomial.from_xt_terms({(3, 1): 0.7, (2, 0): -1.0, (0, 1): 2.0})
+        batch = simulate_batch(grid, n, 77)
+        dec = ito_decompose_batch(f, batch, ctx)
+        return batch.values.tobytes(), dec.residual.tobytes(), dec.drift_term.tobytes()
+
+    _force_walkers(monkeypatch, 1)
+    serial = run()
+    _force_walkers(monkeypatch, 6)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        spans = process._each_block(n, lambda start, stop: taken.append(start) or (start, stop))
+        threaded = run()
+    finally:
+        sys.setswitchinterval(switch)
+    assert sorted(taken) == list(range(0, n, 64))
+    assert spans == [(start, min(start + 64, n)) for start in range(0, n, 64)]
+    assert threaded == serial
+
+
+def test_walkers_see_the_callers_errstate(monkeypatch):
+    # two blocks held at once by two walkers, each block on its own thread
+    _force_walkers(monkeypatch, 2)
+    both = threading.Barrier(2, timeout=30)
+
+    def work(start, stop):
+        both.wait()
+        return np.geterr(), threading.get_ident()
+
+    with np.errstate(over="raise", invalid="ignore"):
+        seen = process._each_block(2 * process.PATH_BLOCK, work)
+    assert len({ident for _, ident in seen}) == 2
+    assert all(err["over"] == "raise" and err["invalid"] == "ignore" for err, _ in seen)
 
 
 def test_stream_crossover_keeps_every_path(monkeypatch):

@@ -1,6 +1,9 @@
 """Command-line checks of the scripts under scripts/."""
 
 import importlib.util
+import json
+import subprocess
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -157,3 +160,28 @@ def test_density_layers_rejects_bad_inputs(args, message, capsys):
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+def test_bench_pairs_runs_one_short_pair(tmp_path, monkeypatch, capsys):
+    # the committed HEAD against the working tree, one short quadrature pair;
+    # the extracted tree goes under a temporary directory that is emptied
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS.parent, capture_output=True)
+    if head.returncode != 0:
+        pytest.skip("needs a git checkout with a commit")
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    out = tmp_path / "BENCH.json"
+    args = ["--base", "HEAD", "--workload", "quadrature", "--first-seed", "1", "--pairs", "1", "--seconds", "0.2"]
+    assert load("bench_pairs").main(args + ["--out", str(out)]) == 0
+    assert list(scratch.iterdir()) == []
+    (entry,) = json.loads(out.read_text(encoding="utf-8"))
+    assert entry["base"] == head.stdout.decode().strip() and entry["seeds"] == [1]
+    assert {"nproc", "cpus_usable", "python", "numpy"} <= set(entry["environment"])
+    for name in ("setup_s", "ops_per_s", "peak_rss_mb", "run.wall_s", "run.cpu_s"):
+        m = entry["metrics"][name]
+        assert len(m["base"]["runs"]) == len(m["change"]["runs"]) == m["pairs"] == 1 and 0 <= m["pairs_won"] <= 1
+        assert m["base"]["runs"][0] > 0 and m["change"]["runs"][0] > 0
+    assert entry["ops"]["base"][0][1] == entry["ops"]["change"][0][1] == 0
+    assert entry["src_lines"]["base"]["total"] > 0 and "process.py" in entry["src_lines"]["change"]
+    assert "ops_per_s" in capsys.readouterr().out

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbm import process
 from qbm.process import GeometricGrid, GeometricPath, PathBatch, simulate_batch, simulate_path
 from qbm.qcore import Poly, QContext, q_factorial, q_int
 from qbm.qhermite import QPolynomial, hermite_eval_sequence
+from qbm.qito import ito_decompose_batch
 from qbm.stochint import (
     PolynomialIntegrand,
     def_tail_bound,
@@ -114,6 +116,31 @@ def test_batch_matches_single_paths():
             for i in range(len(rows)):
                 assert same_bits(vals[i], integrate_def(f, batch.path(i), ctx).value), (depth, f.degree, i)
             assert not np.isfinite(vals[-1]), (depth, f.degree)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.8])
+def test_walkers_keep_the_bits(monkeypatch, q):
+    # a 3-block batch, its last block under _STREAM_CROSSOVER, simulated and
+    # summed by one walker, by the default number and by three: the same
+    # bits.  Each run starts from fresh polynomials, so their forms are
+    # computed inside the calls
+    n, base = 2 * process.PATH_BLOCK + 3, 2**32 - process.PATH_BLOCK - 1
+    assert n % process.PATH_BLOCK < process._STREAM_CROSSOVER
+    ctx = QContext.numeric(q)
+    grid = GeometricGrid.build(q=q, t=1.0, depth=8)
+
+    def run() -> list[bytes]:
+        batch = simulate_batch(grid, n, base)
+        f = QPolynomial.from_xt_terms({(3, 1): 0.7, (2, 0): -1.0, (1, 2): 0.25, (0, 1): 2.0})
+        dec = ito_decompose_batch(f, batch, ctx)
+        sums = integrate_def_batch(PolynomialIntegrand.from_qpolynomial(f, ctx), batch, ctx)
+        terms = (dec.lhs, dec.gradient_term, dec.drift_term, dec.second_order_term, dec.residual)
+        return [a.tobytes() for a in (batch.values, sums, *terms)]
+
+    default = run()
+    for walkers in (1, 3):
+        monkeypatch.setattr(process, "_usable_cpus", lambda: walkers)
+        assert run() == default, walkers
 
 
 def test_poly_rows_runs_each_rows_own_horner_rule():
