@@ -29,12 +29,12 @@ into it and the integrals sum over it in place.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import operator
 import os
 import sys
 import threading
+from contextvars import copy_context
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -82,19 +82,18 @@ def _each_block(n_paths: int, work: Callable[[int, int], object]) -> list:
     results in block order.
 
     The calling thread walks blocks, and so does one thread per further
-    usable CPU, never more walkers than blocks; each takes the next block
-    from one shared iterator, in the caller's context (its np.errstate), and
-    all are joined before this returns or raises.  With one walker this is
-    the plain loop.  Once a block fails no later one is handed out, and the
-    error raised is that of the lowest failing block, the serial loop's.
+    usable CPU (by CPU affinity, not by a CPU quota), never more walkers
+    than blocks; each takes the next block from one shared iterator, in a
+    copy of the caller's context and under the caller's np.errstate (which
+    NumPy 1.x keeps per thread, outside the context), and all are joined
+    before this returns or raises.  With one walker no thread is started.
+    Once a block fails no later one is handed out, and the error raised is
+    that of the lowest failing block, the serial loop's.
     work may write its own block's rows; a shared cache or memo it reads
     must be filled by the caller first, or be safe to fill twice with the
     same value (as CdfTable's cached one-state view is).
     """
     spans = [(start, min(start + PATH_BLOCK, n_paths)) for start in range(0, n_paths, PATH_BLOCK)]
-    walkers = min(_usable_cpus(), len(spans))
-    if walkers <= 1:
-        return [work(*span) for span in spans]
     out: list = [None] * len(spans)
     todo, lock, failed = iter(range(len(spans))), threading.Lock(), {}
 
@@ -110,10 +109,15 @@ def _each_block(n_paths: int, work: Callable[[int, int], object]) -> list:
                 with lock:
                     failed[i] = exc
 
+    def walk_under(err: dict) -> None:
+        with np.errstate(**err):
+            walk()
+
     threads = []
     try:
-        for _ in range(walkers - 1):
-            threads.append(threading.Thread(target=contextvars.copy_context().run, args=(walk,)))
+        for _ in range(min(_usable_cpus(), len(spans)) - 1):
+            err = dict(np.geterr(), call=np.geterrcall())
+            threads.append(threading.Thread(target=copy_context().run, args=(walk_under, err)))
             threads[-1].start()
         walk()
     finally:

@@ -1,5 +1,6 @@
 """Geometric-grid simulation: determinism, support, moments, CSV export."""
 
+import contextvars
 import dataclasses
 import itertools
 import math
@@ -540,19 +541,29 @@ def test_many_walkers_on_small_blocks_keep_the_bits(monkeypatch):
     assert threaded == serial
 
 
-def test_walkers_see_the_callers_errstate(monkeypatch):
-    # two blocks held at once by two walkers, each block on its own thread
+@pytest.mark.parametrize("context", ["copied", "empty"])
+def test_walkers_see_the_callers_errstate(monkeypatch, context):
+    # two blocks held at once by two walkers, each block on its own thread.
+    # An empty context stands for NumPy 1.x, which keeps np.errstate per
+    # thread rather than in a context variable: the walker still runs under
+    # the caller's error state, and under its error callback
     _force_walkers(monkeypatch, 2)
+    if context == "empty":
+        monkeypatch.setattr(process, "copy_context", contextvars.Context)
     both = threading.Barrier(2, timeout=30)
 
     def work(start, stop):
         both.wait()
-        return np.geterr(), threading.get_ident()
+        return np.geterr(), np.geterrcall(), threading.get_ident()
 
-    with np.errstate(over="raise", invalid="ignore"):
+    def on_error(kind, flag):
+        pass
+
+    with np.errstate(over="raise", invalid="call", call=on_error):
         seen = process._each_block(2 * process.PATH_BLOCK, work)
-    assert len({ident for _, ident in seen}) == 2
-    assert all(err["over"] == "raise" and err["invalid"] == "ignore" for err, _ in seen)
+    assert len({ident for *_, ident in seen}) == 2
+    for err, call, _ in seen:
+        assert err["over"] == "raise" and err["invalid"] == "call" and call is on_error
 
 
 def test_stream_crossover_keeps_every_path(monkeypatch):
