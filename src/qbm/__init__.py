@@ -13,7 +13,7 @@ Modules:
 
 from .qcore import QContext, Poly, SampledFunction, q_int, q_factorial, q_binomial
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 __all__ = [
     "QContext",

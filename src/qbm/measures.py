@@ -173,11 +173,12 @@ def _unit_kernel(c, u, r: float, q: float, scale: float):
     exp of log (r rho; q)_inf + log (q rho; q)_inf
         - 2 sum_{m>=1} rho^m / (m (1 - q^m)) [T_m(cos 2 phi)
                                               - 2 r^(m/2) T_m(cos phi) T_m(cos psi)],
-    rho = q**k0 and T_m the Chebyshev polynomials, cut after M terms
-    (_tail_plan picks k0 and M).  Terms in c alone and in u alone are kept
-    apart, so on a (rows x nodes) block only their products are full-size;
-    those are updated in place, since NumPy does not reuse temporaries here
-    and a second live full-size temporary costs more than the arithmetic.
+    rho = q**k0 and T_m the Chebyshev polynomials, cut after M terms.  Every
+    factor free of c and u comes from _tail_plan, once per (q, r).  Terms in
+    c alone and in u alone are kept apart, so on a (rows x nodes) block only
+    their products are full-size; those are updated in place, since NumPy
+    does not reuse temporaries here and a second live full-size temporary
+    costs more than the arithmetic.
     Every operation is elementwise in one order and exp is NumPy's, so each
     value depends on its own point alone, and on Python floats (IEEE + - * /
     round as NumPy's float64 ufuncs do) it is the array form's bit for bit;
@@ -185,44 +186,37 @@ def _unit_kernel(c, u, r: float, q: float, scale: float):
     or nan.
     """
     plan = _tail_plan(q, r)
-    k0 = plan[0]
     # the tail first, so its full-size temporaries are gone before den's
-    value = np.exp(_log_tail(c, u, r, q, plan))
+    value = np.exp(_log_tail(c, u, r, plan))
     const = scale * (1.0 - q) * (1.0 - q) * (1.0 - r) / (2.0 * math.pi)
     c4, uu = 4.0 * (c * c), u * u
-    num = den = qk = 1.0
-    for k in range(k0):
-        q2k = qk * qk
+    num = den = 1.0
+    for k, (qk, one_qk2, step, lin, b2, rq2k, q2k4) in enumerate(plan[5]):
         if k:
-            const *= (1.0 - r * qk) * (1.0 - q * qk)
-            num *= (1.0 + qk) * (1.0 + qk) - qk * c4
+            const *= step
+            num *= one_qk2 - qk * c4
         # -(term in u) c + (terms in c) + (terms in u): one full-size product
-        b = 1.0 - r * q2k
-        f = ((-4.0 * qk * (1.0 + r * q2k)) * u) * c
-        f += b * b + (r * q2k) * c4
-        f += (4.0 * q2k) * uu
+        f = (lin * u) * c
+        f += b2 + rq2k * c4
+        f += q2k4 * uu
         den *= f
-        qk *= q
     value *= (const * num) / den
     return value
 
 
-def _log_tail(c, u, r: float, q: float, plan: tuple):
+def _log_tail(c, u, r: float, plan: tuple):
     """log prod_{k>=k0} num_k / den_k, its series cut after M terms, for the
-    _tail_plan (k0, M, rho, log_y) at (q, r)."""
-    _, n_terms, rho, log_y = plan
+    _tail_plan at (q, r)."""
+    log_y, series = plan[3:5]
     # Chebyshev recurrences: T_m at cos(phi) and cos(2 phi), r^(m/2) T_m at cos(psi)
     c2 = 2.0 * (c * c) - 1.0
     two_c, two_c2, two_u = 2.0 * c, 2.0 * c2, 2.0 * u
     t_prev, t_cur, d_prev, d_cur, s_prev, s_cur = 1.0, c, 1.0, c2, 1.0, u
-    pair, rho_m, q_m = 0.0, 1.0, 1.0
-    for m in range(1, n_terms + 1):
-        rho_m *= rho
-        q_m *= q
-        a = rho_m / (m * (1.0 - q_m))
-        log_y -= (2.0 * a) * d_cur
+    pair = 0.0
+    for two_a, four_a in series:
+        log_y -= two_a * d_cur
         d_prev, d_cur = d_cur, two_c2 * d_cur - d_prev
-        pair += ((4.0 * a) * s_cur) * t_cur  # the one full-size product
+        pair += (four_a * s_cur) * t_cur  # the one full-size product
         t_prev, t_cur = t_cur, two_c * t_cur - t_prev
         s_prev, s_cur = s_cur, two_u * s_cur - r * s_prev
     pair += log_y
@@ -230,18 +224,33 @@ def _log_tail(c, u, r: float, q: float, plan: tuple):
 
 
 @lru_cache(maxsize=256)
-def _tail_plan(q: float, r: float) -> tuple[int, int, float, float]:
-    """(k0, M, rho, log (r rho; q)_inf + log (q rho; q)_inf) for the kernel at
-    (q, r), with _series_cut's (k0, M, rho) at PROD_EPS.  The scalar tails are
-    -sum_m (r^m + q^m) rho^m / (m (1 - q^m)), summed until a term falls
-    below 1e-18.  They are kept per r: at q <= 0.8 summing them takes 4-9 us,
-    a fifth of a one-point kernel call."""
+def _tail_plan(q: float, r: float) -> tuple:
+    """The kernel's constants at (q, r), (k0, M, rho, log_y, series, direct):
+    _series_cut's (k0, M, rho) at PROD_EPS; log_y = log (r rho; q)_inf +
+    log (q rho; q)_inf = -sum_m (r^m + q^m) rho^m / (m (1 - q^m)), summed
+    until a term falls below 1e-18; series the (2 a_m, 4 a_m) of the log
+    series, a_m = rho^m / (m (1 - q^m)); direct, per k < k0, the factors of
+    num_k, den_k and the constant free of c and u.  Each is formed as the
+    kernel formed it on every call up to qbm 0.6.0, so values keep their
+    bits."""
     k0, n_terms, rho = _series_cut(q, PROD_EPS)
     log_y, m, rho_m, q_m = 0.0, 1, rho, q
     while rho_m > 1e-18 * m * (1.0 - q_m):
         log_y -= (r**m + q_m) * rho_m / (m * (1.0 - q_m))
         m, rho_m, q_m = m + 1, rho_m * rho, q_m * q
-    return k0, n_terms, rho, log_y
+    series, rho_m, q_m = [], 1.0, 1.0
+    for m in range(1, n_terms + 1):
+        rho_m, q_m = rho_m * rho, q_m * q
+        a = rho_m / (m * (1.0 - q_m))
+        series.append((2.0 * a, 4.0 * a))
+    direct, qk = [], 1.0
+    for _ in range(k0):
+        q2k = qk * qk
+        b = 1.0 - r * q2k
+        factors = (-4.0 * qk * (1.0 + r * q2k), b * b, r * q2k, 4.0 * q2k)
+        direct.append((qk, (1.0 + qk) * (1.0 + qk), (1.0 - r * qk) * (1.0 - q * qk), *factors))
+        qk *= q
+    return k0, n_terms, rho, log_y, tuple(series), tuple(direct)
 
 
 @lru_cache(maxsize=64)

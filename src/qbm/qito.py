@@ -30,14 +30,13 @@ numeric versions here evaluate those by adaptive trapezoid quadrature, for
 polynomial f only, and serve as the independent cross-check of the exact
 coefficient-space versions.  Their batch forms take (x, f) entries at one
 time s, each bit for bit its single call, and share the densities: one per
-state x, and for delta one s-free inner-leg matrix per (q, level), kept
-between calls up to 256 intervals and formed in row blocks above.
+state x, and for delta the s-free inner leg's moments of sin(theta)**j per
+(q, level), kept between calls, since f[x, y, z] is a polynomial in z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -153,28 +152,19 @@ def _divdiff1_poly(a: list[float], x: float, y):
     return total
 
 
-def _divdiff2_sums(polys: Sequence[list[float]], x: float, y, z) -> list[np.ndarray]:
-    """Second divided difference of sum a_n x**n, exact and singularity-free,
-    for each coefficient list a in polys at one x: the h/g recurrence runs
-    once for all, and each total adds its own terms in its own order."""
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    shape = np.broadcast_shapes(y.shape, z.shape)
-    # updated in place, and z's powers on z's shape: the same values, fewer arrays
-    totals = [np.zeros(shape) for _ in polys]
-    h = np.ones(shape)
-    g = np.ones(shape)
-    zpow = np.ones(z.shape)
-    for n in range(2, max(len(a) for a in polys)):
-        for a, total in zip(polys, totals):
-            if n < len(a) and a[n] != 0.0:
-                total += a[n] * h
-        zpow = zpow * z
-        g *= y
-        g += zpow
-        h *= x
-        h += g
-    return totals
+def _divdiff2_coeffs(a: list[float], x: float, w: float, c) -> list:
+    """The second divided difference f[x, y, z] of sum a_n x**n as a
+    polynomial in z / w, at y = w c: w**j E_j(x, y) for j <= deg f - 2, with
+    f[x, y, z] = sum_j E_j(x, y) z**j and E_j = sum_n a_n H_(n-2-j)(x, y),
+    H_k(x, y) = sum_(l+i=k) x**l y**i.  Two synthetic divisions give them:
+    f[x, z] = sum_i b_i z**i, b_i = x b_(i+1) + a_(i+1), and then
+    w**j E_j = c w**(j+1) E_(j+1) + w**j b_(j+1), the last one a float."""
+    out, b, e = [], 0.0, None
+    for j in range(len(a) - 2, 0, -1):
+        b = x * b + a[j + 1]
+        e = w ** (j - 1) * b if e is None else c * e + w ** (j - 1) * b
+        out.append(e)
+    return out[::-1]
 
 
 def _coeffs_at(f: QPolynomial, s: float) -> list[float]:
@@ -232,67 +222,68 @@ def delta_numeric_batch(
 ) -> np.ndarray:
     """delta_numeric of each (x, f) entry at one time s, each bit for bit.
 
-    The inner leg's density depends on q and the level alone (_inner_rows),
-    so it serves every entry and every s: kept as one matrix per level up
-    to 256 intervals (_inner_leg), and above that formed 128 rows at a time,
-    never whole (134 MB at 4096).  The outer leg's is one nested row per
-    state x.  The divided differences' recurrence runs once per state and
-    row block for its entries; each entry forms its own product and
-    matrix-vector product, block by block.
+    f[x, y, z] is a polynomial in z (_divdiff2_coeffs), so the inner leg at
+    each outer node y is a sum over its powers of z times the inner leg's
+    moments, which depend on q and the level alone (_inner_moments): kept
+    between calls, they serve every entry and every s.  The outer leg's
+    density is one nested row per state x.  A level then costs each entry
+    O(m deg f) operations on the m - 1 nodes.
     """
     coeffs = [_coeffs_at(f, s) for _, f in entries]
     xs = list(dict.fromkeys(x for x, _ in entries))
     q = ctx.qf
     # the support is symmetric, so the largest |x| validates every outer leg
     outer = transition_spec(ctx, s=q * s, t=s, x=max((abs(x) for x in xs), default=0.0))
-    groups = [[i for i, (xi, _) in enumerate(entries) if xi == x] for x in xs]
-    y = rho_out = None
+    states = [xs.index(x) for x, _ in entries]
+    c = rho_out = None
 
     def estimate(thetas, weights):
-        nonlocal y, rho_out
-        new = thetas if y is None else np.ascontiguousarray(thetas[0::2])
-        m = thetas.size + 1
-        kept, c = (_inner_leg(q, m), None) if m <= 256 else (None, np.sin(thetas))
+        nonlocal c, rho_out
+        new = thetas if c is None else np.ascontiguousarray(thetas[0::2])
         rho_out = _nest(rho_out, _theta_density(outer, new[None, :], np.array(xs)[:, None]))
-        y = _nest(y, outer.w * np.sin(new))
-        # 128 rows at a time, which bounds memory
-        est, legs = np.empty(len(entries)), np.empty((len(entries), thetas.size))
-        for h in (slice(r, r + 128) for r in range(0, thetas.size, 128)):
-            rho_in = _inner_rows(q, c, h) if kept is None else kept[h]
-            for x, mine in zip(xs, groups):
-                dd2 = _divdiff2_sums([coeffs[i] for i in mine], float(x), y[h, None], y[None, :])
-                for i, d in zip(mine, dd2):
-                    legs[i, h] = (rho_in * d) @ weights
-        for j, mine in enumerate(groups):
-            for i in mine:
-                est[i] = np.sum(weights * rho_out[j] * legs[i])
+        c = _nest(c, np.sin(new))
+        moments = _inner_moments(q, thetas.size + 1, max([2, *map(len, coeffs)]) - 2).T
+        est = np.empty(len(entries))
+        for i, (j, a) in enumerate(zip(states, coeffs)):
+            legs = 0.0
+            for e, column in zip(_divdiff2_coeffs(a, float(xs[j]), outer.w, c), moments):
+                legs = legs + e * column
+            est[i] = np.sum(weights * rho_out[j] * legs)
         return est
 
     return _adaptive(estimate, rel_tol, 4096)
 
 
-def _inner_rows(q: float, c: np.ndarray, rows: slice) -> np.ndarray:
-    """delta_numeric's inner leg, from q y between times q**2 s and s, as a
-    theta-density on the trapezoid nodes whose sines are c, for the start
-    states of the given rows: row i starts from y = w c_i, w the time-s
-    half-width, so on the unit scale u = q c_i and r = q**2, free of s."""
-    edge = (1.0 - c) * (1.0 + c)
-    return edge * _unit_kernel(c[None, :], (q * c[rows])[:, None], q * q, q, 4.0 / (1.0 - q))
+#: _inner_moments' arrays, keyed on (q, m), oldest first
+_MOMENTS: dict[tuple[float, int], np.ndarray] = {}
 
 
-@lru_cache(maxsize=8)
-def _inner_leg(q: float, m: int) -> np.ndarray:
-    """_inner_rows on every row of the m-interval level, in the row blocks
-    delta_numeric forms above 256 intervals, read-only and kept for the last
-    8 pairs (q, m).  It is asked for m <= 256 only: at most 4.2 MB.  The
-    quadrature checks reach 7 pairs (q, m), 1.0 MB: 64 and 128 intervals
-    at q = 0.2 and 0.5, and 64, 128 and 256 at q = 0.8."""
-    c = np.sin(_trapezoid_nodes(m)[0])
-    rho = np.empty((c.size, c.size))
-    for r in range(0, c.size, 128):
-        rho[r : r + 128] = _inner_rows(q, c, slice(r, r + 128))
-    rho.flags.writeable = False
-    return rho
+def _inner_moments(q: float, m: int, width: int) -> np.ndarray:
+    """S[h, j] = sum_z rho[h, z] weight_z sin(theta_z)**j for j < width on the
+    m-interval level, rho delta_numeric's inner leg, from q y between times
+    q**2 s and s, as a theta-density: row h starts from y = w sin(theta_h),
+    w the time-s half-width, so on the unit scale u = q sin(theta_h) and
+    r = q**2, free of s.  Formed 128 rows at a time, one matrix-vector
+    product per column, so a column's bits depend on neither the width nor
+    the call; read-only, kept for the last 32 pairs (q, m), and formed
+    again, wider, when a call needs more columns."""
+    kept = _MOMENTS.pop((q, m), None)
+    if kept is None or kept.shape[1] < width:
+        thetas, weights = _trapezoid_nodes(m)
+        c, powers = np.sin(thetas), [weights]
+        edge = (1.0 - c) * (1.0 + c)
+        while len(powers) < width:
+            powers.append(powers[-1] * c)
+        kept = np.empty((c.size, width))
+        for r in range(0, c.size, 128):
+            rho = edge * _unit_kernel(c[None, :], (q * c[r : r + 128])[:, None], q * q, q, 4.0 / (1.0 - q))
+            for j in range(width):
+                kept[r : r + 128, j] = rho @ powers[j]
+        kept.flags.writeable = False
+    _MOMENTS[q, m] = kept
+    if len(_MOMENTS) > 32:
+        _MOMENTS.pop(next(iter(_MOMENTS)), None)
+    return kept
 
 
 @dataclass(frozen=True)

@@ -254,8 +254,8 @@ def test_simulate_at_the_largest_seeds(tmp_path):
 #: small runs, recorded with NumPy 2.4 on x86-64 Linux: identities.json and
 #: kurtosis_vs_r.csv at qbm 0.2.0 (see CHANGES.md for the digests of 0.1.0),
 #: the density curves at qbm 0.4.0 (the q-Pochhammer density kernel), the
-#: verify.json of the run with delta-numeric at 0.5.1 (the s-free delta inner
-#: leg), and the paths and the two Monte Carlo verify.json at 0.6.0 (the
+#: verify.json of the run with delta-numeric at 0.6.1 (the delta inner leg's
+#: moments), and the paths and the two Monte Carlo verify.json at 0.6.0 (the
 #: mirrored transition-table rows); the last two, recorded at 0.6.0, cover
 #: the sampler-bias and convergence reports and the CSV writer.  CHANGES.md
 #: lists the old digests
@@ -283,7 +283,7 @@ PINNED_DIGESTS = [
         {
             "density_curves.csv": "6fc0cc448acd154790a426d0f7afa1c537ae915ba95bfb54d43ee691afeaa591",
             "kurtosis_vs_r.csv": "6cd6ea26eb4317d3f4fbacc053999085a280bf8c4852b4ad5e338d97f81add59",
-            "verify.json": "d3152d7fff6047628228f60df5b0eaa0e78158676d25f1f208827a99688188c4",
+            "verify.json": "168e556d4322e317059f0237f2d5cfa273ee6ffc2bdded99551dc84ac4f2c20a",
         },
     ),
     # 20000 paths: three simulation blocks at each q

@@ -168,9 +168,9 @@ def test_integrate_keeps_the_last_specs_density_levels(monkeypatch):
 
 
 def test_delta_numeric_nonconvergence_stops_at_4096(monkeypatch):
-    # the real inner leg at 4096 intervals is a 4095 x 4095 matrix of density
-    # values; so the real driver runs delta_numeric's estimate on 64 and 128
-    # intervals and from then on a count that never settles
+    # the inner leg's moments at 4096 intervals take the kernel on 4095 x
+    # 4095 points; so the real driver runs delta_numeric's estimate on 64
+    # and 128 intervals and from then on a count that never settles
     counts = _record_intervals(monkeypatch)
     handed = []
 
@@ -241,24 +241,78 @@ def _delta_full(f, x, s, ctx, rel_tol):
     return _full_levels(_delta_estimate([float(c(s)) for c in f.coeffs], x, s, ctx), rel_tol, 4096)
 
 
+def _inner_leg(q, c, rows):
+    """The inner leg from q y between q**2 s and s, on its unit scale, for
+    the given rows of the level whose node sines are c."""
+    return ((1.0 - c) * (1.0 + c)) * measures._unit_kernel(
+        c[None, :], (q * c[rows])[:, None], q * q, q, 4.0 / (1.0 - q)
+    )
+
+
 def _delta_estimate(a, x, s, ctx):
     """One level of delta_numeric for the x-coefficients a, evaluated on all
-    of its nodes with the whole inner-leg matrix."""
+    of its nodes, with the inner leg's moments formed afresh: 128 rows at a
+    time, one matrix-vector product per power of sin(theta)."""
+    q = ctx.qf
+    outer = transition_spec(ctx, s=q * s, t=s, x=x)
+
+    def estimate(thetas, weights):
+        c = np.sin(thetas)
+        powers = [weights]
+        while len(powers) < len(a) - 2:
+            powers.append(powers[-1] * c)
+        moments = np.empty((c.size, len(powers)))
+        for r in range(0, c.size, 128):
+            rho_in = _inner_leg(q, c, slice(r, r + 128))
+            for j, power in enumerate(powers):
+                moments[r : r + 128, j] = rho_in @ power
+        legs = 0.0
+        for e, column in zip(qito._divdiff2_coeffs(a, float(x), outer.w, c), moments.T):
+            legs = legs + e * column
+        return float(np.sum(weights * _theta_density(outer, thetas) * legs))
+
+    return estimate
+
+
+def _divdiff2_matrix(a, x, y, z):
+    """The second divided difference of sum a_n x**n on every (y, z) pair,
+    as qbm 0.6.0 formed it: sum_n a_n h_(n-2)(x, y, z), the complete
+    homogeneous sums by their recurrence."""
+    shape = np.broadcast_shapes(np.shape(y), np.shape(z))
+    total, h, g, zpow = np.zeros(shape), np.ones(shape), np.ones(shape), np.ones(np.shape(z))
+    for n in range(2, len(a)):
+        if a[n] != 0.0:
+            total += a[n] * h
+        zpow = zpow * z
+        g *= y
+        g += zpow
+        h *= x
+        h += g
+    return total
+
+
+def _delta_matrix_form(f, x, s, ctx, rel_tol):
+    """delta_numeric as qbm 0.6.0 formed it: the whole (m - 1) x (m - 1)
+    inner-leg matrix times the divided differences, one matrix-vector
+    product per level."""
+    a = [float(c(s)) for c in f.coeffs]
     q = ctx.qf
     outer = transition_spec(ctx, s=q * s, t=s, x=x)
 
     def estimate(thetas, weights):
         c = np.sin(thetas)
         y = outer.w * c
-        rho_out = _theta_density(outer, thetas)
-        # the inner leg from q y between q**2 s and s, on its unit scale
-        rho_in = ((1.0 - c) * (1.0 + c)) * measures._unit_kernel(
-            c[None, :], (q * c)[:, None], q * q, q, 4.0 / (1.0 - q)
-        )
-        vals = qito._divdiff2_sums([a], float(x), y[:, None], y[None, :])[0]
-        return float(np.sum(weights * rho_out * ((rho_in * vals) @ weights)))
+        rho_in = _inner_leg(q, c, slice(None))
+        vals = _divdiff2_matrix(a, float(x), y[:, None], y[None, :])
+        return float(np.sum(weights * _theta_density(outer, thetas) * ((rho_in * vals) @ weights)))
 
-    return estimate
+    return _full_levels(estimate, rel_tol, 4096)
+
+
+def _random_poly(rng, degree, t_degree=2):
+    return QPolynomial.from_xt_terms(
+        {(n, k): float(rng.uniform(-1.0, 1.0)) for n in range(degree + 1) for k in range(t_degree + 1)}
+    )
 
 
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
@@ -297,6 +351,57 @@ def test_nested_levels_match_full_evaluation(q):
         assert float(got).hex() == _nabla_full(g, x, s, ctx, 1e-12).hex()
 
 
+def test_moment_form_matches_the_matrix_form():
+    # the inner leg as moments times f[x, y, z]'s coefficients in z moves
+    # delta_numeric from qbm 0.6.0's matrix form at rounding level only; at
+    # q = 0.95, whose levels go past the matrix form's reach here, it meets
+    # delta_exact
+    rng = np.random.default_rng(29)
+    for q in (0.2, 0.5, 0.8, 0.95):
+        ctx = QContext.numeric(q)
+        for _ in range(5 if q < 0.9 else 2):
+            s = float(rng.uniform(0.05, 1.0))
+            x = float(rng.uniform(-0.9, 0.9)) * support_halfwidth(q * s, q)
+            f = _random_poly(rng, 6)
+            got = qito.delta_numeric(f, x, s, ctx, rel_tol=1e-9)
+            if q < 0.9:
+                ref = _delta_matrix_form(f, x, s, ctx, 1e-9)
+                assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (q, s, x)
+            else:
+                exact = float(qito.delta_exact(f, ctx)(x, s))
+                assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact)), (q, s, x)
+
+
+def test_moment_cache_widens_for_higher_degrees():
+    # degree-6 calls keep 5 columns of moments per level; a degree-8 call
+    # forms them again with 7, the first 5 with their bits; and in one batch
+    # of x-degrees 0 to 8 at two states each entry is bit for bit its single
+    # call on an emptied cache
+    rng = np.random.default_rng(31)
+    q, s = 0.5, 0.7
+    ctx = QContext.numeric(q)
+    edge = support_halfwidth(q * s, q)
+    fs = {d: _random_poly(rng, d, 1) for d in range(2, 9)}
+    qito._MOMENTS.clear()
+    for x in (-0.4 * edge, 0.2 * edge):
+        qito.delta_numeric(fs[6], x, s, ctx)
+    narrow = dict(qito._MOMENTS)
+    assert {key: kept.shape[1] for key, kept in narrow.items()} == {(q, 64): 5, (q, 128): 5}
+    qito.delta_numeric(fs[8], 0.6 * edge, s, ctx)
+    for key, kept in narrow.items():
+        wide = qito._MOMENTS[key]
+        assert wide.shape[1] == 7 and not wide.flags.writeable
+        assert np.ascontiguousarray(wide[:, :5]).tobytes() == kept.tobytes()
+    # degrees 0 and 1 have no inner leg: their values are 0.0
+    fs.update({0: QPolynomial.from_xt_terms({(0, 1): 2.0}), 1: QPolynomial.x_power(1)})
+    entries = [(x, fs[d]) for x in (-0.4 * edge, 0.7 * edge) for d in (6, 2, 8, 0, 4, 3, 7, 1, 5)]
+    deltas = qito.delta_numeric_batch(entries, s, ctx)
+    for (x, f), got in zip(entries, deltas):
+        qito._MOMENTS.clear()
+        assert float(got).hex() == qito.delta_numeric(f, x, s, ctx).hex()
+        assert f.degree >= 2 or got == 0.0
+
+
 def _delta_s_dependent(f, x, s, ctx, rel_tol):
     """delta_numeric as it was up to qbm 0.5.0: the inner leg from q y between
     q**2 s and s evaluated at those times, which depends on s by rounding."""
@@ -309,7 +414,7 @@ def _delta_s_dependent(f, x, s, ctx, rel_tol):
         y = outer.w * np.sin(thetas)
         rho_out = _theta_density(outer, thetas)
         rho_in = _theta_density(inner, thetas[None, :], (q * y)[:, None])
-        vals = qito._divdiff2_sums([a], float(x), y[:, None], y[None, :])[0]
+        vals = _divdiff2_matrix(a, float(x), y[:, None], y[None, :])
         return float(np.sum(weights * rho_out * ((rho_in * vals) @ weights)))
 
     return _full_levels(estimate, rel_tol, 4096)
@@ -329,51 +434,53 @@ def test_delta_inner_leg_is_s_free(monkeypatch):
             ref = _delta_s_dependent(f, x, s, ctx, measures.QUAD_REL_TOL)
             assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (q, s, x)
 
-    # one memo entry per (q, level) serves every s: a level's rows are formed
-    # once, 128 at a time, and every matrix kept is read-only
+    # one set of moments per (q, level) serves every s: a level's rows are
+    # formed once, 128 at a time (qito's only kernel calls, each recorded as
+    # (q, level, rows)), and every array kept is read-only, one column per
+    # power of z that f[x, y, z] reaches
     built = []
-    real = qito._inner_rows
+    real = measures._unit_kernel
 
-    def spy(q, c, rows):
-        built.append((q, c.size + 1, rows.start))
-        return real(q, c, rows)
+    def spy(c, u, r, q, scale):
+        built.append((q, c.size + 1, u.size))
+        return real(c, u, r, q, scale)
 
-    monkeypatch.setattr(qito, "_inner_rows", spy)
-    qito._inner_leg.cache_clear()
+    monkeypatch.setattr(qito, "_unit_kernel", spy)
+    qito._MOMENTS.clear()
     ctx, f = QContext.numeric(0.8), QPolynomial.x_power(5) + QPolynomial.x_power(2)
     for s in (0.6, 1.0):
         qito.delta_numeric(f, 0.3 * support_halfwidth(0.8 * s, 0.8), s, ctx)
-    assert built == [(0.8, 64, 0), (0.8, 128, 0), (0.8, 256, 0), (0.8, 256, 128)]
+    assert built == [(0.8, 64, 63), (0.8, 128, 127), (0.8, 256, 128), (0.8, 256, 127)]
+    assert list(qito._MOMENTS) == [(0.8, 64), (0.8, 128), (0.8, 256)]
     for m in (64, 128, 256):
-        rho = qito._inner_leg(0.8, m)
-        assert not rho.flags.writeable and rho.shape == (m - 1, m - 1)
-    assert qito._inner_leg.cache_info().misses == 3
+        moments = qito._MOMENTS[0.8, m]
+        assert not moments.flags.writeable and moments.shape == (m - 1, 4)
+        # column j holds the moments of sin(theta)**j: at most the leg's
+        # mass, column 0, which is 1 up to the quadrature's error
+        assert np.all(np.abs(moments) <= moments[:, :1] * (1.0 + 1e-12))
+        assert moments[:, 0] == pytest.approx(1.0, abs=1e-9)
 
-    # at most its bound of matrices after more (q, level) pairs than it keeps;
-    # they are at most 255 x 255, so the bound is the stated 4.2 MB
-    bound = qito._inner_leg.cache_info().maxsize
-    assert bound * 255 * 255 * 8 <= 4.2e6
-    for q in (0.1, 0.2, 0.3, 0.4, 0.5):
+    # at most 32 pairs (q, level) after more pairs than that, the last used
+    # kept
+    for q in np.linspace(0.1, 0.7, 20).tolist():
         qito.delta_numeric(f, 0.0, 1.0, QContext.numeric(q))
-    assert len({key[:2] for key in built}) > bound and qito._inner_leg.cache_info().currsize == bound
-    # and the rows of a level above the cap are formed 128 at a time on
-    # every call, and not kept
+    assert len({key[:2] for key in built}) > 32 and len(qito._MOMENTS) == 32
+    assert list(qito._MOMENTS)[-1][0] == 0.7 and (0.1, 64) not in qito._MOMENTS
+    # and a level above 256 intervals is kept too: a second call forms no rows
     built.clear()
-    misses = qito._inner_leg.cache_info().misses
     ctx = QContext.numeric(0.9)
     for _ in range(2):
         qito.delta_numeric(QPolynomial.x_power(6), 0.9 * support_halfwidth(0.9, 0.9), 1.0, ctx, rel_tol=1e-9)
-    deep = [(0.9, 512, r) for r in (0, 128, 256, 384)]
-    assert built == [(0.9, 64, 0), (0.9, 128, 0), (0.9, 256, 0), (0.9, 256, 128), *deep, *deep]
-    assert qito._inner_leg.cache_info().misses == misses + 3
-    assert qito._inner_leg.cache_info().currsize == bound
+    deep = [(0.9, 512, 128)] * 3 + [(0.9, 512, 127)]
+    assert built == [(0.9, 64, 63), (0.9, 128, 127), (0.9, 256, 128), (0.9, 256, 127), *deep]
+    assert qito._MOMENTS[0.9, 512].shape == (511, 5)
 
 
 def test_delta_numeric_deep_levels_keep_memory_bounded(monkeypatch):
-    # above 256 intervals the inner leg is formed 128 rows at a time: at
-    # 1024 intervals the level's new allocations peak below the 1023 x 1023
-    # matrix (8.4 MB) that its whole leg would be, and its value keeps the
-    # bits of the full evaluation
+    # the inner leg's moments are formed 128 rows at a time: at 1024
+    # intervals forming them peaks below the 1023 x 1023 matrix (8.4 MB)
+    # that the whole leg would be, 1023 x 4 values are kept, and the value
+    # keeps the bits of the full evaluation
     q, s = 0.5, 1.0
     ctx = QContext.numeric(q)
     f = QPolynomial.x_power(3) + QPolynomial.x_power(5) * 0.5
@@ -392,8 +499,10 @@ def test_delta_numeric_deep_levels_keep_memory_bounded(monkeypatch):
         return value
 
     monkeypatch.setattr(qito, "_adaptive", to_1024)
+    qito._MOMENTS.clear()
     got = qito.delta_numeric(f, x, s, ctx)
     assert levels[0] < 1023 * 1023 * 8
+    assert qito._MOMENTS[q, 1024].shape == (1023, 4)
     full = _delta_estimate([float(c(s)) for c in f.coeffs], x, s, ctx)
     assert got.hex() == full(*_trapezoid_nodes(1024)).hex()
 
@@ -580,6 +689,72 @@ def test_kernel_is_finite_and_nonnegative_on_the_support(q, log_t, ratio, a, b):
     assert math.isfinite(density) and density >= 0.0
 
 
+def _frozen_unit_kernel(c, u, r, q, scale):
+    """measures._unit_kernel as qbm 0.6.0 formed it, every constant of (q, r)
+    formed again on each call, with its _tail_plan and _log_tail."""
+    k0, n_terms, rho = measures._series_cut(q, PROD_EPS)
+    log_y, m, rho_m, q_m = 0.0, 1, rho, q
+    while rho_m > 1e-18 * m * (1.0 - q_m):
+        log_y -= (r**m + q_m) * rho_m / (m * (1.0 - q_m))
+        m, rho_m, q_m = m + 1, rho_m * rho, q_m * q
+    # the log tail
+    c2 = 2.0 * (c * c) - 1.0
+    two_c, two_c2, two_u = 2.0 * c, 2.0 * c2, 2.0 * u
+    t_prev, t_cur, d_prev, d_cur, s_prev, s_cur = 1.0, c, 1.0, c2, 1.0, u
+    pair, rho_m, q_m = 0.0, 1.0, 1.0
+    for m in range(1, n_terms + 1):
+        rho_m *= rho
+        q_m *= q
+        a = rho_m / (m * (1.0 - q_m))
+        log_y -= (2.0 * a) * d_cur
+        d_prev, d_cur = d_cur, two_c2 * d_cur - d_prev
+        pair += ((4.0 * a) * s_cur) * t_cur
+        t_prev, t_cur = t_cur, two_c * t_cur - t_prev
+        s_prev, s_cur = s_cur, two_u * s_cur - r * s_prev
+    pair += log_y
+    # the direct factors
+    value = np.exp(pair)
+    const = scale * (1.0 - q) * (1.0 - q) * (1.0 - r) / (2.0 * math.pi)
+    c4, uu = 4.0 * (c * c), u * u
+    num = den = qk = 1.0
+    for k in range(k0):
+        q2k = qk * qk
+        if k:
+            const *= (1.0 - r * qk) * (1.0 - q * qk)
+            num *= (1.0 + qk) * (1.0 + qk) - qk * c4
+        b = 1.0 - r * q2k
+        f = ((-4.0 * qk * (1.0 + r * q2k)) * u) * c
+        f += b * b + (r * q2k) * c4
+        f += (4.0 * q2k) * uu
+        den *= f
+        qk *= q
+    value *= (const * num) / den
+    return value
+
+
+@given(
+    q=st.floats(0.05, 0.95),
+    r=st.floats(0.0, 0.999),
+    c=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    v=st.floats(-1.0, 1.0),
+    scale=st.floats(0.01, 100.0),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 9)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_plan_keeps_the_bits_of_per_call_constants(q, r, c, v, scale, shape, seed):
+    # the constants of (q, r) taken from _tail_plan change no bit of the
+    # kernel, on Python floats and on (rows x nodes) arrays, u = v sqrt(r)
+    u = v * math.sqrt(r)
+    got = measures._unit_kernel(c, u, r, q, scale)
+    assert float(got).hex() == float(_frozen_unit_kernel(c, u, r, q, scale)).hex()
+    rng = np.random.default_rng(seed)
+    cs = np.append(rng.uniform(-1.0, 1.0, shape[1] - 1), c)[None, :]
+    us = np.append(rng.uniform(-1.0, 1.0, shape[0] - 1), v)[:, None] * math.sqrt(r)
+    got = measures._unit_kernel(cs, us, r, q, scale)
+    assert got.shape == shape and got.tobytes() == _frozen_unit_kernel(cs, us, r, q, scale).tobytes()
+
+
 def _decimal_kernel(y, x, s, t, q):
     """The kernel's product in the state variables, in 40-digit decimals from
     the exact float inputs, cut once q**k < 1e-40."""
@@ -629,7 +804,7 @@ def _scalar_tails(q, r, rho):
 
 
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 0.95, 0.99])
-def test_tail_series_meets_its_remainder_bound_and_matches_the_product(q):
+def test_tail_series_meets_its_remainder_bound_and_matches_the_product(q, monkeypatch):
     rng = np.random.default_rng(17)
     for prod_eps in (PROD_EPS, 1e-12):
         k0, n_terms, rho = measures._series_cut(q, prod_eps)
@@ -640,11 +815,15 @@ def test_tail_series_meets_its_remainder_bound_and_matches_the_product(q):
         assert bound(n_terms) <= prod_eps
         assert n_terms == 0 or bound(n_terms - 1) > prod_eps
         for r in (0.0, 0.3, q, 0.99):
-            plan = (k0, n_terms, rho, _scalar_tails(q, r, rho))
+            # the kernel's plan, formed afresh with PROD_EPS at prod_eps: this
+            # cut, and its scalar tails by their series, factor by factor
+            monkeypatch.setattr(measures, "PROD_EPS", prod_eps)
+            plan = measures._tail_plan.__wrapped__(q, r)
+            monkeypatch.undo()
+            assert plan[:3] == (k0, n_terms, rho)
+            assert plan[3] == pytest.approx(_scalar_tails(q, r, rho), rel=1e-13, abs=1e-18)
             if prod_eps == PROD_EPS:
-                # the kernel's own plan: this cut, and its scalar tails by their series
-                assert measures._tail_plan(q, r)[:3] == plan[:3]
-                plan = measures._tail_plan(q, r)
+                assert measures._tail_plan(q, r) == plan
             for phi, psi in rng.uniform(0.0, math.pi, (3, 2)):
                 c, u = math.cos(phi), math.sqrt(r) * math.cos(psi)
                 # brute force: the factors k >= k0 in complex form
@@ -657,7 +836,7 @@ def test_tail_series_meets_its_remainder_bound_and_matches_the_product(q):
                     k, qk = k + 1, qk * q
                 # the cut series is within prod_eps in log; rounding grows with
                 # the size of the log and with the product's factor count
-                got = math.exp(measures._log_tail(c, u, r, q, plan))
+                got = math.exp(measures._log_tail(c, u, r, plan))
                 allowance = prod_eps + 8.0 * sys.float_info.epsilon * (k - k0 + abs(math.log(tail)))
                 assert got == pytest.approx(tail, rel=allowance, abs=0.0)
 

@@ -112,31 +112,47 @@ def test_numeric_operators_reject_callables():
         delta_numeric(lambda y: y**3, 0.35, 1.0, ctx)
 
 
-def _divdiff2_alone(a, x, y, z):
-    """One polynomial's second divided difference by its own recurrence."""
-    total, h, g, zpow = 0.0 * y * z, 1.0 + 0.0 * y * z, 1.0 + 0.0 * y * z, 1.0 + 0.0 * z
-    for n in range(2, len(a)):
-        if a[n] != 0.0:
-            total = total + a[n] * h
-        zpow = zpow * z
-        g = g * y + zpow
-        h = h * x + g
-    return total
+def _complete_sum(k, x, y):
+    """H_k(x, y) = sum_(l+i=k) x**l y**i, 0 for k < 0."""
+    return sum((x**l * y ** (k - l) for l in range(k + 1)), 0 * x)
 
 
-def test_shared_divided_differences_match_each_polynomial_alone():
-    # one recurrence for several coefficient lists at one x; each total is
-    # bit for bit its own recurrence's, whatever the lengths and zeros
+def _divided(f, points):
+    """The divided difference of the callable f on distinct points."""
+    if len(points) == 1:
+        return f(points[0])
+    return (_divided(f, points[1:]) - _divided(f, points[:-1])) / (points[-1] - points[0])
+
+
+def test_divided_difference_coefficients_match_exact_fractions():
+    # f[x, y, z] = sum_j E_j(x, y) z**j with E_j = sum_n a_n H_(n-2-j)(x, y):
+    # in exact rationals that is the divided difference itself, and the
+    # floats w**j E_j(x, w c) from the two synthetic divisions are within a
+    # few roundings of it, taken from the same float inputs
     rng = np.random.default_rng(4)
     polys = [[0.0, 1.0, 0.0, 1.0], [2.0, -1.0, 0.5, 0.0, 0.0, 3.0, -0.25], [1.0, 2.0], [0.0] * 4 + [1.5]]
-    y, z = rng.uniform(-2.0, 2.0, (5, 1)), rng.uniform(-2.0, 2.0, (1, 7))
-    totals = qito._divdiff2_sums(polys, 0.7, y, z)
-    for a, got in zip(polys, totals):
-        assert got.shape == (5, 7)
-        assert np.array_equal(got, _divdiff2_alone(a, 0.7, y, z))
-    # f = x**3 has f[x, y, z] = x + y + z
-    assert np.allclose(totals[0], 0.7 + y + z, rtol=0, atol=1e-14)
-    assert np.all(totals[2] == 0.0)
+    polys.append(rng.uniform(-1.0, 1.0, 9).tolist())
+    x, w = 0.7, 2.5
+    c = rng.uniform(-1.0, 1.0, 7)
+    fx, fw = Fraction(x), Fraction(w)
+    for a in polys:
+        fa = [Fraction(v) for v in a]
+        got = qito._divdiff2_coeffs(a, x, w, c)
+        assert len(got) == max(len(a) - 2, 0)
+        for i, ci in enumerate(c.tolist()):
+            fy = fw * Fraction(ci)
+            exact = [sum(an * _complete_sum(n - 2 - j, fx, fy) for n, an in enumerate(fa)) for j in range(len(got))]
+            bound = [sum(abs(an) * _complete_sum(n - 2 - j, abs(fx), abs(fy)) for n, an in enumerate(fa)) for j in range(len(got))]
+            z = Fraction(float(rng.uniform(-1.0, 1.0))) * fw
+            poly = lambda v: sum(an * v**n for n, an in enumerate(fa))
+            assert sum(e * z**j for j, e in enumerate(exact)) == _divided(poly, [fx, fy, z])
+            for j, e in enumerate(got):
+                value = Fraction(float(np.broadcast_to(e, c.shape)[i]))
+                assert abs(value - fw**j * exact[j]) <= 16 * len(a) * 2.0**-52 * fw**j * bound[j]
+    # f = x**3 has f[x, y, z] = x + y + z: E_0 = x + y and E_1 = 1
+    e0, e1 = qito._divdiff2_coeffs(polys[0], x, w, c)
+    assert np.allclose(e0, x + w * c, rtol=0, atol=1e-15) and e1 == w
+    assert qito._divdiff2_coeffs(polys[2], x, w, c) == []
 
 
 def test_ito_decompose_exact_on_rational_path():
