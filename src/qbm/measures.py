@@ -737,9 +737,7 @@ def _quantiles(table: CdfTable, u, rows) -> np.ndarray:
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniforms must lie in [0, 1)")
     # u < 1 keeps the knot coordinate below N_U, so the interval stays in range
-    t = _knot_coordinate(u)
-    cell = t.astype(np.intp)
-    t -= cell
+    cell, t = _knot_cells(u)
     c = table.cubic.view(_CUBIC_RECORD).ravel().take(np.multiply(rows, N_U, dtype=np.intp) + cell)
     y = np.multiply(c["c3"], t)
     y += c["c2"]
@@ -748,6 +746,15 @@ def _quantiles(table: CdfTable, u, rows) -> np.ndarray:
     y *= t
     y += c["c0"]
     return y
+
+
+def _knot_cells(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_knot_coordinate of uniforms in [0, 1) as their knot intervals and the
+    offsets in them."""
+    t = _knot_coordinate(u)
+    cell = t.astype(np.intp)
+    t -= cell
+    return cell, t
 
 
 def _knot_position(u: float) -> tuple[int, float]:
@@ -775,8 +782,14 @@ def draw_from_table(table: CdfTable, rows: np.ndarray | int, u: np.ndarray | flo
     in an int row gives a float: the same operations on Python floats, which
     round as NumPy's float64 ufuncs do, so the same bits."""
     if isinstance(u, float) and isinstance(rows, int):
-        return table.w * _quantile_at(table._one_state[0], rows, *_knot_position(u))
+        return _draw_at(table, rows, *_knot_position(u))
     return table.w * _quantiles(table, u, rows)
+
+
+def _draw_at(table: CdfTable, row: int, cell: int, t: float) -> float:
+    """draw_from_table in one row at a knot position (_knot_position's
+    interval and offset), on Python floats."""
+    return table.w * _quantile_at(table._one_state[0], row, cell, t)
 
 
 #: offsets of the two bracketing rows
@@ -801,7 +814,7 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray | float, u: np.n
     if xg is None:
         raise ValueError("table has no conditioning grid")
     if isinstance(x_scaled, float) and isinstance(u, float):
-        return _transition_at(table, x_scaled, u)
+        return _transition_at(table, x_scaled, *_knot_position(u))
     x = np.asarray(x_scaled, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.shape != u.shape or x.ndim == 0:
@@ -841,12 +854,12 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray | float, u: np.n
     return np.minimum(y, w, out=y)
 
 
-def _transition_at(table: CdfTable, x: float, u: float) -> float:
-    """draw_transition_batch at one state, on Python floats: each operation
-    of the array form in its order, reading one record per bracketing row.
-    A non-finite state gives NaN, as there."""
+def _transition_at(table: CdfTable, x: float, cell: int, t: float) -> float:
+    """draw_transition_batch at one state and the knot position (cell, t) of
+    its uniform (_knot_position's), on Python floats: each operation of the
+    array form in its order, reading one record per bracketing row.  A
+    non-finite state gives NaN, as there."""
     records, loss, x0, dx, top = table._one_state
-    cell, t = _knot_position(u)
     pos = (x - x0) / dx
     # the array form's truncation, clipped to [0, top]: NaN takes row 0, and a
     # position past the intp range takes top (NumPy's cast there is platform-defined)

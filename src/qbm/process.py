@@ -36,11 +36,15 @@ import sys
 import threading
 from contextvars import copy_context
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from .measures import (
+    _draw_at,
+    _knot_cells,
+    _transition_at,
     draw_from_table,
     draw_transition_batch,
     scaled_marginal_table,
@@ -138,6 +142,12 @@ def default_depth(q: float) -> int:
     return k
 
 
+def _as_array(seq) -> np.ndarray:
+    """seq as a float array, or as an object array of exact values."""
+    a = np.asarray(seq)
+    return a if a.dtype == float else np.array(seq, dtype=object)
+
+
 @dataclass(frozen=True)
 class GeometricGrid:
     """Times t_k = t q**k for k = 0..K; index 0 is the horizon."""
@@ -163,6 +173,19 @@ class GeometricGrid:
 
     def __len__(self) -> int:
         return self.K + 1
+
+    @cached_property
+    def _time_array(self) -> np.ndarray:
+        """The times as one read-only array (_as_array), kept on the grid."""
+        times = _as_array(self.times)
+        times.flags.writeable = False
+        return times
+
+    @cached_property
+    def _walk_scales(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """sqrt(t_k) and the support edges (_support_edges) at every grid
+        time, for the walks: formed once per grid, as floats."""
+        return tuple(math.sqrt(float(tk)) for tk in self.times), tuple(_support_edges(self))
 
 
 @dataclass(frozen=True)
@@ -356,7 +379,7 @@ def _outside(k: int) -> ValueError:
     return ValueError(f"a value drawn at grid time index {k} is not finite or lies outside the support")
 
 
-def _walk_block(block: np.ndarray, base_seed: int, mt, tt, rts: list[float], edges: list[float]) -> None:
+def _walk_block(block: np.ndarray, base_seed: int, mt, tt, rts: tuple[float, ...], edges: tuple[float, ...]) -> None:
     """Simulate a block's paths together, one grid column per draw, on the
     streams computed together by _uniform_columns."""
     K = len(rts) - 1
@@ -371,17 +394,19 @@ def _walk_block(block: np.ndarray, base_seed: int, mt, tt, rts: list[float], edg
             raise _outside(k)
 
 
-def _walk_paths(block: np.ndarray, base_seed: int, mt, tt, rts: list[float], edges: list[float]) -> None:
+def _walk_paths(block: np.ndarray, base_seed: int, mt, tt, rts: tuple[float, ...], edges: tuple[float, ...]) -> None:
     """Simulate a block path by path on Python floats, one state per draw,
-    each path on the uniforms of its own generator."""
+    each path on the uniforms of its own generator, whose knot positions are
+    taken in one pass over them (as draw_from_table and
+    draw_transition_batch take them one uniform at a time, so the same bits)."""
     K = len(rts) - 1
     for i in range(block.shape[0]):
-        u = np.random.default_rng(base_seed + i).random(K + 1).tolist()
-        v = rts[K] * draw_from_table(mt, 0, u[0])
+        cells, offsets = (a.tolist() for a in _knot_cells(np.random.default_rng(base_seed + i).random(K + 1)))
+        v = rts[K] * _draw_at(mt, 0, cells[0], offsets[0])
         row = [v]
         for k in range(K, -1, -1):
             if k < K:
-                v = rts[k] * draw_transition_batch(tt, v / rts[k], u[K - k])
+                v = rts[k] * _transition_at(tt, v / rts[k], cells[K - k], offsets[K - k])
                 row.append(v)
             if not abs(v) <= edges[k]:
                 raise _outside(k)
@@ -415,8 +440,7 @@ def simulate_batch(
         raise ValueError(f"context q = {ctx.q} differs from the grid's q = {grid.q}")
     mt = scaled_marginal_table(q)
     tt = scaled_transition_table(q)
-    rts = [math.sqrt(float(tk)) for tk in grid.times]
-    edges = _support_edges(grid)
+    rts, edges = grid._walk_scales
     values = np.empty((n_paths, grid.K + 1), order="F")
 
     def walk(start: int, stop: int) -> None:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Union
 
+import numpy as np
+
 from .qcore import Poly, QContext, Scalar, _q_numbers, q_binomial, q_factorial, q_int
 
 __all__ = [
@@ -209,15 +211,28 @@ def from_hermite_basis(b: tuple[Poly, ...], ctx: QContext) -> QPolynomial:
     return out
 
 
-def hermite_eval_sequence(n_max: int, x, t, ctx: QContext) -> list:
-    """[h_0(x; t), ..., h_{n_max}(x; t)] sharing one pass of the recurrence."""
-    out = [x * 0 + 1]
+def hermite_eval_sequence(n_max: int, x, t, ctx: QContext, head=()) -> list:
+    """[h_0(x; t), ..., h_{n_max}(x; t)] sharing one pass of the recurrence.
+
+    head may hold the first rows of an earlier pass at the same (x, t): a
+    row does not depend on how far the pass runs, so this one goes on from
+    them, with the bits of a pass from h_0.  For a float array t the
+    products [m]_q t are formed for all m in one pass, each as the
+    recurrence would form it.
+    """
+    out = list(head[: n_max + 1]) or [x * 0 + 1]
     if n_max == 0:
         return out
-    out.append(x * 0 + x)
-    ints = _q_numbers(n_max, ctx)[0]
-    for m in range(1, n_max):
-        out.append(x * out[m] - ints[m] * t * out[m - 1])
+    if len(out) == 1:
+        out.append(x * 0 + x)
+    start = len(out) - 1
+    ints = _q_numbers(n_max, ctx)[0][start:n_max]
+    if ctx.mode == "float" and isinstance(t, np.ndarray) and t.dtype == float:
+        steps = np.multiply.outer(ints, t)
+    else:
+        steps = [c * t for c in ints]
+    for m, step in enumerate(steps, start):
+        out.append(x * out[m] - step * out[m - 1])
     return out
 
 

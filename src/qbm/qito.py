@@ -65,8 +65,8 @@ from .qhermite import (
 # module's name for it, so it stays imported
 from .stochint import (
     PolynomialIntegrand,
-    _as_array,
     _def_sum,
+    _def_terms,
     _path_arrays,
     _poly_rows,
     _row_sums,
@@ -340,13 +340,14 @@ def _on_grid(p: QPolynomial, x: np.ndarray, t: np.ndarray):
     return out
 
 
-def _sums(f: QPolynomial, x: np.ndarray, t: np.ndarray, ctx: QContext):
+def _sums(f: QPolynomial, x: np.ndarray, t: np.ndarray, ctx: QContext, path=None):
     """The gradient integral (the defining sum of nabla f's integrand),
     sum_k t_k (D_t f)(B_{k+1}, t_k) and sum_k t_k (delta f)(B_{k+1}, t_k),
     along a path (x its values B_k, 1-D, floats or exact rationals) or along
     each row of a block of paths, with t the grid's t_k: the terms on the
-    whole grid at once, then added in grid order by _row_sums."""
-    grad = _def_sum(PolynomialIntegrand(to_hermite_basis(f, ctx)[1:]), x, t, ctx)
+    whole grid at once, then added in grid order by _row_sums.  path as for
+    stochint._hermite_rows."""
+    grad = _def_sum(PolynomialIntegrand.from_qpolynomial(f, ctx), x, t, ctx, path, shift=1)
     s, y = t[:-1], x[..., 1:]
     drift, second = (_row_sums(0 * ctx.q, s * _on_grid(p, y, s)) for p in (f.dq_time(ctx), delta_exact(f, ctx)))
     return grad, drift, second
@@ -380,7 +381,7 @@ def _decompose(
 def ito_decompose(f: QPolynomial, path: GeometricPath, ctx: QContext) -> ItoDecomposition:
     """Evaluate the K-step change-of-variable identity along a path, float or
     exact rational."""
-    return _decompose(f, path.grid, path.values[0], *_sums(f, *_path_arrays(path), ctx), ctx)
+    return _decompose(f, path.grid, path.values[0], *_sums(f, *_path_arrays(path), ctx, path), ctx)
 
 
 def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoDecomposition:
@@ -391,10 +392,11 @@ def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoD
     bit for bit ito_decompose's value on batch.path(i), as each row of a
     block is summed on its own, whichever walker sums it.
     """
-    times = _as_array(batch.grid.times)
+    times = batch.grid._time_array
     # the forms of f and the q-numbers the blocks read, computed and kept
     # here, so the blocks' walkers only read them
     to_hermite_basis(f, ctx), f.dq_time(ctx), delta_exact(f, ctx), _q_numbers(f.degree + 1, ctx)
+    _def_terms(PolynomialIntegrand.from_qpolynomial(f, ctx), times, ctx, 1)
     blocks = process._each_block(len(batch), lambda start, stop: _sums(f, batch.values[start:stop], times, ctx))
     grad, drift, second = (np.concatenate(sums) for sums in zip(*blocks))
     return _decompose(f, batch.grid, batch.values[:, 0], grad, drift, second, ctx)

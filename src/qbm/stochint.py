@@ -21,11 +21,24 @@ adding the same terms in the same order; its Hermite columns start from
 h_1 = B_k itself, since the sum never reads h_0.
 Reciprocals such as 1 / [m+1]! are taken as 1 / x, which stays a Fraction in
 an exact context and is 1.0 / x in a float one.
+
+The float work that several calls on one path share is done once and kept,
+read-only, with the bits of forming it afresh.  A float path keeps its
+Hermite rows h_0..h_n(B_k; t_k) per context with the bytes of the values they
+were formed on (_hermite_rows): a call that needs more rows goes on from
+them, and changed values get fresh ones.  An integrand keeps its step terms
+(the m with b_m not zero, 1 / [m+1]! and b_m(t_k)) per context and float grid
+times (_def_terms); the q-gradient's terms, which ito_decompose sums, are
+columns of them.  So ito_decompose, integrate_def, integrate_byparts and
+sde_residual on one path form each row once, and sde_residual's series
+integrand is kept per (a, c, degree, grid), at most 32 of them.  Exact paths
+and blocks of paths form their rows and terms on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +46,7 @@ import numpy as np
 from .qcore import Poly, QContext, Scalar, _q_numbers, q_factorial
 from .qhermite import QPolynomial, growth_constant, hermite_eval_sequence, to_hermite_basis
 from . import process
-from .process import GeometricGrid, GeometricPath, PathBatch
+from .process import GeometricGrid, GeometricPath, PathBatch, _as_array
 
 __all__ = [
     "PolynomialIntegrand",
@@ -70,7 +83,13 @@ class PolynomialIntegrand:
 
     @classmethod
     def from_qpolynomial(cls, f: QPolynomial, ctx: QContext) -> "PolynomialIntegrand":
-        return cls(to_hermite_basis(f, ctx))
+        """f's integrand, kept on f per context (ito_decompose's gradient
+        sum reads its step terms too)."""
+        return f.derived(_integrand_of, ctx)
+
+
+def _integrand_of(f: QPolynomial, ctx: QContext) -> PolynomialIntegrand:
+    return PolynomialIntegrand(to_hermite_basis(f, ctx))
 
 
 @dataclass(frozen=True)
@@ -85,18 +104,13 @@ class StochasticIntegralResult:
 
 def _inv_factorials(degree: int, ctx: QContext) -> list[Scalar]:
     """1 / [m+1]! for m = 0..degree, in the context's arithmetic."""
-    return [1 / q_factorial(m + 1, ctx) for m in range(degree + 1)]
-
-
-def _as_array(seq) -> np.ndarray:
-    """seq as a float array, or as an object array of exact values."""
-    a = np.asarray(seq)
-    return a if a.dtype == float else np.array(seq, dtype=object)
+    facts = _q_numbers(degree + 1, ctx)[1]
+    return [1 / facts[m + 1] for m in range(degree + 1)]
 
 
 def _path_arrays(path: GeometricPath) -> tuple[np.ndarray, np.ndarray]:
-    """(B_k, t_k) for k = 0..K as arrays."""
-    return _as_array(path.values), _as_array(path.grid.times)
+    """(B_k, t_k) for k = 0..K as arrays, the times kept on the grid."""
+    return _as_array(path.values), path.grid._time_array
 
 
 def _poly_rows(polys: Sequence[Poly], s: np.ndarray) -> np.ndarray:
@@ -124,33 +138,85 @@ def _row_sums(init, *terms: np.ndarray):
     return np.add.accumulate(np.concatenate([first, *terms], axis=-1), axis=-1)[..., -1][()]
 
 
-def _def_terms(f: PolynomialIntegrand, times: np.ndarray, ctx: QContext):
-    """The m with b_m not zero, 1 / [m+1]! for those m, and b_m at the given
-    times (row per time, column per m: the sums' (k, m) order)."""
-    ms = [m for m, bm in enumerate(f.b) if not bm.is_zero()]
-    inv = np.array(_inv_factorials(f.degree, ctx), dtype=times.dtype)[ms]
-    return ms, inv, _poly_rows([f.b[m] for m in ms], times).T
+def _def_terms(f: PolynomialIntegrand, times: np.ndarray, ctx: QContext, shift: int = 0):
+    """The terms of the defining sum of sum_m b_{m+shift} h_m / [m]! (f
+    itself at shift 0, its q-gradient at 1): the m >= shift with b_m not
+    zero, 1 / [m - shift + 1]! for those m, and b_m at the given times (row
+    per time, column per m: the sums' (k, m) order).  Float times' terms are
+    kept on f per (context, times, shift), read-only, and a shift's b_m are
+    columns of shift 0's."""
+    if times.dtype != float:
+        return _step_terms(f, ctx, times, shift)
+    return f.derived(_kept_step_terms, ctx, times.tobytes(), shift)
 
 
-def _path_terms(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext):
+def _inverses(ms: Sequence[int], shift: int, ctx: QContext, dtype) -> np.ndarray:
+    """1 / [m - shift + 1]! for the m in ms, as an array of the given dtype."""
+    inv = _inv_factorials(max(ms, default=shift) - shift, ctx)
+    return np.array([inv[m - shift] for m in ms], dtype=dtype)
+
+
+def _step_terms(f: PolynomialIntegrand, ctx: QContext, times: np.ndarray, shift: int):
+    ms = tuple(m for m, bm in enumerate(f.b) if m >= shift and not bm.is_zero())
+    return ms, _inverses(ms, shift, ctx, times.dtype), _poly_rows([f.b[m] for m in ms], times).T
+
+
+def _kept_step_terms(f: PolynomialIntegrand, ctx: QContext, times: bytes, shift: int):
+    if shift:
+        ms, _, b = f.derived(_kept_step_terms, ctx, times, 0)
+        first = sum(m < shift for m in ms)
+        terms = ms[first:], _inverses(ms[first:], shift, ctx, float), b[:, first:]
+    else:
+        terms = _step_terms(f, ctx, np.frombuffer(times), 0)
+    for a in terms[1:]:
+        a.flags.writeable = False
+    return terms
+
+
+def _hermite_rows(n_max: int, x: np.ndarray, t: np.ndarray, ctx: QContext, path=None) -> np.ndarray:
+    """h_0..h_N(x; t), N >= n_max, as one array whose row m is h_m on x.
+
+    Given the path whose float values x are (1-D), the rows are kept on it
+    per context, read-only, with the bytes of x: a call whose x has other
+    bytes (the values were changed) forms them afresh, and a call that
+    needs more rows goes on from the kept ones.  The kept rows are replaced,
+    never changed, so concurrent calls at worst form the same rows twice.
+    Exact values and blocks of paths get fresh rows on every call.
+    """
+    if path is None or x.dtype != float or x.ndim != 1:
+        return np.array(hermite_eval_sequence(n_max, x, t, ctx))
+    kept = path.__dict__.setdefault("_hermite_rows", {})
+    key, rows = kept.get(ctx, (None, ()))
+    if key != x.tobytes():
+        key, rows = x.tobytes(), ()
+    if len(rows) <= n_max:
+        rows = np.array(hermite_eval_sequence(n_max, x, t, ctx, head=rows))
+        rows.flags.writeable = False
+        kept[ctx] = key, rows
+    return rows
+
+
+def _path_terms(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext, path=None, shift: int = 0):
     """_def_terms along a path or block, x and t its values and times, with
-    h_{m+1}(B_k; t_k) for the same m (last axis m, the one before it k)."""
-    ms, inv, b = _def_terms(f, t, ctx)
-    h = np.array(hermite_eval_sequence(f.degree + 1, x, t, ctx))
-    return inv, b, h.transpose(*range(1, h.ndim), 0)[..., [m + 1 for m in ms]]
+    h_{m-shift+1}(B_k; t_k) for the same m (last axis m, the one before it
+    k); path as for _hermite_rows."""
+    ms, inv, b = _def_terms(f, t, ctx, shift)
+    h = _hermite_rows(f.degree - shift + 1, x, t, ctx, path)[[m - shift + 1 for m in ms]]
+    return inv, b, h.transpose(*range(1, h.ndim), 0)
 
 
-def _def_sum(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext):
-    """The defining sum along a path, or along each row of a block of paths,
-    x and t their values and times: the Hermite values and coefficients on
-    the whole grid at once, then the terms added in (k, m) order from
-    0 * (B_0 q), as the column form adds them."""
+def _def_sum(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext, path=None, shift: int = 0):
+    """The defining sum of f (of its q-gradient at shift 1, as _def_terms)
+    along a path, or along each row of a block of paths, x and t their
+    values and times: the Hermite values and coefficients on the whole grid
+    at once, then the terms added in (k, m) order from 0 * (B_0 q), as the
+    column form adds them.  path as for _hermite_rows."""
     # x.T[0] is B_0: a scalar on a path (x[..., 0] would be a 0-d array,
     # whose arithmetic is slower), a column on a block
     total = 0 * (x.T[0] * ctx.q)
-    if f.degree < 0:
+    if f.degree < shift:
         return total
-    inv, b, h = _path_terms(f, x, t, ctx)
+    inv, b, h = _path_terms(f, x, t, ctx, path, shift)
     steps = (b[:-1] * inv) * (h[..., :-1, :] - h[..., 1:, :])
     return _row_sums(total, steps.reshape(x.shape[:-1] + (-1,)))
 
@@ -226,7 +292,7 @@ def integrate_def(
 ) -> StochasticIntegralResult:
     """Stochastic integral of f over the path, defining-sum form."""
     return StochasticIntegralResult(
-        value=_def_sum(f, *_path_arrays(path), ctx),
+        value=_def_sum(f, *_path_arrays(path), ctx, path),
         K=path.grid.K,
         tail_bound=def_tail_bound(f, path.grid, ctx),
         seed=path.seed,
@@ -247,7 +313,7 @@ def integrate_byparts(
         # the boundary sum_m b_m(t_0) h_{m+1}(B_0; t_0) / [m+1]!, then each
         # step's (b_m(t_k) - b_m(t_{k+1})) h_{m+1}(B_{k+1}; t_{k+1}) / [m+1]!
         # subtracted in (k, m) order
-        inv, b, h = _path_terms(f, x, t, ctx)
+        inv, b, h = _path_terms(f, x, t, ctx, path)
         steps = ((b[:-1] - b[1:]) * inv) * h[1:]
         total = _row_sums(total, (b[0] * inv) * h[0], -steps.reshape(-1))
     tail, boundary = _tail_bounds(f, path.grid, ctx)
@@ -261,8 +327,8 @@ def integrate_def_batch(f: PolynomialIntegrand, batch: PathBatch, ctx: QContext)
     batch's memory layout, and is integrate_def's."""
     grid = batch.grid
     # the terms are taken here, so the blocks' walkers only read them
-    ms, inv, b = _def_terms(f, _as_array(grid.times[:-1]), ctx)
-    terms = f.degree + 1, ms, (b * inv).tolist(), _q_numbers(f.degree + 1, ctx)[0]
+    ms, inv, b = _def_terms(f, grid._time_array, ctx)
+    terms = f.degree + 1, ms, (b[:-1] * inv).tolist(), _q_numbers(f.degree + 1, ctx)[0]
 
     def block_sums(start: int, stop: int) -> np.ndarray:
         return np.asarray(_def_sum_columns(batch.values[start:stop], grid, terms, ctx), dtype=float)
@@ -300,13 +366,21 @@ def isometry_second_moment(f: PolynomialIntegrand, t: Scalar, ctx: QContext) -> 
 _EXP_BLOCK = 2**18
 
 
+@lru_cache(maxsize=16)
+def _factor_powers(q: float, n: int) -> np.ndarray:
+    """q**k for k < n as a read-only column, a running product."""
+    qk = np.multiply.accumulate(np.r_[1.0, np.full(n - 1, q)])[:, None]
+    qk.flags.writeable = False
+    return qk
+
+
 def _exp_factors(a: float, x, t: float, ctx: QContext):
     """The N factors per state, all at once for a block of states and
     multiplied in factor order, q**k kept as a running product."""
     q = ctx.qf
     n = ctx.n_product_factors()
     x = np.asarray(x, dtype=float)
-    qk = np.multiply.accumulate(np.r_[1.0, np.full(n - 1, q)])[:, None]
+    qk = _factor_powers(q, n)
     flat = x.reshape(-1)
     prod = np.empty(flat.shape)
     step = max(1, _EXP_BLOCK // n)
@@ -332,6 +406,20 @@ def exponential_radius(a: float, ctx: QContext) -> float:
     return 1.0 / (float(a) ** 2 * (1.0 - ctx.qf))
 
 
+@lru_cache(maxsize=32)
+def _series_integrand(a, c, degree: int, grid: GeometricGrid) -> PolynomialIntegrand:
+    """The degree-d truncation sum_n c a**n h_n / [n]! of the stochastic
+    exponential, kept for sde_residual with the step terms formed on it.
+    The grid is in the key only so that each kept integrand holds one
+    grid's terms: at most 32 integrands, each with its own grid's."""
+    coeffs = []
+    an = 1.0
+    for n in range(degree + 1):
+        coeffs.append(Poly.const(c * an))
+        an *= float(a)
+    return PolynomialIntegrand(tuple(coeffs))
+
+
 def sde_residual(
     a: float, c: float, path: GeometricPath, ctx: QContext, degree: int = 20
 ) -> float:
@@ -345,11 +433,6 @@ def sde_residual(
     t = float(path.grid.t)
     if t >= exponential_radius(a, ctx):
         raise ValueError("horizon outside the convergence radius of the stochastic exponential")
-    coeffs = []
-    an = 1.0
-    for n in range(degree + 1):
-        coeffs.append(Poly.const(c * an))
-        an *= float(a)
-    value = _def_sum(PolynomialIntegrand(tuple(coeffs)), *_path_arrays(path), ctx)
+    value = _def_sum(_series_integrand(a, c, degree, path.grid), *_path_arrays(path), ctx, path)
     z = stochastic_exponential(a, c, float(path.values[0]), t, ctx)
     return abs(float(z) - c - float(a) * float(value))

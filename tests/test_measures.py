@@ -1063,6 +1063,27 @@ def test_transition_draw_matches_two_inversions(q):
     assert all(type(v) is float for v in rows) and np.array(rows).tobytes() == draw_from_table(table, j, u).tobytes()
 
 
+@pytest.mark.parametrize("q", [0.5, 0.8])
+def test_knot_positions_taken_together_keep_the_one_state_bits(q):
+    # a single-path walk takes its uniforms' knot positions in one pass
+    # (_knot_cells) and steps through _transition_at and _draw_at with them:
+    # each position is _knot_position's, and each draw is the float form of
+    # draw_transition_batch or draw_from_table (and the array form), bit for bit
+    table, marginal = scaled_transition_table(q), scaled_marginal_table(q)
+    xg = table.x_grid
+    rng = np.random.default_rng(8)
+    ends = [0.0, 2.0**-60, 0.5 - 2.0**-54, 0.5, 1.0 - 2.0**-53]
+    u = np.concatenate([rng.random(2000), measures._knot_u(rng.integers(0, measures.N_U, 200)), ends])
+    x = rng.uniform(1.1 * xg[0], 1.1 * xg[-1], u.size)
+    cells, offsets = (a.tolist() for a in measures._knot_cells(u))
+    assert [(c, o.hex()) for c, o in map(measures._knot_position, u.tolist())] == [(c, o.hex()) for c, o in zip(cells, offsets)]
+    stepped = [measures._transition_at(table, xi, c, o) for xi, c, o in zip(x.tolist(), cells, offsets)]
+    one = [draw_transition_batch(table, xi, ui) for xi, ui in zip(x.tolist(), u.tolist())]
+    assert np.array(stepped).tobytes() == np.array(one).tobytes() == draw_transition_batch(table, x, u).tobytes()
+    drawn = [measures._draw_at(marginal, 0, c, o) for c, o in zip(cells, offsets)]
+    assert np.array(drawn).tobytes() == draw_from_table(marginal, 0, u).tobytes()
+
+
 def test_draws_reject_uniforms_outside_the_unit_interval():
     marginal, transition = scaled_marginal_table(0.5), scaled_transition_table(0.5)
     for bad in (1.0, -(2.0**-60), math.nan, math.inf):

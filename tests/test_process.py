@@ -140,7 +140,7 @@ def test_simulation_gate_accepts_the_support_edge(monkeypatch, sign):
     def at_edge(fault_k):
         calls = []
 
-        def draw(table, x_scaled, u):
+        def draw(table, x_scaled, cell, t):
             k = grid.K - 1 - len(calls)
             calls.append(k)
             edge = math.nextafter(edges[k], math.inf) if k == fault_k else edges[k]
@@ -148,11 +148,11 @@ def test_simulation_gate_accepts_the_support_edge(monkeypatch, sign):
 
         return draw
 
-    monkeypatch.setattr(process, "draw_transition_batch", at_edge(None))
+    monkeypatch.setattr(process, "_transition_at", at_edge(None))
     path = simulate_path(grid, 3)
     assert list(np.abs(path.values[:-1])) == edges[:-1]
     for k in range(grid.K):
-        monkeypatch.setattr(process, "draw_transition_batch", at_edge(k))
+        monkeypatch.setattr(process, "_transition_at", at_edge(k))
         with pytest.raises(ValueError, match=f"index {k} is not finite or lies outside the support"):
             simulate_path(grid, 3)
 
@@ -607,14 +607,14 @@ def test_stream_crossover_keeps_every_path(monkeypatch):
 def test_bad_draw_in_a_single_path_is_rejected(monkeypatch, fault):
     # the path-by-path walk keeps the gate, at the first bad step
     grid = GeometricGrid.build(q=0.5, t=1.0, depth=4)
-    real = process.draw_transition_batch
+    real = process._transition_at
     calls = []
 
-    def patched(table, x_scaled, u):
+    def patched(table, x_scaled, cell, t):
         calls.append(x_scaled)
-        return fault if len(calls) == 2 else real(table, x_scaled, u)
+        return fault if len(calls) == 2 else real(table, x_scaled, cell, t)
 
-    monkeypatch.setattr(process, "draw_transition_batch", patched)
+    monkeypatch.setattr(process, "_transition_at", patched)
     with pytest.raises(ValueError, match="index 2 is not finite or lies outside the support"):
         simulate_path(grid, 7)
     assert len(calls) == 2 and all(type(x) is float for x in calls)
@@ -622,8 +622,9 @@ def test_bad_draw_in_a_single_path_is_rejected(monkeypatch, fault):
 
 def test_simulation_memory_is_bounded_by_the_block():
     # beyond its output, a batch holds one block's columns and the draws'
-    # temporaries (about 3.4 blocks here), however many blocks it has; one
-    # pass over all 4 blocks' paths at once would hold about 9
+    # temporaries per walker (about 1.1 blocks each here), however many
+    # blocks it has; one pass over all 4 blocks' paths at once would hold
+    # about 9
     import tracemalloc
 
     grid = GeometricGrid.build(q=0.5, t=1.0)

@@ -99,6 +99,49 @@ def test_eval_sequence_vectorised():
             assert seq[n][i] == pytest.approx(scalar, abs=1e-12)
 
 
+def _recurrence_reference(n_max, x, t, ctx):
+    """hermite_eval_sequence as one plain pass, each row from the two before
+    it with [m]_q t formed in the row's own expression."""
+    out = [x * 0 + 1, x * 0 + x]
+    for m in range(1, n_max):
+        out.append(x * out[m] - q_int(m, ctx) * t * out[m - 1])
+    return out[: n_max + 1]
+
+
+def test_eval_sequence_goes_on_from_earlier_rows():
+    # a pass from the first rows of an earlier one, and a float-array pass
+    # with its [m]_q t formed for every m at once, give a plain pass's rows,
+    # of the same type and bits: on a path (1-D), a block (2-D) and scalars,
+    # and exactly on Fractions
+    float_ctx = QContext.numeric(0.8)
+    rng = np.random.default_rng(4)
+    t = 0.8 ** np.arange(41)
+    x = rng.uniform(-1.0, 1.0, 41) * np.sqrt(t / 0.2)
+    exact_x = np.array([Fraction(k - 2, 3) for k in range(5)], dtype=object)
+    exact_t = np.array([Fraction(1, 2**k) for k in range(5)], dtype=object)
+    cases = [
+        (x, t, float_ctx),
+        (x * rng.uniform(0.5, 1.0, (3, 1)), t, float_ctx),
+        (0.7, 1.3, float_ctx),
+        (exact_x, exact_t, HALF),
+    ]
+
+    def same(a, b):
+        if type(a) is not type(b):
+            return False
+        a, b = np.asarray(a), np.asarray(b)
+        if a.dtype == object:
+            return a.shape == b.shape and all(type(u) is type(v) and u == v for u, v in zip(a.ravel(), b.ravel()))
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for xs, ts, ctx in cases:
+        whole = _recurrence_reference(31, xs, ts, ctx)
+        for start in (0, 1, 2, 8):
+            for n_max in (start, 12, 31):
+                got = hermite_eval_sequence(n_max, xs, ts, ctx, head=whole[:start])
+                assert len(got) == n_max + 1 and all(map(same, got, whole)), (start, n_max)
+
+
 def test_growth_bound_attained_at_support_edge():
     # with t = 1 - q the edge is x = 2 and h_n(2; t) = sum of q-binomials
     q = Fraction(1, 2)

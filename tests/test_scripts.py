@@ -114,13 +114,12 @@ def test_path_crossover_checks_the_walks_bits(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 + 2 and process._STREAM_CROSSOVER == cross
     # one-state draws one float off: the path-by-path walk no longer matches
-    real = process.draw_transition_batch
+    real = process._transition_at
 
-    def off(table, x, u):
-        y = real(table, x, u)
-        return math.nextafter(y, math.inf) if isinstance(x, float) else y
+    def off(table, x, cell, t):
+        return math.nextafter(real(table, x, cell, t), math.inf)
 
-    monkeypatch.setattr(process, "draw_transition_batch", off)
+    monkeypatch.setattr(process, "_transition_at", off)
     assert script.main(["--repeats", "1"]) == 1
     assert "differ at (depth, paths) [(4, 1), (4, 3)]" in capsys.readouterr().out
 
@@ -157,6 +156,28 @@ def test_density_layers_times_each_layer(capsys):
 def test_density_layers_rejects_bad_inputs(args, message, capsys):
     with pytest.raises(SystemExit) as exit_info:
         load("density_layers").main(args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_path_layers_times_each_call(capsys):
+    assert load("path_layers").main(["--repeats", "1", "--q", "0.5", "0.8", "--depth", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# nproc ") and " numpy " in lines[0] and len(lines) == 4
+    assert lines[1].split() == ["q", "depth", "simulate", "ito", "def", "byparts", "sde"]
+    for line, q in zip(lines[2:], ("0.5", "0.8")):
+        fields = line.split()
+        assert fields[:2] == [q, "4"] and len(fields) == 7 and all(float(v) > 0.0 for v in fields[2:])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--repeats", "0"], "--repeats must be >= 1"), (["--q", "1"], "--q must lie"), (["--depth", "0"], "--depth must be >= 1")],
+)
+def test_path_layers_rejects_bad_inputs(args, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load("path_layers").main(args)
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""

@@ -351,3 +351,178 @@ def _path_form_digest() -> str:
 
 def test_path_forms_keep_their_bits():
     assert _path_form_digest() == PATH_FORM_DIGEST
+
+
+def _path_calls(ctx):
+    """The four single-path calls of a pathwise check, each as f, path ->
+    its values as float.hex strings."""
+    from qbm.qito import ito_decompose
+
+    def ito(f, path):
+        dec = ito_decompose(f, path, ctx)
+        return [float(v).hex() for v in (dec.lhs, dec.gradient_term, dec.drift_term, dec.second_order_term, dec.residual)]
+
+    def by_def(f, path):
+        return float(integrate_def(PolynomialIntegrand.from_qpolynomial(f, ctx), path, ctx).value).hex()
+
+    def by_parts(f, path):
+        return float(integrate_byparts(PolynomialIntegrand.from_qpolynomial(f, ctx), path, ctx).value).hex()
+
+    def sde(f, path):
+        return sde_residual(0.5, 2.0, path, ctx, degree=30).hex()
+
+    return {"ito": ito, "def": by_def, "byparts": by_parts, "sde": sde}
+
+
+@pytest.mark.parametrize("q", [0.5, 0.8])
+@pytest.mark.parametrize("depth", [20, 80])
+def test_path_calls_keep_their_bits_in_any_order(q, depth):
+    # the calls read the Hermite rows kept on the path and the step terms
+    # kept on the integrands; in every order they give the values of calls
+    # on a cleared memo (a fresh path, polynomial and series integrand per
+    # call), and the gradient term is the defining sum of the gradient's own
+    # integrand, as it was formed before the terms were shared
+    import itertools
+
+    from qbm import stochint
+    from qbm.qhermite import to_hermite_basis
+    from qbm.verify import _random_qpolynomial
+
+    ctx = QContext.numeric(q)
+    grid = GeometricGrid.build(q=q, t=1.0, depth=depth)
+    calls = _path_calls(ctx)
+    rng = np.random.default_rng(depth)
+    for seed in (3, 2**40 + 1):
+        values = simulate_path(grid, seed).values
+        f0 = _random_qpolynomial(rng, 6, 2)
+
+        def fresh():
+            return QPolynomial(f0.coeffs), GeometricPath(grid=grid, values=values)
+
+        expected = {}
+        for name, call in calls.items():
+            stochint._series_integrand.cache_clear()
+            expected[name] = call(*fresh())
+        f, path = fresh()
+        own = PolynomialIntegrand(to_hermite_basis(f, ctx)[1:])
+        assert float(stochint._def_sum(own, *stochint._path_arrays(path), ctx)).hex() == expected["ito"][1]
+        for order in itertools.permutations(calls):
+            f, path = fresh()
+            assert {name: calls[name](f, path) for name in order} == expected, order
+
+
+def test_changed_path_values_get_fresh_rows():
+    # a path's kept Hermite rows carry the bytes of the values they were
+    # formed on: after the values change in place, every call gives the
+    # value of a fresh path with the new values
+    from qbm.verify import _random_qpolynomial
+
+    ctx = QContext.numeric(0.5)
+    grid = GeometricGrid.build(q=0.5, t=1.0, depth=20)
+    calls = _path_calls(ctx)
+    f = _random_qpolynomial(np.random.default_rng(5), 6, 2)
+    path = simulate_path(grid, 11)
+    before = {name: call(f, path) for name, call in calls.items()}
+    path.values[3] *= 0.5
+    after = {name: call(f, path) for name, call in calls.items()}
+    fresh = {name: call(QPolynomial(f.coeffs), GeometricPath(grid=grid, values=path.values.copy())) for name, call in calls.items()}
+    assert after == fresh
+    assert all(after[name] != before[name] for name in calls)
+    key, rows = path._hermite_rows[ctx]
+    assert key == path.values.tobytes() and not rows.flags.writeable
+
+
+def test_kept_rows_grow_on_demand_and_go_with_the_path():
+    import gc
+    import weakref
+
+    from qbm import stochint
+
+    ctx = QContext.numeric(0.8)
+    grid = GeometricGrid.build(q=0.8, t=1.0, depth=40)
+    path = simulate_path(grid, 2)
+    x, t = stochint._path_arrays(path)
+    few = stochint._hermite_rows(4, x, t, ctx, path)
+    many = stochint._hermite_rows(12, x, t, ctx, path)
+    # the longer table goes on from the kept rows, with a pass's bits
+    assert few.shape == (5, 41) and many.shape == (13, 41)
+    assert many.tobytes() == np.array(hermite_eval_sequence(12, x, t, ctx)).tobytes()
+    assert many[:5].tobytes() == few.tobytes()
+    assert stochint._hermite_rows(7, x, t, ctx, path) is many
+    # blocks and exact values keep no rows
+    assert stochint._hermite_rows(3, x[None, :], t, ctx, path) is not many
+    exact = free_path(GeometricGrid.build(q=Fraction(1, 2), t=1, depth=3), [Fraction(k, 3) for k in range(4)])
+    integrate_def(PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(3), HALF), exact, HALF)
+    assert "_hermite_rows" not in vars(exact)
+    gone = weakref.ref(many)
+    del few, many, path
+    gc.collect()
+    assert gone() is None
+
+
+def test_threads_on_one_path_agree_with_serial_calls():
+    # four threads call the four path calls, two by two in the same order,
+    # on one path, polynomial and series integrand whose rows and terms none
+    # has formed yet: each gets the serial values
+    import sys
+    import threading
+
+    from qbm import stochint
+    from qbm.verify import _random_qpolynomial
+
+    ctx = QContext.numeric(0.8)
+    calls = _path_calls(ctx)
+    names = list(calls)
+    rng = np.random.default_rng(17)
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for depth in (20, 80):
+            grid = GeometricGrid.build(q=0.8, t=1.0, depth=depth)
+            for seed in range(50):
+                values = simulate_path(grid, seed).values
+                f0 = _random_qpolynomial(rng, 6, 2)
+                serial = {name: call(QPolynomial(f0.coeffs), GeometricPath(grid=grid, values=values)) for name, call in calls.items()}
+                stochint._series_integrand.cache_clear()
+                f, path = QPolynomial(f0.coeffs), GeometricPath(grid=grid, values=values)
+                got = [None] * 4
+                start = threading.Barrier(4)
+
+                def run(i):
+                    start.wait(timeout=30)
+                    order = names[i // 2 :] + names[: i // 2]
+                    got[i] = {name: calls[name](f, path) for name in order}
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert got == [serial] * 4, (depth, seed)
+    finally:
+        sys.setswitchinterval(saved)
+
+
+def test_series_integrand_cache_is_bounded(monkeypatch):
+    # sde_residual keeps its series integrand per (a, c, degree, grid), at
+    # most 32 of them, and each one's step terms for its grid are formed once
+    from qbm import stochint
+
+    formed = []
+    real = stochint._step_terms
+    monkeypatch.setattr(stochint, "_step_terms", lambda *args: formed.append(args[2].shape) or real(*args))
+    stochint._series_integrand.cache_clear()
+    ctx = QContext.numeric(0.5)
+    grids = [GeometricGrid.build(q=0.5, t=1.0, depth=k) for k in (10, 20)]
+    for grid in grids:
+        for seed in range(3):
+            sde_residual(0.5, 2.0, simulate_path(grid, seed), ctx, degree=30)
+    assert formed == [(11,), (21,)]
+    kept = stochint._series_integrand(0.5, 2.0, 30, grids[0])
+    assert [key[2] for key in kept._memo] == [grids[0]._time_array.tobytes()]
+    path = simulate_path(grids[0], 0)
+    for c in range(40):
+        sde_residual(0.5, 1.0 + c, path, ctx, degree=30)
+    info = stochint._series_integrand.cache_info()
+    assert info.maxsize == 32 and info.currsize == 32
