@@ -6,15 +6,15 @@ One pathwise check (qbm --suite all's convergence suite, and the pathwise
 benchmark op) simulates a path and then runs four sums along it.  For each
 (q, depth) this takes --repeats fresh paths, each with a fresh random
 degree-6 polynomial f (degree 2 in t), and times, in the check's order:
-simulate_path, ito_decompose of f (its derived forms, the q-Hermite
-coefficients, the time q-derivative and delta_exact, formed first and not
-timed), integrate_def and integrate_byparts of f's integrand (built first
-and not timed) and sde_residual(0.5, 2.0, degree=30).  What one call keeps
-for a later call on the same path or integrand is kept as in the check, and
-one untimed check per (q, depth) first builds what every check shares: the
-sampling tables and the series integrand of sde_residual.  It prints the
-median time of each call, in microseconds, with the number of cores the
-process may run on and the NumPy version.
+f's derived forms (forms: its q-Hermite coefficients, its time q-derivative
+and delta_exact, which the decomposition reads), simulate_path,
+ito_decompose of f, integrate_def and integrate_byparts of f's integrand
+(built first and not timed) and sde_residual(0.5, 2.0, degree=30).  What
+one call keeps for a later call on the same path or integrand is kept as in
+the check, and one untimed check per (q, depth) first builds what every
+check shares: the sampling tables and the series integrand of sde_residual.
+It prints the median time of each call, in microseconds, with the number of
+cores the process may run on and the NumPy version.
 """
 
 import argparse
@@ -30,7 +30,7 @@ from qbm.qhermite import QPolynomial, to_hermite_basis
 from qbm.qito import delta_exact, ito_decompose
 from qbm.stochint import PolynomialIntegrand, integrate_byparts, integrate_def, sde_residual
 
-CALLS = ("simulate", "ito", "def", "byparts", "sde")
+CALLS = ("forms", "simulate", "ito", "def", "byparts", "sde")
 
 
 def timed(call):
@@ -48,10 +48,11 @@ def layers(q: float, depth: int, repeats: int) -> list[float]:
     times: list[list[float]] = [[] for _ in CALLS]
     for i in range(-1, repeats):
         f = QPolynomial(tuple(Poly(rng.uniform(-1.0, 1.0, size=3).tolist()) for _ in range(7)))
-        to_hermite_basis(f, ctx), f.dq_time(ctx), delta_exact(f, ctx)
+        forms = timed(lambda: (to_hermite_basis(f, ctx), f.dq_time(ctx), delta_exact(f, ctx)))[1]
         integrand = PolynomialIntegrand.from_qpolynomial(f, ctx)
         path, dt = timed(lambda: simulate_path(grid, 1000 + i, ctx))
         calls = (
+            forms,
             dt,
             timed(lambda: ito_decompose(f, path, ctx))[1],
             timed(lambda: integrate_def(integrand, path, ctx))[1],

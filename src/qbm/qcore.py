@@ -85,50 +85,69 @@ def _n_product_factors(qf: float) -> int:
     return n
 
 
-_Q_NUMBERS: dict[tuple, tuple[list, list, list]] = {}
-
-
-def _q_numbers(n: int, ctx: QContext) -> tuple[list, list]:
-    """([k]_q for k = 0..N, [k]_q! for k = 0..N) with N >= n, in ctx's arithmetic.
-
-    The tables are kept per (q, mode) and extended on demand.  Each new entry
-    takes one step of the defining loops, [k+1]_q = [k]_q + q**k with q**k a
-    running product and [k+1]_q! = [k]_q! [k+1]_q, so every entry is the value
-    those loops return.  Callers must not modify the lists.
-    """
+def _grown(tables: dict, ctx: QContext, n: int, first: list, step: Callable[[list], object]) -> list:
+    """tables[(q, mode)], or first, with step(rows) appended until it holds
+    entry n: built apart and published in one assignment, never changed in
+    place, so threads read only whole tables.  Callers must not modify it."""
     key = (ctx.q, ctx.mode)
-    tab = _Q_NUMBERS.get(key)
-    if tab is None:
-        q = ctx.q
-        tab = _Q_NUMBERS[key] = ([q * 0], [q**0], [q**0])
-    ints, facts, powers = tab
-    while len(ints) <= n:
-        ints.append(ints[-1] + powers[-1])
-        facts.append(facts[-1] * ints[-1])
-        powers.append(powers[-1] * ctx.q)
-    return ints, facts
+    rows = tables.get(key, first)
+    if len(rows) <= n:
+        rows = list(rows)
+        while len(rows) <= n:
+            rows.append(step(rows))
+        tables[key] = rows
+    return rows
+
+
+_Q_NUMBERS: dict[tuple, list[tuple]] = {}
+
+
+def _q_numbers(n: int, ctx: QContext) -> list[tuple]:
+    """Rows ([k]_q, [k]_q!, q**k) for k = 0..N with N >= n in ctx's arithmetic,
+    kept per (q, mode) and extended on demand (_grown).  Each new row takes
+    one step of the defining loops, [k+1]_q = [k]_q + q**k with q**k a running
+    product and [k+1]_q! = [k]_q! [k+1]_q, so every entry is their value.
+    """
+
+    def step(rows):
+        k, fact, power = rows[-1]
+        return k + power, fact * (k + power), power * ctx.q
+
+    return _grown(_Q_NUMBERS, ctx, n, [(ctx.q * 0, ctx.q**0, ctx.q**0)], step)
 
 
 def q_int(n: int, ctx: QContext) -> Scalar:
     """[n]_q = 1 + q + ... + q**(n-1), with [0]_q = 0."""
     if n < 0:
         raise ValueError("q-integer needs n >= 0")
-    return _q_numbers(n, ctx)[0][n]
+    return _q_numbers(n, ctx)[n][0]
 
 
 def q_factorial(n: int, ctx: QContext) -> Scalar:
     """[n]_q! = [1]_q [2]_q ... [n]_q, empty product for n = 0."""
     if n < 0:
         raise ValueError("q-factorial needs n >= 0")
-    return _q_numbers(n, ctx)[1][n]
+    return _q_numbers(n, ctx)[n][1]
 
 
 def q_binomial(n: int, k: int, ctx: QContext) -> Scalar:
     """Gaussian binomial [n]_q! / ([k]_q! [n-k]_q!)."""
     if k < 0 or k > n:
         return ctx.q * 0
-    facts = _q_numbers(n, ctx)[1]
-    return facts[n] / (facts[k] * facts[n - k])
+    rows = _q_numbers(n, ctx)
+    return rows[n][1] / (rows[k][1] * rows[n - k][1])
+
+
+def _trim(cs: list) -> list:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _add(a: Sequence[Scalar], b: Sequence[Scalar]) -> list:
+    """The coefficients of Poly(a) + Poly(b), with Poly's bits."""
+    n = min(len(a), len(b))
+    return _trim([x + y for x, y in zip(a, b)] + [*a[n:], *b[n:]])
 
 
 class Poly:
@@ -173,17 +192,12 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        return Poly(_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         """self + (-other) coefficient by coefficient, with its bits: an exact
         zero negates to itself, so x - 0 would keep the -0.0 that x + (-0) drops."""
-        a, b = self.coeffs, other.coeffs
-        n = min(len(a), len(b))
-        return Poly(tuple(x + -y for x, y in zip(a, b)) + a[n:] + tuple(-y for y in b[n:]))
+        return Poly(_add(self.coeffs, [-y for y in other.coeffs]))
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
@@ -211,7 +225,8 @@ class Poly:
 
     def q_derivative(self, ctx: QContext) -> "Poly":
         """The q-derivative, mapping s**j to [j]_q s**(j-1)."""
-        return Poly(tuple(self.coeffs[j] * q_int(j, ctx) for j in range(1, len(self.coeffs))))
+        rows = _q_numbers(self.degree, ctx)
+        return Poly([self.coeffs[j] * rows[j][0] for j in range(1, len(self.coeffs))])
 
     def jackson_antiderivative(self, ctx: QContext) -> "Poly":
         """Polynomial P with P(t) equal to the Jackson integral of self over [0, t].

@@ -4,14 +4,18 @@ The family h_n(x; t) is monic in x and satisfies the three-term recurrence
 
     x h_n(x; t) = h_{n+1}(x; t) + t [n]_q h_{n-1}(x; t),    h_0 = 1, h_1 = x.
 
-Coefficients are polynomials in t, kept exact in rational mode.  Any
-polynomial f(x, t) can be written in the normalised basis
+Any polynomial f(x, t) can be written in the normalised basis
 
     f(x, t) = sum_m b_m(t) h_m(x; t) / [m]_q!
 
 and this module converts between the monomial form and the coefficient tuple
-(b_0, ..., b_d), which stochint.PolynomialIntegrand carries as its b.  A
-polynomial keeps its derived forms, such as that tuple, once computed.
+(b_0, ..., b_d), which stochint.PolynomialIntegrand carries as its b.  Each
+x-coefficient of h_m is one term c t**j, so a conversion (and qito's delta)
+scales and shifts f's coefficient lists, taking the operations of the Poly
+arithmetic it stands for in their order: same bits, signed zeros included,
+and exact Fractions in rational mode.  Kept per (q, mode): the terms of
+h_0..h_N and the growth constants C_0..C_N, N the largest degree asked for.
+A polynomial keeps its derived forms, such as b, once computed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .qcore import Poly, QContext, Scalar, _q_numbers, q_binomial, q_factorial, q_int
+from .qcore import Poly, QContext, Scalar, _add, _grown, _q_numbers, _trim, q_binomial, q_factorial
 
 __all__ = [
     "QPolynomial",
@@ -119,8 +123,6 @@ class QPolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
             return QPolynomial(out)
-        if isinstance(other, Poly):
-            return QPolynomial(tuple(c * other for c in self.coeffs))
         return QPolynomial(tuple(c * other for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -154,61 +156,84 @@ def _dq_time(f: QPolynomial, ctx: QContext) -> QPolynomial:
     return QPolynomial(tuple(p.q_derivative(ctx) for p in f.coeffs))
 
 
-_HERMITE_CACHE: dict[tuple, list[QPolynomial]] = {}
+def _times_term(a, c: Scalar, j: int) -> list:
+    """a times c t**j as Poly.__mul__ forms it, with c t**j held as j zeros
+    and then c (either factor first): each entry is a sum started from 0, so
+    a -0 product becomes +0 and the j entries below a[0] c are +0."""
+    return _trim([0 + a[0] * 0 * c] * j + [0 + x * c for x in a])
 
 
-def _hermite_list(n: int, ctx: QContext) -> list[QPolynomial]:
-    key = (ctx.q, ctx.mode)
-    seq = _HERMITE_CACHE.setdefault(key, [QPolynomial.x_power(0), QPolynomial.x_power(1)])
-    while len(seq) <= n:
-        m = len(seq) - 1
-        nxt = seq[m].mul_x() - q_int(m, ctx) * seq[m - 1].mul_t()
-        seq.append(nxt)
-    return seq
+#: h_m's x-coefficients per (q, mode): row m lists (i, c, j), the x**i
+#: coefficient c t**j, for i = m - 2k >= 0 ascending; c = 1, an int, at i = m
+_HERMITE_TABLE: dict[tuple, list[tuple]] = {}
+
+
+def _hermite_table(n: int, ctx: QContext) -> list[tuple]:
+    """Rows 0..N >= n of _HERMITE_TABLE, each c as h_{m+1} = x h_m - [m]_q t h_{m-1}
+    forms it on Polys: c' + -(c'' [m]_q), or the one term present."""
+
+    def step(rows):
+        m = len(rows) - 1
+        up, qm = {i + 1: c for i, c, _ in rows[m]}, _q_numbers(m, ctx)[m][0]
+        for i, c, _ in rows[m - 1]:
+            up[i] = up[i] + -(c * qm) if i in up else -(c * qm)
+        return tuple((i, up[i], (m + 1 - i) // 2) for i in sorted(up))
+
+    return _grown(_HERMITE_TABLE, ctx, n, [((0, 1, 0),), ((1, 1, 0),)], step)
 
 
 def qhermite(n: int, ctx: QContext) -> QPolynomial:
-    """h_n(x; t) from the three-term recurrence, exact in rational mode."""
+    """h_n(x; t), exact in rational mode, as the three-term recurrence forms
+    it on Polys: below each coefficient c t**j sit j zeros, -0 and +0 by turns."""
     if n < 0:
         raise ValueError("qhermite needs n >= 0")
-    return _hermite_list(n, ctx)[n]
+    cols, zero = [Poly()] * (n + 1), ctx.q * 0
+    for i, c, j in _hermite_table(n, ctx)[n]:
+        cols[i] = Poly([(-zero, zero)[k % 2] for k in range(j)] + [c])
+    return QPolynomial(cols)
 
 
 def to_hermite_basis(f: QPolynomial, ctx: QContext) -> tuple[Poly, ...]:
     """The coefficients (b_0(t), ..., b_d(t)) of f = sum_m b_m(t) h_m(x; t) / [m]_q!,
-    d the x-degree of f, by back-substitution.
+    d the x-degree of f.
 
-    The h_m are monic in x, so the expansion is triangular: strip the leading
-    x-coefficient, subtract that multiple of h_m, recurse.  Exact over
-    Fractions.  Computed once per context and kept on f.
+    The h_m are monic in x, so the expansion is triangular: from the top, b_m
+    is [m]_q! times the x**m coefficient list, and each lower x**i list loses
+    it times h_m's x**i coefficient c t**j, a scaled and shifted copy.
+    Computed once per context and kept on f.
     """
     return f.derived(_hermite_coeffs, ctx)
 
 
 def _hermite_coeffs(f: QPolynomial, ctx: QContext) -> tuple[Poly, ...]:
-    """to_hermite_basis' back-substitution; h_m's zero coefficients are
-    skipped, as subtracting lead * Poly() leaves a coefficient as it was."""
-    hs = _hermite_list(max(f.degree, 0), ctx)
-    work = list(f.coeffs)
-    out = [Poly() for _ in range(len(work))]
+    rows = _hermite_table(f.degree, ctx)
+    work, out = [list(p.coeffs) for p in f.coeffs], [Poly()] * len(f.coeffs)
     for m in range(len(work) - 1, -1, -1):
         lead = work[m]
-        if not lead.is_zero():
-            out[m] = lead * q_factorial(m, ctx)
-            for i, hc in enumerate(hs[m].coeffs):
-                if not hc.is_zero():
-                    work[i] = work[i] - lead * hc
+        if lead:
+            fact = q_factorial(m, ctx)
+            out[m] = Poly([a * fact for a in lead])
+            for i, c, j in rows[m][:-1]:
+                work[i] = _add(work[i], [-y for y in _times_term(lead, c, j)])
     return tuple(out)
 
 
 def from_hermite_basis(b: tuple[Poly, ...], ctx: QContext) -> QPolynomial:
     """Rebuild the monomial form of sum_m b[m](t) h_m(x; t) / [m]_q!."""
-    out = QPolynomial.zero()
+    return _from_basis(b, ctx, ctx.q**0)
+
+
+def _from_basis(b: tuple[Poly, ...], ctx: QContext, scale: Scalar) -> QPolynomial:
+    """sum_m b[m](t) h_m(x; scale t) / [m]_q! on coefficient lists, with the
+    bits of the QPolynomial sum of h_m.subs_t_scale(scale) * (b[m] / [m]_q!)."""
+    rows, cols = _hermite_table(len(b) - 1, ctx), [[] for _ in b]
+    powers = Poly([1] * len(b)).scale_arg(scale).coeffs
     for m, bm in enumerate(b):
-        if bm.is_zero():
-            continue
-        out = out + qhermite(m, ctx) * (bm * (1 / q_factorial(m, ctx)))
-    return out
+        inv = 1 / q_factorial(m, ctx)
+        s = _trim([x * inv for x in bm.coeffs])
+        for i, c, j in rows[m] if s else ():
+            cols[i] = _add(cols[i], _times_term(s, c * powers[j], j))
+    return QPolynomial(tuple(map(Poly, cols)))
 
 
 def hermite_eval_sequence(n_max: int, x, t, ctx: QContext, head=()) -> list:
@@ -226,7 +251,7 @@ def hermite_eval_sequence(n_max: int, x, t, ctx: QContext, head=()) -> list:
     if len(out) == 1:
         out.append(x * 0 + x)
     start = len(out) - 1
-    ints = _q_numbers(n_max, ctx)[0][start:n_max]
+    ints = [row[0] for row in _q_numbers(n_max, ctx)[start:n_max]]
     if ctx.mode == "float" and isinstance(t, np.ndarray) and t.dtype == float:
         steps = np.multiply.outer(ints, t)
     else:
@@ -242,14 +267,13 @@ _GROWTH_CACHE: dict[tuple, list[float]] = {}
 def growth_constant(n: int, ctx: QContext) -> float:
     """Sharp constant C_n = (1-q)**(-n/2) * sum_k qbinom(n, k).
 
-    Kept per (q, mode) for n = 0..N and extended on demand.
+    Kept per (q, mode) for n = 0..N and extended on demand (_grown).
     """
     if n < 0:
         raise ValueError("growth constant needs n >= 0")
-    qf = ctx.qf
-    seq = _GROWTH_CACHE.setdefault((ctx.q, ctx.mode), [])
-    while len(seq) <= n:
-        m = len(seq)
-        total = sum(float(q_binomial(m, k, ctx)) for k in range(m + 1))
-        seq.append((1.0 - qf) ** (-m / 2.0) * total)
-    return seq[n]
+
+    def step(seq):
+        total = sum(float(q_binomial(len(seq), k, ctx)) for k in range(len(seq) + 1))
+        return (1.0 - ctx.qf) ** (-len(seq) / 2.0) * total
+
+    return _grown(_GROWTH_CACHE, ctx, n, [], step)[n]

@@ -7,7 +7,7 @@ For f(x, s) = sum_m b_m(s) h_m(x; s) / [m]! three operators are in play:
   * the one-step generator A, acting on basis slices as
     A(h_m(.; s)) = [m] h_{m-1}(.; q s);
   * delta, the second-order part, assembled on monomials via
-    delta(x**n) = sum_{k<n} x**k A(x**(n-1-k)).
+    delta(x**n) = sum_{k<n} x**k A(x**(n-1-k)), kept per (q, mode).
 
 The basis is space-time harmonic: (D_t + delta) h_m = 0, with D_t the
 q-derivative in the time slot.  Consequently, on a geometric grid each step
@@ -53,12 +53,12 @@ from .measures import (
 )
 from . import process
 from .process import GeometricGrid, GeometricPath, PathBatch
-from .qcore import QContext, Scalar, _q_numbers, q_factorial
+from .qcore import Poly, QContext, Scalar, _add, _grown, _q_numbers, q_factorial
+from .qhermite import _from_basis, _times_term
 from .qhermite import (
     QPolynomial,
     from_hermite_basis,
     growth_constant,
-    qhermite,
     to_hermite_basis,
 )
 # integrate_def has no caller here, but perfbench/tracing.py wraps this
@@ -90,37 +90,28 @@ __all__ = [
 
 def nabla_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
     """q-gradient of f: shift the q-Hermite coefficients down by one."""
-    b = to_hermite_basis(f, ctx)
-    if len(b) <= 1:
-        return QPolynomial.zero()
-    return from_hermite_basis(b[1:], ctx)
+    return from_hermite_basis(to_hermite_basis(f, ctx)[1:], ctx)
 
 
 def a_operator(f: QPolynomial, ctx: QContext) -> QPolynomial:
     """Generator slice: sum_m b_m(t) h_{m-1}(x; q t) / [m-1]!."""
-    b = to_hermite_basis(f, ctx)
-    out = QPolynomial.zero()
-    for m in range(1, len(b)):
-        bm = b[m]
-        if bm.is_zero():
-            continue
-        base = qhermite(m - 1, ctx).subs_t_scale(ctx.q)
-        out = out + base * (bm * (1 / q_factorial(m - 1, ctx)))
-    return out
+    return _from_basis(to_hermite_basis(f, ctx)[1:], ctx, ctx.q)
 
 
-_DELTA_CACHE: dict[tuple, QPolynomial] = {}
+#: per (q, mode), row n lists delta(x**n)'s x**i coefficients c t**j as (i, c, j)
+_DELTA_TABLE: dict[tuple, list[tuple]] = {}
 
 
-def _delta_monomial(n: int, ctx: QContext) -> QPolynomial:
-    key = (ctx.q, ctx.mode, n)
-    if key not in _DELTA_CACHE:
-        total = QPolynomial.zero()
-        for k in range(n):
-            part = a_operator(QPolynomial.x_power(n - 1 - k), ctx)
-            total = total + QPolynomial.x_power(k) * part
-        _DELTA_CACHE[key] = total
-    return _DELTA_CACHE[key]
+def _delta_table(n: int, ctx: QContext) -> list[tuple]:
+    """Rows 0..N >= n of _DELTA_TABLE, each delta(x**m) = sum_{k<m} x**k A(x**(m-1-k))
+    formed once on QPolynomials."""
+
+    def step(rows):
+        m, x_power = len(rows), QPolynomial.x_power
+        total = sum((x_power(k) * a_operator(x_power(m - 1 - k), ctx) for k in range(m)), QPolynomial.zero())
+        return tuple((i, p.coeffs[-1], p.degree) for i, p in enumerate(total.coeffs) if p.coeffs)
+
+    return _grown(_DELTA_TABLE, ctx, n, [], step)
 
 
 def delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
@@ -130,12 +121,12 @@ def delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
 
 
 def _delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
-    out = QPolynomial.zero()
+    """sum_n delta(x**n) a_n(t): each term c t**j scales and shifts a_n."""
+    rows, cols = _delta_table(f.degree, ctx), [[] for _ in f.coeffs]
     for n, a_n in enumerate(f.coeffs):
-        if a_n.is_zero():
-            continue
-        out = out + _delta_monomial(n, ctx) * a_n
-    return out
+        for i, c, j in rows[n] if a_n.coeffs else ():
+            cols[i] = _add(cols[i], _times_term(a_n.coeffs, c, j))
+    return QPolynomial(tuple(map(Poly, cols)))
 
 
 def _divdiff1_poly(a: list[float], x: float, y):

@@ -104,8 +104,8 @@ class StochasticIntegralResult:
 
 def _inv_factorials(degree: int, ctx: QContext) -> list[Scalar]:
     """1 / [m+1]! for m = 0..degree, in the context's arithmetic."""
-    facts = _q_numbers(degree + 1, ctx)[1]
-    return [1 / facts[m + 1] for m in range(degree + 1)]
+    rows = _q_numbers(degree + 1, ctx)
+    return [1 / rows[m + 1][1] for m in range(degree + 1)]
 
 
 def _path_arrays(path: GeometricPath) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +328,7 @@ def integrate_def_batch(f: PolynomialIntegrand, batch: PathBatch, ctx: QContext)
     grid = batch.grid
     # the terms are taken here, so the blocks' walkers only read them
     ms, inv, b = _def_terms(f, grid._time_array, ctx)
-    terms = f.degree + 1, ms, (b[:-1] * inv).tolist(), _q_numbers(f.degree + 1, ctx)[0]
+    terms = f.degree + 1, ms, (b[:-1] * inv).tolist(), [row[0] for row in _q_numbers(f.degree + 1, ctx)]
 
     def block_sums(start: int, stop: int) -> np.ndarray:
         return np.asarray(_def_sum_columns(batch.values[start:stop], grid, terms, ctx), dtype=float)

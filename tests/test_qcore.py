@@ -265,7 +265,7 @@ def test_memoised_q_numbers_exact_mode():
 def test_float_context_with_fraction_q_computes_in_floats(monkeypatch, float_first):
     # fresh caches, so that the first context to fill them is the one built here
     monkeypatch.setattr(qcore, "_Q_NUMBERS", {})
-    monkeypatch.setattr(qhermite, "_HERMITE_CACHE", {})
+    monkeypatch.setattr(qhermite, "_HERMITE_TABLE", {})
     monkeypatch.setattr(qhermite, "_GROWTH_CACHE", {})
     from_fraction = QContext(q=Fraction(1, 2))
     assert type(from_fraction.q) is float and from_fraction == QContext.numeric(0.5)

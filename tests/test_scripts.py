@@ -165,10 +165,10 @@ def test_path_layers_times_each_call(capsys):
     assert load("path_layers").main(["--repeats", "1", "--q", "0.5", "0.8", "--depth", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("# nproc ") and " numpy " in lines[0] and len(lines) == 4
-    assert lines[1].split() == ["q", "depth", "simulate", "ito", "def", "byparts", "sde"]
+    assert lines[1].split() == ["q", "depth", "forms", "simulate", "ito", "def", "byparts", "sde"]
     for line, q in zip(lines[2:], ("0.5", "0.8")):
         fields = line.split()
-        assert fields[:2] == [q, "4"] and len(fields) == 7 and all(float(v) > 0.0 for v in fields[2:])
+        assert fields[:2] == [q, "4"] and len(fields) == 8 and all(float(v) > 0.0 for v in fields[2:])
 
 
 @pytest.mark.parametrize(
