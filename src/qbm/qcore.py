@@ -85,16 +85,17 @@ def _n_product_factors(qf: float) -> int:
     return n
 
 
-def _grown(tables: dict, ctx: QContext, n: int, first: list, step: Callable[[list], object]) -> list:
-    """tables[(q, mode)], or first, with step(rows) appended until it holds
-    entry n: built apart and published in one assignment, never changed in
-    place, so threads read only whole tables.  Callers must not modify it."""
+def _grown(tables: dict, ctx: QContext, n: int, step: Callable[[list, QContext], object]) -> list:
+    """tables[(q, mode)], starting empty, with step(rows, ctx) appended until
+    it holds entry n: built apart and published in one assignment, never
+    changed in place, so threads read only whole tables.  Callers must not
+    modify it."""
     key = (ctx.q, ctx.mode)
-    rows = tables.get(key, first)
+    rows = tables.get(key, ())
     if len(rows) <= n:
         rows = list(rows)
         while len(rows) <= n:
-            rows.append(step(rows))
+            rows.append(step(rows, ctx))
         tables[key] = rows
     return rows
 
@@ -108,12 +109,14 @@ def _q_numbers(n: int, ctx: QContext) -> list[tuple]:
     one step of the defining loops, [k+1]_q = [k]_q + q**k with q**k a running
     product and [k+1]_q! = [k]_q! [k+1]_q, so every entry is their value.
     """
+    return _grown(_Q_NUMBERS, ctx, n, _q_step)
 
-    def step(rows):
-        k, fact, power = rows[-1]
-        return k + power, fact * (k + power), power * ctx.q
 
-    return _grown(_Q_NUMBERS, ctx, n, [(ctx.q * 0, ctx.q**0, ctx.q**0)], step)
+def _q_step(rows: list, ctx: QContext) -> tuple:
+    if not rows:
+        return ctx.q * 0, ctx.q**0, ctx.q**0
+    k, fact, power = rows[-1]
+    return k + power, fact * (k + power), power * ctx.q
 
 
 def q_int(n: int, ctx: QContext) -> Scalar:

@@ -153,7 +153,9 @@ class QPolynomial:
 
 
 def _dq_time(f: QPolynomial, ctx: QContext) -> QPolynomial:
-    return QPolynomial(tuple(p.q_derivative(ctx) for p in f.coeffs))
+    """Poly.q_derivative on each x-coefficient, with one table lookup."""
+    qn = _q_numbers(max((p.degree for p in f.coeffs), default=0), ctx)
+    return QPolynomial(tuple(Poly([p.coeffs[j] * qn[j][0] for j in range(1, len(p.coeffs))]) for p in f.coeffs))
 
 
 def _times_term(a, c: Scalar, j: int) -> list:
@@ -163,23 +165,21 @@ def _times_term(a, c: Scalar, j: int) -> list:
     return _trim([0 + a[0] * 0 * c] * j + [0 + x * c for x in a])
 
 
-#: h_m's x-coefficients per (q, mode): row m lists (i, c, j), the x**i
-#: coefficient c t**j, for i = m - 2k >= 0 ascending; c = 1, an int, at i = m
+#: h_m's x-coefficients per (q, mode), grown on demand (_grown): row m lists
+#: (i, c, j), the x**i coefficient c t**j, for i = m - 2k >= 0 ascending
 _HERMITE_TABLE: dict[tuple, list[tuple]] = {}
 
 
-def _hermite_table(n: int, ctx: QContext) -> list[tuple]:
-    """Rows 0..N >= n of _HERMITE_TABLE, each c as h_{m+1} = x h_m - [m]_q t h_{m-1}
-    forms it on Polys: c' + -(c'' [m]_q), or the one term present."""
-
-    def step(rows):
-        m = len(rows) - 1
-        up, qm = {i + 1: c for i, c, _ in rows[m]}, _q_numbers(m, ctx)[m][0]
-        for i, c, _ in rows[m - 1]:
-            up[i] = up[i] + -(c * qm) if i in up else -(c * qm)
-        return tuple((i, up[i], (m + 1 - i) // 2) for i in sorted(up))
-
-    return _grown(_HERMITE_TABLE, ctx, n, [((0, 1, 0),), ((1, 1, 0),)], step)
+def _hermite_row(rows: list, ctx: QContext) -> tuple:
+    """Row m + 1, each c as h_{m+1} = x h_m - [m]_q t h_{m-1} forms it on Polys:
+    c' + -(c'' [m]_q), or the one term present; h_m's leading 1 is an int."""
+    m = len(rows) - 1
+    if m < 1:
+        return ((m + 1, 1, 0),)
+    up, qm = {i + 1: c for i, c, _ in rows[m]}, _q_numbers(m, ctx)[m][0]
+    for i, c, _ in rows[m - 1]:
+        up[i] = up[i] + -(c * qm) if i in up else -(c * qm)
+    return tuple((i, up[i], (m + 1 - i) // 2) for i in sorted(up))
 
 
 def qhermite(n: int, ctx: QContext) -> QPolynomial:
@@ -188,7 +188,7 @@ def qhermite(n: int, ctx: QContext) -> QPolynomial:
     if n < 0:
         raise ValueError("qhermite needs n >= 0")
     cols, zero = [Poly()] * (n + 1), ctx.q * 0
-    for i, c, j in _hermite_table(n, ctx)[n]:
+    for i, c, j in _grown(_HERMITE_TABLE, ctx, n, _hermite_row)[n]:
         cols[i] = Poly([(-zero, zero)[k % 2] for k in range(j)] + [c])
     return QPolynomial(cols)
 
@@ -206,12 +206,12 @@ def to_hermite_basis(f: QPolynomial, ctx: QContext) -> tuple[Poly, ...]:
 
 
 def _hermite_coeffs(f: QPolynomial, ctx: QContext) -> tuple[Poly, ...]:
-    rows = _hermite_table(f.degree, ctx)
+    rows, qn = _grown(_HERMITE_TABLE, ctx, f.degree, _hermite_row), _q_numbers(f.degree, ctx)
     work, out = [list(p.coeffs) for p in f.coeffs], [Poly()] * len(f.coeffs)
     for m in range(len(work) - 1, -1, -1):
         lead = work[m]
         if lead:
-            fact = q_factorial(m, ctx)
+            fact = qn[m][1]
             out[m] = Poly([a * fact for a in lead])
             for i, c, j in rows[m][:-1]:
                 work[i] = _add(work[i], [-y for y in _times_term(lead, c, j)])
@@ -226,7 +226,7 @@ def from_hermite_basis(b: tuple[Poly, ...], ctx: QContext) -> QPolynomial:
 def _from_basis(b: tuple[Poly, ...], ctx: QContext, scale: Scalar) -> QPolynomial:
     """sum_m b[m](t) h_m(x; scale t) / [m]_q! on coefficient lists, with the
     bits of the QPolynomial sum of h_m.subs_t_scale(scale) * (b[m] / [m]_q!)."""
-    rows, cols = _hermite_table(len(b) - 1, ctx), [[] for _ in b]
+    rows, cols = _grown(_HERMITE_TABLE, ctx, len(b) - 1, _hermite_row), [[] for _ in b]
     powers = Poly([1] * len(b)).scale_arg(scale).coeffs
     for m, bm in enumerate(b):
         inv = 1 / q_factorial(m, ctx)
@@ -271,9 +271,10 @@ def growth_constant(n: int, ctx: QContext) -> float:
     """
     if n < 0:
         raise ValueError("growth constant needs n >= 0")
+    return _grown(_GROWTH_CACHE, ctx, n, _growth_step)[n]
 
-    def step(seq):
-        total = sum(float(q_binomial(len(seq), k, ctx)) for k in range(len(seq) + 1))
-        return (1.0 - ctx.qf) ** (-len(seq) / 2.0) * total
 
-    return _grown(_GROWTH_CACHE, ctx, n, [], step)[n]
+def _growth_step(seq: list, ctx: QContext) -> float:
+    m = len(seq)
+    total = sum(float(q_binomial(m, k, ctx)) for k in range(m + 1))
+    return (1.0 - ctx.qf) ** (-m / 2.0) * total

@@ -98,20 +98,16 @@ def a_operator(f: QPolynomial, ctx: QContext) -> QPolynomial:
     return _from_basis(to_hermite_basis(f, ctx)[1:], ctx, ctx.q)
 
 
-#: per (q, mode), row n lists delta(x**n)'s x**i coefficients c t**j as (i, c, j)
+#: per (q, mode), grown on demand (_grown), row n lists delta(x**n)'s x**i
+#: coefficients c t**j as (i, c, j)
 _DELTA_TABLE: dict[tuple, list[tuple]] = {}
 
 
-def _delta_table(n: int, ctx: QContext) -> list[tuple]:
-    """Rows 0..N >= n of _DELTA_TABLE, each delta(x**m) = sum_{k<m} x**k A(x**(m-1-k))
-    formed once on QPolynomials."""
-
-    def step(rows):
-        m, x_power = len(rows), QPolynomial.x_power
-        total = sum((x_power(k) * a_operator(x_power(m - 1 - k), ctx) for k in range(m)), QPolynomial.zero())
-        return tuple((i, p.coeffs[-1], p.degree) for i, p in enumerate(total.coeffs) if p.coeffs)
-
-    return _grown(_DELTA_TABLE, ctx, n, [], step)
+def _delta_row(rows: list, ctx: QContext) -> tuple:
+    """Row m: delta(x**m) = sum_{k<m} x**k A(x**(m-1-k)), formed on QPolynomials."""
+    m, x_power = len(rows), QPolynomial.x_power
+    total = sum((x_power(k) * a_operator(x_power(m - 1 - k), ctx) for k in range(m)), QPolynomial.zero())
+    return tuple((i, p.coeffs[-1], p.degree) for i, p in enumerate(total.coeffs) if p.coeffs)
 
 
 def delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
@@ -122,7 +118,7 @@ def delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
 
 def _delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
     """sum_n delta(x**n) a_n(t): each term c t**j scales and shifts a_n."""
-    rows, cols = _delta_table(f.degree, ctx), [[] for _ in f.coeffs]
+    rows, cols = _grown(_DELTA_TABLE, ctx, f.degree, _delta_row), [[] for _ in f.coeffs]
     for n, a_n in enumerate(f.coeffs):
         for i, c, j in rows[n] if a_n.coeffs else ():
             cols[i] = _add(cols[i], _times_term(a_n.coeffs, c, j))
