@@ -173,11 +173,10 @@ def _fill(ctx):
 
 def test_tables_extended_by_threads_match_a_single_thread_build(monkeypatch):
     # four threads extend the tables of q that nothing has used, with a
-    # switch interval short enough to interleave them inside one extension;
-    # every published table holds a single-thread build's entries, and every
-    # thread reads a single-thread build's values
-    # (exact mode too: Fraction arithmetic runs Python code, where a
-    # thread can be switched out in the middle of one table entry)
+    # switch interval short enough to interleave them inside one extension
+    # (exact q too: Fraction arithmetic runs Python code, so a thread can be
+    # switched out inside one table entry); every published table holds a
+    # single-thread build's entries, and every thread reads its values
     contexts = [QContext.numeric(0.41 + k * 1e-7) for k in range(60)]
     contexts += [QContext.exact(Fraction(k, 211)) for k in range(60, 100)]
     saved = sys.getswitchinterval()
