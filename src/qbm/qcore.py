@@ -153,6 +153,16 @@ def _add(a: Sequence[Scalar], b: Sequence[Scalar]) -> list:
     return _trim([x + y for x, y in zip(a, b)] + [*a[n:], *b[n:]])
 
 
+def _add_term(w: Sequence[Scalar], a: Sequence[Scalar], c: Scalar, j: int, sign: int = 1) -> list:
+    """The coefficients of Poly(w) + Poly(a) * Poly([0] * j + [c]), or of the
+    difference for sign -1, a not empty, with the bits of that Poly
+    arithmetic.  Poly.__mul__ starts each entry from 0, so a -0 product, and
+    the j entries below a[0] c, come out +0; Poly.__sub__ then negates them
+    to -0 (y * -1 is -y); and each result is trimmed, as Poly trims."""
+    p = _trim([(0 + a[0] * 0 * c) * sign] * j + [(0 + x * c) * sign for x in a])
+    return _trim([x + y for x, y in zip(w, p)] + (w[len(p):] or p[len(w):]))
+
+
 class Poly:
     """Dense univariate polynomial with Fraction or float coefficients.
 

@@ -20,11 +20,11 @@ A polynomial keeps its derived forms, such as b, once computed.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .qcore import Poly, QContext, Scalar, _add, _grown, _q_numbers, _trim, q_binomial, q_factorial
+from .qcore import Poly, QContext, Scalar, _add_term, _grown, _q_numbers, _trim, q_binomial, q_factorial
 
 __all__ = [
     "QPolynomial",
@@ -143,26 +143,40 @@ class QPolynomial:
         return self.derived(_dq_time, ctx)
 
     def __call__(self, x: Scalar, t: Scalar) -> Scalar:
+        """Horner's rule in x over the coefficients' values at t.  At an array
+        t they take one pass (_poly_rows), with each one's own Horner bits; at
+        float times only if all are floats, which the array holds as they are."""
+        kind = t.dtype if isinstance(t, np.ndarray) else None
+        rows = kind == object or (kind == float and all(type(c) is float for p in self.coeffs for c in p.coeffs))
         out = 0 * x
-        for c in reversed(self.coeffs):
-            out = out * x + c(t)
+        for c in reversed(_poly_rows(self.coeffs, t) if rows else [p(t) for p in self.coeffs]):
+            out = out * x + c
         return out
 
     def __repr__(self) -> str:
         return f"QPolynomial({list(self.coeffs)!r})"
 
 
+def _poly_rows(polys: Sequence[Poly], s: np.ndarray) -> np.ndarray:
+    """polys[i] at s, row i, by one Horner pass over their zero-padded
+    coefficients in s's dtype: bit for bit (or, exact, value and type) each
+    one's own Horner rule from 0 * s, if that dtype holds them as they are.
+    At a finite s a padded step leaves a zero z, and z * s + c gives a row's
+    leading coefficient c, as from 0 * s (at inf or nan both give nan); a
+    polynomial with no coefficients gives 0 * s itself."""
+    width = max([1] + [len(p.coeffs) for p in polys])
+    c = np.array([(0,) * (width - len(p.coeffs)) + p.coeffs[::-1] for p in polys], dtype=s.dtype)
+    c = c.reshape(len(polys), width, *(1,) * s.ndim)
+    out = 0 * s + c[:, 0]
+    for j in range(1, width):
+        out = out * s + c[:, j]
+    if not all(p.coeffs for p in polys):
+        out[[not p.coeffs for p in polys]] = 0 * s
+    return out
+
+
 def _dq_time(f: QPolynomial, ctx: QContext) -> QPolynomial:
-    """Poly.q_derivative on each x-coefficient, with one table lookup."""
-    qn = _q_numbers(max((p.degree for p in f.coeffs), default=0), ctx)
-    return QPolynomial(tuple(Poly([p.coeffs[j] * qn[j][0] for j in range(1, len(p.coeffs))]) for p in f.coeffs))
-
-
-def _times_term(a, c: Scalar, j: int) -> list:
-    """a times c t**j as Poly.__mul__ forms it, with c t**j held as j zeros
-    and then c (either factor first): each entry is a sum started from 0, so
-    a -0 product becomes +0 and the j entries below a[0] c are +0."""
-    return _trim([0 + a[0] * 0 * c] * j + [0 + x * c for x in a])
+    return QPolynomial(tuple(p.q_derivative(ctx) for p in f.coeffs))
 
 
 #: h_m's x-coefficients per (q, mode), grown on demand (_grown): row m lists
@@ -214,7 +228,7 @@ def _hermite_coeffs(f: QPolynomial, ctx: QContext) -> tuple[Poly, ...]:
             fact = qn[m][1]
             out[m] = Poly([a * fact for a in lead])
             for i, c, j in rows[m][:-1]:
-                work[i] = _add(work[i], [-y for y in _times_term(lead, c, j)])
+                work[i] = _add_term(work[i], lead, c, j, -1)
     return tuple(out)
 
 
@@ -232,7 +246,7 @@ def _from_basis(b: tuple[Poly, ...], ctx: QContext, scale: Scalar) -> QPolynomia
         inv = 1 / q_factorial(m, ctx)
         s = _trim([x * inv for x in bm.coeffs])
         for i, c, j in rows[m] if s else ():
-            cols[i] = _add(cols[i], _times_term(s, c * powers[j], j))
+            cols[i] = _add_term(cols[i], s, c * powers[j], j)
     return QPolynomial(tuple(map(Poly, cols)))
 
 

@@ -53,10 +53,10 @@ from .measures import (
 )
 from . import process
 from .process import GeometricGrid, GeometricPath, PathBatch
-from .qcore import Poly, QContext, Scalar, _add, _grown, _q_numbers, q_factorial
-from .qhermite import _from_basis, _times_term
+from .qcore import Poly, QContext, Scalar, _add_term, _grown, _q_numbers, q_factorial
 from .qhermite import (
     QPolynomial,
+    _from_basis,
     from_hermite_basis,
     growth_constant,
     to_hermite_basis,
@@ -68,7 +68,6 @@ from .stochint import (
     _def_sum,
     _def_terms,
     _path_arrays,
-    _poly_rows,
     _row_sums,
     integrate_def,
 )
@@ -121,7 +120,7 @@ def _delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
     rows, cols = _grown(_DELTA_TABLE, ctx, f.degree, _delta_row), [[] for _ in f.coeffs]
     for n, a_n in enumerate(f.coeffs):
         for i, c, j in rows[n] if a_n.coeffs else ():
-            cols[i] = _add(cols[i], _times_term(a_n.coeffs, c, j))
+            cols[i] = _add_term(cols[i], a_n.coeffs, c, j)
     return QPolynomial(tuple(map(Poly, cols)))
 
 
@@ -319,14 +318,6 @@ def _ito_tail_bound(f: QPolynomial, ctx: QContext, t_deep: float) -> float:
     return total
 
 
-def _on_grid(p: QPolynomial, x: np.ndarray, t: np.ndarray):
-    """p(x_k, t_k) for all k at once, added as QPolynomial.__call__ adds it."""
-    out = 0 * x
-    for c in _poly_rows(p.coeffs, t)[::-1]:
-        out = out * x + c
-    return out
-
-
 def _sums(f: QPolynomial, x: np.ndarray, t: np.ndarray, ctx: QContext, path=None):
     """The gradient integral (the defining sum of nabla f's integrand),
     sum_k t_k (D_t f)(B_{k+1}, t_k) and sum_k t_k (delta f)(B_{k+1}, t_k),
@@ -336,7 +327,7 @@ def _sums(f: QPolynomial, x: np.ndarray, t: np.ndarray, ctx: QContext, path=None
     stochint._hermite_rows."""
     grad = _def_sum(PolynomialIntegrand.from_qpolynomial(f, ctx), x, t, ctx, path, shift=1)
     s, y = t[:-1], x[..., 1:]
-    drift, second = (_row_sums(0 * ctx.q, s * _on_grid(p, y, s)) for p in (f.dq_time(ctx), delta_exact(f, ctx)))
+    drift, second = (_row_sums(0 * ctx.q, s * p(y, s)) for p in (f.dq_time(ctx), delta_exact(f, ctx)))
     return grad, drift, second
 
 

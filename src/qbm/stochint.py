@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .qcore import Poly, QContext, Scalar, _q_numbers, q_factorial
-from .qhermite import QPolynomial, growth_constant, hermite_eval_sequence, to_hermite_basis
+from .qhermite import QPolynomial, _poly_rows, growth_constant, hermite_eval_sequence, to_hermite_basis
 from . import process
 from .process import GeometricGrid, GeometricPath, PathBatch, _as_array
 
@@ -111,21 +111,6 @@ def _inv_factorials(degree: int, ctx: QContext) -> list[Scalar]:
 def _path_arrays(path: GeometricPath) -> tuple[np.ndarray, np.ndarray]:
     """(B_k, t_k) for k = 0..K as arrays, the times kept on the grid."""
     return _as_array(path.values), path.grid._time_array
-
-
-def _poly_rows(polys: Sequence[Poly], s: np.ndarray) -> np.ndarray:
-    """polys[i] at the times s, row i, by one Horner pass over their
-    zero-padded coefficients.  Times are positive, so 0 * s is one zero z at
-    every time: every padded step leaves z, each row is bit for bit (or, exact,
-    value and type) that polynomial's own Horner rule from 0 * s, and the
-    first step, z * s + c, is z + c, taken once per row rather than per time."""
-    width = max([1] + [len(p.coeffs) for p in polys])
-    padded = [(0,) * (width - len(p.coeffs)) + p.coeffs[::-1] for p in polys]
-    c = np.array(padded, dtype=s.dtype).reshape(len(polys), width)
-    out = np.repeat(0 * s[:1] + c[:, :1], len(s), axis=1)
-    for j in range(1, width):
-        out = out * s + c[:, j, None]
-    return out
 
 
 def _row_sums(init, *terms: np.ndarray):

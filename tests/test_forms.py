@@ -4,14 +4,17 @@ to_hermite_basis, from_hermite_basis (with nabla_exact), delta_exact and
 dq_time act on coefficient lists.  The reference below is the Poly and
 QPolynomial arithmetic that formed them before: the three-term recurrence
 on QPolynomials, the back-substitution, and delta summed from monomials.
-Floats are compared by float.hex, since == cannot tell -0.0 from 0.0, and
-exact values by type and value.
+Evaluation at an array of times takes all coefficients in one Horner pass;
+its reference is each coefficient's own Horner rule.  Floats are compared
+by float.hex, since == cannot tell -0.0 from 0.0, and exact values by type
+and value.
 """
 
 import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +92,13 @@ def ref_dq_time(f, ctx):
     return QPolynomial(tuple(p.q_derivative(ctx) for p in f.coeffs))
 
 
+def ref_call(f, x, t):
+    out = 0 * x
+    for c in reversed(f.coeffs):
+        out = out * x + c(t)
+    return out
+
+
 # --- comparison ---
 
 
@@ -96,6 +106,11 @@ def bits(form):
     """A form's scalars, floats by float.hex and the rest by (type, value)."""
     cols = form.coeffs if isinstance(form, QPolynomial) else form
     return [[c.hex() if isinstance(c, float) else (type(c).__name__, c) for c in p.coeffs] for p in cols]
+
+
+def array_bits(a):
+    """An array's dtype and its entries, as bits() gives scalars."""
+    return a.dtype, [v.hex() if isinstance(v, float) else (type(v).__name__, v) for v in np.ravel(a).tolist()]
 
 
 def assert_forms_match(f, ctx):
@@ -134,6 +149,33 @@ def test_float_forms_keep_the_poly_bits(f, q):
 @settings(max_examples=60, deadline=None)
 def test_exact_forms_keep_the_poly_fractions(f, q):
     assert_forms_match(f, QContext.exact(q))
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(
+    f=columns(st.one_of(floats, floats, rationals)),
+    points=st.lists(st.tuples(any_float, any_float), min_size=1, max_size=6),
+    rows=st.integers(1, 2),
+)
+@settings(max_examples=300, deadline=None)
+def test_evaluation_at_float_arrays_keeps_each_coefficients_bits(f, points, rows):
+    # negative times and -0.0 give 0 * t = -0.0, which an empty column keeps;
+    # inf and nan times make every step nan; a Fraction coefficient makes its
+    # column's values an object array; a block of paths is a 2-D x
+    x = np.array([[a for a, _ in points]] * rows)
+    t = np.array([b for _, b in points])
+    with np.errstate(all="ignore"):
+        assert array_bits(f(x, t)) == array_bits(ref_call(f, x, t))
+
+
+@given(f=columns(rationals, 5, 2), points=st.lists(st.tuples(rationals, rationals), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_evaluation_at_exact_arrays_keeps_each_coefficients_values(f, points):
+    x = np.array([a for a, _ in points], dtype=object)
+    t = np.array([b for _, b in points], dtype=object)
+    assert array_bits(f(x, t)) == array_bits(ref_call(f, x, t))
 
 
 def test_hermite_polynomials_keep_the_recurrence_bits():

@@ -147,7 +147,7 @@ def test_poly_rows_runs_each_rows_own_horner_rule():
     # rows of unequal degree, a zero polynomial, signed zeros inside a row;
     # each row has the bits (floats) or the type and value (Fractions) of
     # Poly.__call__ at every time
-    from qbm.stochint import _poly_rows
+    from qbm.qhermite import _poly_rows
 
     polys = [Poly([1.5, -0.0, 2.0, -0.25]), Poly(), Poly([-0.0, 3.0]), Poly([0.1]), Poly([-2.0, 0.0, 0.5])]
     lead = Poly([1.0])
