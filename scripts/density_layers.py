@@ -11,7 +11,7 @@ on a degree-6 polynomial (at q <= 0.95 only: above that its nested form
 needs 2048 or more intervals, or does not converge by 4096, and the
 columns show "-").  The last two are timed cold, with the density
 levels and the delta inner leg's moments dropped first
-(measures._theta_levels, qito._MOMENTS), and warm, with them kept from an
+(measures._theta_levels, qito._moment_slot), and warm, with them kept from an
 earlier call.  It prints the median of
 --repeats timings of each, in microseconds, with the number of cores the
 process may run on and the NumPy version.
@@ -79,7 +79,7 @@ def layers(q: float, repeats: int) -> tuple[float, ...]:
         point,
         level,
         *cold_warm(moments, measures._theta_levels.cache_clear, repeats),
-        *(cold_warm(delta, qito._MOMENTS.clear, repeats) if q <= DELTA_MAX_Q else (None, None)),
+        *(cold_warm(delta, qito._moment_slot.cache_clear, repeats) if q <= DELTA_MAX_Q else (None, None)),
     )
 
 

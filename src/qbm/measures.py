@@ -31,7 +31,8 @@ interpolant.  A draw is a closed-form knot index (two square roots, the
 upper half mirrored by one np.where), a few gathers and the Hermite
 evaluation, with no search and no iteration, and deterministic given
 the uniforms, which keeps every Monte Carlo run reproducible from its seed.
-A draw at one state runs on Python floats and reads its records from the
+A single-path walk draws at one state on Python floats, from knot positions
+taken for all its uniforms in one pass, reading its records from the
 table's bytes, with the array form's value bit for bit.
 Each table is built once per q from the CDF of each row, by Gauss-Lobatto
 quadrature on nodes that resolve its conditional standard deviation, and
@@ -757,18 +758,6 @@ def _knot_cells(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cell, t
 
 
-def _knot_position(u: float) -> tuple[int, float]:
-    """_knot_coordinate of one uniform on Python floats, as its knot interval
-    and the offset in it; raises ValueError unless u lies in [0, 1)."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError("uniforms must lie in [0, 1)")
-    k = math.sqrt(math.sqrt(min(u, 1.0 - u) * _U_SCALE))
-    if u >= 0.5:
-        k = N_U - k
-    cell = int(k)
-    return cell, k - cell
-
-
 def _quantile_at(records: memoryview, row: int, cell: int, t: float) -> float:
     """_quantiles' cubic in one row at offset t of a knot interval, from the
     table's record bytes (CdfTable._one_state)."""
@@ -776,19 +765,17 @@ def _quantile_at(records: memoryview, row: int, cell: int, t: float) -> float:
     return ((c3 * t + c2) * t + c1) * t + c0
 
 
-def draw_from_table(table: CdfTable, rows: np.ndarray | int, u: np.ndarray | float) -> np.ndarray | float:
-    """Map uniforms through the tabulated inverse CDF of the given rows to
-    state space; raises ValueError unless every u lies in [0, 1).  A float u
-    in an int row gives a float: the same operations on Python floats, which
-    round as NumPy's float64 ufuncs do, so the same bits."""
-    if isinstance(u, float) and isinstance(rows, int):
-        return _draw_at(table, rows, *_knot_position(u))
+def draw_from_table(table: CdfTable, rows: np.ndarray | int, u: np.ndarray) -> np.ndarray:
+    """Map uniforms through the tabulated inverse CDF of the given rows (an
+    int, or an array broadcast against u) to state space; raises ValueError
+    unless every u lies in [0, 1)."""
     return table.w * _quantiles(table, u, rows)
 
 
 def _draw_at(table: CdfTable, row: int, cell: int, t: float) -> float:
-    """draw_from_table in one row at a knot position (_knot_position's
-    interval and offset), on Python floats."""
+    """draw_from_table in one row at one knot position, an interval and the
+    offset in it as _knot_cells gives them, on Python floats: the same
+    operations, which round as NumPy's float64 ufuncs do, so the same bits."""
     return table.w * _quantile_at(table._one_state[0], row, cell, t)
 
 
@@ -796,7 +783,7 @@ def _draw_at(table: CdfTable, row: int, cell: int, t: float) -> float:
 _ROW_PAIR = np.array([0, 1], dtype=np.intp)
 
 
-def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray | float, u: np.ndarray | float) -> np.ndarray | float:
+def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Batch draws from the scaled one-step kernel at states x_scaled.
 
     The conditional quantile function is interpolated linearly between the two
@@ -806,22 +793,18 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray | float, u: np.n
     Blending two quantile functions loses variance, 2 lam (1 - lam)
     blend_loss[j] of it (up to 1e-5 near the edge at q = 0.99); the draw's
     deviation from x is scaled by 1 + lam (1 - lam) blend_loss[j] to restore
-    it, which keeps the mean, and clipped to the support.  A float state
-    with a float uniform gives a float, bit for bit the array form's (see
-    _transition_at).
+    it, which keeps the mean, and clipped to the support.  States and
+    uniforms are arrays of one shape, one state per uniform (the steps below
+    work in place); anything else raises ValueError.  _transition_at is the
+    one-state form on Python floats, with the same bits.
     """
     xg = table.x_grid
     if xg is None:
         raise ValueError("table has no conditioning grid")
-    if isinstance(x_scaled, float) and isinstance(u, float):
-        return _transition_at(table, x_scaled, *_knot_position(u))
     x = np.asarray(x_scaled, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.shape != u.shape or x.ndim == 0:
-        # one state per uniform, in flat arrays: the steps below work in place
-        xs, us = np.broadcast_arrays(x, u)
-        y = draw_transition_batch(table, xs.ravel(), us.ravel()).reshape(xs.shape)
-        return y if y.ndim else y[()]
+        raise ValueError("states and uniforms must be arrays of one shape")
     lam = np.subtract(x, xg[0])
     lam /= xg[1] - xg[0]
     # truncation is floor wherever it matters: negative positions clip to row
@@ -856,9 +839,9 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray | float, u: np.n
 
 def _transition_at(table: CdfTable, x: float, cell: int, t: float) -> float:
     """draw_transition_batch at one state and the knot position (cell, t) of
-    its uniform (_knot_position's), on Python floats: each operation of the
-    array form in its order, reading one record per bracketing row.  A
-    non-finite state gives NaN, as there."""
+    its uniform, as _knot_cells gives them, on Python floats: each operation
+    of the array form in its order, reading one record per bracketing row,
+    so the same bits.  A non-finite state gives NaN, as there."""
     records, loss, x0, dx, top = table._one_state
     pos = (x - x0) / dx
     # the array form's truncation, clipped to [0, top]: NaN takes row 0, and a

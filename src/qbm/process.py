@@ -397,8 +397,8 @@ def _walk_block(block: np.ndarray, base_seed: int, mt, tt, rts: tuple[float, ...
 def _walk_paths(block: np.ndarray, base_seed: int, mt, tt, rts: tuple[float, ...], edges: tuple[float, ...]) -> None:
     """Simulate a block path by path on Python floats, one state per draw,
     each path on the uniforms of its own generator, whose knot positions are
-    taken in one pass over them (as draw_from_table and
-    draw_transition_batch take them one uniform at a time, so the same bits)."""
+    taken in one pass over them (_knot_cells, as draw_from_table and
+    draw_transition_batch take them, so the same bits)."""
     K = len(rts) - 1
     for i in range(block.shape[0]):
         cells, offsets = (a.tolist() for a in _knot_cells(np.random.default_rng(base_seed + i).random(K + 1)))
@@ -482,8 +482,6 @@ def write_batch_csv(batch: PathBatch, out_dir, wide: bool = False) -> list[str]:
     Returns the file names written.  Reruns with the same seed and build
     produce byte-identical files.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     names: list[str] = []
     if wide:

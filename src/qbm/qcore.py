@@ -5,6 +5,12 @@ carried by a :class:`QContext`.  Exact mode works over ``fractions.Fraction``
 so that algebraic identities can be checked with zero tolerance; float mode
 uses ordinary binary floats and truncates the infinite Jackson sums with an
 explicit tail rule, and infinite q-products at the one tolerance PROD_EPS.
+
+Every module-level cache of the package is a ``functools.lru_cache`` with a
+fixed bound.  The per-context tables that grow on demand ([k]_q and [k]_q!
+here, and the q-Hermite terms, growth constants and delta terms of qhermite
+and qito) share one record per (q, mode), kept for the last 128 contexts and
+reached only through _grown.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ __all__ = [
     "q_binomial",
     "q_derivative",
     "jackson_integral",
-    "jackson_stieltjes",
 ]
 
 #: float-mode Jackson sums stop once the dropped tail is bounded by this
@@ -85,31 +90,37 @@ def _n_product_factors(qf: float) -> int:
     return n
 
 
-def _grown(tables: dict, ctx: QContext, n: int, step: Callable[[list, QContext], object]) -> list:
-    """tables[(q, mode)], starting empty, with step(rows, ctx) appended until
-    it holds entry n: built apart and published in one assignment, never
-    changed in place, so threads read only whole tables.  Callers must not
-    modify it."""
-    key = (ctx.q, ctx.mode)
-    rows = tables.get(key, ())
+@lru_cache(maxsize=128)
+def _record(q: Scalar, mode: str) -> dict:
+    """The on-demand tables of one context, by name (_grown); the least
+    recently used context's record is dropped first.  Threads that miss
+    together may each get a record; one is kept, and what the others
+    built is built again when next asked for."""
+    return {}
+
+
+def _grown(name: str, ctx: QContext, n: int, step: Callable[[list, QContext], object]) -> list:
+    """The table called name in ctx's record, starting empty, with
+    step(rows, ctx) appended until it holds entry n: built apart and
+    published in one assignment, never changed in place, so threads read
+    only whole tables.  Callers must not modify it."""
+    record = _record(ctx.q, ctx.mode)
+    rows = record.get(name, ())
     if len(rows) <= n:
         rows = list(rows)
         while len(rows) <= n:
             rows.append(step(rows, ctx))
-        tables[key] = rows
+        record[name] = rows
     return rows
-
-
-_Q_NUMBERS: dict[tuple, list[tuple]] = {}
 
 
 def _q_numbers(n: int, ctx: QContext) -> list[tuple]:
     """Rows ([k]_q, [k]_q!, q**k) for k = 0..N with N >= n in ctx's arithmetic,
-    kept per (q, mode) and extended on demand (_grown).  Each new row takes
+    kept per context and extended on demand (_grown).  Each new row takes
     one step of the defining loops, [k+1]_q = [k]_q + q**k with q**k a running
     product and [k+1]_q! = [k]_q! [k+1]_q, so every entry is their value.
     """
-    return _grown(_Q_NUMBERS, ctx, n, _q_step)
+    return _grown("q numbers", ctx, n, _q_step)
 
 
 def _q_step(rows: list, ctx: QContext) -> tuple:
@@ -270,19 +281,16 @@ class Poly:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Evaluation rule on [0, T] with declared behaviour near 0.
+    """Evaluation rule on [0, T] with a sup bound near 0.
 
-    Jackson sums probe s = q**k t all the way down to 0, so integrands must
-    declare either a sup bound near 0 or a Hoelder-type modulus
-    |f(s) - f(0)| <= holder_const * s**holder_exp.  Constants are declared by
-    the caller, never estimated, except for polynomial rules where both are
-    derived exactly from the coefficients.
+    Jackson sums probe s = q**k t all the way down to 0, so an integrand
+    must declare a sup bound near 0, which sets where the float-mode sum
+    stops.  The bound is declared by the caller, never estimated, except for
+    polynomial rules, where it is derived exactly from the coefficients.
     """
 
     func: Callable[[Scalar], Scalar]
     sup_near_zero: Scalar | None = None
-    holder_const: Scalar | None = None
-    holder_exp: Scalar | None = None
     poly: Poly | None = None
 
     @classmethod
@@ -296,10 +304,8 @@ class SampledFunction:
         func: Callable[[Scalar], Scalar],
         *,
         sup_near_zero: Scalar | None = None,
-        holder: tuple[Scalar, Scalar] | None = None,
     ) -> "SampledFunction":
-        c, d = holder if holder is not None else (None, None)
-        return cls(func=func, sup_near_zero=sup_near_zero, holder_const=c, holder_exp=d)
+        return cls(func=func, sup_near_zero=sup_near_zero)
 
     def __call__(self, s: Scalar) -> Scalar:
         return self.func(s)
@@ -311,17 +317,6 @@ class SampledFunction:
         if self.sup_near_zero is None:
             raise ValueError("integrand has no declared bound near 0")
         return self.sup_near_zero
-
-    def holder_at(self, t: Scalar) -> tuple[Scalar, Scalar]:
-        """(C, delta) with |f(s) - f(0)| <= C s**delta on [0, t]."""
-        if self.poly is not None:
-            if self.poly.degree < 1:
-                return (0, 1)
-            c = sum(abs(cj) * t ** (j - 1) for j, cj in enumerate(self.poly.coeffs) if j >= 1)
-            return (c, 1)
-        if self.holder_const is None or self.holder_exp is None:
-            raise ValueError("integrator has no declared Hoelder modulus near 0")
-        return (self.holder_const, self.holder_exp)
 
 
 def _as_sampled(f) -> SampledFunction:
@@ -376,49 +371,3 @@ def jackson_integral(f, t: Scalar, ctx: QContext) -> Scalar:
         total += p * g(p * t)
         p *= q
     return (1 - q) * t * total
-
-
-def _stieltjes_cutoff(ctx: QContext, sup_a: float, c: float, delta: float, t: float) -> int:
-    """Smallest K with 2 sup|a| C t**delta q**(K delta) / (1 - q**delta) < TAIL_EPS."""
-    qf = ctx.qf
-    qd = qf ** float(delta)
-    lead = 2.0 * max(1.0, float(sup_a)) * float(c) * float(t) ** float(delta) / (1.0 - qd)
-    if lead == 0.0:
-        return 1
-    k, p = 0, 1.0
-    while lead * p >= TAIL_EPS:
-        p *= qd
-        k += 1
-        if k > 10_000_000:  # pragma: no cover
-            raise RuntimeError("Jackson-Stieltjes cutoff did not terminate")
-    return k
-
-
-def jackson_stieltjes(a, b, t: Scalar, ctx: QContext) -> Scalar:
-    """Jackson-Stieltjes integral of a against b over [0, t]:
-
-        sum_k a(q**k t) (b(q**k t) - b(q**(k+1) t)).
-
-    b must carry a Hoelder declaration near 0 (derived for polynomials);
-    in exact mode with polynomial a and b this reduces to the Jackson
-    integral of a times the q-derivative of b, which has a closed form.
-    """
-    fa, fb = _as_sampled(a), _as_sampled(b)
-    if t < 0:
-        raise ValueError("Jackson-Stieltjes integral needs t >= 0")
-    if t == 0:
-        return ctx.q * 0
-    c, delta = fb.holder_at(t)  # raises if undeclared
-    if ctx.mode == "exact" and fa.poly is not None and fb.poly is not None:
-        prod = fa.poly * fb.poly.q_derivative(ctx)
-        return prod.jackson_antiderivative(ctx)(t)
-    sup_a = fa.sup_on(t)
-    K = _stieltjes_cutoff(ctx, sup_a, c, delta, t)
-    q = ctx.q
-    total = 0 * q
-    p = q**0
-    for _ in range(K):
-        s_hi, s_lo = p * t, p * q * t
-        total += fa(s_hi) * (fb(s_hi) - fb(s_lo))
-        p *= q
-    return total

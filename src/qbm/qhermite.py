@@ -13,8 +13,9 @@ and this module converts between the monomial form and the coefficient tuple
 x-coefficient of h_m is one term c t**j, so a conversion (and qito's delta)
 scales and shifts f's coefficient lists, taking the operations of the Poly
 arithmetic it stands for in their order: same bits, signed zeros included,
-and exact Fractions in rational mode.  Kept per (q, mode): the terms of
-h_0..h_N and the growth constants C_0..C_N, N the largest degree asked for.
+and exact Fractions in rational mode.  Kept per (q, mode), in qcore's
+bounded record of the context: the terms of h_0..h_N and the growth
+constants C_0..C_N, N the largest degree asked for.
 A polynomial keeps its derived forms, such as b, once computed.
 """
 
@@ -179,13 +180,10 @@ def _dq_time(f: QPolynomial, ctx: QContext) -> QPolynomial:
     return QPolynomial(tuple(p.q_derivative(ctx) for p in f.coeffs))
 
 
-#: h_m's x-coefficients per (q, mode), grown on demand (_grown): row m lists
-#: (i, c, j), the x**i coefficient c t**j, for i = m - 2k >= 0 ascending
-_HERMITE_TABLE: dict[tuple, list[tuple]] = {}
-
-
 def _hermite_row(rows: list, ctx: QContext) -> tuple:
-    """Row m + 1, each c as h_{m+1} = x h_m - [m]_q t h_{m-1} forms it on Polys:
+    """Row m + 1 of the context's table "hermite terms" (_grown), whose row m
+    lists h_m's x**i coefficients c t**j as (i, c, j), i = m - 2k >= 0
+    ascending.  Each c as h_{m+1} = x h_m - [m]_q t h_{m-1} forms it on Polys:
     c' + -(c'' [m]_q), or the one term present; h_m's leading 1 is an int."""
     m = len(rows) - 1
     if m < 1:
@@ -202,7 +200,7 @@ def qhermite(n: int, ctx: QContext) -> QPolynomial:
     if n < 0:
         raise ValueError("qhermite needs n >= 0")
     cols, zero = [Poly()] * (n + 1), ctx.q * 0
-    for i, c, j in _grown(_HERMITE_TABLE, ctx, n, _hermite_row)[n]:
+    for i, c, j in _grown("hermite terms", ctx, n, _hermite_row)[n]:
         cols[i] = Poly([(-zero, zero)[k % 2] for k in range(j)] + [c])
     return QPolynomial(cols)
 
@@ -220,7 +218,7 @@ def to_hermite_basis(f: QPolynomial, ctx: QContext) -> tuple[Poly, ...]:
 
 
 def _hermite_coeffs(f: QPolynomial, ctx: QContext) -> tuple[Poly, ...]:
-    rows, qn = _grown(_HERMITE_TABLE, ctx, f.degree, _hermite_row), _q_numbers(f.degree, ctx)
+    rows, qn = _grown("hermite terms", ctx, f.degree, _hermite_row), _q_numbers(f.degree, ctx)
     work, out = [list(p.coeffs) for p in f.coeffs], [Poly()] * len(f.coeffs)
     for m in range(len(work) - 1, -1, -1):
         lead = work[m]
@@ -240,7 +238,7 @@ def from_hermite_basis(b: tuple[Poly, ...], ctx: QContext) -> QPolynomial:
 def _from_basis(b: tuple[Poly, ...], ctx: QContext, scale: Scalar) -> QPolynomial:
     """sum_m b[m](t) h_m(x; scale t) / [m]_q! on coefficient lists, with the
     bits of the QPolynomial sum of h_m.subs_t_scale(scale) * (b[m] / [m]_q!)."""
-    rows, cols = _grown(_HERMITE_TABLE, ctx, len(b) - 1, _hermite_row), [[] for _ in b]
+    rows, cols = _grown("hermite terms", ctx, len(b) - 1, _hermite_row), [[] for _ in b]
     powers = Poly([1] * len(b)).scale_arg(scale).coeffs
     for m, bm in enumerate(b):
         inv = 1 / q_factorial(m, ctx)
@@ -275,17 +273,14 @@ def hermite_eval_sequence(n_max: int, x, t, ctx: QContext, head=()) -> list:
     return out
 
 
-_GROWTH_CACHE: dict[tuple, list[float]] = {}
-
-
 def growth_constant(n: int, ctx: QContext) -> float:
     """Sharp constant C_n = (1-q)**(-n/2) * sum_k qbinom(n, k).
 
-    Kept per (q, mode) for n = 0..N and extended on demand (_grown).
+    Kept per context for n = 0..N and extended on demand (_grown).
     """
     if n < 0:
         raise ValueError("growth constant needs n >= 0")
-    return _grown(_GROWTH_CACHE, ctx, n, _growth_step)[n]
+    return _grown("growth constants", ctx, n, _growth_step)[n]
 
 
 def _growth_step(seq: list, ctx: QContext) -> float:

@@ -37,6 +37,7 @@ state x, and for delta the s-free inner leg's moments of sin(theta)**j per
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -97,11 +98,6 @@ def a_operator(f: QPolynomial, ctx: QContext) -> QPolynomial:
     return _from_basis(to_hermite_basis(f, ctx)[1:], ctx, ctx.q)
 
 
-#: per (q, mode), grown on demand (_grown), row n lists delta(x**n)'s x**i
-#: coefficients c t**j as (i, c, j)
-_DELTA_TABLE: dict[tuple, list[tuple]] = {}
-
-
 def _delta_row(rows: list, ctx: QContext) -> tuple:
     """Row m: delta(x**m) = sum_{k<m} x**k A(x**(m-1-k)), formed on QPolynomials."""
     m, x_power = len(rows), QPolynomial.x_power
@@ -116,8 +112,10 @@ def delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
 
 
 def _delta_exact(f: QPolynomial, ctx: QContext) -> QPolynomial:
-    """sum_n delta(x**n) a_n(t): each term c t**j scales and shifts a_n."""
-    rows, cols = _grown(_DELTA_TABLE, ctx, f.degree, _delta_row), [[] for _ in f.coeffs]
+    """sum_n delta(x**n) a_n(t): each term c t**j scales and shifts a_n.
+    Row n of the context's table (_grown) lists delta(x**n)'s x**i
+    coefficients c t**j as (i, c, j)."""
+    rows, cols = _grown("delta terms", ctx, f.degree, _delta_row), [[] for _ in f.coeffs]
     for n, a_n in enumerate(f.coeffs):
         for i, c, j in rows[n] if a_n.coeffs else ():
             cols[i] = _add_term(cols[i], a_n.coeffs, c, j)
@@ -240,8 +238,11 @@ def delta_numeric_batch(
     return _adaptive(estimate, rel_tol, 4096)
 
 
-#: _inner_moments' arrays, keyed on (q, m), oldest first
-_MOMENTS: dict[tuple[float, int], np.ndarray] = {}
+@lru_cache(maxsize=32)
+def _moment_slot(q: float, m: int) -> list:
+    """A one-element list holding _inner_moments' array for (q, m), None
+    until it is formed; kept for the last 32 pairs (q, m) used."""
+    return [None]
 
 
 def _inner_moments(q: float, m: int, width: int) -> np.ndarray:
@@ -251,9 +252,11 @@ def _inner_moments(q: float, m: int, width: int) -> np.ndarray:
     w the time-s half-width, so on the unit scale u = q sin(theta_h) and
     r = q**2, free of s.  Formed 128 rows at a time, one matrix-vector
     product per column, so a column's bits depend on neither the width nor
-    the call; read-only, kept for the last 32 pairs (q, m), and formed
-    again, wider, when a call needs more columns."""
-    kept = _MOMENTS.pop((q, m), None)
+    the call; read-only, kept in (q, m)'s slot, and formed again, wider,
+    when a call needs more columns: the wider array replaces the narrower
+    one in one assignment, never changed in place."""
+    slot = _moment_slot(q, m)
+    kept = slot[0]
     if kept is None or kept.shape[1] < width:
         thetas, weights = _trapezoid_nodes(m)
         c, powers = np.sin(thetas), [weights]
@@ -266,9 +269,7 @@ def _inner_moments(q: float, m: int, width: int) -> np.ndarray:
             for j in range(width):
                 kept[r : r + 128, j] = rho @ powers[j]
         kept.flags.writeable = False
-    _MOMENTS[q, m] = kept
-    if len(_MOMENTS) > 32:
-        _MOMENTS.pop(next(iter(_MOMENTS)), None)
+        slot[0] = kept
     return kept
 
 

@@ -120,7 +120,7 @@ def test_criterion_5_classical_limit():
     # the series evaluation agrees with the closed form route
     series = jackson_integral(
         SampledFunction.from_callable(
-            lambda u: 1.0 + u + u * u, sup_near_zero=3.0, holder=(3.0, 1.0)
+            lambda u: 1.0 + u + u * u, sup_near_zero=3.0
         ),
         1.0,
         ctx,

@@ -3,10 +3,13 @@
 import hashlib
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
+import qbm
 from qbm.cli import ConfigError, RunConfig, build_config, main
 from qbm.verify import CHECKS
 
@@ -350,3 +353,11 @@ def test_table_gate_failure_exits_2(tmp_path, capsys):
     assert run_main(["--suite", "simulate", "--q", "0.995", "--depth", "40", "--wide", "--out", str(out)]) == 0
     rows = (out / "paths" / "paths_wide.csv").read_text().splitlines()[1:]
     assert len(rows) == 41 and all(math.isfinite(float(v)) for row in rows for v in row.split(",")[2:])
+
+
+def test_version_matches_pyproject():
+    # the manifest writes qbm.__version__, while CI compares outputs with the
+    # base commit's by pyproject.toml's version; a regex, as Python 3.10 has
+    # no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1) == qbm.__version__

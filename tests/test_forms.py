@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbm import qcore, qhermite as qhermite_module, qito
+from qbm import qcore
 from qbm.qcore import Poly, QContext, _q_numbers, q_factorial, q_int
 from qbm.qhermite import QPolynomial, from_hermite_basis, growth_constant, qhermite, to_hermite_basis
 from qbm.qito import a_operator, delta_exact, nabla_exact
@@ -190,17 +190,13 @@ def test_hermite_polynomials_keep_the_recurrence_bits():
         assert bits(a_operator(f, ctx)) == bits(ref_a_operator(f, ctx))
 
 
-#: the on-demand tables, each kept per (q, mode)
-TABLES = (
-    (qcore, "_Q_NUMBERS"),
-    (qhermite_module, "_GROWTH_CACHE"),
-    (qhermite_module, "_HERMITE_TABLE"),
-    (qito, "_DELTA_TABLE"),
-)
+#: the on-demand tables, each kept by name in its context's record (qcore._grown)
+TABLES = ("q numbers", "growth constants", "hermite terms", "delta terms")
 
 
-def _tables(key):
-    return [getattr(module, name).get(key) for module, name in TABLES]
+def _tables(ctx):
+    record = qcore._record(ctx.q, ctx.mode)
+    return [record.get(name) for name in TABLES]
 
 
 def _fill(ctx):
@@ -213,7 +209,7 @@ def _fill(ctx):
     )
 
 
-def test_tables_extended_by_threads_match_a_single_thread_build(monkeypatch):
+def test_tables_extended_by_threads_match_a_single_thread_build():
     # four threads extend the tables of q that nothing has used, with a
     # switch interval short enough to interleave them inside one extension
     # (exact q too: Fraction arithmetic runs Python code, so a thread can be
@@ -238,14 +234,13 @@ def test_tables_extended_by_threads_match_a_single_thread_build(monkeypatch):
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
-            got[ctx], kept[ctx] = reads, _tables((ctx.q, ctx.mode))
+            got[ctx], kept[ctx] = reads, _tables(ctx)
     finally:
         sys.setswitchinterval(saved)
-    for module, name in TABLES:
-        monkeypatch.setattr(module, name, {})
+    qcore._record.cache_clear()
     for ctx in contexts:
         serial = _fill(ctx)
         assert got[ctx] == [serial] * 4, ctx
-        for threaded, single in zip(kept[ctx], _tables((ctx.q, ctx.mode))):
+        for threaded, single in zip(kept[ctx], _tables(ctx)):
             # a table published last may be a shorter, earlier extension
             assert threaded and threaded == single[: len(threaded)], ctx

@@ -382,14 +382,17 @@ def test_moment_cache_widens_for_higher_degrees():
     ctx = QContext.numeric(q)
     edge = support_halfwidth(q * s, q)
     fs = {d: _random_poly(rng, d, 1) for d in range(2, 9)}
-    qito._MOMENTS.clear()
+    qito._moment_slot.cache_clear()
     for x in (-0.4 * edge, 0.2 * edge):
         qito.delta_numeric(fs[6], x, s, ctx)
-    narrow = dict(qito._MOMENTS)
-    assert {key: kept.shape[1] for key, kept in narrow.items()} == {(q, 64): 5, (q, 128): 5}
+    # the two levels' slots only, both read back as hits
+    info = qito._moment_slot.cache_info()
+    narrow = {m: _kept_moments(q, m) for m in (64, 128)}
+    assert info.currsize == 2 and qito._moment_slot.cache_info().hits == info.hits + 2
+    assert {m: kept.shape[1] for m, kept in narrow.items()} == {64: 5, 128: 5}
     qito.delta_numeric(fs[8], 0.6 * edge, s, ctx)
-    for key, kept in narrow.items():
-        wide = qito._MOMENTS[key]
+    for m, kept in narrow.items():
+        wide = _kept_moments(q, m)
         assert wide.shape[1] == 7 and not wide.flags.writeable
         assert np.ascontiguousarray(wide[:, :5]).tobytes() == kept.tobytes()
     # degrees 0 and 1 have no inner leg: their values are 0.0
@@ -397,9 +400,15 @@ def test_moment_cache_widens_for_higher_degrees():
     entries = [(x, fs[d]) for x in (-0.4 * edge, 0.7 * edge) for d in (6, 2, 8, 0, 4, 3, 7, 1, 5)]
     deltas = qito.delta_numeric_batch(entries, s, ctx)
     for (x, f), got in zip(entries, deltas):
-        qito._MOMENTS.clear()
+        qito._moment_slot.cache_clear()
         assert float(got).hex() == qito.delta_numeric(f, x, s, ctx).hex()
         assert f.degree >= 2 or got == 0.0
+
+
+def _kept_moments(q, m):
+    """The inner leg's moments kept for (q, m), None if none are (a read
+    that counts as a hit or, for a pair not kept, a miss)."""
+    return qito._moment_slot(q, m)[0]
 
 
 def _delta_s_dependent(f, x, s, ctx, rel_tol):
@@ -446,26 +455,30 @@ def test_delta_inner_leg_is_s_free(monkeypatch):
         return real(c, u, r, q, scale)
 
     monkeypatch.setattr(qito, "_unit_kernel", spy)
-    qito._MOMENTS.clear()
+    qito._moment_slot.cache_clear()
     ctx, f = QContext.numeric(0.8), QPolynomial.x_power(5) + QPolynomial.x_power(2)
     for s in (0.6, 1.0):
         qito.delta_numeric(f, 0.3 * support_halfwidth(0.8 * s, 0.8), s, ctx)
     assert built == [(0.8, 64, 63), (0.8, 128, 127), (0.8, 256, 128), (0.8, 256, 127)]
-    assert list(qito._MOMENTS) == [(0.8, 64), (0.8, 128), (0.8, 256)]
+    info = qito._moment_slot.cache_info()
+    assert info.currsize == 3
     for m in (64, 128, 256):
-        moments = qito._MOMENTS[0.8, m]
+        moments = _kept_moments(0.8, m)
         assert not moments.flags.writeable and moments.shape == (m - 1, 4)
         # column j holds the moments of sin(theta)**j: at most the leg's
         # mass, column 0, which is 1 up to the quadrature's error
         assert np.all(np.abs(moments) <= moments[:, :1] * (1.0 + 1e-12))
         assert moments[:, 0] == pytest.approx(1.0, abs=1e-9)
+    assert qito._moment_slot.cache_info().hits == info.hits + 3
 
-    # at most 32 pairs (q, level) after more pairs than that, the last used
-    # kept
+    # at most 32 pairs (q, level) after more pairs than that: a pair used
+    # last is kept, the first pair is not
     for q in np.linspace(0.1, 0.7, 20).tolist():
         qito.delta_numeric(f, 0.0, 1.0, QContext.numeric(q))
-    assert len({key[:2] for key in built}) > 32 and len(qito._MOMENTS) == 32
-    assert list(qito._MOMENTS)[-1][0] == 0.7 and (0.1, 64) not in qito._MOMENTS
+    info = qito._moment_slot.cache_info()
+    assert len({key[:2] for key in built}) > 32 and info.currsize == info.maxsize == 32
+    assert _kept_moments(0.7, 64) is not None and _kept_moments(0.1, 64) is None
+    assert qito._moment_slot.cache_info()[:2] == (info.hits + 1, info.misses + 1)
     # and a level above 256 intervals is kept too: a second call forms no rows
     built.clear()
     ctx = QContext.numeric(0.9)
@@ -473,7 +486,7 @@ def test_delta_inner_leg_is_s_free(monkeypatch):
         qito.delta_numeric(QPolynomial.x_power(6), 0.9 * support_halfwidth(0.9, 0.9), 1.0, ctx, rel_tol=1e-9)
     deep = [(0.9, 512, 128)] * 3 + [(0.9, 512, 127)]
     assert built == [(0.9, 64, 63), (0.9, 128, 127), (0.9, 256, 128), (0.9, 256, 127), *deep]
-    assert qito._MOMENTS[0.9, 512].shape == (511, 5)
+    assert _kept_moments(0.9, 512).shape == (511, 5)
 
 
 def test_delta_numeric_deep_levels_keep_memory_bounded(monkeypatch):
@@ -499,10 +512,10 @@ def test_delta_numeric_deep_levels_keep_memory_bounded(monkeypatch):
         return value
 
     monkeypatch.setattr(qito, "_adaptive", to_1024)
-    qito._MOMENTS.clear()
+    qito._moment_slot.cache_clear()
     got = qito.delta_numeric(f, x, s, ctx)
     assert levels[0] < 1023 * 1023 * 8
-    assert qito._MOMENTS[q, 1024].shape == (1023, 4)
+    assert _kept_moments(q, 1024).shape == (1023, 4)
     full = _delta_estimate([float(c(s)) for c in f.coeffs], x, s, ctx)
     assert got.hex() == full(*_trapezoid_nodes(1024)).hex()
 
@@ -1056,10 +1069,12 @@ def test_transition_draw_matches_two_inversions(q):
     y += (y - x) * (table.blend_loss[j] * lam * (1.0 - lam))
     drawn = draw_transition_batch(table, x, u)
     assert np.array_equal(drawn, np.clip(y, -w, w))
-    # one state at a time on Python floats: the same bits, and each row alone
-    one = [draw_transition_batch(table, xi, ui) for xi, ui in zip(x.tolist(), u.tolist())]
+    # one state at a time on Python floats, at the uniforms' knot positions:
+    # the same bits, and each row alone
+    cells, offsets = (a.tolist() for a in measures._knot_cells(u))
+    one = [measures._transition_at(table, xi, c, o) for xi, c, o in zip(x.tolist(), cells, offsets)]
     assert all(type(v) is float for v in one) and np.array(one).tobytes() == drawn.tobytes()
-    rows = [draw_from_table(table, r, ui) for r, ui in zip(j.tolist(), u.tolist())]
+    rows = [measures._draw_at(table, r, c, o) for r, c, o in zip(j.tolist(), cells, offsets)]
     assert all(type(v) is float for v in rows) and np.array(rows).tobytes() == draw_from_table(table, j, u).tobytes()
 
 
@@ -1067,8 +1082,8 @@ def test_transition_draw_matches_two_inversions(q):
 def test_knot_positions_taken_together_keep_the_one_state_bits(q):
     # a single-path walk takes its uniforms' knot positions in one pass
     # (_knot_cells) and steps through _transition_at and _draw_at with them:
-    # each position is _knot_position's, and each draw is the float form of
-    # draw_transition_batch or draw_from_table (and the array form), bit for bit
+    # each draw is the array form's, bit for bit, at the grid's ends, past
+    # them and at the uniforms' ends too
     table, marginal = scaled_transition_table(q), scaled_marginal_table(q)
     xg = table.x_grid
     rng = np.random.default_rng(8)
@@ -1076,10 +1091,8 @@ def test_knot_positions_taken_together_keep_the_one_state_bits(q):
     u = np.concatenate([rng.random(2000), measures._knot_u(rng.integers(0, measures.N_U, 200)), ends])
     x = rng.uniform(1.1 * xg[0], 1.1 * xg[-1], u.size)
     cells, offsets = (a.tolist() for a in measures._knot_cells(u))
-    assert [(c, o.hex()) for c, o in map(measures._knot_position, u.tolist())] == [(c, o.hex()) for c, o in zip(cells, offsets)]
     stepped = [measures._transition_at(table, xi, c, o) for xi, c, o in zip(x.tolist(), cells, offsets)]
-    one = [draw_transition_batch(table, xi, ui) for xi, ui in zip(x.tolist(), u.tolist())]
-    assert np.array(stepped).tobytes() == np.array(one).tobytes() == draw_transition_batch(table, x, u).tobytes()
+    assert np.array(stepped).tobytes() == draw_transition_batch(table, x, u).tobytes()
     drawn = [measures._draw_at(marginal, 0, c, o) for c, o in zip(cells, offsets)]
     assert np.array(drawn).tobytes() == draw_from_table(marginal, 0, u).tobytes()
 
@@ -1092,10 +1105,13 @@ def test_draws_reject_uniforms_outside_the_unit_interval():
             draw_from_table(marginal, 0, u)
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             draw_transition_batch(transition, np.zeros(3), u)
-        with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            draw_from_table(marginal, 0, bad)
-        with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            draw_transition_batch(transition, 0.0, bad)
+
+
+def test_transition_draws_take_states_and_uniforms_of_one_shape():
+    transition = scaled_transition_table(0.5)
+    for x, u in ((0.0, 0.5), (np.zeros(3), 0.5), (np.zeros(3), np.full(2, 0.5)), (np.zeros((2, 3)), np.full(3, 0.5))):
+        with pytest.raises(ValueError, match="one shape"):
+            draw_transition_batch(transition, x, u)
 
 
 def test_non_finite_states_draw_nan():
@@ -1103,9 +1119,11 @@ def test_non_finite_states_draw_nan():
     # with no OverflowError from int(); a finite one far past the grid still
     # draws inside the support
     table = scaled_transition_table(0.5)
+    u = np.array([0.3, 0.3])
+    cell, offset = (a.tolist()[0] for a in measures._knot_cells(u))
     for x in (math.nan, math.inf, -math.inf):
         with np.errstate(invalid="ignore"):
-            assert np.isnan(draw_transition_batch(table, np.array([x, 0.0]), np.array([0.3, 0.3]))[0])
-        assert math.isnan(draw_transition_batch(table, x, 0.3))
+            assert np.isnan(draw_transition_batch(table, np.array([x, 0.0]), u)[0])
+        assert math.isnan(measures._transition_at(table, x, cell, offset))
     for x in (1e300, -1e300):
-        assert abs(draw_transition_batch(table, x, 0.3)) <= table.w
+        assert abs(measures._transition_at(table, x, cell, offset)) <= table.w
