@@ -9,10 +9,11 @@ integrate, measures._theta_density), six integrate calls on one
 transition spec, the moments y**1..y**6, and one nested delta_numeric call
 on a degree-6 polynomial (at q <= 0.95 only: above that its nested form
 needs 2048 or more intervals, or does not converge by 4096, and the
-columns show "-").  The last two are timed cold, with the density
-levels and the delta inner leg's moments dropped first
-(measures._theta_levels, qito._moment_slot), and warm, with them kept from an
-earlier call.  It prints the median of
+columns show "-").  The last two are timed cold and warm.  The cold
+moments run on a fresh spec, which holds no density levels yet, and the
+cold delta_numeric call runs with the inner leg's moments dropped first
+(qito._moment_slot); the warm ones reuse one spec, and the moments kept,
+from an earlier call.  It prints the median of
 --repeats timings of each, in microseconds, with the number of cores the
 process may run on and the NumPy version.
 """
@@ -44,17 +45,12 @@ def median_us(call, repeats: int) -> float:
     return 1e6 * statistics.median(times)
 
 
-def cold_warm(call, clear, repeats: int) -> tuple[float, float]:
-    """Median times of call() with clear() run first, and of call() right
-    after an earlier call, in microseconds."""
-
-    def cold():
-        clear()
-        call()
-
+def cold_warm(cold, warm, repeats: int) -> tuple[float, float]:
+    """Median times of cold(), and of warm() after one untimed warm() call,
+    in microseconds."""
     cold_us = median_us(cold, repeats)
-    call()
-    return cold_us, median_us(call, repeats)
+    warm()
+    return cold_us, median_us(warm, repeats)
 
 
 def layers(q: float, repeats: int) -> tuple[float, ...]:
@@ -65,21 +61,27 @@ def layers(q: float, repeats: int) -> tuple[float, ...]:
     ctx = QContext.numeric(q)
     x, target = 0.3 * support_halfwidth(0.5, q), np.array([0.4 * support_halfwidth(1.0, q)])
     point = median_us(lambda: transition_density(x, 0.5, 1.0, target, ctx), repeats)
-    spec = transition_spec(ctx, s=0.25, t=1.0, x=-0.5 * support_halfwidth(0.25, q))
+    new_spec = lambda: transition_spec(ctx, s=0.25, t=1.0, x=-0.5 * support_halfwidth(0.25, q))
+    spec = new_spec()
     thetas = measures._trapezoid_nodes(64)[0]
     level = median_us(lambda: measures._theta_density(spec, thetas), repeats)
 
-    def moments():
+    def moments(spec):
         for n in range(1, 7):
             integrate(lambda y, n=n: y**n, spec)
 
     f = QPolynomial.from_xt_terms({(n, n % 3): 1.0 / (n + 1) for n in range(7)})
     delta = lambda: qito.delta_numeric(f, 0.4 * support_halfwidth(q * 0.5, q), 0.5, ctx)
+
+    def delta_cold():
+        qito._moment_slot.cache_clear()
+        delta()
+
     return (
         point,
         level,
-        *cold_warm(moments, measures._theta_levels.cache_clear, repeats),
-        *(cold_warm(delta, qito._moment_slot.cache_clear, repeats) if q <= DELTA_MAX_Q else (None, None)),
+        *cold_warm(lambda: moments(new_spec()), lambda: moments(spec), repeats),
+        *(cold_warm(delta_cold, delta, repeats) if q <= DELTA_MAX_Q else (None, None)),
     )
 
 

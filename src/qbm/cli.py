@@ -24,12 +24,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, verify
 from .measures import InvalidDensityError, qgauss_density, support_halfwidth
 from .process import SEED_LIMIT, GeometricGrid, simulate_batch, write_batch_csv
 from .qcore import QContext
 from .verify import (
-    CONVERGENCE_SEEDS,
     kurtosis_ratio,
     oracle_EZ2,
     oracle_EZ4,
@@ -47,9 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 2024
-#: path counts when --paths is not given: simulate, and the Monte Carlo suite
+#: paths simulate writes when --paths is not given (verify's: verify.MC_PATHS)
 SIMULATE_PATHS = 4
-MC_PATHS = 10**5
 PLOT_QS = (0.2, 0.5, 0.8)
 
 
@@ -71,7 +69,7 @@ class RunConfig:
     format: str = "json"
     only: str | None = None
     wide: bool = False
-    z_threshold: float = 4.0
+    z_threshold: float = verify.Z_THRESHOLD
 
     def validate(self) -> None:
         if self.suite not in ("identities", "simulate", "verify", "all"):
@@ -90,8 +88,6 @@ class RunConfig:
             raise ConfigError(f"paths must be at least 1, got {self.paths}")
         if self.suite in ("verify", "all") and self.paths is not None and self.paths < 2:
             raise ConfigError(f"a Monte Carlo run needs at least 2 paths, got {self.paths}")
-        if self.suite in ("verify", "all") and self.t * self.t < sys.float_info.min:
-            raise ConfigError(f"horizon t must be >= 1.49e-154 (t**2 underflows), got {self.t}")
         span = self.seed_span()
         if not (0 <= self.seed and self.seed + span <= SEED_LIMIT):
             raise ConfigError(f"seed must lie in [0, 2**128 - {span}] for this run, got {self.seed}")
@@ -110,9 +106,12 @@ class RunConfig:
         if self.suite in ("simulate", "all"):
             span = self.paths if self.paths is not None else SIMULATE_PATHS
         if self.suite in ("verify", "all"):
-            # a Monte Carlo batch and its rerun batch, and the convergence suite
-            span = max(span, 2 * (self.paths if self.paths is not None else MC_PATHS), CONVERGENCE_SEEDS)
+            span = max(span, verify.seed_span(self.mc_paths()))
         return span
+
+    def mc_paths(self) -> int:
+        """Paths per Monte Carlo batch: --paths, or verify's default."""
+        return self.paths if self.paths is not None else verify.MC_PATHS
 
     def only_set(self) -> set[str] | None:
         if self.only is None or self.only.strip() == "":
@@ -182,7 +181,7 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
     parser.add_argument("--wide", action="store_true", default=None,
                         help="simulate: one wide CSV instead of per-path files")
     parser.add_argument("--z-threshold", type=float, dest="z_threshold",
-                        help="MC pass threshold on |z| (default 4)")
+                        help=f"MC pass threshold on |z| (default {verify.Z_THRESHOLD:g})")
     args = parser.parse_args(argv)
 
     settings: dict = {}
@@ -292,11 +291,10 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     only = config.only_set()
-    n_paths = config.paths if config.paths is not None else MC_PATHS
     suites = {
         "quadrature": lambda: run_quadrature_suite(only=only),
         "mc": lambda: run_mc_suite(
-            n_paths=n_paths, seed=config.seed, threshold=config.z_threshold, only=only
+            n_paths=config.mc_paths(), seed=config.seed, threshold=config.z_threshold, only=only
         ),
         "convergence": lambda: run_convergence_suite(seed=config.seed, only=only),
     }

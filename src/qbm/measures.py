@@ -18,10 +18,11 @@ rule on [-pi/2, pi/2] is the full-period rule and converges geometrically
 m intervals are, bit for bit, every other node of 2 m, so each doubling
 evaluates only the new nodes and sums over all of them in node order, and
 every estimate is the one a full evaluation gives; stacked integrands share
-one density, each stopping at its own level.  integrate keeps the last
-DensitySpec's density levels between calls (a memo keyed on the spec, one
-spec, at most 127 KiB).  A one-point density runs on Python floats from its
-entry to the kernel, with the array form's bits, type and shape.
+one density, each stopping at its own level.  A DensitySpec keeps the
+levels integrate evaluated on it, for callers that integrate several
+functions on one spec one call at a time.  A one-point density runs on
+Python floats from its entry to the kernel, with the array form's bits,
+type and shape.
 
 Sampling is by tabulated inverse CDFs (in the style of PINV: Derflinger,
 Hoermann & Leydold, ACM TOMACS 20(4), 2010): each row stores the quantile and
@@ -112,8 +113,11 @@ def support_halfwidth(t: float, q: float) -> float:
 class DensitySpec:
     """The transition density from state x at time s to time t.
 
-    s = 0 and x = 0 give the time-t q-Gaussian marginal.  t**2 must not
-    underflow (t >= 1.49e-154).
+    s = 0 and x = 0 give the time-t q-Gaussian marginal.  t must be a normal
+    float: the kernel forms 1 / t, never t**2 (below t = 1e-305, at s/t >=
+    0.9, 1 / t times the unit-time kernel can overflow to an inf y-density).
+    _levels serves callers that integrate several functions on one spec one
+    call at a time; the verification suites stack theirs per spec instead.
     """
 
     q: float
@@ -126,8 +130,8 @@ class DensitySpec:
             raise ValueError("q must lie in (0, 1)")
         if not (0.0 < self.t < math.inf):
             raise ValueError("t must be positive and finite")
-        if self.t * self.t < sys.float_info.min:
-            raise ValueError(f"t = {self.t} is too small: t**2 underflows")
+        if self.t < sys.float_info.min:
+            raise ValueError(f"t = {self.t} underflows the normal float range")
         if not (0.0 <= self.s < self.t):
             raise ValueError("transition needs 0 <= s < t")
         if not abs(self.x) <= support_halfwidth(self.s, self.q):
@@ -137,6 +141,12 @@ class DensitySpec:
     def w(self) -> float:
         """Support half-width at the target time."""
         return support_halfwidth(self.t, self.q)
+
+    @cached_property
+    def _levels(self) -> dict[int, np.ndarray]:
+        """integrate's density levels on this spec, keyed on the node count
+        (64, 128, ... intervals): at most 8 levels, 16312 values, 127 KiB."""
+        return {}
 
 
 def marginal_spec(ctx: QContext, t: float) -> DensitySpec:
@@ -385,19 +395,6 @@ def _nest(kept, fresh: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def _theta_levels(spec: DensitySpec) -> dict[int, np.ndarray]:
-    """The density of spec on the nodes of integrate's levels, 64, 128, ...
-    intervals, keyed on the node count, as integrate has evaluated them so
-    far: the memo integrate shares between consecutive calls on one spec.
-
-    Keyed on the spec alone (x = 0.0 and -0.0 hash equal, and give the same
-    density bits), and kept for the last spec only: callers take a spec's
-    moments one after another.  Worst case all 8 levels, up to 8192
-    intervals: 16312 values, 127 KiB."""
-    return {}
-
-
 def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float | np.ndarray:
     """Integral of g against the density by the trapezoid rule in theta,
     adaptive up to 8192 intervals.
@@ -406,12 +403,12 @@ def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float | np
     hands it only the nodes the previous level lacks.  g(y) of shape (k, n)
     stacks k integrands: the result is their k integrals, each bit for bit
     its own call's, and the density is evaluated once per level for all.
-    The density's levels are kept for the last spec (_theta_levels), so a
-    call right after one on the same spec evaluates it only at levels that
-    call did not reach.  A level is stored by one setdefault, so calls from
-    several threads read one array per level.
+    The levels are kept on the spec (DensitySpec._levels) for callers that
+    integrate several functions on one spec one call at a time: a later call
+    evaluates the density only at levels no earlier call reached.  A level is
+    stored by one setdefault, so threads sharing a spec read one array each.
     """
-    levels = _theta_levels(spec)
+    levels = spec._levels
     gv = rho = None
 
     def estimate(thetas, weights):

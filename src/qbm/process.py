@@ -24,7 +24,9 @@ shares them among the calling thread and one walker thread per further
 usable CPU, never more than there are blocks; each block writes only its
 own rows, so the bits do not depend on the walker count.  A batch is
 stored grid-major, so each grid column is contiguous: the sampler draws
-into it and the integrals sum over it in place.
+into it and the integrals sum over it in place.  Every drawn value must be
+finite and within the support edge measures.support_halfwidth gives at its
+grid time; a grid keeps those edges with its square-rooted times.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .measures import (
     draw_transition_batch,
     scaled_marginal_table,
     scaled_transition_table,
+    support_halfwidth,
 )
 from .qcore import QContext, Scalar
 
@@ -183,9 +186,11 @@ class GeometricGrid:
 
     @cached_property
     def _walk_scales(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """sqrt(t_k) and the support edges (_support_edges) at every grid
-        time, for the walks: formed once per grid, as floats."""
-        return tuple(math.sqrt(float(tk)) for tk in self.times), tuple(_support_edges(self))
+        """sqrt(t_k) and the support edge at every grid time, for the walks:
+        formed once per grid, as floats.  An edge is capped at the largest
+        float, so that a gate |B_k| <= edge also rejects infinities."""
+        rts = tuple(math.sqrt(float(tk)) for tk in self.times)
+        return rts, tuple(min(support_halfwidth(tk, self.q), sys.float_info.max) for tk in self.times)
 
 
 @dataclass(frozen=True)
@@ -203,13 +208,6 @@ class GeometricPath:
     def __post_init__(self) -> None:
         if len(self.values) != len(self.grid):
             raise ValueError("path length does not match grid")
-
-
-def _support_edges(grid: GeometricGrid) -> list[float]:
-    """The support's half-width 2 sqrt(t_k / (1-q)) at each grid time, capped
-    at the largest float so that a gate |B_k| <= edge also rejects infinities."""
-    q = float(grid.q)
-    return [min(2.0 * math.sqrt(float(tk) / (1.0 - q)), sys.float_info.max) for tk in grid.times]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ Every module-level cache of the package is a ``functools.lru_cache`` with a
 fixed bound.  The per-context tables that grow on demand ([k]_q and [k]_q!
 here, and the q-Hermite terms, growth constants and delta terms of qhermite
 and qito) share one record per (q, mode), kept for the last 128 contexts and
-reached only through _grown.
+reached only through _grown.  Memos of one object go with the object: a
+DensitySpec's density levels, a grid's walk scales, a polynomial's forms.
 """
 
 from __future__ import annotations
@@ -73,21 +74,6 @@ class QContext:
     def qf(self) -> float:
         """q as a float, for quadrature and sampling code."""
         return float(self.q)
-
-    def n_product_factors(self) -> int:
-        """Smallest N with q**N < PROD_EPS."""
-        return _n_product_factors(self.qf)
-
-
-@lru_cache(maxsize=256)
-def _n_product_factors(qf: float) -> int:
-    """QContext.n_product_factors, kept per q: every stochastic exponential
-    asks for it, and at q = 0.8 the loop takes 166 steps."""
-    n, p = 0, 1.0
-    while p >= PROD_EPS:
-        p *= qf
-        n += 1
-    return n
 
 
 @lru_cache(maxsize=128)

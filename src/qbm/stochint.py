@@ -32,7 +32,8 @@ times (_def_terms); the q-gradient's terms, which ito_decompose sums, are
 columns of them.  So ito_decompose, integrate_def, integrate_byparts and
 sde_residual on one path form each row once, and sde_residual's series
 integrand is kept per (a, c, degree, grid), at most 32 of them.  Exact paths
-and blocks of paths form their rows and terms on every call.
+and blocks of paths form their rows and terms on every call.  The stochastic
+exponential finds its factor count and q**k column in one pass per q.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import Poly, QContext, Scalar, _q_numbers, q_factorial
+from .qcore import PROD_EPS, Poly, QContext, Scalar, _q_numbers, q_factorial
 from .qhermite import QPolynomial, _poly_rows, growth_constant, hermite_eval_sequence, to_hermite_basis
 from . import process
 from .process import GeometricGrid, GeometricPath, PathBatch, _as_array
@@ -352,8 +353,13 @@ _EXP_BLOCK = 2**18
 
 
 @lru_cache(maxsize=16)
-def _factor_powers(q: float, n: int) -> np.ndarray:
-    """q**k for k < n as a read-only column, a running product."""
+def _factor_powers(q: float) -> np.ndarray:
+    """q**k for k < N, N the smallest with q**N < PROD_EPS (166 at q = 0.8),
+    as a read-only column, a running product: the exponential's factors."""
+    n, p = 0, 1.0
+    while p >= PROD_EPS:
+        p *= q
+        n += 1
     qk = np.multiply.accumulate(np.r_[1.0, np.full(n - 1, q)])[:, None]
     qk.flags.writeable = False
     return qk
@@ -363,12 +369,11 @@ def _exp_factors(a: float, x, t: float, ctx: QContext):
     """The N factors per state, all at once for a block of states and
     multiplied in factor order, q**k kept as a running product."""
     q = ctx.qf
-    n = ctx.n_product_factors()
     x = np.asarray(x, dtype=float)
-    qk = _factor_powers(q, n)
+    qk = _factor_powers(q)
     flat = x.reshape(-1)
     prod = np.empty(flat.shape)
-    step = max(1, _EXP_BLOCK // n)
+    step = max(1, _EXP_BLOCK // len(qk))
     for i in range(0, flat.size, step):
         fac = 1.0 - (1.0 - q) * (a * qk * flat[i : i + step] - a * a * t * qk * qk)
         if np.any(fac <= 0.0):

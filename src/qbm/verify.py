@@ -93,10 +93,13 @@ __all__ = [
     "run_mc_suite",
     "run_convergence_suite",
     "CONVERGENCE_SEEDS",
+    "seed_span",
     "reports_to_csv",
 ]
 
+#: a verify run's defaults: the Monte Carlo pass threshold on |z|, paths per batch
 Z_THRESHOLD = 4.0
+MC_PATHS = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +827,7 @@ def _mc(c: _Check, values: list) -> tuple:
 
 
 def run_mc_suite(
-    n_paths: int = 10**5,
+    n_paths: int = MC_PATHS,
     seed: int = 2024,
     threshold: float = Z_THRESHOLD,
     only: set[str] | None = None,
@@ -885,6 +888,12 @@ SDE_PATHS = 5
 #: consecutive path seeds, from its seed on, that run_convergence_suite
 #: draws at its defaults: one 20 x 20 batch, which covers the SDE_PATHS
 CONVERGENCE_SEEDS = 20 * 20
+
+
+def seed_span(n_paths: int) -> int:
+    """Consecutive path seeds, from its seed on, of a verify run at n_paths: a
+    Monte Carlo batch and its rerun batch, and the convergence suite's."""
+    return max(2 * n_paths, CONVERGENCE_SEEDS)
 
 
 def _ito_checks(p: QPolynomial, parts: tuple[QPolynomial, ...], batch: PathBatch, ctx: QContext):

@@ -216,16 +216,22 @@ def test_monte_carlo_needs_two_paths(tmp_path, capsys, suite):
 
 
 @pytest.mark.parametrize("suite", ["verify", "all"])
-def test_verify_rejects_tiny_horizon(tmp_path, capsys, suite):
-    # t**2 underflows below sqrt(float min), about 1.49e-154, and the density
-    # curves would be nan; simulate uses the unit-time tables and keeps working
+def test_verify_horizon_floor(tmp_path, capsys, suite):
+    # the densities take any normal t (their kernel forms 1 / t, never t**2),
+    # so the floor is the grid's: its deepest time t q**K must be normal
     out = tmp_path / "tiny"
     assert run_main(["--suite", suite, "--t", "1e-163", "--only", "variance",
-                     "--out", str(out)]) == 2
-    assert "horizon t" in capsys.readouterr().err
-    assert not out.exists()
-    RunConfig(suite=suite, t=1.5e-154).validate()
-    RunConfig(suite="simulate", t=1e-163).validate()
+                     "--out", str(out)]) == 0
+    rows = (out / "density_curves.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 * 201 and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    capsys.readouterr()
+    # at q = 0.5 the grid is 20 deep: t q**20 is about 9.5e-310, subnormal
+    below = tmp_path / "below"
+    assert run_main(["--suite", suite, "--t", "1e-303", "--only", "variance",
+                     "--out", str(below)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "underflows the normal float range" in err
+    assert not below.exists()
 
 
 def test_seed_range_follows_the_run():

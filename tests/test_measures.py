@@ -1,9 +1,11 @@
 """Densities, quadrature, and kernel moment identities."""
 
 import cmath
+import gc
 import math
 import sys
 import tracemalloc
+import weakref
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -119,52 +121,59 @@ def test_integrate_evaluates_only_new_nodes():
         assert np.array_equal(y, spec.w * np.sin(new))
 
 
-def test_integrate_keeps_the_last_specs_density_levels(monkeypatch):
-    # consecutive calls on one spec share its density levels: calls stopping
-    # at 128 and 512 intervals evaluate the density once per spec and level;
-    # interleaved calls on two specs give the bits of a cold call and of a
-    # stacked call
+def _two_specs(ctx: QContext) -> tuple:
+    """A transition spec and a marginal spec at ctx, fresh objects."""
+    return transition_spec(ctx, s=0.3, t=1.0, x=0.4 * support_halfwidth(0.3, ctx.qf)), marginal_spec(ctx, 1.0)
+
+
+def test_integrate_keeps_each_specs_density_levels(monkeypatch):
+    # calls on one spec share its density levels: calls stopping at 128 and
+    # 512 intervals, repeated and interleaved over two specs, evaluate the
+    # density once per spec and level, with the bits of a cold call (on a
+    # fresh spec) and of a stacked call
     ctx = QContext.numeric(0.5)
-    specs = (transition_spec(ctx, s=0.3, t=1.0, x=0.4 * support_halfwidth(0.3, 0.5)), marginal_spec(ctx, 1.0))
     gs = (lambda y: y * y, lambda y: np.cos(100.0 * y))
     counts = _record_intervals(monkeypatch)
     cold = {}
-    for spec in specs:
+    for k in (0, 1):
         for i, g in enumerate(gs):
-            measures._theta_levels.cache_clear()
             counts.clear()
-            cold[spec, i] = integrate(g, spec).hex()
+            cold[k, i] = integrate(g, _two_specs(ctx)[k]).hex()
             assert counts[-1] == (128, 512)[i]
-        stacked = integrate(lambda y: np.vstack([g(y) for g in gs]), spec)
-        assert [float(v).hex() for v in stacked] == [cold[spec, 0], cold[spec, 1]]
-    for _ in range(2):
-        for i in (0, 1):
-            for spec in specs:
-                assert integrate(gs[i], spec).hex() == cold[spec, i]
-    measures._theta_levels.cache_clear()
+        stacked = integrate(lambda y: np.vstack([g(y) for g in gs]), _two_specs(ctx)[k])
+        assert [float(v).hex() for v in stacked] == [cold[k, 0], cold[k, 1]]
+    specs = _two_specs(ctx)
     evaluated = []
     real = measures._theta_density
     monkeypatch.setattr(measures, "_theta_density", lambda spec, th: evaluated.append((spec, th.size)) or real(spec, th))
-    for spec in specs:
-        for _ in range(2):
-            for i in (0, 1):
-                assert integrate(gs[i], spec).hex() == cold[spec, i]
+    for _ in range(2):
+        for i in (0, 1):
+            for k, spec in enumerate(specs):
+                assert integrate(gs[i], spec).hex() == cold[k, i]
     # 64 intervals: all 63 nodes; each later level: the nodes it adds
-    assert evaluated == [(spec, n) for spec in specs for n in (63, 64, 128, 256)]
-    # x = -0.0 keys the same levels as x = 0.0: their densities share bits
-    negative = transition_spec(ctx, s=0.0, t=1.0, x=-0.0)
-    assert negative == specs[1] and hash(negative) == hash(specs[1])
-    thetas = _trapezoid_nodes(512)[0]
-    assert real(negative, thetas).tobytes() == real(specs[1], thetas).tobytes()
+    assert evaluated == [(spec, n) for pair in ((63, 64), (128, 256)) for spec in specs for n in pair]
+    assert sorted(specs[0]._levels) == sorted(specs[1]._levels) == [63, 127, 255, 511]
     # a spec holds at most 8 levels, up to 8192 intervals: 16312 values
     with pytest.raises(QuadratureError):
         integrate(lambda y: np.cos(200.0 * y), specs[0], rel_tol=0.0)
-    assert sum(level.size for level in measures._theta_levels(specs[0]).values()) == 16312
-    # the memo holds at most its bound of specs
-    bound = measures._theta_levels.cache_info().maxsize
-    for k in range(bound + 4):
-        integrate(gs[0], marginal_spec(ctx, 1.0 + k))
-    assert measures._theta_levels.cache_info().currsize == bound
+    assert sum(level.size for level in specs[0]._levels.values()) == 16312
+
+
+def test_density_levels_go_with_their_spec():
+    # an equal but distinct spec evaluates its own levels, with the same
+    # bits; a spec's levels are freed with it
+    ctx = QContext.numeric(0.8)
+    g = lambda y: np.vstack([y**2, np.cos(40.0 * y)])
+    first, second = _two_specs(ctx)[0], _two_specs(ctx)[0]
+    assert first == second and first is not second
+    assert integrate(g, first).tobytes() == integrate(g, second).tobytes()
+    assert first._levels is not second._levels and first._levels.keys() == second._levels.keys()
+    for n, level in first._levels.items():
+        assert level.tobytes() == second._levels[n].tobytes() and not level.flags.writeable
+    ref = weakref.ref(first._levels[63])
+    del first
+    gc.collect()
+    assert ref() is None
 
 
 def test_delta_numeric_nonconvergence_stops_at_4096(monkeypatch):
@@ -600,9 +609,9 @@ def test_one_point_kernel_zero_denominator_takes_array_path(monkeypatch):
         pair = measures._kernel(np.full(2, w), w / 2.0, 0.0, 1.0, q)
     assert not np.isfinite(pair[0])
     assert one.shape == (1,) and np.array_equal(one, pair[:1], equal_nan=True)
-    # t**2 underflows here, so the densities reject such a horizon up front
+    # the densities reject a subnormal horizon up front
     with pytest.raises(ValueError, match="underflows"):
-        qgauss_density(0.0, 1e-170, QContext.numeric(q))
+        qgauss_density(0.0, 1e-310, QContext.numeric(q))
     # a one-point density whose float kernel divides by zero takes the array
     # form.  Near the diagonal the expanded first denominator cancels to 0.0
     # (at s = 1 - 1e-8 and x at 0.9 of the time-s edge), so the density is
@@ -653,9 +662,9 @@ def test_one_point_calls_run_on_python_floats(monkeypatch):
 
 
 def test_smallest_horizon_gives_finite_densities():
-    # t = 1.5e-154 is just above sqrt(sys.float_info.min), the smallest
-    # horizon a density accepts: every value on the support is finite and
-    # matches the unit-time density scaled by sqrt(t)
+    # t = 1.5e-154 is just above sqrt(sys.float_info.min), below which t**2
+    # underflows: every value on the support is finite and matches the
+    # unit-time density scaled by sqrt(t); a subnormal t is rejected
     t = 1.5e-154
     for q in (0.01, 0.2, 0.5, 0.8, 0.95):
         ctx = QContext.numeric(q)
@@ -669,16 +678,31 @@ def test_smallest_horizon_gives_finite_densities():
         for ratio in (0.5, 0.99):
             x = 0.9 * support_halfwidth(ratio * t, q)
             assert np.all(np.isfinite(transition_density(x, ratio * t, t, ys, ctx)))
+    subnormal = math.nextafter(sys.float_info.min, 0.0)
     with pytest.raises(ValueError, match="underflows"):
-        qgauss_density(0.0, 1e-163, QContext.numeric(0.5))
+        qgauss_density(0.0, subnormal, QContext.numeric(0.5))
     with pytest.raises(ValueError, match="underflows"):
-        transition_spec(QContext.numeric(0.5), 0.0, 1e-163, 0.0)
+        transition_spec(QContext.numeric(0.5), 0.0, subnormal, 0.0)
 
 
-#: the smallest horizon a density accepts: t * t does not underflow
-T_FLOOR = math.sqrt(sys.float_info.min)
-while T_FLOOR * T_FLOOR < sys.float_info.min:
-    T_FLOOR = math.nextafter(T_FLOOR, math.inf)
+@pytest.mark.parametrize("t", [1e-163, 1e-300, sys.float_info.min])
+def test_densities_below_the_square_root_of_the_float_floor(t):
+    # horizons whose t**2 underflows: the marginal and a transition density
+    # are finite and nonnegative on the support, with unit mass, and moments
+    # in units of sqrt(t) (mean, and E y**2 = x**2 + t - s) to a few ulps
+    rt = math.sqrt(t)
+    moments = lambda y: np.vstack([np.ones_like(y), y / rt, (y / rt) ** 2])
+    for q in (0.2, 0.5, 0.8):
+        ctx = QContext.numeric(q)
+        ys = np.linspace(-1.0, 1.0, 41) * support_halfwidth(t, q)
+        s = 0.5 * t
+        x = 0.4 * support_halfwidth(s, q)
+        for dens in (qgauss_density(ys, t, ctx), transition_density(x, s, t, ys, ctx)):
+            assert np.all(np.isfinite(dens)) and np.all(dens >= 0.0)
+        u = x / rt
+        for spec, mean, second in ((marginal_spec(ctx, t), 0.0, 1.0), (transition_spec(ctx, s, t, x), u, u * u + 1.0 - s / t)):
+            mass, m1, m2 = integrate(moments, spec)
+            assert abs(mass - 1.0) <= 4.5e-16 and abs(m1 - mean) <= 1e-15 and abs(m2 / second - 1.0) <= 1e-15
 
 
 @given(
@@ -690,9 +714,10 @@ while T_FLOOR * T_FLOOR < sys.float_info.min:
 )
 @settings(max_examples=200, deadline=None)
 def test_kernel_is_finite_and_nonnegative_on_the_support(q, log_t, ratio, a, b):
-    # t from the floor DensitySpec accepts (log_t below -153.83 gives the
-    # floor itself) to 1e3, and x and y anywhere in their supports, edges too
-    t = max(10.0**log_t, T_FLOOR)
+    # t from 1e-154 to 1e3, and x and y anywhere in their supports, edges
+    # too (below about 1e-305, 1 / t times the unit-time kernel overflows to
+    # inf at s/t >= 0.9)
+    t = 10.0**log_t
     s = ratio * t
     x = a * support_halfwidth(s, q)
     y = b * support_halfwidth(t, q)

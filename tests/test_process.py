@@ -100,7 +100,7 @@ def test_different_seeds_differ():
 def _in_support(values, grid) -> bool:
     """Whether no grid value lies past the simulation gate's support edges;
     NaN is not past them."""
-    return not np.any(np.abs(np.asarray(values, dtype=float)) > process._support_edges(grid))
+    return not np.any(np.abs(np.asarray(values, dtype=float)) > grid._walk_scales[1])
 
 
 def test_paths_stay_in_support():

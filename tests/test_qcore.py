@@ -269,24 +269,3 @@ def test_float_context_with_fraction_q_computes_in_floats(float_first):
     numeric = QContext.numeric(0.5)
     assert type(qhermite.qhermite(3, numeric).coeff(1).coeffs[1]) is float
     assert type(q_int(3, numeric)) is float
-
-
-def _factor_loop(q: float) -> int:
-    """The defining loop: smallest N with q**N < PROD_EPS."""
-    n, p = 0, 1.0
-    while p >= qcore.PROD_EPS:
-        p *= q
-        n += 1
-    return n
-
-
-def test_n_product_factors_cached_per_q():
-    qcore._n_product_factors.cache_clear()
-    for q in (0.05, 0.2, 0.5, 0.8, 0.95, 0.99):
-        expected = _factor_loop(q)
-        for _ in range(2):  # a miss, then a hit
-            assert QContext.numeric(q).n_product_factors() == expected
-    assert qcore._n_product_factors.cache_info().hits == 6
-    assert QContext.numeric(0.8).n_product_factors() == 166
-    # an exact context counts with its float q, as before
-    assert QContext.exact(Fraction(4, 5)).n_product_factors() == _factor_loop(0.8)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbm import process
+from qbm import process, stochint
 from qbm.process import GeometricGrid, GeometricPath, PathBatch, simulate_batch, simulate_path
-from qbm.qcore import Poly, QContext, q_factorial, q_int
+from qbm.qcore import PROD_EPS, Poly, QContext, q_factorial, q_int
 from qbm.qhermite import QPolynomial, hermite_eval_sequence
 from qbm.qito import ito_decompose_batch
 from qbm.stochint import (
@@ -252,6 +252,26 @@ def test_exponential_vectorised():
     vals = stochastic_exponential(0.5, 1.0, xs, 0.5, ctx)
     for x, v in zip(xs, vals):
         assert v == pytest.approx(stochastic_exponential(0.5, 1.0, float(x), 0.5, ctx))
+
+
+def test_factor_powers_cached_per_q():
+    # the product's length N, the smallest with q**N < PROD_EPS, and its
+    # column of q**k, the defining loop's running product, are one memo per q
+    stochint._factor_powers.cache_clear()
+    for q in (0.05, 0.2, 0.5, 0.8, 0.95, 0.99):
+        powers, p = [], 1.0
+        while p >= PROD_EPS:
+            powers.append(p)
+            p *= q
+        for _ in range(2):  # a miss, then a hit
+            qk = stochint._factor_powers(q)
+            assert qk[:, 0].tolist() == powers and qk.shape[1] == 1 and not qk.flags.writeable
+    assert stochint._factor_powers.cache_info().hits == 6
+    assert stochint._factor_powers(0.8).shape[0] == 166
+    # an exact context counts with its float q, and reads that q's column
+    exact = stochastic_exponential(0.5, 1.0, 0.3, 0.5, QContext.exact(Fraction(4, 5)))
+    assert exact == stochastic_exponential(0.5, 1.0, 0.3, 0.5, QContext.numeric(0.8))
+    assert stochint._factor_powers.cache_info()[:2] == (9, 6)
 
 
 def test_exponential_radius():
