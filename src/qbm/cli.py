@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import __version__, verify
 from .measures import InvalidDensityError, qgauss_density, support_halfwidth
-from .process import SEED_LIMIT, GeometricGrid, simulate_batch, write_batch_csv
+from .process import SEED_LIMIT, GeometricGrid, _csv_rows, simulate_batch, write_batch_csv
 from .qcore import QContext
 from .verify import (
     kurtosis_ratio,
@@ -74,12 +73,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.suite not in ("identities", "simulate", "verify", "all"):
             raise ConfigError(f"unknown suite {self.suite!r}")
-        if not (0.0 < self.q < 1.0):
-            raise ConfigError(f"q must lie in (0, 1), got {self.q}")
-        if not (self.t > 0.0 and math.isfinite(self.t)):
-            raise ConfigError(f"horizon t must be positive and finite, got {self.t}")
-        if self.depth is not None and self.depth < 1:
-            raise ConfigError(f"depth must be at least 1, got {self.depth}")
         try:
             GeometricGrid.build(q=self.q, t=self.t, depth=self.depth)
         except ValueError as exc:
@@ -206,15 +199,20 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
 # output helpers
 # ---------------------------------------------------------------------------
 
+def _write_json(path: str, payload) -> None:
+    """Write payload to path as JSON, indented, keys sorted, newline-ended."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(config: RunConfig, out_dir: str) -> None:
     manifest = {
         "build": f"qbm {__version__}",
         "config": asdict(config),
         "seed": config.seed,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _write_reports(reports, config: RunConfig, out_dir: str, stem: str) -> None:
@@ -222,10 +220,7 @@ def _write_reports(reports, config: RunConfig, out_dir: str, stem: str) -> None:
         with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8") as fh:
             fh.write(reports_to_csv(reports))
     else:
-        payload = [r.to_json_dict() for r in reports]
-        with open(os.path.join(out_dir, stem + ".json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, stem + ".json"), [r.to_json_dict() for r in reports])
 
 
 def _summarize(reports, label: str) -> int:
@@ -239,25 +234,26 @@ def _summarize(reports, label: str) -> int:
 
 def write_density_curves(fh, qs, t: float, points: int) -> None:
     """Plot-ready marginal density curves: one row (q, t, y, density) at each
-    of points equally spaced y across the support, for every q."""
-    fh.write("q,t,y,density\n")
+    of points equally spaced y across the support, for every q, through
+    process._csv_rows."""
+    rows = _csv_rows(fh)
+    rows.writerow(["q", "t", "y", "density"])
     for q in qs:
         ctx = QContext.numeric(q)
         w = support_halfwidth(t, q)
         ys = np.linspace(-w, w, points)
-        for y, d in zip(ys, qgauss_density(ys, t, ctx)):
-            fh.write(f"{q!r},{t!r},{float(y)!r},{float(d)!r}\n")
+        for y, d in zip(ys.tolist(), qgauss_density(ys, t, ctx).tolist()):
+            rows.writerow([q, t, y, d])
 
 
 def write_kurtosis_table(fh, qs, rs) -> None:
-    """Plot-ready moment-ratio table: E(Z^4)/E(Z^2)^2 at each exponent in rs."""
-    fh.write("q,r,ez2,ez4,ratio\n")
+    """Plot-ready moment-ratio table: E(Z^4)/E(Z^2)^2 at each exponent in rs,
+    one row (q, r, ez2, ez4, ratio) through process._csv_rows."""
+    rows = _csv_rows(fh)
+    rows.writerow(["q", "r", "ez2", "ez4", "ratio"])
     for q in qs:
         for r in rs:
-            fh.write(
-                f"{q!r},{r!r},{float(oracle_EZ2(r, q))!r},"
-                f"{float(oracle_EZ4(r, q))!r},{float(kurtosis_ratio(r, q))!r}\n"
-            )
+            rows.writerow([q, r, float(oracle_EZ2(r, q)), float(oracle_EZ4(r, q)), float(kurtosis_ratio(r, q))])
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,19 @@ marginal is the transition from x = 0 at s = 0.  Densities are supported on
 kernel is the density with that edge factor divided out, and is analytic on
 the support.  All quadrature runs in the angle variable theta with
 y = w sin(theta), where the Jacobian w cos(theta) turns the edge factor into
-(w cos(theta))**2.  Each integrand is then an analytic function of
-sin(theta), 2 pi-periodic and even about +-pi/2, so the composite trapezoid
-rule on [-pi/2, pi/2] is the full-period rule and converges geometrically
-(Trefethen & Weideman, SIAM Review 56, 2014).  Its levels nest: the nodes of
-m intervals are, bit for bit, every other node of 2 m, so each doubling
-evaluates only the new nodes and sums over all of them in node order, and
-every estimate is the one a full evaluation gives; stacked integrands share
-one density, each stopping at its own level.  A DensitySpec keeps the
-levels integrate evaluated on it, for callers that integrate several
-functions on one spec one call at a time.  A one-point density runs on
-Python floats from its entry to the kernel, with the array form's bits,
-type and shape.
+(w cos(theta))**2, a product only _angle_density forms (for integrate and
+for qito.delta_numeric's inner leg).  Each integrand is then an analytic
+function of sin(theta), 2 pi-periodic and even about +-pi/2, so the
+composite trapezoid rule on [-pi/2, pi/2] is the full-period rule and
+converges geometrically (Trefethen & Weideman, SIAM Review 56, 2014).  Its
+levels nest: the nodes of m intervals are, bit for bit, every other node of
+2 m, so each doubling evaluates only the new nodes and sums over all of them
+in node order, and every estimate is the one a full evaluation gives;
+stacked integrands share one density, each stopping at its own level.  A
+DensitySpec keeps the levels integrate evaluated on it, for callers that
+integrate several functions on one spec one call at a time.  A one-point
+density runs on Python floats from its entry to the kernel, with the array
+form's bits, type and shape.
 
 Sampling is by tabulated inverse CDFs (in the style of PINV: Derflinger,
 Hoermann & Leydold, ACM TOMACS 20(4), 2010): each row stores the quantile and
@@ -311,18 +312,20 @@ def _y_density(spec: DensitySpec, y, x=None):
     return np.where(np.abs(y) < w, rho, 0.0)[()]
 
 
-def _theta_density(spec: DensitySpec, theta, x=None):
-    """Density in the angle variable, y = w sin(theta): the Jacobian w cos(theta)
-    times the edge factor is (w cos(theta))**2, so this is that times the
-    kernel, bounded and analytic.  x overrides spec.x and broadcasts.
+def _angle_density(c, u, r: float, q: float):
+    """The transition density in the angle variable, y = w sin(theta), at
+    c = sin(theta), u = x / w and r = s / t: the Jacobian w cos(theta) times
+    the edge factor is (w cos(theta))**2, and w**2 / t = 4 / (1-q), so this is
+    (1 - c) (1 + c) times the unit-time kernel (cos(phi) = c) at scale
+    4 / (1-q), free of t, bounded and analytic.  Broadcasts over c and u."""
+    return ((1.0 - c) * (1.0 + c)) * _unit_kernel(c, u, r, q, 4.0 / (1.0 - q))
 
-    On the kernel's unit-time scale cos(phi) = sin(theta), and
-    w**2 / t = 4 / (1-q) leaves t only in u = x / w and r = s / t."""
+
+def _theta_density(spec: DensitySpec, theta, x=None):
+    """Density in the angle variable, y = w sin(theta) (_angle_density).
+    x overrides spec.x and broadcasts."""
     x = spec.x if x is None else x
-    c = np.sin(theta)
-    u = np.asarray(x, dtype=float) / spec.w
-    scale = 4.0 / (1.0 - spec.q)
-    return ((1.0 - c) * (1.0 + c)) * _unit_kernel(c, u, spec.s / spec.t, spec.q, scale)
+    return _angle_density(np.sin(theta), np.asarray(x, dtype=float) / spec.w, spec.s / spec.t, spec.q)
 
 
 def qgauss_density(y, t: float, ctx: QContext):

@@ -31,6 +31,7 @@ grid time; a grid keeps those edges with its square-rooted times.
 
 from __future__ import annotations
 
+import csv
 import math
 import operator
 import os
@@ -163,12 +164,12 @@ class GeometricGrid:
     @classmethod
     def build(cls, q: Scalar, t: Scalar, depth: int | None = None) -> "GeometricGrid":
         if not (0 < q < 1):
-            raise ValueError("q must lie in (0, 1)")
+            raise ValueError(f"q must lie in (0, 1), got {q}")
         if not (t > 0 and math.isfinite(t)):
-            raise ValueError("horizon t must be positive and finite")
+            raise ValueError(f"horizon t must be positive and finite, got {t}")
         K = default_depth(float(q)) if depth is None else int(depth)
         if K < 1:
-            raise ValueError("grid depth must be at least 1")
+            raise ValueError(f"grid depth must be at least 1, got {K}")
         if not float(t) * float(q) ** K >= sys.float_info.min:
             raise ValueError(f"deepest grid time t q**{K} underflows the normal float range")
         times = tuple(t * q**k for k in range(K + 1))
@@ -455,43 +456,41 @@ def simulate_path(grid: GeometricGrid, seed: int, ctx: QContext | None = None) -
     return simulate_batch(grid, 1, seed, ctx).path(0)
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def _csv_rows(fh):
+    """The one CSV writer of qbm's files: csv.writer on fh, each row ended by
+    a bare newline, which writes a float as its repr and quotes a cell only
+    where it holds a comma, a quote or a line end."""
+    return csv.writer(fh, lineterminator="\n")
 
 
 def write_path_csv(path: GeometricPath, dest) -> None:
-    """Write one path as CSV with header k,t_k,B_k (k ascending, time descending)."""
-    close = False
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        dest = open(dest, "w", encoding="utf-8")
-        close = True
-    try:
-        dest.write("k,t_k,B_k\n")
-        for k, (tk, v) in enumerate(zip(path.grid.times, path.values)):
-            dest.write(f"{k},{_fmt(tk)},{_fmt(v)}\n")
-    finally:
-        if close:
-            dest.close()
+    """Write one path to the file dest (a str or os.PathLike) as CSV with
+    header k,t_k,B_k (k ascending, time descending), each time and value a
+    float, through _csv_rows."""
+    with open(dest, "w", encoding="utf-8") as fh:
+        rows = _csv_rows(fh)
+        rows.writerow(["k", "t_k", "B_k"])
+        rows.writerows(zip(range(len(path.grid)), map(float, path.grid.times), map(float, path.values)))
 
 
 def write_batch_csv(batch: PathBatch, out_dir, wide: bool = False) -> list[str]:
-    """Write a batch under out_dir; one file per path, or one wide file.
+    """Write a batch under out_dir; one file per path (write_path_csv), or
+    one wide file with header k,t_k,B_0,B_1,... and one row per grid time,
+    through _csv_rows as well.
 
     Returns the file names written.  Reruns with the same seed and build
     produce byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
-    names: list[str] = []
     if wide:
         name = "paths_wide.csv"
-        cols = [f"B_{i}" for i in range(len(batch))]
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write("k,t_k," + ",".join(cols) + "\n")
+            rows = _csv_rows(fh)
+            rows.writerow(["k", "t_k", *(f"B_{i}" for i in range(len(batch)))])
             for k, tk in enumerate(batch.grid.times):
-                row = ",".join(_fmt(v) for v in batch.values[:, k])
-                fh.write(f"{k},{_fmt(tk)},{row}\n")
-        names.append(name)
-        return names
+                rows.writerow([k, float(tk), *batch.values[:, k].tolist()])
+        return [name]
+    names: list[str] = []
     width = max(5, len(str(len(batch) - 1)))
     for i in range(len(batch)):
         name = f"path_{i:0{width}d}.csv"

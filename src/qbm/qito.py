@@ -45,10 +45,10 @@ import numpy as np
 from .measures import (
     QUAD_REL_TOL,
     _adaptive,
+    _angle_density,
     _nest,
     _theta_density,
     _trapezoid_nodes,
-    _unit_kernel,
     integrate,
     transition_spec,
 )
@@ -260,12 +260,11 @@ def _inner_moments(q: float, m: int, width: int) -> np.ndarray:
     if kept is None or kept.shape[1] < width:
         thetas, weights = _trapezoid_nodes(m)
         c, powers = np.sin(thetas), [weights]
-        edge = (1.0 - c) * (1.0 + c)
         while len(powers) < width:
             powers.append(powers[-1] * c)
         kept = np.empty((c.size, width))
         for r in range(0, c.size, 128):
-            rho = edge * _unit_kernel(c[None, :], (q * c[r : r + 128])[:, None], q * q, q, 4.0 / (1.0 - q))
+            rho = _angle_density(c[None, :], (q * c[r : r + 128])[:, None], q * q, q)
             for j in range(width):
                 kept[r : r + 128, j] = rho @ powers[j]
         kept.flags.writeable = False

@@ -35,6 +35,7 @@ memory does not grow with the number of paths.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -53,7 +54,7 @@ from .measures import (
     transition_density,
     transition_spec,
 )
-from .process import GeometricGrid, GeometricPath, PathBatch, simulate_batch
+from .process import GeometricGrid, GeometricPath, PathBatch, _csv_rows, simulate_batch
 from .qcore import Poly, QContext, Scalar, q_factorial, q_int
 from .qhermite import QPolynomial, hermite_eval_sequence, qhermite
 from .qito import (
@@ -220,16 +221,12 @@ CSV_HEADER = ["name", "params", "oracle", "estimate", "stderr", "z", "pass"]
 
 
 def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
-    lines = [",".join(CSV_HEADER)]
-    for r in reports:
-        cells = []
-        for c in r.csv_row():
-            text = repr(c) if isinstance(c, float) else str(c)
-            if "," in text or '"' in text:
-                text = '"' + text.replace('"', '""') + '"'
-            cells.append(text)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """The reports as CSV text through _csv_rows: CSV_HEADER, then each csv_row."""
+    text = io.StringIO()
+    rows = _csv_rows(text)
+    rows.writerow(CSV_HEADER)
+    rows.writerows(r.csv_row() for r in reports)
+    return text.getvalue()
 
 
 # ---------------------------------------------------------------------------

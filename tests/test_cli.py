@@ -193,6 +193,8 @@ def test_runconfig_validate_direct():
         ["--seed", str(2**128 - 3), "--paths", "4"],
         ["--t", "inf"],
         ["--t", "nan"],
+        ["--q", "nan"],
+        ["--depth", "0"],
         ["--q", "0.5", "--depth", "1100"],
     ],
 )

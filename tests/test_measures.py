@@ -457,13 +457,13 @@ def test_delta_inner_leg_is_s_free(monkeypatch):
     # (q, level, rows)), and every array kept is read-only, one column per
     # power of z that f[x, y, z] reaches
     built = []
-    real = measures._unit_kernel
+    real = measures._angle_density
 
-    def spy(c, u, r, q, scale):
+    def spy(c, u, r, q):
         built.append((q, c.size + 1, u.size))
-        return real(c, u, r, q, scale)
+        return real(c, u, r, q)
 
-    monkeypatch.setattr(qito, "_unit_kernel", spy)
+    monkeypatch.setattr(qito, "_angle_density", spy)
     qito._moment_slot.cache_clear()
     ctx, f = QContext.numeric(0.8), QPolynomial.x_power(5) + QPolynomial.x_power(2)
     for s in (0.6, 1.0):

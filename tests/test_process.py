@@ -1,6 +1,7 @@
 """Geometric-grid simulation: determinism, support, moments, CSV export."""
 
 import contextvars
+import csv
 import dataclasses
 import itertools
 import math
@@ -196,16 +197,29 @@ def test_increment_variance():
     assert abs(np.mean(d2) - gap) <= 4.0 * np.std(d2) / math.sqrt(n)
 
 
+def _read_rows(dest) -> list[list[str]]:
+    with open(dest, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _hex(cells) -> list[str]:
+    return [float(cell).hex() for cell in cells]
+
+
 def test_path_csv_format(tmp_path):
     grid = GeometricGrid.build(q=0.5, t=1.0, depth=5)
-    path = simulate_path(grid, seed=7)
+    batch = simulate_batch(grid, n_paths=3, base_seed=7)
+    # a pathlib.Path is taken as the file to write
     dest = tmp_path / "p.csv"
-    write_path_csv(path, str(dest))
-    lines = dest.read_text().splitlines()
-    assert lines[0] == "k,t_k,B_k"
-    assert len(lines) == grid.K + 2
-    k, tk, bk = lines[1].split(",")
-    assert k == "0" and float(tk) == 1.0
+    write_path_csv(batch.path(2), dest)
+    assert dest.read_bytes().count(b"\n") == grid.K + 2
+    rows = _read_rows(dest)
+    assert rows[0] == ["k", "t_k", "B_k"]
+    assert [row[0] for row in rows[1:]] == [str(k) for k in range(grid.K + 1)]
+    # every cell reads back to the batch's exact value
+    assert _hex(row[1] for row in rows[1:]) == [float(tk).hex() for tk in grid.times]
+    assert _hex(row[2] for row in rows[1:]) == [v.hex() for v in batch.values[2].tolist()]
+    assert rows[1][1] == "1.0"
 
 
 def test_batch_csv_deterministic(tmp_path):
@@ -224,9 +238,14 @@ def test_batch_csv_wide(tmp_path):
     batch = simulate_batch(grid, n_paths=3, base_seed=7)
     names = write_batch_csv(batch, str(tmp_path), wide=True)
     assert names == ["paths_wide.csv"]
-    lines = (tmp_path / "paths_wide.csv").read_text().splitlines()
-    assert lines[0] == "k,t_k,B_0,B_1,B_2"
-    assert len(lines) == grid.K + 2
+    assert (tmp_path / "paths_wide.csv").read_bytes().count(b"\n") == grid.K + 2
+    rows = _read_rows(tmp_path / "paths_wide.csv")
+    assert rows[0] == ["k", "t_k", "B_0", "B_1", "B_2"]
+    assert len(rows) == grid.K + 2
+    # every cell reads back to the batch's exact value
+    for k, row in enumerate(rows[1:]):
+        assert row[0] == str(k)
+        assert _hex(row[1:]) == [float(grid.times[k]).hex(), *(v.hex() for v in batch.values[:, k].tolist())]
 
 
 def test_batch_iteration():

@@ -110,6 +110,27 @@ def test_report_csv_shape():
     assert rows[1][6] == "True"
 
 
+def test_report_csv_round_trips_quoted_params():
+    # params whose JSON holds commas and quotes come back whole, and every
+    # float cell reads back to its exact value
+    params = {"label": 'a, "b"', "qs": [0.1, 0.7], "q": 1 / 3}
+    exact = VerificationReport(
+        name="demo", params=params, passed=False, tolerance=0.0, kind="exact", residual=2.0 / 3.0,
+    )
+    est = McEstimate(estimate=0.1 + 0.2, std_error=1e-3, n_paths=10, seed=1, oracle=0.3)
+    mc = VerificationReport(name="mc", params=params, passed=True, tolerance=4.0, kind="mc", estimate=est)
+    text = reports_to_csv([exact, mc])
+    assert text.endswith("\n") and text.count("\n") == 3
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == CSV_HEADER
+    assert [json.loads(row[1]) for row in rows[1:]] == [params, params]
+    assert rows[1][2:] == ["0.0", repr(2.0 / 3.0), "", "", "False"]
+    assert [float(cell).hex() for cell in rows[2][2:6]] == [
+        float(x).hex() for x in (0.3, 0.1 + 0.2, 1e-3, est.z)
+    ]
+    assert rows[2][6] == "True"
+
+
 def test_report_json_roundtrip_fields():
     rep = VerificationReport(
         name="demo", params={"q": 0.5}, passed=False, tolerance=0.0, kind="exact",
