@@ -4,9 +4,11 @@
         --first-seed 52001 --pairs 10 --seconds 10 [--suite-runs 3] \\
         [--note TEXT] [--out BENCH_1.json]
 
-The base commit's files are extracted from local git (git archive) into a
-temporary directory, which is removed afterwards, also on failure.  Pair i
-runs
+Both trees run from fresh copies in one temporary directory, which is
+removed afterwards, also on failure: the base commit's files as local git
+archives them, and the working tree's files as they are on disk, tracked
+ones and untracked ones that are not ignored (so neither tree runs beside
+.hypothesis/, .pytest_cache/ or perfbench/out/).  Pair i runs
 
     python3 perfbench/run.py --workload W --seed N --seconds S
 
@@ -26,6 +28,7 @@ printed.  Exits 1 if a run fails or reports an incorrect result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -56,6 +59,34 @@ def extract(rev: str, dest: Path) -> None:
             archive.extractall(dest, filter="data")
         else:  # Python 3.10 before 3.10.12 and 3.11 before 3.11.4
             archive.extractall(dest)
+
+
+def copy_worktree(dest: Path) -> None:
+    """The working tree's files as they are on disk under dest: the tracked
+    ones and the untracked ones that are not ignored."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    for name in filter(None, names.split(b"\0")):
+        src, target = ROOT / os.fsdecode(name), dest / os.fsdecode(name)
+        if os.path.isfile(src):  # a tracked file deleted on disk is left out
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, target)
+
+
+@contextlib.contextmanager
+def trees(base_sha: str):
+    """(work, {"base": ..., "change": ...}): a temporary directory holding
+    the base commit's files and a copy of the working tree, removed on
+    exit, also on failure."""
+    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        paths = {"base": work / "base", "change": work / "change"}
+        extract(base_sha, paths["base"])
+        copy_worktree(paths["change"])
+        yield work, paths
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
 
 def timed(cmd: list[str], cwd: Path, env: dict | None = None) -> dict:
@@ -149,20 +180,15 @@ def main(argv=None) -> int:
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     runs: dict[str, list] = {"base": [], "change": []}
     suite: dict[str, list] = {"base": [], "change": []}
-    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    try:
-        trees = {"base": work / "base", "change": ROOT}
-        extract(base_sha, trees["base"])
+    with trees(base_sha) as (work, paths):
         for i, seed in enumerate(seeds):
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                runs[side].append(perfbench(trees[side], args.workload, seed, args.seconds))
+                runs[side].append(perfbench(paths[side], args.workload, seed, args.seconds))
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: {runs[side][-1]['metrics']}", flush=True)
         for i in range(args.suite_runs):
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                suite[side].append(suite_all(trees[side], work))
-        lines = {side: src_lines(tree) for side, tree in trees.items()}
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+                suite[side].append(suite_all(paths[side], work))
+        lines = {side: src_lines(tree) for side, tree in paths.items()}
 
     metrics = {
         m["name"]: compare(*([r["metrics"][m["name"]] for r in runs[side]] for side in ("base", "change")), m["better"])
@@ -180,6 +206,8 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "seeds": seeds,
         "order": "even pairs base first, odd pairs change first",
+        "trees": "both run from fresh copies in one temporary directory: the base as git archive writes it, "
+        "the working tree's tracked and unignored untracked files as on disk",
         "suite_runs": args.suite_runs,
         "note": args.note,
         "environment": {

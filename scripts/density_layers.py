@@ -12,7 +12,7 @@ needs 2048 or more intervals, or does not converge by 4096, and the
 columns show "-").  The last two are timed cold and warm.  The cold
 moments run on a fresh spec, which holds no density levels yet, and the
 cold delta_numeric call runs with the inner leg's moments dropped first
-(qito._moment_slot); the warm ones reuse one spec, and the moments kept,
+(qito._inner_moments); the warm ones reuse one spec, and the moments kept,
 from an earlier call.  It prints the median of
 --repeats timings of each, in microseconds, with the number of cores the
 process may run on and the NumPy version.
@@ -74,7 +74,7 @@ def layers(q: float, repeats: int) -> tuple[float, ...]:
     delta = lambda: qito.delta_numeric(f, 0.4 * support_halfwidth(q * 0.5, q), 0.5, ctx)
 
     def delta_cold():
-        qito._moment_slot.cache_clear()
+        qito._inner_moments.cache_clear()
         delta()
 
     return (

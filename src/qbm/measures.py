@@ -497,17 +497,6 @@ def _knot_du(k):
     return 4.0 * np.minimum(k, N_U - k) ** 3 / _U_SCALE
 
 
-def _knot_coordinate(u: np.ndarray) -> np.ndarray:
-    """The inverse of _knot_u on [0, 1): k in [0, N_U)."""
-    k = np.subtract(1.0, u, out=np.empty_like(u))
-    np.minimum(u, k, out=k)
-    k *= _U_SCALE
-    np.sqrt(k, out=k)
-    np.sqrt(k, out=k)
-    # the upper half mirrors: N_U - root where u >= 0.5
-    return np.where(u >= 0.5, N_U - k, k)
-
-
 def table_quadrature(points: int) -> tuple[np.ndarray, np.ndarray]:
     """(u, weights): Gauss-Legendre with the given number of points in
     every knot interval, in the knot coordinate k.  In each interval a
@@ -750,9 +739,15 @@ def _quantiles(table: CdfTable, u, rows) -> np.ndarray:
 
 
 def _knot_cells(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_knot_coordinate of uniforms in [0, 1) as their knot intervals and the
-    offsets in them."""
-    t = _knot_coordinate(u)
+    """The knot coordinates k in [0, N_U) of uniforms in [0, 1), the inverse
+    of _knot_u, as their knot intervals and the offsets in them."""
+    t = np.subtract(1.0, u, out=np.empty_like(u))
+    np.minimum(u, t, out=t)
+    t *= _U_SCALE
+    np.sqrt(t, out=t)
+    np.sqrt(t, out=t)
+    # the upper half mirrors: N_U - root where u >= 0.5
+    t = np.where(u >= 0.5, N_U - t, t)
     cell = t.astype(np.intp)
     t -= cell
     return cell, t

@@ -22,11 +22,12 @@ temporaries are bounded by a block at any batch size.  A batch's blocks
 (here, and the sums of stochint and qito) go through _each_block, which
 shares them among the calling thread and one walker thread per further
 usable CPU, never more than there are blocks; each block writes only its
-own rows, so the bits do not depend on the walker count.  A batch is
-stored grid-major, so each grid column is contiguous: the sampler draws
-into it and the integrals sum over it in place.  Every drawn value must be
-finite and within the support edge measures.support_halfwidth gives at its
-grid time; a grid keeps those edges with its square-rooted times.
+own rows and the memos it fills publish whole values, so the bits do not
+depend on the walker count.  A batch is stored grid-major, so each grid
+column is contiguous: the sampler draws into it and the integrals sum over
+it in place.  Every drawn value must be finite and within the support
+edge measures.support_halfwidth gives at its grid time; a grid keeps those
+edges with its square-rooted times.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ def _each_block(n_paths: int, work: Callable[[int, int], object]) -> list:
     before this returns or raises.  With one walker no thread is started.
     Once a block fails no later one is handed out, and the error raised is
     that of the lowest failing block, the serial loop's.
-    work may write its own block's rows; a shared cache or memo it reads
-    must be filled by the caller first, or be safe to fill twice with the
-    same value (as CdfTable's cached one-state view is).
+    work may write its own block's rows.  The memos it fills (derived forms,
+    qcore._grown, the lru_caches, CdfTable's one-state view) publish whole
+    values, so walkers that fill one at once at worst form it twice.
     """
     spans = [(start, min(start + PATH_BLOCK, n_paths)) for start in range(0, n_paths, PATH_BLOCK)]
     out: list = [None] * len(spans)

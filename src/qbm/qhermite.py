@@ -91,13 +91,17 @@ class QPolynomial:
     def derived(self, form: Callable[..., object], ctx: QContext, *args):
         """form(self, ctx, *args), computed once per (form, ctx, *args) and
         kept on this immutable object, so freed with it; form's value must be
-        immutable.  stochint.PolynomialIntegrand keeps its forms the same way."""
-        if not hasattr(self, "_memo"):
-            object.__setattr__(self, "_memo", {})
+        immutable.  stochint.PolynomialIntegrand keeps its forms the same way.
+        The memo is read once and made only if absent, so threads that fill
+        it at once at worst form an equal value twice."""
+        memo = getattr(self, "_memo", None)
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
         key = (form, ctx, *args)
-        if key not in self._memo:
-            self._memo[key] = form(self, ctx, *args)
-        return self._memo[key]
+        if key not in memo:
+            memo[key] = form(self, ctx, *args)
+        return memo[key]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
@@ -253,7 +257,9 @@ def hermite_eval_sequence(n_max: int, x, t, ctx: QContext, head=()) -> list:
 
     head may hold the first rows of an earlier pass at the same (x, t): a
     row does not depend on how far the pass runs, so this one goes on from
-    them, with the bits of a pass from h_0.  For a float array t the
+    them, with the bits of a pass from h_0.  At finite x, (1, x) are h_0
+    and h_1 bit for bit, so a pass over a column may start from them, with
+    no pass over the column for either.  For a float array t the
     products [m]_q t are formed for all m in one pass, each as the
     recurrence would form it.
     """
@@ -263,13 +269,17 @@ def hermite_eval_sequence(n_max: int, x, t, ctx: QContext, head=()) -> list:
     if len(out) == 1:
         out.append(x * 0 + x)
     start = len(out) - 1
-    ints = [row[0] for row in _q_numbers(n_max, ctx)[start:n_max]]
+    rows, steps = _q_numbers(n_max, ctx), None
     if ctx.mode == "float" and isinstance(t, np.ndarray) and t.dtype == float:
-        steps = np.multiply.outer(ints, t)
-    else:
-        steps = [c * t for c in ints]
-    for m, step in enumerate(steps, start):
-        out.append(x * out[m] - step * out[m - 1])
+        steps = np.multiply.outer([row[0] for row in rows[start:n_max]], t)
+    for m in range(start, n_max):
+        step = rows[m][0] * t if steps is None else steps[m - start]
+        nxt = x * out[m]
+        if m > 1:  # from h_2 on, x h_m has the shape of x and t broadcast
+            nxt -= step * out[m - 1]
+        else:
+            nxt = nxt - step * out[m - 1]
+        out.append(nxt)
     return out
 
 

@@ -22,7 +22,8 @@ The gradient integral and the step sums of D_t f and delta f have one
 implementation, _sums, on a single path (1-D values, float or exact
 rational) or on a block of paths (one row per path): a batch is summed
 PATH_BLOCK rows at a time, each row in the single path's order, so each of
-its paths gets the single path's bits.
+its paths gets the single path's bits; the walkers form f's kept forms
+(QPolynomial.derived) on first use, as a single call does.
 
 nabla and delta also have integral forms: first and second divided
 differences of f integrated against explicit transition kernels.  The
@@ -31,7 +32,7 @@ polynomial f only, and serve as the independent cross-check of the exact
 coefficient-space versions.  Their batch forms take (x, f) entries at one
 time s, each bit for bit its single call, and share the densities: one per
 state x, and for delta the s-free inner leg's moments of sin(theta)**j per
-(q, level), kept between calls, since f[x, y, z] is a polynomial in z.
+(q, level, width), kept between calls, since f[x, y, z] is a polynomial in z.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .measures import (
 )
 from . import process
 from .process import GeometricGrid, GeometricPath, PathBatch
-from .qcore import Poly, QContext, Scalar, _add_term, _grown, _q_numbers, q_factorial
+from .qcore import Poly, QContext, Scalar, _add_term, _grown, q_factorial
 from .qhermite import (
     QPolynomial,
     _from_basis,
@@ -67,7 +68,6 @@ from .qhermite import (
 from .stochint import (
     PolynomialIntegrand,
     _def_sum,
-    _def_terms,
     _path_arrays,
     _row_sums,
     integrate_def,
@@ -239,12 +239,6 @@ def delta_numeric_batch(
 
 
 @lru_cache(maxsize=32)
-def _moment_slot(q: float, m: int) -> list:
-    """A one-element list holding _inner_moments' array for (q, m), None
-    until it is formed; kept for the last 32 pairs (q, m) used."""
-    return [None]
-
-
 def _inner_moments(q: float, m: int, width: int) -> np.ndarray:
     """S[h, j] = sum_z rho[h, z] weight_z sin(theta_z)**j for j < width on the
     m-interval level, rho delta_numeric's inner leg, from q y between times
@@ -252,23 +246,17 @@ def _inner_moments(q: float, m: int, width: int) -> np.ndarray:
     w the time-s half-width, so on the unit scale u = q sin(theta_h) and
     r = q**2, free of s.  Formed 128 rows at a time, one matrix-vector
     product per column, so a column's bits depend on neither the width nor
-    the call; read-only, kept in (q, m)'s slot, and formed again, wider,
-    when a call needs more columns: the wider array replaces the narrower
-    one in one assignment, never changed in place."""
-    slot = _moment_slot(q, m)
-    kept = slot[0]
-    if kept is None or kept.shape[1] < width:
-        thetas, weights = _trapezoid_nodes(m)
-        c, powers = np.sin(thetas), [weights]
-        while len(powers) < width:
-            powers.append(powers[-1] * c)
-        kept = np.empty((c.size, width))
-        for r in range(0, c.size, 128):
-            rho = _angle_density(c[None, :], (q * c[r : r + 128])[:, None], q * q, q)
-            for j in range(width):
-                kept[r : r + 128, j] = rho @ powers[j]
-        kept.flags.writeable = False
-        slot[0] = kept
+    the call; read-only, and kept for the last 32 triples (q, m, width)."""
+    thetas, weights = _trapezoid_nodes(m)
+    c, powers = np.sin(thetas), [weights]
+    while len(powers) < width:
+        powers.append(powers[-1] * c)
+    kept = np.empty((c.size, width))
+    for r in range(0, c.size, 128):
+        rho = _angle_density(c[None, :], (q * c[r : r + 128])[:, None], q * q, q)
+        for j in range(width):
+            kept[r : r + 128, j] = rho @ powers[j]
+    kept.flags.writeable = False
     return kept
 
 
@@ -371,10 +359,6 @@ def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoD
     block is summed on its own, whichever walker sums it.
     """
     times = batch.grid._time_array
-    # the forms of f and the q-numbers the blocks read, computed and kept
-    # here, so the blocks' walkers only read them
-    to_hermite_basis(f, ctx), f.dq_time(ctx), delta_exact(f, ctx), _q_numbers(f.degree + 1, ctx)
-    _def_terms(PolynomialIntegrand.from_qpolynomial(f, ctx), times, ctx, 1)
     blocks = process._each_block(len(batch), lambda start, stop: _sums(f, batch.values[start:stop], times, ctx))
     grad, drift, second = (np.concatenate(sums) for sums in zip(*blocks))
     return _decompose(f, batch.grid, batch.values[:, 0], grad, drift, second, ctx)

@@ -17,8 +17,8 @@ _row_sums, so a float path and an exact rational one (as object arrays, for
 the zero-tolerance identity checks) take the same code, and each row of a
 block gets its path's bits.  Only integrate_def_batch, for the 1e5-path
 Monte Carlo batches, sums column by column over its grid-major values,
-adding the same terms in the same order; its Hermite columns start from
-h_1 = B_k itself, since the sum never reads h_0.
+adding the same terms (_def_terms) in the same order; its Hermite columns
+are hermite_eval_sequence's, started from h_0 = 1 and h_1 = B_k itself.
 Reciprocals such as 1 / [m+1]! are taken as 1 / x, which stays a Fraction in
 an exact context and is 1.0 / x in a float one.
 
@@ -103,12 +103,6 @@ class StochasticIntegralResult:
     seed: int | None = None
 
 
-def _inv_factorials(degree: int, ctx: QContext) -> list[Scalar]:
-    """1 / [m+1]! for m = 0..degree, in the context's arithmetic."""
-    rows = _q_numbers(degree + 1, ctx)
-    return [1 / rows[m + 1][1] for m in range(degree + 1)]
-
-
 def _path_arrays(path: GeometricPath) -> tuple[np.ndarray, np.ndarray]:
     """(B_k, t_k) for k = 0..K as arrays, the times kept on the grid."""
     return _as_array(path.values), path.grid._time_array
@@ -137,9 +131,10 @@ def _def_terms(f: PolynomialIntegrand, times: np.ndarray, ctx: QContext, shift: 
 
 
 def _inverses(ms: Sequence[int], shift: int, ctx: QContext, dtype) -> np.ndarray:
-    """1 / [m - shift + 1]! for the m in ms, as an array of the given dtype."""
-    inv = _inv_factorials(max(ms, default=shift) - shift, ctx)
-    return np.array([inv[m - shift] for m in ms], dtype=dtype)
+    """1 / [m - shift + 1]! for the m in ms, in the context's arithmetic, as
+    an array of the given dtype."""
+    rows = _q_numbers(max(ms, default=shift) - shift + 1, ctx)
+    return np.array([1 / rows[m - shift + 1][1] for m in ms], dtype=dtype)
 
 
 def _step_terms(f: PolynomialIntegrand, ctx: QContext, times: np.ndarray, shift: int):
@@ -207,31 +202,19 @@ def _def_sum(f: PolynomialIntegrand, x: np.ndarray, t: np.ndarray, ctx: QContext
     return _row_sums(total, steps.reshape(x.shape[:-1] + (-1,)))
 
 
-def _hermite_columns(n_max: int, x: np.ndarray, t: Scalar, ints: list) -> list:
-    """hermite_eval_sequence(n_max, x, t) for a column x of finite values,
-    ints the q-integers.  There h_0 = x * 0 + 1 is 1 and h_1 = x * 0 + x is
-    x, bit for bit, so the recurrence starts from the scalar 1 and x itself,
-    with no pass over the column for either."""
-    h = [1, x]
-    for m in range(1, n_max):
-        nxt = x * h[m]
-        nxt -= ints[m] * t * h[m - 1]
-        h.append(nxt)
-    return h
-
-
-def _def_sum_columns(values: np.ndarray, grid: GeometricGrid, terms: tuple, ctx: QContext):
-    """The defining sum for a block of paths (the rows of values), added grid
-    column by grid column; each entry of a path with finite values is bit for
-    bit _def_sum's value on its path (a non-finite value gives a non-finite
-    sum, as there).  terms are integrate_def_batch's: the top Hermite index,
-    the m with b_m not zero, b_m(t_k) / [m+1]! per step k, and the q-integers."""
-    n_max, ms, coef, ints = terms
+def _def_sum_columns(f: PolynomialIntegrand, values: np.ndarray, grid: GeometricGrid, ctx: QContext):
+    """The defining sum of f for a block of paths (the rows of values), added
+    grid column by grid column from f's step terms (_def_terms); each entry
+    of a path with finite values is bit for bit _def_sum's value on its path
+    (a non-finite value gives a non-finite sum, as there).  The Hermite
+    columns are hermite_eval_sequence's from the head h_0 = 1, h_1 = B_k."""
+    ms, inv, b = _def_terms(f, grid._time_array, ctx)
+    coef = (b[:-1] * inv).tolist()
     total = 0 * (values[:, 0] * ctx.q)
-    times = grid.times
-    h_cur = _hermite_columns(n_max, values[:, 0], times[0], ints)
+    column = lambda k: hermite_eval_sequence(f.degree + 1, values[:, k], grid.times[k], ctx, head=(1, values[:, k]))
+    h_cur = column(0)
     for k in range(grid.K):
-        h_nxt = _hermite_columns(n_max, values[:, k + 1], times[k + 1], ints)
+        h_nxt = column(k + 1)
         for c, m in zip(coef[k], ms):
             d = h_cur[m + 1] - h_nxt[m + 1]
             d *= c
@@ -311,15 +294,8 @@ def integrate_def_batch(f: PolynomialIntegrand, batch: PathBatch, ctx: QContext)
     columns of PATH_BLOCK paths at a time (process._each_block); a path's
     value does not depend on its block, on the walker that sums it or on the
     batch's memory layout, and is integrate_def's."""
-    grid = batch.grid
-    # the terms are taken here, so the blocks' walkers only read them
-    ms, inv, b = _def_terms(f, grid._time_array, ctx)
-    terms = f.degree + 1, ms, (b[:-1] * inv).tolist(), [row[0] for row in _q_numbers(f.degree + 1, ctx)]
-
-    def block_sums(start: int, stop: int) -> np.ndarray:
-        return np.asarray(_def_sum_columns(batch.values[start:stop], grid, terms, ctx), dtype=float)
-
-    return np.concatenate(process._each_block(len(batch), block_sums))
+    sums = lambda start, stop: _def_sum_columns(f, batch.values[start:stop], batch.grid, ctx)
+    return np.asarray(np.concatenate(process._each_block(len(batch), sums)), dtype=float)
 
 
 def deterministic_integral(b, batch: PathBatch) -> np.ndarray:

@@ -56,7 +56,7 @@ def _touch(ctx: QContext) -> None:
 
 def test_every_module_cache_is_a_bounded_lru_cache():
     caches = _module_caches()
-    assert {"qbm.qcore._record", "qbm.qito._moment_slot", "qbm.measures.scaled_transition_table"} <= set(caches)
+    assert {"qbm.qcore._record", "qbm.qito._inner_moments", "qbm.measures.scaled_transition_table"} <= set(caches)
     for name, cache in caches.items():
         # maxsize None would be unbounded
         assert isinstance(cache.cache_info().maxsize, int) and cache.cache_info().maxsize > 0, name

@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbm import qcore
+from qbm.process import GeometricGrid
 from qbm.qcore import Poly, QContext, _q_numbers, q_factorial, q_int
 from qbm.qhermite import QPolynomial, from_hermite_basis, growth_constant, qhermite, to_hermite_basis
 from qbm.qito import a_operator, delta_exact, nabla_exact
+from qbm.stochint import PolynomialIntegrand, _def_terms, def_tail_bound
 
 FLOAT_QS = (0.2, 0.5, 0.8, 0.95, 0.99)
 EXACT_QS = tuple(Fraction(q).limit_denominator(100) for q in FLOAT_QS)
@@ -244,3 +246,54 @@ def test_tables_extended_by_threads_match_a_single_thread_build():
         for threaded, single in zip(kept[ctx], _tables(ctx)):
             # a table published last may be a shorter, earlier extension
             assert threaded and threaded == single[: len(threaded)], ctx
+
+
+def _derived_reads(f, integrand, grid, ctx):
+    """Forms kept by derived, on a polynomial and on an integrand: f's
+    Hermite coefficients, q-derivative and second-order part, and the
+    integrand's tail bound and its gradient's step terms (a form that
+    reads another form of the same integrand)."""
+    ms, inv, b = _def_terms(integrand, grid._time_array, ctx, 1)
+    return (
+        bits(to_hermite_basis(f, ctx)),
+        bits(f.dq_time(ctx)),
+        bits(delta_exact(f, ctx)),
+        def_tail_bound(integrand, grid, ctx).hex(),
+        (ms, array_bits(inv), array_bits(b)),
+    )
+
+
+def test_derived_on_threads_gives_every_thread_the_forms_value():
+    # eight threads behind a barrier ask shared polynomials and integrands
+    # that no one has asked yet for their forms, at a switch interval short
+    # enough to interleave the first calls: none raises, and each reads the
+    # forms of an unshared copy
+    ctx = QContext.numeric(0.8)
+    grid = GeometricGrid.build(q=0.8, t=1.0, depth=12)
+    rng = np.random.default_rng(35)
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-7)
+    try:
+        for trial in range(60):
+            terms = {(n, k): float(rng.uniform(-1.0, 1.0)) for n in range(7) for k in range(3)}
+            fresh = lambda: QPolynomial.from_xt_terms(terms)
+            want = _derived_reads(fresh(), PolynomialIntegrand(to_hermite_basis(fresh(), ctx)), grid, ctx)
+            f, integrand = fresh(), PolynomialIntegrand(to_hermite_basis(fresh(), ctx))
+            start, reads, errors = threading.Barrier(8), [None] * 8, []
+
+            def run(i):
+                start.wait(timeout=30)
+                try:
+                    reads[i] = _derived_reads(f, integrand, grid, ctx)
+                except Exception as exc:  # reported below, with the trial
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == [] and reads == [want] * 8, trial
+    finally:
+        sys.setswitchinterval(saved)

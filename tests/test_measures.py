@@ -381,43 +381,41 @@ def test_moment_form_matches_the_matrix_form():
                 assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact)), (q, s, x)
 
 
-def test_moment_cache_widens_for_higher_degrees():
-    # degree-6 calls keep 5 columns of moments per level; a degree-8 call
-    # forms them again with 7, the first 5 with their bits; and in one batch
-    # of x-degrees 0 to 8 at two states each entry is bit for bit its single
-    # call on an emptied cache
-    rng = np.random.default_rng(31)
+def test_inner_moment_columns_do_not_depend_on_the_width():
+    # a width-3 call gives the first 3 columns of a width-5 call bit for
+    # bit, in either order, each kept apart and read-only; and in one batch
+    # of x-degrees 0 to 8 at two states, which reads width 7, each entry is
+    # bit for bit its single call on an emptied cache
     q, s = 0.5, 0.7
+    for first, second in ((3, 5), (5, 3)):
+        qito._inner_moments.cache_clear()
+        for m in (64, 128):
+            got = {width: qito._inner_moments(q, m, width) for width in (first, second)}
+            assert {width: a.shape for width, a in got.items()} == {3: (m - 1, 3), 5: (m - 1, 5)}
+            assert not got[3].flags.writeable and not got[5].flags.writeable
+            assert np.ascontiguousarray(got[5][:, :3]).tobytes() == got[3].tobytes()
+        assert qito._inner_moments.cache_info().currsize == 4
+    rng = np.random.default_rng(31)
     ctx = QContext.numeric(q)
     edge = support_halfwidth(q * s, q)
     fs = {d: _random_poly(rng, d, 1) for d in range(2, 9)}
-    qito._moment_slot.cache_clear()
-    for x in (-0.4 * edge, 0.2 * edge):
-        qito.delta_numeric(fs[6], x, s, ctx)
-    # the two levels' slots only, both read back as hits
-    info = qito._moment_slot.cache_info()
-    narrow = {m: _kept_moments(q, m) for m in (64, 128)}
-    assert info.currsize == 2 and qito._moment_slot.cache_info().hits == info.hits + 2
-    assert {m: kept.shape[1] for m, kept in narrow.items()} == {64: 5, 128: 5}
-    qito.delta_numeric(fs[8], 0.6 * edge, s, ctx)
-    for m, kept in narrow.items():
-        wide = _kept_moments(q, m)
-        assert wide.shape[1] == 7 and not wide.flags.writeable
-        assert np.ascontiguousarray(wide[:, :5]).tobytes() == kept.tobytes()
     # degrees 0 and 1 have no inner leg: their values are 0.0
     fs.update({0: QPolynomial.from_xt_terms({(0, 1): 2.0}), 1: QPolynomial.x_power(1)})
     entries = [(x, fs[d]) for x in (-0.4 * edge, 0.7 * edge) for d in (6, 2, 8, 0, 4, 3, 7, 1, 5)]
     deltas = qito.delta_numeric_batch(entries, s, ctx)
     for (x, f), got in zip(entries, deltas):
-        qito._moment_slot.cache_clear()
+        qito._inner_moments.cache_clear()
         assert float(got).hex() == qito.delta_numeric(f, x, s, ctx).hex()
         assert f.degree >= 2 or got == 0.0
 
 
-def _kept_moments(q, m):
-    """The inner leg's moments kept for (q, m), None if none are (a read
-    that counts as a hit or, for a pair not kept, a miss)."""
-    return qito._moment_slot(q, m)[0]
+def _kept_moments(q, m, width):
+    """The inner leg's moments kept for (q, m, width); a read that must be
+    a hit."""
+    hits = qito._inner_moments.cache_info().hits
+    moments = qito._inner_moments(q, m, width)
+    assert qito._inner_moments.cache_info().hits == hits + 1, (q, m, width)
+    return moments
 
 
 def _delta_s_dependent(f, x, s, ctx, rel_tol):
@@ -464,38 +462,39 @@ def test_delta_inner_leg_is_s_free(monkeypatch):
         return real(c, u, r, q)
 
     monkeypatch.setattr(qito, "_angle_density", spy)
-    qito._moment_slot.cache_clear()
+    qito._inner_moments.cache_clear()
     ctx, f = QContext.numeric(0.8), QPolynomial.x_power(5) + QPolynomial.x_power(2)
     for s in (0.6, 1.0):
         qito.delta_numeric(f, 0.3 * support_halfwidth(0.8 * s, 0.8), s, ctx)
     assert built == [(0.8, 64, 63), (0.8, 128, 127), (0.8, 256, 128), (0.8, 256, 127)]
-    info = qito._moment_slot.cache_info()
-    assert info.currsize == 3
+    assert qito._inner_moments.cache_info().currsize == 3
     for m in (64, 128, 256):
-        moments = _kept_moments(0.8, m)
+        moments = _kept_moments(0.8, m, 4)
         assert not moments.flags.writeable and moments.shape == (m - 1, 4)
         # column j holds the moments of sin(theta)**j: at most the leg's
         # mass, column 0, which is 1 up to the quadrature's error
         assert np.all(np.abs(moments) <= moments[:, :1] * (1.0 + 1e-12))
         assert moments[:, 0] == pytest.approx(1.0, abs=1e-9)
-    assert qito._moment_slot.cache_info().hits == info.hits + 3
 
-    # at most 32 pairs (q, level) after more pairs than that: a pair used
-    # last is kept, the first pair is not
+    # at most 32 triples (q, level, width) after more than that: a triple
+    # used last is kept, the first one is not
     for q in np.linspace(0.1, 0.7, 20).tolist():
         qito.delta_numeric(f, 0.0, 1.0, QContext.numeric(q))
-    info = qito._moment_slot.cache_info()
+    info = qito._inner_moments.cache_info()
     assert len({key[:2] for key in built}) > 32 and info.currsize == info.maxsize == 32
-    assert _kept_moments(0.7, 64) is not None and _kept_moments(0.1, 64) is None
-    assert qito._moment_slot.cache_info()[:2] == (info.hits + 1, info.misses + 1)
+    assert _kept_moments(0.7, 64, 4).shape == (63, 4)
+    hits, misses = qito._inner_moments.cache_info()[:2]
+    assert (hits, misses) == (info.hits + 1, info.misses)
+    qito._inner_moments(0.1, 64, 4)
+    assert qito._inner_moments.cache_info()[:2] == (hits, misses + 1)
     # and a level above 256 intervals is kept too: a second call forms no rows
     built.clear()
     ctx = QContext.numeric(0.9)
     for _ in range(2):
         qito.delta_numeric(QPolynomial.x_power(6), 0.9 * support_halfwidth(0.9, 0.9), 1.0, ctx, rel_tol=1e-9)
     deep = [(0.9, 512, 128)] * 3 + [(0.9, 512, 127)]
+    assert _kept_moments(0.9, 512, 5).shape == (511, 5)
     assert built == [(0.9, 64, 63), (0.9, 128, 127), (0.9, 256, 128), (0.9, 256, 127), *deep]
-    assert _kept_moments(0.9, 512).shape == (511, 5)
 
 
 def test_delta_numeric_deep_levels_keep_memory_bounded(monkeypatch):
@@ -521,10 +520,10 @@ def test_delta_numeric_deep_levels_keep_memory_bounded(monkeypatch):
         return value
 
     monkeypatch.setattr(qito, "_adaptive", to_1024)
-    qito._moment_slot.cache_clear()
+    qito._inner_moments.cache_clear()
     got = qito.delta_numeric(f, x, s, ctx)
     assert levels[0] < 1023 * 1023 * 8
-    assert _kept_moments(q, 1024).shape == (1023, 4)
+    assert _kept_moments(q, 1024, 4).shape == (1023, 4)
     full = _delta_estimate([float(c(s)) for c in f.coeffs], x, s, ctx)
     assert got.hex() == full(*_trapezoid_nodes(1024)).hex()
 

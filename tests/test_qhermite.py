@@ -111,8 +111,9 @@ def _recurrence_reference(n_max, x, t, ctx):
 def test_eval_sequence_goes_on_from_earlier_rows():
     # a pass from the first rows of an earlier one, and a float-array pass
     # with its [m]_q t formed for every m at once, give a plain pass's rows,
-    # of the same type and bits: on a path (1-D), a block (2-D) and scalars,
-    # and exactly on Fractions
+    # of the same type, shape and bits: on a path (1-D), a block (2-D),
+    # scalars, a scalar x at every time, and a column of x against a row of
+    # times, and exactly on Fractions
     float_ctx = QContext.numeric(0.8)
     rng = np.random.default_rng(4)
     t = 0.8 ** np.arange(41)
@@ -123,6 +124,8 @@ def test_eval_sequence_goes_on_from_earlier_rows():
         (x, t, float_ctx),
         (x * rng.uniform(0.5, 1.0, (3, 1)), t, float_ctx),
         (0.7, 1.3, float_ctx),
+        (0.7, t, float_ctx),
+        (x[:, None], t, float_ctx),
         (exact_x, exact_t, HALF),
     ]
 
@@ -140,6 +143,23 @@ def test_eval_sequence_goes_on_from_earlier_rows():
             for n_max in (start, 12, 31):
                 got = hermite_eval_sequence(n_max, xs, ts, ctx, head=whole[:start])
                 assert len(got) == n_max + 1 and all(map(same, got, whole)), (start, n_max)
+
+    # a column's own (1, x) as head, as the Monte Carlo sums start, gives a
+    # full pass's rows at a time: floats by float.hex, with signed zeros,
+    # subnormals and values whose rows overflow, and exact values by type
+    # and value; h_0 is the scalar 1 and h_1 the column itself
+    tiny = np.nextafter(0.0, 1.0)
+    column = np.array([0.0, -0.0, tiny, -tiny, 2.0**-1030, 0.37, -1.9, 1e100, -3e150, 1.7e308])
+    for xs, ts, ctx in ((column, 0.64, float_ctx), (exact_x, Fraction(1, 4), HALF)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole = hermite_eval_sequence(9, xs, ts, ctx)
+            got = hermite_eval_sequence(9, xs, ts, ctx, head=(1, xs))
+        assert got[0] == 1 and np.all(whole[0] == 1) and got[1] is xs
+        for m, (a, b) in enumerate(zip(got[1:], whole[1:]), 1):
+            if ctx is HALF:
+                assert same(a, b), m
+            else:
+                assert a.dtype == b.dtype == float and [v.hex() for v in a.tolist()] == [v.hex() for v in b.tolist()], m
 
 
 def test_growth_bound_attained_at_support_edge():

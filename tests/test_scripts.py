@@ -183,6 +183,42 @@ def test_path_layers_rejects_bad_inputs(args, message, capsys):
     assert message in captured.err and captured.out == ""
 
 
+def test_bench_pairs_runs_both_trees_from_fresh_copies(tmp_path, monkeypatch):
+    # on a temporary repository: the base is the commit, the change a copy
+    # of the working tree with its uncommitted edit and untracked file, and
+    # neither holds an ignored directory; the scratch directory goes after
+    repo, scratch = tmp_path / "repo", tmp_path / "tmp"
+    (repo / "perfbench" / "out").mkdir(parents=True)
+    scratch.mkdir()
+    run = lambda *args: subprocess.run(["git", *args], cwd=repo, capture_output=True, check=True)
+    try:
+        run("init", "-q")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs git")
+    (repo / ".gitignore").write_text(".hypothesis/\n/perfbench/out/\n")
+    (repo / "kept.py").write_text("base\n")
+    (repo / "gone.py").write_text("deleted on disk\n")
+    run("add", "-A")
+    run("-c", "user.name=bench", "-c", "user.email=bench@example.org", "commit", "-q", "-m", "base")
+    (repo / "kept.py").write_text("edited\n")
+    (repo / "gone.py").unlink()
+    (repo / "new.py").write_text("untracked\n")
+    (repo / ".hypothesis").mkdir()
+    (repo / ".hypothesis" / "db").write_text("ignored\n")
+    (repo / "perfbench" / "out" / "run.json").write_text("ignored\n")
+    bench = load("bench_pairs")
+    monkeypatch.setattr(bench, "ROOT", repo)
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    files = lambda tree: sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+    with bench.trees(bench.git("rev-parse", "HEAD")) as (work, paths):
+        assert set(paths.values()) <= set(work.iterdir()) and work.parent == scratch
+        assert files(paths["base"]) == [".gitignore", "gone.py", "kept.py"]
+        assert files(paths["change"]) == [".gitignore", "kept.py", "new.py"]
+        assert (paths["base"] / "kept.py").read_text() == "base\n"
+        assert (paths["change"] / "kept.py").read_text() == "edited\n"
+    assert list(scratch.iterdir()) == []
+
+
 def test_bench_pairs_runs_one_short_pair(tmp_path, monkeypatch, capsys):
     # the committed HEAD against the working tree, one short quadrature pair;
     # the extracted tree goes under a temporary directory that is emptied
@@ -198,6 +234,7 @@ def test_bench_pairs_runs_one_short_pair(tmp_path, monkeypatch, capsys):
     assert list(scratch.iterdir()) == []
     (entry,) = json.loads(out.read_text(encoding="utf-8"))
     assert entry["base"] == head.stdout.decode().strip() and entry["seeds"] == [1]
+    assert entry["trees"].startswith("both run from fresh copies")
     assert {"nproc", "cpus_usable", "python", "numpy"} <= set(entry["environment"])
     for name in ("setup_s", "ops_per_s", "peak_rss_mb", "run.wall_s", "run.cpu_s"):
         m = entry["metrics"][name]

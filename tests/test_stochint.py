@@ -1,5 +1,6 @@
 """Discrete stochastic integral, tail bounds, and the exponential."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from qbm import process, stochint
 from qbm.process import GeometricGrid, GeometricPath, PathBatch, simulate_batch, simulate_path
 from qbm.qcore import PROD_EPS, Poly, QContext, q_factorial, q_int
 from qbm.qhermite import QPolynomial, hermite_eval_sequence
-from qbm.qito import ito_decompose_batch
+from qbm.qito import ito_decompose, ito_decompose_batch
 from qbm.stochint import (
     PolynomialIntegrand,
     def_tail_bound,
@@ -141,6 +142,37 @@ def test_walkers_keep_the_bits(monkeypatch, q):
     for walkers in (1, 3):
         monkeypatch.setattr(process, "_usable_cpus", lambda: walkers)
         assert run() == default, walkers
+
+
+def test_six_walkers_on_fresh_integrands_give_each_path_its_bits(monkeypatch):
+    # six walkers over 4-path blocks, at a short switch interval, sum
+    # integrands whose forms and step terms none has formed yet, so the
+    # walkers form them as they go: each path's value is integrate_def's
+    # and ito_decompose's on that path alone
+    from qbm.verify import _random_qpolynomial
+
+    ctx = QContext.numeric(0.8)
+    batch = simulate_batch(GeometricGrid.build(q=0.8, t=1.0, depth=20), 30, 91)
+    monkeypatch.setattr(process, "PATH_BLOCK", 4)
+    monkeypatch.setattr(process, "_usable_cpus", lambda: 6)
+    rng = np.random.default_rng(35)
+    names = ("lhs", "gradient_term", "drift_term", "second_order_term", "residual")
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            f0 = _random_qpolynomial(rng, 6, 2)
+            fresh = lambda: QPolynomial(f0.coeffs)
+            sums = integrate_def_batch(PolynomialIntegrand.from_qpolynomial(fresh(), ctx), batch, ctx)
+            dec = ito_decompose_batch(fresh(), batch, ctx)
+            for i in range(len(batch)):
+                path = batch.path(i)
+                one = integrate_def(PolynomialIntegrand.from_qpolynomial(fresh(), ctx), path, ctx)
+                assert sums[i].hex() == float(one.value).hex(), i
+                one = ito_decompose(fresh(), path, ctx)
+                assert [float(getattr(dec, n)[i]).hex() for n in names] == [float(getattr(one, n)).hex() for n in names], i
+    finally:
+        sys.setswitchinterval(saved)
 
 
 def test_poly_rows_runs_each_rows_own_horner_rule():
