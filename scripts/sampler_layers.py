@@ -3,25 +3,30 @@ and whole Monte Carlo batches.
 
     python scripts/sampler_layers.py [--repeats 21] [--q 0.5 0.8]
 
-A batch is simulated and summed process.PATH_BLOCK paths at a time, one
-grid column per NumPy pass, its blocks shared among walker threads
-(process._each_block).  For each q this times, per column of one such
-block: one column of the block's uniform streams (process._uniform_columns),
-one draw_transition_batch on a column of the block's scaled states, and the
-defining sums of x**0..x**3, the Monte Carlo suite's integrands
-(stochint.integrate_def_batch on the one-block batch, divided by the grid
-depth).  Then, as the Monte Carlo suite runs them, one whole BATCH_PATHS
-batch: simulate_batch, and the four defining sums on it.  It prints the
-median of --repeats timings of each: the layers in microseconds, the whole
-batch in seconds of wall and of CPU time (the process's, all threads), with
-the walkers a batch runs on, the number of cores the process may run on and
-the NumPy version.
+A batch is simulated and summed a block at a time, one grid column per
+NumPy pass, its blocks (equal spans of at most process.PATH_BLOCK paths)
+shared among walker threads (process._each_block).  The spans and walkers
+of a BATCH_PATHS batch are read from process._block_spans.  For each q this
+times, per column of one such block: one column of the block's uniform
+streams (process._uniform_columns), one draw_transition_batch on a column
+of the block's scaled states, and the defining sums of x**0..x**3, the
+Monte Carlo suite's integrands (stochint.integrate_def_batch on the
+one-block batch, divided by the grid depth).  Then, as the Monte Carlo
+suite runs them, one whole BATCH_PATHS batch: simulate_batch, and the four
+defining sums on it.  It prints the median of --repeats timings of each:
+the layers in microseconds, the whole batch in seconds of wall and of CPU
+time (the process's, all threads), with the walkers a batch runs on, the
+number of cores the process may run on and the NumPy version.  The last
+column is the median wall time of the batch plus its sums on all walkers
+over that on one walker (process._usable_cpus held at 1), the two timed in
+alternation: 1.0 means the walkers gain nothing.
 """
 
 import argparse
 import os
 import statistics
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -48,24 +53,34 @@ def medians(call, repeats: int) -> tuple[float, float]:
     return statistics.median(walls), statistics.median(cpus)
 
 
-def whole_batch(q: float, repeats: int) -> tuple[float, float, float, float]:
-    """(simulate wall, CPU, sums wall, CPU) of one BATCH_PATHS batch at q, in seconds."""
+def whole_batch(q: float, repeats: int) -> tuple[float, float, float, float, float]:
+    """(simulate wall, CPU, sums wall, CPU) of one BATCH_PATHS batch at q, in
+    seconds, and the walkers' wall-time ratio of the batch plus its sums."""
     ctx = QContext.numeric(q)
     grid = GeometricGrid.build(q=q, t=1.0)
     fs = [stochint.PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(d), ctx) for d in range(4)]
     batch = simulate_batch(grid, BATCH_PATHS, BASE_SEED)
 
-    def sums():
+    def sums(batch=batch):
         for f in fs:
             stochint.integrate_def_batch(f, batch, ctx)
 
-    return (*medians(lambda: simulate_batch(grid, BATCH_PATHS, BASE_SEED), repeats), *medians(sums, repeats))
+    simulated = medians(lambda: simulate_batch(grid, BATCH_PATHS, BASE_SEED), repeats)
+    summed = medians(sums, repeats)
+    both = lambda: sums(simulate_batch(grid, BATCH_PATHS, BASE_SEED))
+    one, every = [], []
+    for _ in range(repeats):
+        with mock.patch.object(process, "_usable_cpus", lambda: 1):
+            one.append(medians(both, 1)[0])
+        every.append(medians(both, 1)[0])
+    return (*simulated, *summed, statistics.median(every) / statistics.median(one))
 
 
 def layers(q: float, repeats: int) -> tuple[int, float, float, float]:
     """(depth, uniforms, transition, defining sums) at q, the times in
-    microseconds per column of one PATH_BLOCK block."""
-    n = process.PATH_BLOCK
+    microseconds per column of one block of a BATCH_PATHS batch."""
+    spans, _ = process._block_spans(BATCH_PATHS)
+    n = max(stop - start for start, stop in spans)
     ctx = QContext.numeric(q)
     grid = GeometricGrid.build(q=q, t=1.0)
     batch = simulate_batch(grid, n, BASE_SEED)
@@ -96,15 +111,17 @@ def main(argv=None) -> int:
         parser.error("every --q must lie in (0, 1)")
 
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    walkers = min(process._usable_cpus(), len(range(0, BATCH_PATHS, process.PATH_BLOCK)))
+    spans, walkers = process._block_spans(BATCH_PATHS)
     print(
-        f"# nproc {nproc}, numpy {np.__version__}, {process.PATH_BLOCK} paths per block, "
+        f"# nproc {nproc}, numpy {np.__version__}, {len(spans)} blocks of "
+        f"{max(stop - start for start, stop in spans)} paths at most, "
         f"median of {args.repeats} call(s); layers in us per grid column of a block, "
-        f"then one {BATCH_PATHS}-path batch in s of wall / CPU time on {walkers} walker(s)"
+        f"then one {BATCH_PATHS}-path batch in s of wall / CPU time on {walkers} walker(s), "
+        f"and the wall time of the batch plus its sums on {walkers} walker(s) over one"
     )
     print(
         f"{'q':>5} {'depth':>5} {'uniforms':>9} {'transition':>10} {'def x^0..3':>10} "
-        f"{'sim wall':>8} {'sim CPU':>8} {'sums wall':>9} {'sums CPU':>8} {'walkers':>7}"
+        f"{'sim wall':>8} {'sim CPU':>8} {'sums wall':>9} {'sums CPU':>8} {'walkers':>7} {'all/one':>7}"
     )
     # one untimed pass at every q first: the tables, and the allocator's
     # state after the first large temporaries, which would otherwise leave
@@ -113,10 +130,10 @@ def main(argv=None) -> int:
         layers(q, 1)
     for q in args.q:
         depth, uniforms, transition, sums = layers(q, args.repeats)
-        sim_wall, sim_cpu, sums_wall, sums_cpu = whole_batch(q, args.repeats)
+        sim_wall, sim_cpu, sums_wall, sums_cpu, ratio = whole_batch(q, args.repeats)
         print(
             f"{q:5g} {depth:5d} {uniforms:9.1f} {transition:10.1f} {sums:10.1f} "
-            f"{sim_wall:8.3f} {sim_cpu:8.3f} {sums_wall:9.3f} {sums_cpu:8.3f} {walkers:7d}"
+            f"{sim_wall:8.3f} {sim_cpu:8.3f} {sums_wall:9.3f} {sums_cpu:8.3f} {walkers:7d} {ratio:7.3f}"
         )
     return 0
 

@@ -719,16 +719,23 @@ _CUBIC_RECORD = np.dtype([("c0", "f8"), ("c1", "f8"), ("c2", "f8"), ("c3", "f8")
 _RECORD_BYTES = struct.Struct("4d")
 
 
-def _quantiles(table: CdfTable, u, rows) -> np.ndarray:
-    """y / w at the uniforms u in the given table rows (broadcast against
-    u); raises ValueError unless every u lies in [0, 1) (NaN included).
+def _quantiles(table: CdfTable, u, rows, pair: bool = False) -> np.ndarray:
+    """y / w at the uniforms u in the given table rows (an int or an array
+    of u's shape), or with pair in rows and rows + 1, stacked on a new first
+    axis; raises ValueError unless every u lies in [0, 1) (NaN included).
     Each draw reads one record and evaluates its cubic, in place."""
     u = np.asarray(u, dtype=float)
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniforms must lie in [0, 1)")
     # u < 1 keeps the knot coordinate below N_U, so the interval stays in range
     cell, t = _knot_cells(u)
-    c = table.cubic.view(_CUBIC_RECORD).ravel().take(np.multiply(rows, N_U, dtype=np.intp) + cell)
+    # the records' indices, formed in place: row * N_U + cell, the next row's N_U on
+    idx = np.multiply(rows, N_U, out=np.empty((1 + pair, *u.shape), np.intp))
+    idx += cell
+    idx[1:] += N_U
+    del cell
+    c = table.cubic.view(_CUBIC_RECORD).ravel().take(idx if pair else idx[0])
+    del idx
     y = np.multiply(c["c3"], t)
     y += c["c2"]
     y *= t
@@ -774,10 +781,6 @@ def _draw_at(table: CdfTable, row: int, cell: int, t: float) -> float:
     return table.w * _quantile_at(table._one_state[0], row, cell, t)
 
 
-#: offsets of the two bracketing rows
-_ROW_PAIR = np.array([0, 1], dtype=np.intp)
-
-
 def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Batch draws from the scaled one-step kernel at states x_scaled.
 
@@ -812,9 +815,8 @@ def draw_transition_batch(table: CdfTable, x_scaled: np.ndarray, u: np.ndarray) 
     if not (lam.min(initial=0.0) >= 0.0 and lam.max(initial=0.0) <= 1.0):
         np.maximum(lam, 0.0, out=lam)
         np.minimum(lam, 1.0, out=lam)
+    y, zb = _quantiles(table, u, j, pair=True)
     rest = 1.0 - lam
-    # rows j and j + 1 in one pass
-    y, zb = _quantiles(table, u, np.add.outer(_ROW_PAIR, j))
     w = table.w
     # (1 - lam) (w za) + lam (w zb), each product in that order
     y *= w

@@ -16,18 +16,19 @@ larger block is walked on all its paths at once, one column of uniforms per
 draw, the streams computed together in vectorised integer arithmetic (some
 33 uint64 passes per column, most of them in place), whose fixed cost pays
 off only from a few dozen paths on.  Both give the same bits.
-Base seeds need 0 <= base_seed and base_seed + n_paths <= 2**128.
-A block walks the whole grid for its PATH_BLOCK paths, so a walk's
-temporaries are bounded by a block at any batch size.  A batch's blocks
-(here, and the sums of stochint and qito) go through _each_block, which
-shares them among the calling thread and one walker thread per further
-usable CPU, never more than there are blocks; each block writes only its
-own rows and the memos it fills publish whole values, so the bits do not
-depend on the walker count.  A batch is stored grid-major, so each grid
-column is contiguous: the sampler draws into it and the integrals sum over
-it in place.  Every drawn value must be finite and within the support
-edge measures.support_halfwidth gives at its grid time; a grid keeps those
-edges with its square-rooted times.
+Base seeds need 0 <= base_seed and base_seed + n_paths <= 2**128.  A batch's
+blocks (here, and the sums of stochint and qito) go through _each_block: up
+to PATH_BLOCK paths are one block, more the fewest equal spans within
+PATH_BLOCK that number a multiple of the usable CPUs, shared by the calling
+thread and a walker thread per further CPU.  A block walks the whole grid
+for its paths, so a walk's temporaries are bounded by a block per walker at
+any batch size; each block writes only its own rows and the memos it fills
+publish whole values, so the bits depend on neither the spans nor the
+walkers.  A batch is stored grid-major, so each grid column is contiguous:
+the sampler draws into it and the integrals sum over it in place.  Every
+drawn value must be finite and within the support edge
+measures.support_halfwidth gives at its grid time; a grid keeps those edges
+with its square-rooted times.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import threading
 from contextvars import copy_context
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -70,29 +72,44 @@ __all__ = [
 
 #: default grid tail threshold: depth K is the smallest with q**K <= this
 GRID_TAIL = 1e-6
-#: paths simulated (and summed by stochint and qito) together: a block's NumPy
-#: calls are long enough that walkers on other blocks run while one holds the GIL
-PATH_BLOCK = 16384
+#: most paths simulated (and summed by stochint and qito) together, and the most
+#: a batch may hold without starting a walker thread (_block_spans)
+PATH_BLOCK = 32768
 #: blocks of fewer paths walk path by path on each path's own generator; from
 #: here on the block walk on the streams computed together is faster
 #: (scripts/path_crossover.py, at depth 20 and 80)
 _STREAM_CROSSOVER = 32
+#: reads this process's cgroup v2 CPU quota and period ("max" for none); never writes
+_cpu_max = Path("/sys/fs/cgroup/cpu.max").read_text
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: the walkers of a multi-block call."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The CPUs this process may run on: its CPU affinity, capped by its
+    cgroup v2 CPU quota (quota / period, rounded up) where it has one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        quota, period = map(int, _cpu_max().split())
+    except (OSError, ValueError):  # no file, no quota ("max") or a malformed one
+        return cpus
+    return min(cpus, -(-quota // period)) if quota > 0 and period > 0 else cpus
+
+
+def _block_spans(n_paths: int) -> tuple[list[tuple[int, int]], int]:
+    """_each_block's (start, stop) blocks and walkers: one of each up to
+    PATH_BLOCK paths, else the fewest spans within PATH_BLOCK, equal to a
+    path, none empty, whose count is a multiple of the usable CPUs."""
+    cpus = _usable_cpus() if n_paths > PATH_BLOCK else 1
+    count = max(1, min(n_paths, -(-n_paths // (PATH_BLOCK * cpus)) * cpus))
+    bounds = [i * n_paths // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:])), min(cpus, count)
 
 
 def _each_block(n_paths: int, work: Callable[[int, int], object]) -> list:
-    """work(start, stop) on each PATH_BLOCK block of n_paths paths, the
+    """work(start, stop) on each block of n_paths paths (_block_spans), the
     results in block order.
 
-    The calling thread walks blocks, and so does one thread per further
-    usable CPU (by CPU affinity, not by a CPU quota), never more walkers
-    than blocks; each takes the next block from one shared iterator, in a
+    The calling thread walks blocks, and so does each further walker's
+    thread; each takes the next block from one shared iterator, in a
     copy of the caller's context and under the caller's np.errstate (which
     NumPy 1.x keeps per thread, outside the context), and all are joined
     before this returns or raises.  With one walker no thread is started.
@@ -102,7 +119,7 @@ def _each_block(n_paths: int, work: Callable[[int, int], object]) -> list:
     qcore._grown, the lru_caches, CdfTable's one-state view) publish whole
     values, so walkers that fill one at once at worst form it twice.
     """
-    spans = [(start, min(start + PATH_BLOCK, n_paths)) for start in range(0, n_paths, PATH_BLOCK)]
+    spans, walkers = _block_spans(n_paths)
     out: list = [None] * len(spans)
     todo, lock, failed = iter(range(len(spans))), threading.Lock(), {}
 
@@ -124,7 +141,7 @@ def _each_block(n_paths: int, work: Callable[[int, int], object]) -> list:
 
     threads = []
     try:
-        for _ in range(min(_usable_cpus(), len(spans)) - 1):
+        for _ in range(walkers - 1):
             err = dict(np.geterr(), call=np.geterrcall())
             threads.append(threading.Thread(target=copy_context().run, args=(walk_under, err)))
             threads[-1].start()
@@ -422,8 +439,8 @@ def simulate_batch(
     """Simulate n_paths independent paths on the grid.
 
     Marginal draw at the deepest time, then one transition draw per step through
-    the shared scaled-kernel tables, PATH_BLOCK paths at a time on the walkers
-    of _each_block, drawn straight into the grid-major values: vectorised over
+    the shared scaled-kernel tables, a block at a time on the walkers of
+    _each_block, drawn straight into the grid-major values: vectorised over
     a block's paths, or path by path in a block of fewer than
     _STREAM_CROSSOVER.  Row i uses the stream of seed base_seed + i.  Raises
     ValueError unless 0 <= base_seed and base_seed + n_paths <= 2**128, if

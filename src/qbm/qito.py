@@ -20,10 +20,10 @@ and the K-step change-of-variable sum telescopes, leaving a residual of
 exactly |f(B_K, t_K) - f(0, 0)|, which the attached tail bound dominates.
 The gradient integral and the step sums of D_t f and delta f have one
 implementation, _sums, on a single path (1-D values, float or exact
-rational) or on a block of paths (one row per path): a batch is summed
-PATH_BLOCK rows at a time, each row in the single path's order, so each of
-its paths gets the single path's bits; the walkers form f's kept forms
-(QPolynomial.derived) on first use, as a single call does.
+rational) or on a block of paths (one row per path): a batch is summed in
+the blocks of process._each_block, each row in the single path's order, so
+each of its paths gets the single path's bits; the walkers form f's kept
+forms (QPolynomial.derived) on first use, as a single call does.
 
 nabla and delta also have integral forms: first and second divided
 differences of f integrated against explicit transition kernels.  The
@@ -351,7 +351,7 @@ def ito_decompose(f: QPolynomial, path: GeometricPath, ctx: QContext) -> ItoDeco
 
 
 def ito_decompose_batch(f: QPolynomial, batch: PathBatch, ctx: QContext) -> ItoDecomposition:
-    """ito_decompose on every path of a batch, PATH_BLOCK paths at a time
+    """ito_decompose on every path of a batch, a block at a time
     (process._each_block).
 
     lhs, the three terms and residual are arrays over the paths; entry i is

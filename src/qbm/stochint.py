@@ -16,9 +16,10 @@ at once, then each path's terms added one at a time in (k, m) order by
 _row_sums, so a float path and an exact rational one (as object arrays, for
 the zero-tolerance identity checks) take the same code, and each row of a
 block gets its path's bits.  Only integrate_def_batch, for the 1e5-path
-Monte Carlo batches, sums column by column over its grid-major values,
-adding the same terms (_def_terms) in the same order; its Hermite columns
-are hermite_eval_sequence's, started from h_0 = 1 and h_1 = B_k itself.
+Monte Carlo batches, sums column by column over its grid-major values, one
+block of process._each_block's equal spans at a time on its walkers, adding
+the same terms (_def_terms) in the same order; its Hermite columns are
+hermite_eval_sequence's, started from h_0 = 1 and h_1 = B_k itself.
 Reciprocals such as 1 / [m+1]! are taken as 1 / x, which stays a Fraction in
 an exact context and is 1.0 / x in a float one.
 
@@ -291,9 +292,9 @@ def integrate_byparts(
 
 def integrate_def_batch(f: PolynomialIntegrand, batch: PathBatch, ctx: QContext) -> np.ndarray:
     """Defining-sum values for every path of a batch, vectorised over the grid
-    columns of PATH_BLOCK paths at a time (process._each_block); a path's
-    value does not depend on its block, on the walker that sums it or on the
-    batch's memory layout, and is integrate_def's."""
+    columns of a block at a time (process._each_block); a path's value does
+    not depend on its block, on the walker that sums it or on the batch's
+    memory layout, and is integrate_def's."""
     sums = lambda start, stop: _def_sum_columns(f, batch.values[start:stop], batch.grid, ctx)
     return np.asarray(np.concatenate(process._each_block(len(batch), sums)), dtype=float)
 

@@ -321,11 +321,13 @@ def test_simulate_batch_rejects_seeds_outside_stream():
 
 
 def _block_boundary_batch():
-    """Three blocks, the last of 3 paths; the second block's entropy words
+    """Three or more blocks (_block_spans); the second block's entropy words
     carry past 2**32 after its first path."""
     ctx = QContext.numeric(0.5)
     grid = GeometricGrid.build(q=0.5, t=1.0, depth=8)
-    return simulate_batch(grid, 2 * process.PATH_BLOCK + 3, 2**32 - process.PATH_BLOCK - 1, ctx), ctx
+    n = 2 * process.PATH_BLOCK + 3
+    second = process._block_spans(n)[0][1][0]
+    return simulate_batch(grid, n, 2**32 - second - 1, ctx), ctx
 
 
 def test_path_blocks_do_not_change_the_batch(monkeypatch):
@@ -336,7 +338,7 @@ def test_path_blocks_do_not_change_the_batch(monkeypatch):
     grid, n, base = blocked.grid, len(blocked), blocked.base_seed
     f = PolynomialIntegrand.from_qpolynomial(QPolynomial.x_power(3), ctx)
     sums = integrate_def_batch(f, blocked, ctx)
-    for i in (0, process.PATH_BLOCK - 1, process.PATH_BLOCK, 2 * process.PATH_BLOCK - 1, 2 * process.PATH_BLOCK, n - 1):
+    for i in sorted({i for start, stop in process._block_spans(n)[0] for i in (start, stop - 1)}):
         assert sums[i] == integrate_def(f, blocked.path(i), ctx).value
     monkeypatch.setattr(process, "PATH_BLOCK", n)
     whole = simulate_batch(grid, n, base, ctx)
@@ -456,9 +458,12 @@ def test_bad_draw_in_a_later_block_is_rejected(monkeypatch):
     # a NaN in the first transition column of the second block, whichever
     # walker draws it: the first block still draws all its columns, the
     # second stops at the bad one, and every draw of either covers its whole
-    # block (the short last block may or may not have started meanwhile)
+    # block (later blocks may or may not have started meanwhile)
     grid = GeometricGrid.build(q=0.5, t=1.0, depth=4)
-    base, step = 2**32 - process.PATH_BLOCK - 1, process.PATH_BLOCK
+    n = 2 * process.PATH_BLOCK + 3
+    spans = process._block_spans(n)[0]
+    step = spans[1][0]
+    base = 2**32 - step - 1
     real_draw, walking, calls = process.draw_transition_batch, threading.local(), {}
 
     def spy(walk):
@@ -479,10 +484,10 @@ def test_bad_draw_in_a_later_block_is_rejected(monkeypatch):
         monkeypatch.setattr(process, name, spy(getattr(process, name)))
     monkeypatch.setattr(process, "draw_transition_batch", patched)
     with pytest.raises(ValueError, match="index 3 is not finite or lies outside the support"):
-        simulate_batch(grid, n_paths=2 * step + 3, base_seed=base)
+        simulate_batch(grid, n_paths=n, base_seed=base)
     assert calls[base] == [step] * grid.K
-    assert calls[base + step] == [step]
-    assert set(calls) <= {base, base + step, base + 2 * step}
+    assert calls[base + step] == [spans[1][1] - step]
+    assert set(calls) <= {base + start for start, _ in spans}
 
 
 def _force_walkers(monkeypatch, n: int) -> None:
@@ -511,11 +516,12 @@ def test_lowest_failing_block_is_raised(monkeypatch):
 
 
 def test_no_walker_outlives_its_call(monkeypatch):
+    # on three walkers, 4 * PATH_BLOCK - 1 paths take six equal spans, the
+    # fewest multiple of three within the cap, the last one path longer
     _force_walkers(monkeypatch, 3)
     before = threading.active_count()
-    assert process._each_block(4 * process.PATH_BLOCK - 1, lambda start, stop: stop - start) == [
-        process.PATH_BLOCK
-    ] * 3 + [process.PATH_BLOCK - 1]
+    n = 4 * process.PATH_BLOCK - 1
+    assert process._each_block(n, lambda start, stop: stop - start) == [n // 6] * 5 + [n // 6 + 1]
     assert threading.active_count() == before
 
     def fail(start, stop):
@@ -528,10 +534,86 @@ def test_no_walker_outlives_its_call(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("cap", [3, 64, process.PATH_BLOCK])
+def test_block_spans_are_equal_and_within_the_cap(monkeypatch, cap):
+    # the spans cover the batch in order, differ by at most one path, and
+    # none is empty or above the cap; above the cap their count is the
+    # fewest multiple of the walkers that keeps within it (one span per path
+    # where there are more walkers than paths)
+    monkeypatch.setattr(process, "PATH_BLOCK", cap)
+    for walkers in (1, 2, 3, 4, 6):
+        _force_walkers(monkeypatch, walkers)
+        for n in sorted({1, cap - 1, cap, cap + 1, 2 * cap, 3 * cap + 2, 7 * cap - 1} - {0}):
+            spans, used = process._block_spans(n)
+            sizes = [stop - start for start, stop in spans]
+            assert [start for start, _ in spans] == [0, *(stop for _, stop in spans[:-1])] and spans[-1][1] == n
+            assert 1 <= min(sizes) and max(sizes) - min(sizes) <= 1 and max(sizes) <= cap, (walkers, n)
+            count = len(spans)
+            if n <= cap:
+                assert count == 1 and used == 1
+            elif n < walkers:
+                assert count == n and used == n
+            else:
+                assert count % walkers == 0 and used == walkers, (walkers, n)
+                assert count == walkers or -(-n // (count - walkers)) > cap, (walkers, n)
+
+
+def test_a_monte_carlo_batch_takes_four_equal_blocks(monkeypatch):
+    for walkers in (1, 2, 4):
+        _force_walkers(monkeypatch, walkers)
+        assert process._block_spans(10**5) == ([(i * 25000, (i + 1) * 25000) for i in range(4)], walkers)
+
+
+def test_a_batch_within_the_cap_starts_no_thread(monkeypatch):
+    # one block on the calling thread, without asking for the CPU count
+    def no_count():
+        raise AssertionError("walkers counted")
+
+    monkeypatch.setattr(process, "_usable_cpus", no_count)
+    before, ident = threading.active_count(), threading.get_ident()
+    seen = process._each_block(process.PATH_BLOCK, lambda start, stop: (start, stop, threading.get_ident()))
+    assert seen == [(0, process.PATH_BLOCK, ident)] and threading.active_count() == before
+    simulate_batch(GeometricGrid.build(q=0.5, t=1.0, depth=3), process.PATH_BLOCK, 5)
+
+
+@pytest.mark.parametrize(
+    "cpu_max, cpus",
+    [
+        ("max 100000\n", 8),
+        ("150000 100000\n", 2),
+        ("100000 100000\n", 1),
+        ("20000 100000\n", 1),
+        ("400000 50000\n", 8),
+        ("1600000 100000\n", 8),
+        ("", 8),
+        ("150000\n", 8),
+        ("150000 100000 7\n", 8),
+        ("1.5 1\n", 8),
+        ("0 100000\n", 8),
+        ("150000 0\n", 8),
+        ("-1 100000\n", 8),
+        (FileNotFoundError, 8),
+        (PermissionError, 8),
+    ],
+)
+def test_usable_cpus_count_a_cgroup_cpu_quota(monkeypatch, cpu_max, cpus):
+    # min(affinity, ceil(quota / period)); a missing or unreadable file, no
+    # quota ("max") or a malformed file leaves the affinity's count
+    def read():
+        if isinstance(cpu_max, str):
+            return cpu_max
+        raise cpu_max("cpu.max")
+
+    monkeypatch.setattr(process.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(process, "_cpu_max", read)
+    assert process._usable_cpus() == cpus
+
+
 def test_many_walkers_on_small_blocks_keep_the_bits(monkeypatch):
-    # six walkers on 61 blocks, switching threads as often as the interpreter
-    # allows: each block is handed out once, the results come back in block
-    # order, and the batch and its decomposition have the one-walker bits
+    # six walkers on 66 blocks of 58 or 59 paths (11 per walker, under a cap
+    # of 64), switching threads as often as the interpreter allows: each
+    # block is handed out once, the results come back in block order, and
+    # the batch and its decomposition have the one-walker bits
     from qbm.qhermite import QPolynomial
     from qbm.qito import ito_decompose_batch
 
@@ -555,8 +637,9 @@ def test_many_walkers_on_small_blocks_keep_the_bits(monkeypatch):
         threaded = run()
     finally:
         sys.setswitchinterval(switch)
-    assert sorted(taken) == list(range(0, n, 64))
-    assert spans == [(start, min(start + 64, n)) for start in range(0, n, 64)]
+    bounds = [i * n // 66 for i in range(67)]
+    assert sorted(taken) == bounds[:-1]
+    assert spans == list(zip(bounds, bounds[1:]))
     assert threaded == serial
 
 
@@ -588,8 +671,10 @@ def test_walkers_see_the_callers_errstate(monkeypatch, context):
 def test_stream_crossover_keeps_every_path(monkeypatch):
     # blocks of fewer than _STREAM_CROSSOVER paths walk path by path on each
     # path's own generator, larger ones walk together on the streams computed
-    # together; row i is simulate_path's path either way, a tail block after
-    # a full block too
+    # together; row i is simulate_path's path either way, also in a batch
+    # whose equal spans straddle the crossover (a cap of _STREAM_CROSSOVER
+    # on one walker), the streams' entropy words carrying past 2**32 in its
+    # second span
     grid = GeometricGrid.build(q=0.5, t=1.0, depth=8)
     base = 2**32 - 40
     walked = []
@@ -601,24 +686,26 @@ def test_stream_crossover_keeps_every_path(monkeypatch):
 
         return recorded
 
-    cross, n = process._STREAM_CROSSOVER, process.PATH_BLOCK + 5
-    tail = (*range(3), process.PATH_BLOCK - 1, *range(process.PATH_BLOCK, n))
-    singles = {i: simulate_path(grid, base + i).values for i in (*range(cross + 1), *tail)}
+    cross = process._STREAM_CROSSOVER
+    n = 2 * cross - 1
+    singles = {i: simulate_path(grid, base + i).values for i in range(n)}
     for name in ("_walk_paths", "_walk_block"):
         monkeypatch.setattr(process, name, spy(getattr(process, name)))
     for m in (cross - 1, cross, cross + 1):
         batch = simulate_batch(grid, m, base)
         for i in range(m):
             assert np.array_equal(batch.values[i], singles[i]), (m, i)
+    monkeypatch.setattr(process, "PATH_BLOCK", cross)
+    _force_walkers(monkeypatch, 1)
     batch = simulate_batch(grid, n, base)
-    for i in tail:
+    for i in range(n):
         assert np.array_equal(batch.values[i], singles[i]), i
     assert walked == [
         ("_walk_paths", cross - 1),
         ("_walk_block", cross),
         ("_walk_block", cross + 1),
-        ("_walk_block", process.PATH_BLOCK),
-        ("_walk_paths", 5),
+        ("_walk_paths", cross - 1),
+        ("_walk_block", cross),
     ]
 
 
@@ -639,23 +726,30 @@ def test_bad_draw_in_a_single_path_is_rejected(monkeypatch, fault):
     assert len(calls) == 2 and all(type(x) is float for x in calls)
 
 
-def test_simulation_memory_is_bounded_by_the_block():
-    # beyond its output, a batch holds one block's columns and the draws'
-    # temporaries per walker (about 1.1 blocks each here), however many
-    # blocks it has; one pass over all 4 blocks' paths at once would hold
-    # about 9
+#: bytes a walker holds beyond the output per path of its block: a block
+#: walk's streams, uniforms, states and draw temporaries measure 152
+WALK_BYTES_PER_PATH = 160
+
+
+def test_simulation_memory_is_bounded_by_the_block(monkeypatch):
+    # beyond its output, a batch holds per walker one block's streams and
+    # draw temporaries (about 0.9 of the block's own columns at this depth),
+    # however many blocks it has; one pass over all its paths at once would
+    # hold about twice the bound of its two walkers
     import tracemalloc
 
+    _force_walkers(monkeypatch, 2)
     grid = GeometricGrid.build(q=0.5, t=1.0)
     ctx = QContext.numeric(0.5)
     simulate_batch(grid, 1, 0, ctx)  # the tables, outside the measurement
     n = 4 * process.PATH_BLOCK
+    spans, walkers = process._block_spans(n)
+    assert len(spans) == 4 and walkers == 2
     output = n * (grid.K + 1) * 8
-    block = process.PATH_BLOCK * (grid.K + 1) * 8
     tracemalloc.start()
     try:
         simulate_batch(grid, n, 11, ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - output < 5 * block, (peak - output) / block
+    assert peak - output < walkers * WALK_BYTES_PER_PATH * process.PATH_BLOCK, (peak - output) / (walkers * process.PATH_BLOCK)

@@ -227,12 +227,15 @@ def test_batch_decomposition_on_hand_built_rows():
 
 
 def test_batch_decomposition_does_not_depend_on_the_block(monkeypatch):
-    # 7 paths in blocks of 3, 3 and 1 give the values of one 7-path block
+    # 7 paths in blocks of 2, 2 and 3 (a cap of 3, one walker) give the
+    # values of one 7-path block
     ctx = QContext.numeric(0.8)
     f = QPolynomial.from_xt_terms({(5, 1): 0.7, (3, 0): -1.0, (2, 2): 0.25, (0, 1): 2.0})
     batch = simulate_batch(GeometricGrid.build(q=0.8, t=1.0, depth=30), 7, 41, ctx)
     whole = ito_decompose_batch(f, batch, ctx)
     monkeypatch.setattr(process, "PATH_BLOCK", 3)
+    monkeypatch.setattr(process, "_usable_cpus", lambda: 1)
+    assert process._block_spans(7)[0] == [(0, 2), (2, 4), (4, 7)]
     blocked = ito_decompose_batch(f, batch, ctx)
     for name in ("lhs", "gradient_term", "drift_term", "second_order_term", "residual"):
         assert getattr(blocked, name).tolist() == getattr(whole, name).tolist(), name

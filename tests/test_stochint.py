@@ -121,16 +121,16 @@ def test_batch_matches_single_paths():
 
 @pytest.mark.parametrize("q", [0.5, 0.8])
 def test_walkers_keep_the_bits(monkeypatch, q):
-    # a 3-block batch, its last block under _STREAM_CROSSOVER, simulated and
-    # summed by one walker, by the default number and by three: the same
-    # bits.  Each run starts from fresh polynomials, so their forms are
-    # computed inside the calls
-    n, base = 2 * process.PATH_BLOCK + 3, 2**32 - process.PATH_BLOCK - 1
-    assert n % process.PATH_BLOCK < process._STREAM_CROSSOVER
+    # a batch one path over the cap, simulated and summed as one block, and
+    # in the equal spans of one to four walkers: the same bits.  Then, under
+    # a cap of _STREAM_CROSSOVER, a batch whose spans straddle it on one or
+    # two walkers (one walked path by path, one on the streams computed
+    # together) and fall below it on three or four.  Each run starts from
+    # fresh polynomials, so their forms are computed inside the calls
     ctx = QContext.numeric(q)
     grid = GeometricGrid.build(q=q, t=1.0, depth=8)
 
-    def run() -> list[bytes]:
+    def run(n: int, base: int) -> list[bytes]:
         batch = simulate_batch(grid, n, base)
         f = QPolynomial.from_xt_terms({(3, 1): 0.7, (2, 0): -1.0, (1, 2): 0.25, (0, 1): 2.0})
         dec = ito_decompose_batch(f, batch, ctx)
@@ -138,17 +138,23 @@ def test_walkers_keep_the_bits(monkeypatch, q):
         terms = (dec.lhs, dec.gradient_term, dec.drift_term, dec.second_order_term, dec.residual)
         return [a.tobytes() for a in (batch.values, sums, *terms)]
 
-    default = run()
-    for walkers in (1, 3):
-        monkeypatch.setattr(process, "_usable_cpus", lambda: walkers)
-        assert run() == default, walkers
+    cross = process._STREAM_CROSSOVER
+    for cap, n in ((process.PATH_BLOCK, process.PATH_BLOCK + 1), (cross, 2 * cross - 1)):
+        base = 2**32 - n // 2
+        monkeypatch.setattr(process, "PATH_BLOCK", n)
+        whole = run(n, base)
+        monkeypatch.setattr(process, "PATH_BLOCK", cap)
+        for walkers in (1, 2, 3, 4):
+            monkeypatch.setattr(process, "_usable_cpus", lambda: walkers)
+            assert len(process._block_spans(n)[0]) == max(2, walkers)
+            assert run(n, base) == whole, (cap, walkers)
 
 
 def test_six_walkers_on_fresh_integrands_give_each_path_its_bits(monkeypatch):
-    # six walkers over 4-path blocks, at a short switch interval, sum
-    # integrands whose forms and step terms none has formed yet, so the
-    # walkers form them as they go: each path's value is integrate_def's
-    # and ito_decompose's on that path alone
+    # six walkers over twelve blocks of 2 or 3 paths, at a short switch
+    # interval, sum integrands whose forms and step terms none has formed
+    # yet, so the walkers form them as they go: each path's value is
+    # integrate_def's and ito_decompose's on that path alone
     from qbm.verify import _random_qpolynomial
 
     ctx = QContext.numeric(0.8)
