@@ -5,17 +5,20 @@
 For each q this times one transition_density point (one node of a
 Chapman-Kolmogorov second leg: a float state and a one-element target), one
 63-node level of the angle-variable density (the first trapezoid level of
-integrate, measures._theta_density), six integrate calls on one
-transition spec, the moments y**1..y**6, and one nested delta_numeric call
-on a degree-6 polynomial (at q <= 0.95 only: above that its nested form
-needs 2048 or more intervals, or does not converge by 4096, and the
-columns show "-").  The last two are timed cold and warm.  The cold
-moments run on a fresh spec, which holds no density levels yet, and the
-cold delta_numeric call runs with the inner leg's moments dropped first
-(qito._inner_moments); the warm ones reuse one spec, and the moments kept,
-from an earlier call.  It prints the median of
---repeats timings of each, in microseconds, with the number of cores the
-process may run on and the NumPy version.
+integrate) by the streaming kernel (measures._theta_density, as table
+builds evaluate it) and through the levels' memo (measures._level_density
+on measures._angle_level, as integrate reads it), six integrate calls on
+one transition spec, the moments y**1..y**6, and one nested delta_numeric
+call on a degree-6 polynomial (at q <= 0.95 only: above that its nested
+form needs 2048 or more intervals, or does not converge by 4096, and the
+columns show "-").  The memo level and the last two are timed cold and
+warm.  The cold memo level forms the level's terms first; the cold moments
+run on a fresh spec, which holds no density levels yet; the cold
+delta_numeric call runs with the inner leg's moments and the levels' memo
+dropped first (qito._inner_moments, measures._angle_level).  The warm ones
+reuse the memo, one spec and the moments kept from an earlier call.  It
+prints the median of --repeats timings of each, in microseconds, with the
+number of cores the process may run on and the NumPy version.
 """
 
 import argparse
@@ -54,8 +57,9 @@ def cold_warm(cold, warm, repeats: int) -> tuple[float, float]:
 
 
 def layers(q: float, repeats: int) -> tuple[float, ...]:
-    """(one point, one level, six integrate calls cold, warm, one delta_numeric
-    cold, warm) at q, in microseconds, the last two None above DELTA_MAX_Q.
+    """(one point, one streaming level, one memo level cold, warm, six
+    integrate calls cold, warm, one delta_numeric cold, warm) at q, in
+    microseconds, the last two None above DELTA_MAX_Q.
     The states are fixed fractions of the supports, inside the quadrature
     suite's range s/t <= 1/2."""
     ctx = QContext.numeric(q)
@@ -65,6 +69,11 @@ def layers(q: float, repeats: int) -> tuple[float, ...]:
     spec = new_spec()
     thetas = measures._trapezoid_nodes(64)[0]
     level = median_us(lambda: measures._theta_density(spec, thetas), repeats)
+    memo = lambda: measures._level_density(measures._angle_level(q, 64), [spec.x / spec.w], spec.s / spec.t, q)
+
+    def memo_cold():
+        measures._angle_level.cache_clear()
+        memo()
 
     def moments(spec):
         for n in range(1, 7):
@@ -75,11 +84,13 @@ def layers(q: float, repeats: int) -> tuple[float, ...]:
 
     def delta_cold():
         qito._inner_moments.cache_clear()
+        measures._angle_level.cache_clear()
         delta()
 
     return (
         point,
         level,
+        *cold_warm(memo_cold, memo, repeats),
         *cold_warm(lambda: moments(new_spec()), lambda: moments(spec), repeats),
         *(cold_warm(delta_cold, delta, repeats) if q <= DELTA_MAX_Q else (None, None)),
     )
@@ -97,10 +108,13 @@ def main(argv=None) -> int:
 
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(f"# nproc {nproc}, numpy {np.__version__}, median of {args.repeats} call(s), us")
-    print(f"{'q':>5} {'point':>8} {'level':>8} {'6 cold':>9} {'6 warm':>9} {'d cold':>9} {'d warm':>9}")
+    print(f"{'q':>5} {'point':>8} {'level':>8} {'m cold':>8} {'m warm':>8} {'6 cold':>9} {'6 warm':>9} {'d cold':>9} {'d warm':>9}")
     for q in args.q:
-        point, level, *calls = layers(q, args.repeats)
-        print(f"{q:5g} {point:8.1f} {level:8.1f}" + "".join(f" {'-' if us is None else f'{us:.1f}':>9}" for us in calls))
+        point, level, memo_cold, memo_warm, *calls = layers(q, args.repeats)
+        print(
+            f"{q:5g} {point:8.1f} {level:8.1f} {memo_cold:8.1f} {memo_warm:8.1f}"
+            + "".join(f" {'-' if us is None else f'{us:.1f}':>9}" for us in calls)
+        )
     return 0
 
 

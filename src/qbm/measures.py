@@ -11,19 +11,21 @@ marginal is the transition from x = 0 at s = 0.  Densities are supported on
 kernel is the density with that edge factor divided out, and is analytic on
 the support.  All quadrature runs in the angle variable theta with
 y = w sin(theta), where the Jacobian w cos(theta) turns the edge factor into
-(w cos(theta))**2, a product only _angle_density forms (for integrate and
-for qito.delta_numeric's inner leg).  Each integrand is then an analytic
-function of sin(theta), 2 pi-periodic and even about +-pi/2, so the
-composite trapezoid rule on [-pi/2, pi/2] is the full-period rule and
+(w cos(theta))**2, which the angle densities form.  Each integrand is then
+an analytic function of sin(theta), 2 pi-periodic and even about +-pi/2, so
+the composite trapezoid rule on [-pi/2, pi/2] is the full-period rule and
 converges geometrically (Trefethen & Weideman, SIAM Review 56, 2014).  Its
 levels nest: the nodes of m intervals are, bit for bit, every other node of
 2 m, so each doubling evaluates only the new nodes and sums over all of them
 in node order, and every estimate is the one a full evaluation gives;
-stacked integrands share one density, each stopping at its own level.  A
-DensitySpec keeps the levels integrate evaluated on it, for callers that
-integrate several functions on one spec one call at a time.  A one-point
-density runs on Python floats from its entry to the kernel, with the array
-form's bits, type and shape.
+stacked integrands share one density, each stopping at its own level.  The
+kernel's terms in q and the nodes alone are kept per q and level
+(_angle_level) for integrate and qito.delta_numeric_batch's outer leg, with
+the same bits.  Table builds, whose one-off grids would hold every series
+term, keep the streaming kernel, as does a one-point density, which runs on
+Python floats with the array form's bits, type and shape.  A DensitySpec
+keeps the levels integrate evaluated on it, for callers that integrate
+several functions on one spec one call at a time.
 
 Sampling is by tabulated inverse CDFs (in the style of PINV: Derflinger,
 Hoermann & Leydold, ACM TOMACS 20(4), 2010): each row stores the quantile and
@@ -77,8 +79,10 @@ NORM_TOL = 1e-6
 #: tolerance of the tables' u-error gate
 U_TOL = 1e-9
 
-#: relative stopping rule for adaptive quadrature
+#: relative stopping rule for adaptive quadrature; the most bytes of arrays
+#: one of its levels keeps (_angle_level)
 QUAD_REL_TOL = 1e-10
+LEVEL_BYTES = 2**18
 
 #: inverse-CDF tables: knot intervals per row, and the conditioning states
 #: of the scaled transition table
@@ -321,6 +325,70 @@ def _angle_density(c, u, r: float, q: float):
     return ((1.0 - c) * (1.0 + c)) * _unit_kernel(c, u, r, q, 4.0 / (1.0 - q))
 
 
+def _level_density(level: tuple, us, r: float, q: float) -> np.ndarray:
+    """_angle_density at the new nodes of an _angle_level, one row per state
+    u in us (floats), bit for bit: only the kernel's terms in (u, r) are
+    formed here, each sum and product in its order (series terms by m,
+    direct factors by k).  A level without terms takes the streaming kernel."""
+    _, c, terms = level
+    u = np.array(us)
+    if terms is None:
+        return _angle_density(c[None, :], u[:, None], r, q)
+    angle, c4, num, cheb, cheb2 = terms
+    _, _, _, log_y, series, direct = _tail_plan(q, r)
+    coef = []
+    for x in us:
+        # 4 a_m r^(m/2) T_m(cos psi), by _log_tail's recurrence on floats
+        two_u, s_prev, s_cur, row = 2.0 * x, 1.0, x, []
+        for _, four_a in series:
+            row.append(four_a * s_cur)
+            s_prev, s_cur = s_cur, two_u * s_cur - r * s_prev
+        coef.append(row)
+    value = np.add.reduce(np.array(coef)[:, :, None] * cheb, axis=1, initial=0.0)
+    value += np.subtract.reduce(cheb2, axis=0, initial=log_y)
+    np.exp(value, out=value)
+    const = 4.0 / (1.0 - q) * (1.0 - q) * (1.0 - q) * (1.0 - r) / (2.0 * math.pi)
+    for factors in direct[1:]:
+        const *= factors[2]
+    _, _, _, lin, b2, rq2k, q2k4 = np.array(direct).T[:, :, None]
+    den = (lin * u)[:, :, None] * c
+    den += (b2 + rq2k * c4)[:, None, :]
+    den += (q2k4 * (u * u))[:, :, None]
+    value *= (const * num) / np.multiply.reduce(den, axis=0, initial=1.0)
+    return np.multiply(value, angle, out=value)
+
+
+@lru_cache(maxsize=32)
+def _angle_level(q: float, m: int) -> tuple:
+    """(weights, c, terms) of the m-interval trapezoid level at q: weights,
+    c = sin(theta) at the nodes it adds (all m - 1 at 64 intervals,
+    thetas[0::2] above) and the kernel's terms in q and c alone, formed as
+    _log_tail and _unit_kernel form them: (1 - c) (1 + c), 4 c**2, the direct
+    numerators' product, and T_m(cos phi) and 2 a_m T_m(cos 2 phi) stacked by
+    term; None past LEVEL_BYTES, so at most 8 MiB of arrays, all read-only."""
+    thetas, weights = _trapezoid_nodes(m)
+    c = np.sin(thetas if m == 64 else np.ascontiguousarray(thetas[0::2]))
+    _, n_terms, _, _, series, direct = _tail_plan(q, 0.0)
+    terms = None
+    if 8 * ((2 * n_terms + 4) * c.size + weights.size) <= LEVEL_BYTES:
+        c2 = 2.0 * (c * c) - 1.0
+        two_c, two_c2 = 2.0 * c, 2.0 * c2
+        t_prev, t_cur, d_prev, d_cur = 1.0, c, 1.0, c2
+        cheb, cheb2 = np.empty((n_terms, c.size)), np.empty((n_terms, c.size))
+        for i, (two_a, _) in enumerate(series):
+            cheb[i] = t_cur
+            np.multiply(two_a, d_cur, out=cheb2[i])
+            d_prev, d_cur = d_cur, two_c2 * d_cur - d_prev
+            t_prev, t_cur = t_cur, two_c * t_cur - t_prev
+        c4, num = 4.0 * (c * c), np.ones_like(c)
+        for qk, one_qk2, *_ in direct[1:]:
+            num = num * (one_qk2 - qk * c4)
+        terms = ((1.0 - c) * (1.0 + c), c4, num, cheb, cheb2)
+    for a in (weights, c, *(terms or ())):
+        a.flags.writeable = False
+    return weights, c, terms
+
+
 def _theta_density(spec: DensitySpec, theta, x=None):
     """Density in the angle variable, y = w sin(theta) (_angle_density).
     x overrides spec.x and broadcasts."""
@@ -362,20 +430,20 @@ def _trapezoid_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(1, m) * (math.pi / m) - math.pi / 2.0, np.full(m - 1, math.pi / m)
 
 
-def _adaptive(estimate, rel_tol: float, max_intervals: int) -> np.ndarray:
+def _adaptive(estimate, rel_tol: float, max_intervals: int, q: float) -> np.ndarray:
     """Doubles the trapezoid intervals from 64 (64, 128, 256, ...) until two
-    successive values of estimate(thetas, weights) agree to rel_tol (relative,
-    with a unit floor); raises QuadratureError if max_intervals is passed first.
-    An array of values stops entry by entry, each at the level where it
-    would stop alone, and is returned once every entry has stopped.
+    successive values of estimate(level), level the _angle_level at q, agree
+    to rel_tol (relative, with a unit floor); raises QuadratureError if
+    max_intervals is passed first.  An array of values stops entry by entry,
+    each at the level where it would stop alone, and is returned once every
+    entry has stopped.
 
-    The levels nest: after the first, thetas[0::2] are the nodes the previous
-    level lacks and thetas[1::2] are its nodes, so estimate can evaluate the
-    new ones only and interleave them with what it kept (see _nest).
+    The levels nest, so estimate can evaluate the nodes a level adds only
+    and interleave them with what it kept (see _nest).
     """
     m, prev, value, done = 64, None, 0.0, np.False_
     while m <= max_intervals:
-        est = estimate(*_trapezoid_nodes(m))
+        est = estimate(_angle_level(q, m))
         if prev is not None:
             settled = ~done & (np.abs(est - prev) < rel_tol * np.maximum(1.0, np.abs(est)))
             value, done = np.where(settled, est, value), done | settled
@@ -412,21 +480,22 @@ def integrate(g, spec: DensitySpec, rel_tol: float = QUAD_REL_TOL) -> float | np
     stored by one setdefault, so threads sharing a spec read one array each.
     """
     levels = spec._levels
+    u, r = spec.x / spec.w, spec.s / spec.t
     gv = rho = None
 
-    def estimate(thetas, weights):
+    def estimate(level):
         nonlocal gv, rho
-        new = thetas if rho is None else np.ascontiguousarray(thetas[0::2])
-        gv = _nest(gv, np.asarray(g(spec.w * np.sin(new)), dtype=float))
-        kept = levels.get(thetas.size)
+        weights, c, _ = level
+        gv = _nest(gv, np.asarray(g(spec.w * c), dtype=float))
+        kept = levels.get(weights.size)
         if kept is None:
-            kept = _nest(rho, _theta_density(spec, new))
+            kept = _nest(rho, _level_density(level, [u], r, spec.q)[0])
             kept.flags.writeable = False
-            kept = levels.setdefault(thetas.size, kept)
+            kept = levels.setdefault(weights.size, kept)
         rho = kept
         return np.sum(weights * gv * rho, axis=-1)
 
-    value = _adaptive(estimate, rel_tol, 8192)
+    value = _adaptive(estimate, rel_tol, 8192, spec.q)
     return float(value) if value.ndim == 0 else value
 
 

@@ -47,8 +47,8 @@ from .measures import (
     QUAD_REL_TOL,
     _adaptive,
     _angle_density,
+    _level_density,
     _nest,
-    _theta_density,
     _trapezoid_nodes,
     integrate,
     transition_spec,
@@ -219,14 +219,15 @@ def delta_numeric_batch(
     # the support is symmetric, so the largest |x| validates every outer leg
     outer = transition_spec(ctx, s=q * s, t=s, x=max((abs(x) for x in xs), default=0.0))
     states = [xs.index(x) for x, _ in entries]
+    us, r = [x / outer.w for x in xs], outer.s / outer.t
     c = rho_out = None
 
-    def estimate(thetas, weights):
+    def estimate(level):
         nonlocal c, rho_out
-        new = thetas if c is None else np.ascontiguousarray(thetas[0::2])
-        rho_out = _nest(rho_out, _theta_density(outer, new[None, :], np.array(xs)[:, None]))
-        c = _nest(c, np.sin(new))
-        moments = _inner_moments(q, thetas.size + 1, max([2, *map(len, coeffs)]) - 2).T
+        weights, fresh, _ = level
+        rho_out = _nest(rho_out, _level_density(level, us, r, q))
+        c = _nest(c, fresh)
+        moments = _inner_moments(q, weights.size + 1, max([2, *map(len, coeffs)]) - 2).T
         est = np.empty(len(entries))
         for i, (j, a) in enumerate(zip(states, coeffs)):
             legs = 0.0
@@ -235,7 +236,7 @@ def delta_numeric_batch(
             est[i] = np.sum(weights * rho_out[j] * legs)
         return est
 
-    return _adaptive(estimate, rel_tol, 4096)
+    return _adaptive(estimate, rel_tol, 4096, q)
 
 
 @lru_cache(maxsize=32)

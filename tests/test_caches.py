@@ -8,8 +8,12 @@ import pkgutil
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 import qbm
-from qbm import qcore
+from qbm import measures, qcore
+from qbm.measures import QuadratureError, integrate, marginal_spec
 from qbm.qcore import QContext, q_factorial
 from qbm.qhermite import QPolynomial, growth_constant, to_hermite_basis
 from qbm.qito import delta_exact
@@ -21,6 +25,11 @@ MODULES = [importlib.import_module(f"qbm.{m.name}") for m in pkgutil.iter_module
 #: under 16 KiB each (a record measured about 9 KB; every distinct q kept
 #: would leave about 4 MB after this sweep)
 SWEEP_BYTES = 128 * 16 * 1024
+
+#: what the quadrature levels' memo may keep: its bound of entries at
+#: LEVEL_BYTES of arrays each, and 4 KiB of objects (with every level kept
+#: whole, the sweep near q = 0.99 would leave about 46 MB)
+LEVEL_MEMO_BYTES = measures._angle_level.cache_info().maxsize * (measures.LEVEL_BYTES + 4096)
 
 
 def _module_caches() -> dict:
@@ -56,7 +65,12 @@ def _touch(ctx: QContext) -> None:
 
 def test_every_module_cache_is_a_bounded_lru_cache():
     caches = _module_caches()
-    assert {"qbm.qcore._record", "qbm.qito._inner_moments", "qbm.measures.scaled_transition_table"} <= set(caches)
+    assert {
+        "qbm.qcore._record",
+        "qbm.qito._inner_moments",
+        "qbm.measures._angle_level",
+        "qbm.measures.scaled_transition_table",
+    } <= set(caches)
     for name, cache in caches.items():
         # maxsize None would be unbounded
         assert isinstance(cache.cache_info().maxsize, int) and cache.cache_info().maxsize > 0, name
@@ -87,3 +101,26 @@ def test_a_sweep_of_distinct_q_keeps_every_cache_within_its_bound():
     assert qcore._record.cache_info().currsize == bound
     assert _containers() == sizes
     assert grown < SWEEP_BYTES, grown
+
+    # the quadrature levels' memo: integrate to 8192 intervals at five q near
+    # 0.99, 40 levels where 32 are kept, leaves at most LEVEL_MEMO_BYTES
+    # beyond the kernel's plans (each under 32 KiB); every deep level keeps
+    # its nodes and weights only
+    measures._angle_level.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(5):
+            spec = marginal_spec(QContext.numeric(0.985 + 0.0025 * k), 1.0)
+            with pytest.raises(QuadratureError):
+                integrate(lambda y: np.cos(200.0 * y), spec, rel_tol=0.0)
+        del spec
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    info = measures._angle_level.cache_info()
+    assert info.misses == 40 and info.currsize == info.maxsize == 32
+    assert grown < LEVEL_MEMO_BYTES + 5 * 32 * 1024, grown
+    assert measures._angle_level(0.995, 8192)[2] is None

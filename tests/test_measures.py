@@ -76,15 +76,15 @@ def test_quadrature_rule_basics():
 
 
 def _record_intervals(monkeypatch):
-    """Interval counts the adaptive driver asks for; each gets the real rule."""
+    """Interval counts the adaptive driver asks for; each gets the real level."""
     counts = []
-    real = measures._trapezoid_nodes
+    real = measures._angle_level
 
-    def spy(m):
+    def spy(q, m):
         counts.append(m)
-        return real(m)
+        return real(q, m)
 
-    monkeypatch.setattr(measures, "_trapezoid_nodes", spy)
+    monkeypatch.setattr(measures, "_angle_level", spy)
     return counts
 
 
@@ -144,14 +144,20 @@ def test_integrate_keeps_each_specs_density_levels(monkeypatch):
         assert [float(v).hex() for v in stacked] == [cold[k, 0], cold[k, 1]]
     specs = _two_specs(ctx)
     evaluated = []
-    real = measures._theta_density
-    monkeypatch.setattr(measures, "_theta_density", lambda spec, th: evaluated.append((spec, th.size)) or real(spec, th))
+    real = measures._level_density
+
+    def spy(level, us, r, q):
+        evaluated.append((us, r, level[1].size))
+        return real(level, us, r, q)
+
+    monkeypatch.setattr(measures, "_level_density", spy)
     for _ in range(2):
         for i in (0, 1):
             for k, spec in enumerate(specs):
                 assert integrate(gs[i], spec).hex() == cold[k, i]
     # 64 intervals: all 63 nodes; each later level: the nodes it adds
-    assert evaluated == [(spec, n) for pair in ((63, 64), (128, 256)) for spec in specs for n in pair]
+    states = [([spec.x / spec.w], spec.s / spec.t) for spec in specs]
+    assert evaluated == [(*state, n) for pair in ((63, 64), (128, 256)) for state in states for n in pair]
     assert sorted(specs[0]._levels) == sorted(specs[1]._levels) == [63, 127, 255, 511]
     # a spec holds at most 8 levels, up to 8192 intervals: 16312 values
     with pytest.raises(QuadratureError):
@@ -183,13 +189,14 @@ def test_delta_numeric_nonconvergence_stops_at_4096(monkeypatch):
     counts = _record_intervals(monkeypatch)
     handed = []
 
-    def driver(estimate, rel_tol, max_intervals):
+    def driver(estimate, rel_tol, max_intervals, q):
         handed.append((rel_tol, max_intervals))
 
-        def cheap(thetas, weights):
-            return estimate(thetas, weights) if thetas.size < 255 else float(thetas.size)
+        def cheap(level):
+            nodes = level[0].size
+            return estimate(level) if nodes < 255 else float(nodes)
 
-        return measures._adaptive(cheap, rel_tol, max_intervals)
+        return measures._adaptive(cheap, rel_tol, max_intervals, q)
 
     monkeypatch.setattr(qito, "_adaptive", driver)
     ctx = QContext.numeric(0.5)
@@ -200,15 +207,16 @@ def test_delta_numeric_nonconvergence_stops_at_4096(monkeypatch):
 
     # a stack of two entries, where the first stops at 128 intervals and the
     # second never settles, raises too
-    def split(estimate, rel_tol, max_intervals):
+    def split(estimate, rel_tol, max_intervals, q):
         handed.append((rel_tol, max_intervals))
 
-        def one_settles(thetas, weights):
-            est = estimate(thetas, weights) if thetas.size < 255 else None
+        def one_settles(level):
+            nodes = level[0].size
+            est = estimate(level) if nodes < 255 else None
             assert est is None or est.shape == (2,)
-            return np.array([1.0, float(thetas.size)])
+            return np.array([1.0, float(nodes)])
 
-        return measures._adaptive(one_settles, rel_tol, max_intervals)
+        return measures._adaptive(one_settles, rel_tol, max_intervals, q)
 
     monkeypatch.setattr(qito, "_adaptive", split)
     handed.clear()
@@ -360,6 +368,63 @@ def test_nested_levels_match_full_evaluation(q):
         assert float(got).hex() == _nabla_full(g, x, s, ctx, 1e-12).hex()
 
 
+@given(
+    q=st.floats(0.01, 0.99),
+    r_kind=st.sampled_from(["zero", "tiny", "drawn", "q", "q2"]),
+    drawn=st.floats(0.0, 0.999),
+    v=st.floats(-1.0, 1.0),
+    log_m=st.integers(6, 12),
+    whole=st.booleans(),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_level_memo_keeps_the_kernels_bits(q, r_kind, drawn, v, log_m, whole):
+    # the density on a level's new nodes from the memo's terms is
+    # _unit_kernel's, bit for bit: states 0, +-0.99 of the edge sqrt(r) and
+    # one drawn, one row each and as rows x nodes, on levels of 64 to 4096
+    # intervals; whole keeps the terms past LEVEL_BYTES
+    r = {"zero": 0.0, "tiny": 1e-9, "drawn": drawn, "q": q, "q2": q * q}[r_kind]
+    m = 2**log_m
+    with pytest.MonkeyPatch.context() as patch:
+        if whole:
+            patch.setattr(measures, "LEVEL_BYTES", math.inf)
+        level = measures._angle_level.__wrapped__(q, m)
+    weights, c, terms = level
+    thetas = _trapezoid_nodes(m)[0]
+    new = thetas if m == 64 else np.ascontiguousarray(thetas[0::2])
+    assert weights.tobytes() == _trapezoid_nodes(m)[1].tobytes() and c.tobytes() == np.sin(new).tobytes()
+    assert terms is not None or not whole
+
+    def reference(c, u):
+        return ((1.0 - c) * (1.0 + c)) * measures._unit_kernel(c, u, r, q, 4.0 / (1.0 - q))
+
+    edge = math.sqrt(r)
+    us = [0.0, 0.99 * edge, -0.99 * edge, v * edge]
+    rows = measures._level_density(level, us, r, q)
+    assert rows.shape == (4, c.size)
+    assert rows.tobytes() == reference(c[None, :], np.array(us)[:, None]).tobytes()
+    for u in us:
+        assert measures._level_density(level, [u], r, q)[0].tobytes() == reference(c, u).tobytes()
+
+
+def test_level_memo_gives_the_same_bits_cold_and_warm():
+    # integrate and delta_numeric_batch give the same bits with the levels'
+    # memo cleared and with it kept from an earlier call
+    ctx, s = QContext.numeric(0.8), 0.8
+    edge = support_halfwidth(0.8 * s, 0.8)
+    g = lambda y: np.vstack([y**4, np.cos(3.0 * y), np.cos(40.0 * y)])
+    fs = [QPolynomial.x_power(3) + QPolynomial.x_power(5) * 0.5, QPolynomial.x_power(2)]
+    entries = [(x, f) for x in (0.0, 0.3 * edge, -0.9 * edge) for f in fs]
+    runs = []
+    for cold in (True, False):
+        if cold:
+            measures._angle_level.cache_clear()
+        misses = measures._angle_level.cache_info().misses
+        spec = transition_spec(ctx, s=0.4, t=1.0, x=-0.7 * support_halfwidth(0.4, 0.8))
+        runs.append((integrate(g, spec).tobytes(), qito.delta_numeric_batch(entries, s, ctx).tobytes()))
+        assert (measures._angle_level.cache_info().misses > misses) == cold
+    assert runs[0] == runs[1]
+
+
 def test_moment_form_matches_the_matrix_form():
     # the inner leg as moments times f[x, y, z]'s coefficients in z moves
     # delta_numeric from qbm 0.6.0's matrix form at rounding level only; at
@@ -508,12 +573,12 @@ def test_delta_numeric_deep_levels_keep_memory_bounded(monkeypatch):
     x = 0.3 * support_halfwidth(q * s, q)
     levels = []
 
-    def to_1024(estimate, rel_tol, max_intervals):
+    def to_1024(estimate, rel_tol, max_intervals, q):
         for m in (64, 128, 256, 512):
-            estimate(*_trapezoid_nodes(m))
+            estimate(measures._angle_level(q, m))
         tracemalloc.start()
         try:
-            value = estimate(*_trapezoid_nodes(1024))
+            value = estimate(measures._angle_level(q, 1024))
             levels.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

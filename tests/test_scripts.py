@@ -147,9 +147,9 @@ def test_density_layers_times_each_layer(capsys):
     assert lines[0].startswith("# nproc ") and " numpy " in lines[0] and len(lines) == 5
     for line, q in zip(lines[2:], ("0.5", "0.8", "0.99")):
         fields = line.split()
-        assert fields[0] == q and len(fields) == 7 and all(float(v) > 0.0 for v in fields[1:5])
+        assert fields[0] == q and len(fields) == 9 and all(float(v) > 0.0 for v in fields[1:7])
         # delta_numeric is timed up to q = 0.95 only
-        assert fields[5:] == ["-", "-"] if q == "0.99" else all(float(v) > 0.0 for v in fields[5:])
+        assert fields[7:] == ["-", "-"] if q == "0.99" else all(float(v) > 0.0 for v in fields[7:])
 
 
 @pytest.mark.parametrize("args, message", [(["--repeats", "0"], "--repeats must be >= 1"), (["--q", "0"], "--q must lie")])
